@@ -3,13 +3,11 @@
 
 use std::collections::VecDeque;
 
-use drms_core::chaos::CrashPoint;
-use drms_core::commit::{
-    compute_integrity_staged, publish_data, publish_manifest, staged_manifest_path, staging_prefix,
-};
+use drms_core::chaos::{CrashPoint, FLUSH_COMMIT};
+use drms_core::commit::Commit;
 use drms_core::crash_point;
 use drms_core::manifest::{
-    array_path, delta_path, manifest_path, segment_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
+    array_path, delta_path, manifest_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
 };
 use drms_core::segment::DataSegment;
 use drms_core::{CheckpointArray, CoreError, Drms};
@@ -258,8 +256,7 @@ impl AsyncCheckpointer {
             }
             return Err(e);
         }
-        let report = self.arm(ctx, prefix, &snap, t_sop, t_snap, d, stalled, None);
-        Ok(report)
+        Ok(self.arm(ctx, prefix, snap.sop, snap.total_bytes, t_sop, t_snap, d, stalled))
     }
 
     /// Asynchronous incremental checkpoint: the chunk diff/dedup pass runs
@@ -333,7 +330,7 @@ impl AsyncCheckpointer {
             rec.gauge_set_at(t_snap, 0, names::DELTA_DIRTY_RATIO, 0, ratio);
         }
         let mut report =
-            self.arm(ctx, prefix, &delta_snapshot_view(&plan), t_sop, t_snap, d, stalled, None);
+            self.arm(ctx, prefix, plan.sop, plan.total_bytes, t_sop, t_snap, d, stalled);
         report.delta = Some(summary);
         Ok(report)
     }
@@ -348,23 +345,23 @@ impl AsyncCheckpointer {
         &mut self,
         ctx: &Ctx,
         prefix: &str,
-        snap: &Snapshot,
+        sop: u64,
+        total_bytes: u64,
         t_sop: f64,
         t_snap: f64,
         d: f64,
         stalled: f64,
-        delta: Option<DeltaSummary>,
     ) -> AsyncReport {
         let start = self.free_at.max(t_snap);
         let finish = start + d;
         self.free_at = finish;
         self.flights.push_back(Flight {
             prefix: prefix.to_string(),
-            sop: snap.sop,
+            sop,
             t_snap,
             start,
             finish,
-            bytes: snap.total_bytes,
+            bytes: total_bytes,
             stall: 0.0,
         });
         if ctx.rank() == 0 && ctx.recorder().enabled() {
@@ -372,7 +369,7 @@ impl AsyncCheckpointer {
             rec.span_start(t_sop, 0, Phase::Async, "snapshot");
             rec.span_end(t_snap, 0, Phase::Async, "snapshot");
             rec.counter_add_at(t_snap, 0, names::ASYNC_SNAPSHOTS, None, 1);
-            rec.counter_add_at(t_snap, 0, names::ASYNC_SNAPSHOT_BYTES, None, snap.total_bytes);
+            rec.counter_add_at(t_snap, 0, names::ASYNC_SNAPSHOT_BYTES, None, total_bytes);
             rec.gauge_set_at(t_snap, 0, names::ASYNC_INFLIGHT, 0, self.flights.len() as f64);
             rec.span_start(t_snap, 0, Phase::Async, "flush");
             rec.span_end(finish, 0, Phase::Async, "flush");
@@ -381,14 +378,14 @@ impl AsyncCheckpointer {
             rec.event(t_snap, 0, Phase::Async, &format!("AsyncArmed {prefix}"));
         }
         AsyncReport {
-            sop: snap.sop,
+            sop,
             snapshot_seconds: t_snap - t_sop,
             flush_seconds: d,
             lag: finish - t_snap,
             finish,
-            bytes: snap.total_bytes,
+            bytes: total_bytes,
             stalled,
-            delta,
+            delta: None,
         }
     }
 }
@@ -407,27 +404,20 @@ fn flush_full(
     prefix: &str,
     snap: &Snapshot,
 ) -> Result<u64> {
-    let staging = staging_prefix(prefix);
+    let commit = Commit::new(fs, prefix, &FLUSH_COMMIT);
     if let Some(tier) = tier {
         let manifest = snap.manifest(Vec::new()).encode();
         let file_lens = snap.file_lens();
         let pieces = snap.tier_pieces(tier.piece_bytes());
         store_captured(ctx, tier, prefix, &snap.app, snap.sop, manifest, &file_lens, pieces)?;
-        crash_point(ctx, fs, CrashPoint::FlushAfterSegment, true)?;
+        commit.segment_staged(ctx)?;
         spill_to_staging(ctx, fs, tier, prefix)?;
         ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::FlushAfterArray, true)?;
+        commit.array_staged(ctx)?;
     } else {
-        if ctx.rank() == 0 {
-            let seg = snap.segment.as_ref().expect("rank 0 captured the segment");
-            let path = segment_path(&staging);
-            fs.create(&path);
-            fs.write_at(ctx, &path, 0, seg);
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::FlushAfterSegment, true)?;
+        commit.stage_segment(ctx, snap.segment.as_deref())?;
         for a in &snap.arrays {
-            let path = array_path(&staging, &a.name);
+            let path = array_path(commit.staging(), &a.entry.name);
             if ctx.rank() == 0 {
                 fs.create(&path);
             }
@@ -438,38 +428,22 @@ fn flush_full(
                 .map(|p| WriteReq { path: path.clone(), offset: p.offset, data: p.data.clone() })
                 .collect();
             fs.collective_write(ctx, reqs);
-            crash_point(ctx, fs, CrashPoint::FlushAfterArray, true)?;
+            commit.array_staged(ctx)?;
         }
         ctx.barrier();
     }
 
-    drms_core::stage_flight_rings(ctx, fs, &staging);
-    if ctx.rank() == 0 {
-        let manifest = snap.manifest(compute_integrity_staged(fs, prefix));
-        let smp = staged_manifest_path(prefix);
-        fs.create(&smp);
-        fs.write_at(ctx, &smp, 0, &manifest.encode());
-    }
-    crash_point(ctx, fs, CrashPoint::FlushStagedManifest, true)?;
-    if ctx.rank() == 0 {
-        publish_data(fs, prefix);
-    }
-    crash_point(ctx, fs, CrashPoint::FlushMidPublish, true)?;
-    if ctx.rank() == 0 {
-        let committed = publish_manifest(fs, prefix);
-        debug_assert!(committed, "staged manifest must exist at the commit point");
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-        }
-        if ctx.recorder().flight_enabled() {
-            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-        }
-        if let Some(tier) = tier {
-            tier.mark_spilled(prefix);
-        }
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::FlushCommitted, false)?;
+    // The tier entry is marked durable at the commit point itself, so a
+    // crash after the manifest rename already sees it spilled.
+    commit.publish(
+        ctx,
+        |integrity| snap.manifest(integrity),
+        || {
+            if let Some(tier) = tier {
+                tier.mark_spilled(prefix);
+            }
+        },
+    )?;
     Ok(snap.total_bytes)
 }
 
@@ -487,19 +461,6 @@ struct DeltaPlan {
     deltas: Vec<ArrayDelta>,
     stats: StageStats,
     total_bytes: u64,
-}
-
-/// A snapshot-shaped view of a delta plan, for shared flight bookkeeping.
-fn delta_snapshot_view(plan: &DeltaPlan) -> Snapshot {
-    Snapshot {
-        app: plan.app.clone(),
-        sop: plan.sop,
-        ntasks: plan.ntasks,
-        segment: None,
-        arrays: Vec::new(),
-        local_bytes: 0,
-        total_bytes: plan.total_bytes,
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -528,12 +489,7 @@ fn capture_delta(
     let mut deltas = Vec::new();
     let mut stats = StageStats::default();
     for a in arrays {
-        entries.push(ArrayEntry {
-            name: a.array_name().to_string(),
-            elem_code: a.elem_code(),
-            domain: a.domain().clone(),
-            order: a.order(),
-        });
+        entries.push(ArrayEntry::of(*a));
         let pieces = a.stream_pieces(ctx, 1)?;
         if ctx.rank() == 0 {
             let stream = assemble_pieces(pieces);
@@ -587,58 +543,32 @@ fn emit_delta_obs(ctx: &Ctx, prefix: &str, plan: &DeltaPlan, t_sop: f64, t_snap:
 /// manifest, then the shared two-phase publish tail — the same `Flush*`
 /// crash-point sequence as the full path.
 fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: &DeltaPlan) -> Result<u64> {
-    let staging = staging_prefix(prefix);
-    if ctx.rank() == 0 {
-        let seg = plan.segment.as_ref().expect("rank 0 captured the segment");
-        let path = segment_path(&staging);
-        fs.create(&path);
-        fs.write_at(ctx, &path, 0, seg);
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::FlushAfterSegment, true)?;
+    let commit = Commit::new(fs, prefix, &FLUSH_COMMIT);
+    commit.stage_segment(ctx, plan.segment.as_deref())?;
     for i in 0..plan.entries.len() {
         if ctx.rank() == 0 {
             let (name, pack) = &plan.packs[i];
-            let path = delta_path(&staging, name);
+            let path = delta_path(commit.staging(), name);
             fs.create(&path);
             if !pack.is_empty() {
                 fs.write_at(ctx, &path, 0, pack);
             }
         }
-        crash_point(ctx, fs, CrashPoint::FlushAfterArray, true)?;
+        commit.array_staged(ctx)?;
     }
     ctx.barrier();
-    drms_core::stage_flight_rings(ctx, fs, &staging);
-    if ctx.rank() == 0 {
-        let manifest = Manifest {
+    commit.publish(
+        ctx,
+        |integrity| Manifest {
             app: plan.app.clone(),
             kind: CkptKind::DrmsDelta,
             ntasks: plan.ntasks,
             sop: plan.sop,
             arrays: plan.entries.clone(),
-            integrity: compute_integrity_staged(fs, prefix),
+            integrity,
             deltas: plan.deltas.clone(),
-        };
-        let smp = staged_manifest_path(prefix);
-        fs.create(&smp);
-        fs.write_at(ctx, &smp, 0, &manifest.encode());
-    }
-    crash_point(ctx, fs, CrashPoint::FlushStagedManifest, true)?;
-    if ctx.rank() == 0 {
-        publish_data(fs, prefix);
-    }
-    crash_point(ctx, fs, CrashPoint::FlushMidPublish, true)?;
-    if ctx.rank() == 0 {
-        let committed = publish_manifest(fs, prefix);
-        debug_assert!(committed, "staged manifest must exist at the commit point");
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-        }
-        if ctx.recorder().flight_enabled() {
-            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-        }
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::FlushCommitted, false)?;
+        },
+        || {},
+    )?;
     Ok(plan.stats.pack_bytes)
 }

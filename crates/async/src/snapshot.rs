@@ -11,13 +11,12 @@
 use std::sync::Arc;
 
 use drms_core::manifest::{ArrayEntry, CkptKind, Manifest};
-use drms_core::segment::{DataSegment, Region, RegionKind};
+use drms_core::segment::DataSegment;
 use drms_core::wire::crc32;
-use drms_core::{encode_locals, CheckpointArray, Drms};
+use drms_core::{encode_segment_with_locals, CheckpointArray, Drms};
 use drms_darray::stream::StreamPiece;
 use drms_memtier::{array_file, CapturedPiece, SEGMENT_FILE};
 use drms_msg::Ctx;
-use drms_slices::{Order, Slice};
 
 use crate::Result;
 
@@ -25,29 +24,12 @@ use crate::Result;
 /// copies of its canonical stream pieces.
 #[derive(Debug, Clone)]
 pub struct ArraySnapshot {
-    /// Array name (keys the stream file).
-    pub name: String,
-    /// Element type code.
-    pub elem_code: u8,
-    /// Global domain at capture time.
-    pub domain: Slice,
-    /// Storage/stream order.
-    pub order: Order,
+    /// Manifest identity at capture time (the name keys the stream file).
+    pub entry: ArrayEntry,
     /// Size of the full distribution-independent stream in bytes.
     pub stream_bytes: u64,
     /// This task's pieces of the canonical stream (owned copies).
     pub pieces: Vec<StreamPiece>,
-}
-
-impl ArraySnapshot {
-    fn entry(&self) -> ArrayEntry {
-        ArrayEntry {
-            name: self.name.clone(),
-            elem_code: self.elem_code,
-            domain: self.domain.clone(),
-            order: self.order,
-        }
-    }
 }
 
 /// Everything one SOP's checkpoint needs, captured and owned: the flush
@@ -90,12 +72,7 @@ impl Snapshot {
         let mut segment = None;
         let mut local_bytes = 0u64;
         if ctx.rank() == 0 {
-            let region = Region {
-                name: "local-sections".to_string(),
-                kind: RegionKind::LocalSections,
-                bytes: encode_locals(arrays, cfg.fixed_local_bytes),
-            };
-            let bytes = base_segment.encode_with_region(Some(&region));
+            let bytes = encode_segment_with_locals(base_segment, arrays, cfg.fixed_local_bytes);
             local_bytes += bytes.len() as u64;
             segment = Some(bytes);
         }
@@ -104,10 +81,7 @@ impl Snapshot {
             let pieces = a.stream_pieces(ctx, io)?;
             local_bytes += pieces.iter().map(|p| p.data.len() as u64).sum::<u64>();
             snaps.push(ArraySnapshot {
-                name: a.array_name().to_string(),
-                elem_code: a.elem_code(),
-                domain: a.domain().clone(),
-                order: a.order(),
+                entry: ArrayEntry::of(*a),
                 stream_bytes: a.stream_bytes(),
                 pieces,
             });
@@ -136,7 +110,7 @@ impl Snapshot {
             kind: CkptKind::Drms,
             ntasks: self.ntasks,
             sop: self.sop,
-            arrays: self.arrays.iter().map(ArraySnapshot::entry).collect(),
+            arrays: self.arrays.iter().map(|a| a.entry.clone()).collect(),
             integrity,
             deltas: Vec::new(),
         }
@@ -148,7 +122,7 @@ impl Snapshot {
         let seg_len = self.segment.as_ref().map(|b| b.len() as u64).unwrap_or(0);
         let mut lens = vec![(SEGMENT_FILE.to_string(), seg_len)];
         for a in &self.arrays {
-            lens.push((array_file(&a.name), a.stream_bytes));
+            lens.push((array_file(&a.entry.name), a.stream_bytes));
         }
         lens
     }
@@ -167,7 +141,7 @@ impl Snapshot {
             }
         }
         for a in &self.arrays {
-            let file = array_file(&a.name);
+            let file = array_file(&a.entry.name);
             for p in &a.pieces {
                 let data = Arc::new(p.data.clone());
                 let crc = crc32(&data);

@@ -37,5 +37,8 @@ mod rng;
 
 pub use backoff::RetryPolicy;
 pub use ctl::ChaosCtl;
-pub use plan::{CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite};
+pub use plan::{
+    CommitPoints, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite, CKPT_COMMIT,
+    FLUSH_COMMIT,
+};
 pub use rng::{mix, unit};

@@ -91,21 +91,39 @@ crash_points! {
     RecoverCommitted = "recover_committed";
 }
 
+/// The crash points of one two-phase commit, in protocol order: segment
+/// staged, one array staged, manifest staged (nothing published), data
+/// published (manifest rename pending), committed. The commit driver
+/// (`drms_core::commit::Commit`) is told which family to consult by one of
+/// the two tables below and is the only code that reaches these points.
+pub type CommitPoints = [CrashPoint; 5];
+
+/// The family a blocking checkpoint (full or delta) consults.
+pub static CKPT_COMMIT: CommitPoints = [
+    CrashPoint::CkptAfterSegment,
+    CrashPoint::CkptAfterArray,
+    CrashPoint::CkptStagedManifest,
+    CrashPoint::CkptMidPublish,
+    CrashPoint::CkptCommitted,
+];
+
+/// The family an asynchronous background flush consults, paired point for
+/// point with [`CKPT_COMMIT`].
+pub static FLUSH_COMMIT: CommitPoints = [
+    CrashPoint::FlushAfterSegment,
+    CrashPoint::FlushAfterArray,
+    CrashPoint::FlushStagedManifest,
+    CrashPoint::FlushMidPublish,
+    CrashPoint::FlushCommitted,
+];
+
 impl CrashPoint {
     /// Whether this point lives inside the asynchronous background flush
     /// (consulted only by `drms-async`'s overlapped checkpoints). Blocking
     /// checkpoint/restart sweeps skip these — an armed flush-side point can
     /// never fire on a path that takes no overlapped checkpoints.
     pub fn is_flush_side(&self) -> bool {
-        matches!(
-            self,
-            CrashPoint::FlushArmed
-                | CrashPoint::FlushAfterSegment
-                | CrashPoint::FlushAfterArray
-                | CrashPoint::FlushStagedManifest
-                | CrashPoint::FlushMidPublish
-                | CrashPoint::FlushCommitted
-        )
+        *self == CrashPoint::FlushArmed || FLUSH_COMMIT.contains(self)
     }
 
     /// Whether this point lives inside the localized-recovery protocol
@@ -203,6 +221,22 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), CrashPoint::ALL.len(), "duplicate crash-point name");
+    }
+
+    #[test]
+    fn commit_tables_pair_up_and_define_the_flush_side() {
+        // Equal length is the `CommitPoints` type's.
+        let (ckpt, flush) = (CKPT_COMMIT, FLUSH_COMMIT);
+        for (c, f) in ckpt.iter().zip(&flush) {
+            let (c, f) = (c.as_str(), f.as_str());
+            assert!(c.starts_with("ckpt_"), "{c}");
+            assert_eq!(c.strip_prefix("ckpt_"), f.strip_prefix("flush_"), "{c} vs {f}");
+        }
+        for p in CrashPoint::ALL {
+            let in_flush_family = p == CrashPoint::FlushArmed || flush.contains(&p);
+            assert_eq!(p.is_flush_side(), in_flush_family, "{p}");
+            assert!(!(ckpt.contains(&p) && flush.contains(&p)), "{p} in both tables");
+        }
     }
 
     #[test]

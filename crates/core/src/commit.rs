@@ -19,14 +19,20 @@
 //!    Renames are atomic namespace operations, so the checkpoint flips from
 //!    "does not exist" to "complete and verified-able" in one step.
 //!
-//! Every helper here is a rank-0 control-plane operation (no clock): the
-//! data movement was already priced while staging, and the paper's PIOFS
+//! The free functions here are rank-0 control-plane operations (no clock):
+//! the data movement was already priced while staging, and the paper's PIOFS
 //! charges nothing for metadata renames.
+//! [`Commit`] is the one collective driver of the protocol.
 
+use drms_chaos::CommitPoints;
+use drms_msg::Ctx;
+use drms_obs::{names, Phase};
 use drms_piofs::Piofs;
 
-use crate::drms::integrity_chunk;
-use crate::manifest::{manifest_path, FileIntegrity};
+use crate::drms::{integrity_chunk, stage_flight_rings};
+use crate::inject::crash_point;
+use crate::manifest::{manifest_path, segment_path, FileIntegrity, Manifest};
+use crate::Result;
 
 /// The staging prefix for checkpoints being written to `prefix`. Chosen so
 /// no staged file can collide with a committed checkpoint path and so
@@ -45,26 +51,29 @@ pub fn staged_manifest_path(prefix: &str) -> String {
 
 /// Computes integrity records for the checkpoint as it will exist *after*
 /// publication: the union of data files staged under `{prefix}.tmp` and
-/// files already committed under `prefix` (incremental checkpoints leave
-/// unchanged arrays in place), with staged files winning name collisions.
-/// Sorted by name so the encoded manifest is deterministic.
+/// files already committed under `prefix`, with staged files winning name
+/// collisions. Every mode restages all of its own files, so the union only
+/// matters when an overwritten prefix holds files the new checkpoint does
+/// not write (flight rings, another array set); it is kept so such
+/// overwrite-in-place manifests stay byte-identical.
 pub fn compute_integrity_staged(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
+    integrity_of(fs, &[format!("{prefix}/"), format!("{}/", staging_prefix(prefix))])
+}
+
+/// Integrity records for the data files under `dirs` (manifests and
+/// quarantine markers, `manifest*`, excluded), named relative to their
+/// directory; a later directory wins a name collision. In name order, so the
+/// encoded manifest is deterministic.
+pub(crate) fn integrity_of(fs: &Piofs, dirs: &[String]) -> Vec<FileIntegrity> {
     let chunk = integrity_chunk(fs);
-    let staged_dir = format!("{}/", staging_prefix(prefix));
-    let final_dir = format!("{prefix}/");
-    let mut by_name: std::collections::BTreeMap<String, String> = Default::default();
-    for info in fs.list(&final_dir) {
-        by_name.insert(info.path[final_dir.len()..].to_string(), info.path);
-    }
-    for info in fs.list(&staged_dir) {
-        by_name.insert(info.path[staged_dir.len()..].to_string(), info.path);
+    let mut by_name = std::collections::BTreeMap::new();
+    for dir in dirs {
+        by_name.extend(fs.list(dir).into_iter().map(|i| (i.path[dir.len()..].to_string(), i.path)));
     }
     by_name
         .into_iter()
+        .filter(|(name, _)| name != "manifest" && !name.starts_with("manifest."))
         .filter_map(|(name, path)| {
-            if name == "manifest" || name.starts_with("manifest.") {
-                return None;
-            }
             fs.peek(&path).map(|bytes| FileIntegrity::compute(&name, &bytes, chunk))
         })
         .collect()
@@ -77,14 +86,18 @@ pub fn compute_integrity_staged(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> 
 /// of files moved. Rank-0 control-plane operation.
 pub fn publish_data(fs: &Piofs, prefix: &str) -> usize {
     fs.delete(&manifest_path(prefix));
+    publish_staged_files(fs, prefix, "manifest.tmp")
+}
+
+/// Renames every file staged under `{prefix}.tmp/` into `{prefix}/`, except
+/// the staged commit marker `marker`, whose own rename is the caller's
+/// commit point. Returns the number of files moved.
+pub fn publish_staged_files(fs: &Piofs, prefix: &str, marker: &str) -> usize {
     let staged_dir = format!("{}/", staging_prefix(prefix));
     let mut moved = 0;
     for info in fs.list(&staged_dir) {
         let name = &info.path[staged_dir.len()..];
-        if name == "manifest.tmp" {
-            continue;
-        }
-        if fs.rename(&info.path, &format!("{prefix}/{name}")) {
+        if name != marker && fs.rename(&info.path, &format!("{prefix}/{name}")) {
             moved += 1;
         }
     }
@@ -114,10 +127,211 @@ pub fn abort_staged(fs: &Piofs, prefix: &str) -> usize {
     removed
 }
 
+/// One two-phase commit to `prefix`, driven collectively by every task.
+///
+/// A checkpoint mode supplies three things and nothing else: the encoded
+/// segment, the code that stages its array bytes under [`Commit::staging`]
+/// (reporting each array with [`Commit::array_staged`]) followed by the
+/// barrier that closes its data phase, and the manifest to wrap around the
+/// integrity records. The driver owns the rest — segment write, flight-ring
+/// staging, staged manifest, data publish, manifest rename, commit counter
+/// and flight marker, and the consultation of every crash point of the
+/// `points` family in between.
+pub struct Commit<'a> {
+    fs: &'a Piofs,
+    prefix: &'a str,
+    staging: String,
+    points: &'static CommitPoints,
+}
+
+impl<'a> Commit<'a> {
+    /// A commit to `prefix` consulting the `points` crash-point family.
+    /// Touches nothing on storage.
+    pub fn new(fs: &'a Piofs, prefix: &'a str, points: &'static CommitPoints) -> Commit<'a> {
+        Commit { fs, prefix, staging: staging_prefix(prefix), points }
+    }
+
+    /// The staging prefix the mode writes its array bytes under.
+    pub fn staging(&self) -> &str {
+        &self.staging
+    }
+
+    /// Phase 1: the representative task stages the data segment (`segment`
+    /// is read on rank 0 only), then all tasks synchronize.
+    pub fn stage_segment(&self, ctx: &mut Ctx, segment: Option<&[u8]>) -> Result<()> {
+        if ctx.rank() == 0 {
+            let bytes = segment.expect("rank 0 holds the encoded segment");
+            let path = segment_path(&self.staging);
+            self.fs.create(&path);
+            self.fs.write_at(ctx, &path, 0, bytes);
+        }
+        ctx.barrier();
+        self.segment_staged(ctx)
+    }
+
+    /// Marks the segment as staged without writing it, for a mode whose
+    /// segment reaches staging with its array bytes (the memory-tier spill).
+    pub fn segment_staged(&self, ctx: &mut Ctx) -> Result<()> {
+        let [after_segment, ..] = *self.points;
+        crash_point(ctx, self.fs, after_segment, true)
+    }
+
+    /// Marks one array's bytes as staged.
+    pub fn array_staged(&self, ctx: &mut Ctx) -> Result<()> {
+        let [_, after_array, ..] = *self.points;
+        crash_point(ctx, self.fs, after_array, true)
+    }
+
+    /// Phase 3, entered after the barrier that closes the mode's data phase:
+    /// stages the flight rings and the manifest `manifest` builds from the
+    /// staged integrity records (rank 0 only), publishes the data, and
+    /// commits by the manifest rename. `at_commit` runs on rank 0 at the
+    /// commit point, before any other task can observe the commit. Returns
+    /// the synchronized time at which every task has seen it.
+    pub fn publish(
+        self,
+        ctx: &mut Ctx,
+        manifest: impl FnOnce(Vec<FileIntegrity>) -> Manifest,
+        at_commit: impl FnOnce(),
+    ) -> Result<f64> {
+        let (fs, prefix) = (self.fs, self.prefix);
+        let [.., staged_manifest, mid_publish, committed] = *self.points;
+        stage_flight_rings(ctx, fs, &self.staging);
+
+        // Manifest, staged as `manifest.tmp`: decodable and complete, but
+        // deliberately invisible to checkpoint discovery until published.
+        if ctx.rank() == 0 {
+            let bytes = manifest(compute_integrity_staged(fs, prefix)).encode();
+            let smp = staged_manifest_path(prefix);
+            fs.create(&smp);
+            fs.write_at(ctx, &smp, 0, &bytes);
+        }
+        // No barrier before the publish: only rank 0 acts in this window
+        // (renames are control-plane), and the crash-point vote is itself
+        // a synchronization when a controller is armed — so a chaos-free
+        // checkpoint pays exactly the one barrier it always did.
+        crash_point(ctx, fs, staged_manifest, true)?;
+
+        // Publish: move data into place (uncommitting any previous
+        // checkpoint at this prefix), then atomically rename the manifest.
+        if ctx.rank() == 0 {
+            publish_data(fs, prefix);
+        }
+        crash_point(ctx, fs, mid_publish, true)?;
+        if ctx.rank() == 0 {
+            let renamed = publish_manifest(fs, prefix);
+            debug_assert!(renamed, "staged manifest must exist at the commit point");
+            if ctx.recorder().enabled() {
+                ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
+            }
+            if ctx.recorder().flight_enabled() {
+                // Durable-progress marker for the flight recorder: the
+                // stitched timeline attributes everything after the last
+                // `commit:` of a killed incarnation as lost work.
+                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
+            }
+            at_commit();
+        }
+        ctx.barrier();
+        let t = ctx.now();
+        crash_point(ctx, fs, committed, false)?;
+        Ok(t)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::CkptKind;
+    use crate::{checkpoint_is_valid, CoreError};
+    use drms_chaos::{ChaosCtl, FaultPlan, CKPT_COMMIT, FLUSH_COMMIT};
+    use drms_msg::{run_spmd_chaos, CostModel};
+    use drms_obs::NullRecorder;
     use drms_piofs::PiofsConfig;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// The smallest checkpoint a mode can push through the driver: a
+    /// segment, one array file, an array-less manifest.
+    fn minimal_commit(
+        ctx: &mut Ctx,
+        fs: &Piofs,
+        points: &'static CommitPoints,
+        hook_ran: &AtomicBool,
+    ) -> Result<f64> {
+        let commit = Commit::new(fs, "ck/1", points);
+        commit.stage_segment(ctx, Some(&[7u8; 64]))?;
+        if ctx.rank() == 0 {
+            let path = format!("{}/array-u", commit.staging());
+            fs.create(&path);
+            fs.write_at(ctx, &path, 0, &[9u8; 128]);
+        }
+        commit.array_staged(ctx)?;
+        ctx.barrier();
+        let manifest = Manifest {
+            app: "toy".to_string(),
+            kind: CkptKind::Drms,
+            ntasks: ctx.ntasks(),
+            sop: 1,
+            arrays: Vec::new(),
+            integrity: Vec::new(),
+            deltas: Vec::new(),
+        };
+        commit.publish(
+            ctx,
+            |integrity| Manifest { integrity, ..manifest },
+            || hook_ran.store(true, Ordering::SeqCst),
+        )
+    }
+
+    /// Pins the protocol order where it is defined: a crash at each point of
+    /// each family leaves exactly the on-storage state class that point
+    /// names, and a clean run drains staging.
+    #[test]
+    fn each_commit_point_leaves_its_storage_state_class() {
+        // (array staged, staged manifest exists, data published, committed)
+        // after a crash at each of the five points, then after a clean run.
+        let classes = [
+            (false, false, false, false),
+            (true, false, false, false),
+            (true, true, false, false),
+            (false, true, true, false),
+            (false, false, true, true),
+            (false, false, true, true),
+        ];
+        for points in [&CKPT_COMMIT, &FLUSH_COMMIT] {
+            let armed = points.map(Some).into_iter().chain([None]);
+            for (point, (array, staged_manifest, published, committed)) in armed.zip(classes) {
+                let at = point.map_or("clean", |p| p.as_str());
+                let fs = Piofs::new(PiofsConfig::test_tiny(2), 1);
+                let plan = FaultPlan { crash: point.map(|p| (p, 1)), ..FaultPlan::seeded(5) };
+                let hook_ran = AtomicBool::new(false);
+                let out = run_spmd_chaos(
+                    2,
+                    CostModel::default(),
+                    Arc::new(NullRecorder),
+                    ChaosCtl::new(plan),
+                    |ctx| minimal_commit(ctx, &fs, points, &hook_ran),
+                )
+                .unwrap();
+                for r in out {
+                    match (point, r) {
+                        (None, r) => assert!(r.is_ok(), "clean run: {r:?}"),
+                        (Some(_), Err(CoreError::Interrupted(name))) => assert_eq!(name, at),
+                        (Some(_), r) => panic!("{at}: {r:?}"),
+                    }
+                }
+                assert_eq!(fs.exists("ck/1.tmp/array-u"), array, "{at}");
+                assert_eq!(fs.exists(&staged_manifest_path("ck/1")), staged_manifest, "{at}");
+                assert_eq!(!fs.list("ck/1/").is_empty(), published, "{at}");
+                assert_eq!(fs.exists("ck/1/array-u"), published, "{at}");
+                assert_eq!(fs.exists(&manifest_path("ck/1")), committed, "{at}");
+                assert_eq!(checkpoint_is_valid(&fs, "ck/1"), committed, "{at}");
+                assert_eq!(hook_ran.load(Ordering::SeqCst), committed, "{at}");
+                assert_eq!(fs.list("ck/1.tmp/").is_empty(), committed, "{at}");
+            }
+        }
+    }
 
     #[test]
     fn staging_paths_never_look_committed() {

@@ -1,22 +1,20 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use drms_chaos::CrashPoint;
+use drms_chaos::{CrashPoint, CKPT_COMMIT};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 
-use crate::commit::{
-    compute_integrity_staged, publish_data, publish_manifest, staged_manifest_path, staging_prefix,
-};
-use crate::handle::{encode_locals, CheckpointArray};
+use crate::commit::{integrity_of, Commit};
+use crate::handle::{encode_segment_with_locals, CheckpointArray};
 use crate::inject::crash_point;
 use crate::manifest::{
     array_path, manifest_path, segment_path, task_segment_path, ArrayEntry, CkptKind,
     FileIntegrity, Manifest,
 };
 use crate::report::OpBreakdown;
-use crate::segment::{DataSegment, RegionKind};
+use crate::segment::DataSegment;
 use crate::{CoreError, IoMode, Result};
 use drms_darray::chunks;
 
@@ -105,9 +103,6 @@ pub struct Drms {
     cfg: DrmsConfig,
     enable: EnableFlag,
     sop: u64,
-    /// Versions last saved per (prefix, array): drives incremental
-    /// checkpointing.
-    saved_versions: std::collections::HashMap<(String, String), u64>,
 }
 
 impl Drms {
@@ -129,10 +124,7 @@ impl Drms {
         restart_from: Option<&str>,
     ) -> Result<(Drms, Start)> {
         let Some(prefix) = restart_from else {
-            return Ok((
-                Drms { cfg, enable, sop: 0, saved_versions: Default::default() },
-                Start::Fresh,
-            ));
+            return Ok((Drms { cfg, enable, sop: 0 }, Start::Fresh));
         };
         let manifest = read_manifest_collective(ctx, fs, prefix)?;
         match manifest.kind {
@@ -156,18 +148,7 @@ impl Drms {
             )));
         }
 
-        // Initialization: load the application text (shared sequential read).
-        ctx.barrier();
-        let t0 = ctx.now();
-        let text = format!("bin/{}", cfg.app);
-        if fs.exists(&text) {
-            let len = fs.size(&text)?;
-            fs.collective_read(
-                ctx,
-                vec![ReadReq { path: text, offset: 0, len, access: ReadAccess::Sequential }],
-            )?;
-        }
-        ctx.barrier();
+        let t0 = load_text(ctx, fs, &cfg.app)?;
         crash_point(ctx, fs, CrashPoint::RestartAfterInit, false)?;
         let t1 = ctx.now();
 
@@ -192,24 +173,9 @@ impl Drms {
         let segment = DataSegment::decode(&seg_bytes)?;
         ctx.barrier();
         crash_point(ctx, fs, CrashPoint::RestartAfterSegment, false)?;
-        let t2 = ctx.now();
-        phase_span(ctx, Phase::Init, "load_text", t0, t1);
-        phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
-        // Every task reads the whole shared segment file, so the bytes moved
-        // in this phase are ntasks x file size: record per rank, matching the
-        // aggregate the restart report uses.
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), ctx.rank(), names::SEGMENT_BYTES, None, len);
-        }
-
-        let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
         let sop = manifest.sop;
-        let info =
-            RestartInfo { manifest, segment, delta, init_time: t1 - t0, segment_time: t2 - t1 };
-        Ok((
-            Drms { cfg, enable, sop, saved_versions: Default::default() },
-            Start::Restarted(Box::new(info)),
-        ))
+        let start = restart_record(ctx, manifest, segment, len, t0, t1);
+        Ok((Drms { cfg, enable, sop }, start))
     }
 
     /// As [`Drms::initialize`], but with the manifest and segment supplied
@@ -239,45 +205,16 @@ impl Drms {
             )));
         }
 
-        // Initialization: load the application text (shared sequential read).
-        ctx.barrier();
-        let t0 = ctx.now();
-        let text = format!("bin/{}", cfg.app);
-        if fs.exists(&text) {
-            let len = fs.size(&text)?;
-            fs.collective_read(
-                ctx,
-                vec![ReadReq { path: text, offset: 0, len, access: ReadAccess::Sequential }],
-            )?;
-        }
-        ctx.barrier();
+        let t0 = load_text(ctx, fs, &cfg.app)?;
         let t1 = ctx.now();
 
         // Each task fetches the single saved data segment from the source.
         let seg_bytes = segment_fetch(ctx)?;
         let segment = DataSegment::decode(&seg_bytes)?;
         ctx.barrier();
-        let t2 = ctx.now();
-        phase_span(ctx, Phase::Init, "load_text", t0, t1);
-        phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::SEGMENT_BYTES,
-                None,
-                seg_bytes.len() as u64,
-            );
-        }
-
-        let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
         let sop = manifest.sop;
-        let info =
-            RestartInfo { manifest, segment, delta, init_time: t1 - t0, segment_time: t2 - t1 };
-        Ok((
-            Drms { cfg, enable, sop, saved_versions: Default::default() },
-            Start::Restarted(Box::new(info)),
-        ))
+        let start = restart_record(ctx, manifest, segment, seg_bytes.len() as u64, t0, t1);
+        Ok((Drms { cfg, enable, sop }, start))
     }
 
     /// The configuration in effect.
@@ -332,90 +269,40 @@ impl Drms {
         let t0 = ctx.now();
 
         // Phase 1: one task's data segment, staged.
-        let staging = staging_prefix(prefix);
-        let seg_path = segment_path(&staging);
-        if ctx.rank() == 0 {
-            let local = crate::segment::Region {
-                name: "local-sections".to_string(),
-                kind: RegionKind::LocalSections,
-                bytes: encode_locals(arrays, self.cfg.fixed_local_bytes),
-            };
-            let bytes = base_segment.encode_with_region(Some(&local));
-            fs.create(&seg_path);
-            fs.write_at(ctx, &seg_path, 0, &bytes);
+        let commit = Commit::new(fs, prefix, &CKPT_COMMIT);
+        {
+            let segment = (ctx.rank() == 0).then(|| {
+                encode_segment_with_locals(base_segment, arrays, self.cfg.fixed_local_bytes)
+            });
+            commit.stage_segment(ctx, segment.as_deref())?;
         }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptAfterSegment, true)?;
         let t1 = ctx.now();
 
         // Phase 2: every distributed array, streamed in sequence, staged.
         let io = self.cfg.io.resolve(ctx.ntasks());
         for a in arrays {
-            a.write_stream(ctx, fs, &array_path(&staging, a.array_name()), io)?;
-            crash_point(ctx, fs, CrashPoint::CkptAfterArray, true)?;
+            a.write_stream(ctx, fs, &array_path(commit.staging(), a.array_name()), io)?;
+            commit.array_staged(ctx)?;
         }
         ctx.barrier();
         let t2 = ctx.now();
-        stage_flight_rings(ctx, fs, &staging);
 
-        // Manifest, staged as `manifest.tmp`: decodable and complete, but
-        // deliberately invisible to checkpoint discovery until published.
-        if ctx.rank() == 0 {
-            let manifest = Manifest {
+        // Phase 3: manifest staged, data published, manifest renamed.
+        let ntasks = ctx.ntasks();
+        let t3 = commit.publish(
+            ctx,
+            |integrity| Manifest {
                 app: self.cfg.app.clone(),
                 kind: CkptKind::Drms,
-                ntasks: ctx.ntasks(),
+                ntasks,
                 sop: self.sop,
-                arrays: arrays
-                    .iter()
-                    .map(|a| ArrayEntry {
-                        name: a.array_name().to_string(),
-                        elem_code: a.elem_code(),
-                        domain: a.domain().clone(),
-                        order: a.order(),
-                    })
-                    .collect(),
-                integrity: compute_integrity_staged(fs, prefix),
+                arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
+                integrity,
                 deltas: Vec::new(),
-            };
-            let bytes = manifest.encode();
-            let smp = staged_manifest_path(prefix);
-            fs.create(&smp);
-            fs.write_at(ctx, &smp, 0, &bytes);
-        }
-        // No barrier before the publish: only rank 0 acts in this window
-        // (renames are control-plane), and the crash-point vote is itself
-        // a synchronization when a controller is armed — so a chaos-free
-        // checkpoint pays exactly the one barrier it always did.
-        crash_point(ctx, fs, CrashPoint::CkptStagedManifest, true)?;
+            },
+            || {},
+        )?;
 
-        // Publish: move data into place (uncommitting any previous
-        // checkpoint at this prefix), then atomically rename the manifest.
-        if ctx.rank() == 0 {
-            publish_data(fs, prefix);
-        }
-        crash_point(ctx, fs, CrashPoint::CkptMidPublish, true)?;
-        if ctx.rank() == 0 {
-            let committed = publish_manifest(fs, prefix);
-            debug_assert!(committed, "staged manifest must exist at the commit point");
-            if ctx.recorder().enabled() {
-                ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-            }
-            if ctx.recorder().flight_enabled() {
-                // Durable-progress marker for the flight recorder: the
-                // stitched timeline attributes everything after the last
-                // `commit:` of a killed incarnation as lost work.
-                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-            }
-        }
-        ctx.barrier();
-        let t3 = ctx.now();
-        crash_point(ctx, fs, CrashPoint::CkptCommitted, false)?;
-
-        for &a in arrays {
-            self.saved_versions
-                .insert((prefix.to_string(), a.array_name().to_string()), a.version());
-        }
         let breakdown = OpBreakdown {
             init: 0.0,
             segment: t1 - t0,
@@ -428,138 +315,6 @@ impl Drms {
         phase_span(ctx, Phase::Manifest, "write_manifest", t2, t3);
         record_bytes(ctx, breakdown.segment_bytes, breakdown.array_bytes);
         Ok(breakdown)
-    }
-
-    /// Incremental variant of [`Drms::reconfig_checkpoint`]: arrays whose
-    /// mutation counter is unchanged since the last checkpoint *to the same
-    /// prefix* are not rewritten — their stream bytes on the file system are
-    /// already current. This is the array-granularity analog of the memory
-    /// exclusion optimization the paper discusses in Section 6 (skipping
-    /// regions "not updated since the last checkpoint"); it pays off for
-    /// fields like forcing terms that are constant after setup.
-    ///
-    /// Returns the breakdown plus the names of skipped arrays. Safety: a
-    /// fresh `Drms` handle (e.g. after restart) has no version records, so
-    /// the first incremental checkpoint always writes everything.
-    pub fn reconfig_checkpoint_incremental(
-        &mut self,
-        ctx: &mut Ctx,
-        fs: &Piofs,
-        prefix: &str,
-        base_segment: &DataSegment,
-        arrays: &[&dyn CheckpointArray],
-    ) -> Result<(OpBreakdown, Vec<String>)> {
-        let mut skipped = Vec::new();
-        let mut to_write: Vec<&dyn CheckpointArray> = Vec::new();
-        for &a in arrays {
-            let key = (prefix.to_string(), a.array_name().to_string());
-            let current = fs.exists(&array_path(prefix, a.array_name()))
-                && self.saved_versions.get(&key) == Some(&a.version());
-            if current {
-                skipped.push(a.array_name().to_string());
-            } else {
-                to_write.push(a);
-            }
-        }
-
-        self.sop += 1;
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptEnter, false)?;
-        let t0 = ctx.now();
-        let staging = staging_prefix(prefix);
-        let seg_path = segment_path(&staging);
-        if ctx.rank() == 0 {
-            let local = crate::segment::Region {
-                name: "local-sections".to_string(),
-                kind: RegionKind::LocalSections,
-                bytes: encode_locals(arrays, self.cfg.fixed_local_bytes),
-            };
-            let bytes = base_segment.encode_with_region(Some(&local));
-            fs.create(&seg_path);
-            fs.write_at(ctx, &seg_path, 0, &bytes);
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::CkptAfterSegment, true)?;
-        let t1 = ctx.now();
-
-        let io = self.cfg.io.resolve(ctx.ntasks());
-        for a in &to_write {
-            a.write_stream(ctx, fs, &array_path(&staging, a.array_name()), io)?;
-            crash_point(ctx, fs, CrashPoint::CkptAfterArray, true)?;
-        }
-        ctx.barrier();
-        let t2 = ctx.now();
-        stage_flight_rings(ctx, fs, &staging);
-
-        if ctx.rank() == 0 {
-            // Manifest still lists every array (skipped ones are current on
-            // disk, and the staged integrity union covers both), so restart
-            // is oblivious to incrementality.
-            let manifest = Manifest {
-                app: self.cfg.app.clone(),
-                kind: CkptKind::Drms,
-                ntasks: ctx.ntasks(),
-                sop: self.sop,
-                arrays: arrays
-                    .iter()
-                    .map(|a| ArrayEntry {
-                        name: a.array_name().to_string(),
-                        elem_code: a.elem_code(),
-                        domain: a.domain().clone(),
-                        order: a.order(),
-                    })
-                    .collect(),
-                integrity: compute_integrity_staged(fs, prefix),
-                deltas: Vec::new(),
-            };
-            let bytes = manifest.encode();
-            let smp = staged_manifest_path(prefix);
-            fs.create(&smp);
-            fs.write_at(ctx, &smp, 0, &bytes);
-        }
-        // No barrier before the publish: only rank 0 acts in this window
-        // (renames are control-plane), and the crash-point vote is itself
-        // a synchronization when a controller is armed — so a chaos-free
-        // checkpoint pays exactly the one barrier it always did.
-        crash_point(ctx, fs, CrashPoint::CkptStagedManifest, true)?;
-
-        if ctx.rank() == 0 {
-            publish_data(fs, prefix);
-        }
-        crash_point(ctx, fs, CrashPoint::CkptMidPublish, true)?;
-        if ctx.rank() == 0 {
-            let committed = publish_manifest(fs, prefix);
-            debug_assert!(committed, "staged manifest must exist at the commit point");
-            if ctx.recorder().enabled() {
-                ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-            }
-            if ctx.recorder().flight_enabled() {
-                // Durable-progress marker for the flight recorder: the
-                // stitched timeline attributes everything after the last
-                // `commit:` of a killed incarnation as lost work.
-                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-            }
-        }
-        ctx.barrier();
-        let t3 = ctx.now();
-        crash_point(ctx, fs, CrashPoint::CkptCommitted, false)?;
-
-        for &a in arrays {
-            self.saved_versions
-                .insert((prefix.to_string(), a.array_name().to_string()), a.version());
-        }
-        let breakdown = OpBreakdown {
-            init: 0.0,
-            segment: t1 - t0,
-            arrays: t2 - t1,
-            segment_bytes: fs.size(&segment_path(prefix))?,
-            array_bytes: to_write.iter().map(|a| a.stream_bytes()).sum(),
-        };
-        phase_span(ctx, Phase::Segment, "write_segment", t0, t1);
-        phase_span(ctx, Phase::Arrays, "stream_arrays", t1, t2);
-        phase_span(ctx, Phase::Manifest, "write_manifest", t2, t3);
-        record_bytes(ctx, breakdown.segment_bytes, breakdown.array_bytes);
-        Ok((breakdown, skipped))
     }
 
     /// `drms_reconfig_chkenable`: enabling checkpoint, taken only when the
@@ -629,6 +384,36 @@ impl Drms {
     }
 }
 
+/// The shared tail of both `Drms::initialize*` paths, entered after the
+/// barrier that closes the segment load: phase spans over `[t0, t1, now]`,
+/// the segment byte count, and the restart record.
+fn restart_record(
+    ctx: &Ctx,
+    manifest: Manifest,
+    segment: DataSegment,
+    segment_len: u64,
+    t0: f64,
+    t1: f64,
+) -> Start {
+    let t2 = ctx.now();
+    phase_span(ctx, Phase::Init, "load_text", t0, t1);
+    phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
+    // Every task reads the whole shared segment, so the bytes moved in this
+    // phase are ntasks x its size: record per rank, matching the aggregate
+    // the restart report uses.
+    if ctx.recorder().enabled() {
+        ctx.recorder().counter_add_at(t2, ctx.rank(), names::SEGMENT_BYTES, None, segment_len);
+    }
+    let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
+    Start::Restarted(Box::new(RestartInfo {
+        manifest,
+        segment,
+        delta,
+        init_time: t1 - t0,
+        segment_time: t2 - t1,
+    }))
+}
+
 /// Chunk size for integrity records: the file system's stripe unit, clamped
 /// to a sane range. Matching the stripe unit means a failing chunk maps
 /// directly onto the stripe units a parity repair must reconstruct.
@@ -642,20 +427,7 @@ pub fn integrity_chunk(fs: &Piofs) -> u64 {
 /// operation. Public so out-of-crate checkpoint writers (the memory tier's
 /// spill) can stamp their manifests the same way.
 pub fn compute_integrity(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
-    let chunk = integrity_chunk(fs);
-    let dir = format!("{prefix}/");
-    let mut files: Vec<String> = fs.list(&dir).into_iter().map(|i| i.path).collect();
-    files.sort();
-    files
-        .into_iter()
-        .filter_map(|path| {
-            let name = path[dir.len()..].to_string();
-            if name == "manifest" || name.starts_with("manifest.") {
-                return None;
-            }
-            fs.peek(&path).map(|bytes| FileIntegrity::compute(&name, &bytes, chunk))
-        })
-        .collect()
+    integrity_of(fs, &[format!("{prefix}/")])
 }
 
 /// Whether the checkpoint under `prefix` verifies end-to-end: the manifest
@@ -946,8 +718,8 @@ pub fn record_bytes(ctx: &Ctx, segment_bytes: u64, array_bytes: u64) {
 /// ([`Recorder::flight_enabled`]), so runs without one stay
 /// bit-identical. `flight_enabled` is uniform across ranks (it is a
 /// property of the shared recorder), so the conditional collective is
-/// consistent. Public so the delta and async checkpoint writers stage
-/// rings under the same convention.
+/// consistent. Public so the recovery journal stages rings under the same
+/// convention as the commit driver.
 pub fn stage_flight_rings(ctx: &mut Ctx, fs: &Piofs, staging: &str) {
     let rec = ctx.recorder();
     if !rec.flight_enabled() {
@@ -965,6 +737,24 @@ pub fn stage_flight_rings(ctx: &mut Ctx, fs: &Piofs, staging: &str) {
         reqs.push(WriteReq { path, offset: 0, data: seal.bytes });
     }
     fs.collective_write(ctx, reqs);
+}
+
+/// Restart initialization, barrier to barrier: every task loads the
+/// application text `bin/{app}` (one shared sequential read), when the
+/// environment installed one. Returns the synchronized start time.
+pub(crate) fn load_text(ctx: &mut Ctx, fs: &Piofs, app: &str) -> Result<f64> {
+    ctx.barrier();
+    let t0 = ctx.now();
+    let text = format!("bin/{app}");
+    if fs.exists(&text) {
+        let len = fs.size(&text)?;
+        fs.collective_read(
+            ctx,
+            vec![ReadReq { path: text, offset: 0, len, access: ReadAccess::Sequential }],
+        )?;
+    }
+    ctx.barrier();
+    Ok(t0)
 }
 
 /// Collective read + decode of a manifest. Public so out-of-crate restart

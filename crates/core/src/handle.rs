@@ -6,6 +6,7 @@ use drms_msg::Ctx;
 use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
 
+use crate::segment::{DataSegment, Region, RegionKind};
 use crate::{CoreError, Result};
 
 /// A distributed array as seen by the checkpoint machinery.
@@ -34,10 +35,6 @@ pub trait CheckpointArray: Send {
 
     /// Size of [`Self::local_encoded`] without materializing it.
     fn local_encoded_len(&self) -> usize;
-
-    /// Monotone mutation counter (see [`DistArray::version`]); used by
-    /// incremental checkpointing to skip unmodified arrays.
-    fn version(&self) -> u64;
 
     /// Collective: writes the array's distribution-independent stream.
     fn write_stream(&self, ctx: &mut Ctx, fs: &Piofs, path: &str, io_tasks: usize) -> Result<()>;
@@ -136,10 +133,6 @@ impl<T: Element> CheckpointArray for DistArray<T> {
 
     fn local_encoded_len(&self) -> usize {
         self.local().len() * T::SIZE
-    }
-
-    fn version(&self) -> u64 {
-        DistArray::version(self)
     }
 
     fn write_stream(&self, ctx: &mut Ctx, fs: &Piofs, path: &str, io_tasks: usize) -> Result<()> {
@@ -255,6 +248,21 @@ pub fn encode_locals(arrays: &[&dyn CheckpointArray], fixed_bytes: u64) -> Vec<u
     }
     out.resize(target, 0);
     out
+}
+
+/// Encodes `base` with the local-sections region assembled from `arrays`
+/// ([`encode_locals`]): the data segment every full checkpoint saves.
+pub fn encode_segment_with_locals(
+    base: &DataSegment,
+    arrays: &[&dyn CheckpointArray],
+    fixed_bytes: u64,
+) -> Vec<u8> {
+    let local = Region {
+        name: "local-sections".to_string(),
+        kind: RegionKind::LocalSections,
+        bytes: encode_locals(arrays, fixed_bytes),
+    };
+    base.encode_with_region(Some(&local))
 }
 
 /// Restores array local storage from an [`encode_locals`] blob (same arrays,

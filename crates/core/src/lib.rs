@@ -60,7 +60,7 @@ pub use inject::crash_point;
 /// Re-export of the fault-injection crate, so campaign code can name
 /// [`chaos::CrashPoint`] and fault plans through the core facade.
 pub use drms_chaos as chaos;
-pub use handle::{decode_locals, encode_locals, CheckpointArray};
+pub use handle::{decode_locals, encode_locals, encode_segment_with_locals, CheckpointArray};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

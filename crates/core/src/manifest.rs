@@ -16,6 +16,7 @@
 use drms_darray::chunks::{ChunkParams, Codec};
 use drms_slices::{Order, Range, Slice};
 
+use crate::handle::CheckpointArray;
 use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
 
 const MAGIC: [u8; 4] = *b"DMFT";
@@ -48,6 +49,18 @@ pub struct ArrayEntry {
     pub domain: Slice,
     /// Stream/storage order.
     pub order: Order,
+}
+
+impl ArrayEntry {
+    /// The manifest identity of a live checkpointable array.
+    pub fn of(a: &dyn CheckpointArray) -> ArrayEntry {
+        ArrayEntry {
+            name: a.array_name().to_string(),
+            elem_code: a.elem_code(),
+            domain: a.domain().clone(),
+            order: a.order(),
+        }
+    }
 }
 
 /// Integrity record for one checkpoint file: per-chunk CRC-32s plus a

@@ -15,11 +15,11 @@ use drms_msg::Ctx;
 use drms_obs::Phase;
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 
-use crate::drms::{phase_span, record_bytes};
-use crate::handle::{encode_locals, CheckpointArray};
+use crate::drms::{load_text, phase_span, record_bytes};
+use crate::handle::{encode_segment_with_locals, CheckpointArray};
 use crate::manifest::{manifest_path, task_segment_path, CkptKind, Manifest};
 use crate::report::OpBreakdown;
-use crate::segment::{DataSegment, RegionKind};
+use crate::segment::DataSegment;
 use crate::{CoreError, DrmsConfig, Result};
 
 /// Conventional SPMD checkpoint: every task writes its full segment to its
@@ -36,12 +36,7 @@ pub fn checkpoint(
     ctx.barrier();
     let t0 = ctx.now();
 
-    let local = crate::segment::Region {
-        name: "local-sections".to_string(),
-        kind: RegionKind::LocalSections,
-        bytes: encode_locals(arrays, cfg.fixed_local_bytes),
-    };
-    let bytes = base_segment.encode_with_region(Some(&local));
+    let bytes = encode_segment_with_locals(base_segment, arrays, cfg.fixed_local_bytes);
     let path = task_segment_path(prefix, ctx.rank());
     fs.create(&path);
     fs.collective_write(ctx, vec![WriteReq { path, offset: 0, data: bytes }]);
@@ -106,17 +101,7 @@ pub fn restart(
     }
 
     // Initialization: application text.
-    ctx.barrier();
-    let t0 = ctx.now();
-    let text = format!("bin/{}", cfg.app);
-    if fs.exists(&text) {
-        let len = fs.size(&text)?;
-        fs.collective_read(
-            ctx,
-            vec![ReadReq { path: text, offset: 0, len, access: ReadAccess::Sequential }],
-        )?;
-    }
-    ctx.barrier();
+    let t0 = load_text(ctx, fs, &cfg.app)?;
     let t1 = ctx.now();
 
     // Each task reads its own (large, sequential) segment file.
@@ -150,6 +135,7 @@ pub fn restart(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::RegionKind;
     use drms_darray::{DistArray, Distribution};
     use drms_msg::{run_spmd, CostModel};
     use drms_piofs::PiofsConfig;

@@ -20,10 +20,6 @@ pub struct DistArray<T: Element> {
     dist: Arc<Distribution>,
     rank: usize,
     local: Vec<T>,
-    /// Monotone mutation counter; checkpointing compares it against the
-    /// version it last saved to skip unmodified arrays (the paper's
-    /// Section 6 "memory exclusion" optimization, at array granularity).
-    version: u64,
 }
 
 impl<T: Element> DistArray<T> {
@@ -31,21 +27,7 @@ impl<T: Element> DistArray<T> {
     pub fn new(name: &str, order: Order, dist: Arc<Distribution>, rank: usize) -> DistArray<T> {
         assert!(rank < dist.ntasks(), "rank {rank} outside distribution");
         let len = dist.mapped(rank).size();
-        DistArray {
-            name: name.to_string(),
-            order,
-            dist,
-            rank,
-            local: vec![T::default(); len],
-            version: 0,
-        }
-    }
-
-    /// Monotone mutation counter: bumped by every operation that may have
-    /// changed local contents. Equal versions imply unchanged data (the
-    /// converse need not hold — the counter is conservative).
-    pub fn version(&self) -> u64 {
-        self.version
+        DistArray { name: name.to_string(), order, dist, rank, local: vec![T::default(); len] }
     }
 
     /// Array name (checkpoint files are keyed by it).
@@ -88,9 +70,8 @@ impl<T: Element> DistArray<T> {
         &self.local
     }
 
-    /// Mutable raw local storage (conservatively counts as a mutation).
+    /// Mutable raw local storage.
     pub fn local_mut(&mut self) -> &mut [T] {
-        self.version += 1;
         &mut self.local
     }
 
@@ -115,7 +96,6 @@ impl<T: Element> DistArray<T> {
         self.dist = other.dist;
         self.rank = other.rank;
         self.local = other.local;
-        self.version += 1;
         Ok(())
     }
 
@@ -136,7 +116,6 @@ impl<T: Element> DistArray<T> {
     pub fn set(&mut self, point: &[i64], v: T) -> Result<()> {
         let i = self.local_index(point)?;
         self.local[i] = v;
-        self.version += 1;
         Ok(())
     }
 
@@ -182,7 +161,6 @@ impl<T: Element> DistArray<T> {
     pub fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) {
         let vals = decode::<T>(bytes);
         debug_assert_eq!(vals.len(), region.size(), "payload size vs region");
-        self.version += 1;
         let mut it = vals.into_iter();
         let mapped = self.mapped().clone();
         let order = self.order;
@@ -195,7 +173,6 @@ impl<T: Element> DistArray<T> {
     fn for_each_local_of(&mut self, region: &Slice, mut f: impl FnMut(usize, &[i64], &mut [T])) {
         let mapped = self.mapped().clone();
         let order = self.order;
-        self.version += 1;
         let local = &mut self.local;
         for_each_region_index(&mapped, region, order, |idx, point| f(idx, point, local));
     }

@@ -1,16 +1,14 @@
 //! The incremental checkpoint writer.
 
-use drms_core::chaos::CrashPoint;
-use drms_core::commit::{
-    compute_integrity_staged, publish_data, publish_manifest, staged_manifest_path, staging_prefix,
-};
+use drms_core::chaos::{CrashPoint, CKPT_COMMIT};
+use drms_core::commit::Commit;
 use drms_core::crash_point;
 use drms_core::manifest::{
     delta_path, manifest_path, segment_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
 };
 use drms_core::report::OpBreakdown;
 use drms_core::segment::DataSegment;
-use drms_core::{phase_span, CheckpointArray, CoreError, Drms, Result};
+use drms_core::{phase_span, record_bytes, CheckpointArray, CoreError, Drms, Result};
 use drms_darray::stream::assemble_pieces;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
@@ -129,15 +127,11 @@ fn run(
 
     // Phase 1: the shared data segment, staged, without the local-sections
     // region (arrays restore from their chunk streams, not segment locals).
-    let staging = staging_prefix(prefix);
-    let seg_path = segment_path(&staging);
-    if ctx.rank() == 0 {
-        let bytes = base_segment.encode_with_region(None);
-        fs.create(&seg_path);
-        fs.write_at(ctx, &seg_path, 0, &bytes);
+    let commit = Commit::new(fs, prefix, &CKPT_COMMIT);
+    {
+        let segment = (ctx.rank() == 0).then(|| base_segment.encode_with_region(None));
+        commit.stage_segment(ctx, segment.as_deref())?;
     }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::CkptAfterSegment, true)?;
     let t1 = ctx.now();
 
     // Phase 2: gather each array's canonical stream to rank 0, chunk,
@@ -155,7 +149,7 @@ fn run(
             let stream = assemble_pieces(pieces);
             let (table, pack, s) =
                 chain.stage_array(fs, prefix, a.array_name(), &stream, params, full, cfg.compress);
-            let pack_path = delta_path(&staging, a.array_name());
+            let pack_path = delta_path(commit.staging(), a.array_name());
             fs.create(&pack_path);
             if !pack.is_empty() {
                 fs.write_at(ctx, &pack_path, 0, &pack);
@@ -163,7 +157,7 @@ fn run(
             stats.add(s);
             deltas.push(table);
         }
-        crash_point(ctx, fs, CrashPoint::CkptAfterArray, true)?;
+        commit.array_staged(ctx)?;
     }
     if traced && ctx.rank() == 0 {
         let rec = ctx.recorder();
@@ -180,51 +174,22 @@ fn run(
     }
     ctx.barrier();
     let t2 = ctx.now();
-    drms_core::stage_flight_rings(ctx, fs, &staging);
 
-    // Manifest v3, staged as `manifest.tmp`, then the two-phase publish.
-    if ctx.rank() == 0 {
-        let manifest = Manifest {
+    // Phase 3: manifest v3 staged, then the two-phase publish.
+    let ntasks = ctx.ntasks();
+    let t3 = commit.publish(
+        ctx,
+        |integrity| Manifest {
             app: drms.cfg().app.clone(),
             kind: CkptKind::DrmsDelta,
-            ntasks: ctx.ntasks(),
+            ntasks,
             sop: drms.sop(),
-            arrays: arrays
-                .iter()
-                .map(|a| ArrayEntry {
-                    name: a.array_name().to_string(),
-                    elem_code: a.elem_code(),
-                    domain: a.domain().clone(),
-                    order: a.order(),
-                })
-                .collect(),
-            integrity: compute_integrity_staged(fs, prefix),
+            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
+            integrity,
             deltas,
-        };
-        let bytes = manifest.encode();
-        let smp = staged_manifest_path(prefix);
-        fs.create(&smp);
-        fs.write_at(ctx, &smp, 0, &bytes);
-    }
-    crash_point(ctx, fs, CrashPoint::CkptStagedManifest, true)?;
-
-    if ctx.rank() == 0 {
-        publish_data(fs, prefix);
-    }
-    crash_point(ctx, fs, CrashPoint::CkptMidPublish, true)?;
-    if ctx.rank() == 0 {
-        let committed = publish_manifest(fs, prefix);
-        debug_assert!(committed, "staged manifest must exist at the commit point");
-        if ctx.recorder().enabled() {
-            ctx.recorder().counter_add_at(ctx.now(), 0, names::COMMITS, None, 1);
-        }
-        if ctx.recorder().flight_enabled() {
-            ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
-        }
-    }
-    ctx.barrier();
-    let t3 = ctx.now();
-    crash_point(ctx, fs, CrashPoint::CkptCommitted, false)?;
+        },
+        || {},
+    )?;
 
     let breakdown = OpBreakdown {
         init: 0.0,
@@ -236,11 +201,7 @@ fn run(
     phase_span(ctx, Phase::Segment, "write_segment", t0, t1);
     phase_span(ctx, Phase::Arrays, "stage_deltas", t1, t2);
     phase_span(ctx, Phase::Manifest, "write_manifest", t2, t3);
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.counter_add_at(ctx.now(), 0, names::SEGMENT_BYTES, None, breakdown.segment_bytes);
-        rec.counter_add_at(ctx.now(), 0, names::ARRAY_BYTES, None, breakdown.array_bytes);
-    }
+    record_bytes(ctx, breakdown.segment_bytes, breakdown.array_bytes);
     Ok(DeltaReport {
         breakdown,
         full,

@@ -19,9 +19,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use drms_core::manifest::{manifest_path, ArrayEntry, CkptKind, Manifest};
-use drms_core::segment::{DataSegment, Region, RegionKind};
+use drms_core::segment::DataSegment;
 use drms_core::wire::{crc32, Reader, Writer};
-use drms_core::{compute_integrity, encode_locals, CheckpointArray, CoreError, Drms};
+use drms_core::{compute_integrity, encode_segment_with_locals, CheckpointArray, CoreError, Drms};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
@@ -120,152 +120,51 @@ pub fn store_checkpoint(
     arrays: &[&dyn CheckpointArray],
 ) -> Result<StoreReport> {
     let sop = drms.advance_sop();
-    let (rank_of_node, node_set) = node_map(ctx);
-    if !placement::replication_feasible(node_set.len(), tier.replicas()) {
-        return Err(MemTierError::ReplicationUnsatisfiable {
-            replicas: tier.replicas(),
-            nodes: node_set.len(),
-        });
-    }
-    ctx.barrier();
-    let t0 = ctx.now();
-    // A fresh store replaces any previous entry under this prefix: a
-    // different task count means a different piece plan, and plans must
-    // never mix.
-    if ctx.rank() == 0 {
-        tier.begin(prefix);
-    }
-    ctx.barrier();
-
-    // Capture this task's pieces: the representative segment on rank 0,
-    // then every array's canonical stream pieces.
-    let cfg = drms.cfg().clone();
-    let io = cfg.io.resolve(ctx.ntasks());
-    let mut local: Vec<(String, u64, Arc<Vec<u8>>, u32)> = Vec::new();
-    let mut seg_len = 0u64;
-    if ctx.rank() == 0 {
-        let region = Region {
-            name: "local-sections".to_string(),
-            kind: RegionKind::LocalSections,
-            bytes: encode_locals(arrays, cfg.fixed_local_bytes),
+    let cfg = drms.cfg();
+    store_with(ctx, tier, prefix, &cfg.app, sop, |ctx| {
+        // Capture this task's pieces: the representative segment on rank 0,
+        // then every array's canonical stream pieces.
+        let io = cfg.io.resolve(ctx.ntasks());
+        let mut local = Vec::new();
+        let mut push = |file: &str, offset: u64, data: Vec<u8>| {
+            let crc = crc32(&data);
+            local.push(CapturedPiece { file: file.to_string(), offset, data: Arc::new(data), crc });
         };
-        let bytes = base_segment.encode_with_region(Some(&region));
-        seg_len = bytes.len() as u64;
-        let mut off = 0u64;
-        for chunk in bytes.chunks(tier.piece_bytes()) {
-            let data = Arc::new(chunk.to_vec());
-            let crc = crc32(&data);
-            local.push((SEGMENT_FILE.to_string(), off, data, crc));
-            off += chunk.len() as u64;
+        let mut seg_len = 0u64;
+        if ctx.rank() == 0 {
+            let bytes = encode_segment_with_locals(base_segment, arrays, cfg.fixed_local_bytes);
+            seg_len = bytes.len() as u64;
+            let mut off = 0u64;
+            for chunk in bytes.chunks(tier.piece_bytes()) {
+                push(SEGMENT_FILE, off, chunk.to_vec());
+                off += chunk.len() as u64;
+            }
         }
-    }
-    for a in arrays {
-        let file = array_file(a.array_name());
-        for p in a.stream_pieces(ctx, io)? {
-            let data = Arc::new(p.data);
-            let crc = crc32(&data);
-            local.push((file.clone(), p.offset, data, crc));
+        for a in arrays {
+            let file = array_file(a.array_name());
+            for p in a.stream_pieces(ctx, io)? {
+                push(&file, p.offset, p.data);
+            }
         }
-    }
-    // Capturing into tier memory is a local copy; price it as one.
-    let my_bytes: u64 = local.iter().map(|(_, _, d, _)| d.len() as u64).sum();
-    let memcpy_bw = ctx.cost().memcpy_bw;
-    ctx.charge(my_bytes as f64 / memcpy_bw);
+        // Capturing into tier memory is a local copy; price it as one.
+        let my_bytes: u64 = local.iter().map(|p| p.data.len() as u64).sum();
+        ctx.charge(my_bytes as f64 / ctx.cost().memcpy_bw);
 
-    let my_node = ctx.node();
-    for (file, off, data, crc) in &local {
-        tier.insert_piece(prefix, file, *off, data, *crc, my_node)?;
-    }
-
-    // Replication scatter: one priced alltoallv carrying every replica,
-    // addressed to the lowest rank of each chosen node. Placement keys on
-    // (file, offset) so the rotation spreads load across pieces.
-    let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); ctx.ntasks()];
-    let mut my_replica_bytes = 0u64;
-    for (file, off, data, crc) in &local {
-        let key = u64::from(crc32(file.as_bytes())).wrapping_add(*off);
-        for node in placement::replica_nodes(my_node, &node_set, tier.replicas(), key)? {
-            let dst = rank_of_node[&node];
-            let mut w = Writer::new();
-            w.string(file);
-            w.u64(*off);
-            w.u32(*crc);
-            w.blob(data);
-            outgoing[dst].extend(w.finish());
-            my_replica_bytes += data.len() as u64;
-        }
-    }
-    let incoming = ctx.alltoallv(outgoing);
-    for src in 0..ctx.ntasks() {
-        if src == ctx.rank() {
-            continue;
-        }
-        let buf = incoming.from(src).to_vec();
-        let mut r = Reader::new(&buf);
-        while r.remaining() > 0 {
-            let file = r.string().map_err(CoreError::from)?;
-            let off = r.u64().map_err(CoreError::from)?;
-            let crc = r.u32().map_err(CoreError::from)?;
-            let data = Arc::new(r.blob().map_err(CoreError::from)?);
-            tier.insert_piece(prefix, &file, off, &data, crc, my_node)?;
-        }
-    }
-
-    // Free rendezvous for the report totals (deterministic, no clock cost).
-    let (per_task, _) = ctx.exchange((my_bytes, my_replica_bytes, local.len() as u64));
-    let bytes: u64 = per_task.iter().map(|x| x.0).sum();
-    let replica_bytes: u64 = per_task.iter().map(|x| x.1).sum();
-    let pieces: u64 = per_task.iter().map(|x| x.2).sum();
-
-    // All inserts done: rank 0 seals (identity + coverage check) and the
-    // outcome is shared so every task fails identically.
-    ctx.barrier();
-    let seal_err: Option<String> = if ctx.rank() == 0 {
+        // The same manifest a PIOFS checkpoint would carry, minus integrity
+        // records; only rank 0's copy is sealed.
         let manifest = Manifest {
             app: cfg.app.clone(),
             kind: CkptKind::Drms,
             ntasks: ctx.ntasks(),
             sop,
-            arrays: arrays
-                .iter()
-                .map(|a| ArrayEntry {
-                    name: a.array_name().to_string(),
-                    elem_code: a.elem_code(),
-                    domain: a.domain().clone(),
-                    order: a.order(),
-                })
-                .collect(),
+            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
             integrity: Vec::new(),
             deltas: Vec::new(),
         };
         let mut file_lens = vec![(SEGMENT_FILE.to_string(), seg_len)];
-        for a in arrays {
-            file_lens.push((array_file(a.array_name()), a.stream_bytes()));
-        }
-        tier.seal(prefix, &cfg.app, sop, manifest.encode(), &file_lens).err().map(|e| e.to_string())
-    } else {
-        None
-    };
-    let (votes, t) = ctx.exchange(seal_err);
-    ctx.advance_to(t);
-    ctx.barrier();
-    let t1 = ctx.now();
-
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.span_start(t0, 0, Phase::MemTier, "store");
-        rec.span_end(t1, 0, Phase::MemTier, "store");
-        rec.event(t1, 0, Phase::MemTier, &format!("MemTierStore {prefix}"));
-        rec.counter_add_at(t1, 0, names::MEMTIER_STORE_BYTES, None, bytes);
-        rec.counter_add_at(t1, 0, names::MEMTIER_REPLICA_BYTES, None, replica_bytes);
-        if let Some(r) = tier.min_replicas(prefix) {
-            rec.gauge_set_at(t1, 0, names::MEMTIER_REPLICAS, 0, r as f64);
-        }
-    }
-    if let Some(err) = votes[0].clone() {
-        return Err(MemTierError::Incomplete(err));
-    }
-    Ok(StoreReport { seconds: t1 - t0, sop, bytes, replica_bytes, pieces })
+        file_lens.extend(arrays.iter().map(|a| (array_file(a.array_name()), a.stream_bytes())));
+        Ok((manifest.encode(), file_lens, local))
+    })
 }
 
 /// Replicates **pre-captured** pieces into the tier and seals the entry
@@ -291,6 +190,24 @@ pub fn store_captured(
     file_lens: &[(String, u64)],
     local: Vec<CapturedPiece>,
 ) -> Result<StoreReport> {
+    store_with(ctx, tier, prefix, app, sop, |_| Ok((manifest, file_lens.to_vec(), local)))
+}
+
+/// What a store seals and replicates: the encoded manifest and stream-file
+/// lengths (read on rank 0 only) and the calling task's pieces.
+type Captured = (Vec<u8>, Vec<(String, u64)>, Vec<CapturedPiece>);
+
+/// The one store body: feasibility check, fresh tier entry, `capture` (run
+/// between the entry barrier and the inserts, so whatever it prices lands
+/// inside the reported window), owner inserts, replica scatter, seal vote.
+fn store_with(
+    ctx: &mut Ctx,
+    tier: &MemTier,
+    prefix: &str,
+    app: &str,
+    sop: u64,
+    capture: impl FnOnce(&mut Ctx) -> Result<Captured>,
+) -> Result<StoreReport> {
     let (rank_of_node, node_set) = node_map(ctx);
     if !placement::replication_feasible(node_set.len(), tier.replicas()) {
         return Err(MemTierError::ReplicationUnsatisfiable {
@@ -300,19 +217,24 @@ pub fn store_captured(
     }
     ctx.barrier();
     let t0 = ctx.now();
+    // A fresh store replaces any previous entry under this prefix: a
+    // different task count means a different piece plan, and plans must
+    // never mix.
     if ctx.rank() == 0 {
         tier.begin(prefix);
     }
     ctx.barrier();
 
+    let (manifest, file_lens, local) = capture(ctx)?;
     let my_node = ctx.node();
     let my_bytes: u64 = local.iter().map(|p| p.data.len() as u64).sum();
     for p in &local {
         tier.insert_piece(prefix, &p.file, p.offset, &p.data, p.crc, my_node)?;
     }
 
-    // Replication scatter, identical placement law to `store_checkpoint`:
-    // keyed on (file, offset) so the rotation spreads load across pieces.
+    // Replication scatter: one priced alltoallv carrying every replica,
+    // addressed to the lowest rank of each chosen node. Placement keys on
+    // (file, offset) so the rotation spreads load across pieces.
     let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); ctx.ntasks()];
     let mut my_replica_bytes = 0u64;
     for p in &local {
@@ -344,14 +266,17 @@ pub fn store_captured(
         }
     }
 
+    // Free rendezvous for the report totals (deterministic, no clock cost).
     let (per_task, _) = ctx.exchange((my_bytes, my_replica_bytes, local.len() as u64));
     let bytes: u64 = per_task.iter().map(|x| x.0).sum();
     let replica_bytes: u64 = per_task.iter().map(|x| x.1).sum();
     let pieces: u64 = per_task.iter().map(|x| x.2).sum();
 
+    // All inserts done: rank 0 seals (identity + coverage check) and the
+    // outcome is shared so every task fails identically.
     ctx.barrier();
     let seal_err: Option<String> = if ctx.rank() == 0 {
-        tier.seal(prefix, app, sop, manifest, file_lens).err().map(|e| e.to_string())
+        tier.seal(prefix, app, sop, manifest, &file_lens).err().map(|e| e.to_string())
     } else {
         None
     };
@@ -387,6 +312,22 @@ pub fn store_captured(
 /// written across all tasks.
 pub fn spill_to_staging(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str) -> Result<u64> {
     let staging = drms_core::commit::staging_prefix(prefix);
+    let my_bytes = write_resident_pieces(ctx, fs, tier, prefix, &staging)?;
+    let (per_task, _) = ctx.exchange(my_bytes);
+    Ok(per_task.iter().sum())
+}
+
+/// Writes every resident piece of the sealed entry `prefix` to `{dir}/{file}`
+/// through the priced collective-write path, each by the lowest rank on its
+/// first holder node (orphaned holders fall to rank 0 — possible when the
+/// region shrank since the store). Returns the bytes this task wrote.
+fn write_resident_pieces(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    tier: &MemTier,
+    prefix: &str,
+    dir: &str,
+) -> Result<u64> {
     let pieces = tier.pieces_for_spill(prefix)?;
     let (rank_of_node, _) = node_map(ctx);
 
@@ -394,7 +335,7 @@ pub fn spill_to_staging(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str)
         let mut seen = BTreeSet::new();
         for p in &pieces {
             if seen.insert(p.file.clone()) {
-                fs.create(&format!("{staging}/{}", p.file));
+                fs.create(&format!("{dir}/{}", p.file));
             }
         }
     }
@@ -404,7 +345,7 @@ pub fn spill_to_staging(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str)
         .iter()
         .filter(|p| *rank_of_node.get(&p.primary).unwrap_or(&0) == ctx.rank())
         .map(|p| WriteReq {
-            path: format!("{staging}/{}", p.file),
+            path: format!("{dir}/{}", p.file),
             offset: p.offset,
             data: (*p.data).clone(),
         })
@@ -412,9 +353,7 @@ pub fn spill_to_staging(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str)
     let my_bytes: u64 = my_reqs.iter().map(|r| r.data.len() as u64).sum();
     fs.collective_write(ctx, my_reqs);
     ctx.barrier();
-
-    let (per_task, _) = ctx.exchange(my_bytes);
-    Ok(per_task.iter().sum())
+    Ok(my_bytes)
 }
 
 /// Persists a sealed tier entry to PIOFS (collective): every resident piece
@@ -433,33 +372,7 @@ pub fn spill_checkpoint(
 ) -> Result<SpillReport> {
     ctx.barrier();
     let t0 = ctx.now();
-    let pieces = tier.pieces_for_spill(prefix)?;
-    let (rank_of_node, _) = node_map(ctx);
-
-    if ctx.rank() == 0 {
-        let mut seen = BTreeSet::new();
-        for p in &pieces {
-            if seen.insert(p.file.clone()) {
-                fs.create(&format!("{prefix}/{}", p.file));
-            }
-        }
-    }
-    ctx.barrier();
-
-    // Each piece is written by the node holding it (orphaned holders fall
-    // to rank 0 — possible when the region shrank since the store).
-    let my_reqs: Vec<WriteReq> = pieces
-        .iter()
-        .filter(|p| *rank_of_node.get(&p.primary).unwrap_or(&0) == ctx.rank())
-        .map(|p| WriteReq {
-            path: format!("{prefix}/{}", p.file),
-            offset: p.offset,
-            data: (*p.data).clone(),
-        })
-        .collect();
-    let my_bytes: u64 = my_reqs.iter().map(|r| r.data.len() as u64).sum();
-    fs.collective_write(ctx, my_reqs);
-    ctx.barrier();
+    let my_bytes = write_resident_pieces(ctx, fs, tier, prefix, prefix)?;
 
     // Manifest last — its arrival makes the checkpoint visible — then
     // verify end-to-end before trusting the spill.

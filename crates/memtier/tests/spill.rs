@@ -14,13 +14,14 @@
 
 use std::sync::Arc;
 
+use drms_async::Snapshot;
 use drms_core::manifest::manifest_path;
 use drms_core::segment::DataSegment;
 use drms_core::{
     find_checkpoints, retain_checkpoints, sweep_orphans, Drms, DrmsConfig, EnableFlag,
 };
 use drms_darray::{DistArray, Distribution};
-use drms_memtier::{spill_checkpoint, store_checkpoint, MemTier};
+use drms_memtier::{spill_checkpoint, store_captured, store_checkpoint, MemTier};
 use drms_msg::{run_spmd, CostModel};
 use drms_obs::NullRecorder;
 use drms_piofs::{Piofs, PiofsConfig};
@@ -35,8 +36,12 @@ fn fs() -> Arc<Piofs> {
 
 /// Runs one SPMD incarnation that stores a checkpoint into the tier under
 /// each prefix in turn (SOPs 1, 2, ...) and spills every one to PIOFS.
+/// Every store is repeated into a scratch tier through the asynchronous
+/// pipeline's capture + `store_captured`, which must produce the same entry
+/// and report as the blocking `store_checkpoint` of the same state.
 fn store_and_spill_all(fs: &Arc<Piofs>, tier: &Arc<MemTier>, ntasks: usize, prefixes: &[&str]) {
     let prefixes: Vec<String> = prefixes.iter().map(|p| p.to_string()).collect();
+    let scratch = MemTier::new(tier.replicas());
     run_spmd(ntasks, CostModel::default(), move |ctx| {
         let (mut drms, _) =
             Drms::initialize(ctx, fs, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
@@ -47,7 +52,22 @@ fn store_and_spill_all(fs: &Arc<Piofs>, tier: &Arc<MemTier>, ntasks: usize, pref
         let mut seg = DataSegment::new();
         for (i, prefix) in prefixes.iter().enumerate() {
             seg.set_control("iter", i as i64 + 1);
-            store_checkpoint(ctx, tier, prefix, &mut drms, &seg, &[&u]).unwrap();
+            let stored = store_checkpoint(ctx, tier, prefix, &mut drms, &seg, &[&u]).unwrap();
+
+            let snap = Snapshot::capture(ctx, &drms, &seg, &[&u]).unwrap();
+            let (manifest, lens) = (snap.manifest(Vec::new()).encode(), snap.file_lens());
+            let pieces = snap.tier_pieces(scratch.piece_bytes());
+            let captured =
+                store_captured(ctx, &scratch, prefix, APP, snap.sop, manifest, &lens, pieces)
+                    .unwrap();
+            assert_eq!(
+                (stored.sop, stored.bytes, stored.replica_bytes, stored.pieces),
+                (captured.sop, captured.bytes, captured.replica_bytes, captured.pieces)
+            );
+            assert_eq!(tier.files(prefix).unwrap(), scratch.files(prefix).unwrap());
+            assert_eq!(tier.min_replicas(prefix), scratch.min_replicas(prefix));
+            assert_eq!(tier.manifest(prefix).unwrap(), scratch.manifest(prefix).unwrap());
+
             spill_checkpoint(ctx, fs, tier, prefix).unwrap();
         }
     })

@@ -20,7 +20,7 @@
 
 use drms_blackbox::LOCALIZED_SPAN_NAME;
 use drms_core::chaos::CrashPoint;
-use drms_core::commit::staging_prefix;
+use drms_core::commit::{publish_staged_files, staging_prefix};
 use drms_core::manifest::{array_path, CkptKind};
 use drms_core::{
     checkpoint_is_valid, crash_point, phase_span, read_manifest_collective, stage_flight_rings,
@@ -317,13 +317,7 @@ pub fn recover(
         // committed recovery. The staged copy is `journal.tmp` so a
         // stranded staging directory is sweepable (`sweep_orphans`), in
         // the same convention as `manifest.tmp`.
-        let staged_dir = format!("{staging}/");
-        for info in fs.list(&staged_dir) {
-            let name = &info.path[staged_dir.len()..];
-            if name != "journal.tmp" {
-                fs.rename(&info.path, &format!("{rprefix}/{name}"));
-            }
-        }
+        publish_staged_files(fs, &rprefix, "journal.tmp");
         fs.rename(&format!("{staging}/journal.tmp"), &format!("{rprefix}/journal"));
     }
     ctx.barrier();
