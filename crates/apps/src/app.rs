@@ -2,9 +2,9 @@
 
 use drms_core::report::OpBreakdown;
 use drms_core::segment::{DataSegment, RegionKind, SegmentAnatomy};
-use drms_core::{spmd, CheckpointArray, CoreError, Drms, EnableFlag, Start};
+use drms_core::{spmd, CheckpointArray, CoreError, Drms, EnableFlag, RestartInfo, Start};
 use drms_darray::DistArray;
-use drms_memtier::{MemTier, MemTierError, SpillReport, StoreReport, SEGMENT_FILE};
+use drms_memtier::{MemTier, MemTierError, SpillReport, StoreReport};
 use drms_msg::Ctx;
 use drms_piofs::Piofs;
 use drms_slices::Order;
@@ -69,59 +69,24 @@ impl MiniApp {
         seg.set_replicated_f64("grid", spec.grid() as f64);
         seg.set_control("iter", 0);
 
-        let mut app = match variant {
+        let (drms, seg, fields, restart_report) = match variant {
             AppVariant::Drms => {
                 let (drms, start) = Drms::initialize(ctx, fs, cfg, enable, restart_from)?;
                 let mut fields = make_fields(&spec, ctx);
-                match start {
-                    Start::Fresh => {
-                        fill_fresh(&mut fields);
-                        MiniApp {
-                            spec,
-                            variant,
-                            drms,
-                            seg,
-                            fields,
-                            iter: 0,
-                            spmd_sop: 0,
-                            restart_report: None,
-                        }
-                    }
-                    Start::Restarted(info) => {
-                        let iter = info.segment.control("iter").unwrap_or(0);
-                        let mut handles: Vec<&mut dyn CheckpointArray> =
-                            fields.iter_mut().map(|f| f as &mut dyn CheckpointArray).collect();
+                match (start, restart_from) {
+                    (Start::Restarted(info), Some(prefix)) => {
                         let arrays_time = drms.restore_arrays(
                             ctx,
                             fs,
-                            restart_from.expect("restarted implies prefix"),
+                            prefix,
                             &info.manifest,
-                            &mut handles,
+                            &mut handles_mut(&mut fields),
                         )?;
-                        // Every task reads the whole shared segment file,
-                        // so the bytes *moved* in the segment phase are
-                        // ntasks x file size — the quantity behind the
-                        // paper's aggregate restore rates (29 -> 55 MB/s).
-                        let seg_file = fs
-                            .size(&drms_core::manifest::segment_path(restart_from.unwrap()))
-                            .unwrap_or(0);
-                        let report = OpBreakdown {
-                            init: info.init_time,
-                            segment: info.segment_time,
-                            arrays: arrays_time,
-                            segment_bytes: seg_file * ctx.ntasks() as u64,
-                            array_bytes: spec.stream_bytes(),
-                        };
-                        MiniApp {
-                            spec,
-                            variant,
-                            drms,
-                            seg: info.segment,
-                            fields,
-                            iter,
-                            spmd_sop: 0,
-                            restart_report: Some(report),
-                        }
+                        return Ok(MiniApp::restarted(ctx, spec, drms, *info, fields, arrays_time));
+                    }
+                    _ => {
+                        fill_fresh(&mut fields);
+                        (drms, seg, fields, None)
                     }
                 }
             }
@@ -131,20 +96,10 @@ impl MiniApp {
                 match restart_from {
                     None => {
                         fill_fresh(&mut fields);
-                        MiniApp {
-                            spec,
-                            variant,
-                            drms,
-                            seg,
-                            fields,
-                            iter: 0,
-                            spmd_sop: 0,
-                            restart_report: None,
-                        }
+                        (drms, seg, fields, None)
                     }
                     Some(prefix) => {
                         let (restored, report) = spmd::restart(ctx, fs, &cfg, prefix)?;
-                        let iter = restored.control("iter").unwrap_or(0);
                         let blob = restored
                             .region("local-sections")
                             .ok_or_else(|| {
@@ -154,25 +109,27 @@ impl MiniApp {
                             })?
                             .bytes
                             .clone();
-                        let mut handles: Vec<&mut dyn CheckpointArray> =
-                            fields.iter_mut().map(|f| f as &mut dyn CheckpointArray).collect();
-                        drms_core::decode_locals(&mut handles, &blob)?;
-                        MiniApp {
-                            spec,
-                            variant,
-                            drms,
-                            seg: restored,
-                            fields,
-                            iter,
-                            spmd_sop: 0,
-                            restart_report: Some(report),
-                        }
+                        drms_core::decode_locals(&mut handles_mut(&mut fields), &blob)?;
+                        (drms, restored, fields, Some(report))
                     }
                 }
             }
         };
-        app.seg.set_control("iter", app.iter);
-        Ok(app)
+        Ok(MiniApp::resuming(spec, variant, drms, seg, fields, restart_report))
+    }
+
+    /// The instance that resumes from the iteration `seg` records.
+    fn resuming(
+        spec: AppSpec,
+        variant: AppVariant,
+        drms: Drms,
+        mut seg: DataSegment,
+        fields: Vec<DistArray<f64>>,
+        restart_report: Option<OpBreakdown>,
+    ) -> MiniApp {
+        let iter = seg.control("iter").unwrap_or(0);
+        seg.set_control("iter", iter);
+        MiniApp { spec, variant, drms, seg, fields, iter, spmd_sop: 0, restart_report }
     }
 
     /// The application spec.
@@ -243,11 +200,11 @@ impl MiniApp {
         prefix: &str,
         spill: bool,
     ) -> Result<(StoreReport, Option<SpillReport>), MemTierError> {
-        assert_eq!(
-            self.variant,
-            AppVariant::Drms,
-            "memory-tier checkpoints require the DRMS variant"
-        );
+        if self.variant != AppVariant::Drms {
+            return Err(MemTierError::Core(CoreError::ManifestMismatch(
+                "memory-tier checkpoints require the DRMS variant".to_string(),
+            )));
+        }
         let handles: Vec<&dyn CheckpointArray> =
             self.fields.iter().map(|f| f as &dyn CheckpointArray).collect();
         let store =
@@ -276,39 +233,37 @@ impl MiniApp {
 
         let (drms, info) = drms_memtier::resume_from_tier(ctx, fs, tier, cfg, enable, prefix)?;
         let mut fields = make_fields(&spec, ctx);
-        let iter = info.segment.control("iter").unwrap_or(0);
-        let mut handles: Vec<&mut dyn CheckpointArray> =
-            fields.iter_mut().map(|f| f as &mut dyn CheckpointArray).collect();
         let arrays_time = drms_memtier::restore_arrays_from_tier(
             ctx,
             tier,
             &drms,
             prefix,
             &info.manifest,
-            &mut handles,
+            &mut handles_mut(&mut fields),
         )?;
-        // Every task consumes the whole shared segment, so segment bytes
-        // moved are ntasks x segment size, as on the PIOFS restart path.
-        let seg_len = tier.file_len(prefix, SEGMENT_FILE)?;
+        Ok(MiniApp::restarted(ctx, spec, drms, *info, fields, arrays_time))
+    }
+
+    /// The instance a DRMS restart produced, whichever source served it.
+    fn restarted(
+        ctx: &Ctx,
+        spec: AppSpec,
+        drms: Drms,
+        info: RestartInfo,
+        fields: Vec<DistArray<f64>>,
+        arrays_time: f64,
+    ) -> MiniApp {
+        // Every task loads the whole shared segment, so the bytes *moved*
+        // in the segment phase are ntasks x its size — the quantity behind
+        // the paper's aggregate restore rates (29 -> 55 MB/s).
         let report = OpBreakdown {
             init: info.init_time,
             segment: info.segment_time,
             arrays: arrays_time,
-            segment_bytes: seg_len * ctx.ntasks() as u64,
+            segment_bytes: info.segment_bytes * ctx.ntasks() as u64,
             array_bytes: spec.stream_bytes(),
         };
-        let mut app = MiniApp {
-            spec,
-            variant: AppVariant::Drms,
-            drms,
-            seg: info.segment,
-            fields,
-            iter,
-            spmd_sop: 0,
-            restart_report: Some(report),
-        };
-        app.seg.set_control("iter", app.iter);
-        Ok(app)
+        MiniApp::resuming(spec, AppVariant::Drms, drms, info.segment, fields, Some(report))
     }
 
     /// System-enabled checkpoint (`drms_reconfig_chkenable`); DRMS variant
@@ -363,6 +318,10 @@ fn make_fields(spec: &AppSpec, ctx: &Ctx) -> Vec<DistArray<f64>> {
             DistArray::new(&f.name, Order::ColumnMajor, spec.dist(f, ctx.ntasks()), ctx.rank())
         })
         .collect()
+}
+
+fn handles_mut(fields: &mut [DistArray<f64>]) -> Vec<&mut dyn CheckpointArray> {
+    fields.iter_mut().map(|f| f as &mut dyn CheckpointArray).collect()
 }
 
 fn fill_fresh(fields: &mut [DistArray<f64>]) {
@@ -513,6 +472,18 @@ mod tests {
         })
         .unwrap();
         assert!(errs[0].as_ref().unwrap().contains("cannot restart with 2"));
+    }
+
+    #[test]
+    fn memtier_checkpoint_of_the_spmd_variant_is_an_error() {
+        let (f, tier) = (fs(), MemTier::new(1));
+        let errs = run_spmd(2, CostModel::default(), |ctx| {
+            let (spec, enable) = (sp(Class::T), EnableFlag::new());
+            let mut app = MiniApp::start(ctx, &f, spec, AppVariant::Spmd, enable, None).unwrap();
+            app.checkpoint_memtier(ctx, &f, &tier, "ck/s", false).unwrap_err()
+        })
+        .unwrap();
+        assert!(matches!(&errs[0], MemTierError::Core(CoreError::ManifestMismatch(_))));
     }
 
     #[test]

@@ -36,7 +36,14 @@ impl fmt::Display for AsyncError {
     }
 }
 
-impl std::error::Error for AsyncError {}
+impl std::error::Error for AsyncError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            AsyncError::Core(e) => Some(e),
+            AsyncError::Tier(e) => Some(e),
+        }
+    }
+}
 
 impl From<CoreError> for AsyncError {
     fn from(e: CoreError) -> Self {

@@ -36,12 +36,9 @@ use drms_bench::gate::{baseline_gate, run_gated};
 use drms_bench::json::BenchResult;
 use drms_chaos::{ChaosCtl, FaultPlan, MsgFaults, PiofsFaults};
 use drms_core::segment::DataSegment;
-use drms_core::{CoreError, Drms, DrmsConfig, Start};
+use drms_core::{Drms, DrmsConfig};
 use drms_darray::{DistArray, Distribution};
-use drms_memtier::{
-    restore_arrays_from_tier, resume_from_tier, spill_checkpoint, store_checkpoint, store_feasible,
-    MemTier, RestartTier,
-};
+use drms_memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
 use drms_msg::CostModel;
 use drms_obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
@@ -170,70 +167,19 @@ fn run_campaign(seed: u64, extra: Option<Arc<dyn Recorder>>) -> Run {
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        let mut drms = match (env.restart_from.as_deref(), env.restart_tier) {
-            (Some(prefix), RestartTier::Memory) => {
-                let tier = env.memtier.as_ref().expect("memory restart without a tier");
-                match resume_from_tier(
-                    ctx,
-                    &env.fs,
-                    tier,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    prefix,
-                ) {
-                    Ok((drms, info)) => {
-                        seg = info.segment.clone();
-                        start_iter = seg.control("iter").unwrap() + 1;
-                        if let Err(e) = restore_arrays_from_tier(
-                            ctx,
-                            tier,
-                            &drms,
-                            prefix,
-                            &info.manifest,
-                            &mut [&mut u],
-                        ) {
-                            return JobOutcome::Failed(e.to_string());
-                        }
-                        drms
-                    }
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
+                start_iter = seg.control("iter").unwrap() + 1;
             }
-            _ => {
-                let (drms, start) = match Drms::initialize(
-                    ctx,
-                    &env.fs,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    env.restart_from.as_deref(),
-                ) {
-                    Ok(v) => v,
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                };
-                match start {
-                    Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-                    Start::Restarted(info) => {
-                        seg = info.segment.clone();
-                        start_iter = seg.control("iter").unwrap() + 1;
-                        match drms.restore_arrays(
-                            ctx,
-                            &env.fs,
-                            env.restart_from.as_deref().unwrap(),
-                            &info.manifest,
-                            &mut [&mut u],
-                        ) {
-                            Ok(_) => {}
-                            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                            Err(e) => return JobOutcome::Failed(e.to_string()),
-                        }
-                    }
-                }
-                drms
-            }
-        };
+        }
         for iter in start_iter..=NITER {
             if env.sop_killed(ctx) {
                 return JobOutcome::Killed;
@@ -246,29 +192,20 @@ fn run_campaign(seed: u64, extra: Option<Arc<dyn Recorder>>) -> Run {
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
                 let prefix = format!("ck/pulse/{iter}");
-                let result = match &env.memtier {
+                let failed = match &env.memtier {
                     Some(tier) if store_feasible(ctx, tier) => {
                         store_checkpoint(ctx, tier, &prefix, &mut drms, &seg, &[&u])
-                            .map_err(|e| e.to_string())
-                            .and_then(|_| {
-                                spill_checkpoint(ctx, &env.fs, tier, &prefix)
-                                    .map(|_| ())
-                                    .map_err(|e| e.to_string())
-                            })
+                            .and_then(|_| spill_checkpoint(ctx, &env.fs, tier, &prefix))
+                            .err()
+                            .map(JobOutcome::from_err)
                     }
                     _ => drms
                         .reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u])
-                        .map(|_| ())
-                        .map_err(|e| match e {
-                            CoreError::Interrupted(_) => "interrupted".to_string(),
-                            other => other.to_string(),
-                        }),
+                        .err()
+                        .map(JobOutcome::from_err),
                 };
-                if let Err(e) = result {
-                    if env.sop_killed(ctx) || e == "interrupted" {
-                        return JobOutcome::Killed;
-                    }
-                    return JobOutcome::Failed(e);
+                if let Some(outcome) = failed {
+                    return if env.sop_killed(ctx) { JobOutcome::Killed } else { outcome };
                 }
             }
             if ctx.rank() == 0

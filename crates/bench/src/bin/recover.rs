@@ -48,7 +48,7 @@ use drms_bench::json::BenchResult;
 use drms_blackbox::{Blackbox, BlackboxConfig};
 use drms_chaos::{ChaosCtl, FaultPlan};
 use drms_core::segment::DataSegment;
-use drms_core::{CoreError, Drms, DrmsConfig, Start};
+use drms_core::{Drms, DrmsConfig};
 use drms_darray::{DistArray, Distribution};
 use drms_insight::{stitch, IncarnationInput, RecoveryReport, StitchOptions, StitchedTimeline};
 use drms_memtier::{store_checkpoint, MemTier};
@@ -207,41 +207,23 @@ fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
     let rc2 = Arc::clone(&rc);
 
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
         // Localized drills run only in the first incarnation; an escalated
         // incarnation would be the full-restart fallback. Derived from the
         // restart state so the collective branch is rank-consistent.
-        let mut may_recover = matches!(start, Start::Fresh);
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        let mut may_recover = restart.is_none();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
             }
         }
         let mut membership = Membership::initial(ctx.ntasks());
@@ -281,8 +263,7 @@ fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
                             iter = sop + 1;
                             continue;
                         }
-                        Err(e) if e.is_interrupted() => return JobOutcome::Killed,
-                        Err(e) => return JobOutcome::Failed(e.to_string()),
+                        Err(e) => return JobOutcome::from_err(e),
                     }
                 }
             }
@@ -294,19 +275,19 @@ fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
                 let prefix = format!("ck/rb/{iter}");
-                let committed = match mode {
+                let failed = match mode {
                     // The memory-tier drill replicates into the tier; the
                     // durable modes commit to PIOFS.
                     Mode::Tier => store_checkpoint(ctx, &tier, &prefix, &mut drms, &seg, &[&u])
-                        .map(|_| ())
-                        .map_err(|e| e.to_string()),
+                        .err()
+                        .map(JobOutcome::from_err),
                     Mode::Piofs | Mode::Full => drms
                         .reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u])
-                        .map(|_| ())
-                        .map_err(|e| e.to_string()),
+                        .err()
+                        .map(JobOutcome::from_err),
                 };
-                if let Err(e) = committed {
-                    return JobOutcome::Failed(e);
+                if let Some(outcome) = failed {
+                    return outcome;
                 }
                 if env.localized {
                     retained = Some((retain(ctx, &prefix, iter as u64, &[&u]), iter));

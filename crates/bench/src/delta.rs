@@ -13,15 +13,15 @@ use std::sync::Arc;
 
 use drms_apps::AppSpec;
 use drms_core::manifest::array_path;
+use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
-    checkpoint_is_valid, find_checkpoints, read_manifest_collective, sweep_orphans, Drms,
-    EnableFlag, Start,
+    checkpoint_is_valid, find_checkpoints, read_manifest_collective, sweep_orphans,
+    CheckpointArray, CoreError, Drms, EnableFlag,
 };
 use drms_darray::DistArray;
-use drms_delta::{
-    delta_checkpoint, materialize_stream, restore_arrays_delta, resume, DeltaChain, DeltaConfig,
-};
+use drms_delta::{delta_checkpoint, materialize_stream, DeltaChain, DeltaConfig, DeltaSource};
 use drms_msg::{run_spmd, CostModel, Ctx, SpmdError};
+use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
 
 use crate::experiment::experiment_fs;
@@ -138,6 +138,28 @@ fn advance(grid: i64, u: &mut DistArray<f64>, iter: i64) {
     });
 }
 
+/// One restart procedure, whichever source: restore time, state checksum
+/// and the control variable, as rank 0 saw them.
+fn restore_leg<S: RestartSource<Error = CoreError> + Sync>(
+    spec: &AppSpec,
+    fs: &Piofs,
+    src: S,
+) -> Result<(f64, f64, Option<i64>), SpmdError> {
+    fs.clear_residency();
+    fs.reset_time();
+    let restores = run_spmd(RESTORE_TASKS, CostModel::default(), |ctx| {
+        let (drms, info) =
+            restore::open(ctx, fs, spec.drms_config(), EnableFlag::new(), &src).unwrap();
+        let (mut u, mut forcing) = fields(spec, ctx);
+        let arrays: &mut [&mut dyn CheckpointArray] = &mut [&mut u, &mut forcing];
+        let t = restore::restore_arrays(&drms, ctx, &src, &info.manifest, arrays).unwrap();
+        let sum = u.fold_assigned(0.0, |acc, _, v| acc + v)
+            + forcing.fold_assigned(0.0, |acc, _, v| acc + v);
+        (t, sum, info.segment.control("iter"))
+    })?;
+    Ok(restores[0])
+}
+
 /// Runs the full-vs-delta campaign for one application. Deterministic per
 /// (`spec`, `params`): byte totals are exact and simulated times depend
 /// only on the seed.
@@ -219,47 +241,13 @@ pub fn run_campaign(spec: &AppSpec, params: &DeltaParams) -> Result<DeltaCampaig
     let last_full = format!("full/f{NLINKS}");
     let last_delta = format!("delta/d{NLINKS}");
 
-    fs_full.clear_residency();
-    fs_full.reset_time();
-    let (spec_c, cfg_c, fs_c, pfx) =
-        (spec.clone(), cfg.clone(), Arc::clone(&fs_full), last_full.clone());
-    let full_restores = run_spmd(RESTORE_TASKS, CostModel::default(), move |ctx| {
-        let (drms, start) =
-            Drms::initialize(ctx, &fs_c, cfg_c.clone(), EnableFlag::new(), Some(&pfx)).unwrap();
-        let Start::Restarted(info) = start else { panic!("expected restart") };
-        let (mut u, mut forcing) = fields(&spec_c, ctx);
-        let t = drms
-            .restore_arrays(ctx, &fs_c, &pfx, &info.manifest, &mut [&mut u, &mut forcing])
-            .unwrap();
-        let sum = u.fold_assigned(0.0, |acc, _, v| acc + v)
-            + forcing.fold_assigned(0.0, |acc, _, v| acc + v);
-        (t, sum, info.segment.control("iter"))
-    })?;
-
-    fs_delta.clear_residency();
-    fs_delta.reset_time();
-    let (spec_c, cfg_c, fs_c, pfx) =
-        (spec.clone(), cfg.clone(), Arc::clone(&fs_delta), last_delta.clone());
-    let delta_restores = run_spmd(RESTORE_TASKS, CostModel::default(), move |ctx| {
-        let (drms, start) = resume(ctx, &fs_c, cfg_c.clone(), EnableFlag::new(), &pfx).unwrap();
-        let Start::Restarted(info) = start else { panic!("expected restart") };
-        let (mut u, mut forcing) = fields(&spec_c, ctx);
-        let t = restore_arrays_delta(
-            &drms,
-            ctx,
-            &fs_c,
-            &pfx,
-            &info.manifest,
-            &mut [&mut u, &mut forcing],
-        )
-        .unwrap();
-        let sum = u.fold_assigned(0.0, |acc, _, v| acc + v)
-            + forcing.fold_assigned(0.0, |acc, _, v| acc + v);
-        (t, sum, info.segment.control("iter"))
-    })?;
-
-    let (full_restore_s, full_checksum, full_iter) = full_restores[0];
-    let (delta_restore_s, delta_checksum, delta_iter) = delta_restores[0];
+    let (full_restore_s, full_checksum, full_iter) =
+        restore_leg(spec, &fs_full, PiofsFull { fs: &fs_full, prefix: &last_full })?;
+    let (delta_restore_s, delta_checksum, delta_iter) = restore_leg(
+        spec,
+        &fs_delta,
+        DeltaSource(PiofsFull { fs: &fs_delta, prefix: &last_delta }),
+    )?;
     assert_eq!(full_iter, Some(NLINKS), "full segment lost the control state");
     assert_eq!(delta_iter, Some(NLINKS), "delta segment lost the control state");
 

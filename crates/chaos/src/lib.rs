@@ -38,7 +38,7 @@ mod rng;
 pub use backoff::RetryPolicy;
 pub use ctl::ChaosCtl;
 pub use plan::{
-    CommitPoints, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite, CKPT_COMMIT,
-    FLUSH_COMMIT,
+    CommitPoints, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, RestartPoints, TornWrite,
+    CKPT_COMMIT, FLUSH_COMMIT, RESTART_DELTA, RESTART_FULL,
 };
 pub use rng::{mix, unit};

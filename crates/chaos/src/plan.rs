@@ -117,6 +117,24 @@ pub static FLUSH_COMMIT: CommitPoints = [
     CrashPoint::FlushCommitted,
 ];
 
+/// The crash points of one restart, in protocol order: application text
+/// loaded, data segment decoded, every array restored. `None` where a
+/// restart source does not consult. The restore driver
+/// (`drms_core::restore`) is told which table to consult by its source and
+/// is the only code that reaches these points; a source that consults
+/// nothing (the memory tier) has no table.
+pub type RestartPoints = [Option<CrashPoint>; 3];
+
+/// What a restart from a full PIOFS checkpoint consults.
+pub static RESTART_FULL: RestartPoints = [
+    Some(CrashPoint::RestartAfterInit),
+    Some(CrashPoint::RestartAfterSegment),
+    Some(CrashPoint::RestartAfterArrays),
+];
+
+/// What a restart from a PIOFS delta chain consults.
+pub static RESTART_DELTA: RestartPoints = [None, None, Some(CrashPoint::RestartAfterArrays)];
+
 impl CrashPoint {
     /// Whether this point lives inside the asynchronous background flush
     /// (consulted only by `drms-async`'s overlapped checkpoints). Blocking
@@ -237,6 +255,23 @@ mod tests {
             assert_eq!(p.is_flush_side(), in_flush_family, "{p}");
             assert!(!(ckpt.contains(&p) && flush.contains(&p)), "{p} in both tables");
         }
+    }
+
+    #[test]
+    fn restart_tables_are_the_consults_each_source_makes_today() {
+        // Widening either family moves blessed virtual-time numbers (a
+        // consult under a chaos controller is an exchange), so it has to be
+        // an edit of these literals. The memory tier consults nothing and
+        // so has no table.
+        use CrashPoint::{RestartAfterArrays, RestartAfterInit, RestartAfterSegment};
+        assert_eq!(
+            RESTART_FULL,
+            [Some(RestartAfterInit), Some(RestartAfterSegment), Some(RestartAfterArrays)]
+        );
+        assert_eq!(RESTART_DELTA, [None, None, Some(RestartAfterArrays)]);
+        let restart_side: Vec<CrashPoint> =
+            CrashPoint::ALL.into_iter().filter(|p| p.as_str().starts_with("restart_")).collect();
+        assert_eq!(restart_side, RESTART_FULL.map(|p| p.expect("full consults all three")));
     }
 
     #[test]

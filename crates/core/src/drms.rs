@@ -14,6 +14,7 @@ use crate::manifest::{
     FileIntegrity, Manifest,
 };
 use crate::report::OpBreakdown;
+use crate::restore::{self, PiofsFull, RestartInfo};
 use crate::segment::DataSegment;
 use crate::{CoreError, IoMode, Result};
 use drms_darray::chunks;
@@ -73,22 +74,6 @@ impl EnableFlag {
     }
 }
 
-/// What a restarted application needs to resume from its SOP.
-#[derive(Debug)]
-pub struct RestartInfo {
-    /// The checkpoint manifest.
-    pub manifest: Manifest,
-    /// The restored data segment (replicated + control variables).
-    pub segment: DataSegment,
-    /// New task count minus checkpoint task count; non-zero means the
-    /// application must adjust its distributions before loading arrays.
-    pub delta: i64,
-    /// Time spent loading the application text.
-    pub init_time: f64,
-    /// Time spent loading the data segment.
-    pub segment_time: f64,
-}
-
 /// Result of `drms_initialize`: fresh start or restart from archived state.
 #[derive(Debug)]
 pub enum Start {
@@ -100,9 +85,9 @@ pub enum Start {
 
 /// Per-task handle to the DRMS run-time (Table 2's API).
 pub struct Drms {
-    cfg: DrmsConfig,
-    enable: EnableFlag,
-    sop: u64,
+    pub(crate) cfg: DrmsConfig,
+    pub(crate) enable: EnableFlag,
+    pub(crate) sop: u64,
 }
 
 impl Drms {
@@ -115,7 +100,8 @@ impl Drms {
     /// `drms_initialize`: initializes the run-time and, when `restart_from`
     /// names an archived state, reloads it. Every task calls this first;
     /// each receives the full segment (all tasks read the single saved
-    /// segment file, per Section 5).
+    /// segment file, per Section 5). A restart is [`restore::open`] on the
+    /// [`PiofsFull`] source.
     pub fn initialize(
         ctx: &mut Ctx,
         fs: &Piofs,
@@ -126,95 +112,8 @@ impl Drms {
         let Some(prefix) = restart_from else {
             return Ok((Drms { cfg, enable, sop: 0 }, Start::Fresh));
         };
-        let manifest = read_manifest_collective(ctx, fs, prefix)?;
-        match manifest.kind {
-            CkptKind::Drms => {}
-            CkptKind::Spmd => {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "{prefix:?} is a conventional SPMD checkpoint; use spmd::restart"
-                )))
-            }
-            CkptKind::DrmsDelta => {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "{prefix:?} is an incremental checkpoint; restore it through the \
-                     delta crate's resume, which materializes the chunk chain"
-                )))
-            }
-        }
-        if manifest.app != cfg.app {
-            return Err(CoreError::ManifestMismatch(format!(
-                "checkpoint belongs to app {:?}, not {:?}",
-                manifest.app, cfg.app
-            )));
-        }
-
-        let t0 = load_text(ctx, fs, &cfg.app)?;
-        crash_point(ctx, fs, CrashPoint::RestartAfterInit, false)?;
-        let t1 = ctx.now();
-
-        // Each task loads the single saved data segment.
-        let seg_path = segment_path(prefix);
-        let len = fs.size(&seg_path)?;
-        let mut got = fs.collective_read(
-            ctx,
-            vec![ReadReq { path: seg_path, offset: 0, len, access: ReadAccess::Sequential }],
-        )?;
-        let seg_bytes = got.pop().expect("one request");
-        // End-to-end verification against the manifest's integrity record:
-        // bytes that survived the file system may still be bytes that rotted
-        // on it. v1 manifests carry no record and skip this.
-        if let Some(fi) = manifest.file_integrity("segment") {
-            if !fi.matches(&seg_bytes) {
-                return Err(CoreError::Integrity(format!(
-                    "segment of {prefix:?} fails checksum verification"
-                )));
-            }
-        }
-        let segment = DataSegment::decode(&seg_bytes)?;
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::RestartAfterSegment, false)?;
-        let sop = manifest.sop;
-        let start = restart_record(ctx, manifest, segment, len, t0, t1);
-        Ok((Drms { cfg, enable, sop }, start))
-    }
-
-    /// As [`Drms::initialize`], but with the manifest and segment supplied
-    /// by an external source — an in-memory checkpoint tier — instead of
-    /// read from PIOFS files. The application text is still loaded from the
-    /// file system (restart reloads the binary regardless of where the
-    /// checkpointed state lives). `segment_fetch` is called collectively by
-    /// every task and must price its own data movement against the calling
-    /// task's clock.
-    pub fn initialize_external(
-        ctx: &mut Ctx,
-        fs: &Piofs,
-        cfg: DrmsConfig,
-        enable: EnableFlag,
-        manifest: Manifest,
-        segment_fetch: &mut dyn FnMut(&mut Ctx) -> Result<Vec<u8>>,
-    ) -> Result<(Drms, Start)> {
-        if manifest.kind == CkptKind::Spmd {
-            return Err(CoreError::ManifestMismatch(
-                "external restart source holds a conventional SPMD checkpoint".to_string(),
-            ));
-        }
-        if manifest.app != cfg.app {
-            return Err(CoreError::ManifestMismatch(format!(
-                "checkpoint belongs to app {:?}, not {:?}",
-                manifest.app, cfg.app
-            )));
-        }
-
-        let t0 = load_text(ctx, fs, &cfg.app)?;
-        let t1 = ctx.now();
-
-        // Each task fetches the single saved data segment from the source.
-        let seg_bytes = segment_fetch(ctx)?;
-        let segment = DataSegment::decode(&seg_bytes)?;
-        ctx.barrier();
-        let sop = manifest.sop;
-        let start = restart_record(ctx, manifest, segment, seg_bytes.len() as u64, t0, t1);
-        Ok((Drms { cfg, enable, sop }, start))
+        let (drms, info) = restore::open(ctx, fs, cfg, enable, &PiofsFull { fs, prefix })?;
+        Ok((drms, Start::Restarted(Box::new(info))))
     }
 
     /// The configuration in effect.
@@ -339,9 +238,10 @@ impl Drms {
         self.reconfig_checkpoint(ctx, fs, prefix, base_segment, arrays).map(Some)
     }
 
-    /// Loads every array from an archived state, after the application has
-    /// (re-)created them under the current distributions (adjusted when
-    /// `delta != 0`). Returns the array-phase time.
+    /// Loads every array from the full checkpoint under `prefix`, after the
+    /// application has (re-)created them under the current distributions
+    /// (adjusted when `delta != 0`): [`restore::restore_arrays`] on the
+    /// [`PiofsFull`] source. Returns the array-phase time.
     pub fn restore_arrays(
         &self,
         ctx: &mut Ctx,
@@ -350,68 +250,8 @@ impl Drms {
         manifest: &Manifest,
         arrays: &mut [&mut dyn CheckpointArray],
     ) -> Result<f64> {
-        ctx.barrier();
-        let t0 = ctx.now();
-        let io = self.cfg.io.resolve(ctx.ntasks());
-        for a in arrays.iter_mut() {
-            let entry = manifest.array(a.array_name()).ok_or_else(|| {
-                CoreError::ManifestMismatch(format!("checkpoint has no array {:?}", a.array_name()))
-            })?;
-            if entry.elem_code != a.elem_code() {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "array {:?}: element code {} in checkpoint, {} in program",
-                    a.array_name(),
-                    entry.elem_code,
-                    a.elem_code()
-                )));
-            }
-            if &entry.domain != a.domain() {
-                return Err(CoreError::ManifestMismatch(format!(
-                    "array {:?}: domain {} in checkpoint, {} in program",
-                    a.array_name(),
-                    entry.domain,
-                    a.domain()
-                )));
-            }
-            a.read_stream(ctx, fs, &array_path(prefix, a.array_name()), io)?;
-        }
-        ctx.barrier();
-        crash_point(ctx, fs, CrashPoint::RestartAfterArrays, false)?;
-        let t1 = ctx.now();
-        phase_span(ctx, Phase::Arrays, "restore_arrays", t0, t1);
-        record_bytes(ctx, 0, arrays.iter().map(|a| a.stream_bytes()).sum());
-        Ok(t1 - t0)
+        restore::restore_arrays(self, ctx, &PiofsFull { fs, prefix }, manifest, arrays)
     }
-}
-
-/// The shared tail of both `Drms::initialize*` paths, entered after the
-/// barrier that closes the segment load: phase spans over `[t0, t1, now]`,
-/// the segment byte count, and the restart record.
-fn restart_record(
-    ctx: &Ctx,
-    manifest: Manifest,
-    segment: DataSegment,
-    segment_len: u64,
-    t0: f64,
-    t1: f64,
-) -> Start {
-    let t2 = ctx.now();
-    phase_span(ctx, Phase::Init, "load_text", t0, t1);
-    phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
-    // Every task reads the whole shared segment, so the bytes moved in this
-    // phase are ntasks x its size: record per rank, matching the aggregate
-    // the restart report uses.
-    if ctx.recorder().enabled() {
-        ctx.recorder().counter_add_at(t2, ctx.rank(), names::SEGMENT_BYTES, None, segment_len);
-    }
-    let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
-    Start::Restarted(Box::new(RestartInfo {
-        manifest,
-        segment,
-        delta,
-        init_time: t1 - t0,
-        segment_time: t2 - t1,
-    }))
 }
 
 /// Chunk size for integrity records: the file system's stripe unit, clamped
@@ -757,9 +597,8 @@ pub(crate) fn load_text(ctx: &mut Ctx, fs: &Piofs, app: &str) -> Result<f64> {
     Ok(t0)
 }
 
-/// Collective read + decode of a manifest. Public so out-of-crate restart
-/// paths (the delta chain's resume) read manifests with the same pricing
-/// and error behavior as [`Drms::initialize`].
+/// Collective read + decode of a manifest: how every PIOFS restart source
+/// and [`crate::spmd::restart`] read theirs.
 pub fn read_manifest_collective(ctx: &mut Ctx, fs: &Piofs, prefix: &str) -> Result<Manifest> {
     let path = manifest_path(prefix);
     if !fs.exists(&path) {

@@ -40,6 +40,7 @@ pub mod commit;
 pub mod manifest;
 pub mod mpmd;
 pub mod report;
+pub mod restore;
 pub mod segment;
 pub mod spmd;
 pub mod wire;
@@ -52,10 +53,11 @@ mod inject;
 pub use drms::{
     checkpoint_is_valid, compute_integrity, delete_checkpoint, find_checkpoints, integrity_chunk,
     phase_span, read_manifest_collective, record_bytes, retain_checkpoints, stage_flight_rings,
-    sweep_orphans, Drms, DrmsConfig, EnableFlag, RestartInfo, Start,
+    sweep_orphans, Drms, DrmsConfig, EnableFlag, Start,
 };
 pub use error::CoreError;
 pub use inject::crash_point;
+pub use restore::RestartInfo;
 
 /// Re-export of the fault-injection crate, so campaign code can name
 /// [`chaos::CrashPoint`] and fault plans through the core facade.

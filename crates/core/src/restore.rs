@@ -1,0 +1,301 @@
+//! The restore driver: one restart procedure, whatever holds the bytes.
+//!
+//! The paper's restart (Section 5) does not depend on the task count or on
+//! where the saved state lives: every new task loads the single saved data
+//! segment ([`open`], `drms_initialize` against an archived state), the
+//! application re-creates its arrays under freshly adjusted distributions,
+//! and each task loads *its* sections of every array's
+//! distribution-independent stream ([`restore_arrays`]). What differs is the
+//! [`RestartSource`]: [`PiofsFull`] here, the delta chain in `drms-delta`,
+//! the memory tier in `drms-memtier`. Localized recovery (`drms-recover`)
+//! fetches lost sections through the same three.
+
+use drms_chaos::{RestartPoints, RESTART_FULL};
+use drms_msg::Ctx;
+use drms_obs::{names, Phase};
+use drms_piofs::{Piofs, ReadAccess, ReadReq};
+
+use crate::drms::{
+    load_text, phase_span, read_manifest_collective, record_bytes, Drms, DrmsConfig, EnableFlag,
+};
+use crate::handle::CheckpointArray;
+use crate::inject::crash_point;
+use crate::manifest::{array_path, segment_path, CkptKind, Manifest};
+use crate::segment::DataSegment;
+use crate::{CoreError, Result};
+
+/// What a restarted application needs to resume from its SOP.
+#[derive(Debug)]
+pub struct RestartInfo {
+    /// The checkpoint manifest.
+    pub manifest: Manifest,
+    /// The restored data segment (replicated + control variables).
+    pub segment: DataSegment,
+    /// Size of the encoded segment every task loaded.
+    pub segment_bytes: u64,
+    /// New task count minus checkpoint task count; non-zero means the
+    /// application must adjust its distributions before loading arrays.
+    pub delta: i64,
+    /// Time spent loading the application text.
+    pub init_time: f64,
+    /// Time spent loading the data segment.
+    pub segment_time: f64,
+}
+
+/// A result in the error type of source `S`.
+pub type Sourced<T, S> = std::result::Result<T, <S as RestartSource>::Error>;
+
+/// Where the bytes of one archived state live. Every method is collective
+/// and prices its own data movement against the calling task's clock.
+pub trait RestartSource {
+    /// The error type at this source's public boundary.
+    type Error: From<CoreError> + std::fmt::Display;
+
+    /// The checkpoint kind this source restores.
+    const KIND: CkptKind = CkptKind::Drms;
+
+    /// The prefix the state was archived under.
+    fn prefix(&self) -> &str;
+
+    /// The crash points the driver consults for this source (a `RESTART_*`
+    /// table of `drms_chaos`) and the file system a dying region salvages
+    /// its flight rings to; `None` consults nothing.
+    fn consults(&self) -> Option<(&'static RestartPoints, &Piofs)> {
+        None
+    }
+
+    /// The manifest.
+    fn manifest(&self, ctx: &mut Ctx) -> Sourced<Manifest, Self>;
+
+    /// The whole encoded data segment; the driver verifies it against the
+    /// manifest's integrity record, if there is one.
+    fn segment(&self, ctx: &mut Ctx) -> Sourced<Vec<u8>, Self>;
+
+    /// Bytes `[off, off + len)` of `array`'s canonical stream, verified,
+    /// under the [`drms_darray::stream::PieceFetch`] convention: every task
+    /// calls once per wave, idle ones with `len == 0` for an empty answer.
+    fn fetch_range(
+        &self,
+        ctx: &mut Ctx,
+        manifest: &Manifest,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> Sourced<Vec<u8>, Self>;
+
+    /// Fills the whole of `a`: by default piece by piece through
+    /// [`RestartSource::fetch_range`].
+    fn read_array(
+        &self,
+        ctx: &mut Ctx,
+        manifest: &Manifest,
+        a: &mut dyn CheckpointArray,
+        io_tasks: usize,
+    ) -> Sourced<(), Self> {
+        let name = a.array_name().to_string();
+        let mut fetch = range_fetch(self, manifest, &name);
+        Ok(a.read_stream_via(ctx, io_tasks, &mut fetch)?)
+    }
+
+    /// The source's spans and counters for the array phase `[t0, t1]`,
+    /// which moved `array_bytes` stream bytes.
+    fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64);
+}
+
+/// [`RestartSource::fetch_range`] of `array` as the
+/// [`drms_darray::stream::PieceFetch`] callback the stream readers take.
+pub fn range_fetch<'a, S: RestartSource + ?Sized>(
+    src: &'a S,
+    manifest: &'a Manifest,
+    array: &'a str,
+) -> impl FnMut(&mut Ctx, u64, u64) -> std::result::Result<Vec<u8>, String> + 'a {
+    move |ctx, off, len| src.fetch_range(ctx, manifest, array, off, len).map_err(|e| e.to_string())
+}
+
+/// Consults stage `stage` of the source's restart-point table, if it has one.
+fn consult<S: RestartSource>(ctx: &mut Ctx, src: &S, stage: usize) -> Result<()> {
+    let Some((points, fs)) = src.consults() else { return Ok(()) };
+    points[stage].map_or(Ok(()), |point| crash_point(ctx, fs, point, false))
+}
+
+/// `drms_initialize` against the archived state `src` holds: checks the
+/// manifest against the source and the application, reloads the application
+/// text from `fs` (a restart reloads the binary wherever the state lives),
+/// and has every task load and decode the single saved segment.
+pub fn open<S: RestartSource>(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    cfg: DrmsConfig,
+    enable: EnableFlag,
+    src: &S,
+) -> Sourced<(Drms, RestartInfo), S> {
+    let manifest = src.manifest(ctx)?;
+    check_manifest(&manifest, S::KIND, src.prefix(), &cfg.app)?;
+
+    let t0 = load_text(ctx, fs, &cfg.app)?;
+    consult(ctx, src, 0)?;
+    let t1 = ctx.now();
+
+    let seg_bytes = src.segment(ctx)?;
+    // End-to-end verification: bytes that survived the storage may still be
+    // bytes that rotted on it. v1 manifests and the memory tier (per-piece
+    // CRCs) carry no record and skip this.
+    if manifest.file_integrity("segment").is_some_and(|fi| !fi.matches(&seg_bytes)) {
+        return Err(CoreError::Integrity(format!(
+            "segment of {:?} fails checksum verification",
+            src.prefix()
+        ))
+        .into());
+    }
+    let segment = DataSegment::decode(&seg_bytes).map_err(CoreError::from)?;
+    ctx.barrier();
+    consult(ctx, src, 1)?;
+
+    // The restart record: phase spans over `[t0, t1, now]` and the segment
+    // byte count. Every task reads the whole shared segment, so the bytes
+    // moved in this phase are ntasks x its size: record per rank, matching
+    // the aggregate the restart report uses.
+    let (t2, segment_bytes) = (ctx.now(), seg_bytes.len() as u64);
+    phase_span(ctx, Phase::Init, "load_text", t0, t1);
+    phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
+    if ctx.recorder().enabled() {
+        ctx.recorder().counter_add_at(t2, ctx.rank(), names::SEGMENT_BYTES, None, segment_bytes);
+    }
+    let drms = Drms { cfg, enable, sop: manifest.sop };
+    let delta = ctx.ntasks() as i64 - manifest.ntasks as i64;
+    let (init_time, segment_time) = (t1 - t0, t2 - t1);
+    Ok((drms, RestartInfo { manifest, segment, segment_bytes, delta, init_time, segment_time }))
+}
+
+/// Loads every array from the archived state `src` holds, after the
+/// application has (re-)created them under the current distributions
+/// (adjusted when the task count changed). Returns the array-phase time.
+pub fn restore_arrays<S: RestartSource>(
+    drms: &Drms,
+    ctx: &mut Ctx,
+    src: &S,
+    manifest: &Manifest,
+    arrays: &mut [&mut dyn CheckpointArray],
+) -> Sourced<f64, S> {
+    ctx.barrier();
+    let t0 = ctx.now();
+    let io = drms.cfg().io.resolve(ctx.ntasks());
+    for a in arrays.iter_mut() {
+        check_array(manifest, &**a)?;
+        src.read_array(ctx, manifest, &mut **a, io)?;
+    }
+    ctx.barrier();
+    consult(ctx, src, 2)?;
+    let t1 = ctx.now();
+    src.arrays_restored(ctx, t0, t1, arrays.iter().map(|a| a.stream_bytes()).sum());
+    Ok(t1 - t0)
+}
+
+/// The manifest-vs-source-and-application check every restart makes.
+fn check_manifest(manifest: &Manifest, want: CkptKind, prefix: &str, app: &str) -> Result<()> {
+    if manifest.kind != want {
+        return Err(CoreError::ManifestMismatch(format!(
+            "{prefix:?} is a {:?} checkpoint: Drms restarts through Drms::initialize, \
+             DrmsDelta through the delta crate's resume, Spmd through spmd::restart",
+            manifest.kind
+        )));
+    }
+    if manifest.app != app {
+        return Err(CoreError::ManifestMismatch(format!(
+            "checkpoint belongs to app {:?}, not {app:?}",
+            manifest.app
+        )));
+    }
+    Ok(())
+}
+
+/// The manifest-vs-program check every restart makes for each array.
+fn check_array(manifest: &Manifest, a: &dyn CheckpointArray) -> Result<()> {
+    let name = a.array_name();
+    let (code, domain) = (a.elem_code(), a.domain());
+    Err(CoreError::ManifestMismatch(match manifest.array(name) {
+        None => format!("checkpoint has no array {name:?}"),
+        Some(e) if e.elem_code != code => {
+            format!("array {name:?}: element code {} in checkpoint, {code} in program", e.elem_code)
+        }
+        Some(e) if &e.domain != domain => {
+            format!("array {name:?}: domain {} in checkpoint, {domain} in program", e.domain)
+        }
+        Some(_) => return Ok(()),
+    }))
+}
+
+/// A full checkpoint on PIOFS: `{prefix}/manifest`, `{prefix}/segment` and
+/// one `{prefix}/array-{name}` stream per array.
+#[derive(Clone, Copy)]
+pub struct PiofsFull<'a> {
+    /// The file system holding the checkpoint.
+    pub fs: &'a Piofs,
+    /// The checkpoint prefix.
+    pub prefix: &'a str,
+}
+
+impl RestartSource for PiofsFull<'_> {
+    type Error = CoreError;
+
+    fn prefix(&self) -> &str {
+        self.prefix
+    }
+
+    fn consults(&self) -> Option<(&'static RestartPoints, &Piofs)> {
+        Some((&RESTART_FULL, self.fs))
+    }
+
+    fn manifest(&self, ctx: &mut Ctx) -> Result<Manifest> {
+        read_manifest_collective(ctx, self.fs, self.prefix)
+    }
+
+    /// Each task reads the single saved segment file, whole (a delta
+    /// link's too).
+    fn segment(&self, ctx: &mut Ctx) -> Result<Vec<u8>> {
+        let path = segment_path(self.prefix);
+        let len = self.fs.size(&path)?;
+        let req = ReadReq { path, offset: 0, len, access: ReadAccess::Sequential };
+        Ok(self.fs.collective_read(ctx, vec![req])?.pop().expect("one request"))
+    }
+
+    /// One strided range read of the array's stream file — the section
+    /// fetch of localized recovery.
+    fn fetch_range(
+        &self,
+        ctx: &mut Ctx,
+        _manifest: &Manifest,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        let mut reqs = Vec::new();
+        if len > 0 {
+            reqs.push(ReadReq {
+                path: array_path(self.prefix, array),
+                offset: off,
+                len,
+                access: ReadAccess::Strided,
+            });
+        }
+        Ok(self.fs.collective_read(ctx, reqs)?.pop().unwrap_or_default())
+    }
+
+    /// [`CheckpointArray::read_stream`] picks sequential or strided access
+    /// from the I/O task count.
+    fn read_array(
+        &self,
+        ctx: &mut Ctx,
+        _manifest: &Manifest,
+        a: &mut dyn CheckpointArray,
+        io_tasks: usize,
+    ) -> Result<()> {
+        let path = array_path(self.prefix, a.array_name());
+        a.read_stream(ctx, self.fs, &path, io_tasks)
+    }
+
+    fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
+        phase_span(ctx, Phase::Arrays, "restore_arrays", t0, t1);
+        record_bytes(ctx, 0, array_bytes);
+    }
+}

@@ -48,4 +48,4 @@ mod restore;
 
 pub use chain::{DeltaChain, DeltaConfig, StageStats};
 pub use checkpoint::{delta_checkpoint, DeltaReport};
-pub use restore::{fetch_delta_range, materialize_stream, restore_arrays_delta, resume};
+pub use restore::{materialize_stream, restore_arrays_delta, resume, DeltaSource};

@@ -1,17 +1,95 @@
 //! Restart from a committed delta chain: bitwise materialization of each
 //! array's canonical stream out of the chunk graph.
 
-use drms_core::chaos::CrashPoint;
-use drms_core::crash_point;
-use drms_core::manifest::{segment_path, ArrayDelta, CkptKind, Manifest};
+use drms_core::chaos::{RestartPoints, RESTART_DELTA};
+use drms_core::manifest::{ArrayDelta, CkptKind, Manifest};
+use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
-    read_manifest_collective, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result,
-    Start,
+    phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
-use drms_darray::chunks::{decode_chunk, fnv128, ChunkParams};
+use drms_darray::chunks::{decode_chunk, fnv128};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
+
+/// A committed delta chain on PIOFS as a restart source: manifest and
+/// segment are read exactly like a full checkpoint's (the wrapped
+/// [`PiofsFull`]); array bytes are assembled chunk by chunk out of the
+/// pack files the manifest's chunk tables name.
+#[derive(Clone, Copy)]
+pub struct DeltaSource<'a>(pub PiofsFull<'a>);
+
+fn chunk_table<'m>(manifest: &'m Manifest, array: &str) -> Result<&'m ArrayDelta> {
+    manifest.delta(array).ok_or_else(|| {
+        CoreError::ManifestMismatch(format!(
+            "delta checkpoint has no chunk table for array {array:?}"
+        ))
+    })
+}
+
+impl RestartSource for DeltaSource<'_> {
+    type Error = CoreError;
+    const KIND: CkptKind = CkptKind::DrmsDelta;
+
+    fn prefix(&self) -> &str {
+        self.0.prefix
+    }
+
+    fn consults(&self) -> Option<(&'static RestartPoints, &Piofs)> {
+        Some((&RESTART_DELTA, self.0.fs))
+    }
+
+    fn manifest(&self, ctx: &mut Ctx) -> Result<Manifest> {
+        self.0.manifest(ctx)
+    }
+
+    fn segment(&self, ctx: &mut Ctx) -> Result<Vec<u8>> {
+        self.0.segment(ctx)
+    }
+
+    /// The range-limited materialization localized recovery uses as its
+    /// PIOFS fallback for incremental checkpoints: only the chunks covering
+    /// the asked range are read and verified, never the whole chain.
+    fn fetch_range(
+        &self,
+        ctx: &mut Ctx,
+        manifest: &Manifest,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        fetch_stream_range(ctx, self.0, chunk_table(manifest, array)?, off, len)
+    }
+
+    fn read_array(
+        &self,
+        ctx: &mut Ctx,
+        manifest: &Manifest,
+        a: &mut dyn CheckpointArray,
+        io_tasks: usize,
+    ) -> Result<()> {
+        let d = chunk_table(manifest, a.array_name())?;
+        if d.stream_len != a.stream_bytes() {
+            return Err(CoreError::ManifestMismatch(format!(
+                "array {:?}: stream is {} bytes in checkpoint, {} in program",
+                a.array_name(),
+                d.stream_len,
+                a.stream_bytes()
+            )));
+        }
+        let mut fetch = |ctx: &mut Ctx, off: u64, len: u64| {
+            fetch_stream_range(ctx, self.0, d, off, len).map_err(|e| e.to_string())
+        };
+        a.read_stream_via(ctx, io_tasks, &mut fetch)
+    }
+
+    fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
+        phase_span(ctx, Phase::Arrays, "restore_arrays_delta", t0, t1);
+        if ctx.rank() == 0 && ctx.recorder().enabled() {
+            ctx.recorder().counter_add_at(t1, 0, names::ARRAY_BYTES, None, array_bytes);
+        }
+    }
+}
 
 /// `drms_initialize` for a delta chain: reads the committed v3 manifest at
 /// `prefix`, verifies and loads the shared data segment, and returns the
@@ -25,37 +103,8 @@ pub fn resume(
     enable: EnableFlag,
     prefix: &str,
 ) -> Result<(Drms, Start)> {
-    let manifest = read_manifest_collective(ctx, fs, prefix)?;
-    if manifest.kind != CkptKind::DrmsDelta {
-        return Err(CoreError::ManifestMismatch(format!(
-            "{prefix:?} is not an incremental checkpoint; use Drms::initialize"
-        )));
-    }
-    let verify_against = manifest.clone();
-    let seg_path = segment_path(prefix);
-    let mut fetch = move |ctx: &mut Ctx| -> Result<Vec<u8>> {
-        let len = fs.size(&seg_path)?;
-        let mut got = fs.collective_read(
-            ctx,
-            vec![ReadReq {
-                path: seg_path.clone(),
-                offset: 0,
-                len,
-                access: ReadAccess::Sequential,
-            }],
-        )?;
-        let bytes = got.pop().expect("one request");
-        if let Some(fi) = verify_against.file_integrity("segment") {
-            if !fi.matches(&bytes) {
-                return Err(CoreError::Integrity(format!(
-                    "segment of {} fails checksum verification",
-                    verify_against.app
-                )));
-            }
-        }
-        Ok(bytes)
-    };
-    Drms::initialize_external(ctx, fs, cfg, enable, manifest, &mut fetch)
+    let (drms, info) = restore::open(ctx, fs, cfg, enable, &DeltaSource(PiofsFull { fs, prefix }))?;
+    Ok((drms, Start::Restarted(Box::new(info))))
 }
 
 /// Loads every array from a committed delta chain, after the application
@@ -74,82 +123,7 @@ pub fn restore_arrays_delta(
     manifest: &Manifest,
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<f64> {
-    ctx.barrier();
-    let t0 = ctx.now();
-    let io = drms.cfg().io.resolve(ctx.ntasks());
-    let mut restored: u64 = 0;
-    for a in arrays.iter_mut() {
-        let entry = manifest.array(a.array_name()).ok_or_else(|| {
-            CoreError::ManifestMismatch(format!("checkpoint has no array {:?}", a.array_name()))
-        })?;
-        if entry.elem_code != a.elem_code() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: element code {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.elem_code,
-                a.elem_code()
-            )));
-        }
-        if &entry.domain != a.domain() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: domain {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.domain,
-                a.domain()
-            )));
-        }
-        let d = manifest.delta(a.array_name()).ok_or_else(|| {
-            CoreError::ManifestMismatch(format!(
-                "delta checkpoint has no chunk table for array {:?}",
-                a.array_name()
-            ))
-        })?;
-        if d.stream_len != a.stream_bytes() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: stream is {} bytes in checkpoint, {} in program",
-                a.array_name(),
-                d.stream_len,
-                a.stream_bytes()
-            )));
-        }
-        let params = d.params();
-        let mut fetch = |ctx: &mut Ctx, off: u64, len: u64| {
-            fetch_stream_range(ctx, fs, prefix, d, params, off, len).map_err(|e| e.to_string())
-        };
-        a.read_stream_via(ctx, io, &mut fetch)?;
-        restored += d.stream_len;
-    }
-    ctx.barrier();
-    crash_point(ctx, fs, CrashPoint::RestartAfterArrays, false)?;
-    let t1 = ctx.now();
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.span_start(t0, 0, Phase::Arrays, "restore_arrays_delta");
-        rec.span_end(t1, 0, Phase::Arrays, "restore_arrays_delta");
-        rec.counter_add_at(t1, 0, names::ARRAY_BYTES, None, restored);
-    }
-    Ok(t1 - t0)
-}
-
-/// Assembles `[off, off + len)` of an array's canonical stream from a
-/// committed delta chain (collective — every rank must call, idle ranks
-/// with `len == 0`). This is the range-limited materialization localized
-/// recovery uses as its PIOFS fallback for incremental checkpoints: only
-/// the chunks covering a *lost* section's byte range are read and
-/// verified, never the whole chain.
-pub fn fetch_delta_range(
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    prefix: &str,
-    manifest: &Manifest,
-    array: &str,
-    off: u64,
-    len: u64,
-) -> Result<Vec<u8>> {
-    let d = manifest.delta(array).ok_or_else(|| {
-        CoreError::ManifestMismatch(format!("delta checkpoint has no chunk table for {array:?}"))
-    })?;
-    fetch_stream_range(ctx, fs, prefix, d, d.params(), off, len)
+    restore::restore_arrays(drms, ctx, &DeltaSource(PiofsFull { fs, prefix }), manifest, arrays)
 }
 
 /// Assembles `[off, off + len)` of an array's canonical stream from its
@@ -162,13 +136,12 @@ pub fn fetch_delta_range(
 /// hash-verified before a byte reaches the caller.
 fn fetch_stream_range(
     ctx: &mut Ctx,
-    fs: &Piofs,
-    prefix: &str,
+    PiofsFull { fs, prefix }: PiofsFull<'_>,
     d: &ArrayDelta,
-    params: ChunkParams,
     off: u64,
     len: u64,
 ) -> Result<Vec<u8>> {
+    let params = d.params();
     if off + len > d.stream_len {
         return Err(CoreError::Integrity(format!(
             "array {:?}: fetch {off}+{len} past stream length {}",
@@ -227,9 +200,7 @@ pub fn materialize_stream(
     manifest: &Manifest,
     array: &str,
 ) -> Result<Vec<u8>> {
-    let d = manifest.delta(array).ok_or_else(|| {
-        CoreError::ManifestMismatch(format!("delta checkpoint has no chunk table for {array:?}"))
-    })?;
+    let d = chunk_table(manifest, array)?;
     let mut packs: std::collections::HashMap<String, Vec<u8>> = Default::default();
     let mut out = Vec::with_capacity(d.stream_len as usize);
     for (i, c) in d.chunks.iter().enumerate() {

@@ -72,7 +72,14 @@ impl fmt::Display for MemTierError {
     }
 }
 
-impl std::error::Error for MemTierError {}
+impl std::error::Error for MemTierError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            MemTierError::Core(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<CoreError> for MemTierError {
     fn from(e: CoreError) -> Self {

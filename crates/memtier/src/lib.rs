@@ -39,7 +39,7 @@ mod tier;
 
 pub use error::MemTierError;
 pub use restart::{choose_restart_tiered, RestartTier, TieredRestartPlan};
-pub use restore::{fetch_array_range, price_fetch, restore_arrays_from_tier, resume_from_tier};
+pub use restore::{restore_arrays_from_tier, resume_from_tier, TierSource};
 pub use store::{
     array_file, spill_checkpoint, spill_to_staging, store_captured, store_checkpoint,
     store_feasible, CapturedPiece, SpillReport, StoreReport, SEGMENT_FILE,

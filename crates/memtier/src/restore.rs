@@ -1,15 +1,16 @@
 //! Restart served out of the memory tier.
 //!
-//! `resume_from_tier` mirrors `Drms::initialize` and
-//! `restore_arrays_from_tier` mirrors `Drms::restore_arrays`, but segment
-//! and array bytes come from resident tier pieces instead of PIOFS files.
+//! `resume_from_tier` and `restore_arrays_from_tier` run the restore driver
+//! `Drms::initialize` and `Drms::restore_arrays` run, on a source whose
+//! segment and array bytes are resident tier pieces instead of PIOFS files.
 //! Pricing is where the tier earns its keep: a piece held on the reading
 //! task's own node moves at memory-copy bandwidth; a remote piece pays one
 //! message latency plus wire time — both far ahead of PIOFS client read
 //! bandwidth, which is the whole point of the tier.
 
 use drms_core::manifest::Manifest;
-use drms_core::{CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo, Start};
+use drms_core::restore::{self, RestartSource};
+use drms_core::{phase_span, CheckpointArray, Drms, DrmsConfig, EnableFlag, RestartInfo};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::Piofs;
@@ -18,48 +19,84 @@ use crate::store::{array_file, SEGMENT_FILE};
 use crate::tier::MemTier;
 use crate::{MemTierError, Result};
 
-/// Charges the caller's clock for fetched tier pieces: local holders move
-/// at memory-copy bandwidth, remote holders pay latency plus wire time.
-/// Public so that recovery-time section fetches price identically to a
-/// full tier restore.
-pub fn price_fetch(ctx: &mut Ctx, sources: &[(usize, u64)]) {
-    let cost = *ctx.cost();
-    let my = ctx.node();
-    let mut dt = 0.0;
-    for &(node, bytes) in sources {
-        if node == my {
-            dt += bytes as f64 / cost.memcpy_bw;
-        } else {
-            dt += cost.latency + cost.wire_time(bytes as usize);
-        }
-    }
-    ctx.charge(dt);
+/// The sealed tier entry under `prefix` as a restart source: manifest,
+/// segment and array streams all come out of resident pieces, and the
+/// restart consults no crash point.
+#[derive(Clone, Copy)]
+pub struct TierSource<'a> {
+    /// The tier holding the entry.
+    pub tier: &'a MemTier,
+    /// The checkpoint prefix.
+    pub prefix: &'a str,
 }
 
-/// Fetches `[off, off + len)` of an array's checkpoint stream out of the
-/// tier entry under `prefix`, priced like any other tier read and counted
-/// against `memtier.restore_bytes`. A zero-length request returns an empty
-/// buffer without touching the tier — the collective fetch convention for
-/// ranks that have nothing to read this wave. This is the section-granular
-/// read localized recovery uses: only the byte ranges of *lost* sections
-/// are pulled, never the whole stream.
-pub fn fetch_array_range(
-    ctx: &mut Ctx,
-    tier: &MemTier,
-    prefix: &str,
-    array: &str,
-    off: u64,
-    len: u64,
-) -> Result<Vec<u8>> {
-    if len == 0 {
-        return Ok(Vec::new());
+impl TierSource<'_> {
+    /// Fetches `[off, off + len)` of a tier file, priced like any other
+    /// tier read and counted against `memtier.restore_bytes`. A zero-length
+    /// request returns an empty buffer without touching the tier — the
+    /// collective fetch convention for ranks that have nothing to read this
+    /// wave (tier reads price locally, so there is no phase to line up
+    /// with).
+    fn fetch(&self, ctx: &mut Ctx, file: &str, off: u64, len: u64) -> Result<Vec<u8>> {
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let f = self.tier.fetch(self.prefix, file, off, len)?;
+        // Local holders move at memory-copy bandwidth, remote holders pay
+        // latency plus wire time.
+        let (cost, my) = (*ctx.cost(), ctx.node());
+        let mut dt = 0.0;
+        for &(node, bytes) in &f.sources {
+            dt += if node == my {
+                bytes as f64 / cost.memcpy_bw
+            } else {
+                cost.latency + cost.wire_time(bytes as usize)
+            };
+        }
+        ctx.charge(dt);
+        if ctx.recorder().enabled() {
+            ctx.recorder().counter_add(ctx.rank(), names::MEMTIER_RESTORE_BYTES, None, len);
+        }
+        Ok(f.data)
     }
-    let f = tier.fetch(prefix, &array_file(array), off, len)?;
-    price_fetch(ctx, &f.sources);
-    if ctx.recorder().enabled() {
-        ctx.recorder().counter_add(ctx.rank(), names::MEMTIER_RESTORE_BYTES, None, len);
+}
+
+impl RestartSource for TierSource<'_> {
+    type Error = MemTierError;
+
+    fn prefix(&self) -> &str {
+        self.prefix
     }
-    Ok(f.data)
+
+    fn manifest(&self, _ctx: &mut Ctx) -> Result<Manifest> {
+        self.tier.manifest(self.prefix)
+    }
+
+    fn segment(&self, ctx: &mut Ctx) -> Result<Vec<u8>> {
+        let len = self.tier.file_len(self.prefix, SEGMENT_FILE)?;
+        self.fetch(ctx, SEGMENT_FILE, 0, len)
+    }
+
+    /// The section-granular read localized recovery uses: only the byte
+    /// ranges of *lost* sections are pulled, never the whole stream.
+    fn fetch_range(
+        &self,
+        ctx: &mut Ctx,
+        _manifest: &Manifest,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> Result<Vec<u8>> {
+        self.fetch(ctx, &array_file(array), off, len)
+    }
+
+    fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
+        phase_span(ctx, Phase::Arrays, "restore_arrays", t0, t1);
+        phase_span(ctx, Phase::MemTier, "restore", t0, t1);
+        if ctx.rank() == 0 && ctx.recorder().enabled() {
+            ctx.recorder().counter_add(0, names::ARRAY_BYTES, None, array_bytes);
+        }
+    }
 }
 
 /// `drms_initialize` against the memory tier (collective): checks the entry
@@ -78,41 +115,8 @@ pub fn resume_from_tier(
     if !tier.is_intact(prefix) {
         return Err(MemTierError::NotIntact(format!("{prefix:?} cannot serve a restart")));
     }
-    let manifest = tier.manifest(prefix)?;
-    let seg_len = tier.file_len(prefix, SEGMENT_FILE)?;
-    let mut tier_err: Option<MemTierError> = None;
-    let res =
-        Drms::initialize_external(ctx, fs, cfg, enable, manifest, &mut |ctx| match tier.fetch(
-            prefix,
-            SEGMENT_FILE,
-            0,
-            seg_len,
-        ) {
-            Ok(f) => {
-                price_fetch(ctx, &f.sources);
-                if ctx.recorder().enabled() {
-                    ctx.recorder().counter_add(
-                        ctx.rank(),
-                        names::MEMTIER_RESTORE_BYTES,
-                        None,
-                        seg_len,
-                    );
-                }
-                Ok(f.data)
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                tier_err = Some(e);
-                Err(CoreError::Integrity(msg))
-            }
-        });
-    match res {
-        Ok((drms, Start::Restarted(info))) => Ok((drms, info)),
-        Ok((_, Start::Fresh)) => {
-            unreachable!("initialize_external always resumes from the supplied manifest")
-        }
-        Err(e) => Err(tier_err.take().unwrap_or(MemTierError::Core(e))),
-    }
+    let (drms, info) = restore::open(ctx, fs, cfg, enable, &TierSource { tier, prefix })?;
+    Ok((drms, Box::new(info)))
 }
 
 /// Loads every array from the tier entry under `prefix` (collective), after
@@ -127,59 +131,5 @@ pub fn restore_arrays_from_tier(
     manifest: &Manifest,
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<f64> {
-    ctx.barrier();
-    let t0 = ctx.now();
-    let io = drms.cfg().io.resolve(ctx.ntasks());
-    let mut total = 0u64;
-    for a in arrays.iter_mut() {
-        let entry = manifest.array(a.array_name()).ok_or_else(|| {
-            CoreError::ManifestMismatch(format!("checkpoint has no array {:?}", a.array_name()))
-        })?;
-        if entry.elem_code != a.elem_code() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: element code {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.elem_code,
-                a.elem_code()
-            ))
-            .into());
-        }
-        if &entry.domain != a.domain() {
-            return Err(CoreError::ManifestMismatch(format!(
-                "array {:?}: domain {} in checkpoint, {} in program",
-                a.array_name(),
-                entry.domain,
-                a.domain()
-            ))
-            .into());
-        }
-        total += a.stream_bytes();
-        let file = array_file(a.array_name());
-        let mut fetch = |ctx: &mut Ctx, off: u64, len: u64| {
-            if len == 0 {
-                // Collective convention: ranks without a piece this wave
-                // still call, asking for nothing (tier reads price locally,
-                // so there is no phase to line up with).
-                return Ok(Vec::new());
-            }
-            let f = tier.fetch(prefix, &file, off, len).map_err(|e| e.to_string())?;
-            price_fetch(ctx, &f.sources);
-            if ctx.recorder().enabled() {
-                ctx.recorder().counter_add(ctx.rank(), names::MEMTIER_RESTORE_BYTES, None, len);
-            }
-            Ok(f.data)
-        };
-        a.read_stream_via(ctx, io, &mut fetch)?;
-    }
-    ctx.barrier();
-    let t1 = ctx.now();
-    if ctx.rank() == 0 && ctx.recorder().enabled() {
-        let rec = ctx.recorder();
-        rec.span_start(t0, 0, Phase::Arrays, "restore_arrays");
-        rec.span_end(t1, 0, Phase::Arrays, "restore_arrays");
-        rec.span_start(t0, 0, Phase::MemTier, "restore");
-        rec.span_end(t1, 0, Phase::MemTier, "restore");
-        rec.counter_add(0, names::ARRAY_BYTES, None, total);
-    }
-    Ok(t1 - t0)
+    restore::restore_arrays(drms, ctx, &TierSource { tier, prefix }, manifest, arrays)
 }

@@ -13,11 +13,12 @@
 //!   ([`retain`], a memcpy-priced copy at each commit) and reinstate them
 //!   without touching the network or storage.
 //! * Only the **lost ranks' sections** are fetched, through an escalation
-//!   ladder: memory-tier replicas first ([`drms_memtier::fetch_array_range`],
-//!   no storage round-trip), then range-limited PIOFS reads of the
-//!   committed checkpoint (full streams or delta chains via
-//!   [`drms_delta::fetch_delta_range`]), and — when neither can serve —
-//!   escalation to the ordinary verified full restart
+//!   ladder whose rungs are the range fetches of the three restart sources
+//!   ([`drms_core::restore::RestartSource`]): memory-tier replicas first
+//!   ([`drms_memtier::TierSource`], no storage round-trip), then
+//!   range-limited PIOFS reads of the committed checkpoint (full streams,
+//!   or delta chains via [`drms_delta::DeltaSource`]), and — when neither
+//!   can serve — escalation to the ordinary verified full restart
 //!   ([`RecoverError::Escalate`]).
 //! * Distributions are re-adjusted **online**: the arrays re-partition onto
 //!   the surviving task subset through the live redistribution path
@@ -81,7 +82,15 @@ impl fmt::Display for RecoverError {
     }
 }
 
-impl std::error::Error for RecoverError {}
+impl std::error::Error for RecoverError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RecoverError::Escalate(_) => None,
+            RecoverError::Core(e) => Some(e),
+            RecoverError::MemTier(e) => Some(e),
+        }
+    }
+}
 
 impl From<CoreError> for RecoverError {
     fn from(e: CoreError) -> RecoverError {

@@ -21,16 +21,17 @@
 use drms_blackbox::LOCALIZED_SPAN_NAME;
 use drms_core::chaos::CrashPoint;
 use drms_core::commit::{publish_staged_files, staging_prefix};
-use drms_core::manifest::{array_path, CkptKind};
+use drms_core::manifest::CkptKind;
+use drms_core::restore::{range_fetch, PiofsFull, RestartSource};
 use drms_core::{
-    checkpoint_is_valid, crash_point, phase_span, read_manifest_collective, stage_flight_rings,
-    CheckpointArray, CoreError,
+    checkpoint_is_valid, crash_point, phase_span, stage_flight_rings, CheckpointArray, CoreError,
 };
-use drms_delta::fetch_delta_range;
-use drms_memtier::{fetch_array_range, MemTier};
+use drms_darray::stream::PieceFetch;
+use drms_delta::DeltaSource;
+use drms_memtier::{MemTier, TierSource};
 use drms_msg::{Ctx, Group};
 use drms_obs::{names, Phase};
-use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
+use drms_piofs::{Piofs, WriteReq};
 
 use crate::epoch::{recovery_barrier, Membership};
 use crate::{RecoverError, Result};
@@ -192,66 +193,41 @@ pub fn recover(
     }
     let survivor_bytes: u64 = votes.iter().map(|(_, b)| *b).sum();
 
-    // The escalation ladder: replicas, then the committed checkpoint.
-    let source = if tier.is_some_and(|t| t.is_intact(&retained.prefix)) {
-        StreamSource::Replica
-    } else if checkpoint_is_valid(fs, &retained.prefix) {
-        StreamSource::PiofsFull // refined to PiofsDelta below
-    } else {
-        return Err(escalate(ctx, "no intact replicas and no readable checkpoint"));
-    };
-    let (source, manifest) = match source {
-        StreamSource::Replica => (StreamSource::Replica, None),
-        _ => {
-            let m = read_manifest_collective(ctx, fs, &retained.prefix)?;
+    // The escalation ladder: replicas, then the committed checkpoint. Each
+    // rung is a restart source; only its range fetch is used here.
+    let prefix = retained.prefix.as_str();
+    let full = PiofsFull { fs, prefix };
+    let (source, manifest) = match tier.filter(|t| t.is_intact(prefix)) {
+        Some(tier) => (StreamSource::Replica, tier.manifest(prefix)?),
+        None if checkpoint_is_valid(fs, prefix) => {
+            let m = full.manifest(ctx)?;
             match m.kind {
-                CkptKind::Drms => (StreamSource::PiofsFull, Some(m)),
-                CkptKind::DrmsDelta => (StreamSource::PiofsDelta, Some(m)),
+                CkptKind::Drms => (StreamSource::PiofsFull, m),
+                CkptKind::DrmsDelta => (StreamSource::PiofsDelta, m),
                 CkptKind::Spmd => {
                     return Err(escalate(ctx, "SPMD checkpoints are not section-addressable"))
                 }
             }
         }
+        None => return Err(escalate(ctx, "no intact replicas and no readable checkpoint")),
     };
 
     // Restore: survivors' sections via live redistribution, lost sections
     // via the chosen stream source. Each rank only offers retained bytes
     // if it survives.
+    let replica = tier.map(|tier| TierSource { tier, prefix });
+    let delta = DeltaSource(full);
     let mut fetched_total = 0u64;
     for a in arrays.iter_mut() {
         let name = a.array_name().to_string();
-        let prefix = retained.prefix.clone();
         let retained_bytes = if i_survive { retained.bytes_for(&name) } else { None };
-        let mut fetch: Box<drms_darray::stream::PieceFetch<'_>> = match source {
+        let mut fetch: Box<PieceFetch<'_>> = match source {
             StreamSource::Replica => {
-                let t = tier.expect("replica source implies a tier");
-                Box::new(move |ctx: &mut Ctx, off: u64, len: u64| {
-                    fetch_array_range(ctx, t, &prefix, &name, off, len).map_err(|e| e.to_string())
-                })
+                let replica = replica.as_ref().expect("replica source implies a tier");
+                Box::new(range_fetch(replica, &manifest, &name))
             }
-            StreamSource::PiofsFull => {
-                let path = array_path(&prefix, &name);
-                Box::new(move |ctx: &mut Ctx, off: u64, len: u64| {
-                    let mut reqs = Vec::new();
-                    if len > 0 {
-                        reqs.push(ReadReq {
-                            path: path.clone(),
-                            offset: off,
-                            len,
-                            access: ReadAccess::Strided,
-                        });
-                    }
-                    let mut got = fs.collective_read(ctx, reqs).map_err(|e| e.to_string())?;
-                    Ok(got.pop().unwrap_or_default())
-                })
-            }
-            StreamSource::PiofsDelta => {
-                let m = manifest.as_ref().expect("delta source implies a manifest");
-                Box::new(move |ctx: &mut Ctx, off: u64, len: u64| {
-                    fetch_delta_range(ctx, fs, &prefix, m, &name, off, len)
-                        .map_err(|e| e.to_string())
-                })
-            }
+            StreamSource::PiofsFull => Box::new(range_fetch(&full, &manifest, &name)),
+            StreamSource::PiofsDelta => Box::new(range_fetch(&delta, &manifest, &name)),
         };
         fetched_total += a.restore_sections(
             ctx,

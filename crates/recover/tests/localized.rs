@@ -4,10 +4,13 @@
 
 use std::sync::Arc;
 
+use drms_core::restore::{PiofsFull, RestartSource};
 use drms_core::segment::DataSegment;
-use drms_core::{Drms, DrmsConfig, EnableFlag};
+use drms_core::{CoreError, Drms, DrmsConfig, EnableFlag, Start};
 use drms_darray::{DistArray, Distribution};
-use drms_delta::{delta_checkpoint, DeltaChain, DeltaConfig};
+use drms_delta::{
+    delta_checkpoint, restore_arrays_delta, resume, DeltaChain, DeltaConfig, DeltaSource,
+};
 use drms_memtier::{store_checkpoint, MemTier};
 use drms_msg::{run_spmd, CostModel, Ctx, ReduceOp};
 use drms_piofs::{Piofs, PiofsConfig};
@@ -129,7 +132,7 @@ fn falls_back_to_piofs_full_stream_without_a_tier() {
 #[test]
 fn falls_back_to_delta_chain_range_reads() {
     let fs = fs();
-    run_spmd(NTASKS, CostModel::default(), |ctx| {
+    let rung = run_spmd(NTASKS, CostModel::default(), |ctx| {
         let (mut drms, _) =
             Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
         let mut u = array(ctx);
@@ -147,6 +150,32 @@ fn falls_back_to_delta_chain_range_reads() {
         assert_eq!(report.source, StreamSource::PiofsDelta);
         assert!(report.piofs_bytes > 0);
         assert_checkpoint_state(ctx, &u);
+
+        // One stored chunk rots on PIOFS: the rung's range fetch — the
+        // `DeltaSource` call `recover` makes — reports it.
+        let link = DeltaSource(PiofsFull { fs: &fs, prefix: "ck/d1" });
+        let manifest = link.manifest(ctx).unwrap();
+        let chunk = &manifest.delta("u").unwrap().chunks[0];
+        if ctx.rank() == 0 {
+            fs.corrupt_range(&chunk.pack_path("ck/d1", "u"), chunk.offset, 1, 7);
+        }
+        ctx.barrier();
+        let rung = link.fetch_range(ctx, &manifest, "u", 0, chunk.len as u64).unwrap_err();
+        assert!(matches!(rung, CoreError::Integrity(_)), "rung reported {rung}");
+        rung.to_string()
+    })
+    .unwrap();
+    // A full restart reads through the same fetcher and the same
+    // verification, so it fails in the same words. (One task, so the failure
+    // is the whole region's.)
+    run_spmd(1, CostModel::default(), |ctx| {
+        let (drms, start) =
+            resume(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), "ck/d1").unwrap();
+        let Start::Restarted(info) = start else { panic!("resume always restarts") };
+        let mut u = array(ctx);
+        let full = restore_arrays_delta(&drms, ctx, &fs, "ck/d1", &info.manifest, &mut [&mut u])
+            .unwrap_err();
+        assert!(full.to_string().contains(&rung[0]), "full restart reported {full}");
     })
     .unwrap();
 }

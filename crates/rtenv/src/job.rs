@@ -3,8 +3,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use drms_core::EnableFlag;
-use drms_memtier::{MemTier, RestartTier};
+use drms_core::{CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo, Start};
+use drms_memtier::{restore_arrays_from_tier, resume_from_tier, MemTier, RestartTier};
 use drms_msg::Ctx;
 use drms_piofs::Piofs;
 use parking_lot::Mutex;
@@ -85,6 +85,40 @@ impl JobEnv {
         let (votes, _) = ctx.exchange(self.kill.is_killed());
         votes.iter().any(|&k| k)
     }
+
+    /// `drms_initialize` plus the array reload, from whatever the JSA
+    /// resolved for this incarnation (collective): a fresh start returns
+    /// `None` and leaves `arrays` untouched; a restart serves the segment
+    /// and every array — already created under the current distributions —
+    /// out of the memory tier or the PIOFS checkpoint `restart_from` names,
+    /// and returns the restart info. An error comes back as the
+    /// [`JobOutcome`] the body should return ([`JobOutcome::from_err`]).
+    pub fn resume(
+        &self,
+        ctx: &mut Ctx,
+        cfg: DrmsConfig,
+        arrays: &mut [&mut dyn CheckpointArray],
+    ) -> Result<(Drms, Option<RestartInfo>), JobOutcome> {
+        let (fs, enable) = (&*self.fs, self.enable.clone());
+        let from = self.restart_from.as_deref();
+        if let (Some(prefix), RestartTier::Memory, Some(tier)) =
+            (from, self.restart_tier, self.memtier.as_deref())
+        {
+            let (drms, info) = resume_from_tier(ctx, fs, tier, cfg, enable, prefix)
+                .map_err(JobOutcome::from_err)?;
+            restore_arrays_from_tier(ctx, tier, &drms, prefix, &info.manifest, arrays)
+                .map_err(JobOutcome::from_err)?;
+            return Ok((drms, Some(*info)));
+        }
+        let (drms, start) =
+            Drms::initialize(ctx, fs, cfg, enable, from).map_err(JobOutcome::from_err)?;
+        let (Some(prefix), Start::Restarted(info)) = (from, start) else {
+            return Ok((drms, None));
+        };
+        drms.restore_arrays(ctx, fs, prefix, &info.manifest, arrays)
+            .map_err(JobOutcome::from_err)?;
+        Ok((drms, Some(*info)))
+    }
 }
 
 /// Outcome of one incarnation of a job.
@@ -99,6 +133,22 @@ pub enum JobOutcome {
         /// Human-readable reason.
         String,
     ),
+}
+
+impl JobOutcome {
+    /// The outcome of an incarnation that met `err` in a checkpoint or
+    /// restart call: an injected crash point firing
+    /// ([`CoreError::Interrupted`], however deeply wrapped) is a kill the
+    /// JSA reincarnates from the last committed checkpoint; anything else
+    /// fails the job with the error's text.
+    pub fn from_err(err: impl std::error::Error + 'static) -> JobOutcome {
+        let first: &(dyn std::error::Error + 'static) = &err;
+        let mut causes = std::iter::successors(Some(first), |e| e.source());
+        if causes.any(|e| matches!(e.downcast_ref(), Some(CoreError::Interrupted(_)))) {
+            return JobOutcome::Killed;
+        }
+        JobOutcome::Failed(err.to_string())
+    }
 }
 
 /// A schedulable DRMS application.
@@ -152,6 +202,16 @@ mod tests {
         let k2 = k.clone();
         k.kill("x");
         assert!(k2.is_killed());
+    }
+
+    #[test]
+    fn from_err_finds_an_interrupt_however_wrapped() {
+        let crash = CoreError::Interrupted("ckpt_enter".into());
+        assert_eq!(JobOutcome::from_err(crash.clone()), JobOutcome::Killed);
+        let wrapped = drms_memtier::MemTierError::Core(crash);
+        assert_eq!(JobOutcome::from_err(wrapped), JobOutcome::Killed);
+        let other = CoreError::NoCheckpoint("ck/x".into());
+        assert_eq!(JobOutcome::from_err(other.clone()), JobOutcome::Failed(other.to_string()));
     }
 
     #[test]

@@ -7,12 +7,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms_core::segment::DataSegment;
-use drms_core::{Drms, DrmsConfig, IoMode, Start};
+use drms_core::{Drms, DrmsConfig, EnableFlag, IoMode};
 use drms_darray::{DistArray, Distribution};
-use drms_msg::CostModel;
+use drms_memtier::{store_checkpoint, MemTier, RestartTier};
+use drms_msg::{run_spmd, run_spmd_chaos, run_spmd_traced, CostModel, Ctx};
+use drms_obs::{names, NullRecorder, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
-use drms_rtenv::{Event, EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ResourceCoordinator, Uic};
+use drms_rtenv::{
+    Event, EventLog, JobEnv, JobOutcome, JobSpec, Jsa, JsaPolicy, KillToken, ResourceCoordinator,
+    Uic,
+};
 use drms_slices::{Order, Slice};
 use parking_lot::Mutex;
 
@@ -38,28 +44,19 @@ fn solver_job(
     out: Arc<Mutex<Vec<f64>>>,
 ) -> JobSpec {
     JobSpec::new("solver", (1, 8), move |ctx, env| {
-        let (mut drms, start) =
-            Drms::initialize(ctx, &env.fs, cfg(), env.enable.clone(), env.restart_from.as_deref())
-                .unwrap();
-
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, cfg(), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 31 + p[1]) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 31 + p[1]) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                )
-                .unwrap();
             }
         }
 
@@ -194,26 +191,19 @@ fn multiple_cascading_failures() {
     let failures2 = Arc::clone(&failures);
     let out2 = Arc::clone(&out);
     let job = JobSpec::new("solver", (1, 8), move |ctx, env| {
-        let (mut drms, start) =
-            Drms::initialize(ctx, &env.fs, cfg(), env.enable.clone(), env.restart_from.as_deref())
-                .unwrap();
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, cfg(), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] + p[1]) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] + p[1]) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                )
-                .unwrap();
             }
         }
         for iter in start_iter..=NITER {
@@ -296,4 +286,97 @@ fn job_queues_when_starved_and_runs_after_repair() {
     let summary = jsa.run_job(&job);
     assert!(summary.completed);
     assert_eq!(summary.incarnations[0].ntasks, 2);
+}
+
+/// One incarnation's environment, as the JSA would hand it to the body.
+fn env_for(
+    fs: &Arc<Piofs>,
+    restart: Option<(&str, RestartTier)>,
+    tier: Option<Arc<MemTier>>,
+) -> JobEnv {
+    JobEnv {
+        fs: Arc::clone(fs),
+        restart_from: restart.map(|(prefix, _)| prefix.to_string()),
+        kill: KillToken::new(),
+        enable: EnableFlag::new(),
+        incarnation: usize::from(restart.is_some()),
+        memtier: tier,
+        restart_tier: restart.map_or(RestartTier::Piofs, |(_, tier)| tier),
+        localized: false,
+    }
+}
+
+fn field(ctx: &Ctx, fill: f64) -> DistArray<f64> {
+    let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+    let mut u = DistArray::new("u", Order::ColumnMajor, dist, ctx.rank());
+    u.fill_assigned(|_| fill);
+    u
+}
+
+fn holds(u: &DistArray<f64>, v: f64) -> bool {
+    u.fold_assigned(true, |ok, _, x| ok && x == v)
+}
+
+#[test]
+fn resume_dispatches_on_what_the_jsa_resolved() {
+    // No binary installed, so a restart's only PIOFS traffic is checkpoint
+    // reads.
+    let fs = Piofs::new(PiofsConfig::test_tiny(8), 3);
+    let tier = MemTier::new(1);
+
+    // A fresh incarnation: no restart info, arrays untouched. It then
+    // leaves one state in the tier and another on PIOFS.
+    let env = env_for(&fs, None, Some(Arc::clone(&tier)));
+    run_spmd(4, CostModel::default(), |ctx| {
+        let mut u = field(ctx, 1.5);
+        let (mut drms, restart) = env.resume(ctx, cfg(), &mut [&mut u]).unwrap();
+        assert!(restart.is_none());
+        assert!(holds(&u, 1.5), "a fresh start must not touch the arrays");
+        let mut seg = DataSegment::new();
+        seg.set_control("iter", 4);
+        store_checkpoint(ctx, &tier, "ck/mem", &mut drms, &seg, &[&u]).unwrap();
+        u.fill_assigned(|_| 2.5);
+        drms.reconfig_checkpoint(ctx, &fs, "ck/disk", &seg, &[&u]).unwrap();
+    })
+    .unwrap();
+
+    // `RestartTier::Memory`: served out of the tier, on another task count,
+    // without one PIOFS request.
+    let rec = Arc::new(TraceRecorder::new());
+    let env = env_for(&fs, Some(("ck/mem", RestartTier::Memory)), Some(Arc::clone(&tier)));
+    run_spmd_traced(3, CostModel::default(), rec.clone(), |ctx| {
+        let mut u = field(ctx, 0.0);
+        let (_, restart) = env.resume(ctx, cfg(), &mut [&mut u]).unwrap();
+        assert_eq!(restart.unwrap().segment.control("iter"), Some(4));
+        assert!(holds(&u, 1.5));
+    })
+    .unwrap();
+    assert_eq!(rec.metrics().counter_total(names::IO_REQUESTS), 0);
+    assert!(rec.metrics().counter_total(names::MEMTIER_RESTORE_BYTES) > 0);
+
+    // `RestartTier::Piofs` reads the checkpoint files...
+    let env = env_for(&fs, Some(("ck/disk", RestartTier::Piofs)), Some(tier));
+    run_spmd(3, CostModel::default(), |ctx| {
+        let mut u = field(ctx, 0.0);
+        let (_, restart) = env.resume(ctx, cfg(), &mut [&mut u]).unwrap();
+        assert_eq!(restart.unwrap().delta, -1);
+        assert!(holds(&u, 2.5));
+    })
+    .unwrap();
+
+    // ...and an injected crash on the way is the kill the JSA reincarnates.
+    let plan =
+        FaultPlan { crash: Some((CrashPoint::RestartAfterSegment, 1)), ..Default::default() };
+    let outcomes = run_spmd_chaos(
+        3,
+        CostModel::default(),
+        Arc::new(NullRecorder),
+        ChaosCtl::new(plan),
+        |ctx| {
+            let mut u = field(ctx, 0.0);
+            env.resume(ctx, cfg(), &mut [&mut u]).err()
+        },
+    )
+    .unwrap();
+    assert_eq!(outcomes, vec![Some(JobOutcome::Killed); 3]);
 }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig, Start};
+use drms::core::{Drms, DrmsConfig};
 use drms::darray::{DistArray, Distribution};
 use drms::msg::CostModel;
 use drms::piofs::{Piofs, PiofsConfig};
@@ -37,32 +37,20 @@ fn main() {
     let domain = Slice::boxed(&[(1, 32), (1, 32)]);
     let rc_inject = Arc::clone(&rc);
     let job = JobSpec::new("heat3d", (2, 8), move |ctx, env| {
-        let (mut drms, start) = Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new("heat3d"),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        )
-        .unwrap();
-
         let dist = Distribution::block_auto(&domain, ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        // `drms_initialize` plus the array reload, from whichever checkpoint
+        // (if any) the scheduler resolved for this incarnation.
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new("heat3d"), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * p[1]) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
-                start_iter = seg.control("iter").unwrap() + 1;
-                drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                )
-                .unwrap();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * p[1]) as f64),
+            Some(info) => {
+                start_iter = info.segment.control("iter").unwrap() + 1;
                 if ctx.rank() == 0 {
                     println!(
                         "  [app] resumed at iteration {start_iter} on {} tasks (delta {})",
@@ -70,6 +58,7 @@ fn main() {
                         info.delta
                     );
                 }
+                seg = info.segment;
             }
         }
 

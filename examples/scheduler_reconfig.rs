@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig, EnableFlag, Start};
+use drms::core::{Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
 use drms::msg::CostModel;
 use drms::piofs::{Piofs, PiofsConfig};
@@ -44,31 +44,20 @@ fn main() {
     let enable_for_job = enable.clone();
 
     let job = JobSpec::new("spectral", (2, 8), move |ctx, env| {
-        let (mut drms, start) = Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new("spectral"),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        )
-        .unwrap();
         let dist = Distribution::block_auto(&domain, ctx.ntasks(), 0).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new("spectral"), &mut [&mut u])
+        {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] - p[1]) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] - p[1]) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                )
-                .unwrap();
             }
         }
         if ctx.rank() == 0 {

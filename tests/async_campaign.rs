@@ -28,7 +28,7 @@ use drms::core::{
 };
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{restore_arrays_delta, resume, DeltaChain, DeltaConfig};
-use drms::memtier::{restore_arrays_from_tier, resume_from_tier, MemTier, RestartTier};
+use drms::memtier::MemTier;
 use drms::msg::{run_spmd, run_spmd_chaos, CostModel};
 use drms::obs::NullRecorder;
 use drms::piofs::{Piofs, PiofsConfig};
@@ -107,75 +107,22 @@ fn run_campaign(plan: FaultPlan, tiered: bool) -> CampaignResult {
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
         // A sealed tier entry is restartable before its PIOFS publish (the
         // diskless-tier model), so tiered runs must honor a memory-tier
-        // restart resolution.
-        let mut drms = match (env.restart_from.as_deref(), env.restart_tier) {
-            (Some(prefix), RestartTier::Memory) => {
-                let tier = env.memtier.as_ref().expect("memory restart without a tier");
-                match resume_from_tier(
-                    ctx,
-                    &env.fs,
-                    tier,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    prefix,
-                ) {
-                    Ok((drms, info)) => {
-                        seg = info.segment.clone();
-                        start_iter = seg.control("iter").unwrap() + 1;
-                        if let Err(e) = restore_arrays_from_tier(
-                            ctx,
-                            tier,
-                            &drms,
-                            prefix,
-                            &info.manifest,
-                            &mut [&mut u],
-                        ) {
-                            return JobOutcome::Failed(e.to_string());
-                        }
-                        drms
-                    }
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
-            }
-            _ => {
-                let (drms, start) = match Drms::initialize(
-                    ctx,
-                    &env.fs,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    env.restart_from.as_deref(),
-                ) {
-                    Ok(v) => v,
-                    Err(drms::core::CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                };
-                match start {
-                    Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-                    Start::Restarted(info) => {
-                        seg = info.segment.clone();
-                        start_iter = seg.control("iter").unwrap() + 1;
-                        match drms.restore_arrays(
-                            ctx,
-                            &env.fs,
-                            env.restart_from.as_deref().unwrap(),
-                            &info.manifest,
-                            &mut [&mut u],
-                        ) {
-                            Ok(_) => {}
-                            Err(drms::core::CoreError::Interrupted(_)) => {
-                                return JobOutcome::Killed
-                            }
-                            Err(e) => return JobOutcome::Failed(e.to_string()),
-                        }
-                    }
-                }
-                drms
-            }
+        // restart resolution; `env.resume` does.
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
         };
+        let mut seg = DataSegment::new();
+        let mut start_iter = 1i64;
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
+                start_iter = seg.control("iter").unwrap() + 1;
+            }
+        }
         let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 2 });
         let tier = env.memtier.clone();
         for iter in start_iter..=NITER {
@@ -189,18 +136,11 @@ fn run_campaign(plan: FaultPlan, tiered: bool) -> CampaignResult {
             });
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
-                match ck.checkpoint(
-                    ctx,
-                    &env.fs,
-                    &mut drms,
-                    &format!("ck/async/{iter}"),
-                    &seg,
-                    &[&u],
-                    tier.as_deref(),
-                ) {
-                    Ok(_) => {}
-                    Err(e) if e.is_interrupted() => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
+                let prefix = format!("ck/async/{iter}");
+                if let Err(e) =
+                    ck.checkpoint(ctx, &env.fs, &mut drms, &prefix, &seg, &[&u], tier.as_deref())
+                {
+                    return JobOutcome::from_err(e);
                 }
             }
         }

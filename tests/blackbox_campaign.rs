@@ -30,7 +30,7 @@ use std::sync::Arc;
 use drms::blackbox::{Blackbox, BlackboxConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms::core::segment::DataSegment;
-use drms::core::{CoreError, Drms, DrmsConfig, Start};
+use drms::core::{Drms, DrmsConfig};
 use drms::darray::{DistArray, Distribution};
 use drms::insight::{stitch, IncarnationInput, RecoveryReport, StitchOptions, StitchedTimeline};
 use drms::msg::CostModel;
@@ -123,37 +123,19 @@ fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResul
     let out2 = Arc::clone(&out);
 
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
             }
         }
         for iter in start_iter..=NITER {
@@ -167,11 +149,9 @@ fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResul
             });
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
-                match drms.reconfig_checkpoint(ctx, &env.fs, &format!("ck/bb/{iter}"), &seg, &[&u])
-                {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
+                let prefix = format!("ck/bb/{iter}");
+                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
+                    return JobOutcome::from_err(e);
                 }
             }
             if ctx.rank() == 0 {

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite};
 use drms::core::segment::DataSegment;
-use drms::core::{find_checkpoints, sweep_orphans, CoreError, Drms, DrmsConfig, Start};
+use drms::core::{find_checkpoints, sweep_orphans, Drms, DrmsConfig};
 use drms::darray::{DistArray, Distribution};
 use drms::msg::CostModel;
 use drms::piofs::{Piofs, PiofsConfig};
@@ -100,37 +100,19 @@ fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResul
         // whichever collective the region died inside; the job reports
         // itself killed and the JSA reincarnates it from the newest
         // *committed* checkpoint.
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
             }
         }
         for iter in start_iter..=NITER {
@@ -144,16 +126,9 @@ fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResul
             });
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
-                match drms.reconfig_checkpoint(
-                    ctx,
-                    &env.fs,
-                    &format!("ck/chaos/{iter}"),
-                    &seg,
-                    &[&u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
+                let prefix = format!("ck/chaos/{iter}");
+                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
+                    return JobOutcome::from_err(e);
                 }
             }
             // Optional processor failure, once: forces an organic restart

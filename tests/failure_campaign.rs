@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig, Start};
+use drms::core::{Drms, DrmsConfig};
 use drms::darray::{DistArray, Distribution};
 use drms::msg::CostModel;
 use drms::piofs::{Piofs, PiofsConfig};
@@ -80,31 +80,20 @@ fn run_campaign(seed: u64, fails: Vec<(i64, usize)>) -> f64 {
     let fails = Arc::new(fails);
 
     let job = JobSpec::new("campaign", (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new("campaign"),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        )
-        .unwrap();
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new("campaign"), &mut [&mut u])
+        {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                )
-                .unwrap();
             }
         }
         for iter in start_iter..=NITER {

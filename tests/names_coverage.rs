@@ -15,13 +15,10 @@ use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::blackbox::{Blackbox, BlackboxConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite};
 use drms::core::segment::DataSegment;
-use drms::core::{CoreError, Drms, DrmsConfig, EnableFlag, Start};
+use drms::core::{Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{delta_checkpoint, DeltaChain, DeltaConfig};
-use drms::memtier::{
-    restore_arrays_from_tier, resume_from_tier, spill_checkpoint, store_checkpoint, store_feasible,
-    MemTier, RestartTier,
-};
+use drms::memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
 use drms::msg::{run_spmd_chaos, CostModel};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
@@ -143,53 +140,19 @@ fn run_job(w: &World, tier: Option<Arc<MemTier>>, faults: Vec<Fault>, mode: Ckpt
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        let mut drms = match (env.restart_from.as_deref(), env.restart_tier) {
-            (Some(prefix), RestartTier::Memory) => {
-                let tier = env.memtier.as_ref().expect("memory restart without a tier");
-                let (drms, info) = resume_from_tier(
-                    ctx,
-                    &env.fs,
-                    tier,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    prefix,
-                )
-                .unwrap();
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                restore_arrays_from_tier(ctx, tier, &drms, prefix, &info.manifest, &mut [&mut u])
-                    .unwrap();
-                drms
             }
-            _ => {
-                let (drms, start) = Drms::initialize(
-                    ctx,
-                    &env.fs,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    env.restart_from.as_deref(),
-                )
-                .unwrap();
-                match start {
-                    Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-                    Start::Restarted(info) => {
-                        seg = info.segment.clone();
-                        start_iter = seg.control("iter").unwrap() + 1;
-                        drms.restore_arrays(
-                            ctx,
-                            &env.fs,
-                            env.restart_from.as_deref().unwrap(),
-                            &info.manifest,
-                            &mut [&mut u],
-                        )
-                        .unwrap();
-                    }
-                }
-                drms
-            }
-        };
+        }
         let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 1 });
         for iter in start_iter..=NITER {
             if env.sop_killed(ctx) {
@@ -278,37 +241,19 @@ fn run_chaos_job(w: &World, ctl: Arc<ChaosCtl>, bb: Option<Arc<Blackbox>>, kill_
     let killed = Arc::new(AtomicUsize::new(0));
     let rc2 = Arc::clone(&w.rc);
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
             }
         }
         for iter in start_iter..=NITER {
@@ -322,16 +267,9 @@ fn run_chaos_job(w: &World, ctl: Arc<ChaosCtl>, bb: Option<Arc<Blackbox>>, kill_
             });
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
-                match drms.reconfig_checkpoint(
-                    ctx,
-                    &env.fs,
-                    &format!("ck/drift/{iter}"),
-                    &seg,
-                    &[&u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
+                let prefix = format!("ck/drift/{iter}");
+                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
+                    return JobOutcome::from_err(e);
                 }
             }
             if ctx.rank() == 0 {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms::core::segment::DataSegment;
-use drms::core::{find_checkpoints, sweep_orphans, CoreError, Drms, DrmsConfig, Start};
+use drms::core::{find_checkpoints, sweep_orphans, Drms, DrmsConfig};
 use drms::darray::{DistArray, Distribution};
 use drms::msg::CostModel;
 use drms::piofs::{Piofs, PiofsConfig};
@@ -87,42 +87,24 @@ fn run_campaign(plan: FaultPlan) -> CampaignResult {
     let out2 = Arc::clone(&out);
 
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let (mut drms, start) = match Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        ) {
-            Ok(v) => v,
-            Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
         // The loss drill runs only in the job's first incarnation: an
         // escalated (restarted) incarnation is the full-restart fallback
         // and must run recovery-free. Every rank derives this from the
         // same restart state, so the collective branch is consistent.
-        let mut may_recover = matches!(start, Start::Fresh);
-        match start {
-            Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Start::Restarted(info) => {
-                seg = info.segment.clone();
+        let mut may_recover = restart.is_none();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                match drms.restore_arrays(
-                    ctx,
-                    &env.fs,
-                    env.restart_from.as_deref().unwrap(),
-                    &info.manifest,
-                    &mut [&mut u],
-                ) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
-                }
             }
         }
         let mut membership = Membership::initial(ctx.ntasks());
@@ -159,11 +141,10 @@ fn run_campaign(plan: FaultPlan) -> CampaignResult {
                             iter = sop + 1;
                             continue;
                         }
-                        Err(e) if e.is_interrupted() => return JobOutcome::Killed,
                         Err(RecoverError::Escalate(why)) => {
                             return JobOutcome::Failed(format!("unexpected escalation: {why}"))
                         }
-                        Err(e) => return JobOutcome::Failed(e.to_string()),
+                        Err(e) => return JobOutcome::from_err(e),
                     }
                 }
             }
@@ -175,10 +156,8 @@ fn run_campaign(plan: FaultPlan) -> CampaignResult {
             seg.set_control("iter", iter);
             if iter % CKPT_EVERY == 0 {
                 let prefix = format!("ck/rec/{iter}");
-                match drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
-                    Ok(_) => {}
-                    Err(CoreError::Interrupted(_)) => return JobOutcome::Killed,
-                    Err(e) => return JobOutcome::Failed(e.to_string()),
+                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
+                    return JobOutcome::from_err(e);
                 }
                 retained = Some((retain(ctx, &prefix, iter as u64, &[&u]), iter));
             }

@@ -11,12 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms::core::segment::DataSegment;
-use drms::core::{find_checkpoints, Drms, DrmsConfig, Start};
+use drms::core::{find_checkpoints, Drms, DrmsConfig};
 use drms::darray::{DistArray, Distribution};
-use drms::memtier::{
-    restore_arrays_from_tier, resume_from_tier, spill_checkpoint, store_checkpoint, store_feasible,
-    MemTier, RestartTier,
-};
+use drms::memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier, RestartTier};
 use drms::msg::CostModel;
 use drms::obs::{names, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
@@ -141,55 +138,19 @@ fn run_storm_with(
     let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
         let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
+            Ok(v) => v,
+            Err(outcome) => return outcome,
+        };
         let mut seg = DataSegment::new();
         let mut start_iter = 1i64;
-        let mut drms = match (env.restart_from.as_deref(), env.restart_tier) {
-            (Some(prefix), RestartTier::Memory) => {
-                // Tiered resolution picked the resident checkpoint: resume
-                // out of node memory, no checkpoint I/O.
-                let tier = env.memtier.as_ref().expect("memory restart without a tier");
-                let (drms, info) = resume_from_tier(
-                    ctx,
-                    &env.fs,
-                    tier,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    prefix,
-                )
-                .unwrap();
-                seg = info.segment.clone();
+        match restart {
+            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
+            Some(info) => {
+                seg = info.segment;
                 start_iter = seg.control("iter").unwrap() + 1;
-                restore_arrays_from_tier(ctx, tier, &drms, prefix, &info.manifest, &mut [&mut u])
-                    .unwrap();
-                drms
             }
-            _ => {
-                let (drms, start) = Drms::initialize(
-                    ctx,
-                    &env.fs,
-                    DrmsConfig::new(APP),
-                    env.enable.clone(),
-                    env.restart_from.as_deref(),
-                )
-                .unwrap();
-                match start {
-                    Start::Fresh => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-                    Start::Restarted(info) => {
-                        seg = info.segment.clone();
-                        start_iter = seg.control("iter").unwrap() + 1;
-                        drms.restore_arrays(
-                            ctx,
-                            &env.fs,
-                            env.restart_from.as_deref().unwrap(),
-                            &info.manifest,
-                            &mut [&mut u],
-                        )
-                        .unwrap();
-                    }
-                }
-                drms
-            }
-        };
+        }
         for iter in start_iter..=NITER {
             if env.sop_killed(ctx) {
                 return JobOutcome::Killed;
