@@ -74,7 +74,7 @@ pub(crate) fn integrity_of(fs: &Piofs, dirs: &[String]) -> Vec<FileIntegrity> {
         .into_iter()
         .filter(|(name, _)| name != "manifest" && !name.starts_with("manifest."))
         .filter_map(|(name, path)| {
-            fs.peek(&path).map(|bytes| FileIntegrity::compute(&name, &bytes, chunk))
+            fs.with_bytes(&path, |bytes| FileIntegrity::compute(&name, bytes, chunk))
         })
         .collect()
 }
@@ -384,6 +384,40 @@ mod tests {
         assert_eq!(names, vec!["array-old", "segment"]);
         let seg = fi.iter().find(|f| f.name == "segment").unwrap();
         assert!(seg.matches(&[3; 8]), "staged copy must win the collision");
+    }
+
+    /// The pass as it was before `with_bytes`: every listed file copied out
+    /// whole by `peek`, a file `peek` cannot serve left out of the records.
+    /// The fault campaigns pin that omission (a manifest over a degraded
+    /// prefix lists what was readable, and verification reports the rest).
+    #[test]
+    fn staged_integrity_equals_a_peek_based_pass_and_omits_unreadable_files() {
+        let fs = Piofs::new(PiofsConfig::test_tiny(2), 1);
+        let body = |salt: u8, len: usize| (0..len).map(|i| (i as u8).wrapping_mul(salt)).collect();
+        fs.preload("ck/1/array-old", body(3, 700));
+        fs.preload("ck/1/segment", body(5, 900));
+        fs.preload("ck/1/manifest", vec![0]);
+        fs.preload("ck/1.tmp/segment", body(7, 1000)); // staged wins
+        fs.preload("ck/1.tmp/array-u", body(11, 5000)); // spans both servers
+        fs.preload("ck/1.tmp/manifest.tmp", vec![0]);
+        // No parity: everything striped onto server 1 is gone for good. Only
+        // `array-u` reaches past the first stripe unit.
+        assert!(fs.fail_server(1) > 0);
+        assert!(fs.peek("ck/1.tmp/array-u").is_none());
+
+        let chunk = integrity_chunk(&fs);
+        let reference: Vec<FileIntegrity> = [
+            ("array-old", "ck/1/array-old"),
+            ("array-u", "ck/1.tmp/array-u"),
+            ("segment", "ck/1.tmp/segment"),
+        ]
+        .into_iter()
+        .filter_map(|(name, path)| {
+            fs.peek(path).map(|bytes| FileIntegrity::compute(name, &bytes, chunk))
+        })
+        .collect();
+        assert_eq!(reference.len(), 2, "array-u is unreadable and omitted");
+        assert_eq!(compute_integrity_staged(&fs, "ck/1"), reference);
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub fn checkpoint_is_valid(fs: &Piofs, prefix: &str) -> bool {
     }
     m.integrity
         .iter()
-        .all(|fi| fs.peek(&format!("{prefix}/{}", fi.name)).is_some_and(|b| fi.matches(&b)))
+        .all(|fi| fs.with_bytes(&format!("{prefix}/{}", fi.name), |b| fi.matches(b)) == Some(true))
 }
 
 /// Verifies the referenced (non-local) chunks of a delta manifest against

@@ -17,7 +17,7 @@ use drms_darray::chunks::{ChunkParams, Codec};
 use drms_slices::{Order, Range, Slice};
 
 use crate::handle::CheckpointArray;
-use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
+use crate::wire::{crc32, split_trailing_crc, Crc32Shift, Reader, WireError, Writer};
 
 const MAGIC: [u8; 4] = *b"DMFT";
 /// Current manifest version. v1 had no integrity section and no trailing
@@ -88,22 +88,28 @@ impl FileIntegrity {
     /// one delta checkpointing cuts its content-hash chunks with — so an
     /// integrity chunk and a delta chunk of the same size are the same
     /// byte range.
+    ///
+    /// Each byte is read once: `whole` is folded from the chunk CRCs with
+    /// the `wire::Crc32Shift` operator. Every chunk but the last has the same
+    /// length, so one operator is built per file and applied per chunk —
+    /// building one per chunk would cost more than the chunk's own CRC at
+    /// the 1 KiB chunk size of the small problem classes.
     pub fn compute(name: &str, bytes: &[u8], chunk: u64) -> FileIntegrity {
         let params = ChunkParams::new(chunk);
         let len = bytes.len() as u64;
+        let full_chunk = Crc32Shift::new(params.chunk_bytes());
+        let mut whole = 0;
         let crcs = (0..params.count(len))
             .map(|i| {
                 let (s, e) = params.range(len, i);
-                crc32(&bytes[s as usize..e as usize])
+                let crc = crc32(&bytes[s as usize..e as usize]);
+                let shift =
+                    if e - s == params.chunk_bytes() { full_chunk } else { Crc32Shift::new(e - s) };
+                whole = shift.combine(whole, crc);
+                crc
             })
             .collect();
-        FileIntegrity {
-            name: name.to_string(),
-            len,
-            chunk: params.chunk_bytes(),
-            crcs,
-            whole: crc32(bytes),
-        }
+        FileIntegrity { name: name.to_string(), len, chunk: params.chunk_bytes(), crcs, whole }
     }
 
     /// Byte range `[start, end)` of chunk `i` within the file.
@@ -249,6 +255,16 @@ pub fn delta_path(prefix: &str, name: &str) -> String {
     format!("{prefix}/delta-{name}")
 }
 
+/// Smallest encodings of the counted records, in bytes: what a count read
+/// from the buffer is capped by before anything is allocated for it
+/// ([`Reader::fits`]) — a v1 header carries no self-CRC, so a count can be
+/// anything.
+const MIN_RANGE: usize = 1 + 8;
+const MIN_ARRAY_ENTRY: usize = 4 + 1 + 1 + 4;
+const MIN_INTEGRITY: usize = 4 + 8 + 8 + 4 + 4;
+const MIN_DELTA: usize = 4 + 8 + 8 + 4;
+const MIN_CHUNK_RECORD: usize = 16 + 4 + 4 + 1 + 8 + 1;
+
 fn write_range(w: &mut Writer, r: &Range) {
     match r {
         Range::Contiguous { lo, hi } => {
@@ -281,7 +297,7 @@ fn read_range(r: &mut Reader<'_>) -> Result<Range, WireError> {
         }
         2 => {
             let n = r.u64()? as usize;
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(r.fits(n, 8));
             for _ in 0..n {
                 v.push(r.i64()?);
             }
@@ -302,7 +318,7 @@ pub fn write_slice(w: &mut Writer, s: &Slice) {
 /// Decodes a slice.
 pub fn read_slice(r: &mut Reader<'_>) -> Result<Slice, WireError> {
     let rank = r.u32()? as usize;
-    let mut ranges = Vec::with_capacity(rank);
+    let mut ranges = Vec::with_capacity(r.fits(rank, MIN_RANGE));
     for _ in 0..rank {
         ranges.push(read_range(r)?);
     }
@@ -389,8 +405,8 @@ impl Manifest {
         };
         let ntasks = r.u64()? as usize;
         let sop = r.u64()?;
-        let narrays = r.u32()?;
-        let mut arrays = Vec::with_capacity(narrays as usize);
+        let narrays = r.u32()? as usize;
+        let mut arrays = Vec::with_capacity(r.fits(narrays, MIN_ARRAY_ENTRY));
         for _ in 0..narrays {
             let name = r.string()?;
             let elem_code = r.u8()?;
@@ -405,13 +421,18 @@ impl Manifest {
         let mut integrity = Vec::new();
         if version >= 2 {
             let n = r.u32()? as usize;
-            integrity.reserve(n);
+            integrity.reserve(r.fits(n, MIN_INTEGRITY));
             for _ in 0..n {
                 let name = r.string()?;
                 let len = r.u64()?;
                 let chunk = r.u64()?;
                 let ncrcs = r.u32()? as usize;
-                let mut crcs = Vec::with_capacity(ncrcs);
+                // Every record `compute` ever wrote has one CRC per chunk of
+                // its geometry; anything else would index out of step.
+                if ncrcs != ChunkParams::new(chunk).count(len) {
+                    return Err(WireError::Truncated { what: "integrity chunk count" });
+                }
+                let mut crcs = Vec::with_capacity(r.fits(ncrcs, 4));
                 for _ in 0..ncrcs {
                     crcs.push(r.u32()?);
                 }
@@ -422,13 +443,13 @@ impl Manifest {
         let mut deltas = Vec::new();
         if version >= 3 {
             let n = r.u32()? as usize;
-            deltas.reserve(n);
+            deltas.reserve(r.fits(n, MIN_DELTA));
             for _ in 0..n {
                 let name = r.string()?;
                 let chunk_bytes = r.u64()?;
                 let stream_len = r.u64()?;
                 let nchunks = r.u32()? as usize;
-                let mut chunks = Vec::with_capacity(nchunks);
+                let mut chunks = Vec::with_capacity(r.fits(nchunks, MIN_CHUNK_RECORD));
                 for _ in 0..nchunks {
                     let hash = ((r.u64()? as u128) << 64) | r.u64()? as u128;
                     let len = r.u32()?;
@@ -485,6 +506,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::crc32_reference;
 
     fn sample() -> Manifest {
         Manifest {
@@ -692,6 +714,159 @@ mod tests {
     fn unknown_version_rejected() {
         let w = Writer::with_header(MAGIC, 9);
         assert!(matches!(Manifest::decode(&w.finish()), Err(WireError::BadVersion(9))));
+    }
+
+    /// An integrity record by the definition its fields document, with the
+    /// byte-serial reference CRC: one walk for the chunk CRCs, a second for
+    /// `whole`. What every manifest written before the one-walk `compute`
+    /// holds.
+    fn two_walk_reference(name: &str, bytes: &[u8], chunk: u64) -> FileIntegrity {
+        let params = ChunkParams::new(chunk);
+        let len = bytes.len() as u64;
+        FileIntegrity {
+            name: name.to_string(),
+            len,
+            chunk: params.chunk_bytes(),
+            crcs: (0..params.count(len))
+                .map(|i| {
+                    let (s, e) = params.range(len, i);
+                    crc32_reference(&bytes[s as usize..e as usize])
+                })
+                .collect(),
+            whole: crc32_reference(bytes),
+        }
+    }
+
+    /// Every (chunk size, payload) pair the record tests run over: the two
+    /// chunk sizes the problem classes produce, lengths on both sides of
+    /// every chunk edge.
+    fn record_cases() -> Vec<(u64, Vec<u8>)> {
+        let mut cases = Vec::new();
+        for chunk in [1024u64, 65536] {
+            for len in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7] {
+                let bytes = (0..len).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+                cases.push((chunk, bytes));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn one_walk_records_equal_the_two_walk_definition() {
+        for (chunk, bytes) in record_cases() {
+            let fi = FileIntegrity::compute("array-u", &bytes, chunk);
+            assert_eq!(
+                fi,
+                two_walk_reference("array-u", &bytes, chunk),
+                "chunk {chunk}, len {}",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn records_are_interchangeable_with_the_reference_and_pin_a_flip_to_its_chunk() {
+        for (chunk, bytes) in record_cases() {
+            let at = format!("chunk {chunk}, len {}", bytes.len());
+            // A record written by the old code is accepted by the new
+            // verifiers...
+            let old = two_walk_reference("segment", &bytes, chunk);
+            assert!(old.matches(&bytes), "{at}");
+            assert!(old.corrupt_chunks(&bytes).is_empty(), "{at}");
+            // ...and a record written by the new code verifies under the old
+            // definition, chunk by chunk and whole.
+            let new = FileIntegrity::compute("segment", &bytes, chunk);
+            assert_eq!(new.whole, crc32_reference(&bytes), "{at}");
+            for (i, &crc) in new.crcs.iter().enumerate() {
+                let (s, e) = new.chunk_range(i);
+                assert_eq!(crc, crc32_reference(&bytes[s as usize..e as usize]), "{at}, chunk {i}");
+            }
+            // A flipped byte fails `matches` and names exactly its chunk,
+            // whichever side wrote the record.
+            for pos in [0, bytes.len() / 2, bytes.len().saturating_sub(1)] {
+                if pos >= bytes.len() {
+                    continue;
+                }
+                let mut bad = bytes.clone();
+                bad[pos] ^= 0x20;
+                for fi in [&old, &new] {
+                    assert!(!fi.matches(&bad), "{at}, flip at {pos}");
+                    assert_eq!(
+                        fi.corrupt_chunks(&bad),
+                        vec![pos / chunk as usize],
+                        "{at}, flip at {pos}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The v3 header and scalar fields of `sample()`, up to and excluding
+    /// the array count.
+    fn v3_preamble() -> Writer {
+        let mut w = Writer::with_header(MAGIC, VERSION);
+        w.string("bt");
+        w.u8(0);
+        w.u64(8);
+        w.u64(100);
+        w
+    }
+
+    #[test]
+    fn hostile_counts_are_errors_not_allocations() {
+        // v1 carries no self-CRC: nothing stands between a flipped count and
+        // `Vec::with_capacity`.
+        let mut bytes = encode_v1(&sample());
+        let narrays_at = 8 + (4 + 2) + 1 + 8 + 8;
+        bytes[narrays_at..narrays_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(Manifest::decode(&bytes), Err(WireError::Truncated { .. })));
+
+        // Behind a valid CRC: a record whose geometry really does call for
+        // u32::MAX CRCs, none of which follow.
+        let mut w = v3_preamble();
+        w.u32(0); // arrays
+        w.u32(1); // integrity records
+        w.string("segment");
+        w.u64(u32::MAX as u64 * 1024);
+        w.u64(1024);
+        w.u32(u32::MAX);
+        assert!(matches!(Manifest::decode(&w.finish_with_crc()), Err(WireError::Truncated { .. })));
+
+        // Likewise the record and chunk-table counts themselves.
+        for (nintegrity, ndeltas) in [(u32::MAX, None), (0, Some(u32::MAX))] {
+            let mut w = v3_preamble();
+            w.u32(0);
+            w.u32(nintegrity);
+            if let Some(n) = ndeltas {
+                w.u32(n);
+            }
+            assert!(matches!(
+                Manifest::decode(&w.finish_with_crc()),
+                Err(WireError::Truncated { .. })
+            ));
+        }
+        let mut w = v3_preamble();
+        w.u32(0);
+        w.u32(0);
+        w.u32(1); // delta tables
+        w.string("u");
+        w.u64(4096);
+        w.u64(6000);
+        w.u32(u32::MAX); // chunk records
+        assert!(matches!(Manifest::decode(&w.finish_with_crc()), Err(WireError::Truncated { .. })));
+    }
+
+    #[test]
+    fn integrity_record_out_of_step_with_its_geometry_is_rejected() {
+        let mut m = sample();
+        assert!(Manifest::decode(&m.encode()).is_ok());
+        m.integrity[0].crcs.push(0);
+        assert_eq!(
+            Manifest::decode(&m.encode()),
+            Err(WireError::Truncated { what: "integrity chunk count" })
+        );
+        m.integrity[0].crcs.truncate(1);
+        assert!(Manifest::decode(&m.encode()).is_err());
     }
 
     #[test]

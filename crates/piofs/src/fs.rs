@@ -234,15 +234,31 @@ impl Piofs {
         self.list(prefix).iter().map(|f| f.size).sum()
     }
 
-    /// Logical file contents without touching the clock (diagnostics,
-    /// control-plane verification). Lost ranges are served by parity
-    /// reconstruction; `None` if the file is missing or any lost byte is
-    /// unreconstructible.
-    pub fn peek(&self, path: &str) -> Option<Vec<u8>> {
+    /// Lends the logical file contents to `f` without touching the clock and
+    /// without copying them: the control-plane verifiers' read. When nothing
+    /// of the file is lost the stored bytes are the logical bytes and `f`
+    /// borrows them in place; otherwise lost ranges are served by parity
+    /// reconstruction into a temporary. `None` (and `f` never runs) if the
+    /// file is missing or any lost byte is unreconstructible.
+    ///
+    /// `f` runs under the file-system lock: it must not call back into this
+    /// `Piofs` (the lock is not reentrant, so that deadlocks), and every
+    /// other task's I/O waits while it runs.
+    pub fn with_bytes<R>(&self, path: &str, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let geom = self.geom();
         let st = self.state.lock();
-        let f = st.files.get(path)?;
-        f.read_logical(0, f.len(), geom.as_ref()).ok().map(|(data, _)| data)
+        let file = st.files.get(path)?;
+        if !file.lost.overlaps(0, file.len()) {
+            return Some(f(&file.bytes));
+        }
+        file.read_logical(0, file.len(), geom.as_ref()).ok().map(|(data, _)| f(&data))
+    }
+
+    /// An owned copy of the logical file contents ([`Piofs::with_bytes`]
+    /// with a copying closure): diagnostics, and reads whose bytes outlive
+    /// the call.
+    pub fn peek(&self, path: &str) -> Option<Vec<u8>> {
+        self.with_bytes(path, <[u8]>::to_vec)
     }
 
     /// Stored bytes exactly as they sit on the (simulated) platters —
@@ -1038,6 +1054,27 @@ mod tests {
         assert!(!fs.server_down(2));
         assert_eq!(fs.peek_raw("ck/seg").unwrap(), data);
         assert_eq!(fs.lost_bytes("ck/seg"), 0);
+    }
+
+    #[test]
+    fn with_bytes_lends_what_peek_copies() {
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        let fs = parity_fs();
+        fs.preload("ck/seg", data.clone());
+        // Intact: the stored bytes, lent in place.
+        assert_eq!(fs.with_bytes("ck/seg", <[u8]>::to_vec), fs.peek("ck/seg"));
+        assert_eq!(fs.with_bytes("ck/seg", |b| b.len()), Some(10_000));
+        // One server lost under parity: the closure sees the reconstruction,
+        // not the poison the platters hold.
+        fs.fail_server(2);
+        assert_ne!(fs.peek_raw("ck/seg").unwrap(), data);
+        assert_eq!(fs.with_bytes("ck/seg", |b| b == &data[..]), Some(true));
+        assert_eq!(fs.peek("ck/seg").unwrap(), data);
+        // Missing, and doubly lost: `None`, and the closure never runs.
+        assert_eq!(fs.with_bytes("ck/none", |_| unreachable!("no such file")), None::<()>);
+        fs.fail_server(3);
+        assert_eq!(fs.with_bytes("ck/seg", |_| unreachable!("unreconstructible")), None::<()>);
+        assert!(fs.peek("ck/seg").is_none());
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn chunk_now_clean(fs: &Piofs, prefix: &str, fault: &ChunkFault) -> bool {
     let Ok(m) = drms_core::manifest::Manifest::decode(&bytes) else { return false };
     let name = &fault.path[prefix.len() + 1..];
     let Some(fi) = m.file_integrity(name) else { return false };
-    fs.peek(&fault.path).is_some_and(|b| !fi.corrupt_chunks(&b).contains(&fault.chunk))
+    fs.with_bytes(&fault.path, |b| !fi.corrupt_chunks(b).contains(&fault.chunk)) == Some(true)
 }
 
 fn manifest_of(prefix: &str) -> String {

@@ -121,7 +121,7 @@ fn run_verify(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) -> VerifyRep
     }
     for fi in &m.integrity {
         let path = format!("{prefix}/{}", fi.name);
-        let Some(bytes) = fs.peek(&path) else {
+        let Some(corrupt) = fs.with_bytes(&path, |bytes| fi.corrupt_chunks(bytes)) else {
             if fs.exists(&path) {
                 report.unreadable.push(path);
             } else if !report.missing.contains(&path) {
@@ -129,7 +129,7 @@ fn run_verify(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) -> VerifyRep
             }
             continue;
         };
-        for chunk in fi.corrupt_chunks(&bytes) {
+        for chunk in corrupt {
             let (offset, end) = fi.chunk_range(chunk);
             if rec.enabled() {
                 rec.event(t, 0, Phase::Verify, &format!("{path} chunk {chunk} corrupt"));

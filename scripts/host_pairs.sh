@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# The paired-run protocol of benchmark/README.md, "Claiming a gain", as one
+# command: the working tree (the change) against a parent revision.
+#
+#   scripts/host_pairs.sh <parent-rev> <pairs> <seed-base> [workload...]
+#
+# Builds each side once with its own CARGO_TARGET_DIR, then runs <pairs>
+# untraced pairs per workload (all of BENCHMARK.json's when none is named) on
+# seeds <seed-base>, <seed-base>+1, ... — both sides of a pair on the same
+# seed, so stored_ratio / sim_ckpt_s / sim_restore_s can be compared to the
+# last digit — alternating which side goes first, then one traced pair per
+# workload on <seed-base> for the per-layer rows. Records are appended to
+# .bench_build/pairs/{parent,change}.jsonl and every run's table to
+# {parent,change}.log beside them (delete the directory's files to start
+# afresh); the last step is `compare parent.jsonl change.jsonl`, whose exit
+# code (1 on a regression) is this script's.
+#
+# Everything lives under .bench_build/pairs/, which is git-ignored and clear
+# of the benchmark driver's own CARGO_TARGET_DIR=.bench_build. The parent's
+# committed files are unpacked there with `git archive` (what the driver
+# itself measures: committed files in a new directory; nothing is registered
+# in .git, nothing to prune). Offline, no dependency beyond git, tar, cargo.
+set -euo pipefail
+
+if [ "$#" -lt 3 ]; then
+    sed -n '2,6p' "$0" >&2
+    exit 2
+fi
+rev=$1 pairs=$2 seed_base=$3
+shift 3
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+cd "$root"
+work=.bench_build/pairs
+if [ "$#" -gt 0 ]; then
+    workloads=("$@")
+else
+    mapfile -t workloads < <(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)
+fi
+
+commit=$(git rev-parse --verify "$rev^{commit}")
+rm -rf "$work/parent"
+mkdir -p "$work/parent"
+git archive "$commit" | tar -x -C "$work/parent"
+
+build() { # <side> <manifest>: prints the path of the side's binary
+    CARGO_TARGET_DIR="$root/$work/target-$1" \
+        cargo build --release --offline --quiet --manifest-path "$2" >&2
+    echo "$root/$work/target-$1/release/drms-benchmark"
+}
+parent_bin=$(build parent "$work/parent/benchmark/Cargo.toml")
+change_bin=$(build change benchmark/Cargo.toml)
+
+run() { # <side> <workload> <seed> <trace>
+    local bin=${1}_bin
+    "${!bin}" run --workload "$2" --seed "$3" --trace "$4" --out "$work/$1.jsonl" \
+        >>"$work/$1.log" || echo "$1 $2 seed $3: exit $? (counted in ok_share)" >&2
+}
+pair() { # <first> <second> <workload> <seed> <trace>
+    run "$1" "$3" "$4" "$5"
+    run "$2" "$3" "$4" "$5"
+}
+
+echo "parent $commit, ${#workloads[@]} workload(s), $pairs pair(s) from seed $seed_base" >&2
+for w in "${workloads[@]}"; do
+    for ((i = 0; i < pairs; i++)); do
+        if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
+        echo "$w pair $((i + 1))/$pairs, seed $((seed_base + i)), ${order[0]} first" >&2
+        pair "${order[@]}" "$w" $((seed_base + i)) 0
+    done
+    echo "$w traced pair, seed $seed_base" >&2
+    pair parent change "$w" "$seed_base" 1
+done
+
+"$change_bin" compare "$work/parent.jsonl" "$work/change.jsonl"
