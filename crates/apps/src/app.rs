@@ -266,23 +266,6 @@ impl MiniApp {
         MiniApp::resuming(spec, AppVariant::Drms, drms, info.segment, fields, Some(report))
     }
 
-    /// System-enabled checkpoint (`drms_reconfig_chkenable`); DRMS variant
-    /// only — returns `Ok(None)` for the SPMD variant (the facility does
-    /// not exist there) or when the enable signal is down.
-    pub fn checkpoint_if_enabled(
-        &mut self,
-        ctx: &mut Ctx,
-        fs: &Piofs,
-        prefix: &str,
-    ) -> Result<Option<OpBreakdown>, CoreError> {
-        if self.variant != AppVariant::Drms {
-            return Ok(None);
-        }
-        let handles: Vec<&dyn CheckpointArray> =
-            self.fields.iter().map(|f| f as &dyn CheckpointArray).collect();
-        self.drms.reconfig_chkenable(ctx, fs, prefix, &self.seg, &handles)
-    }
-
     /// Global residual diagnostic (collective).
     pub fn residual(&self, ctx: &mut Ctx) -> f64 {
         solver::residual(ctx, &self.fields)

@@ -1,5 +1,5 @@
-//! The asynchronous-pipeline campaign shared by the `async` gate binary
-//! and its unit tests: the same solver-suite workload run three ways —
+//! The asynchronous-pipeline campaign behind the `async` gate
+//! ([`scenario`]) and its unit tests: the same solver-suite workload run three ways —
 //! no checkpoints (the compute floor), blocking
 //! [`Drms::reconfig_checkpoint`]s, and overlapped checkpoints through the
 //! [`AsyncCheckpointer`] — at the same interval, so the checkpoint stall
@@ -12,9 +12,10 @@
 //! the tail drain's residual). Blocking pays the full I/O time per
 //! checkpoint at the same cadence — the gap the gate measures.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use drms_apps::AppSpec;
+use drms_apps::{bt, lu, sp, AppSpec};
 use drms_async::{AsyncCheckpointer, AsyncConfig, AsyncReport};
 use drms_core::manifest::array_path;
 use drms_core::{Drms, EnableFlag, Start};
@@ -22,10 +23,17 @@ use drms_darray::DistArray;
 use drms_msg::{run_spmd, CostModel, Ctx, SpmdError};
 use drms_slices::{Order, Slice};
 
+use crate::args::Options;
 use crate::experiment::experiment_fs;
+use crate::gate::{Gate, GateArgs, GateOutput};
+use crate::json::BenchResult;
+use crate::table::render;
 
 /// Checkpoints per run (one per iteration).
 pub const NCKPTS: i64 = 6;
+
+/// The flusher-timeline artefact (CI uploads it under this name).
+pub const TIMELINE_FILE: &str = "TIMELINE_async.txt";
 
 /// Tasks taking the checkpoints.
 pub const CKPT_TASKS: usize = 4;
@@ -302,6 +310,126 @@ fn restore_checksum(
         assert_eq!(info.segment.control("iter"), Some(NCKPTS), "segment lost the control state");
         u.fold_assigned(0.0, |acc, _, v| acc + v)
     })?[0])
+}
+
+/// The `async` row of the gate table: for each application of the solver
+/// suite the campaign runs twice (it must be deterministic), the per-app
+/// hard gates of [`checks`] are collected on `gate`, the headline numbers
+/// are tabulated and the per-flight flusher timeline is rendered as the
+/// `TIMELINE_async.txt` artefact. Takes the table binaries' `--class`.
+pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
+    let class = Options::parse(args.rest.iter().cloned()).class;
+    let params = AsyncParams { seed: args.seed, ..AsyncParams::default() };
+    println!("Async bench — overlapped vs blocking checkpointing, class {class}");
+    println!(
+        "checkpoint on {CKPT_TASKS} tasks, restore on {RESTORE_TASKS}; budget {}, \
+         compute/interval {:.1}x the blocking checkpoint\n",
+        params.budget, params.compute_factor
+    );
+
+    let specs: Vec<AppSpec> = vec![bt(class), lu(class), sp(class)];
+    let mut result = BenchResult::new("async");
+    result.param("class", class);
+    result.param("budget", params.budget);
+    result.param("compute_factor", params.compute_factor);
+    result.param("seed", params.seed);
+    result.stamp_header(params.seed, CKPT_TASKS);
+
+    let mut rows = Vec::new();
+    let mut timeline = String::new();
+    for spec in &specs {
+        let c = run_campaign(spec, &params).expect("campaign run");
+        let c2 = run_campaign(spec, &params).expect("campaign rerun");
+        gate.check(
+            c == c2,
+            format!("{}: campaign is nondeterministic ({c:?} vs {c2:?})", spec.name),
+        );
+        checks(gate, spec, &c);
+        rows.push(vec![
+            spec.name.to_string(),
+            format!("{:.4}", c.t_io),
+            format!("{:.3}", c.wall_none),
+            format!("{:.3}", c.wall_blocking),
+            format!("{:.3}", c.wall_async),
+            format!("{:.4}", c.stall_blocking()),
+            format!("{:.4}", c.stall_async()),
+            format!("{:.1}x", c.stall_reduction()),
+            format!("{:.1}%", 100.0 * c.overlap_fraction()),
+        ]);
+        let n = spec.name;
+        result.metric(&format!("{n}_t_io_s"), c.t_io);
+        result.metric(&format!("{n}_wall_none_s"), c.wall_none);
+        result.metric(&format!("{n}_wall_blocking_s"), c.wall_blocking);
+        result.metric(&format!("{n}_wall_async_s"), c.wall_async);
+        result.metric(&format!("{n}_stall_blocking_s"), c.stall_blocking());
+        result.metric(&format!("{n}_stall_async_s"), c.stall_async());
+        result.metric(&format!("{n}_stall_reduction"), c.stall_reduction());
+        result.metric(&format!("{n}_overlap_fraction"), c.overlap_fraction());
+        append_timeline(&mut timeline, spec, &c);
+    }
+
+    let header = vec![
+        "app",
+        "t_io s",
+        "floor s",
+        "blocking s",
+        "async s",
+        "stall blk s",
+        "stall async s",
+        "reduction",
+        "overlap",
+    ];
+    println!("{}", render(&header, &rows));
+
+    GateOutput { result, artefacts: vec![(TIMELINE_FILE, timeline)] }
+}
+
+/// One flush-timeline block per app: prefix, SOP, and the arm/start/
+/// finish virtual timestamps of every flight, in arming order.
+fn append_timeline(out: &mut String, spec: &AppSpec, c: &AsyncCampaign) {
+    writeln!(out, "# {} — flusher timeline (virtual seconds)", spec.name).unwrap();
+    writeln!(out, "# prefix sop t_snap start finish bytes").unwrap();
+    for f in &c.flights {
+        writeln!(
+            out,
+            "{} {} {:.6} {:.6} {:.6} {}",
+            f.prefix, f.sop, f.t_snap, f.start, f.finish, f.bytes
+        )
+        .unwrap();
+    }
+    out.push('\n');
+}
+
+/// Per-app hard gates (beyond determinism and the baseline comparison).
+fn checks(gate: &mut Gate, spec: &AppSpec, c: &AsyncCampaign) {
+    let n = spec.name;
+    gate.check(
+        c.stall_reduction() >= 3.0,
+        format!(
+            "{n}: stall reduction {:.2}x < 3x (blocking {:.4}s vs async {:.4}s)",
+            c.stall_reduction(),
+            c.stall_blocking(),
+            c.stall_async()
+        ),
+    );
+    gate.check(
+        c.streams_bitwise_equal,
+        format!("{n}: async commit's stream differs from the blocking checkpoint"),
+    );
+    gate.check(
+        c.blocking_checksum == c.async_checksum,
+        format!(
+            "{n}: restore checksums diverge (blocking {} vs async {})",
+            c.blocking_checksum, c.async_checksum
+        ),
+    );
+    gate.check(
+        c.stall_blocking() > 0.0 && c.stall_async() > 0.0,
+        format!("{n}: stall measurements missing"),
+    );
+    let fifo = c.flights.windows(2).all(|w| w[1].start >= w[0].finish)
+        && c.flights.iter().all(|f| f.start >= f.t_snap && f.finish > f.start);
+    gate.check(fifo, format!("{n}: flusher timeline malformed: {:?}", c.flights));
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@ const DRMS_MARKERS: &[&str] = &[
     "Drms::initialize",
     "reconfig_checkpoint",
     "reconfig_chkenable",
-    "checkpoint_if_enabled",
     "restore_arrays",
     "restart_report",
     "RestartInfo",

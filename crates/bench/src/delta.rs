@@ -1,5 +1,5 @@
-//! The incremental-checkpointing campaign shared by the `delta` gate
-//! binary and its unit tests: the same solver-suite workload checkpointed
+//! The incremental-checkpointing campaign behind the `delta` gate
+//! ([`scenario`]) and its unit tests: the same solver-suite workload checkpointed
 //! twice — once with full [`Drms::reconfig_checkpoint`]s, once as a delta
 //! chain — then restored on a *different* task count through both paths.
 //!
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use drms_apps::AppSpec;
+use drms_apps::{bt, lu, sp, AppSpec, Class};
 use drms_core::manifest::array_path;
 use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
@@ -24,7 +24,11 @@ use drms_msg::{run_spmd, CostModel, Ctx, SpmdError};
 use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
 
+use crate::args::Options;
 use crate::experiment::experiment_fs;
+use crate::gate::{Gate, GateArgs, GateOutput};
+use crate::json::BenchResult;
+use crate::table::{mb, render};
 
 /// Checkpoint links per campaign (the moving window cycles through four
 /// zones, so every link after the first sees exactly one zone dirty).
@@ -281,6 +285,132 @@ pub fn run_campaign(spec: &AppSpec, params: &DeltaParams) -> Result<DeltaCampaig
         delta_checksum,
         streams_bitwise_equal,
     })
+}
+
+/// Chunk size actually used: small classes shrink the streams below the
+/// default 64 KiB integrity chunk, so they get a proportionally smaller
+/// default; an explicit `--chunk-bytes` always wins.
+fn effective_chunk(opts: &Options) -> u64 {
+    if opts.chunk_bytes != 0 {
+        return opts.chunk_bytes;
+    }
+    match opts.class {
+        Class::T | Class::S => 1024,
+        Class::W | Class::A => 0, // integrity chunk (stripe unit)
+    }
+}
+
+/// The `delta` row of the gate table: for each application of the solver
+/// suite the campaign runs twice (it must be deterministic), the per-app
+/// hard gates of [`checks`] are collected on `gate`, and the headline
+/// numbers are tabulated. Takes the table binaries' `--class`,
+/// `--chunk-bytes` and `--full-every`.
+pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
+    let opts = Options::parse(args.rest.iter().cloned());
+    let class = opts.class;
+    let params = DeltaParams {
+        chunk_bytes: effective_chunk(&opts),
+        full_every: opts.full_every,
+        seed: args.seed,
+    };
+    let chunk = match params.chunk_bytes {
+        0 => "integrity (stripe unit)".to_string(),
+        b => format!("{b} B"),
+    };
+    println!("Delta bench — incremental vs full checkpointing, class {class}");
+    println!(
+        "checkpoint on {CKPT_TASKS} tasks, restore on {RESTORE_TASKS}; chunk {chunk}, full every {}\n",
+        params.full_every
+    );
+
+    let specs: Vec<AppSpec> = vec![bt(class), lu(class), sp(class)];
+    let mut result = BenchResult::new("delta");
+    result.param("class", class);
+    result.param("chunk_bytes", params.chunk_bytes);
+    result.param("full_every", params.full_every);
+    result.param("seed", params.seed);
+    result.stamp_header(params.seed, CKPT_TASKS);
+
+    let mut rows = Vec::new();
+    for spec in &specs {
+        let c = run_campaign(spec, &params).expect("campaign run");
+        let c2 = run_campaign(spec, &params).expect("campaign rerun");
+        gate.check(
+            c == c2,
+            format!("{}: campaign is nondeterministic ({c:?} vs {c2:?})", spec.name),
+        );
+        checks(gate, spec, &c);
+        rows.push(vec![
+            spec.name.to_string(),
+            format!("{:.2}", mb(c.full_bytes)),
+            format!("{:.2}", mb(c.delta_bytes)),
+            format!("{:.2}x", c.reduction()),
+            format!("{}", c.dedup_hits),
+            format!("{:.2}", mb(c.compressed_saved)),
+            format!("{:.3}", c.full_restore_s),
+            format!("{:.3}", c.delta_restore_s),
+            format!("{:.2}x", c.restore_overhead()),
+        ]);
+        let n = spec.name;
+        result.metric(&format!("{n}_full_mb"), mb(c.full_bytes));
+        result.metric(&format!("{n}_delta_mb"), mb(c.delta_bytes));
+        result.metric(&format!("{n}_reduction"), c.reduction());
+        result.metric(&format!("{n}_dedup_hits"), c.dedup_hits as f64);
+        result.metric(&format!("{n}_restore_full_s"), c.full_restore_s);
+        result.metric(&format!("{n}_restore_delta_s"), c.delta_restore_s);
+        result.metric(&format!("{n}_restore_overhead"), c.restore_overhead());
+    }
+
+    let header = vec![
+        "app",
+        "full MB",
+        "delta MB",
+        "reduction",
+        "dedup",
+        "saved MB",
+        "restore full s",
+        "restore delta s",
+        "overhead",
+    ];
+    println!("{}", render(&header, &rows));
+
+    GateOutput { result, artefacts: Vec::new() }
+}
+
+/// Per-app hard gates (beyond determinism and the baseline comparison).
+fn checks(gate: &mut Gate, spec: &AppSpec, c: &DeltaCampaign) {
+    let n = spec.name;
+    gate.check(
+        c.reduction() >= 2.0,
+        format!("{n}: bytes-written reduction {:.2}x < 2x", c.reduction()),
+    );
+    gate.check(
+        c.delta_state_bytes < c.full_state_bytes,
+        format!(
+            "{n}: delta state {} B not smaller than full state {} B",
+            c.delta_state_bytes, c.full_state_bytes
+        ),
+    );
+    gate.check(
+        c.streams_bitwise_equal,
+        format!("{n}: materialized delta stream differs from the full checkpoint stream"),
+    );
+    gate.check(
+        c.full_checksum == c.delta_checksum,
+        format!(
+            "{n}: restore checksums diverge (full {} vs delta {})",
+            c.full_checksum, c.delta_checksum
+        ),
+    );
+    gate.check(c.dedup_hits > 0, format!("{n}: constant forcing term produced no dedup hits"));
+    gate.check(
+        c.compressed_saved > 0,
+        format!("{n}: constant forcing term saved no compressed bytes"),
+    );
+    gate.check(
+        c.full_restore_s > 0.0 && c.delta_restore_s > 0.0,
+        format!("{n}: restore timings missing"),
+    );
 }
 
 #[cfg(test)]

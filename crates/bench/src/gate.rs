@@ -1,23 +1,31 @@
-//! Gate conventions for the bench binaries.
+//! The gated benches: one front-end, one driver, one table.
 //!
-//! Every bench binary that asserts invariants is a CI gate. The two rules
-//! (the `failure_campaign` convention): a failing gate exits with a
-//! **non-zero status the runner can distinguish from a crash** (1, not the
-//! panic runtime's 101), and it prints a **one-command repro line** so the
-//! failure can be rerun without digging through CI definitions.
+//! A gated bench is a row of [`TABLE`] — a name, a default fault seed and a
+//! scenario function — run by the one `gate <name>|--all` binary
+//! ([`main`]). The conventions every row
+//! inherits (the `failure_campaign` convention): a failing gate exits with
+//! a **non-zero status the runner can distinguish from a crash** (1, not
+//! the panic runtime's 101), and it prints a **one-command repro line** so
+//! the failure can be rerun without digging through CI definitions.
 //!
-//! * [`run_gated`] wraps a binary's body: any assertion failure or panic
-//!   inside it prints the repro line and exits 1.
+//! * [`run_gated`] wraps a body: any assertion failure or panic inside it
+//!   prints the repro line and exits 1 (the table and figure binaries use
+//!   it too).
 //! * [`Gate`] collects soft check failures across a run and reports them
 //!   all at the end, instead of stopping at the first.
 //! * [`baseline_gate`] is the bench-baseline regression check: compare a
-//!   [`BenchResult`](crate::json::BenchResult) against a committed
-//!   baseline file with a relative tolerance, with `--bless` rewriting
-//!   the baseline.
+//!   [`BenchResult`] against a committed baseline file with a relative
+//!   tolerance, with `--bless` rewriting the baseline; a comparison that
+//!   passed then proves it would have noticed a regression
+//!   ([`unnoticed_perturbations`]).
+//!
+//! With `--json DIR` a row's `BENCH_<name>.json` and its artefacts land in
+//! `DIR` under fixed names (the ones CI uploads).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::json::{compare, BenchResult};
+use crate::seed::{bin_repro, fault_seed_or, FAULT_SEED_FLAG};
 
 /// Runs `body`, turning any panic (failed `assert!`, `expect`, ...) into
 /// a clean gate failure: the panic message has already been printed by
@@ -80,21 +88,23 @@ impl Gate {
 /// The bench-baseline regression gate. Compares `result` against the
 /// baseline file at `path` with relative tolerance `tol`:
 ///
-/// * `bless` — (re)writes the baseline from `result` and passes;
+/// * `bless` — (re)writes the baseline from `result` first;
 /// * no baseline file — fails, telling the operator to `--bless`;
 /// * otherwise — every baseline metric must exist in `result` within
 ///   `±tol` relative, parameters must match, and `result` must not have
-///   grown metrics the baseline lacks. Failures all print, then the
-///   repro line, then exit 1.
+///   grown metrics the baseline lacks;
+/// * a comparison that passed must also notice every metric of the
+///   baseline being perturbed ([`unnoticed_perturbations`]).
+///
+/// Failures all print, then the repro line, then exit 1.
 pub fn baseline_gate(result: &BenchResult, path: &Path, tol: f64, bless: bool, repro: &str) {
-    let label = format!("baseline gate [{}]", path.display());
+    let label = format!("baseline gate [{}] (±{:.1}%)", path.display(), 100.0 * tol);
     if bless {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).expect("create baseline directory");
         }
         std::fs::write(path, result.to_json()).expect("write baseline");
         println!("{label}: blessed from current run");
-        return;
     }
     let mut gate = Gate::new(&label, repro);
     match std::fs::read_to_string(path) {
@@ -105,13 +115,247 @@ pub fn baseline_gate(result: &BenchResult, path: &Path, tol: f64, bless: bool, r
                 for f in compare(result, &baseline, tol) {
                     gate.fail(f);
                 }
+                if gate.is_ok() {
+                    for key in unnoticed_perturbations(result, &baseline, tol) {
+                        gate.fail(format!("self-check: perturbing {key:?} went unnoticed"));
+                    }
+                }
             }
         },
     }
-    if gate.is_ok() {
-        println!("{label}: PASS (tolerance ±{:.1}%)", 100.0 * tol);
-    }
     gate.finish();
+}
+
+/// The gate's test of itself: bends each metric of `baseline` in turn, in
+/// memory and alone, by nine times its magnitude (at least 9) — a relative
+/// error of 0.9 or more whatever the value, zero included — and requires
+/// [`compare`] to name that metric. Returns the keys whose perturbation
+/// the comparison missed; empty means a regression of any single metric
+/// past `tol` would have failed the gate.
+pub fn unnoticed_perturbations(
+    result: &BenchResult,
+    baseline: &BenchResult,
+    tol: f64,
+) -> Vec<String> {
+    let mut bent = baseline.clone();
+    let mut missed = Vec::new();
+    for (i, (key, value)) in baseline.metrics.iter().enumerate() {
+        bent.metrics[i].1 = value + 9.0 * value.abs().max(1.0);
+        let named = format!("metric {key:?}:");
+        if !compare(result, &bent, tol).iter().any(|f| f.starts_with(&named)) {
+            missed.push(key.clone());
+        }
+        bent.metrics[i].1 = *value;
+    }
+    missed
+}
+
+/// What the front-end hands a row's scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GateArgs {
+    /// The fault seed: `--fault-seed`, else `FAULT_SEED`, else the row's
+    /// default.
+    pub seed: u64,
+    /// Flags the front-end does not own, in order, for the row to parse
+    /// (`--class`, `--pes`, ...).
+    pub rest: Vec<String>,
+}
+
+/// What a scenario hands back.
+pub struct GateOutput {
+    /// The headline numbers (`BENCH_<name>.json`).
+    pub result: BenchResult,
+    /// The artefact files the scenario rendered, as (file name, contents),
+    /// written beside the JSON result.
+    pub artefacts: Vec<(&'static str, String)>,
+}
+
+/// One gated bench.
+pub struct GateRow {
+    /// Gate name: the command-line spelling and the `BENCH_<name>.json`
+    /// stem.
+    pub name: &'static str,
+    /// Fault seed when neither flag nor environment sets one.
+    pub default_seed: u64,
+    /// Runs the bench. Hard invariants are assertions (a panic fails the
+    /// gate); soft checks that should all be reported go on the [`Gate`].
+    pub scenario: fn(&GateArgs, &mut Gate) -> GateOutput,
+}
+
+/// Every gated bench. Adding a gate is adding a row and its scenario.
+pub const TABLE: &[GateRow] = &[
+    GateRow { name: "insight", default_seed: 42, scenario: crate::insight::scenario },
+    GateRow { name: "chaos", default_seed: 42, scenario: crate::chaos::scenario },
+    GateRow { name: "pulse", default_seed: 42, scenario: crate::pulse::scenario },
+    GateRow { name: "delta", default_seed: 11, scenario: crate::delta::scenario },
+    GateRow { name: "async", default_seed: 11, scenario: crate::asyncck::scenario },
+    GateRow { name: "blackbox", default_seed: 42, scenario: crate::blackbox::scenario },
+    GateRow { name: "recover", default_seed: 42, scenario: crate::recover::scenario },
+];
+
+/// Where `--all` finds each row's committed baseline.
+const BASELINE_DIR: &str = "results/baselines";
+
+/// The front-end's options.
+#[derive(Debug, Default, PartialEq)]
+struct Opts {
+    /// The row to run (index into [`TABLE`]); `None` is `--all`, every row
+    /// against its committed baseline.
+    row: Option<usize>,
+    seed: Option<u64>,
+    json: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    tolerance: f64,
+    bless: bool,
+    rest: Vec<String>,
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> Opts {
+    let mut opts = Opts { tolerance: 0.05, ..Opts::default() };
+    match it.next().as_deref() {
+        Some("--all") => {}
+        Some("--help" | "-h") | None => usage(""),
+        Some(name) => {
+            let row = TABLE.iter().position(|r| r.name == name);
+            opts.row = Some(row.unwrap_or_else(|| usage(&format!("unknown gate {name:?}"))));
+        }
+    }
+    while let Some(flag) = it.next() {
+        let mut value =
+            |flag: &str| it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            FAULT_SEED_FLAG => {
+                let v = value(FAULT_SEED_FLAG);
+                opts.seed = Some(v.parse().unwrap_or_else(|_| usage(&format!("bad seed {v:?}"))));
+            }
+            "--json" => opts.json = Some(PathBuf::from(value("--json"))),
+            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline"))),
+            "--tolerance" => {
+                let v = value("--tolerance");
+                opts.tolerance = v
+                    .parse()
+                    .ok()
+                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+                    .unwrap_or_else(|| usage(&format!("bad tolerance {v:?}")));
+            }
+            "--bless" => opts.bless = true,
+            "--help" | "-h" => usage(""),
+            _ => opts.rest.push(flag),
+        }
+    }
+    if opts.row.is_none() {
+        if opts.baseline.is_some() {
+            usage(&format!(
+                "--all gates against {BASELINE_DIR}/BENCH_<name>.json; drop --baseline"
+            ));
+        }
+        if opts.seed.is_some() {
+            usage(&format!(
+                "--all gates each row at the seed its baseline was blessed at; drop {FAULT_SEED_FLAG}"
+            ));
+        }
+    } else if opts.bless && opts.baseline.is_none() {
+        usage("--bless needs --baseline");
+    }
+    opts
+}
+
+/// Prints `err` (if any) and the front-end's usage, then exits 2. Rows
+/// call it for a bad flag of their own.
+pub fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}");
+    }
+    let names: Vec<&str> = TABLE.iter().map(|r| r.name).collect();
+    eprintln!(
+        "usage: gate <name>|--all [--fault-seed N] [--json DIR] [--baseline PATH]\n\
+         \x20           [--tolerance REL] [--bless] [gate flags]\n\
+         gates: {}\n\
+         --all runs every gate against {BASELINE_DIR}/BENCH_<name>.json at its\n\
+         default seed.\n\
+         --json DIR receives BENCH_<name>.json and the gate's artefacts.\n\
+         Gate flags: insight takes --class T|S|W|A and --pes N; delta and async\n\
+         take --class, --chunk-bytes N and --full-every N; the rest take none.",
+        names.join(", ")
+    );
+    std::process::exit(2);
+}
+
+/// Rejects leftover flags on behalf of a row that takes none.
+pub fn no_gate_flags(name: &str, rest: &[String]) {
+    if let Some(flag) = rest.first() {
+        usage(&format!("{name} takes no flag {flag:?}"));
+    }
+}
+
+/// Runs one row in this process: scenario, artefacts, soft checks,
+/// baseline gate.
+fn run_row(row: &GateRow, opts: &Opts) {
+    let args = GateArgs {
+        seed: opts.seed.unwrap_or_else(|| fault_seed_or(row.default_seed)),
+        rest: opts.rest.clone(),
+    };
+    let mut repro = bin_repro(row.name, args.seed);
+    for flag in &args.rest {
+        repro.push(' ');
+        repro.push_str(flag);
+    }
+    run_gated(row.name, &repro, || {
+        let mut gate = Gate::new(&format!("{} gate", row.name), &repro);
+        let out = (row.scenario)(&args, &mut gate);
+        if let Some(dir) = &opts.json {
+            let path = out.result.write_to(dir).expect("write json result");
+            println!("wrote {}", path.display());
+            for (name, text) in &out.artefacts {
+                let path = dir.join(name);
+                std::fs::write(&path, text).expect("write artefact");
+                println!("wrote {}", path.display());
+            }
+        }
+        gate.finish();
+        if let Some(path) = &opts.baseline {
+            baseline_gate(&out.result, path, opts.tolerance, opts.bless, &repro);
+        }
+    });
+}
+
+/// `--all`: every row, each in a process of its own against its committed
+/// baseline, the flags forwarded as given. A gate may bound a host-time
+/// ratio — the pulse row holds pulse's accounted cost under 2% of a
+/// pulse-off run's wall time — and such a denominator halves in a process
+/// earlier rows have warmed up, so rows do not share one. Every row runs;
+/// the exit status is 1 if any failed.
+fn run_all(flags: &[String]) {
+    let exe = std::env::current_exe().expect("path of the gate binary");
+    let mut failed = Vec::new();
+    for row in TABLE {
+        let baseline = Path::new(BASELINE_DIR).join(format!("BENCH_{}.json", row.name));
+        let status = std::process::Command::new(&exe)
+            .arg(row.name)
+            .args(flags)
+            .arg("--baseline")
+            .arg(baseline)
+            .status()
+            .expect("spawn the gate binary");
+        if !status.success() {
+            failed.push(row.name);
+        }
+    }
+    if !failed.is_empty() {
+        eprintln!("\ngate --all: FAILED: {}", failed.join(", "));
+        std::process::exit(1);
+    }
+    println!("\ngate --all: all {} gates PASS", TABLE.len());
+}
+
+/// The `gate` binary.
+pub fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(argv.iter().cloned());
+    match opts.row {
+        None => run_all(&argv[1..]),
+        Some(row) => run_row(&TABLE[row], &opts),
+    }
 }
 
 #[cfg(test)]
@@ -126,8 +370,8 @@ mod tests {
         g.check(false, "broken");
         g.fail("also broken");
         assert!(!g.is_ok());
-        // finish() would exit(1); the exit path is covered by the CI
-        // perturbation check on the committed baselines.
+        // finish() would exit(1); CI's `git diff --exit-code` on the
+        // baselines and the self-check cover what a failing gate guards.
     }
 
     #[test]
@@ -136,11 +380,111 @@ mod tests {
         let path = dir.join("BENCH_t.json");
         let mut r = BenchResult::new("t");
         r.metric("x", 1.0);
+        r.metric("zero", 0.0);
         baseline_gate(&r, &path, 0.05, true, "cargo run");
-        // Within tolerance: passes without exiting.
-        let mut near = BenchResult::new("t");
+        // Within tolerance: passes (self-check included) without exiting.
+        let mut near = r.clone();
         near.metric("x", 1.04);
         baseline_gate(&near, &path, 0.05, false, "cargo run");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every committed baseline, every metric key: the unperturbed file
+    /// passes against itself, and bending any one key alone is noticed —
+    /// at the CI tolerance and at a tolerance ten times as loose.
+    #[test]
+    fn every_key_of_every_committed_baseline_is_guarded() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(BASELINE_DIR);
+        let mut seen = Vec::new();
+        for row in TABLE {
+            let path = dir.join(format!("BENCH_{}.json", row.name));
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            let baseline = BenchResult::parse(&text).expect("baseline parses");
+            assert_eq!(baseline.bench, row.name);
+            assert!(!baseline.metrics.is_empty(), "{}: no metrics to guard", row.name);
+            for tol in [0.05, 0.5] {
+                assert_eq!(compare(&baseline, &baseline, tol), Vec::<String>::new());
+                assert_eq!(
+                    unnoticed_perturbations(&baseline, &baseline, tol),
+                    Vec::<String>::new(),
+                    "{} at ±{tol}",
+                    row.name
+                );
+            }
+            seen.push(path.file_name().unwrap().to_owned());
+        }
+        // No committed baseline without a row.
+        for entry in std::fs::read_dir(&dir).expect("baseline directory") {
+            let name = entry.unwrap().file_name();
+            assert!(seen.contains(&name), "{name:?} has no row in the gate table");
+        }
+    }
+
+    /// A comparison that cannot see a metric is what the self-check is
+    /// for: a current result lacking the key is reported as *missing*, not
+    /// as drifted, so the perturbation of that key goes unnoticed.
+    #[test]
+    fn the_self_check_reports_what_compare_cannot_see() {
+        let mut baseline = BenchResult::new("t");
+        baseline.metric("seen", 2.0);
+        baseline.metric("unseen", 3.0);
+        let mut current = BenchResult::new("t");
+        current.metric("seen", 2.0);
+        assert_eq!(unnoticed_perturbations(&current, &baseline, 0.05), vec!["unseen".to_string()]);
+    }
+
+    fn parse(v: &[&str]) -> Opts {
+        parse_args(v.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn the_front_end_keeps_its_flags_and_hands_the_rest_to_the_row() {
+        let o = parse(&[
+            "insight",
+            "--class",
+            "T",
+            "--json",
+            "out",
+            "--pes",
+            "2",
+            "--fault-seed",
+            "7",
+            "--baseline",
+            "b.json",
+            "--tolerance",
+            "0.1",
+        ]);
+        assert_eq!(o.row.map(|r| TABLE[r].name), Some("insight"));
+        assert!(!o.bless);
+        assert_eq!(o.seed, Some(7));
+        assert_eq!(o.json, Some(PathBuf::from("out")));
+        assert_eq!(o.baseline, Some(PathBuf::from("b.json")));
+        assert_eq!(o.tolerance, 0.1);
+        assert_eq!(o.rest, ["--class", "T", "--pes", "2"]);
+
+        let all = parse(&["--all", "--json", "out"]);
+        assert!(all.row.is_none() && all.baseline.is_none());
+        assert!(all.seed.is_none());
+        assert_eq!(all.tolerance, 0.05);
+    }
+
+    #[test]
+    fn the_table_names_each_gate_once_and_ci_uploads_every_artefact() {
+        let names: Vec<&str> = TABLE.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["insight", "chaos", "pulse", "delta", "async", "blackbox", "recover"]);
+        let ci = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
+        let ci = std::fs::read_to_string(ci).expect("the CI workflow");
+        for file in [
+            crate::pulse::HEARTBEAT_FILE,
+            crate::asyncck::TIMELINE_FILE,
+            crate::blackbox::RECOVERY_FILE,
+            crate::blackbox::STITCHED_FILE,
+            crate::recover::TIMELINE_FILE,
+        ] {
+            assert!(
+                ci.contains(&format!("target/bench-json/{file}\n")),
+                "CI does not upload {file}"
+            );
+        }
     }
 }

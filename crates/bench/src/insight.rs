@@ -2,7 +2,7 @@
 //! plus the bench-baseline regression gate.
 //!
 //! ```text
-//! cargo run --release -p drms-bench --bin insight -- [--class S] [--pes 4] \
+//! cargo run --release -p drms-bench --bin gate -- insight [--class S] [--pes 4] \
 //!     [--json DIR] [--baseline PATH] [--tolerance 0.05] [--bless]
 //! ```
 //!
@@ -10,7 +10,7 @@
 //! under a fresh [`TraceRecorder`] each, then runs `drms-insight` over the
 //! finished session — critical path with per-segment bottleneck
 //! attribution, stream-wave straggler table, per-PIOFS-server
-//! utilization, and the causal edge counts. The binary *asserts*, for
+//! utilization, and the causal edge counts. The scenario *asserts*, for
 //! every traced operation, that the critical path tiles the operation
 //! window (per-phase attribution sums to the wall time) and that the
 //! server report identifies a slowest server whenever I/O happened.
@@ -20,90 +20,48 @@
 //! within `--tolerance` (relative), failing the process on regression;
 //! `--bless` rewrites the baseline from the current run.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use drms_apps::{bt, lu, sp, AppSpec, AppVariant, Class, MiniApp};
-use drms_bench::experiment::experiment_fs;
-use drms_bench::gate::{baseline_gate, run_gated};
-use drms_bench::json::BenchResult;
 use drms_core::{Drms, EnableFlag};
 use drms_insight::Analysis;
 use drms_msg::{run_spmd_traced, CostModel};
 use drms_obs::{Recorder, TraceRecorder};
 
-const SEED: u64 = 42;
+use crate::experiment::experiment_fs;
+use crate::gate::{usage, Gate, GateArgs, GateOutput};
+use crate::json::BenchResult;
 
-struct Opts {
-    class: Class,
-    pes: usize,
-    json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    tolerance: f64,
-    bless: bool,
-}
-
-fn parse_args() -> Opts {
-    let mut opts =
-        Opts { class: Class::S, pes: 4, json: None, baseline: None, tolerance: 0.05, bless: false };
-    let mut it = std::env::args().skip(1);
+/// The row's own flags: `--class X` (default S) and `--pes N` (default 4).
+fn parse_flags(rest: &[String]) -> (Class, usize) {
+    let (mut class, mut pes) = (Class::S, 4);
+    let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value =
             |flag: &str| it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
         match flag.as_str() {
             "--class" => {
                 let v = value("--class");
-                opts.class =
-                    Class::parse(&v).unwrap_or_else(|| usage(&format!("unknown class {v:?}")));
+                class = Class::parse(v).unwrap_or_else(|| usage(&format!("unknown class {v:?}")));
             }
             "--pes" => {
                 let v = value("--pes");
-                opts.pes = v
+                pes = v
                     .parse()
                     .ok()
                     .filter(|p| (1..=16).contains(p))
                     .unwrap_or_else(|| usage(&format!("bad PE count {v:?}")));
             }
-            "--json" => opts.json = Some(PathBuf::from(value("--json"))),
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline"))),
-            "--tolerance" => {
-                let v = value("--tolerance");
-                opts.tolerance = v
-                    .parse()
-                    .ok()
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .unwrap_or_else(|| usage(&format!("bad tolerance {v:?}")));
-            }
-            "--bless" => opts.bless = true,
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag {other:?}")),
+            other => usage(&format!("insight takes no flag {other:?}")),
         }
     }
-    opts
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: insight [--class T|S|W|A] [--pes N] [--json DIR]\n\
-         \x20              [--baseline PATH] [--tolerance REL] [--bless]"
-    );
-    std::process::exit(2);
-}
-
-fn repro(opts: &Opts) -> String {
-    format!(
-        "cargo run --release -p drms-bench --bin insight -- --class {} --pes {}",
-        opts.class, opts.pes
-    )
+    (class, pes)
 }
 
 /// Traces one checkpoint and one restart of `spec` (one fresh recorder
 /// per operation, like `--bin trace`), returning both analyses.
-fn trace_app(spec: &AppSpec, pes: usize) -> Vec<(&'static str, Analysis)> {
-    let fs = experiment_fs(spec.class, SEED);
+fn trace_app(spec: &AppSpec, pes: usize, seed: u64) -> Vec<(&'static str, Analysis)> {
+    let fs = experiment_fs(spec.class, seed);
     Drms::install_binary(&fs, &spec.drms_config());
 
     let rec = Arc::new(TraceRecorder::new());
@@ -177,37 +135,28 @@ fn report(app: &str, op: &str, a: &Analysis, result: &mut BenchResult) {
     result.metric(&key("max_straggler_gap_s"), max_gap);
 }
 
-fn main() {
-    let opts = parse_args();
-    let repro_line = repro(&opts);
-    run_gated("insight", &repro_line, || {
-        println!(
-            "Causal trace analysis of one checkpoint/restart cycle per app \
-             (class {}, {} PEs, seed {SEED})\n",
-            opts.class, opts.pes
-        );
-        let mut result = BenchResult::new("insight");
-        result.param("class", opts.class);
-        result.param("pes", opts.pes);
-        result.param("seed", SEED);
-        result.stamp_header(SEED, opts.pes);
+/// The `insight` row of the gate table.
+pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
+    let (class, pes) = parse_flags(&args.rest);
+    let seed = args.seed;
+    println!(
+        "Causal trace analysis of one checkpoint/restart cycle per app \
+         (class {class}, {pes} PEs, seed {seed})\n"
+    );
+    let mut result = BenchResult::new("insight");
+    result.param("class", class);
+    result.param("pes", pes);
+    result.param("seed", seed);
+    result.stamp_header(seed, pes);
 
-        for spec in [bt(opts.class), lu(opts.class), sp(opts.class)] {
-            for (op, analysis) in trace_app(&spec, opts.pes) {
-                report(spec.name, op, &analysis, &mut result);
-            }
+    for spec in [bt(class), lu(class), sp(class)] {
+        for (op, analysis) in trace_app(&spec, pes, seed) {
+            report(spec.name, op, &analysis, &mut result);
         }
-
-        if let Some(dir) = &opts.json {
-            let path = result.write_to(dir).expect("write BENCH_insight.json");
-            println!("wrote {}", path.display());
-        }
-        if let Some(baseline) = &opts.baseline {
-            baseline_gate(&result, baseline, opts.tolerance, opts.bless, &repro_line);
-        }
-        println!(
-            "\nAll critical paths tile their operation windows; every operation \
-             names its slowest PIOFS server."
-        );
-    });
+    }
+    println!(
+        "\nAll critical paths tile their operation windows; every operation \
+         names its slowest PIOFS server."
+    );
+    GateOutput { result, artefacts: Vec::new() }
 }

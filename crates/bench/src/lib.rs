@@ -3,8 +3,10 @@
 //!
 //! Each `src/bin/tableN.rs` binary reproduces the corresponding table;
 //! `fig7` emits the Figure 7 component series; `shadow_model` sweeps the
-//! Section 6 ratio. `cargo bench` (criterion) covers the micro-performance
-//! of the Figure 5 algorithms: partitioning, redistribution, streaming.
+//! Section 6 ratio. The seven regression gates are rows of [`gate::TABLE`]
+//! run by the one `gate` binary, and the toy job every fault campaign
+//! drives is [`campaign`]. Host-time measurement of the Figure 5
+//! algorithms lives in the standalone `benchmark/` package.
 //!
 //! Conventions shared by all experiments, matching the paper's setup:
 //! a 16-node system with PIOFS striped across all 16 nodes; applications
@@ -17,10 +19,16 @@
 
 pub mod args;
 pub mod asyncck;
+pub mod blackbox;
+pub mod campaign;
+pub mod chaos;
 pub mod delta;
 pub mod experiment;
 pub mod gate;
+pub mod insight;
 pub mod json;
+pub mod pulse;
+pub mod recover;
 pub mod seed;
 pub mod stats;
 pub mod table;

@@ -1,7 +1,7 @@
 //! The repo-wide fault-seed convention, in one place.
 //!
 //! Every fault campaign — the chaos, failure and storage-fault test
-//! campaigns and the chaos/pulse bench binaries — pins its seeds in source
+//! campaigns and the gated benches — pins its seeds in source
 //! and accepts a `FAULT_SEED` override so a failing assertion reproduces
 //! with one command. The environment lookup, the `--fault-seed` flag
 //! spelling, and the repro-command formats all live here so the campaigns
@@ -10,19 +10,12 @@
 /// The environment variable every campaign honors.
 pub const FAULT_SEED_VAR: &str = "FAULT_SEED";
 
-/// Legacy spelling still honored by the failure campaign.
-pub const LEGACY_FAULT_SEED_VAR: &str = "FAILURE_CAMPAIGN_SEED";
-
-/// The command-line flag spelling used by bench binaries.
+/// The command-line flag spelling of the `gate` binary.
 pub const FAULT_SEED_FLAG: &str = "--fault-seed";
 
-/// The seed override from the environment (`FAULT_SEED`, falling back to
-/// the legacy `FAILURE_CAMPAIGN_SEED`), if one parses.
+/// The seed override from the environment (`FAULT_SEED`), if one parses.
 pub fn fault_seed_env() -> Option<u64> {
-    std::env::var(FAULT_SEED_VAR)
-        .or_else(|_| std::env::var(LEGACY_FAULT_SEED_VAR))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
+    std::env::var(FAULT_SEED_VAR).ok().and_then(|s| s.trim().parse().ok())
 }
 
 /// The environment override, or `default` when none is set. Campaigns with
@@ -38,10 +31,10 @@ pub fn test_repro(test: &str, seed: u64) -> String {
     format!("{FAULT_SEED_VAR}={seed} cargo test --test {test} -- --nocapture")
 }
 
-/// The one-command repro for a bench binary:
-/// `cargo run --release -p drms-bench --bin <bin> -- --fault-seed <seed>`.
-pub fn bin_repro(bin: &str, seed: u64) -> String {
-    format!("cargo run --release -p drms-bench --bin {bin} -- {FAULT_SEED_FLAG} {seed}")
+/// The one-command repro for a gated bench:
+/// `cargo run --release -p drms-bench --bin gate -- <gate> --fault-seed <seed>`.
+pub fn bin_repro(gate: &str, seed: u64) -> String {
+    format!("cargo run --release -p drms-bench --bin gate -- {gate} {FAULT_SEED_FLAG} {seed}")
 }
 
 #[cfg(test)]
@@ -56,7 +49,7 @@ mod tests {
         );
         assert_eq!(
             bin_repro("pulse", 42),
-            "cargo run --release -p drms-bench --bin pulse -- --fault-seed 42"
+            "cargo run --release -p drms-bench --bin gate -- pulse --fault-seed 42"
         );
     }
 }

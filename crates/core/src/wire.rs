@@ -284,7 +284,9 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+        // `n` may come straight from a length field of untrusted bytes, so
+        // it is compared against what is left rather than added to `pos`.
+        if n > self.remaining() {
             return Err(WireError::Truncated { what });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -390,6 +392,39 @@ mod tests {
         assert_eq!(r.string().unwrap(), "héllo");
         assert_eq!(r.blob().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.string().unwrap(), "");
+    }
+
+    /// A length field larger than what is left is `Truncated` whatever
+    /// its value — in particular the values whose sum with the read
+    /// position wraps `usize` (in debug that add used to panic; in release
+    /// it wrapped, passed the bound check and panicked in the slice).
+    #[test]
+    fn length_inflated_blob_and_string_headers_are_truncated_not_a_panic() {
+        let mut w = Writer::new();
+        w.u32(9); // something before the field, so `pos` is not zero
+        w.blob(&[1, 2, 3]);
+        let good = w.finish();
+        let (pos, left) = (4 + 8, 3u64);
+        for len in [u64::MAX, (usize::MAX - pos + 1) as u64, u64::MAX / 2, left + 1] {
+            let mut buf = good.clone();
+            buf[4..12].copy_from_slice(&len.to_le_bytes());
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.u32().unwrap(), 9);
+            assert_eq!(r.blob(), Err(WireError::Truncated { what: "blob body" }), "len {len}");
+            // The failed read consumed the header only; the reader is usable.
+            assert_eq!(r.remaining(), left as usize);
+        }
+
+        let mut w = Writer::new();
+        w.string("abc");
+        let good = w.finish();
+        for len in [u32::MAX, 4] {
+            let mut buf = good.clone();
+            buf[..4].copy_from_slice(&len.to_le_bytes());
+            let got = Reader::new(&buf).string();
+            assert_eq!(got, Err(WireError::Truncated { what: "string body" }), "len {len}");
+        }
+        assert_eq!(Reader::new(&good).string().unwrap(), "abc");
     }
 
     #[test]

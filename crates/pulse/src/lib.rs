@@ -44,7 +44,7 @@
 //!
 //! Pulse meters itself: host time spent inside its recorder hooks and
 //! collector is accumulated and reported as `pulse.overhead_seconds`, and
-//! the `bench --bin pulse` gate holds that self-overhead under 2% of the
+//! the `bench --bin gate -- pulse` gate holds that self-overhead under 2% of the
 //! host wall time of an identical pulse-off run.
 
 #![deny(missing_docs)]

@@ -32,13 +32,11 @@ use drms::memtier::MemTier;
 use drms::msg::{run_spmd, run_spmd_chaos, CostModel};
 use drms::obs::NullRecorder;
 use drms::piofs::{Piofs, PiofsConfig};
-use drms::rtenv::{EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ResourceCoordinator, RunSummary};
+use drms::rtenv::RunSummary;
 use drms::slices::{Order, Slice};
-use parking_lot::Mutex;
+use drms_bench::campaign::{domain, policy, reference, Campaign, CkptMode, Rig, CKPT_EVERY};
 
 const NITER: i64 = 10;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "asynccamp";
 
 /// Base seed of the sweep; pinned so a failure names its repro.
@@ -68,10 +66,6 @@ fn seed_filter() -> Option<u64> {
     drms_bench::seed::fault_seed_env()
 }
 
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
-}
-
 struct CampaignResult {
     checksum: f64,
     summary: RunSummary,
@@ -79,91 +73,25 @@ struct CampaignResult {
     ctl: Arc<ChaosCtl>,
 }
 
-/// Runs the iterative job under the JSA with asynchronous checkpoints:
+/// Runs the campaign job under the JSA with asynchronous checkpoints:
 /// snapshot budget 2, a flush in flight across compute iterations, drain
 /// before completion. `tiered` routes the flush through an in-memory
-/// replica tier on its way to PIOFS.
+/// replica tier on its way to PIOFS; a sealed tier entry is restartable
+/// before its PIOFS publish (the diskless-tier model), and the job's
+/// resume honors the JSA's memory-tier restart resolution.
 fn run_campaign(plan: FaultPlan, tiered: bool) -> CampaignResult {
-    let log = EventLog::new();
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), plan.seed);
-    let cfg = DrmsConfig::new(APP);
-    Drms::install_binary(&fs, &cfg);
+    let rig = Rig::new(APP, plan.seed, None);
     let ctl = ChaosCtl::new(plan);
-    let mut jsa = Jsa::new(
-        Arc::clone(&rc),
-        Arc::clone(&fs),
-        log,
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    )
-    .with_chaos(Arc::clone(&ctl));
+    let mut jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl));
     if tiered {
         jsa = jsa.with_memtier(MemTier::new(1));
     }
-
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let out2 = Arc::clone(&out);
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        // A sealed tier entry is restartable before its PIOFS publish (the
-        // diskless-tier model), so tiered runs must honor a memory-tier
-        // restart resolution; `env.resume` does.
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 2 });
-        let tier = env.memtier.clone();
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/async/{iter}");
-                if let Err(e) =
-                    ck.checkpoint(ctx, &env.fs, &mut drms, &prefix, &seg, &[&u], tier.as_deref())
-                {
-                    return JobOutcome::from_err(e);
-                }
-            }
-        }
-        ck.drain(ctx);
-        if env.sop_killed(ctx) {
-            return JobOutcome::Killed;
-        }
-        out2.lock().push(u.fold_assigned(0.0, |acc, _, v| acc + v));
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
-    let checksum: f64 = out.lock().iter().sum();
-    CampaignResult { checksum, summary, fs, ctl }
-}
-
-/// Ground truth of an uninterrupted run.
-fn reference() -> f64 {
-    let mut s = 0.0;
-    domain().points(Order::ColumnMajor).for_each(|p| {
-        s += (p[0] * 13 + p[1] * 3) as f64 + NITER as f64 * 1.5;
-    });
-    s
+    let job = Campaign {
+        mode: CkptMode::Overlapped { budget: 2 },
+        ..Campaign::new(APP, "ck/async", NITER)
+    };
+    let (checksum, summary) = job.launch(&rig, &jsa);
+    CampaignResult { checksum, summary, fs: rig.fs, ctl }
 }
 
 fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
@@ -175,7 +103,7 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
     );
     assert_eq!(
         r.checksum,
-        reference(),
+        reference(NITER),
         "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );

@@ -24,27 +24,16 @@
 //! recovery cost to the bit — which is what makes the `FAULT_SEED` repro
 //! lines below trustworthy.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms::blackbox::{Blackbox, BlackboxConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
-use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig};
-use drms::darray::{DistArray, Distribution};
-use drms::insight::{stitch, IncarnationInput, RecoveryReport, StitchOptions, StitchedTimeline};
-use drms::msg::CostModel;
+use drms::insight::{RecoveryReport, StitchedTimeline};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
-use drms::piofs::{Piofs, PiofsConfig};
-use drms::rtenv::{
-    EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ProcessorState, ResourceCoordinator, RunSummary,
-};
-use drms::slices::{Order, Slice};
-use parking_lot::Mutex;
+use drms::rtenv::RunSummary;
+use drms_bench::campaign::{policy, reference, Campaign, Fault, Rig, NPROCS};
 
 const NITER: i64 = 10;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "bbcamp";
 
 /// Ring capacity for the campaign: small enough that evictions are part
@@ -72,10 +61,6 @@ fn seed_filter() -> Option<u64> {
     drms_bench::seed::fault_seed_env()
 }
 
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
-}
-
 /// Everything a campaign assertion wants to inspect after the run.
 struct CampaignResult {
     checksum: f64,
@@ -85,11 +70,11 @@ struct CampaignResult {
     ctl: Arc<ChaosCtl>,
 }
 
-/// Runs the iterative job under a fault plan with the flight recorder on
+/// Runs the campaign job under a fault plan with the flight recorder on
 /// the fan-out and its lifecycle driven by the JSA, optionally killing
 /// one processor at an iteration (the token kill: an organic restart with
 /// no crash point, so nothing salvages the unsealed tail).
-fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResult {
+fn run_campaign(plan: FaultPlan, fail_at: Option<Fault>) -> CampaignResult {
     let rec = Arc::new(TraceRecorder::default());
     let bb = Arc::new(Blackbox::new(
         BlackboxConfig { capacity: RING_CAPACITY, detection_latency: DETECTION_LATENCY },
@@ -99,111 +84,19 @@ fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResul
         rec.clone() as Arc<dyn Recorder>,
         bb.clone() as Arc<dyn Recorder>,
     ]));
-    let log = EventLog::with_recorder(fan.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), plan.seed);
-    fs.set_recorder(fan);
-    let cfg = DrmsConfig::new(APP);
-    Drms::install_binary(&fs, &cfg);
+    let rig = Rig::new(APP, plan.seed, Some(fan));
     let ctl = ChaosCtl::new(plan);
-    let jsa = Jsa::new(
-        Arc::clone(&rc),
-        Arc::clone(&fs),
-        log,
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    )
-    .with_chaos(Arc::clone(&ctl))
-    .with_blackbox(Arc::clone(&bb));
-
-    let injected = Arc::new(AtomicUsize::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let rc2 = Arc::clone(&rc);
-    let injected2 = Arc::clone(&injected);
-    let out2 = Arc::clone(&out);
-
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/bb/{iter}");
-                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
-                    return JobOutcome::from_err(e);
-                }
-            }
-            if ctx.rank() == 0 {
-                if let Some((at, victim)) = fail_at {
-                    if iter >= at
-                        && injected2.swap(1, Ordering::SeqCst) == 0
-                        && rc2.state_of(victim) != ProcessorState::Failed
-                    {
-                        rc2.fail_processor(victim);
-                    }
-                }
-            }
-        }
-        if env.sop_killed(ctx) {
-            return JobOutcome::Killed;
-        }
-        out2.lock().push(u.fold_assigned(0.0, |acc, _, v| acc + v));
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
-    let checksum: f64 = out.lock().iter().sum();
+    let jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl)).with_blackbox(Arc::clone(&bb));
+    let job =
+        Campaign { faults: fail_at.into_iter().collect(), ..Campaign::new(APP, "ck/bb", NITER) };
+    let (checksum, summary) = job.launch(&rig, &jsa);
     CampaignResult { checksum, summary, rec, bb, ctl }
-}
-
-/// The ground-truth checksum of an uninterrupted run.
-fn reference() -> f64 {
-    let mut s = 0.0;
-    domain().points(Order::ColumnMajor).for_each(|p| {
-        s += (p[0] * 13 + p[1] * 3) as f64 + NITER as f64 * 1.5;
-    });
-    s
 }
 
 /// Stitches the recovered per-incarnation streams into the global
 /// timeline and derives the recovery-cost attribution from it.
 fn attribution(r: &CampaignResult) -> (StitchedTimeline, RecoveryReport) {
-    let inputs: Vec<IncarnationInput> = r
-        .summary
-        .incarnations
-        .iter()
-        .enumerate()
-        .map(|(i, inc)| IncarnationInput {
-            incarnation: i as u64,
-            events: r.bb.events_for(i as u64),
-            killed: inc.outcome == JobOutcome::Killed,
-            restarted: inc.restart_from.is_some(),
-        })
-        .collect();
-    let tl = stitch(&inputs, &StitchOptions { detection_latency: DETECTION_LATENCY });
-    let report = RecoveryReport::from_timeline(&tl);
-    (tl, report)
+    drms_bench::blackbox::attribution(&r.summary, &r.bb)
 }
 
 /// The coverage contract shared by every campaign assertion: bitwise
@@ -224,7 +117,7 @@ fn assert_covered(
     );
     assert_eq!(
         r.checksum,
-        reference(),
+        reference(NITER),
         "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );
@@ -285,7 +178,7 @@ fn every_crash_point_leaves_a_recoverable_flight_record() {
                 | CrashPoint::RestartAfterSegment
                 | CrashPoint::RestartAfterArrays
         );
-        let fail_at = restart_side.then_some((4i64, 2usize));
+        let fail_at = restart_side.then(|| Fault::kill(4, 2));
         let r = run_campaign(plan, fail_at);
         let what = format!("crash point {point}");
         assert!(
@@ -322,7 +215,7 @@ fn token_kill_audits_its_dropped_tail() {
     if seed_filter().is_some_and(|only| only != seed) {
         return;
     }
-    let r = run_campaign(FaultPlan::seeded(seed), Some((4, 2)));
+    let r = run_campaign(FaultPlan::seeded(seed), Some(Fault::kill(4, 2)));
     assert!(
         r.summary.incarnations.len() >= 2,
         "token kill never reincarnated: {:?}\nreproduce with: {}",
@@ -350,8 +243,8 @@ fn campaign_replays_bit_identically() {
     }
     let plan =
         FaultPlan { crash: Some((CrashPoint::CkptMidPublish, 1)), ..FaultPlan::seeded(seed) };
-    let a = run_campaign(plan.clone(), Some((7, 2)));
-    let b = run_campaign(plan, Some((7, 2)));
+    let a = run_campaign(plan.clone(), Some(Fault::kill(7, 2)));
+    let b = run_campaign(plan, Some(Fault::kill(7, 2)));
     assert_eq!(a.checksum, b.checksum, "reproduce with: {}", repro_cmd(seed));
     assert_eq!(a.summary, b.summary, "reproduce with: {}", repro_cmd(seed));
     let (tla, repa) = attribution(&a);

@@ -18,24 +18,15 @@
 //! bytes die in staging and are never published — the hazard the two-phase
 //! commit exists to close).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite};
-use drms::core::segment::DataSegment;
-use drms::core::{find_checkpoints, sweep_orphans, Drms, DrmsConfig};
-use drms::darray::{DistArray, Distribution};
-use drms::msg::CostModel;
-use drms::piofs::{Piofs, PiofsConfig};
-use drms::rtenv::{
-    EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ProcessorState, ResourceCoordinator, RunSummary,
-};
-use drms::slices::{Order, Slice};
-use parking_lot::Mutex;
+use drms::core::{find_checkpoints, sweep_orphans};
+use drms::piofs::Piofs;
+use drms::rtenv::RunSummary;
+use drms_bench::campaign::{policy, reference, Campaign, Fault, Rig};
 
 const NITER: i64 = 10;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "chaoscamp";
 
 /// The base seed of the crash-point sweep. Every campaign seed is pinned in
@@ -58,10 +49,6 @@ fn seed_filter() -> Option<u64> {
     drms_bench::seed::fault_seed_env()
 }
 
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
-}
-
 /// Everything a campaign assertion wants to inspect after the run.
 struct CampaignResult {
     checksum: f64,
@@ -70,99 +57,20 @@ struct CampaignResult {
     ctl: Arc<ChaosCtl>,
 }
 
-/// Runs the iterative job under a fault plan, optionally killing one
+/// Runs the campaign job under a fault plan, optionally killing one
 /// processor at an iteration (to force an organic restart, so the
-/// restart-side crash points have a restart to fire inside).
-fn run_campaign(plan: FaultPlan, fail_at: Option<(i64, usize)>) -> CampaignResult {
-    let log = EventLog::new();
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), plan.seed);
-    let cfg = DrmsConfig::new(APP);
-    Drms::install_binary(&fs, &cfg);
+/// restart-side crash points have a restart to fire inside). An injected
+/// crash surfaces as `CoreError::Interrupted` from whichever collective
+/// the region died inside; the job reports itself killed and the JSA
+/// reincarnates it from the newest *committed* checkpoint.
+fn run_campaign(plan: FaultPlan, fail_at: Option<Fault>) -> CampaignResult {
+    let rig = Rig::new(APP, plan.seed, None);
     let ctl = ChaosCtl::new(plan);
-    let jsa = Jsa::new(
-        Arc::clone(&rc),
-        Arc::clone(&fs),
-        log,
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    )
-    .with_chaos(Arc::clone(&ctl));
-
-    let injected = Arc::new(AtomicUsize::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let rc2 = Arc::clone(&rc);
-    let injected2 = Arc::clone(&injected);
-    let out2 = Arc::clone(&out);
-
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        // An injected crash surfaces as `CoreError::Interrupted` from
-        // whichever collective the region died inside; the job reports
-        // itself killed and the JSA reincarnates it from the newest
-        // *committed* checkpoint.
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/chaos/{iter}");
-                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
-                    return JobOutcome::from_err(e);
-                }
-            }
-            // Optional processor failure, once: forces an organic restart
-            // so the restart-side crash points get their window.
-            if ctx.rank() == 0 {
-                if let Some((at, victim)) = fail_at {
-                    if iter >= at
-                        && injected2.swap(1, Ordering::SeqCst) == 0
-                        && rc2.state_of(victim) != ProcessorState::Failed
-                    {
-                        rc2.fail_processor(victim);
-                    }
-                }
-            }
-        }
-        if env.sop_killed(ctx) {
-            return JobOutcome::Killed;
-        }
-        out2.lock().push(u.fold_assigned(0.0, |acc, _, v| acc + v));
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
-    let checksum: f64 = out.lock().iter().sum();
-    CampaignResult { checksum, summary, fs, ctl }
-}
-
-/// The ground-truth checksum of an uninterrupted run.
-fn reference() -> f64 {
-    let mut s = 0.0;
-    domain().points(Order::ColumnMajor).for_each(|p| {
-        s += (p[0] * 13 + p[1] * 3) as f64 + NITER as f64 * 1.5;
-    });
-    s
+    let jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl));
+    let job =
+        Campaign { faults: fail_at.into_iter().collect(), ..Campaign::new(APP, "ck/chaos", NITER) };
+    let (checksum, summary) = job.launch(&rig, &jsa);
+    CampaignResult { checksum, summary, fs: rig.fs, ctl }
 }
 
 /// Asserts the crash-consistency invariants common to every campaign.
@@ -175,7 +83,7 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
     );
     assert_eq!(
         r.checksum,
-        reference(),
+        reference(NITER),
         "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );
@@ -236,7 +144,7 @@ fn every_crash_point_recovers_bitwise() {
                 | CrashPoint::RestartAfterSegment
                 | CrashPoint::RestartAfterArrays
         );
-        let fail_at = restart_side.then_some((4i64, 2usize));
+        let fail_at = restart_side.then(|| Fault::kill(4, 2));
         let r = run_campaign(plan, fail_at);
         let what = format!("crash point {point}");
         assert!(

@@ -8,7 +8,6 @@
 //! survivability threshold is crossed.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
@@ -18,272 +17,88 @@ use drms::core::segment::DataSegment;
 use drms::core::{Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{delta_checkpoint, DeltaChain, DeltaConfig};
-use drms::memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
+use drms::memtier::{store_checkpoint, MemTier};
 use drms::msg::{run_spmd_chaos, CostModel};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
 use drms::pulse::{builtin_rules, heartbeat, Pulse, PulseConfig, RuleThresholds};
 use drms::recover::{grow, recover, retain, shrink, Membership, StreamSource};
 use drms::resil::{scrub_checkpoint, CorruptionCampaign};
-use drms::rtenv::{
-    EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ProcessorState, ResourceCoordinator,
-};
 use drms::slices::{Order, Slice};
+use drms_bench::campaign::{
+    domain, initial, policy, Campaign, CkptMode, Fault, Rig, StorageFault, NPROCS,
+};
 
 const NITER: i64 = 10;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "drift";
 
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
-}
-
 struct World {
-    rc: Arc<ResourceCoordinator>,
-    fs: Arc<Piofs>,
-    log: EventLog,
+    rig: Rig,
     rec: Arc<TraceRecorder>,
 }
 
-fn build_world(seed: u64, parity: bool) -> World {
-    let rec = Arc::new(TraceRecorder::default());
-    let log = EventLog::with_recorder(rec.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
+fn piofs(seed: u64, parity: bool) -> Arc<Piofs> {
     let cfg = if parity {
         PiofsConfig::test_tiny(NPROCS).with_parity()
     } else {
         PiofsConfig::test_tiny(NPROCS)
     };
-    let fs = Piofs::new(cfg, seed);
-    fs.set_recorder(rec.clone() as Arc<dyn Recorder>);
-    Drms::install_binary(&fs, &DrmsConfig::new(APP));
-    World { rc, fs, log, rec }
+    Piofs::new(cfg, seed)
 }
 
-/// Like [`build_world`], but every layer (event log, file system) reports
-/// into `fan` — a fan-out carrying both the trace and a pulse recorder —
-/// while `rec` stays the trace half for coverage extraction.
+/// A world whose every layer (event log, incarnations, file system)
+/// reports into a fresh trace recorder. Over a file system a previous run
+/// used, it continues the checkpoint chain that run left.
+fn build_world(fs: Arc<Piofs>) -> World {
+    let rec = Arc::new(TraceRecorder::default());
+    World { rig: Rig::on(APP, fs, Some(rec.clone())), rec }
+}
+
+/// Like [`build_world`], but every layer reports into `fan` — a fan-out
+/// carrying both the trace and a pulse recorder — while `rec` stays the
+/// trace half for coverage extraction.
 fn build_pulse_world(
     seed: u64,
     parity: bool,
     rec: Arc<TraceRecorder>,
     fan: Arc<dyn Recorder>,
 ) -> World {
-    let log = EventLog::with_recorder(fan.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let cfg = if parity {
-        PiofsConfig::test_tiny(NPROCS).with_parity()
-    } else {
-        PiofsConfig::test_tiny(NPROCS)
-    };
-    let fs = Piofs::new(cfg, seed);
-    fs.set_recorder(fan);
-    Drms::install_binary(&fs, &DrmsConfig::new(APP));
-    World { rc, fs, log, rec }
-}
-
-/// Re-enter `fs` with a fresh coordinator and recorder (continues the
-/// checkpoint chain left by a previous run over the same file system).
-fn reenter(w: &World) -> World {
-    let rec = Arc::new(TraceRecorder::default());
-    let log = EventLog::with_recorder(rec.clone());
-    World {
-        rc: Arc::new(ResourceCoordinator::new(NPROCS, log.clone())),
-        fs: Arc::clone(&w.fs),
-        log,
-        rec,
-    }
-}
-
-/// A fault fired once iteration `at` is reached on rank 0: optionally kill
-/// a PIOFS server, then kill each listed processor.
-#[derive(Clone)]
-struct Fault {
-    at: i64,
-    server: Option<usize>,
-    victims: Vec<usize>,
-}
-
-/// How the drift job takes its checkpoints: the blocking paths the
-/// original scenarios exercise, or overlapped through the asynchronous
-/// pipeline (COW snapshot at the SOP, background flush). The mode is a
-/// parameter rather than an assumption baked into the job body, so
-/// overlapped runs register their `async.*` names through the same
-/// scenario plumbing.
-#[derive(Clone, Copy, PartialEq)]
-enum CkptMode {
-    Blocking,
-    Overlapped,
+    World { rig: Rig::on(APP, piofs(seed, parity), Some(fan)), rec }
 }
 
 /// Runs the drift job under the JSA with an optional memory tier and a
-/// fault schedule. The job checkpoints every third iteration and the final
-/// state must match an uninterrupted run bitwise.
+/// fault schedule. The job checkpoints every third iteration — through the
+/// tier when one is attached, or overlapped through the asynchronous
+/// pipeline (COW snapshot at the SOP, background flush) when `mode` says
+/// so; the mode is a parameter of the job, so overlapped runs register
+/// their `async.*` names through the same scenario plumbing.
 fn run_job(w: &World, tier: Option<Arc<MemTier>>, faults: Vec<Fault>, mode: CkptMode) {
-    let mut jsa = Jsa::new(
-        Arc::clone(&w.rc),
-        Arc::clone(&w.fs),
-        w.log.clone(),
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    );
+    let mut jsa = w.rig.jsa(policy());
     if let Some(tier) = tier {
         jsa = jsa.with_memtier(tier);
     }
-
-    let injected = Arc::new(AtomicUsize::new(0));
-    let rc2 = Arc::clone(&w.rc);
-    let fs2 = Arc::clone(&w.fs);
-    let faults = Arc::new(faults);
-
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 1 });
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/drift/{iter}");
-                match (mode, &env.memtier) {
-                    (CkptMode::Overlapped, _) => {
-                        ck.checkpoint(
-                            ctx,
-                            &env.fs,
-                            &mut drms,
-                            &prefix,
-                            &seg,
-                            &[&u],
-                            env.memtier.as_deref(),
-                        )
-                        .unwrap();
-                    }
-                    (CkptMode::Blocking, Some(tier)) if store_feasible(ctx, tier) => {
-                        store_checkpoint(ctx, tier, &prefix, &mut drms, &seg, &[&u]).unwrap();
-                        spill_checkpoint(ctx, &env.fs, tier, &prefix).unwrap();
-                    }
-                    _ => {
-                        drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]).unwrap();
-                    }
-                }
-            }
-            if ctx.rank() == 0 {
-                let k = injected.load(Ordering::SeqCst);
-                if let Some(fault) = faults.get(k) {
-                    if iter >= fault.at {
-                        injected.store(k + 1, Ordering::SeqCst);
-                        if let Some(server) = fault.server {
-                            fs2.fail_server(server);
-                        }
-                        for &victim in &fault.victims {
-                            if rc2.state_of(victim) != ProcessorState::Failed {
-                                rc2.fail_processor(victim);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if mode == CkptMode::Overlapped {
-            ck.drain(ctx);
-        }
-        if env.sop_killed(ctx) {
-            return JobOutcome::Killed;
-        }
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
+    let job = Campaign { mode, faults, ..Campaign::new(APP, "ck/drift", NITER) };
+    let (_, summary) = job.launch(&w.rig, &jsa);
     assert!(summary.completed, "drift job did not complete: {summary:?}");
 }
 
 /// Runs the drift job under a chaos controller: fault-injection weather at
-/// every layer plus an armed crash inside the commit window. The body
-/// reports injected crashes as kills, so the JSA reincarnates the job from
-/// the newest committed checkpoint. An optional flight recorder rides
-/// along so the JSA drives its seal/salvage/recovery lifecycle, and
-/// `kill_at` fires a one-shot processor kill once that iteration is
-/// reached — a token kill whose unsealed ring tail nothing salvages.
+/// every layer plus an armed crash inside the commit window. The job
+/// reports injected crashes as kills, so the JSA reincarnates it from the
+/// newest committed checkpoint. An optional flight recorder rides along so
+/// the JSA drives its seal/salvage/recovery lifecycle, and `kill_at` fires
+/// a one-shot processor kill once that iteration is reached — a token kill
+/// whose unsealed ring tail nothing salvages.
 fn run_chaos_job(w: &World, ctl: Arc<ChaosCtl>, bb: Option<Arc<Blackbox>>, kill_at: Option<i64>) {
-    let mut jsa = Jsa::new(
-        Arc::clone(&w.rc),
-        Arc::clone(&w.fs),
-        w.log.clone(),
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    )
-    .with_chaos(ctl);
+    let mut jsa = w.rig.jsa(policy()).with_chaos(ctl);
     if let Some(bb) = bb {
         jsa = jsa.with_blackbox(bb);
     }
-
-    let killed = Arc::new(AtomicUsize::new(0));
-    let rc2 = Arc::clone(&w.rc);
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/drift/{iter}");
-                if let Err(e) = drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]) {
-                    return JobOutcome::from_err(e);
-                }
-            }
-            if ctx.rank() == 0 {
-                if let Some(at) = kill_at {
-                    if iter >= at && killed.swap(1, Ordering::SeqCst) == 0 {
-                        rc2.fail_processor(2);
-                    }
-                }
-            }
-        }
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
+    let job = Campaign {
+        faults: kill_at.map(|at| Fault::kill(at, 2)).into_iter().collect(),
+        ..Campaign::new(APP, "ck/drift", NITER)
+    };
+    let (_, summary) = job.launch(&w.rig, &jsa);
     assert!(summary.completed, "chaos drift job did not complete: {summary:?}");
 }
 
@@ -308,13 +123,9 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     // reconstruction and redistributes 8 -> 7 tasks. Covers the messaging,
     // streaming, PIOFS, core, parity/reconstruction and job-retry names.
     {
-        let w = build_world(11, true);
-        run_job(
-            &w,
-            None,
-            vec![Fault { at: 4, server: Some(2), victims: vec![3] }],
-            CkptMode::Blocking,
-        );
+        let w = build_world(piofs(11, true));
+        let fault = Fault { storage: Some(StorageFault::Server(2)), ..Fault::kill(4, 3) };
+        run_job(&w, None, vec![fault], CkptMode::Blocking);
         covered.extend(emitted(&w.rec));
     }
 
@@ -322,11 +133,11 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     // checkpoint of a clean parity run, then a direct scrub. Covers
     // detection and parity repair.
     {
-        let w = build_world(7, true);
+        let w = build_world(piofs(7, true));
         run_job(&w, None, Vec::new(), CkptMode::Blocking);
-        let hits = CorruptionCampaign::new(0xC0FFEE, 1).apply(&w.fs, "ck/drift/9");
+        let hits = CorruptionCampaign::new(0xC0FFEE, 1).apply(&w.rig.fs, "ck/drift/9");
         assert!(!hits.is_empty(), "campaign applied no corruption");
-        let report = scrub_checkpoint(&w.fs, "ck/drift/9", &*w.rec, 0.0);
+        let report = scrub_checkpoint(&w.rig.fs, "ck/drift/9", &*w.rec, 0.0);
         assert!(report.detected > 0 && report.repaired > 0, "scrub found nothing: {report:?}");
         covered.extend(emitted(&w.rec));
     }
@@ -338,19 +149,15 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     // survivability threshold (invalidation), falling back to the durable
     // chain past the damaged checkpoint (quarantine + fallback depth).
     {
-        let w = build_world(31, false);
+        let w = build_world(piofs(31, false));
         let tier = MemTier::new(1);
-        run_job(&w, Some(Arc::clone(&tier)), Vec::new(), CkptMode::Blocking);
+        run_job(&w, Some(Arc::clone(&tier)), Vec::new(), CkptMode::Tier);
         covered.extend(emitted(&w.rec));
 
-        assert!(w.fs.corrupt_range("ck/drift/9/array-u", 0, 16, 13) > 0);
-        let w2 = reenter(&w);
-        run_job(
-            &w2,
-            Some(tier),
-            vec![Fault { at: 10, server: None, victims: (0..=6).collect() }],
-            CkptMode::Blocking,
-        );
+        assert!(w.rig.fs.corrupt_range("ck/drift/9/array-u", 0, 16, 13) > 0);
+        let w2 = build_world(Arc::clone(&w.rig.fs));
+        let mass_kill = Fault { at: 10, storage: None, victims: (0..=6).collect() };
+        run_job(&w2, Some(tier), vec![mass_kill], CkptMode::Tier);
         covered.extend(emitted(&w2.rec));
     }
 
@@ -360,7 +167,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     // crashes inside the commit window (abort + reincarnation + eventual
     // commit). Covers the retry, duplicate, torn, crash and commit names.
     {
-        let w = build_world(5, false);
+        let w = build_world(piofs(5, false));
         let ctl = ChaosCtl::new(FaultPlan {
             msg: MsgFaults { drop_prob: 0.3, dup_prob: 0.5, max_extra_latency: 1e-4 },
             piofs: PiofsFaults {
@@ -438,12 +245,8 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             pulse.recorder(),
         ]));
         let w = build_pulse_world(31, true, trace.clone(), fan);
-        run_job(
-            &w,
-            Some(MemTier::new(1)),
-            vec![Fault { at: 4, server: Some(2), victims: vec![3] }],
-            CkptMode::Blocking,
-        );
+        let fault = Fault { storage: Some(StorageFault::Server(2)), ..Fault::kill(4, 3) };
+        run_job(&w, Some(MemTier::new(1)), vec![fault], CkptMode::Tier);
         let report = pulse.finish();
         for alert in [
             names::ALERT_CKPT_STALL,
@@ -565,7 +368,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             pulse.recorder(),
         ]));
         let w = build_pulse_world(23, false, trace.clone(), fan);
-        run_job(&w, None, Vec::new(), CkptMode::Overlapped);
+        run_job(&w, None, Vec::new(), CkptMode::Overlapped { budget: 1 });
         let report = pulse.finish();
         assert!(
             report.alerts.iter().any(|a| a.rule == names::ALERT_FLUSH_LAG),
@@ -682,7 +485,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
                 Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
             let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
             let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-            u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64);
+            u.fill_assigned(initial);
             let mut seg = DataSegment::new();
 
             // (a) Memtier-hit localized recovery: node 2's sections are
@@ -690,7 +493,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             seg.set_control("iter", 3);
             store_checkpoint(ctx, &tier, "ck/r3", &mut drms, &seg, &[&u]).unwrap();
             let retained = retain(ctx, "ck/r3", 3, &[&u]);
-            u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64 + 1.5);
+            u.fill_assigned(|p| initial(p) + 1.5);
             if ctx.rank() == 0 {
                 tier.fail_node(2);
             }

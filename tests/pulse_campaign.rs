@@ -17,37 +17,24 @@
 //! narrows the run to that seed, and every assertion prints the
 //! one-command repro.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use drms::chaos::{ChaosCtl, FaultPlan, MsgFaults, PiofsFaults};
-use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig};
-use drms::darray::{DistArray, Distribution};
-use drms::memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
-use drms::msg::CostModel;
+use drms::memtier::MemTier;
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
-use drms::piofs::{Piofs, PiofsConfig};
 use drms::pulse::{builtin_rules, Alert, Pulse, PulseConfig, RuleThresholds};
-use drms::rtenv::{
-    EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ProcessorState, ResourceCoordinator, RunSummary,
-};
-use drms::slices::{Order, Slice};
+use drms::rtenv::RunSummary;
+use drms_bench::campaign::{policy, Campaign, CkptMode, Fault, Rig, NPROCS};
 use parking_lot::Mutex;
 
 const NITER: i64 = 12;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "pulsecamp";
 const DEFAULT_SEED: u64 = 42;
 
 fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("pulse_campaign", seed)
-}
-
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
 }
 
 /// Everything one observed campaign leaves behind.
@@ -86,25 +73,13 @@ fn run_observed(seed: u64) -> Observed {
     let trace = Arc::new(TraceRecorder::default());
     let fan: Arc<dyn Recorder> =
         Arc::new(FanoutRecorder::new(vec![trace.clone() as Arc<dyn Recorder>, pulse.recorder()]));
-    let log = EventLog::with_recorder(fan.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), seed);
-    fs.set_recorder(fan);
-    Drms::install_binary(&fs, &DrmsConfig::new(APP));
+    let rig = Rig::new(APP, seed, Some(fan));
     let ctl = ChaosCtl::new(FaultPlan {
         msg: MsgFaults { drop_prob: 0.25, dup_prob: 0.1, max_extra_latency: 1e-4 },
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
         ..FaultPlan::seeded(seed)
     });
-    let jsa = Jsa::new(
-        Arc::clone(&rc),
-        Arc::clone(&fs),
-        log,
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    )
-    .with_chaos(ctl)
-    .with_memtier(MemTier::new(1));
+    let jsa = rig.jsa(policy()).with_chaos(ctl).with_memtier(MemTier::new(1));
 
     // The live drain: every millisecond of host time, drain the rings and
     // note which alert rules have settled while the run is in flight.
@@ -132,67 +107,12 @@ fn run_observed(seed: u64) -> Observed {
         })
     };
 
-    let injected = Arc::new(AtomicUsize::new(0));
-    let rc2 = Arc::clone(&rc);
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/pulsecamp/{iter}");
-                let failed = match &env.memtier {
-                    Some(tier) if store_feasible(ctx, tier) => {
-                        store_checkpoint(ctx, tier, &prefix, &mut drms, &seg, &[&u])
-                            .and_then(|_| spill_checkpoint(ctx, &env.fs, tier, &prefix))
-                            .err()
-                            .map(JobOutcome::from_err)
-                    }
-                    _ => drms
-                        .reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u])
-                        .err()
-                        .map(JobOutcome::from_err),
-                };
-                if let Some(outcome) = failed {
-                    return if env.sop_killed(ctx) { JobOutcome::Killed } else { outcome };
-                }
-            }
-            if ctx.rank() == 0
-                && iter >= 7
-                && injected.swap(1, Ordering::SeqCst) == 0
-                && rc2.state_of(2) != ProcessorState::Failed
-            {
-                rc2.fail_processor(2);
-            }
-        }
-        if env.sop_killed(ctx) {
-            return JobOutcome::Killed;
-        }
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
+    let job = Campaign {
+        mode: CkptMode::Tier,
+        faults: vec![Fault::kill(7, 2)],
+        ..Campaign::new(APP, "ck/pulsecamp", NITER)
+    };
+    let (_, summary) = job.launch(&rig, &jsa);
     run_done.store(true, Ordering::SeqCst);
     stop.store(true, Ordering::SeqCst);
     drainer.join().expect("drainer panicked");

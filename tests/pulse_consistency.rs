@@ -18,28 +18,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
-use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig, Start};
-use drms::darray::{DistArray, Distribution};
-use drms::memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
-use drms::msg::CostModel;
+use drms::memtier::MemTier;
 use drms::obs::names;
 use drms::obs::{FanoutRecorder, Phase, Recorder, TraceRecorder};
-use drms::piofs::{Piofs, PiofsConfig};
 use drms::pulse::{builtin_rules, Pulse, PulseConfig, RuleThresholds};
-use drms::rtenv::{EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ResourceCoordinator};
-use drms::slices::{Order, Slice};
+use drms::rtenv::JsaPolicy;
+use drms_bench::campaign::{Campaign, CkptMode, Rig, CKPT_EVERY, NPROCS};
 use drms_insight::Analysis;
 
 const NITER: i64 = 10;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "pulsecheck";
-
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
-}
 
 #[test]
 fn online_totals_match_the_post_hoc_trace_and_insight() {
@@ -52,53 +40,10 @@ fn online_totals_match_the_post_hoc_trace_and_insight() {
     });
     let fan: Arc<dyn Recorder> =
         Arc::new(FanoutRecorder::new(vec![trace.clone() as Arc<dyn Recorder>, pulse.recorder()]));
-    let log = EventLog::with_recorder(fan.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), 3);
-    fs.set_recorder(fan);
-    Drms::install_binary(&fs, &DrmsConfig::new(APP));
-    let jsa =
-        Jsa::new(Arc::clone(&rc), Arc::clone(&fs), log, CostModel::default(), JsaPolicy::default())
-            .with_memtier(MemTier::new(1));
-
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let mut seg = DataSegment::new();
-        let (mut drms, start) = Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        )
-        .unwrap();
-        assert!(matches!(start, Start::Fresh));
-        u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64);
-        for iter in 1..=NITER {
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/pulsecheck/{iter}");
-                match &env.memtier {
-                    Some(tier) if store_feasible(ctx, tier) => {
-                        store_checkpoint(ctx, tier, &prefix, &mut drms, &seg, &[&u]).unwrap();
-                        spill_checkpoint(ctx, &env.fs, tier, &prefix).unwrap();
-                    }
-                    _ => {
-                        drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]).unwrap();
-                    }
-                }
-            }
-        }
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
+    let rig = Rig::new(APP, 3, Some(fan));
+    let jsa = rig.jsa(JsaPolicy::default()).with_memtier(MemTier::new(1));
+    let job = Campaign { mode: CkptMode::Tier, ..Campaign::new(APP, "ck/pulsecheck", NITER) };
+    let (_, summary) = job.launch(&rig, &jsa);
     assert!(summary.completed, "fault-free run did not complete: {summary:?}");
     pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();
@@ -168,46 +113,13 @@ fn async_flush_lag_agrees_across_online_trace_and_insight() {
     });
     let fan: Arc<dyn Recorder> =
         Arc::new(FanoutRecorder::new(vec![trace.clone() as Arc<dyn Recorder>, pulse.recorder()]));
-    let log = EventLog::with_recorder(fan.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
-    let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), 3);
-    fs.set_recorder(fan);
-    Drms::install_binary(&fs, &DrmsConfig::new(APP));
-    let jsa =
-        Jsa::new(Arc::clone(&rc), Arc::clone(&fs), log, CostModel::default(), JsaPolicy::default());
-
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let mut seg = DataSegment::new();
-        let (mut drms, start) = Drms::initialize(
-            ctx,
-            &env.fs,
-            DrmsConfig::new(APP),
-            env.enable.clone(),
-            env.restart_from.as_deref(),
-        )
-        .unwrap();
-        assert!(matches!(start, Start::Fresh));
-        u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64);
-        let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 2 });
-        for iter in 1..=NITER {
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/pulsecheck/{iter}");
-                ck.checkpoint(ctx, &env.fs, &mut drms, &prefix, &seg, &[&u], None).unwrap();
-            }
-        }
-        ck.drain(ctx);
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
+    let rig = Rig::new(APP, 3, Some(fan));
+    let jsa = rig.jsa(JsaPolicy::default());
+    let job = Campaign {
+        mode: CkptMode::Overlapped { budget: 2 },
+        ..Campaign::new(APP, "ck/pulsecheck", NITER)
+    };
+    let (_, summary) = job.launch(&rig, &jsa);
     assert!(summary.completed, "fault-free async run did not complete: {summary:?}");
     pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();

@@ -7,32 +7,18 @@
 //! corruption, and quarantines + falls back past checkpoints that stay
 //! damaged.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use drms::core::segment::DataSegment;
-use drms::core::{find_checkpoints, Drms, DrmsConfig};
-use drms::darray::{DistArray, Distribution};
-use drms::memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier, RestartTier};
-use drms::msg::CostModel;
+use drms::memtier::{MemTier, RestartTier};
 use drms::obs::{names, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
-use drms::resil::CorruptionCampaign;
-use drms::rtenv::{
-    Event, EventLog, JobOutcome, JobSpec, Jsa, JsaPolicy, ProcessorState, ResourceCoordinator,
-    RunSummary,
+use drms::rtenv::{Event, JobOutcome, RunSummary};
+use drms_bench::campaign::{
+    policy, reference, Campaign, CkptMode, Fault, Rig, StorageFault, NPROCS,
 };
-use drms::slices::{Order, Slice};
-use parking_lot::Mutex;
 
 const NITER: i64 = 10;
-const CKPT_EVERY: i64 = 3;
-const NPROCS: usize = 8;
 const APP: &str = "storm";
-
-fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
-}
 
 /// Repo-wide campaign seed convention (shared with the chaos and failure
 /// campaigns): `FAULT_SEED` overrides the pinned seed of the
@@ -47,182 +33,76 @@ fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("storage_fault_campaign", seed)
 }
 
-/// Checksum of the final state of an uninterrupted run (integer-valued
-/// sums, so f64 addition is exact in any order).
+/// Checksum of the final state of an uninterrupted run.
 fn expect_total() -> f64 {
-    let mut s = 0.0;
-    domain().points(Order::ColumnMajor).for_each(|p| {
-        s += (p[0] * 13 + p[1] * 3) as f64 + NITER as f64 * 1.5;
-    });
-    s
+    reference(NITER)
 }
 
-/// A storage fault to inject at a scheduled iteration. Each one also kills
-/// a processor, because a storage fault only matters once something has to
-/// restart across it.
-#[derive(Clone)]
-enum Fault {
-    /// Kill processor `victim` (the classic campaign, for mixing).
-    Proc { victim: usize },
-    /// Kill PIOFS server `server`, then processor `victim`: the restart
-    /// must read every checkpoint stripe on that server through parity
-    /// reconstruction.
-    Server { server: usize, victim: usize },
-    /// Run a seeded corruption campaign against the newest checkpoint,
-    /// then kill `victim`: the restart must detect the damage and either
-    /// scrub it from parity or fall back to an older checkpoint.
-    Corrupt { seed: u64, victim: usize },
-    /// Kill a whole set of processors at once — the schedule that crosses
-    /// the memory tier's survivability threshold when it takes every
-    /// resident copy of some checkpoint piece.
-    Nodes { victims: Vec<usize> },
+/// A storage fault also kills a processor, because it only matters once
+/// something has to restart across it. `Server`: the restart must read
+/// every checkpoint stripe on that server through parity reconstruction.
+fn server_fault(at: i64, server: usize, victim: usize) -> Fault {
+    Fault { storage: Some(StorageFault::Server(server)), ..Fault::kill(at, victim) }
+}
+
+/// A seeded corruption campaign against the newest checkpoint, then a
+/// kill: the restart must detect the damage and either scrub it from
+/// parity or fall back to an older checkpoint.
+fn corrupt_fault(at: i64, seed: u64, victim: usize) -> Fault {
+    Fault { storage: Some(StorageFault::Corrupt(seed)), ..Fault::kill(at, victim) }
 }
 
 struct StormWorld {
-    rc: Arc<ResourceCoordinator>,
-    fs: Arc<Piofs>,
-    log: EventLog,
+    rig: Rig,
     rec: Arc<TraceRecorder>,
     seed: u64,
 }
 
-fn build_world(seed: u64, parity: bool) -> StormWorld {
+/// A world over `fs` with a fresh coordinator, log and trace recorder.
+/// Reusing a file system continues its checkpoint chain (used by the
+/// fallback tests below).
+fn world_on(fs: Arc<Piofs>, seed: u64) -> StormWorld {
     let rec = Arc::new(TraceRecorder::default());
-    let log = EventLog::with_recorder(rec.clone());
-    let rc = Arc::new(ResourceCoordinator::new(NPROCS, log.clone()));
+    StormWorld { rig: Rig::on(APP, fs, Some(rec.clone())), rec, seed }
+}
+
+fn build_world(seed: u64, parity: bool) -> StormWorld {
     let cfg = if parity {
         PiofsConfig::test_tiny(NPROCS).with_parity()
     } else {
         PiofsConfig::test_tiny(NPROCS)
     };
-    let fs = Piofs::new(cfg, seed);
-    Drms::install_binary(&fs, &DrmsConfig::new(APP));
-    StormWorld { rc, fs, log, rec, seed }
+    world_on(Piofs::new(cfg, seed), seed)
 }
 
 /// Runs the storm job under a fault schedule; returns the global checksum
-/// and the JSA's run summary. Reusing a world continues its checkpoint
-/// chain (used by the fallback tests below).
-fn run_storm(w: &StormWorld, faults: Vec<(i64, Fault)>) -> (f64, RunSummary) {
+/// and the JSA's run summary.
+fn run_storm(w: &StormWorld, faults: Vec<Fault>) -> (f64, RunSummary) {
     run_storm_with(w, None, faults)
 }
 
 /// As [`run_storm`], optionally routing every checkpoint through an
 /// in-memory replicated tier (with a verified spill, so the durable PIOFS
-/// chain is identical either way) and restarts through the JSA's tiered
-/// resolution.
+/// chain is identical either way; a region too small for the replication
+/// factor degrades to a direct checkpoint) and restarts through the JSA's
+/// tiered resolution.
 fn run_storm_with(
     w: &StormWorld,
     tier: Option<Arc<MemTier>>,
-    faults: Vec<(i64, Fault)>,
+    faults: Vec<Fault>,
 ) -> (f64, RunSummary) {
-    let mut jsa = Jsa::new(
-        Arc::clone(&w.rc),
-        Arc::clone(&w.fs),
-        w.log.clone(),
-        CostModel::default(),
-        JsaPolicy { repair_when_starved: true, ..Default::default() },
-    );
+    let mut jsa = w.rig.jsa(policy());
     if let Some(tier) = tier {
         jsa = jsa.with_memtier(tier);
     }
-
-    let injected = Arc::new(AtomicUsize::new(0));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let rc2 = Arc::clone(&w.rc);
-    let fs2 = Arc::clone(&w.fs);
-    let injected2 = Arc::clone(&injected);
-    let out2 = Arc::clone(&out);
-    let faults = Arc::new(faults);
-
-    let job = JobSpec::new(APP, (1, NPROCS), move |ctx, env| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let (mut drms, restart) = match env.resume(ctx, DrmsConfig::new(APP), &mut [&mut u]) {
-            Ok(v) => v,
-            Err(outcome) => return outcome,
-        };
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        match restart {
-            None => u.fill_assigned(|p| (p[0] * 13 + p[1] * 3) as f64),
-            Some(info) => {
-                seg = info.segment;
-                start_iter = seg.control("iter").unwrap() + 1;
-            }
-        }
-        for iter in start_iter..=NITER {
-            if env.sop_killed(ctx) {
-                return JobOutcome::Killed;
-            }
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.5).unwrap();
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                let prefix = format!("ck/storm/{iter}");
-                match &env.memtier {
-                    // Diskless checkpoint plus verified spill: the PIOFS
-                    // chain ends up bitwise-identical to the direct path.
-                    // A region too small for the replication factor (e.g.
-                    // one surviving node) degrades to a direct checkpoint.
-                    Some(tier) if store_feasible(ctx, tier) => {
-                        store_checkpoint(ctx, tier, &prefix, &mut drms, &seg, &[&u]).unwrap();
-                        spill_checkpoint(ctx, &env.fs, tier, &prefix).unwrap();
-                    }
-                    _ => {
-                        drms.reconfig_checkpoint(ctx, &env.fs, &prefix, &seg, &[&u]).unwrap();
-                    }
-                }
-            }
-            // Injection: the next scheduled fault fires once its iteration
-            // is reached.
-            if ctx.rank() == 0 {
-                let k = injected2.load(Ordering::SeqCst);
-                if let Some((at, fault)) = faults.get(k) {
-                    if iter >= *at {
-                        injected2.store(k + 1, Ordering::SeqCst);
-                        let victims = match fault {
-                            Fault::Proc { victim } => vec![*victim],
-                            Fault::Server { server, victim } => {
-                                fs2.fail_server(*server);
-                                vec![*victim]
-                            }
-                            Fault::Corrupt { seed, victim } => {
-                                if let Some((prefix, _)) = find_checkpoints(&fs2, Some(APP)).first()
-                                {
-                                    CorruptionCampaign::new(*seed, 3).apply(&fs2, prefix);
-                                }
-                                vec![*victim]
-                            }
-                            Fault::Nodes { victims } => victims.clone(),
-                        };
-                        for victim in victims {
-                            if rc2.state_of(victim) != ProcessorState::Failed {
-                                rc2.fail_processor(victim);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if env.sop_killed(ctx) {
-            return JobOutcome::Killed;
-        }
-        out2.lock().push(u.fold_assigned(0.0, |acc, _, v| acc + v));
-        JobOutcome::Completed
-    });
-
-    let summary = jsa.run_job(&job);
+    let job = Campaign { mode: CkptMode::Tier, faults, ..Campaign::new(APP, "ck/storm", NITER) };
+    let (total, summary) = job.launch(&w.rig, &jsa);
     assert!(
         summary.completed,
         "storm (seed {}) did not complete: {summary:?}\nreproduce with: {}",
         w.seed,
         repro_cmd(w.seed)
     );
-    let total: f64 = out.lock().iter().sum();
     (total, summary)
 }
 
@@ -230,7 +110,7 @@ fn run_storm_with(
 fn server_loss_restarts_through_reconstruction() {
     let run = |seed| {
         let w = build_world(seed, true);
-        let faults = vec![(4, Fault::Server { server: 2, victim: 3 })];
+        let faults = vec![server_fault(4, 2, 3)];
         let (total, summary) = run_storm(&w, faults);
         assert_eq!(total, expect_total(), "degraded restart diverged");
         assert!(summary.restarts() >= 1);
@@ -251,7 +131,7 @@ fn server_loss_restarts_through_reconstruction() {
 #[test]
 fn corruption_campaign_is_scrubbed_or_fallen_back() {
     let w = build_world(7, true);
-    let faults = vec![(4, Fault::Corrupt { seed: 0xC0FFEE, victim: 1 })];
+    let faults = vec![corrupt_fault(4, 0xC0FFEE, 1)];
     let (total, summary) = run_storm(&w, faults);
     // Whether scrub repaired the damage in place or the restart fell back
     // to an older checkpoint, the recomputed final state is exact.
@@ -267,11 +147,7 @@ fn corruption_campaign_is_scrubbed_or_fallen_back() {
 #[test]
 fn mixed_storage_and_processor_faults_recover_exactly() {
     let w = build_world(3, true);
-    let faults = vec![
-        (2, Fault::Proc { victim: 5 }),
-        (5, Fault::Server { server: 0, victim: 2 }),
-        (8, Fault::Corrupt { seed: 99, victim: 6 }),
-    ];
+    let faults = vec![Fault::kill(2, 5), server_fault(5, 0, 2), corrupt_fault(8, 99, 6)];
     let (total, summary) = run_storm(&w, faults);
     assert_eq!(total, expect_total(), "mixed campaign diverged");
     assert!(summary.restarts() >= 3);
@@ -286,19 +162,11 @@ fn unrepairable_damage_falls_back_to_older_checkpoint() {
 
     // Destroy a data file of the newest checkpoint. Parity is per-file, so
     // a whole missing file is beyond any scrub.
-    assert!(w.fs.delete("ck/storm/9/segment"));
+    assert!(w.rig.fs.delete("ck/storm/9/segment"));
 
     // A fresh scheduler run must quarantine ck/storm/9 and restart from
     // ck/storm/6 — then recompute the lost iterations exactly.
-    let rec = Arc::new(TraceRecorder::default());
-    let log = EventLog::with_recorder(rec.clone());
-    let w2 = StormWorld {
-        rc: Arc::new(ResourceCoordinator::new(NPROCS, log.clone())),
-        fs: Arc::clone(&w.fs),
-        log,
-        rec,
-        seed: w.seed,
-    };
+    let w2 = world_on(Arc::clone(&w.rig.fs), w.seed);
     let (total, summary) = run_storm(&w2, Vec::new());
     assert_eq!(total, expect_total(), "fallback restart diverged");
 
@@ -306,14 +174,15 @@ fn unrepairable_damage_falls_back_to_older_checkpoint() {
     assert_eq!(first.restart_from.as_deref(), Some("ck/storm/6"));
     assert_eq!(first.fallback_depth, 1, "one damaged checkpoint skipped");
     assert!(w2
+        .rig
         .log
         .any(|e| matches!(e, Event::CheckpointQuarantined { prefix } if prefix == "ck/storm/9")));
-    assert!(w2.log.any(
+    assert!(w2.rig.log.any(
         |e| matches!(e, Event::RestartFallback { depth, prefix, .. } if *depth == 1 && prefix == "ck/storm/6")
     ));
     // Quarantine renames the manifest aside; the data stays for diagnosis.
-    assert!(w2.fs.exists("ck/storm/9/manifest.quarantined"));
-    assert!(w2.fs.exists("ck/storm/9/array-u"));
+    assert!(w2.rig.fs.exists("ck/storm/9/manifest.quarantined"));
+    assert!(w2.rig.fs.exists("ck/storm/9/array-u"));
 }
 
 #[test]
@@ -325,7 +194,7 @@ fn memory_tier_serves_restart_within_survivability() {
     let run = |seed| {
         let w = build_world(seed, true);
         let tier = MemTier::new(2);
-        let faults = vec![(4, Fault::Proc { victim: 3 })];
+        let faults = vec![Fault::kill(4, 3)];
         let (total, summary) = run_storm_with(&w, Some(Arc::clone(&tier)), faults);
         assert_eq!(total, expect_total(), "memory-tier restart diverged");
         assert!(summary.restarts() >= 1);
@@ -334,9 +203,12 @@ fn memory_tier_serves_restart_within_survivability() {
         assert_eq!(restarted.tier, RestartTier::Memory, "restart should hit the memory tier");
         assert_eq!(restarted.restart_from.as_deref(), Some("ck/storm/3"));
         assert_eq!(restarted.fallback_depth, 0);
-        assert!(w.log.any(|e| matches!(e, Event::MemTierHit { prefix } if prefix == "ck/storm/3")));
+        assert!(w
+            .rig
+            .log
+            .any(|e| matches!(e, Event::MemTierHit { prefix } if prefix == "ck/storm/3")));
         assert!(
-            !w.log.any(|e| matches!(e, Event::MemTierInvalidated { .. })),
+            !w.rig.log.any(|e| matches!(e, Event::MemTierInvalidated { .. })),
             "one kill must not cross the r=2 survivability threshold"
         );
         assert!(w.rec.metrics().counter_total(names::MEMTIER_HITS) >= 1);
@@ -363,22 +235,14 @@ fn node_kills_crossing_threshold_fall_back_to_piofs_bitwise() {
 
     // The durable copy of the newest checkpoint is silently damaged (no
     // parity on this fs, so it stays damaged); the tier copy is fine.
-    assert!(w.fs.corrupt_range("ck/storm/9/array-u", 0, 16, 13) > 0);
+    assert!(w.rig.fs.corrupt_range("ck/storm/9/array-u", 0, 16, 13) > 0);
 
     // Second scheduler run over the same fs and tier: incarnation 0 is a
     // memory-tier hit on ck/storm/9 — then a node-kill schedule takes 7 of
     // the 8 processors, crossing the r=1 survivability threshold (every
     // copy of some piece is on a dead node).
-    let rec = Arc::new(TraceRecorder::default());
-    let log = EventLog::with_recorder(rec.clone());
-    let w2 = StormWorld {
-        rc: Arc::new(ResourceCoordinator::new(NPROCS, log.clone())),
-        fs: Arc::clone(&w.fs),
-        log,
-        rec,
-        seed: w.seed,
-    };
-    let faults = vec![(10, Fault::Nodes { victims: (0..=6).collect() })];
+    let w2 = world_on(Arc::clone(&w.rig.fs), w.seed);
+    let faults = vec![Fault { at: 10, storage: None, victims: (0..=6).collect() }];
     let (total, summary) = run_storm_with(&w2, Some(Arc::clone(&tier)), faults);
     assert_eq!(total, expect_total(), "PIOFS fallback diverged from the clean run");
 
@@ -387,7 +251,10 @@ fn node_kills_crossing_threshold_fall_back_to_piofs_bitwise() {
     assert_eq!(first.tier, RestartTier::Memory);
     assert_eq!(first.restart_from.as_deref(), Some("ck/storm/9"));
     assert_eq!(first.outcome, JobOutcome::Killed);
-    assert!(w2.log.any(|e| matches!(e, Event::MemTierHit { prefix } if prefix == "ck/storm/9")));
+    assert!(w2
+        .rig
+        .log
+        .any(|e| matches!(e, Event::MemTierHit { prefix } if prefix == "ck/storm/9")));
 
     // Incarnation 1: the mass kill invalidated the tier, so the JSA fell
     // back to the durable chain — quarantining the damaged ck/storm/9 and
@@ -402,9 +269,11 @@ fn node_kills_crossing_threshold_fall_back_to_piofs_bitwise() {
 
     assert!(!tier.is_intact("ck/storm/9"), "threshold-crossing kill must evict the entry");
     assert!(w2
+        .rig
         .log
         .any(|e| matches!(e, Event::MemTierInvalidated { prefix } if prefix == "ck/storm/9")));
     assert!(w2
+        .rig
         .log
         .any(|e| matches!(e, Event::CheckpointQuarantined { prefix } if prefix == "ck/storm/9")));
     assert!(w2.rec.metrics().counter_total(names::MEMTIER_INVALIDATIONS) >= 1);
@@ -418,17 +287,9 @@ fn integrity_without_parity_detects_and_falls_back() {
     let w = build_world(9, false);
     let (total, _) = run_storm(&w, Vec::new());
     assert_eq!(total, expect_total());
-    assert!(w.fs.corrupt_range("ck/storm/9/array-u", 0, 16, 13) > 0);
+    assert!(w.rig.fs.corrupt_range("ck/storm/9/array-u", 0, 16, 13) > 0);
 
-    let rec = Arc::new(TraceRecorder::default());
-    let log = EventLog::with_recorder(rec.clone());
-    let w2 = StormWorld {
-        rc: Arc::new(ResourceCoordinator::new(NPROCS, log.clone())),
-        fs: Arc::clone(&w.fs),
-        log,
-        rec,
-        seed: w.seed,
-    };
+    let w2 = world_on(Arc::clone(&w.rig.fs), w.seed);
     let (total, summary) = run_storm(&w2, Vec::new());
     assert_eq!(total, expect_total(), "no-parity fallback diverged");
 
