@@ -54,21 +54,6 @@ impl MiniApp {
         // The task's resident set: what the node's memory ledger sees.
         fs.set_residency(ctx.node(), spec.expected_segment_bytes());
 
-        // Base segment: system buffers, private/replicated data, parameters.
-        let mut seg = DataSegment::new();
-        seg.set_region(
-            "msgbuf",
-            RegionKind::SystemBuffers,
-            vec![0xA5; spec.system_bytes() as usize],
-        );
-        seg.set_region(
-            "work-arrays",
-            RegionKind::PrivateData,
-            vec![0x5C; spec.private_bytes() as usize],
-        );
-        seg.set_replicated_f64("grid", spec.grid() as f64);
-        seg.set_control("iter", 0);
-
         let (drms, seg, fields, restart_report) = match variant {
             AppVariant::Drms => {
                 let (drms, start) = Drms::initialize(ctx, fs, cfg, enable, restart_from)?;
@@ -86,7 +71,7 @@ impl MiniApp {
                     }
                     _ => {
                         fill_fresh(&mut fields);
-                        (drms, seg, fields, None)
+                        (drms, base_segment(&spec), fields, None)
                     }
                 }
             }
@@ -96,20 +81,14 @@ impl MiniApp {
                 match restart_from {
                     None => {
                         fill_fresh(&mut fields);
-                        (drms, seg, fields, None)
+                        (drms, base_segment(&spec), fields, None)
                     }
                     Some(prefix) => {
                         let (restored, report) = spmd::restart(ctx, fs, &cfg, prefix)?;
-                        let blob = restored
-                            .region("local-sections")
-                            .ok_or_else(|| {
-                                CoreError::ManifestMismatch(
-                                    "SPMD segment lacks local sections".into(),
-                                )
-                            })?
-                            .bytes
-                            .clone();
-                        drms_core::decode_locals(&mut handles_mut(&mut fields), &blob)?;
+                        let locals = restored.region("local-sections").ok_or_else(|| {
+                            CoreError::ManifestMismatch("SPMD segment lacks local sections".into())
+                        })?;
+                        drms_core::decode_locals(&mut handles_mut(&mut fields), &locals.bytes)?;
                         (drms, restored, fields, Some(report))
                     }
                 }
@@ -292,6 +271,21 @@ impl MiniApp {
         a.total += 4 + "local-sections".len() as u64 + 1 + 8 + local;
         a
     }
+}
+
+/// The segment a fresh start declares: system buffers, private/replicated
+/// data, parameters. A restart gets all of it from the saved segment.
+fn base_segment(spec: &AppSpec) -> DataSegment {
+    let mut seg = DataSegment::new();
+    seg.set_region("msgbuf", RegionKind::SystemBuffers, vec![0xA5; spec.system_bytes() as usize]);
+    seg.set_region(
+        "work-arrays",
+        RegionKind::PrivateData,
+        vec![0x5C; spec.private_bytes() as usize],
+    );
+    seg.set_replicated_f64("grid", spec.grid() as f64);
+    seg.set_control("iter", 0);
+    seg
 }
 
 fn make_fields(spec: &AppSpec, ctx: &Ctx) -> Vec<DistArray<f64>> {

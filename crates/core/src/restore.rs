@@ -2,7 +2,9 @@
 //!
 //! The paper's restart (Section 5) does not depend on the task count or on
 //! where the saved state lives: every new task loads the single saved data
-//! segment ([`open`], `drms_initialize` against an archived state), the
+//! segment ([`open`], `drms_initialize` against an archived state — each task
+//! is charged for the load; the tasks are threads of one address space, so
+//! the host verifies and decodes the bytes once and lends the result), the
 //! application re-creates its arrays under freshly adjusted distributions,
 //! and each task loads *its* sections of every array's
 //! distribution-independent stream ([`restore_arrays`]). What differs is the
@@ -45,11 +47,16 @@ pub struct RestartInfo {
 /// A result in the error type of source `S`.
 pub type Sourced<T, S> = std::result::Result<T, <S as RestartSource>::Error>;
 
+/// The closure [`RestartSource::segment`] shows the segment bytes to; a task
+/// that is only there to be charged passes one that does not look.
+pub type Lend<'a> = &'a mut dyn FnMut(&[u8]);
+
 /// Where the bytes of one archived state live. Every method is collective
 /// and prices its own data movement against the calling task's clock.
 pub trait RestartSource {
-    /// The error type at this source's public boundary.
-    type Error: From<CoreError> + std::fmt::Display;
+    /// The error type at this source's public boundary; [`open`] hands the
+    /// decoding task's failure to every task, hence the sharing bounds.
+    type Error: From<CoreError> + std::fmt::Display + Clone + Send + Sync + 'static;
 
     /// The checkpoint kind this source restores.
     const KIND: CkptKind = CkptKind::Drms;
@@ -67,9 +74,13 @@ pub trait RestartSource {
     /// The manifest.
     fn manifest(&self, ctx: &mut Ctx) -> Sourced<Manifest, Self>;
 
-    /// The whole encoded data segment; the driver verifies it against the
-    /// manifest's integrity record, if there is one.
-    fn segment(&self, ctx: &mut Ctx) -> Sourced<Vec<u8>, Self>;
+    /// Charges the calling task for loading the whole encoded data segment
+    /// and returns its length. The bytes are priced on every rank and lent,
+    /// not handed over: `lend` is called exactly once with the segment
+    /// before an `Ok` return, and only the rank whose closure looks costs
+    /// the host anything. `lend` may run under the source's lock, so it
+    /// must not call back into the source.
+    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Sourced<u64, Self>;
 
     /// Bytes `[off, off + len)` of `array`'s canonical stream, verified,
     /// under the [`drms_darray::stream::PieceFetch`] convention: every task
@@ -121,7 +132,9 @@ fn consult<S: RestartSource>(ctx: &mut Ctx, src: &S, stage: usize) -> Result<()>
 /// `drms_initialize` against the archived state `src` holds: checks the
 /// manifest against the source and the application, reloads the application
 /// text from `fs` (a restart reloads the binary wherever the state lives),
-/// and has every task load and decode the single saved segment.
+/// and has every task load the single saved segment: each is charged for
+/// the whole of it, rank 0 verifies and decodes it, and every task leaves
+/// with a clone that shares the decoded regions.
 pub fn open<S: RestartSource>(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -136,18 +149,42 @@ pub fn open<S: RestartSource>(
     consult(ctx, src, 0)?;
     let t1 = ctx.now();
 
-    let seg_bytes = src.segment(ctx)?;
-    // End-to-end verification: bytes that survived the storage may still be
-    // bytes that rotted on it. v1 manifests and the memory tier (per-piece
-    // CRCs) carry no record and skip this.
-    if manifest.file_integrity("segment").is_some_and(|fi| !fi.matches(&seg_bytes)) {
-        return Err(CoreError::Integrity(format!(
-            "segment of {:?} fails checksum verification",
-            src.prefix()
-        ))
-        .into());
+    let mut decoded = None;
+    let mut verify_and_decode = |bytes: &[u8]| {
+        // End-to-end verification: bytes that survived the storage may
+        // still be bytes that rotted on it. v1 manifests and the memory
+        // tier (per-piece CRCs) carry no record and skip this.
+        decoded =
+            Some(if manifest.file_integrity("segment").is_some_and(|fi| !fi.matches(bytes)) {
+                Err(CoreError::Integrity(format!(
+                    "segment of {:?} fails checksum verification",
+                    src.prefix()
+                )))
+            } else {
+                DataSegment::decode(bytes).map_err(CoreError::from)
+            });
+    };
+    let charged = match ctx.rank() {
+        0 => src.segment(ctx, &mut verify_and_decode),
+        _ => src.segment(ctx, &mut |_| {}),
+    };
+    // Every task reaches this rendezvous, whatever its own load came to, and
+    // all of them fail if any did: a task that left early, or alone, would
+    // strand its siblings at the next collective. It carries no clock; the
+    // barrier below is the phase's synchronization.
+    let mine = match &charged {
+        Err(e) => Err(e.clone()),
+        Ok(_) => decoded.transpose().map_err(S::Error::from),
+    };
+    let (all, _) = ctx.exchange(mine);
+    let segment_bytes = charged?;
+    let mut segment = None;
+    for deposit in all.iter() {
+        if let Some(decoded) = deposit.clone()? {
+            segment = Some(decoded);
+        }
     }
-    let segment = DataSegment::decode(&seg_bytes).map_err(CoreError::from)?;
+    let segment = segment.expect("rank 0 was lent the segment it was charged for");
     ctx.barrier();
     consult(ctx, src, 1)?;
 
@@ -155,7 +192,7 @@ pub fn open<S: RestartSource>(
     // byte count. Every task reads the whole shared segment, so the bytes
     // moved in this phase are ntasks x its size: record per rank, matching
     // the aggregate the restart report uses.
-    let (t2, segment_bytes) = (ctx.now(), seg_bytes.len() as u64);
+    let t2 = ctx.now();
     phase_span(ctx, Phase::Init, "load_text", t0, t1);
     phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
     if ctx.recorder().enabled() {
@@ -251,12 +288,14 @@ impl RestartSource for PiofsFull<'_> {
     }
 
     /// Each task reads the single saved segment file, whole (a delta
-    /// link's too).
-    fn segment(&self, ctx: &mut Ctx) -> Result<Vec<u8>> {
+    /// link's too), in one collective phase; the stored bytes are lent in
+    /// place.
+    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64> {
         let path = segment_path(self.prefix);
         let len = self.fs.size(&path)?;
         let req = ReadReq { path, offset: 0, len, access: ReadAccess::Sequential };
-        Ok(self.fs.collective_read(ctx, vec![req])?.pop().expect("one request"))
+        self.fs.collective_read_with(ctx, vec![req], |_, bytes| lend(bytes))?;
+        Ok(len)
     }
 
     /// One strided range read of the array's stream file — the section

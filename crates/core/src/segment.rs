@@ -11,6 +11,7 @@
 //! data. Table 4 of the paper reports exactly this anatomy.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::wire::{Reader, WireError, Writer};
 
@@ -73,6 +74,10 @@ pub struct SegmentAnatomy {
 
 /// One task's data segment: control variables, replicated variables, and
 /// bulk regions.
+///
+/// A clone shares the bulk regions' storage: a restart decodes the one saved
+/// segment once and hands every task a clone. [`DataSegment::set_region`]
+/// on a clone replaces that clone's region only.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataSegment {
     /// Control variables steering the SOQ flow (loop indices, phase ids).
@@ -80,7 +85,7 @@ pub struct DataSegment {
     /// Replicated variables: identical in every task's address space.
     pub replicated: BTreeMap<String, Vec<u8>>,
     /// Bulk regions.
-    pub regions: Vec<Region>,
+    pub regions: Vec<Arc<Region>>,
 }
 
 impl DataSegment {
@@ -122,17 +127,16 @@ impl DataSegment {
 
     /// Adds (or replaces) a bulk region.
     pub fn set_region(&mut self, name: &str, kind: RegionKind, bytes: Vec<u8>) {
-        if let Some(r) = self.regions.iter_mut().find(|r| r.name == name) {
-            r.kind = kind;
-            r.bytes = bytes;
-        } else {
-            self.regions.push(Region { name: name.to_string(), kind, bytes });
+        let region = Arc::new(Region { name: name.to_string(), kind, bytes });
+        match self.regions.iter_mut().find(|r| r.name == name) {
+            Some(r) => *r = region,
+            None => self.regions.push(region),
         }
     }
 
     /// Looks up a region by name.
     pub fn region(&self, name: &str) -> Option<&Region> {
-        self.regions.iter().find(|r| r.name == name)
+        self.regions.iter().map(|r| &**r).find(|r| r.name == name)
     }
 
     /// Encodes the segment to its checkpoint representation.
@@ -156,10 +160,12 @@ impl DataSegment {
             w.string(k);
             w.blob(v);
         }
-        let skip = |r: &&Region| extra.map(|e| e.name != r.name).unwrap_or(true);
-        let nregions = self.regions.iter().filter(skip).count() + usize::from(extra.is_some());
-        w.u32(nregions as u32);
-        for r in self.regions.iter().filter(skip).chain(extra) {
+        let kept = || {
+            let regions = self.regions.iter().map(|r| &**r);
+            regions.filter(|r| extra.is_none_or(|e| e.name != r.name))
+        };
+        w.u32((kept().count() + usize::from(extra.is_some())) as u32);
+        for r in kept().chain(extra) {
             w.string(&r.name);
             w.u8(r.kind.code());
             w.blob(&r.bytes);
@@ -191,7 +197,7 @@ impl DataSegment {
             let name = r.string()?;
             let kind = RegionKind::from_code(r.u8()?)?;
             let bytes = r.blob()?;
-            seg.regions.push(Region { name, kind, bytes });
+            seg.regions.push(Arc::new(Region { name, kind, bytes }));
         }
         Ok(seg)
     }
@@ -235,6 +241,7 @@ impl DataSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> DataSegment {
         let mut s = DataSegment::new();
@@ -283,6 +290,73 @@ mod tests {
         s.set_region("local", RegionKind::LocalSections, vec![1; 7]);
         assert_eq!(s.region("local").unwrap().bytes.len(), 7);
         assert_eq!(s.regions.len(), 3);
+    }
+
+    #[test]
+    fn a_clone_shares_region_storage_until_it_is_written() {
+        let original = sample();
+        let mut clone = original.clone();
+        for (a, b) in original.regions.iter().zip(&clone.regions) {
+            assert!(Arc::ptr_eq(a, b), "region {:?} was copied", a.name);
+        }
+        assert_eq!(clone.encode(), original.encode());
+
+        clone.set_region("work", RegionKind::PrivateData, vec![8; 31]);
+        clone.set_control("iter", 43);
+        assert_eq!(original, sample(), "writes to the clone reached the original");
+        assert_ne!(clone, original);
+        assert_eq!(clone.region("work").unwrap().bytes, vec![8; 31]);
+        // Only the written region parted ways.
+        let shared =
+            |name: &str| std::ptr::eq(original.region(name).unwrap(), clone.region(name).unwrap());
+        assert!(shared("local") && shared("msgbuf") && !shared("work"));
+
+        // Equality is by value, not by storage.
+        let decoded = DataSegment::decode(&original.encode()).unwrap();
+        assert!(!Arc::ptr_eq(&decoded.regions[0], &original.regions[0]));
+        assert_eq!(decoded, original);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One decode stands for every rank of a restart: whatever the bytes,
+        /// it answers, and an `Ok` re-encodes to exactly what it was given.
+        #[test]
+        fn decode_is_total(cut in 0usize..400, flip in 0usize..400, bit in 0u8..8, huge in 8u32..64) {
+            let good = sample().encode();
+            prop_assert!(good.len() < 400);
+
+            let truncated = &good[..cut.min(good.len() - 1)];
+            prop_assert!(DataSegment::decode(truncated).is_err());
+
+            let mut flipped = good.clone();
+            flipped[flip % good.len()] ^= 1 << bit;
+            if let Ok(seg) = DataSegment::decode(&flipped) {
+                prop_assert_eq!(seg.encode(), flipped);
+            }
+
+            // A length or count field claiming far more than the buffer
+            // holds is refused before anything is sized by it: the blob
+            // length of region `local` (the first) as any power of two up
+            // to 2^63, and every u32 count or string length as 0xFFFF_FFFF.
+            // After `local`'s 100 bytes come `msgbuf` (name 6, 50 bytes)
+            // and `work` (name 4, 30 bytes), each framed by a u32 name
+            // length, a kind byte and a u64 blob length.
+            let after_local = (4 + 6 + 1 + 8 + 50) + (4 + 4 + 1 + 8 + 30);
+            let blob_len = good.len() - after_local - 100 - 8;
+            prop_assert_eq!(&good[blob_len..blob_len + 8], &100u64.to_le_bytes());
+            let mut inflated = good.clone();
+            inflated[blob_len..blob_len + 8].copy_from_slice(&(1u64 << huge).to_le_bytes());
+            prop_assert!(DataSegment::decode(&inflated).is_err());
+            for at in (8..good.len() - 4).step_by(1 + flip % 7) {
+                let mut bad = good.clone();
+                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                if let Ok(seg) = DataSegment::decode(&bad) {
+                    prop_assert_eq!(seg.encode(), bad);
+                }
+            }
+        }
     }
 
     #[test]

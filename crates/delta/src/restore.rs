@@ -3,7 +3,7 @@
 
 use drms_core::chaos::{RestartPoints, RESTART_DELTA};
 use drms_core::manifest::{ArrayDelta, CkptKind, Manifest};
-use drms_core::restore::{self, PiofsFull, RestartSource};
+use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
 use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
@@ -43,8 +43,8 @@ impl RestartSource for DeltaSource<'_> {
         self.0.manifest(ctx)
     }
 
-    fn segment(&self, ctx: &mut Ctx) -> Result<Vec<u8>> {
-        self.0.segment(ctx)
+    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64> {
+        self.0.segment(ctx, lend)
     }
 
     /// The range-limited materialization localized recovery uses as its

@@ -9,7 +9,7 @@
 //! bandwidth, which is the whole point of the tier.
 
 use drms_core::manifest::Manifest;
-use drms_core::restore::{self, RestartSource};
+use drms_core::restore::{self, Lend, RestartSource};
 use drms_core::{phase_span, CheckpointArray, Drms, DrmsConfig, EnableFlag, RestartInfo};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
@@ -72,9 +72,13 @@ impl RestartSource for TierSource<'_> {
         self.tier.manifest(self.prefix)
     }
 
-    fn segment(&self, ctx: &mut Ctx) -> Result<Vec<u8>> {
+    /// Every task runs its own priced, per-piece-CRC-checked fetch (tier
+    /// reads price locally from the holders of the pieces it touched) and
+    /// lends what it fetched.
+    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64> {
         let len = self.tier.file_len(self.prefix, SEGMENT_FILE)?;
-        self.fetch(ctx, SEGMENT_FILE, 0, len)
+        lend(&self.fetch(ctx, SEGMENT_FILE, 0, len)?);
+        Ok(len)
     }
 
     /// The section-granular read localized recovery uses: only the byte

@@ -248,8 +248,8 @@ impl Piofs {
         let geom = self.geom();
         let st = self.state.lock();
         let file = st.files.get(path)?;
-        if !file.lost.overlaps(0, file.len()) {
-            return Some(f(&file.bytes));
+        if let Some(stored) = file.intact(0, file.len()) {
+            return Some(f(stored));
         }
         file.read_logical(0, file.len(), geom.as_ref()).ok().map(|(data, _)| f(&data))
     }
@@ -652,12 +652,36 @@ impl Piofs {
     }
 
     /// Collective read: every task calls with its own request list and gets
-    /// its data back, one buffer per request, in request order.
+    /// its data back, one buffer per request, in request order —
+    /// [`Piofs::collective_read_with`] with a copying closure, for reads
+    /// whose bytes outlive the call.
     pub fn collective_read(
         &self,
         ctx: &mut Ctx,
         reqs: Vec<ReadReq>,
     ) -> Result<Vec<Vec<u8>>, PiofsError> {
+        let mut out = Vec::with_capacity(reqs.len());
+        self.collective_read_with(ctx, reqs, |_, bytes| out.push(bytes.to_vec()))?;
+        Ok(out)
+    }
+
+    /// Lending collective read: every task calls with its own request list
+    /// and is lent each request's bytes in turn, `lend(i, bytes)` for
+    /// request `i`, in request order. A range with nothing lost is borrowed
+    /// in place from the stored bytes; otherwise lost ranges are served by
+    /// parity reconstruction into a temporary. The first request that fails
+    /// ends the read with its error (earlier requests were already lent).
+    /// A task that only has to be charged for the phase passes a no-op.
+    ///
+    /// `lend` runs under the file-system lock, like the closure of
+    /// [`Piofs::with_bytes`]: it must not call back into this `Piofs`, and
+    /// every other task's I/O waits while it runs.
+    pub fn collective_read_with(
+        &self,
+        ctx: &mut Ctx,
+        reqs: Vec<ReadReq>,
+        mut lend: impl FnMut(usize, &[u8]),
+    ) -> Result<(), PiofsError> {
         // As in `collective_write`: weather delays participation, it never
         // aborts a collective unilaterally.
         let _ = self.weather(ctx, "collective_read");
@@ -674,12 +698,15 @@ impl Piofs {
         // Fetch this task's data (contents are stable during the phase).
         let geom = self.geom();
         let mut reconstructed = 0;
-        let mut out = Vec::with_capacity(reqs.len());
         {
             let st = self.state.lock();
-            for r in &reqs {
+            for (i, r) in reqs.iter().enumerate() {
                 let file =
                     st.files.get(&r.path).ok_or_else(|| PiofsError::NotFound(r.path.clone()))?;
+                if let Some(stored) = file.intact(r.offset, r.len) {
+                    lend(i, stored);
+                    continue;
+                }
                 let (data, rec) =
                     file.read_logical(r.offset, r.len, geom.as_ref()).map_err(|e| match e {
                         ReadFail::OutOfBounds => PiofsError::OutOfBounds {
@@ -693,7 +720,7 @@ impl Piofs {
                         }
                     })?;
                 reconstructed += rec;
-                out.push(data);
+                lend(i, &data);
             }
         }
         let rank = ctx.rank();
@@ -701,7 +728,7 @@ impl Piofs {
         if rec.enabled() && reconstructed > 0 {
             rec.counter_add_at(ctx.now(), rank, names::RECONSTRUCTED_BYTES, None, reconstructed);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Exchanges descriptors, prices the phase on rank 0, and advances every
@@ -1075,6 +1102,101 @@ mod tests {
         fs.fail_server(3);
         assert_eq!(fs.with_bytes("ck/seg", |_| unreachable!("unreconstructible")), None::<()>);
         assert!(fs.peek("ck/seg").is_none());
+    }
+
+    /// What one rank saw of a two-request read: the bytes (or the error),
+    /// its clock afterwards.
+    type Seen = (Result<Vec<Vec<u8>>, PiofsError>, f64);
+
+    /// Runs `reqs` on 3 tasks of a fresh seeded parity file system holding
+    /// `data` under `f` (server 2 failed first when `degraded`, server 3
+    /// too when `twice`): through the copying read, through a collecting
+    /// loan, and through a no-op loan. Returns each run's per-rank view and
+    /// `RECONSTRUCTED_BYTES` total.
+    fn three_ways(
+        data: &[u8],
+        reqs: &[ReadReq],
+        degraded: bool,
+        twice: bool,
+    ) -> [(Vec<Seen>, u64); 3] {
+        [0, 1, 2].map(|way| {
+            let cfg = PiofsConfig { jitter_sigma: 0.05, ..PiofsConfig::test_tiny(4).with_parity() };
+            let fs = Piofs::new(cfg, 77);
+            fs.preload("f", data.to_vec());
+            if degraded {
+                fs.fail_server(2);
+            }
+            if twice {
+                fs.fail_server(3);
+            }
+            let rec = Arc::new(drms_obs::TraceRecorder::new());
+            let sink = Arc::clone(&rec) as Arc<dyn Recorder>;
+            let seen = drms_msg::run_spmd_traced(3, CostModel::default(), sink, |ctx| {
+                let reqs = reqs.to_vec();
+                let got = match way {
+                    0 => fs.collective_read(ctx, reqs),
+                    1 => {
+                        let mut out = Vec::new();
+                        fs.collective_read_with(ctx, reqs, |i, b| {
+                            assert_eq!(i, out.len(), "lent in request order");
+                            out.push(b.to_vec());
+                        })
+                        .map(|()| out)
+                    }
+                    _ => fs.collective_read_with(ctx, reqs, |_, _| {}).map(|()| Vec::new()),
+                };
+                (got, ctx.now())
+            })
+            .unwrap();
+            (seen, rec.metrics().counter_total(names::RECONSTRUCTED_BYTES))
+        })
+    }
+
+    #[test]
+    fn lending_read_matches_the_copying_read() {
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
+        let req = |path: &str, offset, len| ReadReq {
+            path: path.into(),
+            offset,
+            len,
+            access: ReadAccess::Sequential,
+        };
+        // The whole file and a sub-range, intact and with one server lost.
+        let reqs = [req("f", 0, 20_000), req("f", 3_000, 9_000)];
+        for degraded in [false, true] {
+            let [(copied, rec_copied), (lent, rec_lent), (noop, rec_noop)] =
+                three_ways(&data, &reqs, degraded, false);
+            for (got, _) in &copied {
+                assert_eq!(got.as_ref().unwrap(), &[data.clone(), data[3_000..12_000].to_vec()]);
+            }
+            assert_eq!(lent, copied, "equal bytes at equal clocks (degraded: {degraded})");
+            // A no-op loan is charged, and accounted, like the copy.
+            let clocks = |seen: &[Seen]| seen.iter().map(|s| s.1.to_bits()).collect::<Vec<_>>();
+            assert!(noop.iter().all(|s| s.0.is_ok()));
+            assert_eq!(clocks(&noop), clocks(&copied));
+            assert_eq!((rec_lent, rec_noop), (rec_copied, rec_copied));
+            assert_eq!(rec_copied > 0, degraded, "3 tasks reconstructed {rec_copied} bytes");
+        }
+        // Equal errors, with the failing request second: a missing file, a
+        // range past the end, a doubly lost stripe.
+        for (bad, twice) in [
+            (req("none", 0, 1), false),
+            (req("f", 19_000, 2_000), false),
+            (req("f", 0, 20_000), true),
+        ] {
+            let reqs = [req("f", 100, 50), bad];
+            let [(copied, _), (lent, _), (noop, _)] = three_ways(&data, &reqs, twice, twice);
+            let errs = |seen: &[Seen]| -> Vec<PiofsError> {
+                seen.iter().map(|s| s.0.clone().unwrap_err()).collect()
+            };
+            assert_eq!(errs(&lent), errs(&copied));
+            assert_eq!(errs(&noop), errs(&copied));
+            assert!(matches!(
+                (&errs(&copied)[0], twice),
+                (PiofsError::StripeLost { .. }, true)
+                    | (PiofsError::NotFound(_) | PiofsError::OutOfBounds { .. }, false)
+            ));
+        }
     }
 
     #[test]

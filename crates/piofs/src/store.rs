@@ -69,6 +69,17 @@ impl FileData {
         Some(self.bytes[offset..end].to_vec())
     }
 
+    /// The stored bytes of `[offset, offset + len)` where they are the
+    /// logical bytes — in bounds and nothing of the range lost; `None`
+    /// sends the caller to [`FileData::read_logical`].
+    pub fn intact(&self, offset: u64, len: u64) -> Option<&[u8]> {
+        let end = offset.checked_add(len)?;
+        if end > self.len() || self.lost.overlaps(offset, end) {
+            return None;
+        }
+        Some(&self.bytes[offset as usize..end as usize])
+    }
+
     pub fn len(&self) -> u64 {
         self.bytes.len() as u64
     }

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use drms_core::manifest::{CkptKind, Manifest};
-use drms_core::restore::{self, PiofsFull, RestartSource};
+use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
 use drms_core::segment::DataSegment;
 use drms_core::wire::crc32;
 use drms_core::{spmd, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag};
@@ -250,5 +250,139 @@ fn every_source_rejects_a_mismatch_in_the_same_words() {
             }
         })
         .unwrap();
+    }
+}
+
+/// Opens `src` on 4 tasks and returns the one error every task must come
+/// back with. `run_spmd` returning at all is the no-stall half: a task
+/// still waiting at the segment rendezvous would trip the board's deadline.
+fn open_fails_alike<S: RestartSource + Sync>(fs: &Piofs, src: &S, what: &str) -> S::Error
+where
+    S::Error: std::fmt::Debug + PartialEq,
+{
+    let errs = run_spmd(4, CostModel::default(), |ctx| {
+        match restore::open(ctx, fs, DrmsConfig::new(APP), EnableFlag::new(), src) {
+            Err(e) => e,
+            Ok(_) => panic!("{what}: rank {} restarted from a bad segment", ctx.rank()),
+        }
+    })
+    .unwrap();
+    assert!(errs.iter().all(|e| e == &errs[0]), "{what}: ranks disagree: {errs:?}");
+    errs.into_iter().next().unwrap()
+}
+
+#[test]
+fn a_bad_segment_fails_every_rank_alike_and_strands_none() {
+    let fs = Piofs::new(PiofsConfig::test_tiny(8), 41);
+    let tier = MemTier::new(1);
+    archive(&fs, &tier, 4);
+    let pristine = |prefix: &str| fs.peek(&format!("{prefix}/segment")).unwrap();
+    let rotted = |prefix: &str| {
+        CoreError::Integrity(format!("segment of {prefix:?} fails checksum verification"))
+    };
+
+    for prefix in ["ck/full", "ck/delta"] {
+        let (good, path) = (pristine(prefix), format!("{prefix}/segment"));
+        let open = |what: &str| match prefix {
+            "ck/full" => open_fails_alike(&fs, &PiofsFull { fs: &fs, prefix }, what),
+            _ => open_fails_alike(&fs, &DeltaSource(PiofsFull { fs: &fs, prefix }), what),
+        };
+        // A flipped byte in the middle, then the file cut short: the
+        // manifest's record catches both on the one rank that checks.
+        fs.corrupt_range(&path, good.len() as u64 / 2, 1, 5);
+        assert_eq!(open("flipped"), rotted(prefix));
+        fs.preload(&path, good[..good.len() - 9].to_vec());
+        assert_eq!(open("truncated"), rotted(prefix));
+        // With no record to hold it against (a v1 manifest), the cut-short
+        // file reaches the decoder, whose refusal every rank gets.
+        let mpath = format!("{prefix}/manifest");
+        let mut manifest = Manifest::decode(&fs.peek(&mpath).unwrap()).unwrap();
+        manifest.integrity.clear();
+        fs.preload(&mpath, manifest.encode());
+        assert!(matches!(open("truncated, no record"), CoreError::Wire(_)));
+    }
+
+    // The tier: every rank runs its own per-piece-CRC-checked fetch, so a
+    // flipped byte fails each rank's own charge step — and each still keeps
+    // the rendezvous. A cut-short segment under a valid piece CRC gets to
+    // rank 0's decoder.
+    let len = tier.file_len("ck/tier", SEGMENT_FILE).unwrap();
+    let good = tier.fetch("ck/tier", SEGMENT_FILE, 0, len).unwrap().data;
+    let manifest = tier.manifest("ck/tier").unwrap().encode();
+    let seal = |prefix: &str, data: Vec<u8>, crc: u32| {
+        run_spmd(4, CostModel::default(), |ctx| {
+            let file_lens = [(SEGMENT_FILE.to_string(), data.len() as u64)];
+            let mut pieces = Vec::new();
+            if ctx.rank() == 0 {
+                let (file, data) = (SEGMENT_FILE.to_string(), Arc::new(data.clone()));
+                pieces.push(CapturedPiece { file, offset: 0, data, crc });
+            }
+            store_captured(ctx, &tier, prefix, APP, 1, manifest.clone(), &file_lens, pieces)
+                .unwrap();
+        })
+        .unwrap();
+    };
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x10;
+    seal("bad/flipped", flipped, crc32(&good));
+    let err = open_fails_alike(&fs, &TierSource { tier: &tier, prefix: "bad/flipped" }, "flipped");
+    assert!(matches!(err, MemTierError::Corrupt { offset: 0, .. }), "{err:?}");
+
+    let short = good[..good.len() - 9].to_vec();
+    let crc = crc32(&short);
+    seal("bad/short", short, crc);
+    let err = open_fails_alike(&fs, &TierSource { tier: &tier, prefix: "bad/short" }, "truncated");
+    assert!(matches!(err, MemTierError::Core(CoreError::Wire(_))), "{err:?}");
+}
+
+/// `ck/full`, except that one rank's segment load fails after the
+/// collective read it shares with its siblings.
+struct OneRankFails<'a>(PiofsFull<'a>, usize);
+
+impl RestartSource for OneRankFails<'_> {
+    type Error = CoreError;
+
+    fn prefix(&self) -> &str {
+        self.0.prefix
+    }
+
+    fn manifest(&self, ctx: &mut Ctx) -> Result<Manifest, CoreError> {
+        self.0.manifest(ctx)
+    }
+
+    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64, CoreError> {
+        let len = self.0.segment(ctx, lend)?;
+        if ctx.rank() == self.1 {
+            return Err(CoreError::NoCheckpoint(format!("rank {} lost it", self.1)));
+        }
+        Ok(len)
+    }
+
+    fn fetch_range(
+        &self,
+        ctx: &mut Ctx,
+        manifest: &Manifest,
+        array: &str,
+        off: u64,
+        len: u64,
+    ) -> Result<Vec<u8>, CoreError> {
+        self.0.fetch_range(ctx, manifest, array, off, len)
+    }
+
+    fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
+        self.0.arrays_restored(ctx, t0, t1, array_bytes)
+    }
+}
+
+#[test]
+fn one_rank_failing_its_segment_load_fails_the_restart_on_all() {
+    let fs = Piofs::new(PiofsConfig::test_tiny(8), 43);
+    archive(&fs, &MemTier::new(1), 4);
+    // Without the rendezvous the three healthy ranks would wait at the
+    // phase's barrier for a sibling that had already returned.
+    for failing in [0, 2] {
+        let src = OneRankFails(PiofsFull { fs: &fs, prefix: "ck/full" }, failing);
+        let err = open_fails_alike(&fs, &src, "one rank fails");
+        assert_eq!(err, CoreError::NoCheckpoint(format!("rank {failing} lost it")));
     }
 }

@@ -12,8 +12,12 @@
 # workload on <seed-base> for the per-layer rows. Records are appended to
 # .bench_build/pairs/{parent,change}.jsonl and every run's table to
 # {parent,change}.log beside them (delete the directory's files to start
-# afresh); the last step is `compare parent.jsonl change.jsonl`, whose exit
-# code (1 on a regression) is this script's.
+# afresh). The last two steps are `compare parent.jsonl change.jsonl` (exit
+# code 1 on a regression) and rule 5 of "Claiming a gain": for every
+# (workload, seed, trace) pair of records whose two runs attempted the same
+# number of ops, stored_ratio, sim_ckpt_s, sim_restore_s and ok_share must be
+# textually equal on both sides; each mismatch is printed. The script exits
+# non-zero if either step objects.
 #
 # Everything lives under .bench_build/pairs/, which is git-ignored and clear
 # of the benchmark driver's own CARGO_TARGET_DIR=.bench_build. The parent's
@@ -72,4 +76,41 @@ for w in "${workloads[@]}"; do
     pair parent change "$w" "$seed_base" 1
 done
 
-"$change_bin" compare "$work/parent.jsonl" "$work/change.jsonl"
+status=0
+"$change_bin" compare "$work/parent.jsonl" "$work/change.jsonl" || status=$?
+
+exact_names=(attempted stored_ratio sim_ckpt_s sim_restore_s ok_share)
+exact() { # <side>: "workload seed trace attempted stored_ratio sim_ckpt_s sim_restore_s ok_share" per record
+    sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"trace": \([01]\),.*"attempted": \([0-9]*\),.*"stored_ratio": {"value": \([^,]*\),.*"sim_ckpt_s": {"value": \([^,]*\),.*"sim_restore_s": {"value": \([^,]*\),.*"ok_share": {"value": \([^,]*\),.*/\1 \2 \3 \4 \5 \6 \7 \8/p' \
+        "$work/$1.jsonl"
+}
+# Records accumulate, so a key can repeat: the n-th parent record of a key
+# pairs with the n-th change record of it.
+declare -A nth=() parent_rec=()
+while read -r w s t rec; do
+    key="$w seed $s trace $t"
+    i=${nth["p $key"]:-0}
+    nth["p $key"]=$((i + 1))
+    parent_rec["$key #$i"]=$rec
+done < <(exact parent)
+checked=0 mismatches=0
+while read -r w s t rec; do
+    key="$w seed $s trace $t"
+    i=${nth["c $key"]:-0}
+    nth["c $key"]=$((i + 1))
+    read -r -a p <<<"${parent_rec["$key #$i"]:-}"
+    read -r -a c <<<"$rec"
+    # Unpaired, or the loop limit cut one side's ops short: medians over
+    # different op counts are not the same quantity.
+    [ "${p[0]:-}" = "${c[0]}" ] || continue
+    checked=$((checked + 1))
+    for j in 1 2 3 4; do
+        if [ "${p[j]}" != "${c[j]}" ]; then
+            echo "exact metric differs: $key: ${exact_names[j]} parent ${p[j]} change ${c[j]}" >&2
+            mismatches=$((mismatches + 1))
+        fi
+    done
+done < <(exact change)
+echo "exact metrics: $checked pair(s) of equal op count checked, $mismatches mismatch(es)" >&2
+[ "$mismatches" -eq 0 ] || status=1
+exit "$status"
