@@ -1,10 +1,13 @@
-//! Minimal command-line parsing shared by the table binaries.
-
-use std::path::PathBuf;
+//! The row flags of the gate table: one parser for `--class`, `--runs`,
+//! `--pes`, `--chunk-bytes` and `--full-every`, whichever of them a row
+//! takes.
 
 use drms_apps::Class;
 
-/// Options common to the experiment binaries.
+use crate::gate::usage;
+
+/// A row's settings. `Default` is the paper's setting; each row starts
+/// from its own defaults — the flags behind its committed baseline.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Problem class (default A, the paper's setting).
@@ -13,9 +16,6 @@ pub struct Options {
     pub runs: usize,
     /// Processor counts to measure.
     pub pes: Vec<usize>,
-    /// Directory to write a stable `BENCH_<name>.json` result into
-    /// (`--json DIR`); `None` prints tables only.
-    pub json: Option<PathBuf>,
     /// Delta-chunk size in bytes for incremental checkpointing
     /// (`--chunk-bytes N`); `0` follows the integrity chunk size.
     pub chunk_bytes: u64,
@@ -26,43 +26,35 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Options {
-            class: Class::A,
-            runs: 10,
-            pes: vec![8, 16],
-            json: None,
-            chunk_bytes: 0,
-            full_every: 8,
-        }
+        Options { class: Class::A, runs: 10, pes: vec![8, 16], chunk_bytes: 0, full_every: 8 }
     }
 }
 
 impl Options {
-    /// Parses `--class X`, `--runs N`, `--pes a,b,...` from `args`.
-    /// Unknown flags abort with a usage message.
-    pub fn parse(args: impl Iterator<Item = String>) -> Options {
-        let mut opts = Options::default();
-        let mut it = args.peekable();
+    /// Parses `rest`, the flags the gate front-end left for row `row`,
+    /// over `self` (the row's defaults). A flag outside `takes`, a missing
+    /// value or a bad one aborts with the usage text.
+    pub fn parse(mut self, row: &str, takes: &[&str], rest: &[String]) -> Options {
+        let mut it = rest.iter();
         while let Some(flag) = it.next() {
-            let mut value =
-                |flag: &str| it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+            if !takes.contains(&flag.as_str()) {
+                usage(&format!("{row} takes no flag {flag:?}"));
+            }
+            let v = it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
             match flag.as_str() {
                 "--class" => {
-                    let v = value("--class");
-                    opts.class =
-                        Class::parse(&v).unwrap_or_else(|| usage(&format!("unknown class {v:?}")));
+                    self.class =
+                        Class::parse(v).unwrap_or_else(|| usage(&format!("unknown class {v:?}")));
                 }
                 "--runs" => {
-                    let v = value("--runs");
-                    opts.runs = v
+                    self.runs = v
                         .parse()
                         .ok()
                         .filter(|&n| n > 0)
                         .unwrap_or_else(|| usage(&format!("bad run count {v:?}")));
                 }
                 "--pes" => {
-                    let v = value("--pes");
-                    opts.pes = v
+                    self.pes = v
                         .split(',')
                         .map(|s| {
                             s.trim()
@@ -73,55 +65,41 @@ impl Options {
                         })
                         .collect();
                 }
-                "--json" => opts.json = Some(PathBuf::from(value("--json"))),
                 "--chunk-bytes" => {
-                    let v = value("--chunk-bytes");
-                    opts.chunk_bytes =
+                    self.chunk_bytes =
                         v.parse().ok().unwrap_or_else(|| usage(&format!("bad chunk size {v:?}")));
                 }
                 "--full-every" => {
-                    let v = value("--full-every");
-                    opts.full_every = v
+                    self.full_every = v
                         .parse()
                         .ok()
                         .filter(|&n| n > 0)
                         .unwrap_or_else(|| usage(&format!("bad full-rewrite epoch {v:?}")));
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag {other:?}")),
+                other => unreachable!("{row} lists an unknown flag {other:?}"),
             }
         }
-        opts
+        self
     }
 
-    /// Parses from the process arguments.
-    pub fn from_env() -> Options {
-        Options::parse(std::env::args().skip(1))
+    /// The one PE count of a row that runs at a single count (`--pes N`).
+    pub fn single_pes(&self) -> usize {
+        match self.pes[..] {
+            [pes] => pes,
+            _ => usage(&format!("--pes takes one count here, not {:?}", self.pes)),
+        }
     }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: <table-binary> [--class T|S|W|A] [--runs N] [--pes 8,16] [--json DIR]\n\
-         \x20                  [--chunk-bytes N] [--full-every N]\n\
-         Class A is the paper's setting (64^3 grids, full-size segments);\n\
-         smaller classes scale every byte-denominated parameter together,\n\
-         preserving the threshold crossings at a fraction of the wall time.\n\
-         --chunk-bytes / --full-every tune incremental checkpointing where\n\
-         a binary takes delta checkpoints (0 chunk bytes = integrity size)."
-    );
-    std::process::exit(2);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const ALL: &[&str] = &["--class", "--runs", "--pes", "--chunk-bytes", "--full-every"];
+
     fn parse(v: &[&str]) -> Options {
-        Options::parse(v.iter().map(|s| s.to_string()))
+        let rest: Vec<String> = v.iter().map(|s| s.to_string()).collect();
+        Options::default().parse("t", ALL, &rest)
     }
 
     #[test]
@@ -134,13 +112,16 @@ mod tests {
 
     #[test]
     fn overrides() {
-        let o = parse(&["--class", "W", "--runs", "3", "--pes", "4,8", "--json", "out"]);
+        let o = parse(&["--class", "W", "--runs", "3", "--pes", "4,8"]);
         assert_eq!(o.class, Class::W);
         assert_eq!(o.runs, 3);
         assert_eq!(o.pes, vec![4, 8]);
-        assert_eq!(o.json, Some(PathBuf::from("out")));
         assert_eq!(o.chunk_bytes, 0);
         assert_eq!(o.full_every, 8);
+        // A row's own defaults survive the flags it was not given.
+        let rest = ["--pes".to_string(), "2".to_string()];
+        let o = Options { class: Class::T, ..Options::default() }.parse("t", ALL, &rest);
+        assert_eq!((o.class, o.single_pes()), (Class::T, 2));
     }
 
     #[test]

@@ -316,9 +316,9 @@ fn restore_checksum(
 /// suite the campaign runs twice (it must be deterministic), the per-app
 /// hard gates of [`checks`] are collected on `gate`, the headline numbers
 /// are tabulated and the per-flight flusher timeline is rendered as the
-/// `TIMELINE_async.txt` artefact. Takes the table binaries' `--class`.
+/// `TIMELINE_async.txt` artefact. Takes `--class` (default A).
 pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
-    let class = Options::parse(args.rest.iter().cloned()).class;
+    let class = Options::default().parse("async", &["--class"], &args.rest).class;
     let params = AsyncParams { seed: args.seed, ..AsyncParams::default() };
     println!("Async bench — overlapped vs blocking checkpointing, class {class}");
     println!(
@@ -381,7 +381,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     ];
     println!("{}", render(&header, &rows));
 
-    GateOutput { result, artefacts: vec![(TIMELINE_FILE, timeline)] }
+    GateOutput { result, artefacts: vec![(TIMELINE_FILE.into(), timeline)] }
 }
 
 /// One flush-timeline block per app: prefix, SOP, and the arm/start/

@@ -332,8 +332,8 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     GateOutput {
         result,
         artefacts: vec![
-            (RECOVERY_FILE, deep_rep.render()),
-            (STITCHED_FILE, render_events(&deep_tl)),
+            (RECOVERY_FILE.into(), deep_rep.render()),
+            (STITCHED_FILE.into(), render_events(&deep_tl)),
         ],
     }
 }

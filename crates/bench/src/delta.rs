@@ -303,10 +303,14 @@ fn effective_chunk(opts: &Options) -> u64 {
 /// The `delta` row of the gate table: for each application of the solver
 /// suite the campaign runs twice (it must be deterministic), the per-app
 /// hard gates of [`checks`] are collected on `gate`, and the headline
-/// numbers are tabulated. Takes the table binaries' `--class`,
-/// `--chunk-bytes` and `--full-every`.
+/// numbers are tabulated. Takes `--class` (default A), `--chunk-bytes` and
+/// `--full-every`.
 pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
-    let opts = Options::parse(args.rest.iter().cloned());
+    let opts = Options::default().parse(
+        "delta",
+        &["--class", "--chunk-bytes", "--full-every"],
+        &args.rest,
+    );
     let class = opts.class;
     let params = DeltaParams {
         chunk_bytes: effective_chunk(&opts),

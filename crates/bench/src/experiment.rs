@@ -1,23 +1,183 @@
 //! The shared checkpoint/restart experiment: run an application to its
 //! mid-point on `P` of the 16 processors, checkpoint, then restart.
+//!
+//! Every row that runs a mini-application goes through the two
+//! incarnations of one [`Experiment`]: the fresh start → warm-up
+//! iterations → checkpoint of [`Experiment::checkpoint`] (or
+//! [`Experiment::checkpoint_tier`]) and the cold restart of
+//! [`Experiment::restart`]. They vary only in what the rows vary: a parity
+//! file system, a recorder per incarnation, a PIOFS or memory-tier + spill
+//! checkpoint, and a PIOFS or memory-tier restart [`Source`].
 
 use std::sync::Arc;
 
 use drms_apps::{AppSpec, AppVariant, Class, MiniApp};
 use drms_core::report::OpBreakdown;
+use drms_core::segment::SegmentAnatomy;
 use drms_core::{Drms, EnableFlag};
-use drms_msg::{run_spmd, CostModel, SpmdError};
+use drms_memtier::MemTier;
+use drms_msg::{run_spmd_traced, CostModel, Ctx, SpmdError};
+use drms_obs::{NullRecorder, Recorder, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
+use drms_resil::{verify_checkpoint, VerifyReport};
 
 /// Number of nodes in the simulated system (fixed, like the paper's SP).
 pub const SYSTEM_NODES: usize = 16;
 
+/// The prefix every experiment checkpoints to and restarts from.
+const MID: &str = "ck/mid";
+
+/// The configuration of [`experiment_fs`].
+fn config(class: Class) -> PiofsConfig {
+    let cfg = PiofsConfig::sp_1997().scale_memory(class.memory_scale());
+    debug_assert_eq!(cfg.n_servers, SYSTEM_NODES);
+    cfg
+}
+
 /// A file system configured like the paper's PIOFS, with memory parameters
 /// scaled to the class so thresholds are preserved at reduced scale.
 pub fn experiment_fs(class: Class, seed: u64) -> Arc<Piofs> {
-    let cfg = PiofsConfig::sp_1997().scale_memory(class.memory_scale());
-    debug_assert_eq!(cfg.n_servers, SYSTEM_NODES);
-    Piofs::new(cfg, seed)
+    Piofs::new(config(class), seed)
+}
+
+/// Where a restart incarnation loads the mid-point checkpoint from.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// The PIOFS files: the paper's restart.
+    Piofs,
+    /// The resident pieces of a memory tier the checkpoint was stored in.
+    Tier(&'a MemTier),
+}
+
+/// One application's checkpoint/restart experiment on a seeded file system
+/// of its own, the application binary installed.
+pub struct Experiment {
+    spec: AppSpec,
+    variant: AppVariant,
+    fs: Arc<Piofs>,
+}
+
+impl Experiment {
+    /// `spec` run as `variant` on a fresh paper-configured PIOFS seeded
+    /// `seed`, with RAID-5-style rotating parity when `parity` is set.
+    pub fn new(spec: &AppSpec, variant: AppVariant, seed: u64, parity: bool) -> Experiment {
+        let cfg = config(spec.class);
+        let fs = Piofs::new(if parity { cfg.with_parity() } else { cfg }, seed);
+        Drms::install_binary(&fs, &spec.drms_config());
+        Experiment { spec: spec.clone(), variant, fs }
+    }
+
+    /// The first incarnation: a fresh start on `pes` tasks, `warm_iters`
+    /// solver iterations (the run to the mid-point), then `save` on every
+    /// task, the tasks reporting to `rec`. Results come in rank order.
+    fn fresh<T: Send>(
+        &self,
+        pes: usize,
+        rec: Option<&Arc<TraceRecorder>>,
+        warm_iters: i64,
+        save: impl Fn(&mut Ctx, &mut MiniApp) -> T + Sync,
+    ) -> Result<Vec<T>, SpmdError> {
+        run_spmd_traced(pes, CostModel::default(), recorder(rec), |ctx| {
+            let mut app = MiniApp::start(
+                ctx,
+                &self.fs,
+                self.spec.clone(),
+                self.variant,
+                EnableFlag::new(),
+                None,
+            )
+            .expect("fresh start");
+            for _ in 0..warm_iters {
+                app.step(ctx);
+            }
+            save(ctx, &mut app)
+        })
+    }
+
+    /// The first incarnation checkpointing to PIOFS with the variant's
+    /// scheme: rank 0's phase breakdown.
+    pub fn checkpoint(
+        &self,
+        pes: usize,
+        rec: Option<&Arc<TraceRecorder>>,
+        warm_iters: i64,
+    ) -> Result<OpBreakdown, SpmdError> {
+        let reports = self.fresh(pes, rec, warm_iters, |ctx, app| {
+            app.checkpoint(ctx, &self.fs, MID).expect("checkpoint")
+        })?;
+        Ok(reports[0])
+    }
+
+    /// The first incarnation checkpointing, after one iteration, into
+    /// `tier` with a verified spill to PIOFS: rank 0's store and spill
+    /// seconds.
+    pub fn checkpoint_tier(
+        &self,
+        pes: usize,
+        rec: Option<&Arc<TraceRecorder>>,
+        tier: &MemTier,
+    ) -> Result<(f64, f64), SpmdError> {
+        let reports = self.fresh(pes, rec, 1, |ctx, app| {
+            let (store, spill) =
+                app.checkpoint_memtier(ctx, &self.fs, tier, MID, true).expect("tier checkpoint");
+            (store.seconds, spill.expect("spilled").seconds)
+        })?;
+        Ok(reports[0])
+    }
+
+    /// Rank 0's data-segment anatomy right after a fresh start on `pes`
+    /// tasks (Table 4).
+    pub fn anatomy(&self, pes: usize) -> Result<SegmentAnatomy, SpmdError> {
+        Ok(self.fresh(pes, None, 0, |_, app| app.segment_anatomy())?[0])
+    }
+
+    /// The second incarnation: the file system forgets the first (memory
+    /// residency and busy horizons), then `pes` tasks restart from the
+    /// mid-point out of `source`, reporting to `rec`. Rank 0's breakdown.
+    pub fn restart(
+        &self,
+        pes: usize,
+        rec: Option<&Arc<TraceRecorder>>,
+        source: Source,
+    ) -> Result<OpBreakdown, SpmdError> {
+        self.fs.clear_residency();
+        self.fs.reset_time();
+        let reports = run_spmd_traced(pes, CostModel::default(), recorder(rec), |ctx| {
+            let spec = self.spec.clone();
+            let enable = EnableFlag::new();
+            let app = match source {
+                Source::Piofs => {
+                    MiniApp::start(ctx, &self.fs, spec, self.variant, enable, Some(MID))
+                        .expect("restart")
+                }
+                Source::Tier(tier) => {
+                    MiniApp::start_memtier(ctx, &self.fs, tier, spec, enable, MID)
+                        .expect("tier restart")
+                }
+            };
+            app.restart_report.expect("restarted")
+        })?;
+        Ok(reports[0])
+    }
+
+    /// Kills PIOFS server `server` and re-verifies the checkpoint
+    /// end-to-end against its manifest checksums.
+    pub fn kill_server(&self, server: usize) -> VerifyReport {
+        self.fs.fail_server(server);
+        verify_checkpoint(&self.fs, MID, &NullRecorder, 0.0)
+    }
+
+    /// All bytes the checkpoint left on PIOFS.
+    fn state_bytes(&self) -> u64 {
+        self.fs.total_bytes(&format!("{MID}/"))
+    }
+}
+
+fn recorder(rec: Option<&Arc<TraceRecorder>>) -> Arc<dyn Recorder> {
+    match rec {
+        Some(rec) => Arc::clone(rec) as Arc<dyn Recorder>,
+        None => Arc::new(NullRecorder),
+    }
 }
 
 /// Measurements from one checkpoint + restart cycle.
@@ -32,9 +192,9 @@ pub struct PairResult {
 }
 
 /// Runs one seeded checkpoint/restart experiment: `spec` on `pes`
-/// processors, one warm-up solver iteration (the "mid-point"), checkpoint,
-/// then a fresh incarnation restarting from it on the same processor count
-/// (the Table 5 protocol).
+/// processors, `warm_iters` solver iterations (the "mid-point"),
+/// checkpoint, then a fresh incarnation restarting from it on the same
+/// processor count (the Table 5 protocol).
 pub fn run_pair(
     spec: &AppSpec,
     variant: AppVariant,
@@ -42,35 +202,34 @@ pub fn run_pair(
     seed: u64,
     warm_iters: i64,
 ) -> Result<PairResult, SpmdError> {
-    let fs = experiment_fs(spec.class, seed);
-    Drms::install_binary(&fs, &spec.drms_config());
+    let exp = Experiment::new(spec, variant, seed, false);
+    let ckpt = exp.checkpoint(pes, None, warm_iters)?;
+    let state_bytes = exp.state_bytes();
+    let restart = exp.restart(pes, None, Source::Piofs)?;
+    Ok(PairResult { ckpt, restart, state_bytes })
+}
 
-    // --- incarnation 1: run to mid-point and checkpoint -----------------
-    let spec_c = spec.clone();
-    let fs_c = Arc::clone(&fs);
-    let ckpts = run_spmd(pes, CostModel::default(), move |ctx| {
-        let mut app = MiniApp::start(ctx, &fs_c, spec_c.clone(), variant, EnableFlag::new(), None)
-            .expect("fresh start");
-        for _ in 0..warm_iters {
-            app.step(ctx);
-        }
-        app.checkpoint(ctx, &fs_c, "ck/mid").expect("checkpoint")
-    })?;
-    let ckpt = ckpts[0];
-    let state_bytes = fs.total_bytes("ck/mid/");
+/// One operation of a [`traced_cycle`].
+pub struct TracedOp {
+    /// `"checkpoint"` or `"restart"`.
+    pub op: &'static str,
+    /// The recorder that saw this operation's incarnation and nothing else.
+    pub rec: Arc<TraceRecorder>,
+    /// The breakdown the operation reported (rank 0).
+    pub report: OpBreakdown,
+}
 
-    // --- incarnation 2: restart from the mid-point ----------------------
-    fs.clear_residency();
-    fs.reset_time();
-    let spec_r = spec.clone();
-    let fs_r = Arc::clone(&fs);
-    let restarts = run_spmd(pes, CostModel::default(), move |ctx| {
-        let app =
-            MiniApp::start(ctx, &fs_r, spec_r.clone(), variant, EnableFlag::new(), Some("ck/mid"))
-                .expect("restart");
-        app.restart_report.expect("restarted")
-    })?;
-    Ok(PairResult { ckpt, restart: restarts[0], state_bytes })
+/// One DRMS checkpoint (after one iteration) and restart of `spec` on
+/// `pes` tasks, on a PIOFS seeded `seed`, each incarnation under a fresh
+/// [`TraceRecorder`] so each trace covers exactly one operation.
+pub fn traced_cycle(spec: &AppSpec, pes: usize, seed: u64) -> Result<[TracedOp; 2], SpmdError> {
+    let exp = Experiment::new(spec, AppVariant::Drms, seed, false);
+    let rec = Arc::new(TraceRecorder::new());
+    let report = exp.checkpoint(pes, Some(&rec), 1)?;
+    let checkpoint = TracedOp { op: "checkpoint", rec, report };
+    let rec = Arc::new(TraceRecorder::new());
+    let report = exp.restart(pes, Some(&rec), Source::Piofs)?;
+    Ok([checkpoint, TracedOp { op: "restart", rec, report }])
 }
 
 /// Saved-state sizes only (Table 3): cheaper than a timed pair because no
@@ -80,24 +239,17 @@ pub fn run_state_size(
     variant: AppVariant,
     pes: usize,
 ) -> Result<SavedState, SpmdError> {
-    let fs = experiment_fs(spec.class, 1);
-    Drms::install_binary(&fs, &spec.drms_config());
-    let spec_c = spec.clone();
-    let fs_c = Arc::clone(&fs);
-    let reports = run_spmd(pes, CostModel::default(), move |ctx| {
-        let mut app = MiniApp::start(ctx, &fs_c, spec_c.clone(), variant, EnableFlag::new(), None)
-            .expect("fresh start");
-        app.checkpoint(ctx, &fs_c, "ck/size").expect("checkpoint")
-    })?;
+    let exp = Experiment::new(spec, variant, 1, false);
+    let report = exp.checkpoint(pes, None, 0)?;
     let segment_file = match variant {
-        AppVariant::Drms => fs.size("ck/size/segment").unwrap_or(0),
-        AppVariant::Spmd => fs.size("ck/size/task-0").unwrap_or(0),
+        AppVariant::Drms => "segment",
+        AppVariant::Spmd => "task-0",
     };
     Ok(SavedState {
-        total: fs.total_bytes("ck/size/"),
-        segment_component: reports[0].segment_bytes,
-        array_component: reports[0].array_bytes,
-        per_task_file: segment_file,
+        total: exp.state_bytes(),
+        segment_component: report.segment_bytes,
+        array_component: report.array_bytes,
+        per_task_file: exp.fs.size(&format!("{MID}/{segment_file}")).unwrap_or(0),
     })
 }
 

@@ -9,8 +9,7 @@
 //! the failure can be rerun without digging through CI definitions.
 //!
 //! * [`run_gated`] wraps a body: any assertion failure or panic inside it
-//!   prints the repro line and exits 1 (the table and figure binaries use
-//!   it too).
+//!   prints the repro line and exits 1.
 //! * [`Gate`] collects soft check failures across a run and reports them
 //!   all at the end, instead of stopping at the first.
 //! * [`baseline_gate`] is the bench-baseline regression check: compare a
@@ -20,7 +19,9 @@
 //!   ([`unnoticed_perturbations`]).
 //!
 //! With `--json DIR` a row's `BENCH_<name>.json` and its artefacts land in
-//! `DIR` under fixed names (the ones CI uploads).
+//! `DIR` under fixed names (the ones CI uploads). The paper's tables are
+//! rows too: each renders its table as the artefact `<name>.txt`
+//! ([`table_file`]), the file committed under `results/`.
 
 use std::path::{Path, PathBuf};
 
@@ -167,7 +168,22 @@ pub struct GateOutput {
     pub result: BenchResult,
     /// The artefact files the scenario rendered, as (file name, contents),
     /// written beside the JSON result.
-    pub artefacts: Vec<(&'static str, String)>,
+    pub artefacts: Vec<(String, String)>,
+}
+
+impl GateOutput {
+    /// The output of a row whose artefact is its rendered table: prints
+    /// `text` and hands it back as [`table_file`] of the result's bench.
+    pub fn table(result: BenchResult, text: String) -> GateOutput {
+        print!("{text}");
+        let name = table_file(&result.bench);
+        GateOutput { result, artefacts: vec![(name, text)] }
+    }
+}
+
+/// The file name of a row's rendered table, `<name>.txt`.
+pub fn table_file(name: &str) -> String {
+    format!("{name}.txt")
 }
 
 /// One gated bench.
@@ -191,6 +207,17 @@ pub const TABLE: &[GateRow] = &[
     GateRow { name: "async", default_seed: 11, scenario: crate::asyncck::scenario },
     GateRow { name: "blackbox", default_seed: 42, scenario: crate::blackbox::scenario },
     GateRow { name: "recover", default_seed: 42, scenario: crate::recover::scenario },
+    GateRow { name: "table1", default_seed: 0, scenario: crate::paper::table1 },
+    GateRow { name: "table3", default_seed: 0, scenario: crate::paper::table3 },
+    GateRow { name: "table4", default_seed: 0, scenario: crate::paper::table4 },
+    GateRow { name: "table5", default_seed: 1000, scenario: crate::paper::table5 },
+    GateRow { name: "table6", default_seed: 2000, scenario: crate::paper::table6 },
+    GateRow { name: "fig7", default_seed: 3000, scenario: crate::paper::fig7 },
+    GateRow { name: "shadow_model", default_seed: 0, scenario: crate::paper::shadow_model },
+    GateRow { name: "ablation", default_seed: 1, scenario: crate::paper::ablation },
+    GateRow { name: "resilience", default_seed: 42, scenario: crate::resilience::scenario },
+    GateRow { name: "memtier", default_seed: 42, scenario: crate::memtier::scenario },
+    GateRow { name: "trace", default_seed: 42, scenario: crate::trace::scenario },
 ];
 
 /// Where `--all` finds each row's committed baseline.
@@ -272,10 +299,17 @@ pub fn usage(err: &str) -> ! {
          \x20           [--tolerance REL] [--bless] [gate flags]\n\
          gates: {}\n\
          --all runs every gate against {BASELINE_DIR}/BENCH_<name>.json at its\n\
-         default seed.\n\
+         default seed and flags.\n\
          --json DIR receives BENCH_<name>.json and the gate's artefacts.\n\
-         Gate flags: insight takes --class T|S|W|A and --pes N; delta and async\n\
-         take --class, --chunk-bytes N and --full-every N; the rest take none.",
+         Gate flags (each defaults to its baseline's setting):\n\
+         \x20 table3, table4, ablation, async: --class T|S|W|A\n\
+         \x20 table5, table6, fig7: --class, --runs N, --pes a,b,...\n\
+         \x20 insight, resilience, memtier, trace: --class, --pes N\n\
+         \x20 delta: --class, --chunk-bytes N, --full-every N\n\
+         \x20 the rest take none.\n\
+         Class A is the paper's setting (64^3 grids, full-size segments);\n\
+         smaller classes scale every byte-denominated parameter together,\n\
+         preserving the threshold crossings at a fraction of the wall time.",
         names.join(", ")
     );
     std::process::exit(2);
@@ -468,23 +502,82 @@ mod tests {
         assert_eq!(all.tolerance, 0.05);
     }
 
+    /// Whether CI's upload list names `file` in the `--json` directory,
+    /// literally or through one `*` wildcard.
+    fn uploaded(ci: &str, file: &str) -> bool {
+        ci.lines().filter_map(|l| l.trim().strip_prefix("target/bench-json/")).any(|pat| match pat
+            .split_once('*')
+        {
+            Some((pre, post)) => {
+                file.len() >= pre.len() + post.len()
+                    && file.starts_with(pre)
+                    && file.ends_with(post)
+            }
+            None => pat == file,
+        })
+    }
+
     #[test]
     fn the_table_names_each_gate_once_and_ci_uploads_every_artefact() {
         let names: Vec<&str> = TABLE.iter().map(|r| r.name).collect();
-        assert_eq!(names, ["insight", "chaos", "pulse", "delta", "async", "blackbox", "recover"]);
+        assert_eq!(
+            names,
+            [
+                "insight",
+                "chaos",
+                "pulse",
+                "delta",
+                "async",
+                "blackbox",
+                "recover",
+                "table1",
+                "table3",
+                "table4",
+                "table5",
+                "table6",
+                "fig7",
+                "shadow_model",
+                "ablation",
+                "resilience",
+                "memtier",
+                "trace",
+            ]
+        );
         let ci = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
         let ci = std::fs::read_to_string(ci).expect("the CI workflow");
-        for file in [
+        let mut files: Vec<String> = [
             crate::pulse::HEARTBEAT_FILE,
             crate::asyncck::TIMELINE_FILE,
             crate::blackbox::RECOVERY_FILE,
             crate::blackbox::STITCHED_FILE,
             crate::recover::TIMELINE_FILE,
-        ] {
-            assert!(
-                ci.contains(&format!("target/bench-json/{file}\n")),
-                "CI does not upload {file}"
-            );
+        ]
+        .map(String::from)
+        .into();
+        // Every row after the seven extension gates renders a table.
+        files.extend(names[7..].iter().map(|name| table_file(name)));
+        files.extend(["trace.json", "events.jsonl"].map(|ext| format!("bt-checkpoint.{ext}")));
+        for name in &names {
+            files.push(format!("BENCH_{name}.json"));
+        }
+        for file in files {
+            assert!(uploaded(&ci, &file), "CI does not upload {file}");
+        }
+    }
+
+    /// Every table committed under `results/` is the rendered artefact of
+    /// exactly one row, so `gate --all` regenerates all of them and CI can
+    /// compare each byte for byte.
+    #[test]
+    fn every_committed_table_is_the_artefact_of_one_row() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for entry in std::fs::read_dir(&dir).expect("results directory") {
+            let name = entry.unwrap().file_name().into_string().expect("UTF-8 file name");
+            if !name.ends_with(".txt") {
+                continue;
+            }
+            let rows = TABLE.iter().filter(|r| table_file(r.name) == name).count();
+            assert_eq!(rows, 1, "results/{name} is the table of {rows} rows");
         }
     }
 }

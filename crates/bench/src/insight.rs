@@ -7,8 +7,8 @@
 //! ```
 //!
 //! For each of BT, LU and SP: traces a mid-point checkpoint and a restart
-//! under a fresh [`TraceRecorder`] each, then runs `drms-insight` over the
-//! finished session — critical path with per-segment bottleneck
+//! under a fresh recorder each ([`traced_cycle`]), then runs
+//! `drms-insight` over the finished session — critical path with per-segment bottleneck
 //! attribution, stream-wave straggler table, per-PIOFS-server
 //! utilization, and the causal edge counts. The scenario *asserts*, for
 //! every traced operation, that the critical path tiles the operation
@@ -20,85 +20,13 @@
 //! within `--tolerance` (relative), failing the process on regression;
 //! `--bless` rewrites the baseline from the current run.
 
-use std::sync::Arc;
-
-use drms_apps::{bt, lu, sp, AppSpec, AppVariant, Class, MiniApp};
-use drms_core::{Drms, EnableFlag};
+use drms_apps::{bt, lu, sp, Class};
 use drms_insight::Analysis;
-use drms_msg::{run_spmd_traced, CostModel};
-use drms_obs::{Recorder, TraceRecorder};
 
-use crate::experiment::experiment_fs;
-use crate::gate::{usage, Gate, GateArgs, GateOutput};
+use crate::args::Options;
+use crate::experiment::traced_cycle;
+use crate::gate::{Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
-
-/// The row's own flags: `--class X` (default S) and `--pes N` (default 4).
-fn parse_flags(rest: &[String]) -> (Class, usize) {
-    let (mut class, mut pes) = (Class::S, 4);
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |flag: &str| it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-        match flag.as_str() {
-            "--class" => {
-                let v = value("--class");
-                class = Class::parse(v).unwrap_or_else(|| usage(&format!("unknown class {v:?}")));
-            }
-            "--pes" => {
-                let v = value("--pes");
-                pes = v
-                    .parse()
-                    .ok()
-                    .filter(|p| (1..=16).contains(p))
-                    .unwrap_or_else(|| usage(&format!("bad PE count {v:?}")));
-            }
-            other => usage(&format!("insight takes no flag {other:?}")),
-        }
-    }
-    (class, pes)
-}
-
-/// Traces one checkpoint and one restart of `spec` (one fresh recorder
-/// per operation, like `--bin trace`), returning both analyses.
-fn trace_app(spec: &AppSpec, pes: usize, seed: u64) -> Vec<(&'static str, Analysis)> {
-    let fs = experiment_fs(spec.class, seed);
-    Drms::install_binary(&fs, &spec.drms_config());
-
-    let rec = Arc::new(TraceRecorder::new());
-    let spec_c = spec.clone();
-    let fs_c = Arc::clone(&fs);
-    run_spmd_traced(pes, CostModel::default(), Arc::clone(&rec) as Arc<dyn Recorder>, move |ctx| {
-        let mut app =
-            MiniApp::start(ctx, &fs_c, spec_c.clone(), AppVariant::Drms, EnableFlag::new(), None)
-                .expect("fresh start");
-        app.step(ctx);
-        app.checkpoint(ctx, &fs_c, "ck/mid").expect("checkpoint")
-    })
-    .expect("checkpoint incarnation");
-    let checkpoint = Analysis::from_recorder(&rec);
-
-    fs.clear_residency();
-    fs.reset_time();
-    let rec = Arc::new(TraceRecorder::new());
-    let spec_r = spec.clone();
-    let fs_r = Arc::clone(&fs);
-    run_spmd_traced(pes, CostModel::default(), Arc::clone(&rec) as Arc<dyn Recorder>, move |ctx| {
-        let app = MiniApp::start(
-            ctx,
-            &fs_r,
-            spec_r.clone(),
-            AppVariant::Drms,
-            EnableFlag::new(),
-            Some("ck/mid"),
-        )
-        .expect("restart");
-        app.restart_report.expect("restarted")
-    })
-    .expect("restart incarnation");
-    let restart = Analysis::from_recorder(&rec);
-
-    vec![("checkpoint", checkpoint), ("restart", restart)]
-}
 
 /// Asserts the analysis invariants the bin gates on, records the headline
 /// metrics, and prints the report.
@@ -137,8 +65,12 @@ fn report(app: &str, op: &str, a: &Analysis, result: &mut BenchResult) {
 
 /// The `insight` row of the gate table.
 pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
-    let (class, pes) = parse_flags(&args.rest);
-    let seed = args.seed;
+    let opts = Options { class: Class::S, pes: vec![4], ..Options::default() }.parse(
+        "insight",
+        &["--class", "--pes"],
+        &args.rest,
+    );
+    let (class, pes, seed) = (opts.class, opts.single_pes(), args.seed);
     println!(
         "Causal trace analysis of one checkpoint/restart cycle per app \
          (class {class}, {pes} PEs, seed {seed})\n"
@@ -150,8 +82,8 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     result.stamp_header(seed, pes);
 
     for spec in [bt(class), lu(class), sp(class)] {
-        for (op, analysis) in trace_app(&spec, pes, seed) {
-            report(spec.name, op, &analysis, &mut result);
+        for t in traced_cycle(&spec, pes, seed).expect("traced cycle") {
+            report(spec.name, t.op, &Analysis::from_recorder(&t.rec), &mut result);
         }
     }
     println!(

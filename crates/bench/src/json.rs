@@ -1,6 +1,6 @@
-//! Stable JSON emission and baseline comparison for the bench binaries.
+//! Stable JSON emission and baseline comparison for the gate rows.
 //!
-//! Every binary can emit its headline numbers as `BENCH_<name>.json`
+//! Every row can emit its headline numbers as `BENCH_<name>.json`
 //! (`--json DIR`): one object with the bench name, the invocation
 //! parameters, and a flat map of named metrics. The writer sorts keys and
 //! uses Rust's shortest-roundtrip float formatting, so the file is

@@ -1,12 +1,17 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (Section 5) plus the Section 6 shadow-region model.
 //!
-//! Each `src/bin/tableN.rs` binary reproduces the corresponding table;
-//! `fig7` emits the Figure 7 component series; `shadow_model` sweeps the
-//! Section 6 ratio. The seven regression gates are rows of [`gate::TABLE`]
-//! run by the one `gate` binary, and the toy job every fault campaign
-//! drives is [`campaign`]. Host-time measurement of the Figure 5
-//! algorithms lives in the standalone `benchmark/` package.
+//! Every experiment is a row of [`gate::TABLE`], run by the one `gate`
+//! binary (`cargo run --release -p drms-bench --bin gate -- <row>`): the
+//! paper's tables, Figure 7, the shadow model and the ablations
+//! ([`paper`]), the resilience, memory-tier and trace experiments, and the
+//! regression gates of the extensions. Each row checks its invariants and
+//! its headline numbers against a committed baseline; a paper row's
+//! rendered table is the file committed under `results/`. Every row that
+//! runs a mini-application goes through the one checkpoint/restart cycle
+//! of [`experiment`], and the toy job every fault campaign drives is
+//! [`campaign`]. Host-time measurement
+//! of the Figure 5 algorithms lives in the standalone `benchmark/` package.
 //!
 //! Conventions shared by all experiments, matching the paper's setup:
 //! a 16-node system with PIOFS striped across all 16 nodes; applications
@@ -27,8 +32,12 @@ pub mod experiment;
 pub mod gate;
 pub mod insight;
 pub mod json;
+pub mod memtier;
+pub mod paper;
 pub mod pulse;
 pub mod recover;
+pub mod resilience;
 pub mod seed;
 pub mod stats;
 pub mod table;
+pub mod trace;

@@ -222,5 +222,5 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         OVERHEAD_BUDGET * 1e2
     );
     let heartbeats: String = report.heartbeats.iter().map(|line| format!("{line}\n")).collect();
-    GateOutput { result, artefacts: vec![(HEARTBEAT_FILE, heartbeats)] }
+    GateOutput { result, artefacts: vec![(HEARTBEAT_FILE.into(), heartbeats)] }
 }

@@ -371,5 +371,5 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
              ladder rungs, resizes touch no storage, and every campaign replays \
              bit-identically."
     );
-    GateOutput { result, artefacts: vec![(TIMELINE_FILE, timeline)] }
+    GateOutput { result, artefacts: vec![(TIMELINE_FILE.into(), timeline)] }
 }

@@ -1,4 +1,4 @@
-//! Text-table rendering helpers for the experiment binaries.
+//! Text-table rendering helpers for the gate rows.
 
 /// Renders an aligned text table: a header row plus data rows. Column
 /// widths adapt to content.

@@ -2,84 +2,28 @@
 //! must exercise every pipeline counter, and the trace-derived breakdown
 //! must equal the one the operations return.
 
-use std::sync::Arc;
-
-use drms_apps::{sp, AppVariant, Class, MiniApp};
-use drms_bench::experiment::experiment_fs;
+use drms_apps::{sp, Class};
+use drms_bench::experiment::{traced_cycle, TracedOp};
 use drms_core::report::OpBreakdown;
-use drms_core::{Drms, EnableFlag};
-use drms_msg::{run_spmd_traced, CostModel};
-use drms_obs::{names, Recorder, TraceRecorder};
+use drms_obs::names;
 
 const PES: usize = 4;
 
-fn traced_cycle() -> (Arc<TraceRecorder>, OpBreakdown, Arc<TraceRecorder>, OpBreakdown) {
-    let spec = sp(Class::T);
-    let fs = experiment_fs(spec.class, 7);
-    Drms::install_binary(&fs, &spec.drms_config());
-
-    let ck_rec = Arc::new(TraceRecorder::new());
-    let spec_c = spec.clone();
-    let fs_c = Arc::clone(&fs);
-    let ckpts = run_spmd_traced(
-        PES,
-        CostModel::default(),
-        Arc::clone(&ck_rec) as Arc<dyn Recorder>,
-        move |ctx| {
-            let mut app = MiniApp::start(
-                ctx,
-                &fs_c,
-                spec_c.clone(),
-                AppVariant::Drms,
-                EnableFlag::new(),
-                None,
-            )
-            .unwrap();
-            app.step(ctx);
-            app.checkpoint(ctx, &fs_c, "ck/mid").unwrap()
-        },
-    )
-    .unwrap();
-
-    fs.clear_residency();
-    fs.reset_time();
-    let rs_rec = Arc::new(TraceRecorder::new());
-    let fs_r = Arc::clone(&fs);
-    let restarts = run_spmd_traced(
-        PES,
-        CostModel::default(),
-        Arc::clone(&rs_rec) as Arc<dyn Recorder>,
-        move |ctx| {
-            let app = MiniApp::start(
-                ctx,
-                &fs_r,
-                spec.clone(),
-                AppVariant::Drms,
-                EnableFlag::new(),
-                Some("ck/mid"),
-            )
-            .unwrap();
-            app.restart_report.unwrap()
-        },
-    )
-    .unwrap();
-
-    (ck_rec, ckpts[0], rs_rec, restarts[0])
+fn traced() -> [TracedOp; 2] {
+    traced_cycle(&sp(Class::T), PES, 7).unwrap()
 }
 
 #[test]
 fn trace_derived_breakdown_equals_reported() {
-    let (ck_rec, ckpt, rs_rec, restart) = traced_cycle();
-    let ck = OpBreakdown::from_trace(&ck_rec.phase_summary(), ck_rec.metrics());
-    assert_eq!(ck, ckpt, "checkpoint");
-    let rs = OpBreakdown::from_trace(&rs_rec.phase_summary(), rs_rec.metrics());
-    assert_eq!(rs, restart, "restart");
-    assert!(ckpt.total() > 0.0 && restart.total() > 0.0);
+    for TracedOp { op, rec, report } in traced() {
+        assert_eq!(OpBreakdown::from_trace(&rec.phase_summary(), rec.metrics()), report, "{op}");
+        assert!(report.total() > 0.0, "{op}");
+    }
 }
 
 #[test]
 fn cycle_exercises_every_pipeline_counter() {
-    let (ck_rec, _, rs_rec, _) = traced_cycle();
+    let [TracedOp { rec: ck_rec, .. }, TracedOp { rec: rs_rec, .. }] = traced();
 
     // Counters bumped while checkpointing (streaming is the write path).
     let m = ck_rec.metrics();
@@ -115,7 +59,7 @@ fn cycle_exercises_every_pipeline_counter() {
 
 #[test]
 fn exports_are_structurally_valid_and_cover_all_layers() {
-    let (ck_rec, _, _, _) = traced_cycle();
+    let [TracedOp { rec: ck_rec, .. }, _] = traced();
     let chrome = ck_rec.to_chrome_trace();
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.ends_with("\"displayTimeUnit\":\"ms\"}\n"));
