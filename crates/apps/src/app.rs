@@ -71,7 +71,7 @@ impl MiniApp {
                     }
                     _ => {
                         fill_fresh(&mut fields);
-                        (drms, base_segment(&spec), fields, None)
+                        (drms, shared_base_segment(ctx, &spec), fields, None)
                     }
                 }
             }
@@ -81,7 +81,7 @@ impl MiniApp {
                 match restart_from {
                     None => {
                         fill_fresh(&mut fields);
-                        (drms, base_segment(&spec), fields, None)
+                        (drms, shared_base_segment(ctx, &spec), fields, None)
                     }
                     Some(prefix) => {
                         let (restored, report) = spmd::restart(ctx, fs, &cfg, prefix)?;
@@ -129,6 +129,12 @@ impl MiniApp {
     /// The distributed fields (primary solution first).
     pub fn fields(&self) -> &[DistArray<f64>] {
         &self.fields
+    }
+
+    /// This task's data segment, as the next checkpoint saves it (less the
+    /// local-sections region the checkpoint assembles from the fields).
+    pub fn segment(&self) -> &DataSegment {
+        &self.seg
     }
 
     /// One solver iteration (collective).
@@ -286,6 +292,16 @@ fn base_segment(spec: &AppSpec) -> DataSegment {
     seg.set_replicated_f64("grid", spec.grid() as f64);
     seg.set_control("iter", 0);
     seg
+}
+
+/// [`base_segment`], declared once for the whole region (collective): the
+/// tasks are threads of one address space, so rank 0 builds it and every
+/// task leaves with a clone sharing its regions, as a restart's tasks share
+/// the one decoded segment. Control and replicated variables stay each
+/// task's own. The exchange carries no clock.
+fn shared_base_segment(ctx: &mut Ctx, spec: &AppSpec) -> DataSegment {
+    let (all, _) = ctx.exchange((ctx.rank() == 0).then(|| base_segment(spec)));
+    all[0].clone().expect("rank 0 declares the segment")
 }
 
 fn make_fields(spec: &AppSpec, ctx: &Ctx) -> Vec<DistArray<f64>> {

@@ -42,15 +42,17 @@ pub fn step(ctx: &mut Ctx, fields: &mut [DistArray<f64>], iter: i64) {
     let mut touched = 0usize;
 
     // Sweep the primary field: Jacobi-style so reads see old values only.
+    // Updates are kept as (local index, value): no allocation per point.
     {
         let u = &fields[0];
         let domain = u.domain().clone();
         let region = u.assigned().clone();
-        let mut updates: Vec<(Vec<i64>, f64)> = Vec::with_capacity(region.size());
+        let mut updates: Vec<(usize, f64)> = Vec::with_capacity(region.size());
         region.points(Order::ColumnMajor).for_each(|p| {
-            let center = u.get(p).expect("assigned is mapped");
+            let at = u.local_index(p).expect("assigned is mapped");
+            let center = u.local()[at];
             let mut acc = 0.25 * center;
-            let mut q = p.to_vec();
+            let mut q: [i64; 4] = p.try_into().expect("points are [c, x, y, z]");
             // Fixed neighbor order: -x, +x, -y, +y, -z, +z.
             for ax in 1..4 {
                 for dir in [-1i64, 1] {
@@ -66,33 +68,36 @@ pub fn step(ctx: &mut Ctx, fields: &mut [DistArray<f64>], iter: i64) {
                     q[ax] = p[ax];
                 }
             }
-            updates.push((p.to_vec(), acc + source));
+            updates.push((at, acc + source));
         });
         touched += updates.len();
-        let u = &mut fields[0];
-        for (p, v) in updates {
-            u.set(&p, v).expect("assigned point");
-        }
+        apply(&mut fields[0], &updates);
     }
 
     // Derived fields relax toward the primary solution's first component.
     let (primary, rest) = fields.split_first_mut().expect("nonempty");
     for f in rest {
         let region = f.assigned().clone();
-        let mut updates: Vec<(Vec<i64>, f64)> = Vec::with_capacity(region.size());
+        let mut updates: Vec<(usize, f64)> = Vec::with_capacity(region.size());
         region.points(Order::ColumnMajor).for_each(|p| {
             let up = [0, p[1], p[2], p[3]];
             let uv = primary.get(&up).expect("same spatial decomposition");
-            let old = f.get(p).expect("assigned is mapped");
-            updates.push((p.to_vec(), 0.5 * old + 0.25 * uv + source));
+            let at = f.local_index(p).expect("assigned is mapped");
+            updates.push((at, 0.5 * f.local()[at] + 0.25 * uv + source));
         });
         touched += updates.len();
-        for (p, v) in updates {
-            f.set(&p, v).expect("assigned point");
-        }
+        apply(f, &updates);
     }
 
     ctx.charge(touched as f64 * FLOPS_PER_POINT / FLOP_RATE);
+}
+
+/// Writes `(local index, value)` updates into `f`'s local storage.
+fn apply(f: &mut DistArray<f64>, updates: &[(usize, f64)]) {
+    let local = f.local_mut();
+    for &(at, v) in updates {
+        local[at] = v;
+    }
 }
 
 /// Global residual-style diagnostic: the sum of the primary field over its

@@ -16,7 +16,16 @@ use drms_piofs::{Piofs, PiofsConfig};
 const GOLDEN: &[(&str, f64)] =
     &[("bt", 76011.24000000159), ("lu", 31735.208000000064), ("sp", 44070.384000002836)];
 
-fn checksum(spec: &AppSpec, ntasks: usize) -> f64 {
+/// FNV-1a over every assigned element — field index, point, value bits — in
+/// sorted global order after 3 iterations of class T, captured from the
+/// reference implementation. Unlike the sums above, a digest also sees a
+/// value that moved to another point, or two errors that cancel.
+const DIGESTS: &[(&str, u64)] =
+    &[("bt", 0x8315_43e7_5033_a151), ("lu", 0xb872_9d8b_e33c_e027), ("sp", 0x56db_5893_ba69_5255)];
+
+/// Every field's assigned elements after 3 iterations on `ntasks`, in
+/// sorted global order.
+fn snapshot(spec: &AppSpec, ntasks: usize) -> Vec<((usize, Vec<i64>), f64)> {
     let fs = Piofs::new(PiofsConfig::test_tiny(8), 1);
     let spec = spec.clone();
     let out = run_spmd(ntasks, CostModel::default(), move |ctx| {
@@ -33,7 +42,34 @@ fn checksum(spec: &AppSpec, ntasks: usize) -> f64 {
     // Fixed global order so the floating-point sum is identical for every
     // task count.
     all.sort_by(|a, b| a.0.cmp(&b.0));
-    all.iter().map(|(_, v)| v).sum()
+    all
+}
+
+fn checksum(spec: &AppSpec, ntasks: usize) -> f64 {
+    snapshot(spec, ntasks).iter().map(|(_, v)| v).sum()
+}
+
+fn digest(spec: &AppSpec, ntasks: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for ((field, point), v) in snapshot(spec, ntasks) {
+        let words = point.iter().map(|&x| x as u64).chain([field as u64, v.to_bits()]);
+        for b in words.flat_map(u64::to_le_bytes) {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn every_element_matches_its_golden_digest_on_one_and_four_tasks() {
+    for spec_fn in [bt as fn(Class) -> AppSpec, lu, sp] {
+        let spec = spec_fn(Class::T);
+        let golden = DIGESTS.iter().find(|(n, _)| *n == spec.name).unwrap().1;
+        for p in [1usize, 4] {
+            let got = digest(&spec, p);
+            assert_eq!(got, golden, "{} on {p} tasks: digest {got:#x} vs {golden:#x}", spec.name);
+        }
+    }
 }
 
 #[test]

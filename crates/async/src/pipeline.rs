@@ -419,7 +419,7 @@ fn flush_full(
         for a in &snap.arrays {
             let path = array_path(commit.staging(), &a.entry.name);
             if ctx.rank() == 0 {
-                fs.create(&path);
+                fs.create(&path, a.stream_bytes);
             }
             ctx.barrier();
             let reqs: Vec<WriteReq> = a
@@ -549,7 +549,7 @@ fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: &DeltaPlan) -> Res
         if ctx.rank() == 0 {
             let (name, pack) = &plan.packs[i];
             let path = delta_path(commit.staging(), name);
-            fs.create(&path);
+            fs.create(&path, pack.len() as u64);
             if !pack.is_empty() {
                 fs.write_at(ctx, &path, 0, pack);
             }

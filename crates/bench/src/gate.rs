@@ -322,9 +322,19 @@ pub fn no_gate_flags(name: &str, rest: &[String]) {
     }
 }
 
+/// Peak resident set named by a `/proc/<pid>/status` text (`VmHWM`), in MB
+/// of 10^6 bytes.
+fn vm_hwm_mb(status: &str) -> Option<f64> {
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?.trim().strip_suffix("kB")?;
+    Some(kb.trim().parse::<f64>().ok()? * 1024.0 / 1e6)
+}
+
 /// Runs one row in this process: scenario, artefacts, soft checks,
-/// baseline gate.
+/// baseline gate. A row that passes ends with its host cost on stderr,
+/// `<row>: host <wall> s, peak RSS <MB> MB` — the wall and peak-RSS columns
+/// of the row table in DESIGN.md §17, which `--all` prints for every row.
 fn run_row(row: &GateRow, opts: &Opts) {
+    let started = std::time::Instant::now();
     let args = GateArgs {
         seed: opts.seed.unwrap_or_else(|| fault_seed_or(row.default_seed)),
         rest: opts.rest.clone(),
@@ -351,6 +361,9 @@ fn run_row(row: &GateRow, opts: &Opts) {
             baseline_gate(&out.result, path, opts.tolerance, opts.bless, &repro);
         }
     });
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let peak = vm_hwm_mb(&status).map_or("unknown".to_string(), |mb| format!("{mb:.0}"));
+    eprintln!("{}: host {:.2} s, peak RSS {peak} MB", row.name, started.elapsed().as_secs_f64());
 }
 
 /// `--all`: every row, each in a process of its own against its committed
@@ -465,6 +478,15 @@ mod tests {
         let mut current = BenchResult::new("t");
         current.metric("seen", 2.0);
         assert_eq!(unnoticed_perturbations(&current, &baseline, 0.05), vec!["unseen".to_string()]);
+    }
+
+    #[test]
+    fn the_host_cost_line_reads_vm_hwm() {
+        let status = "Name:\tgate\nVmPeak:\t  900 kB\nVmHWM:\t  1953125 kB\nVmRSS:\t 10 kB\n";
+        assert_eq!(vm_hwm_mb(status), Some(2000.0));
+        assert_eq!(vm_hwm_mb("Name:\tgate\n"), None);
+        let own = std::fs::read_to_string("/proc/self/status").expect("a Linux host");
+        assert!(vm_hwm_mb(&own).is_some_and(|mb| mb > 0.0), "{own}");
     }
 
     fn parse(v: &[&str]) -> Opts {

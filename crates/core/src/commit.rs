@@ -162,7 +162,7 @@ impl<'a> Commit<'a> {
         if ctx.rank() == 0 {
             let bytes = segment.expect("rank 0 holds the encoded segment");
             let path = segment_path(&self.staging);
-            self.fs.create(&path);
+            self.fs.create(&path, bytes.len() as u64);
             self.fs.write_at(ctx, &path, 0, bytes);
         }
         ctx.barrier();
@@ -203,7 +203,7 @@ impl<'a> Commit<'a> {
         if ctx.rank() == 0 {
             let bytes = manifest(compute_integrity_staged(fs, prefix)).encode();
             let smp = staged_manifest_path(prefix);
-            fs.create(&smp);
+            fs.create(&smp, bytes.len() as u64);
             fs.write_at(ctx, &smp, 0, &bytes);
         }
         // No barrier before the publish: only rank 0 acts in this window
@@ -263,7 +263,7 @@ mod tests {
         commit.stage_segment(ctx, Some(&[7u8; 64]))?;
         if ctx.rank() == 0 {
             let path = format!("{}/array-u", commit.staging());
-            fs.create(&path);
+            fs.create(&path, 128);
             fs.write_at(ctx, &path, 0, &[9u8; 128]);
         }
         commit.array_staged(ctx)?;

@@ -31,6 +31,9 @@ use crate::{CoreError, Drms, Result};
 
 const MAGIC: [u8; 4] = *b"DMPD";
 const VERSION: u32 = 1;
+/// The smallest encoded component (two empty strings and a task count):
+/// what a count read from the manifest is capped by ([`Reader::fits`]).
+const MIN_COMPONENT: usize = 4 + 4 + 8;
 
 /// A reusable rendezvous for one representative task per component.
 struct Gate {
@@ -185,7 +188,7 @@ impl MpmdManifest {
         }
         let app = r.string()?;
         let n = r.u32()?;
-        let mut components = Vec::with_capacity(n as usize);
+        let mut components = Vec::with_capacity(r.fits(n as usize, MIN_COMPONENT));
         for _ in 0..n {
             components.push(MpmdComponent {
                 name: r.string()?,
@@ -239,6 +242,26 @@ mod tests {
         assert_eq!(d, m);
         assert_eq!(d.component("atmos").unwrap().ntasks, 2);
         assert!(d.component("ice").is_none());
+    }
+
+    #[test]
+    fn a_hostile_component_count_is_an_error_not_an_allocation() {
+        // A valid header claiming u32::MAX components and holding none: sized
+        // by the count, the reservation alone would abort the process.
+        let mut w = Writer::with_header(MAGIC, VERSION);
+        w.string("coupled");
+        w.u32(u32::MAX);
+        let bytes = w.finish();
+        assert!(matches!(MpmdManifest::decode(&bytes), Err(WireError::Truncated { .. })));
+        // One component short of the count is refused the same way.
+        let m = MpmdManifest {
+            app: "coupled".into(),
+            components: vec![MpmdComponent { name: "a".into(), prefix: "p".into(), ntasks: 1 }],
+        };
+        let mut bytes = m.encode();
+        let count_at = 8 + 4 + m.app.len();
+        bytes[count_at..count_at + 4].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(MpmdManifest::decode(&bytes), Err(WireError::Truncated { .. })));
     }
 
     #[test]

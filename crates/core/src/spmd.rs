@@ -38,7 +38,7 @@ pub fn checkpoint(
 
     let bytes = encode_segment_with_locals(base_segment, arrays, cfg.fixed_local_bytes);
     let path = task_segment_path(prefix, ctx.rank());
-    fs.create(&path);
+    fs.create(&path, bytes.len() as u64);
     fs.collective_write(ctx, vec![WriteReq { path, offset: 0, data: bytes }]);
     ctx.barrier();
     let t1 = ctx.now();
@@ -57,7 +57,7 @@ pub fn checkpoint(
         // Stage, then publish by rename: the manifest appears atomically,
         // so an observer never sees a half-written commit marker.
         let smp = crate::commit::staged_manifest_path(prefix);
-        fs.create(&smp);
+        fs.create(&smp, bytes.len() as u64);
         fs.write_at(ctx, &smp, 0, &bytes);
         fs.delete(&manifest_path(prefix));
         crate::commit::publish_manifest(fs, prefix);

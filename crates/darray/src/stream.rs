@@ -71,7 +71,8 @@ pub fn write_section_with<T: Element>(
         target_piece_bytes,
     )?;
     if ctx.rank() == 0 {
-        fs.create(path); // truncate: a stream fully defines the file
+        // Truncate: a stream fully defines the file, and its length is known.
+        fs.create(path, (section.size() * T::SIZE) as u64);
     }
     ctx.barrier();
 

@@ -150,7 +150,7 @@ fn run(
             let (table, pack, s) =
                 chain.stage_array(fs, prefix, a.array_name(), &stream, params, full, cfg.compress);
             let pack_path = delta_path(commit.staging(), a.array_name());
-            fs.create(&pack_path);
+            fs.create(&pack_path, pack.len() as u64);
             if !pack.is_empty() {
                 fs.write_at(ctx, &pack_path, 0, &pack);
             }

@@ -15,7 +15,7 @@
 //! its virtual-time price follows the same deterministic cost model as
 //! every other message in the simulation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use drms_core::manifest::{manifest_path, ArrayEntry, CkptKind, Manifest};
@@ -332,11 +332,13 @@ fn write_resident_pieces(
     let (rank_of_node, _) = node_map(ctx);
 
     if ctx.rank() == 0 {
-        let mut seen = BTreeSet::new();
+        // A sealed entry's pieces tile each file exactly.
+        let mut lens: BTreeMap<&str, u64> = BTreeMap::new();
         for p in &pieces {
-            if seen.insert(p.file.clone()) {
-                fs.create(&format!("{dir}/{}", p.file));
-            }
+            *lens.entry(&p.file).or_default() += p.data.len() as u64;
+        }
+        for (file, len) in lens {
+            fs.create(&format!("{dir}/{file}"), len);
         }
     }
     ctx.barrier();
@@ -412,7 +414,7 @@ fn finish_spill(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str) -> Resu
     // a spill interrupted mid-write never leaves a torn commit marker (the
     // manifest-less data files fall to the orphan sweep instead).
     let smp = drms_core::commit::staged_manifest_path(prefix);
-    fs.create(&smp);
+    fs.create(&smp, bytes.len() as u64);
     fs.write_at(ctx, &smp, 0, &bytes);
     let mp = manifest_path(prefix);
     fs.delete(&mp);

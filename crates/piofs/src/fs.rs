@@ -188,11 +188,19 @@ impl Piofs {
     // Namespace
     // ------------------------------------------------------------------
 
-    /// Creates (or truncates) a file.
-    pub fn create(&self, path: &str) {
+    /// Creates (or truncates) a file its creator is about to fill with `len`
+    /// bytes. The store reserves exactly that, once, so the pieces that land
+    /// afterwards, in whatever order, never regrow it; the file still reads
+    /// as empty (`size` 0) until bytes land, and a write past `len` still
+    /// extends it.
+    pub fn create(&self, path: &str, len: u64) {
         let mut st = self.state.lock();
+        // Free the truncated file's bytes before reserving its successor's,
+        // so a rewrite of the same size can take their place.
+        st.files.remove(path);
         let id = st.alloc_id();
-        st.files.insert(path.to_string(), FileData::new(id));
+        let file = FileData { bytes: Vec::with_capacity(len as usize), ..FileData::new(id) };
+        st.files.insert(path.to_string(), file);
     }
 
     /// Deletes a file; `true` if it existed.
@@ -914,17 +922,60 @@ mod tests {
     fn namespace_operations() {
         let fs = fs();
         assert!(!fs.exists("a"));
-        fs.create("a");
+        fs.create("a", 0);
         assert!(fs.exists("a"));
         assert_eq!(fs.size("a").unwrap(), 0);
         assert!(fs.size("b").is_err());
-        fs.create("dir/x");
-        fs.create("dir/y");
+        fs.create("dir/x", 0);
+        fs.create("dir/y", 0);
         let listed = fs.list("dir/");
         assert_eq!(listed.len(), 2);
         assert_eq!(listed[0].path, "dir/x");
         assert!(fs.delete("a"));
         assert!(!fs.delete("a"));
+    }
+
+    #[test]
+    fn a_created_file_is_one_allocation_whatever_order_its_pieces_land_in() {
+        const PIECE: usize = 1000;
+        let fs = fs();
+        let piece = |j: usize| vec![j as u8 + 1; PIECE];
+        // Data pointer, capacity and length of the stored bytes.
+        let storage = |fs: &Piofs| {
+            let st = fs.state.lock();
+            let bytes = &st.files["f"].bytes;
+            (bytes.as_ptr() as usize, bytes.capacity(), bytes.len())
+        };
+        let created = run_spmd(4, CostModel::free(), |ctx| {
+            let created = (ctx.rank() == 0).then(|| {
+                fs.create("f", 16 * PIECE as u64);
+                assert_eq!(fs.size("f").unwrap(), 0, "nothing has landed yet");
+                storage(&fs)
+            });
+            let at_create = ctx.exchange(created).0[0].expect("rank 0 created the file");
+            // Four waves of four pieces, shuffled: the last piece lands
+            // first and the file fills out of order.
+            for wave in 0..4 {
+                let j = (7 * (4 * wave + ctx.rank()) + 15) % 16;
+                let req = WriteReq { path: "f".into(), offset: (j * PIECE) as u64, data: piece(j) };
+                fs.collective_write(ctx, vec![req]);
+                assert_eq!(storage(&fs).0, at_create.0, "wave {wave} moved the file");
+            }
+            at_create
+        })
+        .unwrap();
+        let (ptr, capacity, len) = created[0];
+        assert_eq!((capacity, len), (16 * PIECE, 0));
+        assert_eq!(storage(&fs), (ptr, 16 * PIECE, 16 * PIECE));
+        let whole: Vec<u8> = (0..16).flat_map(piece).collect();
+        assert_eq!(fs.peek("f").unwrap(), whole);
+
+        // A write past the announced length still extends the file.
+        run_spmd(1, CostModel::free(), |ctx| fs.write_at(ctx, "f", 17_000, &[9; 10])).unwrap();
+        let mut grown = whole;
+        grown.extend([0; 1000].into_iter().chain([9; 10]));
+        assert_eq!(fs.size("f").unwrap(), 17_010);
+        assert_eq!(fs.peek("f").unwrap(), grown);
     }
 
     #[test]
