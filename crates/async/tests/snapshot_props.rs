@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use drms_async::{AsyncCheckpointer, AsyncConfig};
 use drms_core::manifest::array_path;
 use drms_core::segment::DataSegment;
-use drms_core::{checkpoint_is_valid, find_checkpoints, Drms, DrmsConfig, EnableFlag};
+use drms_core::{find_checkpoints, verify, Drms, DrmsConfig, EnableFlag};
 use drms_darray::{DistArray, Distribution};
 use drms_msg::{run_spmd, CostModel};
 use drms_piofs::{Piofs, PiofsConfig};
@@ -91,7 +91,7 @@ proptest! {
         run_pipeline(&f, &states, budget);
         for (i, state) in states.iter().enumerate() {
             let prefix = format!("ck/p{i}");
-            prop_assert!(checkpoint_is_valid(&f, &prefix), "checkpoint {} invalid", i);
+            prop_assert!(verify(&f, &prefix).is_valid(), "checkpoint {} invalid", i);
             let got = f.peek(&array_path(&prefix, "u")).expect("array file committed");
             prop_assert_eq!(&got, &stream_of(state), "checkpoint {} holds mutated bytes", i);
         }

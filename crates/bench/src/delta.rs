@@ -15,8 +15,8 @@ use drms_apps::{bt, lu, sp, AppSpec, Class};
 use drms_core::manifest::array_path;
 use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
-    checkpoint_is_valid, find_checkpoints, read_manifest_collective, sweep_orphans,
-    CheckpointArray, CoreError, Drms, EnableFlag,
+    find_checkpoints, read_manifest_collective, sweep_orphans, verify, CheckpointArray, CoreError,
+    Drms, EnableFlag,
 };
 use drms_darray::DistArray;
 use drms_delta::{delta_checkpoint, materialize_stream, DeltaChain, DeltaConfig, DeltaSource};
@@ -238,7 +238,7 @@ pub fn run_campaign(spec: &AppSpec, params: &DeltaParams) -> Result<DeltaCampaig
     // sweep reclaims nothing reachable from a committed manifest.
     sweep_orphans(&fs_delta);
     for (prefix, _) in find_checkpoints(&fs_delta, Some(&cfg.app)) {
-        assert!(checkpoint_is_valid(&fs_delta, &prefix), "sweep broke {prefix:?}");
+        assert!(verify(&fs_delta, &prefix).is_valid(), "sweep broke {prefix:?}");
     }
 
     // --- restore leg: both paths, on a different task count -------------

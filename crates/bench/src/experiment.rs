@@ -14,12 +14,12 @@ use std::sync::Arc;
 use drms_apps::{AppSpec, AppVariant, Class, MiniApp};
 use drms_core::report::OpBreakdown;
 use drms_core::segment::SegmentAnatomy;
-use drms_core::{Drms, EnableFlag};
+use drms_core::{Drms, EnableFlag, VerifyReport};
 use drms_memtier::MemTier;
 use drms_msg::{run_spmd_traced, CostModel, Ctx, SpmdError};
 use drms_obs::{NullRecorder, Recorder, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
-use drms_resil::{verify_checkpoint, VerifyReport};
+use drms_resil::verify_checkpoint;
 
 /// Number of nodes in the simulated system (fixed, like the paper's SP).
 pub const SYSTEM_NODES: usize = 16;

@@ -243,7 +243,7 @@ impl<'a> Commit<'a> {
 mod tests {
     use super::*;
     use crate::manifest::CkptKind;
-    use crate::{checkpoint_is_valid, CoreError};
+    use crate::{verify, CoreError};
     use drms_chaos::{ChaosCtl, FaultPlan, CKPT_COMMIT, FLUSH_COMMIT};
     use drms_msg::{run_spmd_chaos, CostModel};
     use drms_obs::NullRecorder;
@@ -326,7 +326,7 @@ mod tests {
                 assert_eq!(!fs.list("ck/1/").is_empty(), published, "{at}");
                 assert_eq!(fs.exists("ck/1/array-u"), published, "{at}");
                 assert_eq!(fs.exists(&manifest_path("ck/1")), committed, "{at}");
-                assert_eq!(checkpoint_is_valid(&fs, "ck/1"), committed, "{at}");
+                assert_eq!(verify(&fs, "ck/1").is_valid(), committed, "{at}");
                 assert_eq!(hook_ran.load(Ordering::SeqCst), committed, "{at}");
                 assert_eq!(fs.list("ck/1.tmp/").is_empty(), committed, "{at}");
             }

@@ -10,14 +10,13 @@ use crate::commit::{integrity_of, Commit};
 use crate::handle::{encode_segment_with_locals, CheckpointArray};
 use crate::inject::crash_point;
 use crate::manifest::{
-    array_path, manifest_path, segment_path, task_segment_path, ArrayEntry, CkptKind,
-    FileIntegrity, Manifest,
+    array_path, manifest_path, segment_path, ArrayEntry, CkptKind, FileIntegrity, Manifest,
 };
 use crate::report::OpBreakdown;
 use crate::restore::{self, PiofsFull, RestartInfo};
 use crate::segment::DataSegment;
+use crate::verify::verify;
 use crate::{CoreError, IoMode, Result};
-use drms_darray::chunks;
 
 /// Static configuration of a DRMS application.
 #[derive(Debug, Clone)]
@@ -270,77 +269,6 @@ pub fn compute_integrity(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> {
     integrity_of(fs, &[format!("{prefix}/")])
 }
 
-/// Whether the checkpoint under `prefix` verifies end-to-end: the manifest
-/// decodes (for v2+ that includes its trailing self-CRC), every file the
-/// checkpoint kind mandates exists, and every recorded integrity entry
-/// matches its file bitwise. A v1 manifest carries no integrity records and
-/// validates on existence alone.
-///
-/// For an incremental ([`CkptKind::DrmsDelta`]) checkpoint, the chunk
-/// tables are verified too: every chunk stored in a *prior* incarnation's
-/// pack must still be present there and decode to bytes matching the
-/// recorded content hash — a delta checkpoint whose referenced history was
-/// lost or rotted is not a valid restart source. Locally stored chunks are
-/// covered by this prefix's own integrity records. Control-plane operation
-/// (no clock).
-pub fn checkpoint_is_valid(fs: &Piofs, prefix: &str) -> bool {
-    let Some(bytes) = fs.peek(&manifest_path(prefix)) else { return false };
-    let Ok(m) = Manifest::decode(&bytes) else { return false };
-    let required: Vec<String> = match m.kind {
-        CkptKind::Drms => std::iter::once(segment_path(prefix))
-            .chain(m.arrays.iter().map(|a| array_path(prefix, &a.name)))
-            .collect(),
-        CkptKind::Spmd => (0..m.ntasks).map(|r| task_segment_path(prefix, r)).collect(),
-        CkptKind::DrmsDelta => std::iter::once(segment_path(prefix))
-            .chain(
-                m.deltas.iter().flat_map(|d| d.chunks.iter().map(|c| c.pack_path(prefix, &d.name))),
-            )
-            .collect(),
-    };
-    if required.iter().any(|p| !fs.exists(p)) {
-        return false;
-    }
-    if m.kind == CkptKind::DrmsDelta && !delta_chunks_verify(fs, prefix, &m) {
-        return false;
-    }
-    m.integrity
-        .iter()
-        .all(|fi| fs.with_bytes(&format!("{prefix}/{}", fi.name), |b| fi.matches(b)) == Some(true))
-}
-
-/// Verifies the referenced (non-local) chunks of a delta manifest against
-/// their recorded content hashes. The referenced incarnation's own
-/// manifest may be long gone, so this reads the pack bytes directly.
-fn delta_chunks_verify(fs: &Piofs, prefix: &str, m: &Manifest) -> bool {
-    let mut packs: std::collections::HashMap<String, Vec<u8>> = Default::default();
-    for d in &m.deltas {
-        for c in &d.chunks {
-            if matches!(c.source, crate::manifest::ChunkSource::Local) {
-                continue;
-            }
-            let path = c.pack_path(prefix, &d.name);
-            let bytes = match packs.entry(path.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => match fs.peek(&path) {
-                    Some(b) => e.insert(b),
-                    None => return false,
-                },
-            };
-            let (start, end) = (c.offset as usize, c.offset as usize + c.stored_len as usize);
-            if end > bytes.len() {
-                return false;
-            }
-            let Some(raw) = chunks::decode_chunk(c.codec, &bytes[start..end]) else {
-                return false;
-            };
-            if raw.len() as u64 != c.len as u64 || chunks::fnv128(&raw) != c.hash {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Lists all complete checkpoints on the file system, newest SOP first,
 /// optionally filtered by application. Control-plane operation (no clock).
 pub fn find_checkpoints(fs: &Piofs, app: Option<&str>) -> Vec<(String, Manifest)> {
@@ -452,7 +380,7 @@ pub fn sweep_orphans(fs: &Piofs) -> Vec<String> {
 /// prefixes; long-running jobs need exactly this kind of garbage collection.
 ///
 /// Resilience-aware: when checkpoints newer than the newest *verified* one
-/// ([`checkpoint_is_valid`]) exist but fail verification, that verified
+/// ([`verify`]) exist but fail verification, that verified
 /// checkpoint is what a restart would fall back to — so it is never deleted,
 /// even when the corrupt newcomers push it past the retention window. When
 /// the newest checkpoint verifies, retention behaves classically (and
@@ -467,7 +395,7 @@ pub fn sweep_orphans(fs: &Piofs) -> Vec<String> {
 /// chunk sharing: nothing a retained manifest can reach is ever collected.
 pub fn retain_checkpoints(fs: &Piofs, app: &str, keep: usize) -> Vec<String> {
     let all = find_checkpoints(fs, Some(app));
-    let protected = match all.iter().position(|(p, _)| checkpoint_is_valid(fs, p)) {
+    let protected = match all.iter().position(|(p, _)| verify(fs, p).is_valid()) {
         // Everything newer than index i failed verification, so index i is
         // the restart fallback; protect it. i == 0 means the newest is
         // healthy and needs no special treatment.

@@ -49,15 +49,17 @@ mod drms;
 mod error;
 mod handle;
 mod inject;
+mod verify;
 
 pub use drms::{
-    checkpoint_is_valid, compute_integrity, delete_checkpoint, find_checkpoints, integrity_chunk,
-    phase_span, read_manifest_collective, record_bytes, retain_checkpoints, stage_flight_rings,
-    sweep_orphans, Drms, DrmsConfig, EnableFlag, Start,
+    compute_integrity, delete_checkpoint, find_checkpoints, integrity_chunk, phase_span,
+    read_manifest_collective, record_bytes, retain_checkpoints, stage_flight_rings, sweep_orphans,
+    Drms, DrmsConfig, EnableFlag, Start,
 };
 pub use error::CoreError;
 pub use inject::crash_point;
 pub use restore::RestartInfo;
+pub use verify::{verify, ChunkFault, VerifyReport};
 
 /// Re-export of the fault-injection crate, so campaign code can name
 /// [`chaos::CrashPoint`] and fault plans through the core facade.

@@ -13,7 +13,9 @@
 //! of every array stream, so mismatched restarts fail loudly instead of
 //! reading garbage.
 
-use drms_darray::chunks::{ChunkParams, Codec};
+use std::borrow::Cow;
+
+use drms_darray::chunks::{self, ChunkParams, Codec};
 use drms_slices::{Order, Range, Slice};
 
 use crate::handle::CheckpointArray;
@@ -185,6 +187,31 @@ impl ChunkRecord {
             ChunkSource::Local => delta_path(prefix, array),
             ChunkSource::Ref { prefix, array } => delta_path(prefix, array),
         }
+    }
+
+    /// This chunk's stored bytes within `pack`, the whole pack file holding
+    /// it; `None` when the recorded range runs past the pack's end.
+    pub fn stored<'a>(&self, pack: &'a [u8]) -> Option<&'a [u8]> {
+        let start = usize::try_from(self.offset).ok()?;
+        pack.get(start..start.checked_add(self.stored_len as usize)?)
+    }
+
+    /// Decodes this chunk's `stored` bytes and checks them against the
+    /// record: exactly `len` raw bytes whose FNV-1a hash is `hash`. A `Raw`
+    /// chunk is hashed in place and lent back, and an `Rle` one is never
+    /// expanded past `len`. The error names the check that failed (`"fails
+    /// to decode"`, `"fails its content hash"`).
+    pub fn decode<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>, &'static str> {
+        let raw = match self.codec {
+            Codec::Raw => Cow::Borrowed(stored),
+            Codec::Rle => Cow::Owned(
+                chunks::rle_decompress(stored, self.len as usize).ok_or("fails to decode")?,
+            ),
+        };
+        if raw.len() != self.len as usize || chunks::fnv128(&raw) != self.hash {
+            return Err("fails its content hash");
+        }
+        Ok(raw)
     }
 }
 

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use drms_core::segment::DataSegment;
 use drms_core::{
-    checkpoint_is_valid, delete_checkpoint, find_checkpoints, retain_checkpoints, sweep_orphans,
-    Drms, DrmsConfig, EnableFlag,
+    delete_checkpoint, find_checkpoints, retain_checkpoints, sweep_orphans, verify, Drms,
+    DrmsConfig, EnableFlag,
 };
 use drms_darray::{DistArray, Distribution};
 use drms_msg::{run_spmd, CostModel};
@@ -109,8 +109,8 @@ fn retention_never_collects_the_newest_verified_checkpoint() {
     // Silently corrupt the newest checkpoint's segment: it still *looks*
     // complete (manifest + files present) but fails chunk verification.
     assert!(fs.corrupt_range("ck/3/segment", 0, 16, 7) > 0);
-    assert!(!checkpoint_is_valid(&fs, "ck/3"));
-    assert!(checkpoint_is_valid(&fs, "ck/2"));
+    assert!(!verify(&fs, "ck/3").is_valid());
+    assert!(verify(&fs, "ck/2").is_valid());
 
     // keep=1 would classically retain only corrupt ck/3 — but ck/2 is what
     // a restart falls back to, so it must survive the collection.

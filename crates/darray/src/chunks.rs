@@ -227,15 +227,21 @@ pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`rle_compress`]. Returns `None` on a malformed stream
-/// (odd length).
-pub fn rle_decompress(bytes: &[u8]) -> Option<Vec<u8>> {
+/// Inverse of [`rle_compress`], producing at most `len` bytes. Returns
+/// `None` on a malformed stream (odd length) and as soon as the output
+/// would pass `len`: a hostile stream expands up to 128x, so it is stopped
+/// at the length its record promises, not after.
+pub fn rle_decompress(bytes: &[u8], len: usize) -> Option<Vec<u8>> {
     if !bytes.len().is_multiple_of(2) {
         return None;
     }
     let mut out = Vec::new();
     for pair in bytes.chunks_exact(2) {
-        out.extend(std::iter::repeat_n(pair[1], pair[0] as usize + 1));
+        let run = pair[0] as usize + 1;
+        if run > len - out.len() {
+            return None;
+        }
+        out.resize(out.len() + run, pair[1]);
     }
     Some(out)
 }
@@ -252,12 +258,15 @@ pub fn encode_chunk(bytes: &[u8], compress: bool) -> (Codec, Vec<u8>) {
     (Codec::Raw, bytes.to_vec())
 }
 
-/// Decodes a stored chunk back to its raw bytes. Returns `None` when the
-/// stored bytes are malformed for the codec.
+/// Decodes a stored chunk back to its raw bytes, at most
+/// [`MAX_CHUNK_BYTES`] of them (no writer cuts a longer chunk). Returns
+/// `None` when the stored bytes are malformed for the codec. A reader that
+/// holds the chunk's record bounds the output by the recorded length
+/// instead (`drms_core::manifest::ChunkRecord::decode`).
 pub fn decode_chunk(codec: Codec, stored: &[u8]) -> Option<Vec<u8>> {
     match codec {
         Codec::Raw => Some(stored.to_vec()),
-        Codec::Rle => rle_decompress(stored),
+        Codec::Rle => rle_decompress(stored, MAX_CHUNK_BYTES as usize),
     }
 }
 
@@ -353,7 +362,7 @@ mod tests {
             vec![9u8; 257],
         ] {
             let c = rle_compress(&data);
-            assert_eq!(rle_decompress(&c).unwrap(), data, "roundtrip failed");
+            assert_eq!(rle_decompress(&c, data.len()).unwrap(), data, "roundtrip failed");
             let (codec, stored) = encode_chunk(&data, true);
             assert_eq!(decode_chunk(codec, &stored).unwrap(), data);
             if codec == Codec::Rle {
@@ -363,7 +372,7 @@ mod tests {
             assert_eq!(codec, Codec::Raw);
             assert_eq!(stored, data);
         }
-        assert!(rle_decompress(&[1, 2, 3]).is_none());
+        assert!(rle_decompress(&[1, 2, 3], 8).is_none());
     }
 
     #[test]

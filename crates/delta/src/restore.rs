@@ -7,7 +7,6 @@ use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
 use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
-use drms_darray::chunks::{decode_chunk, fnv128};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
@@ -173,8 +172,9 @@ fn fetch_stream_range(
     let got = fs.collective_read(ctx, reqs)?;
     let mut out = Vec::with_capacity(len as usize);
     for (stored, i) in got.iter().zip(idxs) {
-        let c = &d.chunks[i];
-        let raw = decode_and_verify(c, stored, &d.name, i)?;
+        let raw = d.chunks[i].decode(stored).map_err(|why| {
+            CoreError::Integrity(format!("chunk {i} of array {:?} {why}", d.name))
+        })?;
         let (s, _) = params.range(d.stream_len, i);
         let lo = (off.max(s) - s) as usize;
         let hi = ((off + len).min(s + raw.len() as u64) - s) as usize;
@@ -214,13 +214,14 @@ pub fn materialize_stream(
                 e.insert(b)
             }
         };
-        let (start, end) = (c.offset as usize, (c.offset + c.stored_len as u64) as usize);
-        if end > bytes.len() {
-            return Err(CoreError::Integrity(format!(
+        let stored = c.stored(bytes).ok_or_else(|| {
+            CoreError::Integrity(format!(
                 "chunk {i} of array {array:?} is out of bounds in pack {path}"
-            )));
-        }
-        let raw = decode_and_verify(c, &bytes[start..end], array, i)?;
+            ))
+        })?;
+        let raw = c
+            .decode(stored)
+            .map_err(|why| CoreError::Integrity(format!("chunk {i} of array {array:?} {why}")))?;
         out.extend_from_slice(&raw);
     }
     if out.len() as u64 != d.stream_len {
@@ -231,22 +232,4 @@ pub fn materialize_stream(
         )));
     }
     Ok(out)
-}
-
-/// Decodes one stored chunk and verifies its length and content hash.
-fn decode_and_verify(
-    c: &drms_core::manifest::ChunkRecord,
-    stored: &[u8],
-    array: &str,
-    i: usize,
-) -> Result<Vec<u8>> {
-    let raw = decode_chunk(c.codec, stored).ok_or_else(|| {
-        CoreError::Integrity(format!("chunk {i} of array {array:?} fails to decode"))
-    })?;
-    if raw.len() != c.len as usize || fnv128(&raw) != c.hash {
-        return Err(CoreError::Integrity(format!(
-            "chunk {i} of array {array:?} fails its content hash"
-        )));
-    }
-    Ok(raw)
 }

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
 use drms_core::segment::DataSegment;
 use drms_core::{
-    checkpoint_is_valid, find_checkpoints, sweep_orphans, CoreError, Drms, DrmsConfig, EnableFlag,
-    Start,
+    find_checkpoints, sweep_orphans, verify, CoreError, Drms, DrmsConfig, EnableFlag, Start,
 };
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{delta_checkpoint, restore_arrays_delta, resume, DeltaChain, DeltaConfig};
@@ -167,7 +166,7 @@ fn crash_point_sweep_over_delta_commits() {
         let found = find_checkpoints(&f, Some(APP));
         for (prefix, _) in &found {
             assert!(!prefix.contains(".tmp"), "{point}: staged {prefix:?} discoverable");
-            assert!(checkpoint_is_valid(&f, prefix), "{point}: {prefix:?} invalid");
+            assert!(verify(&f, prefix).is_valid(), "{point}: {prefix:?} invalid");
         }
         // Fallback is the newest *fully committed* link: the first link
         // always, plus the second exactly when the crash hit after its
@@ -179,7 +178,7 @@ fn crash_point_sweep_over_delta_commits() {
         // Reclaiming the crashed attempt's staging never breaks the
         // surviving chain.
         sweep_orphans(&f);
-        assert!(checkpoint_is_valid(&f, &from), "{point}: sweep broke the fallback");
+        assert!(verify(&f, &from).is_valid(), "{point}: sweep broke the fallback");
 
         // Second incarnation restarts from the fallback (recovering the
         // chain from its manifest) and lands bitwise on the reference.
@@ -209,6 +208,6 @@ fn delta_chain_survives_transient_weather() {
     let t2 = incarnation(&f2, Some(ctl2), None).expect("weather rerun crashed");
     assert_eq!(t1, t2, "weather run is nondeterministic");
     for (prefix, _) in find_checkpoints(&f2, Some(APP)) {
-        assert!(checkpoint_is_valid(&f2, &prefix), "{prefix:?} invalid after weather");
+        assert!(verify(&f2, &prefix).is_valid(), "{prefix:?} invalid after weather");
     }
 }

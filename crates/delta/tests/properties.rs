@@ -12,9 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use drms_core::manifest::{delta_path, manifest_path};
 use drms_core::segment::DataSegment;
-use drms_core::{
-    checkpoint_is_valid, find_checkpoints, sweep_orphans, Drms, DrmsConfig, EnableFlag,
-};
+use drms_core::{find_checkpoints, sweep_orphans, verify, Drms, DrmsConfig, EnableFlag};
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{delta_checkpoint, materialize_stream, DeltaChain, DeltaConfig, DeltaReport};
 use drms_msg::{run_spmd, CostModel};
@@ -99,7 +97,7 @@ proptest! {
             let (_, m) = found.iter().find(|(p, _)| *p == prefix).expect("committed");
             let got = materialize_stream(&f, &prefix, m, "u").unwrap();
             prop_assert_eq!(&got, &stream_of(state), "link {} diverged", i);
-            prop_assert!(checkpoint_is_valid(&f, &prefix), "link {} invalid", i);
+            prop_assert!(verify(&f, &prefix).is_valid(), "link {} invalid", i);
         }
     }
 
@@ -150,7 +148,7 @@ proptest! {
             if dropped.contains(&i) { continue; }
             let prefix = format!("ck/p{i}");
             let (_, m) = found.iter().find(|(p, _)| *p == prefix).expect("survivor");
-            prop_assert!(checkpoint_is_valid(&f, &prefix), "sweep broke link {}", i);
+            prop_assert!(verify(&f, &prefix).is_valid(), "sweep broke link {}", i);
             prop_assert_eq!(
                 materialize_stream(&f, &prefix, m, "u").unwrap(),
                 stream_of(state),

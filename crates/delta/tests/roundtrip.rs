@@ -6,9 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use drms_core::manifest::{delta_path, ChunkSource, CkptKind};
 use drms_core::segment::DataSegment;
-use drms_core::{
-    checkpoint_is_valid, find_checkpoints, Drms, DrmsConfig, EnableFlag, IoMode, Start,
-};
+use drms_core::{find_checkpoints, verify, Drms, DrmsConfig, EnableFlag, IoMode, Start};
 use drms_darray::chunks::Codec;
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{
@@ -184,7 +182,7 @@ fn deltas_shrink_and_materialize_bitwise() {
     for (prefix, iter) in [("ck/d3", 3i64), ("ck/d6", 6)] {
         let (_, m) = found.iter().find(|(p, _)| p == prefix).expect("committed");
         assert_eq!(m.kind, CkptKind::DrmsDelta);
-        assert!(checkpoint_is_valid(&f, prefix), "{prefix} fails validation");
+        assert!(verify(&f, prefix).is_valid(), "{prefix} fails validation");
         assert_eq!(
             materialize_stream(&f, prefix, m, "u").unwrap(),
             expected_stream(iter),

@@ -69,12 +69,7 @@ pub fn choose_restart_tiered(
                 return TieredRestartPlan {
                     tier: RestartTier::Memory,
                     memory: Some((prefix, manifest)),
-                    piofs: RestartPlan {
-                        chosen: None,
-                        fallback_depth: 0,
-                        quarantined: Vec::new(),
-                        repaired: 0,
-                    },
+                    piofs: RestartPlan::default(),
                 };
             }
         }

@@ -23,9 +23,7 @@ use drms_core::chaos::CrashPoint;
 use drms_core::commit::{publish_staged_files, staging_prefix};
 use drms_core::manifest::CkptKind;
 use drms_core::restore::{range_fetch, PiofsFull, RestartSource};
-use drms_core::{
-    checkpoint_is_valid, crash_point, phase_span, stage_flight_rings, CheckpointArray, CoreError,
-};
+use drms_core::{crash_point, phase_span, stage_flight_rings, verify, CheckpointArray, CoreError};
 use drms_darray::stream::PieceFetch;
 use drms_delta::DeltaSource;
 use drms_memtier::{MemTier, TierSource};
@@ -199,7 +197,7 @@ pub fn recover(
     let full = PiofsFull { fs, prefix };
     let (source, manifest) = match tier.filter(|t| t.is_intact(prefix)) {
         Some(tier) => (StreamSource::Replica, tier.manifest(prefix)?),
-        None if checkpoint_is_valid(fs, prefix) => {
+        None if verify(fs, prefix).is_valid() => {
             let m = full.manifest(ctx)?;
             match m.kind {
                 CkptKind::Drms => (StreamSource::PiofsFull, m),

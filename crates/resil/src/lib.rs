@@ -7,11 +7,12 @@
 //! closes the gap with four cooperating pieces, layered over the simulated
 //! PIOFS and the versioned manifest format:
 //!
-//! * **Verification** ([`verify_checkpoint`]) — checks a checkpoint
-//!   end-to-end against its manifest: the manifest's own trailing CRC, the
-//!   existence of every file the checkpoint kind mandates, and each file's
-//!   per-chunk CRC32 records. Failures are reported chunk-by-chunk so repair
-//!   can be surgical.
+//! * **Verification** ([`verify_checkpoint`]) — the one verifier,
+//!   [`drms_core::verify`], with its telemetry: the manifest's own trailing
+//!   CRC, the existence of every file the checkpoint kind mandates, each
+//!   file's per-chunk CRC32 records, and the content hash of every chunk a
+//!   delta checkpoint references from a prior incarnation's pack. Failures
+//!   are reported chunk-by-chunk so repair can be surgical.
 //! * **Scrub** ([`scrub_checkpoint`]) — repairs checksum-failed chunks from
 //!   the RAID-5-style parity stripes maintained by the file system, then
 //!   re-verifies; a chunk is only counted repaired when its CRC matches
@@ -41,4 +42,4 @@ mod verify;
 pub use faults::{AppliedCorruption, CorruptionCampaign};
 pub use restart::{choose_restart, quarantine_checkpoint, RestartPlan};
 pub use scrub::{scrub_checkpoint, ScrubReport};
-pub use verify::{verify_checkpoint, ChunkFault, VerifyReport};
+pub use verify::verify_checkpoint;

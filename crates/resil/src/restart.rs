@@ -10,7 +10,7 @@ use crate::scrub::scrub_checkpoint;
 use crate::verify::verify_checkpoint;
 
 /// Outcome of a restart-time walk over the checkpoint chain.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RestartPlan {
     /// Newest checkpoint that verified (possibly after scrub repair), with
     /// its manifest; `None` when no checkpoint survives.
@@ -43,33 +43,24 @@ pub fn quarantine_checkpoint(fs: &Piofs, prefix: &str) -> bool {
 /// paper's assumed case). Control-plane operation (no clock); `t` stamps
 /// the emitted verify/scrub telemetry.
 pub fn choose_restart(fs: &Piofs, app: Option<&str>, rec: &dyn Recorder, t: f64) -> RestartPlan {
-    let mut plan =
-        RestartPlan { chosen: None, fallback_depth: 0, quarantined: Vec::new(), repaired: 0 };
+    let mut plan = RestartPlan::default();
     for (depth, (prefix, _)) in find_checkpoints(fs, app).into_iter().enumerate() {
-        if verify_checkpoint(fs, &prefix, rec, t).is_valid() {
-            plan.accept(fs, prefix, depth);
-            return plan;
+        let mut report = verify_checkpoint(fs, &prefix, rec, t);
+        if !report.is_valid() {
+            // Damaged: try to scrub it back to health before giving up on it.
+            let scrub = scrub_checkpoint(fs, &prefix, rec, t);
+            plan.repaired += scrub.repaired;
+            if scrub.is_clean() {
+                report = verify_checkpoint(fs, &prefix, rec, t);
+            }
         }
-        // Damaged: try to scrub it back to health before giving up on it.
-        let scrub = scrub_checkpoint(fs, &prefix, rec, t);
-        plan.repaired += scrub.repaired;
-        if scrub.is_clean() && verify_checkpoint(fs, &prefix, rec, t).is_valid() {
-            plan.accept(fs, prefix, depth);
+        if report.is_valid() {
+            plan.fallback_depth = depth;
+            plan.chosen = report.manifest.map(|m| (prefix, m));
             return plan;
         }
         quarantine_checkpoint(fs, &prefix);
         plan.quarantined.push(prefix);
     }
     plan
-}
-
-impl RestartPlan {
-    fn accept(&mut self, fs: &Piofs, prefix: String, depth: usize) {
-        self.fallback_depth = depth;
-        let manifest = fs
-            .peek(&manifest_path(&prefix))
-            .and_then(|b| Manifest::decode(&b).ok())
-            .expect("checkpoint just verified");
-        self.chosen = Some((prefix, manifest));
-    }
 }

@@ -1,9 +1,11 @@
 //! Scrub pass: detect checksum-failed chunks and repair them from parity.
 
+use drms_core::manifest::Manifest;
+use drms_core::ChunkFault;
 use drms_obs::{names, Phase, Recorder};
 use drms_piofs::Piofs;
 
-use crate::verify::{verify_checkpoint, ChunkFault};
+use crate::verify::verify_checkpoint;
 
 /// Outcome of one scrub pass over one checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +20,8 @@ pub struct ScrubReport {
     /// a second defect in the same parity group).
     pub unrepairable: Vec<ChunkFault>,
     /// Defects a scrub cannot address at all: missing or unreadable files,
-    /// or a manifest that fails its own CRC.
+    /// a manifest that fails its own CRC, or a bad chunk in another
+    /// prefix's pack.
     pub beyond_repair: bool,
 }
 
@@ -46,13 +49,14 @@ pub fn scrub_checkpoint(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) ->
         detected: before.corrupt.len(),
         repaired: 0,
         unrepairable: Vec::new(),
-        beyond_repair: !before.manifest_ok
+        beyond_repair: before.manifest.is_none()
             || !before.missing.is_empty()
-            || !before.unreadable.is_empty(),
+            || !before.unreadable.is_empty()
+            || !before.bad_refs.is_empty(),
     };
     for fault in before.corrupt {
         let fixed = fs.repair_range(&fault.path, fault.offset, fault.len).is_ok()
-            && chunk_now_clean(fs, prefix, &fault);
+            && before.manifest.as_ref().is_some_and(|m| chunk_now_clean(fs, prefix, m, &fault));
         if fixed {
             if rec.enabled() {
                 rec.event(
@@ -77,14 +81,8 @@ pub fn scrub_checkpoint(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) ->
 }
 
 /// Re-verifies one repaired chunk against its manifest record.
-fn chunk_now_clean(fs: &Piofs, prefix: &str, fault: &ChunkFault) -> bool {
-    let Some(bytes) = fs.peek(&manifest_of(prefix)) else { return false };
-    let Ok(m) = drms_core::manifest::Manifest::decode(&bytes) else { return false };
+fn chunk_now_clean(fs: &Piofs, prefix: &str, m: &Manifest, fault: &ChunkFault) -> bool {
     let name = &fault.path[prefix.len() + 1..];
     let Some(fi) = m.file_integrity(name) else { return false };
     fs.with_bytes(&fault.path, |b| !fi.corrupt_chunks(b).contains(&fault.chunk)) == Some(true)
-}
-
-fn manifest_of(prefix: &str) -> String {
-    drms_core::manifest::manifest_path(prefix)
 }

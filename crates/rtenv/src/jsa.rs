@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use drms_blackbox::Blackbox;
 use drms_chaos::ChaosCtl;
-use drms_core::{find_checkpoints, EnableFlag};
+use drms_core::EnableFlag;
 use drms_memtier::{MemTier, RestartTier};
 use drms_msg::{run_spmd_with_nodes_chaos, run_spmd_with_nodes_traced, CostModel};
 use drms_piofs::Piofs;
@@ -24,12 +24,6 @@ pub struct JsaPolicy {
     /// Repair all failed processors automatically when a job cannot fit in
     /// the available pool (otherwise the job stays queued until `repair`).
     pub repair_when_starved: bool,
-    /// Verify checkpoints before restarting from them: the restart walks
-    /// the chain newest-first, scrubs repairable corruption from parity,
-    /// quarantines checkpoints that stay damaged, and settles on the newest
-    /// one that verifies end-to-end. When off, the JSA trusts the newest
-    /// manifest blindly (the pre-resilience behavior).
-    pub verified_restart: bool,
     /// Permit localized recovery: the job body may handle a node loss by
     /// restoring only the lost ranks' sections in place (survivors keep
     /// their memory) instead of exiting for a full restart. The JSA only
@@ -41,12 +35,7 @@ pub struct JsaPolicy {
 
 impl Default for JsaPolicy {
     fn default() -> Self {
-        JsaPolicy {
-            max_incarnations: 16,
-            repair_when_starved: false,
-            verified_restart: true,
-            localized_recovery: false,
-        }
+        JsaPolicy { max_incarnations: 16, repair_when_starved: false, localized_recovery: false }
     }
 }
 
@@ -60,8 +49,7 @@ pub struct IncarnationRecord {
     /// Checkpoint prefix it restarted from, if any.
     pub restart_from: Option<String>,
     /// Newer-but-damaged checkpoints the restart walk skipped to reach
-    /// `restart_from` (0 when the newest checkpoint was healthy or
-    /// verification is off).
+    /// `restart_from` (0 when the newest checkpoint was healthy).
     pub fallback_depth: usize,
     /// Which tier served `restart_from`: the in-memory replicated tier or
     /// the durable PIOFS chain ([`RestartTier::Piofs`] for fresh starts and
@@ -214,50 +202,41 @@ impl Jsa {
             self.sync_memtier();
 
             // Restart from the newest checkpoint that can be trusted, if one
-            // exists: under `verified_restart` the walk prefers an intact
-            // memory-tier entry at least as new as the durable chain, then
-            // falls through to the PIOFS walk, which scrubs repairable
-            // damage, quarantines the rest, and reports how far it fell back.
-            let (restart_from, fallback_depth, restart_tier) = if self.policy.verified_restart {
-                let plan = drms_memtier::choose_restart_tiered(
-                    &self.fs,
-                    self.memtier.as_deref(),
-                    Some(&job.app),
-                    &*self.log.recorder(),
-                    incarnation as f64,
-                );
-                match plan.tier {
-                    RestartTier::Memory => {
-                        let prefix = plan.memory.map(|(p, _)| p);
-                        if let Some(p) = &prefix {
-                            self.log.record(Event::MemTierHit { prefix: p.clone() });
-                        }
-                        (prefix, 0, RestartTier::Memory)
+            // exists: the walk prefers an intact memory-tier entry at least
+            // as new as the durable chain, then falls through to the PIOFS
+            // walk, which scrubs repairable damage, quarantines the rest,
+            // and reports how far it fell back.
+            let plan = drms_memtier::choose_restart_tiered(
+                &self.fs,
+                self.memtier.as_deref(),
+                Some(&job.app),
+                &*self.log.recorder(),
+                incarnation as f64,
+            );
+            let (restart_from, fallback_depth, restart_tier) = match plan.tier {
+                RestartTier::Memory => {
+                    let prefix = plan.memory.map(|(p, _)| p);
+                    if let Some(p) = &prefix {
+                        self.log.record(Event::MemTierHit { prefix: p.clone() });
                     }
-                    RestartTier::Piofs => {
-                        let plan = plan.piofs;
-                        for prefix in &plan.quarantined {
-                            self.log
-                                .record(Event::CheckpointQuarantined { prefix: prefix.clone() });
-                        }
-                        if let Some((prefix, _)) = &plan.chosen {
-                            if plan.fallback_depth > 0 {
-                                self.log.record(Event::RestartFallback {
-                                    app: job.app.clone(),
-                                    prefix: prefix.clone(),
-                                    depth: plan.fallback_depth,
-                                });
-                            }
-                        }
-                        (plan.chosen.map(|(p, _)| p), plan.fallback_depth, RestartTier::Piofs)
-                    }
+                    (prefix, 0, RestartTier::Memory)
                 }
-            } else {
-                (
-                    find_checkpoints(&self.fs, Some(&job.app)).first().map(|(p, _)| p.clone()),
-                    0,
-                    RestartTier::Piofs,
-                )
+                RestartTier::Piofs => {
+                    let plan = plan.piofs;
+                    for prefix in &plan.quarantined {
+                        self.log.record(Event::CheckpointQuarantined { prefix: prefix.clone() });
+                    }
+                    if let Some((prefix, _)) = &plan.chosen {
+                        if plan.fallback_depth > 0 {
+                            self.log.record(Event::RestartFallback {
+                                app: job.app.clone(),
+                                prefix: prefix.clone(),
+                                depth: plan.fallback_depth,
+                            });
+                        }
+                    }
+                    (plan.chosen.map(|(p, _)| p), plan.fallback_depth, RestartTier::Piofs)
+                }
             };
 
             let kill = KillToken::new();

@@ -23,9 +23,7 @@ use std::sync::Arc;
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
 use drms::core::segment::DataSegment;
-use drms::core::{
-    checkpoint_is_valid, find_checkpoints, sweep_orphans, Drms, DrmsConfig, EnableFlag, Start,
-};
+use drms::core::{find_checkpoints, sweep_orphans, verify, Drms, DrmsConfig, EnableFlag, Start};
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{restore_arrays_delta, resume, DeltaChain, DeltaConfig};
 use drms::memtier::MemTier;
@@ -356,7 +354,7 @@ fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
 
         for (prefix, _) in find_checkpoints(&f, Some(D_APP)) {
             assert!(!prefix.contains(".tmp"), "{point}: staged {prefix:?} discoverable");
-            assert!(checkpoint_is_valid(&f, &prefix), "{point}: {prefix:?} invalid");
+            assert!(verify(&f, &prefix).is_valid(), "{point}: {prefix:?} invalid");
         }
         let expect = if point == CrashPoint::FlushCommitted { "ck/ad6" } else { "ck/ad3" };
         let from = find_checkpoints(&f, Some(D_APP))
@@ -365,7 +363,7 @@ fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
             .expect("a committed fallback must exist");
         assert_eq!(from, expect, "{point}: wrong fallback\nreproduce with: {}", repro_cmd(seed));
         sweep_orphans(&f);
-        assert!(checkpoint_is_valid(&f, &from), "{point}: sweep broke the fallback");
+        assert!(verify(&f, &from).is_valid(), "{point}: sweep broke the fallback");
 
         let total = delta_incarnation(&f, None, Some(&from))
             .unwrap_or_else(|| panic!("{point}: recovery incarnation crashed"));

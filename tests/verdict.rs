@@ -1,0 +1,168 @@
+//! One verdict on a checkpoint: [`drms_core::verify`] calls a prefix a
+//! restart source exactly when a restart from it reproduces the state saved
+//! there bit for bit, and retention, the JSA's restart walk and the restart
+//! itself agree with it — a delta link whose referenced history rotted
+//! included.
+
+use drms_core::manifest::{delta_path, ChunkSource};
+use drms_core::segment::DataSegment;
+use drms_core::{
+    find_checkpoints, retain_checkpoints, verify, CoreError, Drms, DrmsConfig, EnableFlag, Start,
+};
+use drms_darray::{DistArray, Distribution};
+use drms_delta::{delta_checkpoint, restore_arrays_delta, resume, DeltaChain, DeltaConfig};
+use drms_msg::{run_spmd, CostModel, Ctx};
+use drms_obs::NullRecorder;
+use drms_piofs::{Piofs, PiofsConfig};
+use drms_resil::{choose_restart, verify_checkpoint};
+use drms_slices::{Order, Slice};
+use proptest::prelude::*;
+
+const APP: &str = "verdict";
+const N: i64 = 2048; // elements: a 16 KiB stream, 16 chunks of 1 KiB
+const BAND: i64 = 256; // elements per update band: 2 chunks
+
+fn dcfg() -> DeltaConfig {
+    DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true }
+}
+
+fn array(ctx: &Ctx) -> DistArray<f64> {
+    let dist = Distribution::block_auto(&Slice::boxed(&[(1, N)]), ctx.ntasks(), 0)
+        .expect("block distribution");
+    DistArray::new("u", Order::ColumnMajor, dist, ctx.rank())
+}
+
+/// `u` at point `p` in the state saved at link `k`: the initial fill plus
+/// 0.5 for every link up to `k` whose band covered `p`.
+fn truth(p: &[i64], k: usize, bands: &[i64]) -> f64 {
+    let hits = bands[..k].iter().filter(|&&b| (p[0] - 1) / BAND == b).count();
+    (p[0] * 3 + 1) as f64 + 0.5 * hits as f64
+}
+
+fn link(k: usize) -> String {
+    format!("ck/l{k}")
+}
+
+/// Saves links `0..=bands.len()` on `ntasks` tasks: link 0 holds the initial
+/// fill, link `k` follows an update of band `bands[k - 1]`. Delta links form
+/// one chain; full links are independent checkpoints.
+fn write_links(fs: &Piofs, ntasks: usize, delta: bool, bands: &[i64]) {
+    run_spmd(ntasks, CostModel::default(), |ctx| {
+        let (mut drms, _) =
+            Drms::initialize(ctx, fs, DrmsConfig::new(APP), EnableFlag::new(), None)
+                .expect("fresh start");
+        let mut u = array(ctx);
+        let mut chain = DeltaChain::new();
+        let mut seg = DataSegment::new();
+        for k in 0..=bands.len() {
+            u.fill_assigned(|p| truth(p, k, bands));
+            seg.set_control("iter", k as i64);
+            if delta {
+                delta_checkpoint(&mut drms, &mut chain, &dcfg(), ctx, fs, &link(k), &seg, &[&u])
+                    .expect("delta checkpoint");
+            } else {
+                drms.reconfig_checkpoint(ctx, fs, &link(k), &seg, &[&u]).expect("checkpoint");
+            }
+        }
+    })
+    .expect("writer region");
+}
+
+/// Restarts from link `k` on `ntasks` tasks: `Ok(true)` when every task
+/// holds exactly the state saved there, bit for bit.
+fn restart(
+    fs: &Piofs,
+    ntasks: usize,
+    delta: bool,
+    k: usize,
+    bands: &[i64],
+) -> Result<bool, String> {
+    let at = link(k);
+    let per_task = run_spmd(ntasks, CostModel::default(), |ctx| -> Result<bool, CoreError> {
+        let cfg = DrmsConfig::new(APP);
+        let (drms, start) = if delta {
+            resume(ctx, fs, cfg, EnableFlag::new(), &at)?
+        } else {
+            Drms::initialize(ctx, fs, cfg, EnableFlag::new(), Some(&at))?
+        };
+        let Start::Restarted(info) = start else { unreachable!("restarted from a prefix") };
+        let mut u = array(ctx);
+        if delta {
+            restore_arrays_delta(&drms, ctx, fs, &at, &info.manifest, &mut [&mut u])?;
+        } else {
+            drms.restore_arrays(ctx, fs, &at, &info.manifest, &mut [&mut u])?;
+        }
+        let same =
+            u.fold_assigned(true, |same, p, v| same && v.to_bits() == truth(p, k, bands).to_bits());
+        Ok(same && info.segment.control("iter") == Some(k as i64))
+    })
+    .map_err(|e| e.to_string())?;
+    per_task
+        .into_iter()
+        .try_fold(true, |all, r| r.map(|same| all && same).map_err(|e| e.to_string()))
+}
+
+/// A delta link whose referenced history rotted is refused by the verifier,
+/// by its telemetry-wrapping spelling and by the restart walk, and the link
+/// the walk settles on is the one retention protected.
+#[test]
+fn a_rotted_reference_is_refused_by_every_verdict() {
+    let fs = Piofs::new(PiofsConfig::test_tiny(4), 29);
+    let bands = [1, 2];
+    write_links(&fs, 4, true, &bands);
+
+    // Flip one byte of a chunk link 1 stored and link 2 references.
+    let found = find_checkpoints(&fs, Some(APP));
+    let (_, m2) = found.iter().find(|(p, _)| *p == link(2)).expect("link 2 committed");
+    let c = m2
+        .delta("u")
+        .expect("chunk table")
+        .chunks
+        .iter()
+        .find(|c| matches!(&c.source, ChunkSource::Ref { prefix, .. } if *prefix == link(1)))
+        .expect("link 2 references link 1");
+    let pack = delta_path(&link(1), "u");
+    assert_eq!(fs.corrupt_range(&pack, c.offset, 1, 7), 1);
+
+    let report = verify(&fs, &link(2));
+    assert!(!report.is_valid());
+    assert_eq!(report.bad_refs, [pack]);
+    assert_eq!(verify_checkpoint(&fs, &link(2), &NullRecorder, 0.0), report);
+
+    // Link 1 fails its own records too, so retention keeps link 0 past
+    // `keep = 1` and uncommits link 1 (link 2 still references its pack).
+    assert_eq!(retain_checkpoints(&fs, APP, 1), [link(1)]);
+    let plan = choose_restart(&fs, Some(APP), &NullRecorder, 0.0);
+    assert_eq!(plan.quarantined, [link(2)]);
+    assert_eq!(plan.chosen.map(|(p, _)| p), Some(link(0)));
+    assert_eq!(restart(&fs, 4, true, 0, &bands), Ok(true));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Whichever stored byte rots, under whichever link, each link verifies
+    /// exactly when a restart from it succeeds and is bitwise the state
+    /// saved there. Restarts run on one task, so a fetch that fails fails
+    /// every task.
+    #[test]
+    fn the_verdict_is_what_a_restart_does(
+        delta in proptest::bool::ANY,
+        bands in proptest::collection::vec(0i64..N / BAND, 0..3),
+        pick in 0usize..256,
+        at in 0u64..1 << 16,
+        salt in 1u64..1 << 16,
+    ) {
+        let fs = Piofs::new(PiofsConfig::test_tiny(4), 5);
+        write_links(&fs, 2, delta, &bands);
+        let files = fs.list("ck/");
+        let file = &files[pick % files.len()];
+        let offset = at % file.size.max(1);
+        fs.corrupt_range(&file.path, offset, 1, salt);
+        for k in 0..=bands.len() {
+            let valid = verify(&fs, &link(k)).is_valid();
+            let restored = restart(&fs, 1, delta, k, &bands) == Ok(true);
+            prop_assert_eq!(valid, restored, "link {} after a flip in {} at {}", k, file.path, offset);
+        }
+    }
+}
