@@ -1,7 +1,7 @@
 //! Type-erased handles over distributed arrays of any element type, so one
 //! checkpoint call can cover a heterogeneous set of arrays.
 
-use drms_darray::{assign, stream, DistArray, Distribution, Element};
+use drms_darray::{assign, decode_into, encode_into, stream, DistArray, Distribution, Element};
 use drms_msg::Ctx;
 use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
@@ -110,9 +110,7 @@ impl<T: Element> CheckpointArray for DistArray<T> {
 
     fn local_encoded(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.local().len() * T::SIZE];
-        for (v, chunk) in self.local().iter().zip(out.chunks_exact_mut(T::SIZE)) {
-            v.write_le(chunk);
-        }
+        encode_into(self.local(), &mut out);
         out
     }
 
@@ -125,9 +123,7 @@ impl<T: Element> CheckpointArray for DistArray<T> {
                 bytes.len()
             )));
         }
-        for (v, chunk) in self.local_mut().iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-            *v = T::read_le(chunk);
-        }
+        decode_into(bytes, self.local_mut());
         Ok(())
     }
 
@@ -220,9 +216,7 @@ impl<T: Element> CheckpointArray for DistArray<T> {
                     bytes.len()
                 )));
             }
-            for (v, chunk) in donor.local_mut().iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-                *v = T::read_le(chunk);
-            }
+            decode_into(bytes, donor.local_mut());
         }
         // Rebuild under the new distribution: survivor data moves through
         // the live redistribution path, lost sections stay holes...

@@ -1,8 +1,8 @@
 use std::sync::Arc;
 
-use drms_slices::{Order, Slice};
+use drms_slices::{Order, Slice, SliceError};
 
-use crate::element::{decode, encode};
+use crate::element::{decode_into, encode_into};
 use crate::{DarrayError, Distribution, Element, Result};
 
 /// One task's view of a distributed array: shared metadata plus the local
@@ -147,26 +147,23 @@ impl<T: Element> DistArray<T> {
     /// a little-endian byte buffer, in the array's stream order over the
     /// region's *global* coordinates. Both ends of a transfer enumerate the
     /// region identically, which is what makes redistribution
-    /// representation-independent.
-    pub fn pack_region(&self, region: &Slice) -> Vec<u8> {
-        let mut vals = Vec::with_capacity(region.size());
-        for_each_region_index(self.mapped(), region, self.order, |idx, _point| {
-            vals.push(self.local[idx]);
-        });
-        encode(&vals)
+    /// representation-independent. Fails with [`DarrayError::NotMapped`]
+    /// when the region leaves the mapped section.
+    pub fn pack_region(&self, region: &Slice) -> Result<Vec<u8>> {
+        pack_runs(self.mapped(), region, self.order, T::SIZE, |run, out| {
+            encode_into(&self.local[run], out)
+        })
     }
 
     /// Unpacks bytes produced by [`DistArray::pack_region`] on the same
-    /// region into local storage.
-    pub fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) {
-        let vals = decode::<T>(bytes);
-        debug_assert_eq!(vals.len(), region.size(), "payload size vs region");
-        let mut it = vals.into_iter();
-        let mapped = self.mapped().clone();
-        let order = self.order;
-        for_each_region_index(&mapped, region, order, |idx, _point| {
-            self.local[idx] = it.next().expect("sized above");
-        });
+    /// region into local storage. Fails, leaving the storage untouched, when
+    /// the region leaves the mapped section or `bytes` is not exactly the
+    /// region's size ([`DarrayError::PayloadLength`]).
+    pub fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) -> Result<()> {
+        let local = &mut self.local;
+        unpack_runs(self.dist.mapped(self.rank), region, self.order, T::SIZE, bytes, |run, b| {
+            decode_into(b, &mut local[run])
+        })
     }
 
     /// Internal mutable visitor over a region of local storage.
@@ -183,8 +180,9 @@ impl<T: Element> DistArray<T> {
 /// coordinates.
 ///
 /// Uses per-axis offset tables (computed once) plus an odometer walk, so the
-/// per-element cost is O(rank) arithmetic with no range searches — this is
-/// the hot loop of redistribution and streaming.
+/// per-element cost is O(rank) arithmetic with no range searches. This is
+/// the walk of `fill`/`fold`, which need coordinates; packing and unpacking
+/// move whole runs ([`for_each_region_run`]).
 #[allow(clippy::needless_range_loop)] // per-axis loop reads several tables
 pub(crate) fn for_each_region_index(
     mapped: &Slice,
@@ -258,6 +256,166 @@ pub(crate) fn for_each_region_index(
     }
 }
 
+/// Visits the maximal runs of consecutive storage indices that `region`
+/// occupies in the dense storage of `mapped` (laid out in `order`), as
+/// `f(flat_start, len)`, in the stream order of the region's global
+/// coordinates: expanded, the runs are exactly the flat indices
+/// [`Slice::points`] and [`Slice::stream_position`] give, point by point.
+///
+/// The leading (fastest) axes along which the region spans the whole mapped
+/// extent form one contiguous block; the first axis it does not span cuts
+/// that block into runs of consecutive positions; every slower axis repeats
+/// them at its offsets, and a run that ends where the next starts is merged
+/// into it. A region of a column-major `5 × n³` array whose component axis is
+/// undivided therefore moves in runs of `5 × extent` elements, not one at a
+/// time.
+///
+/// Fails before visiting anything: [`DarrayError::NotMapped`] (with a
+/// witness point) when `region` is not a subset of `mapped`, a rank
+/// mismatch as [`DarrayError::Slice`].
+pub fn for_each_region_run(
+    mapped: &Slice,
+    region: &Slice,
+    order: Order,
+    mut f: impl FnMut(usize, usize),
+) -> Result<()> {
+    if region.rank() != mapped.rank() {
+        return Err(SliceError::RankMismatch { left: region.rank(), right: mapped.rank() }.into());
+    }
+    if region.is_empty() {
+        return Ok(());
+    }
+    let d = region.rank();
+    if d == 0 {
+        f(0, 1);
+        return Ok(());
+    }
+
+    // Per-axis offset tables, fastest axis first: each region element's
+    // position in the mapped range times that axis's storage stride.
+    let axes: Vec<usize> = order.axes_fast_to_slow(d).collect();
+    let mut tables: Vec<Vec<usize>> = Vec::with_capacity(d);
+    let mut stride = 1usize;
+    for &ax in &axes {
+        let mrange = mapped.range(ax);
+        let mut offs = Vec::with_capacity(region.range(ax).len());
+        for g in region.range(ax).iter() {
+            let Some(pos) = mrange.position(g) else {
+                let mut point: Vec<i64> =
+                    region.ranges().iter().map(|r| r.first().expect("nonempty")).collect();
+                point[ax] = g;
+                return Err(DarrayError::NotMapped { point });
+            };
+            offs.push(pos * stride);
+        }
+        tables.push(offs);
+        stride *= mrange.len();
+    }
+
+    // Leading axes the region spans completely: one block of `block`
+    // consecutive elements. (A subset of the mapped range of equal length
+    // is the whole range.)
+    let mut block = 1usize;
+    let mut k = 0;
+    while k < d && tables[k].len() == mapped.range(axes[k]).len() {
+        block *= tables[k].len();
+        k += 1;
+    }
+    // The first axis not spanned: runs of consecutive positions, each
+    // `block` elements per position (its stride is `block`).
+    let segments: Vec<(usize, usize)> = match tables.get(k) {
+        None => vec![(0, block)],
+        Some(offs) => {
+            let mut segs: Vec<(usize, usize)> = Vec::new();
+            for &o in offs {
+                match segs.last_mut() {
+                    Some((start, len)) if *start + *len == o => *len += block,
+                    _ => segs.push((o, block)),
+                }
+            }
+            segs
+        }
+    };
+
+    // The slower axes repeat the segments at their offsets (odometer), and
+    // adjacent runs merge.
+    let slow = tables.get(k + 1..).unwrap_or(&[]);
+    let mut idx = vec![0usize; slow.len()];
+    let mut pending: Option<(usize, usize)> = None;
+    loop {
+        let base: usize = slow.iter().zip(&idx).map(|(t, &i)| t[i]).sum();
+        for &(s, len) in &segments {
+            let start = base + s;
+            pending = match pending {
+                Some((p, plen)) if p + plen == start => Some((p, plen + len)),
+                Some((p, plen)) => {
+                    f(p, plen);
+                    Some((start, len))
+                }
+                None => Some((start, len)),
+            };
+        }
+        let mut j = 0;
+        loop {
+            if j == slow.len() {
+                let (p, plen) = pending.expect("a nonempty region has a run");
+                f(p, plen);
+                return Ok(());
+            }
+            idx[j] += 1;
+            if idx[j] < slow[j].len() {
+                break;
+            }
+            idx[j] = 0;
+            j += 1;
+        }
+    }
+}
+
+/// Packs `region` of a dense store of `mapped` (in `order`, `elem` bytes
+/// per element) into a fresh buffer: `put(run, out)` writes the storage
+/// elements `run` as their `run.len() * elem` stream bytes `out`. Shared by
+/// the typed [`DistArray`] and the byte-held canonical stream piece.
+pub(crate) fn pack_runs(
+    mapped: &Slice,
+    region: &Slice,
+    order: Order,
+    elem: usize,
+    mut put: impl FnMut(std::ops::Range<usize>, &mut [u8]),
+) -> Result<Vec<u8>> {
+    let mut out = vec![0u8; region.size() * elem];
+    let mut at = 0;
+    for_each_region_run(mapped, region, order, |start, len| {
+        let n = len * elem;
+        put(start..start + len, &mut out[at..at + n]);
+        at += n;
+    })?;
+    Ok(out)
+}
+
+/// The inverse of [`pack_runs`]: `take(run, bytes)` stores the stream bytes
+/// of storage elements `run`. Checks the payload length before storing
+/// anything.
+pub(crate) fn unpack_runs(
+    mapped: &Slice,
+    region: &Slice,
+    order: Order,
+    elem: usize,
+    bytes: &[u8],
+    mut take: impl FnMut(std::ops::Range<usize>, &[u8]),
+) -> Result<()> {
+    let expected = region.size() * elem;
+    if bytes.len() != expected {
+        return Err(DarrayError::PayloadLength { expected, got: bytes.len() });
+    }
+    let mut at = 0;
+    for_each_region_run(mapped, region, order, |start, len| {
+        let n = len * elem;
+        take(start..start + len, &bytes[at..at + n]);
+        at += n;
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,11 +467,11 @@ mod tests {
         a.fill_mapped(|p| (p[0] * 100 + p[1]) as f64);
         let region =
             Slice::new(vec![Range::from_indices(&[0, 2, 3]).unwrap(), Range::contiguous(1, 3)]);
-        let bytes = a.pack_region(&region);
+        let bytes = a.pack_region(&region).unwrap();
         assert_eq!(bytes.len(), region.size() * 8);
 
         let mut b = DistArray::<f64>::new("b", Order::ColumnMajor, dist_1x1(&dom), 0);
-        b.unpack_region(&region, &bytes);
+        b.unpack_region(&region, &bytes).unwrap();
         region.points(Order::ColumnMajor).for_each(|p| {
             assert_eq!(b.get(p).unwrap(), a.get(p).unwrap(), "point {p:?}");
         });
@@ -332,9 +490,56 @@ mod tests {
         let mut dst = DistArray::<i64>::new("x", Order::ColumnMajor, dist, 1);
         // Overlap of task 0 assigned (0..=4) and task 1 mapped (3..=9).
         let region = Slice::boxed(&[(3, 4)]);
-        dst.unpack_region(&region, &src.pack_region(&region));
+        dst.unpack_region(&region, &src.pack_region(&region).unwrap()).unwrap();
         assert_eq!(dst.get(&[3]).unwrap(), 21);
         assert_eq!(dst.get(&[4]).unwrap(), 28);
+    }
+
+    #[test]
+    fn pack_and_unpack_misuse_is_an_error() {
+        let dom = Slice::boxed(&[(0, 9)]);
+        let dist = Distribution::block(&dom, &[2], &[1]).unwrap();
+        let mut a = DistArray::<i64>::new("x", Order::ColumnMajor, dist, 0);
+        a.fill_mapped(|p| p[0]);
+        // Task 0 maps 0..=5: a region reaching 6 is not mapped.
+        let outside = Slice::boxed(&[(4, 6)]);
+        assert_eq!(a.pack_region(&outside), Err(DarrayError::NotMapped { point: vec![6] }));
+        assert!(matches!(
+            a.unpack_region(&outside, &[0u8; 24]),
+            Err(DarrayError::NotMapped { .. })
+        ));
+        // A short or long payload is refused before anything is stored.
+        let inside = Slice::boxed(&[(1, 3)]);
+        for len in [23, 25] {
+            assert_eq!(
+                a.unpack_region(&inside, &vec![0xff; len]),
+                Err(DarrayError::PayloadLength { expected: 24, got: len })
+            );
+        }
+        assert_eq!(a.get(&[2]).unwrap(), 2);
+    }
+
+    #[test]
+    fn runs_merge_across_spanned_axes() {
+        let runs = |mapped: &Slice, region: &Slice, order| {
+            let mut out = Vec::new();
+            for_each_region_run(mapped, region, order, |s, n| out.push((s, n))).unwrap();
+            out
+        };
+        // A component axis spanned whole: runs of 3 × 4 elements per column.
+        let mapped = Slice::boxed(&[(0, 2), (0, 5), (0, 3)]);
+        let region = Slice::boxed(&[(0, 2), (1, 4), (1, 2)]);
+        assert_eq!(runs(&mapped, &region, Order::ColumnMajor), vec![(21, 12), (39, 12)]);
+        // Spanning the two fast axes makes the whole slab one run.
+        let slab = Slice::boxed(&[(0, 2), (0, 5), (1, 2)]);
+        assert_eq!(runs(&mapped, &slab, Order::ColumnMajor), vec![(18, 36)]);
+        // Row-major: the last axis is fastest and not spanned here.
+        assert_eq!(runs(&mapped, &region, Order::RowMajor)[..2], [(5, 2), (9, 2)]);
+        // Positions {0, 2} of 3 with a spanned slower step: the tail of one
+        // column abuts the head of the next.
+        let m = Slice::boxed(&[(0, 2), (0, 1)]);
+        let r = Slice::new(vec![Range::from_indices(&[0, 2]).unwrap(), Range::contiguous(0, 1)]);
+        assert_eq!(runs(&m, &r, Order::ColumnMajor), vec![(0, 1), (2, 2), (5, 1)]);
     }
 
     #[test]

@@ -18,8 +18,37 @@ use std::sync::Arc;
 
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
+use drms_slices::Slice;
 
 use crate::{DarrayError, DistArray, Distribution, Element, Result};
+
+/// One end of an [`exchange`]: a task's storage for its mapped section of
+/// [`Local::dist`]. A [`DistArray`] holds it as typed elements; a canonical
+/// stream piece (`stream::Piece`) holds it as the piece's stream bytes.
+pub(crate) trait Local {
+    /// The distribution whose mapped section (this task's) the storage holds.
+    fn dist(&self) -> &Arc<Distribution>;
+
+    /// Packs `region` (within the mapped section) as stream bytes.
+    fn pack_region(&self, region: &Slice) -> Result<Vec<u8>>;
+
+    /// Stores [`Local::pack_region`] bytes of `region`.
+    fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) -> Result<()>;
+}
+
+impl<T: Element> Local for DistArray<T> {
+    fn dist(&self) -> &Arc<Distribution> {
+        DistArray::dist(self)
+    }
+
+    fn pack_region(&self, region: &Slice) -> Result<Vec<u8>> {
+        DistArray::pack_region(self, region)
+    }
+
+    fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) -> Result<()> {
+        DistArray::unpack_region(self, region, bytes)
+    }
+}
 
 /// Collective: assigns `src`'s values into `dst` (same domain, any
 /// distributions). Every task of the region must call it.
@@ -37,44 +66,76 @@ pub fn assign<T: Element>(ctx: &mut Ctx, dst: &mut DistArray<T>, src: &DistArray
             got: src.dist().ntasks().max(dst.dist().ntasks()),
         });
     }
+    exchange(ctx, src.name(), Some(src), dst)
+}
+
+/// Collective: the one redistribution sequence. Every task packs
+/// `assigned_src(me) ∩ mapped_dst(p)` for every destination `p`, one
+/// `alltoallv` moves the buffers, and every task unpacks
+/// `assigned_src(q) ∩ mapped_dst(me)` from every source `q`; then the
+/// packed plus unpacked bytes are charged at memory bandwidth, and a
+/// `Redistribute` span and the `REDISTRIBUTION_BYTES` counter are recorded
+/// under `name`.
+///
+/// `src` is `None` for `A <- A` (shadow refresh): the source is `dst`
+/// itself, a task's own transfer is skipped (its mapped copy of its own
+/// assigned data is already current) and the counter reports the bytes
+/// packed plus unpacked instead of the bytes packed.
+pub(crate) fn exchange<S: Local, D: Local>(
+    ctx: &mut Ctx,
+    name: &str,
+    src: Option<&S>,
+    dst: &mut D,
+) -> Result<()> {
+    let p = ctx.ntasks();
+    let me = ctx.rank();
+    let refresh = src.is_none();
+    let from = Arc::clone(src.map_or(dst.dist(), |s| s.dist()));
+    let to = Arc::clone(dst.dist());
     let t0 = ctx.now();
-    // Pack: my assigned source elements destined for each task's mapped
-    // section.
     let mut outgoing = Vec::with_capacity(p);
-    let mut packed_bytes = 0usize;
+    let mut packed = 0usize;
     for dest in 0..p {
-        let region = src.assigned().intersect(dst.dist().mapped(dest))?;
-        let buf = if region.is_empty() { Vec::new() } else { src.pack_region(&region) };
-        packed_bytes += buf.len();
+        let region = from.assigned(me).intersect(to.mapped(dest))?;
+        let buf = if region.is_empty() || (refresh && dest == me) {
+            Vec::new()
+        } else {
+            match src {
+                Some(s) => s.pack_region(&region)?,
+                None => dst.pack_region(&region)?,
+            }
+        };
+        packed += buf.len();
         outgoing.push(buf);
     }
 
     let incoming = ctx.alltoallv(outgoing);
 
-    // Unpack: every source's assigned elements that land in my mapped
-    // section.
-    let mut unpacked_bytes = 0usize;
-    for from in 0..p {
-        let region = src.dist().assigned(from).intersect(dst.mapped())?;
+    let mut unpacked = 0usize;
+    for source in 0..p {
+        if refresh && source == me {
+            continue;
+        }
+        let region = from.assigned(source).intersect(to.mapped(me))?;
         if region.is_empty() {
             continue;
         }
-        let buf = incoming.from(from);
-        unpacked_bytes += buf.len();
-        dst.unpack_region(&region, buf);
+        let buf = incoming.from(source);
+        unpacked += buf.len();
+        dst.unpack_region(&region, buf)?;
     }
 
-    ctx.charge((packed_bytes + unpacked_bytes) as f64 / ctx.cost().memcpy_bw);
+    ctx.charge((packed + unpacked) as f64 / ctx.cost().memcpy_bw);
     if ctx.recorder().enabled() {
-        let rank = ctx.rank();
-        ctx.recorder().span_start(t0, rank, Phase::Redistribute, src.name());
-        ctx.recorder().span_end(ctx.now(), rank, Phase::Redistribute, src.name());
+        let counted = if refresh { packed + unpacked } else { packed };
+        ctx.recorder().span_start(t0, me, Phase::Redistribute, name);
+        ctx.recorder().span_end(ctx.now(), me, Phase::Redistribute, name);
         ctx.recorder().counter_add_at(
             ctx.now(),
-            rank,
+            me,
             names::REDISTRIBUTION_BYTES,
-            Some(src.name()),
-            packed_bytes as u64,
+            Some(name),
+            counted as u64,
         );
     }
     Ok(())
@@ -99,51 +160,8 @@ pub fn refresh_shadows<T: Element>(ctx: &mut Ctx, array: &mut DistArray<T>) -> R
     if array.dist().ntasks() != p {
         return Err(DarrayError::TaskCountMismatch { expected: p, got: array.dist().ntasks() });
     }
-
-    let t0 = ctx.now();
-    let mut outgoing = Vec::with_capacity(p);
-    let mut moved = 0usize;
-    for dest in 0..p {
-        let region = array.assigned().intersect(array.dist().mapped(dest))?;
-        let buf = if region.is_empty() || dest == ctx.rank() {
-            // Our own mapped copy of our own assigned data is already
-            // current; skip the self-transfer.
-            Vec::new()
-        } else {
-            array.pack_region(&region)
-        };
-        moved += buf.len();
-        outgoing.push(buf);
-    }
-
-    let me = ctx.rank();
-    let incoming = ctx.alltoallv(outgoing);
-    for from in 0..p {
-        if from == me {
-            continue;
-        }
-        let region = array.dist().assigned(from).intersect(array.mapped())?;
-        if region.is_empty() {
-            continue;
-        }
-        let buf = incoming.from(from);
-        moved += buf.len();
-        array.unpack_region(&region, buf);
-    }
-    ctx.charge(moved as f64 / ctx.cost().memcpy_bw);
-    if ctx.recorder().enabled() {
-        let rank = ctx.rank();
-        ctx.recorder().span_start(t0, rank, Phase::Redistribute, array.name());
-        ctx.recorder().span_end(ctx.now(), rank, Phase::Redistribute, array.name());
-        ctx.recorder().counter_add_at(
-            ctx.now(),
-            rank,
-            names::REDISTRIBUTION_BYTES,
-            Some(array.name()),
-            moved as u64,
-        );
-    }
-    Ok(())
+    let name = array.name().to_string();
+    exchange::<DistArray<T>, _>(ctx, &name, None, array)
 }
 
 #[cfg(test)]

@@ -40,24 +40,47 @@ macro_rules! impl_element {
 
 impl_element!(f64 => 1, f32 => 2, i64 => 3, i32 => 4, u64 => 5, u32 => 6, u8 => 7);
 
-/// Encodes a slice of elements to little-endian bytes.
-pub(crate) fn encode<T: Element>(vals: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; vals.len() * T::SIZE];
+/// Encodes `vals` into `out` as little-endian bytes, element by element —
+/// the stream and checkpoint byte format.
+///
+/// # Panics
+///
+/// If `out` is not exactly `vals.len() * T::SIZE` bytes long.
+pub fn encode_into<T: Element>(vals: &[T], out: &mut [u8]) {
+    assert_eq!(out.len(), vals.len() * T::SIZE, "encode_into: output length vs elements");
     for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(T::SIZE)) {
         v.write_le(chunk);
     }
-    out
 }
 
-/// Decodes little-endian bytes into elements.
-pub(crate) fn decode<T: Element>(bytes: &[u8]) -> Vec<T> {
-    debug_assert_eq!(bytes.len() % T::SIZE, 0, "byte length not a multiple of element size");
-    bytes.chunks_exact(T::SIZE).map(T::read_le).collect()
+/// Decodes little-endian bytes into `out`, element by element: the
+/// inverse of [`encode_into`].
+///
+/// # Panics
+///
+/// If `bytes` is not exactly `out.len() * T::SIZE` bytes long.
+pub fn decode_into<T: Element>(bytes: &[u8], out: &mut [T]) {
+    assert_eq!(bytes.len(), out.len() * T::SIZE, "decode_into: input length vs elements");
+    for (v, chunk) in out.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+        *v = T::read_le(chunk);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode<T: Element>(vals: &[T]) -> Vec<u8> {
+        let mut out = vec![0u8; vals.len() * T::SIZE];
+        encode_into(vals, &mut out);
+        out
+    }
+
+    fn decode<T: Element>(bytes: &[u8]) -> Vec<T> {
+        let mut out = vec![T::default(); bytes.len() / T::SIZE];
+        decode_into(bytes, &mut out);
+        out
+    }
 
     #[test]
     fn roundtrip_f64() {
@@ -86,5 +109,11 @@ mod tests {
         let bytes = encode::<f64>(&[]);
         assert!(bytes.is_empty());
         assert!(decode::<f64>(&bytes).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "output length")]
+    fn encode_into_rejects_a_short_buffer() {
+        encode_into(&[1.0f64, 2.0], &mut [0u8; 15]);
     }
 }

@@ -54,6 +54,14 @@ pub enum DarrayError {
         /// The offending point.
         point: Vec<i64>,
     },
+    /// A packed payload's length disagrees with the region it is unpacked
+    /// into.
+    PayloadLength {
+        /// Bytes the region holds.
+        expected: usize,
+        /// Bytes supplied.
+        got: usize,
+    },
     /// A file-system error during streaming.
     Io(
         /// Rendered error.
@@ -88,6 +96,9 @@ impl fmt::Display for DarrayError {
             }
             DarrayError::NotMapped { point } => {
                 write!(f, "point {point:?} is not mapped to this task")
+            }
+            DarrayError::PayloadLength { expected, got } => {
+                write!(f, "payload of {got} bytes for a region of {expected} bytes")
             }
             DarrayError::Io(e) => write!(f, "I/O error: {e}"),
         }

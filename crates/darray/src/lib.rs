@@ -32,9 +32,9 @@ mod dist;
 mod element;
 mod error;
 
-pub use array::DistArray;
+pub use array::{for_each_region_run, DistArray};
 pub use dist::{factorize, Distribution};
-pub use element::Element;
+pub use element::{decode_into, encode_into, Element};
 pub use error::DarrayError;
 
 /// Crate-wide result alias.

@@ -17,14 +17,16 @@
 //! correctly into 5, which is the property reconfigurable checkpointing is
 //! built on.
 
+use std::sync::Arc;
+
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 use drms_slices::partition::{choose_piece_count, partition, stream_offsets};
-use drms_slices::Slice;
+use drms_slices::{Order, Slice};
 
-use crate::assign::assign;
-use crate::element::{decode, encode};
+use crate::array::{pack_runs, unpack_runs};
+use crate::assign::{exchange, Local};
 use crate::{DarrayError, DistArray, Distribution, Element, Result};
 
 /// Target bytes per streamed piece (the paper chooses ~1 MB as the balance
@@ -81,10 +83,7 @@ pub fn write_section_with<T: Element>(
         if traced {
             ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
-        let canonical = plan.canonical(wave, array.domain())?;
-        let mut aux: DistArray<T> =
-            DistArray::new(array.name(), array.order(), canonical, ctx.rank());
-        assign(ctx, &mut aux, array)?;
+        let data = gather(ctx, plan.canonical(wave, array.domain())?, array)?;
 
         let mut reqs = Vec::new();
         let my_piece = plan.piece_for(wave, ctx.rank());
@@ -93,7 +92,7 @@ pub fn write_section_with<T: Element>(
                 reqs.push(WriteReq {
                     path: path.to_string(),
                     offset: (plan.offsets[j] * T::SIZE) as u64,
-                    data: encode(aux.local()),
+                    data,
                 });
             }
         }
@@ -168,14 +167,13 @@ pub fn read_section_with<T: Element>(
     let access = if plan.io_tasks == 1 { ReadAccess::Sequential } else { ReadAccess::Strided };
 
     let traced = ctx.recorder().enabled();
+    // This task's piece bytes, copied once out of the read's loan into one
+    // buffer every wave of the array reuses.
+    let mut bytes = Vec::new();
     for wave in 0..plan.waves() {
         if traced {
             ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
-        let canonical = plan.canonical(wave, array.domain())?;
-        let mut aux: DistArray<T> =
-            DistArray::new(array.name(), array.order(), canonical, ctx.rank());
-
         let mut reqs = Vec::new();
         let my_piece = plan.piece_for(wave, ctx.rank());
         if let Some(j) = my_piece {
@@ -198,12 +196,10 @@ pub fn read_section_with<T: Element>(
                 bytes,
             );
         }
-        let mut got = fs.collective_read(ctx, reqs).map_err(|e| DarrayError::Io(e.to_string()))?;
-        if let Some(bytes) = got.pop() {
-            let vals = decode::<T>(&bytes);
-            aux.local_mut().copy_from_slice(&vals);
-        }
-        assign(ctx, array, &aux)?;
+        bytes.clear();
+        fs.collective_read_with(ctx, reqs, |_, lent| bytes.extend_from_slice(lent))
+            .map_err(|e| DarrayError::Io(e.to_string()))?;
+        bytes = scatter(ctx, plan.canonical(wave, array.domain())?, array, bytes)?;
     }
     Ok(())
 }
@@ -277,14 +273,10 @@ pub fn collect_section_pieces<T: Element>(
         if traced {
             ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
-        let canonical = plan.canonical(wave, array.domain())?;
-        let mut aux: DistArray<T> =
-            DistArray::new(array.name(), array.order(), canonical, ctx.rank());
-        assign(ctx, &mut aux, array)?;
+        let data = gather(ctx, plan.canonical(wave, array.domain())?, array)?;
 
         if let Some(j) = plan.piece_for(wave, ctx.rank()) {
             if plan.pieces[j].size() > 0 {
-                let data = encode(aux.local());
                 if traced {
                     let rec = ctx.recorder();
                     rec.counter_add_at(
@@ -342,10 +334,6 @@ pub fn read_section_via<T: Element>(
         if traced {
             ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
-        let canonical = plan.canonical(wave, array.domain())?;
-        let mut aux: DistArray<T> =
-            DistArray::new(array.name(), array.order(), canonical, ctx.rank());
-
         let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
             Some(j) if plan.pieces[j].size() > 0 => {
                 ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
@@ -361,20 +349,16 @@ pub fn read_section_via<T: Element>(
                 bytes.len()
             )));
         }
-        if len > 0 {
-            if traced {
-                ctx.recorder().counter_add_at(
-                    ctx.now(),
-                    ctx.rank(),
-                    names::BYTES_STREAMED,
-                    Some(array.name()),
-                    len,
-                );
-            }
-            let vals = decode::<T>(&bytes);
-            aux.local_mut().copy_from_slice(&vals);
+        if len > 0 && traced {
+            ctx.recorder().counter_add_at(
+                ctx.now(),
+                ctx.rank(),
+                names::BYTES_STREAMED,
+                Some(array.name()),
+                len,
+            );
         }
-        assign(ctx, array, &aux)?;
+        scatter(ctx, plan.canonical(wave, array.domain())?, array, bytes)?;
         if traced {
             ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
@@ -448,14 +432,12 @@ pub fn read_overlapping_via<T: Element>(
         if traced {
             ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
-        let canonical = plan.canonical(wave, &domain)?;
-        // Mask the canonical wave distribution to the wanted pieces, so
-        // assign() moves only fetched data into the array.
+        // Mask the canonical wave distribution to the wanted pieces, so the
+        // exchange moves only fetched data into the array.
         let keep: Vec<bool> = (0..ctx.ntasks())
             .map(|r| plan.piece_for(wave, r).map(|j| wanted[j]).unwrap_or(false))
             .collect();
-        let masked = canonical.masked(&keep)?;
-        let mut aux: DistArray<T> = DistArray::new(array.name(), array.order(), masked, ctx.rank());
+        let masked = plan.canonical(wave, &domain)?.masked(&keep)?;
 
         let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
             Some(j) if wanted[j] && plan.pieces[j].size() > 0 => {
@@ -481,10 +463,8 @@ pub fn read_overlapping_via<T: Element>(
                     len,
                 );
             }
-            let vals = decode::<T>(&bytes);
-            aux.local_mut().copy_from_slice(&vals);
         }
-        assign(ctx, array, &aux)?;
+        scatter(ctx, masked, array, bytes)?;
         if traced {
             ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
@@ -517,6 +497,76 @@ pub fn read_array<T: Element>(
 ) -> Result<()> {
     let section = array.domain().clone();
     read_section(ctx, fs, array, &section, path, io_tasks)
+}
+
+/// Collective: the write half of a wave — every task's elements of the
+/// wave's pieces move, through the one [`exchange`], into this task's
+/// canonical piece, which is returned as its stream bytes (empty on a task
+/// holding no piece this wave).
+fn gather<T: Element>(
+    ctx: &mut Ctx,
+    canonical: Arc<Distribution>,
+    array: &DistArray<T>,
+) -> Result<Vec<u8>> {
+    let len = canonical.mapped(ctx.rank()).size() * T::SIZE;
+    let (rank, order) = (ctx.rank(), array.order());
+    let mut piece = Piece { dist: canonical, rank, order, elem: T::SIZE, bytes: vec![0; len] };
+    exchange(ctx, array.name(), Some(array), &mut piece)?;
+    Ok(piece.bytes)
+}
+
+/// Collective: the read half of a wave — this task's canonical piece,
+/// given as its stream `bytes`, moves through the one [`exchange`] into
+/// every task's mapped section of `array`. Hands `bytes` back for reuse.
+fn scatter<T: Element>(
+    ctx: &mut Ctx,
+    canonical: Arc<Distribution>,
+    array: &mut DistArray<T>,
+    bytes: Vec<u8>,
+) -> Result<Vec<u8>> {
+    let expected = canonical.mapped(ctx.rank()).size() * T::SIZE;
+    if bytes.len() != expected {
+        return Err(DarrayError::PayloadLength { expected, got: bytes.len() });
+    }
+    let piece =
+        Piece { dist: canonical, rank: ctx.rank(), order: array.order(), elem: T::SIZE, bytes };
+    let name = array.name().to_string();
+    exchange(ctx, &name, Some(&piece), array)?;
+    Ok(piece.bytes)
+}
+
+/// A canonical piece held as its stream bytes. The piece is a
+/// stream-contiguous slice and the canonical distribution maps it wholly to
+/// one task, so the dense storage of that task's mapped section, in the
+/// array's order, *is* the piece's stretch of the stream: packing and
+/// unpacking it copies byte runs, with no typed copy in between.
+struct Piece {
+    dist: Arc<Distribution>,
+    rank: usize,
+    order: Order,
+    elem: usize,
+    bytes: Vec<u8>,
+}
+
+impl Local for Piece {
+    fn dist(&self) -> &Arc<Distribution> {
+        &self.dist
+    }
+
+    fn pack_region(&self, region: &Slice) -> Result<Vec<u8>> {
+        let elem = self.elem;
+        pack_runs(self.dist.mapped(self.rank), region, self.order, elem, |run, out| {
+            out.copy_from_slice(&self.bytes[run.start * elem..run.end * elem])
+        })
+    }
+
+    fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) -> Result<()> {
+        let elem = self.elem;
+        let stored = &mut self.bytes;
+        unpack_runs(self.dist.mapped(self.rank), region, self.order, elem, bytes, |run, b| {
+            stored[run.start * elem..run.end * elem].copy_from_slice(b)
+        })
+    }
 }
 
 /// The streaming plan shared by write and read: pieces, offsets, waves.

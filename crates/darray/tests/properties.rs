@@ -3,14 +3,20 @@
 //! * redistribution between arbitrary distributions preserves every element;
 //! * a streamed section is distribution-independent: writing with `P1` tasks
 //!   and reading with `P2` tasks (any distributions, any I/O parallelism)
-//!   restores every element exactly.
+//!   restores every element exactly — also at the mini-apps' shape (4-D,
+//!   component axis undivided, spatial shadows) for every element width;
+//! * the run walk that packs and unpacks regions visits exactly the flat
+//!   indices of the point walk, in order, in maximal runs.
 
 use std::sync::Arc;
 
-use drms_darray::{assign, stream, DistArray, Distribution};
+use drms_darray::{
+    assign, factorize, for_each_region_run, stream, DistArray, Distribution, Element,
+};
 use drms_msg::{run_spmd, CostModel};
 use drms_piofs::{Piofs, PiofsConfig};
-use drms_slices::{Order, Slice};
+use drms_slices::{Order, Range, Slice};
+use proptest::collection;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -199,6 +205,170 @@ proptest! {
                 stream::write_array(ctx, &fs2, &a, "u", 1).unwrap();
             }).unwrap();
             prop_assert_ne!(fs.peek("u").unwrap(), fs2.peek("u").unwrap());
+        }
+    }
+}
+
+/// One axis of a run-walk case. The mapped range: kind 0 contiguous, 1
+/// strided, 2 explicit (first index, length, stride, explicit gaps). The
+/// region's positions within it: kind 0 all, 1 a window, 2 every k-th,
+/// 3 a bit mask.
+type AxisCase = ((u8, i64, usize, i64, Vec<i64>), (u8, usize, usize, u32));
+
+fn arb_axis() -> impl Strategy<Value = AxisCase> {
+    (
+        (0u8..3, -3i64..4, 1usize..7, 2i64..4, collection::vec(1i64..4, 6..7)),
+        (0u8..4, 0usize..8, 0usize..8, 0u32..256),
+    )
+}
+
+fn axis_ranges(((kind, lo, len, step, gaps), (pick, a, b, mask)): &AxisCase) -> (Range, Range) {
+    let mut at = *lo;
+    let mapped: Vec<i64> = (0..*len)
+        .map(|i| {
+            if i > 0 {
+                at += match kind {
+                    0 => 1,
+                    1 => *step,
+                    _ => gaps[i - 1],
+                };
+            }
+            at
+        })
+        .collect();
+    let keep = |i: usize| match pick {
+        0 => true,
+        1 => (a % len..=a % len + b).contains(&i),
+        2 => i >= b % len && (i - b % len).is_multiple_of(a % 3 + 1),
+        _ => mask >> i & 1 == 1,
+    };
+    let region: Vec<i64> =
+        mapped.iter().enumerate().filter(|&(i, _)| keep(i)).map(|(_, &g)| g).collect();
+    (Range::from_indices(&mapped).unwrap(), Range::from_indices(&region).unwrap())
+}
+
+/// Block distribution at the mini-apps' shape: axis 0 (the components) is
+/// never divided and carries no shadow; the spatial axes are split over
+/// `p` tasks with `shadow` overlap.
+fn apps_dist(dom: &Slice, p: usize, shadow: usize) -> Arc<Distribution> {
+    let mut parts = vec![1];
+    parts.extend(factorize(p, &dom.extents()[1..]));
+    Distribution::block(dom, &parts, &[0, shadow, shadow, shadow]).unwrap()
+}
+
+fn le_bytes<T: Element>(v: T) -> Vec<u8> {
+    let mut out = vec![0u8; T::SIZE];
+    v.write_le(&mut out);
+    out
+}
+
+/// Writes a `5 × n0 × n1 × n2` array of `T` from `p1` tasks, reads it back on
+/// `p2` tasks under other shadows, and checks every mapped element bitwise
+/// and the stream (file and collected pieces) against a 1-task serial write.
+#[allow(clippy::too_many_arguments)]
+fn apps_shape_roundtrip<T: Element>(
+    value: fn(&[i64]) -> T,
+    n: (i64, i64, i64),
+    (p1, io1, s1): (usize, usize, usize),
+    (p2, io2, s2): (usize, usize, usize),
+    order: Order,
+) {
+    let dom = Slice::boxed(&[(1, 5), (1, n.0), (1, n.1), (1, n.2)]);
+    let fs = Piofs::new(PiofsConfig::test_tiny(4), 3);
+    let w_dist = apps_dist(&dom, p1, s1);
+    let pieces = std::sync::Mutex::new(Vec::new());
+    run_spmd(p1, CostModel::default(), |ctx| {
+        let mut a = DistArray::<T>::new("u", order, w_dist.clone(), ctx.rank());
+        a.fill_assigned(value);
+        stream::write_array(ctx, &fs, &a, "u", io1).unwrap();
+        let mine = stream::collect_array_pieces(ctx, &a, io1).unwrap();
+        pieces.lock().unwrap().extend(mine);
+    })
+    .unwrap();
+
+    let fs_ref = Piofs::new(PiofsConfig::test_tiny(4), 3);
+    let ref_dist = Distribution::block_auto(&dom, 1, 0).unwrap();
+    run_spmd(1, CostModel::default(), |ctx| {
+        let mut a = DistArray::<T>::new("u", order, ref_dist.clone(), ctx.rank());
+        a.fill_assigned(value);
+        stream::write_array(ctx, &fs_ref, &a, "u", 1).unwrap();
+    })
+    .unwrap();
+    let serial = fs_ref.peek("u").unwrap();
+    assert_eq!(fs.peek("u").unwrap(), serial, "file stream vs serial write");
+    let collected = stream::assemble_pieces(pieces.into_inner().unwrap());
+    assert_eq!(collected, serial, "collected pieces vs serial write");
+
+    let r_dist = apps_dist(&dom, p2, s2);
+    let bad: usize = run_spmd(p2, CostModel::default(), |ctx| {
+        let mut b = DistArray::<T>::new("u", order, r_dist.clone(), ctx.rank());
+        stream::read_array(ctx, &fs, &mut b, "u", io2).unwrap();
+        let mut bad = 0usize;
+        b.mapped().clone().points(order).for_each(|pt| {
+            if le_bytes(b.get(pt).unwrap()) != le_bytes(value(pt)) {
+                bad += 1;
+            }
+        });
+        bad
+    })
+    .unwrap()
+    .into_iter()
+    .sum();
+    assert_eq!(bad, 0, "elements restored wrong");
+}
+
+fn mix(p: &[i64]) -> i64 {
+    p.iter().fold(17i64, |h, &x| h.wrapping_mul(31).wrapping_add(x * 7 + 3))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The run walk, expanded, is the point walk's flat-index sequence, and
+    /// its runs are maximal: none is empty and none ends where the next
+    /// begins.
+    #[test]
+    fn run_walk_expands_to_point_walk(
+        axes in collection::vec(arb_axis(), 0..5),
+        row_major in proptest::bool::ANY,
+    ) {
+        let (mapped, region): (Vec<Range>, Vec<Range>) = axes.iter().map(axis_ranges).unzip();
+        let (mapped, region) = (Slice::new(mapped), Slice::new(region));
+        let order = if row_major { Order::RowMajor } else { Order::ColumnMajor };
+        let mut runs = Vec::new();
+        for_each_region_run(&mapped, &region, order, |start, len| runs.push((start, len))).unwrap();
+        let expanded: Vec<usize> = runs.iter().flat_map(|&(s, n)| s..s + n).collect();
+        let mut points = Vec::new();
+        region.points(order).for_each(|p| {
+            points.push(mapped.stream_position(p, order).unwrap().unwrap());
+        });
+        prop_assert_eq!(expanded, points);
+        prop_assert!(runs.iter().all(|&(_, n)| n > 0));
+        prop_assert!(runs.windows(2).all(|w| w[0].0 + w[0].1 != w[1].0), "{runs:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Streaming at the mini-apps' shape: 4-D, component axis undivided,
+    /// spatial shadows 0–2, elements of 1, 4 and 8 bytes. A unit slip
+    /// between elements and bytes, or a wrong merge of runs across axes,
+    /// breaks the stream bytes or the restored values.
+    #[test]
+    fn apps_shape_streams_are_reconfigurable_for_every_width(
+        n in (2i64..7, 2i64..7, 2i64..7),
+        w in (1usize..5, 1usize..5, 0usize..3),
+        r in (1usize..5, 1usize..5, 0usize..3),
+        ty in 0u8..4,
+        row_major in proptest::bool::ANY,
+    ) {
+        let order = if row_major { Order::RowMajor } else { Order::ColumnMajor };
+        match ty {
+            0 => apps_shape_roundtrip::<f64>(|p| mix(p) as f64 * 0.125, n, w, r, order),
+            1 => apps_shape_roundtrip::<f32>(|p| (mix(p) % 100_000) as f32 * 0.5, n, w, r, order),
+            2 => apps_shape_roundtrip::<i32>(|p| mix(p) as i32, n, w, r, order),
+            _ => apps_shape_roundtrip::<u8>(|p| mix(p) as u8, n, w, r, order),
         }
     }
 }

@@ -17,7 +17,10 @@
 # (workload, seed, trace) pair of records whose two runs attempted the same
 # number of ops, stored_ratio, sim_ckpt_s, sim_restore_s and ok_share must be
 # textually equal on both sides; each mismatch is printed. The script exits
-# non-zero if either step objects.
+# non-zero if either step objects. Last, one line per (workload, end-to-end
+# metric) counts the untraced pairs the change won in the metric's `better`
+# direction from BENCHMARK.json (ties count for neither side), the tally the
+# 9-in-10 rule of "Claiming a gain" reads.
 #
 # Everything lives under .bench_build/pairs/, which is git-ignored and clear
 # of the benchmark driver's own CARGO_TARGET_DIR=.bench_build. The parent's
@@ -113,4 +116,73 @@ while read -r w s t rec; do
 done < <(exact change)
 echo "exact metrics: $checked pair(s) of equal op count checked, $mismatches mismatch(es)" >&2
 [ "$mismatches" -eq 0 ] || status=1
+
+mapfile -t e2e < <(sed -n 's/.*{"name": "\([^"]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound".*/\1 \2/p' BENCHMARK.json)
+e2e_values() { # <side>: "workload seed value..." per untraced record, values in e2e order
+    local line w s e m v vals
+    while IFS= read -r line; do
+        [[ $line == *'"trace": 0,'* ]] || continue
+        w=${line#*\"workload\": \"} && w=${w%%\"*}
+        s=${line#*\"seed\": } && s=${s%%,*}
+        e=${line#*\"end_to_end\": } && e=${e%%\"per_layer\"*}
+        vals=()
+        for m in "${e2e[@]}"; do
+            v=${e#*\"${m% *}\": \{\"value\": }
+            [ "$v" = "$e" ] && v=null || v=${v%%,*}
+            vals+=("$v")
+        done
+        echo "$w $s ${vals[*]}"
+    done <"$work/$1.jsonl"
+}
+dec_cmp() { # <a> <b>: -1, 0 or 1 for two non-negative decimal numerals
+    local ai=${1%%.*} bi=${2%%.*} af="" bf=""
+    [[ $1 == *.* ]] && af=${1#*.}
+    [[ $2 == *.* ]] && bf=${2#*.}
+    while ((${#af} < ${#bf})); do af+=0; done
+    while ((${#bf} < ${#af})); do bf+=0; done
+    if ((${#ai} != ${#bi})); then
+        ((${#ai} < ${#bi})) && echo -1 || echo 1
+    elif [ "$ai$af" = "$bi$bf" ]; then
+        echo 0
+    else
+        [[ $ai$af < $bi$bf ]] && echo -1 || echo 1
+    fi
+}
+declare -A nth=() parent_vals=() won=() lost=() tied=()
+workloads_seen=()
+while read -r w s rec; do
+    i=${nth["p $w $s"]:-0}
+    nth["p $w $s"]=$((i + 1))
+    parent_vals["$w $s #$i"]=$rec
+done < <(e2e_values parent)
+while read -r w s rec; do
+    i=${nth["c $w $s"]:-0}
+    nth["c $w $s"]=$((i + 1))
+    [ -n "${parent_vals["$w $s #$i"]:-}" ] || continue
+    read -r -a p <<<"${parent_vals["$w $s #$i"]}"
+    read -r -a c <<<"$rec"
+    [ -n "${won["$w 0"]+set}" ] || workloads_seen+=("$w")
+    for j in "${!e2e[@]}"; do
+        key="$w $j"
+        won[$key]=${won[$key]:-0} lost[$key]=${lost[$key]:-0} tied[$key]=${tied[$key]:-0}
+        if [[ ! ${p[j]} =~ ^[0-9.]+$ || ! ${c[j]} =~ ^[0-9.]+$ ]]; then
+            tied[$key]=$((tied[$key] + 1))
+            continue
+        fi
+        d=$(dec_cmp "${c[j]}" "${p[j]}")
+        [ "${e2e[j]#* }" = lower ] && d=$((-d))
+        case $d in
+            1) won[$key]=$((won[$key] + 1)) ;;
+            -1) lost[$key]=$((lost[$key] + 1)) ;;
+            *) tied[$key]=$((tied[$key] + 1)) ;;
+        esac
+    done
+done < <(e2e_values change)
+for w in "${workloads_seen[@]}"; do
+    for j in "${!e2e[@]}"; do
+        key="$w $j"
+        n=$((won[$key] + lost[$key] + tied[$key]))
+        echo "pairs won: $w ${e2e[j]% *} (${e2e[j]#* } is better): change ${won[$key]} of $n, parent ${lost[$key]}, tied ${tied[$key]}" >&2
+    done
+done
 exit "$status"
