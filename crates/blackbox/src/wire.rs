@@ -41,6 +41,11 @@ pub struct DecodedSeal {
     pub events: Vec<(u64, TraceEvent)>,
 }
 
+/// The fewest bytes one encoded event takes: capture sequence, time and
+/// rank (8 each), kind and correlation flag (1 each), correlation id (8),
+/// and the two string length prefixes (4 each) with empty strings.
+const MIN_EVENT_BYTES: usize = 8 + 8 + 8 + 1 + 1 + 8 + 4 + 4;
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
@@ -156,7 +161,9 @@ pub fn decode_seal(bytes: &[u8]) -> Result<DecodedSeal, String> {
     let evicted_total = c.u64()?;
     let reason = c.str()?;
     let count = c.u64()? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 20));
+    // The count is untrusted: reserve no more events than the bytes left
+    // could hold. A larger count runs out of bytes and fails `take`.
+    let mut events = Vec::with_capacity(count.min((bytes.len() - c.pos) / MIN_EVENT_BYTES));
     for _ in 0..count {
         let seq = c.u64()?;
         let t = c.f64()?;
@@ -169,8 +176,10 @@ pub fn decode_seal(bytes: &[u8]) -> Result<DecodedSeal, String> {
         };
         let has_corr = c.u8()?;
         let corr_raw = c.u64()?;
+        // The encoder pads an absent id with zeros; anything else there is
+        // damage, so every seal that decodes has exactly one encoding.
         let corr = match has_corr {
-            0 => None,
+            0 if corr_raw == 0 => None,
             1 => Some(corr_raw),
             f => return Err(format!("bad corr flag {f} in seal")),
         };
@@ -190,6 +199,7 @@ pub fn decode_seal(bytes: &[u8]) -> Result<DecodedSeal, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_events() -> Vec<(u64, TraceEvent)> {
         vec![
@@ -263,5 +273,73 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(decode_seal(&trailing).is_err());
+    }
+
+    fn sample_seal() -> Vec<u8> {
+        let header = SealHeader {
+            incarnation: 2,
+            rank: 1,
+            seal_seq: 4,
+            t: 3.5,
+            reason: "sop".into(),
+            evicted_total: 1,
+        };
+        let events = sample_events();
+        encode_seal(&header, events.iter(), events.len())
+    }
+
+    /// Where the event count sits in [`sample_seal`]: magic, version, five
+    /// u64 header fields, then the reason `"sop"` behind its u32 length.
+    const COUNT_AT: usize = 4 + 2 + 5 * 8 + 4 + 3;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Truncated, bit-flipped and count-inflated seals decode to an
+        /// `Err` or to exactly what they encode, never a panic, and no
+        /// decode reserves more events than its bytes could hold.
+        #[test]
+        fn decode_is_total(cut in 0usize..400, flip in 0usize..400, bit in 0u8..8, huge in 2u32..64) {
+            let good = sample_seal();
+            prop_assert!(good.len() < 400);
+            prop_assert_eq!(&good[COUNT_AT..COUNT_AT + 8], &2u64.to_le_bytes());
+
+            prop_assert!(decode_seal(&good[..cut.min(good.len() - 1)]).is_err());
+
+            let mut flipped = good.clone();
+            flipped[flip % good.len()] ^= 1 << bit;
+            if let Ok(d) = decode_seal(&flipped) {
+                prop_assert!(d.events.capacity() <= flipped.len() / MIN_EVENT_BYTES);
+                prop_assert_eq!(encode_seal(&d.header, d.events.iter(), d.events.len()), flipped);
+            }
+
+            // A count of 2^huge (or every bit set) events behind two real
+            // ones: the bytes run out long before the count does.
+            for count in [1u64 << huge, u64::MAX] {
+                let mut inflated = good.clone();
+                inflated[COUNT_AT..COUNT_AT + 8].copy_from_slice(&count.to_le_bytes());
+                prop_assert!(decode_seal(&inflated).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn the_reservation_is_bounded_by_the_bytes() {
+        let good = sample_seal();
+        let d = decode_seal(&good).unwrap();
+        assert_eq!(d.events.len(), 2);
+        assert!(d.events.capacity() <= good.len() / MIN_EVENT_BYTES);
+        // The shortest event an encoder can write is the bound's unit.
+        let empty = TraceEvent {
+            t: 0.0,
+            rank: 0,
+            phase: Phase::ALL[0],
+            name: String::new(),
+            kind: EventKind::Instant,
+            corr: None,
+        };
+        let one = encode_seal(&d.header, [(0, empty)].iter(), 1);
+        let none = encode_seal(&d.header, [].iter(), 0);
+        assert_eq!(one.len() - none.len(), MIN_EVENT_BYTES + Phase::ALL[0].as_str().len());
     }
 }

@@ -64,6 +64,12 @@ pub fn compute_integrity_staged(fs: &Piofs, prefix: &str) -> Vec<FileIntegrity> 
 /// quarantine markers, `manifest*`, excluded), named relative to their
 /// directory; a later directory wins a name collision. In name order, so the
 /// encoded manifest is deterministic.
+///
+/// A record is what [`FileIntegrity::compute`] gives over the file's logical
+/// bytes, and a file those bytes cannot be served for is left out. Each one
+/// comes from [`Piofs::take_integrity`]: folded from the CRCs the file's
+/// writers computed when it was `create`d, read back otherwise. Debug builds
+/// check every folded record against the read.
 pub(crate) fn integrity_of(fs: &Piofs, dirs: &[String]) -> Vec<FileIntegrity> {
     let chunk = integrity_chunk(fs);
     let mut by_name = std::collections::BTreeMap::new();
@@ -74,7 +80,13 @@ pub(crate) fn integrity_of(fs: &Piofs, dirs: &[String]) -> Vec<FileIntegrity> {
         .into_iter()
         .filter(|(name, _)| name != "manifest" && !name.starts_with("manifest."))
         .filter_map(|(name, path)| {
-            fs.with_bytes(&path, |bytes| FileIntegrity::compute(&name, bytes, chunk))
+            let rec = fs.take_integrity(&path)?;
+            let fi = FileIntegrity { name, len: rec.len, chunk, crcs: rec.crcs, whole: rec.whole };
+            if cfg!(debug_assertions) && rec.folded {
+                let read = fs.with_bytes(&path, |b| FileIntegrity::compute(&fi.name, b, chunk));
+                debug_assert_eq!(Some(&fi), read.as_ref(), "the slot fold of {path}");
+            }
+            Some(fi)
         })
         .collect()
 }

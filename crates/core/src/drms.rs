@@ -253,11 +253,10 @@ impl Drms {
     }
 }
 
-/// Chunk size for integrity records: the file system's stripe unit, clamped
-/// to a sane range. Matching the stripe unit means a failing chunk maps
-/// directly onto the stripe units a parity repair must reconstruct.
+/// Chunk size for integrity records: the file system's grid,
+/// [`drms_piofs::PiofsConfig::integrity_chunk`].
 pub fn integrity_chunk(fs: &Piofs) -> u64 {
-    fs.cfg().stripe_unit.clamp(1024, 1 << 20)
+    fs.cfg().integrity_chunk()
 }
 
 /// Computes integrity records for every data file currently under `prefix`
@@ -467,6 +466,8 @@ pub fn record_bytes(ctx: &Ctx, segment_bytes: u64, array_bytes: u64) {
 /// checkpoint data, so the ring rides the same two-phase commit as the
 /// arrays: staged under `{prefix}.tmp/blackbox-r{rank}`, covered by the
 /// staged integrity records, and published (or abandoned) with the rest.
+/// Each rank `create`s its own ring file before the write, so its record is
+/// folded from the CRCs the rank computed.
 ///
 /// Seals are snapshots, not drains — overlapping seals from consecutive
 /// SOPs and crash salvages dedup exactly at recovery by per-event capture
@@ -502,6 +503,7 @@ pub fn stage_flight_rings(ctx: &mut Ctx, fs: &Piofs, staging: &str) {
         rec.counter_add_at(t, r, names::BLACKBOX_SEAL_BYTES, None, seal.bytes.len() as u64);
         rec.counter_add_at(t, r, names::BLACKBOX_EVENTS_CAPTURED, None, seal.events);
         rec.counter_add_at(t, r, names::BLACKBOX_EVENTS_EVICTED, None, seal.evicted);
+        fs.create(&path, seal.bytes.len() as u64);
         reqs.push(WriteReq { path, offset: 0, data: seal.bytes });
     }
     fs.collective_write(ctx, reqs);

@@ -19,7 +19,9 @@ use drms_darray::chunks::{self, ChunkParams, Codec};
 use drms_slices::{Order, Range, Slice};
 
 use crate::handle::CheckpointArray;
-use crate::wire::{crc32, split_trailing_crc, Crc32Shift, Reader, WireError, Writer};
+use drms_piofs::integrity::{chunk_crcs, fold_whole};
+
+use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
 
 const MAGIC: [u8; 4] = *b"DMFT";
 /// Current manifest version. v1 had no integrity section and no trailing
@@ -91,27 +93,14 @@ impl FileIntegrity {
     /// integrity chunk and a delta chunk of the same size are the same
     /// byte range.
     ///
-    /// Each byte is read once: `whole` is folded from the chunk CRCs with
-    /// the `wire::Crc32Shift` operator. Every chunk but the last has the same
-    /// length, so one operator is built per file and applied per chunk —
-    /// building one per chunk would cost more than the chunk's own CRC at
-    /// the 1 KiB chunk size of the small problem classes.
+    /// The chunk CRCs, then `whole` folded from them
+    /// ([`drms_piofs::integrity::fold_whole`], the same fold that turns the
+    /// writers' CRCs into a staged file's record): each byte is read once.
     pub fn compute(name: &str, bytes: &[u8], chunk: u64) -> FileIntegrity {
-        let params = ChunkParams::new(chunk);
-        let len = bytes.len() as u64;
-        let full_chunk = Crc32Shift::new(params.chunk_bytes());
-        let mut whole = 0;
-        let crcs = (0..params.count(len))
-            .map(|i| {
-                let (s, e) = params.range(len, i);
-                let crc = crc32(&bytes[s as usize..e as usize]);
-                let shift =
-                    if e - s == params.chunk_bytes() { full_chunk } else { Crc32Shift::new(e - s) };
-                whole = shift.combine(whole, crc);
-                crc
-            })
-            .collect();
-        FileIntegrity { name: name.to_string(), len, chunk: params.chunk_bytes(), crcs, whole }
+        let (len, chunk) = (bytes.len() as u64, ChunkParams::new(chunk).chunk_bytes());
+        let crcs = chunk_crcs(bytes, chunk);
+        let whole = fold_whole(&crcs, len, chunk);
+        FileIntegrity { name: name.to_string(), len, chunk, crcs, whole }
     }
 
     /// Byte range `[start, end)` of chunk `i` within the file.
@@ -533,7 +522,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::crc32_reference;
+    use drms_piofs::integrity::crc32_reference;
 
     fn sample() -> Manifest {
         Manifest {

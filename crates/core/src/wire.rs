@@ -60,109 +60,9 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The CRC-32 generator (IEEE 802.3), reflected: bit 31 is the coefficient of
-/// x^0, bit 0 that of x^31.
-const CRC32_POLY: u32 = 0xEDB8_8320;
-
-/// CRC-32 lookup tables for slicing-by-8, computed at compile time. Row 0 is
-/// the classic byte table; row `k` holds the register after byte `b` followed
-/// by `k` zero bytes, so eight input bytes fold into the register with eight
-/// independent lookups. CRC-32 guarantees detection of any single-bit or
-/// single-byte error and any burst up to 32 bits — exactly the corruption
-/// classes the storage-resilience layer must catch.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// CRC-32 (IEEE) of `bytes`, eight bytes per step.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// Product of two polynomials over GF(2) modulo the CRC-32 generator, both
-/// in the reflected representation of [`CRC32_POLY`].
-fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
-    let mut prod = 0;
-    for bit in (0..32).rev() {
-        if (a >> bit) & 1 != 0 {
-            prod ^= b;
-        }
-        b = (b >> 1) ^ (CRC32_POLY & 0u32.wrapping_sub(b & 1));
-    }
-    prod
-}
-
-/// The "append `len` bytes" operator of CRC-32. The checksum is linear over
-/// GF(2): `crc(a‖b) = x^(8·|b|)·crc(a) ⊕ crc(b)` modulo the generator, so the
-/// CRC of a concatenation follows from the CRCs of its parts without reading
-/// a byte again. Building the operator costs about as much as the CRC of a
-/// kilobyte (a square per bit of `len`); applying it is one 32-step multiply.
-/// Build it once per distinct length, not once per use.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Crc32Shift(u32);
-
-impl Crc32Shift {
-    /// The operator for a suffix of `len` bytes: `x^(8·len)` modulo the
-    /// generator, by square-and-multiply.
-    pub(crate) fn new(mut len: u64) -> Crc32Shift {
-        let mut power = 1 << 31; // x^0
-        let mut base = 1 << 23; // x^8: one byte
-        while len != 0 {
-            if len & 1 != 0 {
-                power = mul_mod_poly(power, base);
-            }
-            base = mul_mod_poly(base, base);
-            len >>= 1;
-        }
-        Crc32Shift(power)
-    }
-
-    /// `crc32(a‖b)` from `crc32(a)` and `crc32(b)`, where `b` has the length
-    /// this operator was built for.
-    pub(crate) fn combine(self, crc_a: u32, crc_b: u32) -> u32 {
-        mul_mod_poly(self.0, crc_a) ^ crc_b
-    }
-}
+/// CRC-32 (IEEE), the checksum of every trailing CRC and integrity record.
+/// It lives with the file system, whose writers CRC their own bytes.
+pub use drms_piofs::integrity::crc32;
 
 /// Splits `buf` into its payload and a verified trailing CRC-32; errors when
 /// the buffer is too short or the CRC does not match the payload.
@@ -347,20 +247,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The byte-at-a-time table CRC-32 that [`crc32`] replaced: the definition
-/// the sliced kernel and the shift operator are tested against.
-#[cfg(test)]
-pub(crate) fn crc32_reference(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drms_piofs::integrity::{crc32_reference, Crc32Shift};
     use proptest::prelude::*;
 
     #[test]

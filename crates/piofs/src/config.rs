@@ -168,6 +168,14 @@ impl PiofsConfig {
         })
     }
 
+    /// Chunk size of the integrity records ([`crate::integrity`]): the
+    /// stripe unit, clamped to a sane range. Matching the stripe unit means a
+    /// failing chunk maps directly onto the stripe units a parity repair
+    /// must reconstruct.
+    pub fn integrity_chunk(&self) -> u64 {
+        self.stripe_unit.clamp(1024, 1 << 20)
+    }
+
     /// Scales every byte-denominated memory parameter **and** every fixed
     /// time overhead by `f`.
     ///

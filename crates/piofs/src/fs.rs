@@ -9,6 +9,7 @@ use drms_msg::Ctx;
 use drms_obs::{names, NullRecorder, Phase, Recorder};
 
 use crate::config::PiofsConfig;
+use crate::integrity::{fragment_crcs, ChunkCrcs, Slots};
 use crate::parity::ParityGeom;
 use crate::phase::{price_phase, DescKind, Pricing, ReadAccess, ReadReq, ReqDesc, WriteReq};
 use crate::rng::SplitMix64;
@@ -192,14 +193,20 @@ impl Piofs {
     /// bytes. The store reserves exactly that, once, so the pieces that land
     /// afterwards, in whatever order, never regrow it; the file still reads
     /// as empty (`size` 0) until bytes land, and a write past `len` still
-    /// extends it.
+    /// extends it. The reservation includes the slot table the writers'
+    /// integrity CRCs land in ([`Piofs::take_integrity`]).
     pub fn create(&self, path: &str, len: u64) {
+        let chunk = self.cfg.integrity_chunk();
         let mut st = self.state.lock();
         // Free the truncated file's bytes before reserving its successor's,
         // so a rewrite of the same size can take their place.
         st.files.remove(path);
         let id = st.alloc_id();
-        let file = FileData { bytes: Vec::with_capacity(len as usize), ..FileData::new(id) };
+        let file = FileData {
+            bytes: Vec::with_capacity(len as usize),
+            slots: Some(Slots::new(len, chunk)),
+            ..FileData::new(id)
+        };
         st.files.insert(path.to_string(), file);
     }
 
@@ -269,6 +276,25 @@ impl Piofs {
         self.with_bytes(path, <[u8]>::to_vec)
     }
 
+    /// The integrity records of `path` at the integrity grid
+    /// ([`PiofsConfig::integrity_chunk`]), as [`Piofs::with_bytes`] would
+    /// compute them from the logical bytes. A file reserved with
+    /// [`Piofs::create`] has them folded from its slot table — the CRCs its
+    /// writers computed — reading only the chunks no write covered whole or
+    /// whose bytes changed since (`folded` is then `true`). The table is
+    /// taken: a second call reads the whole file. It is read whole as well
+    /// when the file has a lost range, was never created or was preloaded,
+    /// or is not the length it was created with. `None` when the file is
+    /// missing or a lost byte is unreconstructible.
+    ///
+    /// Runs under the file-system lock, like [`Piofs::with_bytes`].
+    pub fn take_integrity(&self, path: &str) -> Option<ChunkCrcs> {
+        let geom = self.geom();
+        let chunk = self.cfg.integrity_chunk();
+        let mut st = self.state.lock();
+        st.files.get_mut(path)?.take_integrity(geom.as_ref(), chunk)
+    }
+
     /// Stored bytes exactly as they sit on the (simulated) platters —
     /// poison and silent corruption included. Diagnostics only.
     pub fn peek_raw(&self, path: &str) -> Option<Vec<u8>> {
@@ -281,10 +307,10 @@ impl Piofs {
     pub fn preload(&self, path: &str, bytes: Vec<u8>) {
         let geom = self.geom();
         let mut st = self.state.lock();
-        st.intern(path);
         let down = st.down.clone();
-        let f = st.files.get_mut(path).expect("interned");
+        let f = st.intern(path);
         f.bytes.clear();
+        f.slots = None;
         f.write_parity_aware(0, &bytes, geom.as_ref(), &down);
     }
 
@@ -413,6 +439,7 @@ impl Piofs {
         for b in &mut f.bytes[offset as usize..end as usize] {
             *b ^= flip;
         }
+        f.stale(offset, end);
         end - offset
     }
 
@@ -454,6 +481,7 @@ impl Piofs {
             if cursor < a {
                 let (s, e) = ((cursor - offset) as usize, (a - offset) as usize);
                 f.write_at(cursor, &data[s..e]);
+                f.stale(cursor, a);
             }
             cursor = b.max(cursor);
         }
@@ -533,19 +561,16 @@ impl Piofs {
         let rank = ctx.rank();
         let now = ctx.now();
         let geom = self.geom();
+        // The bytes' integrity CRCs, on this task's thread, before the lock.
+        let crcs = fragment_crcs(offset, data, self.cfg.integrity_chunk());
         let mut st = self.state.lock();
-        let id = st.intern(path);
         let down = st.down.clone();
-        let parity_bytes = st.files.get_mut(path).expect("interned").write_parity_aware(
-            offset,
-            data,
-            geom.as_ref(),
-            &down,
-        );
+        let file = st.intern(path);
+        let parity_bytes = file.write_recorded(offset, data, &crcs, geom.as_ref(), &down);
         let desc = ReqDesc {
             client: rank,
             node,
-            path_id: id,
+            path_id: file.id,
             offset,
             len: data.len() as u64,
             kind: DescKind::Write,
@@ -628,6 +653,10 @@ impl Piofs {
         // the phase, never an abort — a task that bailed unilaterally would
         // strand its siblings in the descriptor exchange.
         let _ = self.weather(ctx, "collective_write");
+        // This task's integrity CRCs of its own bytes, before the lock.
+        let chunk = self.cfg.integrity_chunk();
+        let crcs: Vec<Vec<u32>> =
+            reqs.iter().map(|r| fragment_crcs(r.offset, &r.data, chunk)).collect();
         // Store this task's bytes and build wire descriptors.
         let geom = self.geom();
         let mut descs = Vec::with_capacity(reqs.len());
@@ -635,14 +664,9 @@ impl Piofs {
         {
             let mut st = self.state.lock();
             let down = st.down.clone();
-            for r in &reqs {
-                st.intern(&r.path);
-                parity_bytes += st.files.get_mut(&r.path).expect("interned").write_parity_aware(
-                    r.offset,
-                    &r.data,
-                    geom.as_ref(),
-                    &down,
-                );
+            for (r, crcs) in reqs.iter().zip(&crcs) {
+                let file = st.intern(&r.path);
+                parity_bytes += file.write_recorded(r.offset, &r.data, crcs, geom.as_ref(), &down);
                 descs.push(WireDesc {
                     path: r.path.clone(),
                     offset: r.offset,
@@ -751,7 +775,7 @@ impl Piofs {
             let mut flat = Vec::new();
             for (client, ds) in all_descs.iter().enumerate() {
                 for d in ds {
-                    let path_id = st.intern(&d.path);
+                    let path_id = st.intern(&d.path).id;
                     flat.push(ReqDesc {
                         client,
                         node: nodes[client],
@@ -837,14 +861,14 @@ impl State {
         id
     }
 
-    /// Ensures `path` exists, returning its id.
-    fn intern(&mut self, path: &str) -> u64 {
-        if let Some(f) = self.files.get(path) {
-            return f.id;
-        }
-        let id = self.alloc_id();
-        self.files.insert(path.to_string(), FileData::new(id));
-        id
+    /// Ensures `path` exists, returning its file.
+    fn intern(&mut self, path: &str) -> &mut FileData {
+        let next_id = &mut self.next_id;
+        self.files.entry(path.to_string()).or_insert_with(|| {
+            let id = *next_id;
+            *next_id += 1;
+            FileData::new(id)
+        })
     }
 
     /// Prices a phase against current server state and applies its effects.
@@ -976,6 +1000,40 @@ mod tests {
         grown.extend([0; 1000].into_iter().chain([9; 10]));
         assert_eq!(fs.size("f").unwrap(), 17_010);
         assert_eq!(fs.peek("f").unwrap(), grown);
+    }
+
+    #[test]
+    fn take_integrity_folds_what_the_writers_crcd_and_reads_the_rest() {
+        use crate::integrity::ChunkCrcs;
+        let fs = fs();
+        let data: Vec<u8> = (0..5000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let read = ChunkCrcs::read(&data, fs.cfg().integrity_chunk());
+        let halves = |fs: &Piofs, path: &str| {
+            run_spmd(2, CostModel::free(), |ctx| {
+                // Rank 1's half starts mid-chunk, so chunk 2 is folded from
+                // rank 0's head and rank 1's tail.
+                let (a, b) = if ctx.rank() == 0 { (0, 2500) } else { (2500, 5000) };
+                let req =
+                    WriteReq { path: path.into(), offset: a as u64, data: data[a..b].to_vec() };
+                fs.collective_write(ctx, vec![req]);
+            })
+            .unwrap();
+        };
+        fs.create("c", 5000);
+        halves(&fs, "c");
+        assert_eq!(fs.take_integrity("c"), Some(ChunkCrcs { folded: true, ..read.clone() }));
+        // The table was taken: the second pass reads the file.
+        assert_eq!(fs.take_integrity("c"), Some(read.clone()));
+        // Never created, preloaded over a table, or not the length reserved.
+        halves(&fs, "w");
+        fs.create("p", 5000);
+        fs.preload("p", data.clone());
+        fs.create("l", 6000);
+        halves(&fs, "l");
+        for path in ["w", "p", "l"] {
+            assert_eq!(fs.take_integrity(path), Some(read.clone()), "{path}");
+        }
+        assert_eq!(fs.take_integrity("none"), None);
     }
 
     #[test]

@@ -28,10 +28,15 @@
 //! the file-system lock, and every task adopts its computed completion time.
 //! A seeded Gaussian jitter on phase times produces the run-to-run variance
 //! reported in Table 5 of the paper.
+//!
+//! Every write also CRCs its own bytes at the integrity-chunk grid
+//! ([`integrity`]), so a checkpoint's integrity records are folded from what
+//! its writers computed rather than read back by one task.
 
 #![deny(missing_docs)]
 
 pub mod config;
+pub mod integrity;
 pub mod parity;
 pub mod phase;
 pub mod rng;

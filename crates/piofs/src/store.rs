@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::integrity::{ChunkCrcs, Slots};
 use crate::parity::ParityGeom;
 use crate::stripe::IntervalSet;
 
@@ -32,6 +33,9 @@ pub(crate) struct FileData {
     /// Groups whose parity block is unavailable: its server is down, or
     /// the block could not be maintained through a degraded write.
     pub parity_lost: BTreeSet<u64>,
+    /// The writers' integrity CRCs, for a file reserved by `create` whose
+    /// table has not been folded yet.
+    pub slots: Option<Slots>,
 }
 
 impl FileData {
@@ -42,6 +46,33 @@ impl FileData {
             parity: Vec::new(),
             lost: IntervalSet::new(),
             parity_lost: BTreeSet::new(),
+            slots: None,
+        }
+    }
+
+    /// Marks the integrity chunks over `[offset, end)` for re-read: their
+    /// stored bytes changed other than by a recorded write.
+    pub fn stale(&mut self, offset: u64, end: u64) {
+        if let Some(slots) = &mut self.slots {
+            slots.stale(offset, end);
+        }
+    }
+
+    /// The integrity records of the logical file at `chunk`-byte chunks,
+    /// taking the slot table. Folded from the table when the file is intact
+    /// and of the length it was reserved for; otherwise read whole, lost
+    /// ranges reconstructed from parity. `None` when a lost byte is
+    /// unreconstructible.
+    pub fn take_integrity(&mut self, geom: Option<&ParityGeom>, chunk: u64) -> Option<ChunkCrcs> {
+        let slots = self.slots.take();
+        match self.intact(0, self.len()) {
+            Some(bytes) => {
+                slots.and_then(|s| s.fold(bytes)).or_else(|| Some(ChunkCrcs::read(bytes, chunk)))
+            }
+            None => {
+                let (bytes, _) = self.read_logical(0, self.len(), geom).ok()?;
+                Some(ChunkCrcs::read(&bytes, chunk))
+            }
         }
     }
 
@@ -164,6 +195,24 @@ impl FileData {
                 self.bytes[a as usize..b as usize].fill(POISON);
             }
         }
+    }
+
+    /// [`FileData::write_parity_aware`], recording the writer's integrity
+    /// CRCs of `data` (`crcs`, cut at the integrity grid) in the slot table
+    /// when the file has one.
+    pub fn write_recorded(
+        &mut self,
+        offset: u64,
+        data: &[u8],
+        crcs: &[u32],
+        geom: Option<&ParityGeom>,
+        down: &[bool],
+    ) -> u64 {
+        let parity_bytes = self.write_parity_aware(offset, data, geom, down);
+        if let Some(slots) = &mut self.slots {
+            slots.record(offset, data.len() as u64, crcs);
+        }
+        parity_bytes
     }
 
     /// Parity-aware write: the normal I/O path when parity is enabled
@@ -333,6 +382,12 @@ impl FileData {
                     lost += e - s;
                 }
             }
+        }
+        if lost > 0 {
+            // Bytes healed from parity later need not be the ones their
+            // writers CRC'd (a sibling unit may have rotted since): from now
+            // on the file's records are read.
+            self.slots = None;
         }
         if parity_on {
             for grp in 0..g.group_count(self.len()) {
