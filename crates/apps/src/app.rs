@@ -173,18 +173,17 @@ impl MiniApp {
 
     /// Takes a diskless checkpoint into the memory tier (collective): the
     /// same canonical streams `checkpoint` would write to PIOFS are kept
-    /// resident and replicated across nodes, and — when `spill` is set —
-    /// persisted to the exact PIOFS files the direct path would have
-    /// produced, verified end-to-end. DRMS variant only (the tier stores
-    /// distribution-independent streams, which the SPMD scheme lacks).
+    /// resident and replicated across nodes, then persisted to the exact
+    /// PIOFS files the direct path would have produced, verified end-to-end.
+    /// DRMS variant only (the tier stores distribution-independent streams,
+    /// which the SPMD scheme lacks).
     pub fn checkpoint_memtier(
         &mut self,
         ctx: &mut Ctx,
         fs: &Piofs,
         tier: &MemTier,
         prefix: &str,
-        spill: bool,
-    ) -> Result<(StoreReport, Option<SpillReport>), MemTierError> {
+    ) -> Result<(StoreReport, SpillReport), MemTierError> {
         if self.variant != AppVariant::Drms {
             return Err(MemTierError::Core(CoreError::ManifestMismatch(
                 "memory-tier checkpoints require the DRMS variant".to_string(),
@@ -194,9 +193,8 @@ impl MiniApp {
             self.fields.iter().map(|f| f as &dyn CheckpointArray).collect();
         let store =
             drms_memtier::store_checkpoint(ctx, tier, prefix, &mut self.drms, &self.seg, &handles)?;
-        let spilled =
-            if spill { Some(drms_memtier::spill_checkpoint(ctx, fs, tier, prefix)?) } else { None };
-        Ok((store, spilled))
+        let spill = drms_memtier::spill_checkpoint(ctx, fs, tier, prefix)?;
+        Ok((store, spill))
     }
 
     /// Restarts the application out of the memory tier (collective): the
@@ -406,16 +404,16 @@ mod tests {
             while app.iter() < 3 {
                 app.step(ctx);
             }
-            let (store, spill) = app.checkpoint_memtier(ctx, &f, &tier, "ck/x", true).unwrap();
+            let (store, spill) = app.checkpoint_memtier(ctx, &f, &tier, "ck/x").unwrap();
             assert!(store.bytes > 0 && store.replica_bytes > 0);
-            assert!(spill.unwrap().bytes > 0);
+            assert!(spill.bytes > 0);
         })
         .unwrap();
 
         // The spill produced the exact files the direct path writes.
         let direct: Vec<String> = fd.list("ck/x/").into_iter().map(|i| i.path).collect();
-        let spilled: Vec<String> = f.list("ck/x/").into_iter().map(|i| i.path).collect();
-        assert_eq!(direct, spilled);
+        let tiered: Vec<String> = f.list("ck/x/").into_iter().map(|i| i.path).collect();
+        assert_eq!(direct, tiered);
         for path in &direct {
             assert_eq!(fd.peek(path), f.peek(path), "{path} differs from direct checkpoint");
         }
@@ -473,7 +471,7 @@ mod tests {
         let errs = run_spmd(2, CostModel::default(), |ctx| {
             let (spec, enable) = (sp(Class::T), EnableFlag::new());
             let mut app = MiniApp::start(ctx, &f, spec, AppVariant::Spmd, enable, None).unwrap();
-            app.checkpoint_memtier(ctx, &f, &tier, "ck/s", false).unwrap_err()
+            app.checkpoint_memtier(ctx, &f, &tier, "ck/s").unwrap_err()
         })
         .unwrap();
         assert!(matches!(&errs[0], MemTierError::Core(CoreError::ManifestMismatch(_))));

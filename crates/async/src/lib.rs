@@ -9,13 +9,20 @@
 //! array streams, so once those bytes are captured, compute may proceed
 //! while durability catches up.
 //!
-//! * **Snapshot** ([`Snapshot::capture`]): at the SOP every task copies its
+//! The pipeline composes the checkpoints it overlaps rather than copying
+//! them:
+//!
+//! * **Snapshot** ([`drms_memtier::Snapshot::capture`], the capture the
+//!   blocking memory-tier store takes): at the SOP every task copies its
 //!   pieces of the canonical streams (and rank 0 encodes the data
 //!   segment). The copy is priced at memory bandwidth — this is the only
 //!   checkpoint cost left on the critical path.
+//! * **Delta** ([`AsyncCheckpointer::checkpoint_delta`]): the shared
+//!   [`drms_delta::DeltaStage`] of the blocking delta writer diffs each
+//!   array in the foreground; only its pack writes ride the flush.
 //! * **Flush** ([`AsyncCheckpointer`]): a background flusher drains the
 //!   snapshot through the optional in-memory replica tier and down to
-//!   PIOFS using the same two-phase `{prefix}.tmp` staging protocol as the
+//!   PIOFS through the same two-phase [`drms_core::commit::Commit`] as the
 //!   blocking path, so a committed asynchronous checkpoint is **bitwise
 //!   identical** to a blocking one and restores through unmodified
 //!   [`drms_core::Drms::initialize`].
@@ -37,11 +44,9 @@
 
 mod error;
 mod pipeline;
-mod snapshot;
 
 pub use error::AsyncError;
 pub use pipeline::{AsyncCheckpointer, AsyncConfig, AsyncReport, DeltaSummary, Flight};
-pub use snapshot::{ArraySnapshot, Snapshot};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AsyncError>;

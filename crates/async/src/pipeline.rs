@@ -6,19 +6,17 @@ use std::collections::VecDeque;
 use drms_core::chaos::{CrashPoint, FLUSH_COMMIT};
 use drms_core::commit::Commit;
 use drms_core::crash_point;
-use drms_core::manifest::{
-    array_path, delta_path, manifest_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
-};
+use drms_core::manifest::{array_path, delta_path, ArrayEntry};
 use drms_core::segment::DataSegment;
-use drms_core::{CheckpointArray, CoreError, Drms};
-use drms_darray::stream::assemble_pieces;
-use drms_delta::{DeltaChain, DeltaConfig, StageStats};
-use drms_memtier::{spill_to_staging, store_captured, MemTier};
+use drms_core::{CheckpointArray, Drms};
+use drms_delta::{
+    record_commit, require_fresh_prefix, DeltaChain, DeltaConfig, DeltaStage, StageStats,
+};
+use drms_memtier::{spill_to_staging, store_captured, MemTier, Snapshot};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
 
-use crate::snapshot::Snapshot;
 use crate::{micros, Result};
 
 /// Tuning knobs of the asynchronous pipeline.
@@ -278,16 +276,10 @@ impl AsyncCheckpointer {
         base_segment: &DataSegment,
         arrays: &[&dyn CheckpointArray],
     ) -> Result<AsyncReport> {
-        if fs.exists(&manifest_path(prefix)) {
-            return Err(CoreError::ManifestMismatch(format!(
-                "delta checkpoints require a fresh prefix, but {prefix:?} already holds a \
-                 committed checkpoint"
-            ))
-            .into());
-        }
+        require_fresh_prefix(fs, prefix)?;
         let stalled = self.await_slot(ctx);
         drms.advance_sop();
-        let full = chain.begin(dcfg);
+        let stage = DeltaStage::begin(chain, dcfg, fs);
         ctx.barrier();
         if let Err(e) = crash_point(ctx, fs, CrashPoint::CkptEnter, false) {
             chain.abort();
@@ -295,24 +287,28 @@ impl AsyncCheckpointer {
         }
         let t_sop = ctx.now();
 
-        let plan =
-            match capture_delta(ctx, fs, chain, dcfg, drms, prefix, base_segment, arrays, full) {
-                Ok(p) => p,
-                Err(e) => {
-                    chain.abort();
-                    return Err(e);
-                }
-            };
+        let plan = match capture_delta(ctx, fs, chain, stage, drms, prefix, base_segment, arrays) {
+            Ok(p) => p,
+            Err(e) => {
+                chain.abort();
+                return Err(e.into());
+            }
+        };
         ctx.barrier();
         let t_snap = ctx.now();
-        emit_delta_obs(ctx, prefix, &plan, t_sop, t_snap, full);
+        if ctx.rank() == 0 && ctx.recorder().enabled() {
+            ctx.recorder().span_start(t_sop, 0, Phase::Delta, prefix);
+        }
+        plan.stage.record(ctx, prefix, t_snap);
         if let Err(e) = crash_point(ctx, fs, CrashPoint::FlushArmed, false) {
             chain.abort();
             return Err(e.into());
         }
 
+        let (sop, total_bytes) = (plan.sop, plan.total_bytes);
+        let (stats, full) = (plan.stage.stats, plan.stage.full);
         let prefix_owned = prefix.to_string();
-        let (flushed, d) = ctx.run_detached(|ctx| flush_delta(ctx, fs, &prefix_owned, &plan));
+        let (flushed, d) = ctx.run_detached(|ctx| flush_delta(ctx, fs, &prefix_owned, plan));
         if let Err(e) = flushed {
             chain.abort();
             if ctx.rank() == 0 && ctx.recorder().enabled() {
@@ -321,16 +317,9 @@ impl AsyncCheckpointer {
             return Err(e);
         }
         chain.commit(prefix);
-        let summary = DeltaSummary { full, stats: plan.stats, chain_depth: chain.depth() };
-        if ctx.rank() == 0 && ctx.recorder().enabled() {
-            let rec = ctx.recorder();
-            rec.gauge_set_at(t_snap, 0, names::DELTA_CHAIN_DEPTH, 0, summary.chain_depth as f64);
-            let total = plan.stats.dirty + plan.stats.clean;
-            let ratio = if total == 0 { 0.0 } else { plan.stats.dirty as f64 / total as f64 };
-            rec.gauge_set_at(t_snap, 0, names::DELTA_DIRTY_RATIO, 0, ratio);
-        }
-        let mut report =
-            self.arm(ctx, prefix, plan.sop, plan.total_bytes, t_sop, t_snap, d, stalled);
+        let summary = DeltaSummary { full, stats, chain_depth: chain.depth() };
+        record_commit(ctx, t_snap, summary.chain_depth, stats.dirty_ratio());
+        let mut report = self.arm(ctx, prefix, sop, total_bytes, t_sop, t_snap, d, stalled);
         report.delta = Some(summary);
         Ok(report)
     }
@@ -403,7 +392,7 @@ fn flush_full(
     tier: Option<&MemTier>,
     prefix: &str,
     snap: &Snapshot,
-) -> Result<u64> {
+) -> Result<()> {
     let commit = Commit::new(fs, prefix, &FLUSH_COMMIT);
     if let Some(tier) = tier {
         let manifest = snap.manifest(Vec::new()).encode();
@@ -425,7 +414,7 @@ fn flush_full(
             let reqs: Vec<WriteReq> = a
                 .pieces
                 .iter()
-                .map(|p| WriteReq { path: path.clone(), offset: p.offset, data: p.data.clone() })
+                .map(|p| WriteReq { path: path.clone(), offset: p.offset, data: (*p.data).clone() })
                 .collect();
             fs.collective_write(ctx, reqs);
             commit.array_staged(ctx)?;
@@ -433,18 +422,8 @@ fn flush_full(
         ctx.barrier();
     }
 
-    // The tier entry is marked durable at the commit point itself, so a
-    // crash after the manifest rename already sees it spilled.
-    commit.publish(
-        ctx,
-        |integrity| snap.manifest(integrity),
-        || {
-            if let Some(tier) = tier {
-                tier.mark_spilled(prefix);
-            }
-        },
-    )?;
-    Ok(snap.total_bytes)
+    commit.publish(ctx, |integrity| snap.manifest(integrity))?;
+    Ok(())
 }
 
 /// Everything the delta flush writes, staged at the SOP: the chunk diff
@@ -458,25 +437,24 @@ struct DeltaPlan {
     entries: Vec<ArrayEntry>,
     /// Pack bytes per array, in declaration order (rank 0).
     packs: Vec<(String, Vec<u8>)>,
-    deltas: Vec<ArrayDelta>,
-    stats: StageStats,
+    stage: DeltaStage,
     total_bytes: u64,
 }
 
+/// The foreground half of an asynchronous delta checkpoint: encodes the
+/// segment and runs the shared delta stage over every array, keeping the
+/// packs for the flush instead of writing them.
 #[allow(clippy::too_many_arguments)]
 fn capture_delta(
     ctx: &mut Ctx,
     fs: &Piofs,
     chain: &mut DeltaChain,
-    dcfg: &DeltaConfig,
+    mut stage: DeltaStage,
     drms: &Drms,
     prefix: &str,
     base_segment: &DataSegment,
     arrays: &[&dyn CheckpointArray],
-    full: bool,
-) -> Result<DeltaPlan> {
-    let cfg = drms.cfg();
-    let params = dcfg.params(fs);
+) -> drms_core::Result<DeltaPlan> {
     let mut segment = None;
     let mut captured = 0u64;
     if ctx.rank() == 0 {
@@ -486,19 +464,11 @@ fn capture_delta(
     }
     let mut entries = Vec::with_capacity(arrays.len());
     let mut packs = Vec::new();
-    let mut deltas = Vec::new();
-    let mut stats = StageStats::default();
     for a in arrays {
         entries.push(ArrayEntry::of(*a));
-        let pieces = a.stream_pieces(ctx, 1)?;
-        if ctx.rank() == 0 {
-            let stream = assemble_pieces(pieces);
-            captured += stream.len() as u64;
-            let (table, pack, s) =
-                chain.stage_array(fs, prefix, a.array_name(), &stream, params, full, dcfg.compress);
-            stats.add(s);
+        if let Some((pack, stream_len)) = stage.array(ctx, fs, chain, prefix, *a)? {
+            captured += stream_len;
             packs.push((a.array_name().to_string(), pack));
-            deltas.push(table);
         }
     }
     // The diff pass reads the full stream on the representative task:
@@ -507,42 +477,21 @@ fn capture_delta(
     let (per_task, _) = ctx.exchange(captured);
     let total_bytes = per_task.iter().sum();
     Ok(DeltaPlan {
-        app: cfg.app.clone(),
+        app: drms.cfg().app.clone(),
         sop: drms.sop(),
         ntasks: ctx.ntasks(),
         segment,
         entries,
         packs,
-        deltas,
-        stats,
+        stage,
         total_bytes,
     })
-}
-
-/// Emits the delta staging observability the blocking
-/// [`drms_delta::delta_checkpoint`] emits, anchored at the foreground
-/// staging window (the diff really does run there).
-fn emit_delta_obs(ctx: &Ctx, prefix: &str, plan: &DeltaPlan, t_sop: f64, t_snap: f64, full: bool) {
-    if ctx.rank() != 0 || !ctx.recorder().enabled() {
-        return;
-    }
-    let rec = ctx.recorder();
-    rec.span_start(t_sop, 0, Phase::Delta, prefix);
-    rec.counter_add_at(t_snap, 0, names::DELTA_DIRTY_CHUNKS, None, plan.stats.dirty);
-    rec.counter_add_at(t_snap, 0, names::DELTA_CLEAN_CHUNKS, None, plan.stats.clean);
-    rec.counter_add_at(t_snap, 0, names::DELTA_DEDUP_HITS, None, plan.stats.dedup);
-    rec.counter_add_at(t_snap, 0, names::DELTA_BYTES_WRITTEN, None, plan.stats.pack_bytes);
-    rec.counter_add_at(t_snap, 0, names::DELTA_COMPRESSED_BYTES, None, plan.stats.saved);
-    if full {
-        rec.counter_add_at(t_snap, 0, names::DELTA_FULL_REWRITES, None, 1);
-    }
-    rec.span_end(t_snap, 0, Phase::Delta, prefix);
 }
 
 /// The background flush of a staged delta plan: segment, pack files, v3
 /// manifest, then the shared two-phase publish tail — the same `Flush*`
 /// crash-point sequence as the full path.
-fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: &DeltaPlan) -> Result<u64> {
+fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: DeltaPlan) -> Result<()> {
     let commit = Commit::new(fs, prefix, &FLUSH_COMMIT);
     commit.stage_segment(ctx, plan.segment.as_deref())?;
     for i in 0..plan.entries.len() {
@@ -557,18 +506,7 @@ fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: &DeltaPlan) -> Res
         commit.array_staged(ctx)?;
     }
     ctx.barrier();
-    commit.publish(
-        ctx,
-        |integrity| Manifest {
-            app: plan.app.clone(),
-            kind: CkptKind::DrmsDelta,
-            ntasks: plan.ntasks,
-            sop: plan.sop,
-            arrays: plan.entries.clone(),
-            integrity,
-            deltas: plan.deltas.clone(),
-        },
-        || {},
-    )?;
-    Ok(plan.stats.pack_bytes)
+    let DeltaPlan { app, sop, ntasks, entries, stage, .. } = plan;
+    commit.publish(ctx, |integrity| stage.manifest(&app, ntasks, sop, entries, integrity))?;
+    Ok(())
 }

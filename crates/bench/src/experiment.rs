@@ -119,8 +119,8 @@ impl Experiment {
     ) -> Result<(f64, f64), SpmdError> {
         let reports = self.fresh(pes, rec, 1, |ctx, app| {
             let (store, spill) =
-                app.checkpoint_memtier(ctx, &self.fs, tier, MID, true).expect("tier checkpoint");
-            (store.seconds, spill.expect("spilled").seconds)
+                app.checkpoint_memtier(ctx, &self.fs, tier, MID).expect("tier checkpoint");
+            (store.seconds, spill.seconds)
         })?;
         Ok(reports[0])
     }

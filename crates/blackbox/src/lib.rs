@@ -173,11 +173,6 @@ impl Blackbox {
         self.archive.lock().ingest(bytes)
     }
 
-    /// Runs `f` over the archive of recovered seals.
-    pub fn with_archive<R>(&self, f: impl FnOnce(&SealArchive) -> R) -> R {
-        f(&self.archive.lock())
-    }
-
     /// Incarnations the archive holds seals for, ascending.
     pub fn incarnations(&self) -> Vec<u64> {
         self.archive.lock().incarnations()

@@ -197,14 +197,12 @@ impl<'a> Commit<'a> {
     /// Phase 3, entered after the barrier that closes the mode's data phase:
     /// stages the flight rings and the manifest `manifest` builds from the
     /// staged integrity records (rank 0 only), publishes the data, and
-    /// commits by the manifest rename. `at_commit` runs on rank 0 at the
-    /// commit point, before any other task can observe the commit. Returns
-    /// the synchronized time at which every task has seen it.
+    /// commits by the manifest rename. Returns the synchronized time at
+    /// which every task has seen the commit.
     pub fn publish(
         self,
         ctx: &mut Ctx,
         manifest: impl FnOnce(Vec<FileIntegrity>) -> Manifest,
-        at_commit: impl FnOnce(),
     ) -> Result<f64> {
         let (fs, prefix) = (self.fs, self.prefix);
         let [.., staged_manifest, mid_publish, committed] = *self.points;
@@ -242,7 +240,6 @@ impl<'a> Commit<'a> {
                 // `commit:` of a killed incarnation as lost work.
                 ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
             }
-            at_commit();
         }
         ctx.barrier();
         let t = ctx.now();
@@ -260,17 +257,11 @@ mod tests {
     use drms_msg::{run_spmd_chaos, CostModel};
     use drms_obs::NullRecorder;
     use drms_piofs::PiofsConfig;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     /// The smallest checkpoint a mode can push through the driver: a
     /// segment, one array file, an array-less manifest.
-    fn minimal_commit(
-        ctx: &mut Ctx,
-        fs: &Piofs,
-        points: &'static CommitPoints,
-        hook_ran: &AtomicBool,
-    ) -> Result<f64> {
+    fn minimal_commit(ctx: &mut Ctx, fs: &Piofs, points: &'static CommitPoints) -> Result<f64> {
         let commit = Commit::new(fs, "ck/1", points);
         commit.stage_segment(ctx, Some(&[7u8; 64]))?;
         if ctx.rank() == 0 {
@@ -289,11 +280,7 @@ mod tests {
             integrity: Vec::new(),
             deltas: Vec::new(),
         };
-        commit.publish(
-            ctx,
-            |integrity| Manifest { integrity, ..manifest },
-            || hook_ran.store(true, Ordering::SeqCst),
-        )
+        commit.publish(ctx, |integrity| Manifest { integrity, ..manifest })
     }
 
     /// Pins the protocol order where it is defined: a crash at each point of
@@ -317,13 +304,12 @@ mod tests {
                 let at = point.map_or("clean", |p| p.as_str());
                 let fs = Piofs::new(PiofsConfig::test_tiny(2), 1);
                 let plan = FaultPlan { crash: point.map(|p| (p, 1)), ..FaultPlan::seeded(5) };
-                let hook_ran = AtomicBool::new(false);
                 let out = run_spmd_chaos(
                     2,
                     CostModel::default(),
                     Arc::new(NullRecorder),
                     ChaosCtl::new(plan),
-                    |ctx| minimal_commit(ctx, &fs, points, &hook_ran),
+                    |ctx| minimal_commit(ctx, &fs, points),
                 )
                 .unwrap();
                 for r in out {
@@ -339,7 +325,6 @@ mod tests {
                 assert_eq!(fs.exists("ck/1/array-u"), published, "{at}");
                 assert_eq!(fs.exists(&manifest_path("ck/1")), committed, "{at}");
                 assert_eq!(verify(&fs, "ck/1").is_valid(), committed, "{at}");
-                assert_eq!(hook_ran.load(Ordering::SeqCst), committed, "{at}");
                 assert_eq!(fs.list("ck/1.tmp/").is_empty(), committed, "{at}");
             }
         }

@@ -136,12 +136,6 @@ impl Drms {
         self.sop
     }
 
-    /// Registers this task's resident memory with the file-system node
-    /// ledger (drives interference and buffer-pressure modelling).
-    pub fn register_residency(&self, ctx: &Ctx, fs: &Piofs, bytes: u64) {
-        fs.set_residency(ctx.node(), bytes);
-    }
-
     /// `drms_reconfig_checkpoint`: mandatory checkpoint, always taken.
     ///
     /// The representative task (rank 0) writes the shared data segment —
@@ -187,19 +181,15 @@ impl Drms {
 
         // Phase 3: manifest staged, data published, manifest renamed.
         let ntasks = ctx.ntasks();
-        let t3 = commit.publish(
-            ctx,
-            |integrity| Manifest {
-                app: self.cfg.app.clone(),
-                kind: CkptKind::Drms,
-                ntasks,
-                sop: self.sop,
-                arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
-                integrity,
-                deltas: Vec::new(),
-            },
-            || {},
-        )?;
+        let t3 = commit.publish(ctx, |integrity| Manifest {
+            app: self.cfg.app.clone(),
+            kind: CkptKind::Drms,
+            ntasks,
+            sop: self.sop,
+            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
+            integrity,
+            deltas: Vec::new(),
+        })?;
 
         let breakdown = OpBreakdown {
             init: 0.0,

@@ -273,13 +273,6 @@ impl Distribution {
         }
     }
 
-    /// The strictly increasing list of tasks with nonempty assigned
-    /// sections — the *active set* a recovery or resize must preserve data
-    /// for.
-    pub fn active_tasks(&self) -> Vec<usize> {
-        (0..self.ntasks()).filter(|&t| !self.assigned[t].is_empty()).collect()
-    }
-
     /// Recomputes this distribution for a different task count — the
     /// `drms_adjust` operation invoked after a reconfigured restart with
     /// `delta != 0`. Block and cyclic distributions adjust automatically;

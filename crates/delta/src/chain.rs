@@ -100,6 +100,17 @@ impl StageStats {
         self.pack_bytes += o.pack_bytes;
         self.saved += o.saved;
     }
+
+    /// Dirty-chunk ratio (1.0 when nothing was carried forward — the
+    /// signal the delta-collapse pulse rule watches; 0.0 with no chunks).
+    pub fn dirty_ratio(&self) -> f64 {
+        let total = self.dirty + self.clean;
+        if total == 0 {
+            0.0
+        } else {
+            self.dirty as f64 / total as f64
+        }
+    }
 }
 
 /// The writer-side state of a delta chain: committed chunk digests per

@@ -3,18 +3,16 @@
 use drms_core::chaos::{CrashPoint, CKPT_COMMIT};
 use drms_core::commit::Commit;
 use drms_core::crash_point;
-use drms_core::manifest::{
-    delta_path, manifest_path, segment_path, ArrayDelta, ArrayEntry, CkptKind, Manifest,
-};
+use drms_core::manifest::{delta_path, segment_path, ArrayEntry};
 use drms_core::report::OpBreakdown;
 use drms_core::segment::DataSegment;
-use drms_core::{phase_span, record_bytes, CheckpointArray, CoreError, Drms, Result};
-use drms_darray::stream::assemble_pieces;
+use drms_core::{phase_span, record_bytes, CheckpointArray, Drms, Result};
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::Phase;
 use drms_piofs::Piofs;
 
 use crate::chain::{DeltaChain, DeltaConfig, StageStats};
+use crate::stage::{record_commit, require_fresh_prefix, DeltaStage};
 
 /// What one incremental checkpoint did. The byte/chunk statistics are
 /// gathered on the representative task (rank 0, which owns the canonical
@@ -45,12 +43,8 @@ impl DeltaReport {
     /// Dirty-chunk ratio of this checkpoint (1.0 when nothing was carried
     /// forward — the signal the delta-collapse pulse rule watches).
     pub fn dirty_ratio(&self) -> f64 {
-        let total = self.dirty_chunks + self.clean_chunks;
-        if total == 0 {
-            0.0
-        } else {
-            self.dirty_chunks as f64 / total as f64
-        }
+        let (dirty, clean) = (self.dirty_chunks, self.clean_chunks);
+        StageStats { dirty, clean, ..StageStats::default() }.dirty_ratio()
     }
 }
 
@@ -80,16 +74,14 @@ pub fn delta_checkpoint(
     base_segment: &DataSegment,
     arrays: &[&dyn CheckpointArray],
 ) -> Result<DeltaReport> {
-    match run(drms, chain, cfg, ctx, fs, prefix, base_segment, arrays) {
+    require_fresh_prefix(fs, prefix)?;
+    drms.advance_sop();
+    let stage = DeltaStage::begin(chain, cfg, fs);
+    match run(drms, chain, stage, ctx, fs, prefix, base_segment, arrays) {
         Ok(mut report) => {
             chain.commit(prefix);
             report.chain_depth = chain.depth();
-            if ctx.rank() == 0 && ctx.recorder().enabled() {
-                let rec = ctx.recorder();
-                let t = ctx.now();
-                rec.gauge_set_at(t, 0, names::DELTA_CHAIN_DEPTH, 0, report.chain_depth as f64);
-                rec.gauge_set_at(t, 0, names::DELTA_DIRTY_RATIO, 0, report.dirty_ratio());
-            }
+            record_commit(ctx, ctx.now(), report.chain_depth, report.dirty_ratio());
             Ok(report)
         }
         Err(e) => {
@@ -101,26 +93,15 @@ pub fn delta_checkpoint(
 
 #[allow(clippy::too_many_arguments)]
 fn run(
-    drms: &mut Drms,
+    drms: &Drms,
     chain: &mut DeltaChain,
-    cfg: &DeltaConfig,
+    mut stage: DeltaStage,
     ctx: &mut Ctx,
     fs: &Piofs,
     prefix: &str,
     base_segment: &DataSegment,
     arrays: &[&dyn CheckpointArray],
 ) -> Result<DeltaReport> {
-    // Fresh-prefix requirement: committing here would clobber a checkpoint
-    // that other chain links may reference by prefix.
-    if fs.exists(&manifest_path(prefix)) {
-        return Err(CoreError::ManifestMismatch(format!(
-            "delta checkpoints require a fresh prefix, but {prefix:?} already holds a \
-             committed checkpoint"
-        )));
-    }
-
-    drms.advance_sop();
-    let full = chain.begin(cfg);
     ctx.barrier();
     crash_point(ctx, fs, CrashPoint::CkptEnter, false)?;
     let t0 = ctx.now();
@@ -134,62 +115,31 @@ fn run(
     }
     let t1 = ctx.now();
 
-    // Phase 2: gather each array's canonical stream to rank 0, chunk,
-    // diff, dedup, and stage only the surviving chunks as a pack file.
-    let params = cfg.params(fs);
-    let traced = ctx.recorder().enabled();
-    if traced && ctx.rank() == 0 {
+    // Phase 2: stage each array against the chain and write its pack
+    // before gathering the next one.
+    if ctx.rank() == 0 && ctx.recorder().enabled() {
         ctx.recorder().span_start(ctx.now(), 0, Phase::Delta, prefix);
     }
-    let mut stats = StageStats::default();
-    let mut deltas: Vec<ArrayDelta> = Vec::new();
     for a in arrays {
-        let pieces = a.stream_pieces(ctx, 1)?;
-        if ctx.rank() == 0 {
-            let stream = assemble_pieces(pieces);
-            let (table, pack, s) =
-                chain.stage_array(fs, prefix, a.array_name(), &stream, params, full, cfg.compress);
+        if let Some((pack, _)) = stage.array(ctx, fs, chain, prefix, *a)? {
             let pack_path = delta_path(commit.staging(), a.array_name());
             fs.create(&pack_path, pack.len() as u64);
             if !pack.is_empty() {
                 fs.write_at(ctx, &pack_path, 0, &pack);
             }
-            stats.add(s);
-            deltas.push(table);
         }
         commit.array_staged(ctx)?;
     }
-    if traced && ctx.rank() == 0 {
-        let rec = ctx.recorder();
-        let t = ctx.now();
-        rec.counter_add_at(t, 0, names::DELTA_DIRTY_CHUNKS, None, stats.dirty);
-        rec.counter_add_at(t, 0, names::DELTA_CLEAN_CHUNKS, None, stats.clean);
-        rec.counter_add_at(t, 0, names::DELTA_DEDUP_HITS, None, stats.dedup);
-        rec.counter_add_at(t, 0, names::DELTA_BYTES_WRITTEN, None, stats.pack_bytes);
-        rec.counter_add_at(t, 0, names::DELTA_COMPRESSED_BYTES, None, stats.saved);
-        if full {
-            rec.counter_add_at(t, 0, names::DELTA_FULL_REWRITES, None, 1);
-        }
-        rec.span_end(t, 0, Phase::Delta, prefix);
-    }
+    stage.record(ctx, prefix, ctx.now());
     ctx.barrier();
     let t2 = ctx.now();
 
     // Phase 3: manifest v3 staged, then the two-phase publish.
-    let ntasks = ctx.ntasks();
-    let t3 = commit.publish(
-        ctx,
-        |integrity| Manifest {
-            app: drms.cfg().app.clone(),
-            kind: CkptKind::DrmsDelta,
-            ntasks,
-            sop: drms.sop(),
-            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
-            integrity,
-            deltas,
-        },
-        || {},
-    )?;
+    let (stats, full) = (stage.stats, stage.full);
+    let (app, ntasks, sop) = (&drms.cfg().app, ctx.ntasks(), drms.sop());
+    let entries = arrays.iter().map(|&a| ArrayEntry::of(a)).collect();
+    let t3 =
+        commit.publish(ctx, |integrity| stage.manifest(app, ntasks, sop, entries, integrity))?;
 
     let breakdown = OpBreakdown {
         init: 0.0,

@@ -45,7 +45,9 @@
 mod chain;
 mod checkpoint;
 mod restore;
+mod stage;
 
 pub use chain::{DeltaChain, DeltaConfig, StageStats};
 pub use checkpoint::{delta_checkpoint, DeltaReport};
 pub use restore::{materialize_stream, restore_arrays_delta, resume, DeltaSource};
+pub use stage::{record_commit, require_fresh_prefix, DeltaStage};

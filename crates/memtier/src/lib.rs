@@ -6,12 +6,17 @@
 //! latency nearly independent of storage bandwidth. This crate layers that
 //! idea over the DRMS machinery without changing what a checkpoint *is*:
 //!
-//! * **Store** ([`store_checkpoint`]): at an SOP, the canonical stream
-//!   pieces of `darray::stream` — the same distribution-independent bytes
-//!   the file path writes — are kept in node memory and scattered to
-//!   [`MemTier::replicas`] additional nodes over `msg`, never co-located
-//!   with the owning node ([`placement`]). Replication traffic is priced by
-//!   the simulator's deterministic cost model like any other message.
+//! * **Capture** ([`Snapshot::capture`]): the state at an SOP — rank 0's
+//!   encoded data segment plus every task's pieces of the canonical array
+//!   streams of `darray::stream`, the same distribution-independent bytes
+//!   the file path writes — copied once and priced at memory bandwidth.
+//!   The blocking store below and the asynchronous pipeline of
+//!   `drms-async` both take exactly this capture.
+//! * **Store** ([`store_checkpoint`]): a capture is kept in node memory
+//!   and scattered to [`MemTier::replicas`] additional nodes over `msg`,
+//!   never co-located with the owning node ([`placement`]). Replication
+//!   traffic is priced by the simulator's deterministic cost model like
+//!   any other message.
 //! * **Survivability**: a checkpoint survives the loss of up to
 //!   `replicas` nodes (owner plus `replicas - 1` copies of some piece may
 //!   die and one copy remains); [`MemTier::fail_node`] applies node loss
@@ -34,12 +39,14 @@ mod error;
 pub mod placement;
 mod restart;
 mod restore;
+mod snapshot;
 mod store;
 mod tier;
 
 pub use error::MemTierError;
 pub use restart::{choose_restart_tiered, RestartTier, TieredRestartPlan};
 pub use restore::{restore_arrays_from_tier, resume_from_tier, TierSource};
+pub use snapshot::{ArraySnapshot, Snapshot, SnapshotPiece};
 pub use store::{
     array_file, spill_checkpoint, spill_to_staging, store_captured, store_checkpoint,
     store_feasible, CapturedPiece, SpillReport, StoreReport, SEGMENT_FILE,

@@ -18,15 +18,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use drms_core::manifest::{manifest_path, ArrayEntry, CkptKind, Manifest};
+use drms_core::manifest::{manifest_path, Manifest};
 use drms_core::segment::DataSegment;
 use drms_core::wire::{crc32, Reader, Writer};
-use drms_core::{compute_integrity, encode_segment_with_locals, CheckpointArray, CoreError, Drms};
+use drms_core::{compute_integrity, CheckpointArray, CoreError, Drms};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
 
 use crate::placement;
+use crate::snapshot::Snapshot;
 use crate::tier::MemTier;
 use crate::{MemTierError, Result};
 
@@ -64,10 +65,10 @@ pub fn array_file(name: &str) -> String {
 }
 
 /// One pre-captured stream piece handed to [`store_captured`]: the tier
-/// file it belongs to, its stream offset, its bytes and their CRC. The
-/// asynchronous checkpoint pipeline captures these at the SOP (pricing the
-/// copy there) and replicates them into the tier from its background
-/// flusher.
+/// file it belongs to, its stream offset, its bytes and their CRC
+/// ([`Snapshot::tier_pieces`] cuts a capture into these). The asynchronous
+/// checkpoint pipeline captures at the SOP (pricing the copy there) and
+/// replicates the pieces into the tier from its background flusher.
 #[derive(Debug, Clone)]
 pub struct CapturedPiece {
     /// Tier stream file ([`SEGMENT_FILE`] or [`array_file`]).
@@ -120,50 +121,15 @@ pub fn store_checkpoint(
     arrays: &[&dyn CheckpointArray],
 ) -> Result<StoreReport> {
     let sop = drms.advance_sop();
-    let cfg = drms.cfg();
-    store_with(ctx, tier, prefix, &cfg.app, sop, |ctx| {
-        // Capture this task's pieces: the representative segment on rank 0,
-        // then every array's canonical stream pieces.
-        let io = cfg.io.resolve(ctx.ntasks());
-        let mut local = Vec::new();
-        let mut push = |file: &str, offset: u64, data: Vec<u8>| {
-            let crc = crc32(&data);
-            local.push(CapturedPiece { file: file.to_string(), offset, data: Arc::new(data), crc });
-        };
-        let mut seg_len = 0u64;
-        if ctx.rank() == 0 {
-            let bytes = encode_segment_with_locals(base_segment, arrays, cfg.fixed_local_bytes);
-            seg_len = bytes.len() as u64;
-            let mut off = 0u64;
-            for chunk in bytes.chunks(tier.piece_bytes()) {
-                push(SEGMENT_FILE, off, chunk.to_vec());
-                off += chunk.len() as u64;
-            }
-        }
-        for a in arrays {
-            let file = array_file(a.array_name());
-            for p in a.stream_pieces(ctx, io)? {
-                push(&file, p.offset, p.data);
-            }
-        }
-        // Capturing into tier memory is a local copy; price it as one.
-        let my_bytes: u64 = local.iter().map(|p| p.data.len() as u64).sum();
-        ctx.charge(my_bytes as f64 / ctx.cost().memcpy_bw);
-
+    let drms = &*drms;
+    store_with(ctx, tier, prefix, &drms.cfg().app, sop, |ctx| {
+        // The same capture the asynchronous pipeline takes; sealing it at
+        // once keeps its memory-bandwidth charge inside the store window.
+        let snap = Snapshot::capture(ctx, drms, base_segment, arrays)?;
         // The same manifest a PIOFS checkpoint would carry, minus integrity
         // records; only rank 0's copy is sealed.
-        let manifest = Manifest {
-            app: cfg.app.clone(),
-            kind: CkptKind::Drms,
-            ntasks: ctx.ntasks(),
-            sop,
-            arrays: arrays.iter().map(|&a| ArrayEntry::of(a)).collect(),
-            integrity: Vec::new(),
-            deltas: Vec::new(),
-        };
-        let mut file_lens = vec![(SEGMENT_FILE.to_string(), seg_len)];
-        file_lens.extend(arrays.iter().map(|a| (array_file(a.array_name()), a.stream_bytes())));
-        Ok((manifest.encode(), file_lens, local))
+        let manifest = snap.manifest(Vec::new()).encode();
+        Ok((manifest, snap.file_lens(), snap.tier_pieces(tier.piece_bytes())))
     })
 }
 
@@ -362,8 +328,8 @@ fn write_resident_pieces(
 /// is written to `{prefix}/{file}` by the lowest rank on its first holder
 /// node through the priced collective-write path, the manifest — rewritten
 /// with file-integrity records — lands last, and the result is verified
-/// end-to-end ([`drms_resil::verify_checkpoint`]) before the entry is
-/// marked spilled. On verification failure the manifest is deleted again
+/// end-to-end ([`drms_resil::verify_checkpoint`]) before the spill
+/// reports success. On verification failure the manifest is deleted again
 /// (the half-spilled data is orphaned, reclaimable by
 /// [`drms_core::sweep_orphans`]) and every task gets the error.
 pub fn spill_checkpoint(
@@ -399,9 +365,6 @@ pub fn spill_checkpoint(
     }
     if let Some(err) = votes[0].clone() {
         return Err(MemTierError::SpillVerify(err));
-    }
-    if ctx.rank() == 0 {
-        tier.mark_spilled(prefix);
     }
     Ok(SpillReport { seconds: t1 - t0, bytes })
 }

@@ -55,7 +55,6 @@ struct TierCheckpoint {
     manifest: Vec<u8>,
     files: BTreeMap<String, TierFile>,
     sealed: bool,
-    spilled: bool,
 }
 
 /// What one fetch served, with enough provenance to price the movement.
@@ -141,11 +140,6 @@ impl MemTier {
         let inner = self.inner.lock();
         let Some(ck) = inner.get(prefix) else { return false };
         ck.sealed && ck.files.values().all(|f| f.pieces.iter().all(|p| !p.holders.is_empty()))
-    }
-
-    /// Whether the entry under `prefix` has been spilled to PIOFS.
-    pub fn is_spilled(&self, prefix: &str) -> bool {
-        self.inner.lock().get(prefix).is_some_and(|c| c.spilled)
     }
 
     /// Minimum surviving holder count over the pieces of the sealed entry
@@ -280,11 +274,6 @@ impl MemTier {
         dead
     }
 
-    /// Drops the entry under `prefix` (manual eviction / retention).
-    pub fn invalidate(&self, prefix: &str) -> bool {
-        self.inner.lock().remove(prefix).is_some()
-    }
-
     /// Begins (or restarts) a store under `prefix`: any previous entry is
     /// dropped, so re-checkpointing a prefix from a different task count
     /// never mixes piece plans.
@@ -312,7 +301,6 @@ impl MemTier {
             manifest: Vec::new(),
             files: BTreeMap::new(),
             sealed: false,
-            spilled: false,
         });
         let f = ck.files.entry(file.to_string()).or_default();
         if let Some(p) = f.pieces.iter_mut().find(|p| p.offset == offset) {
@@ -382,17 +370,7 @@ impl MemTier {
         ck.sop = sop;
         ck.manifest = manifest;
         ck.sealed = true;
-        ck.spilled = false;
         Ok(())
-    }
-
-    /// Marks an entry as spilled to PIOFS. Public so the asynchronous
-    /// flush pipeline, which publishes the durable copy itself, can record
-    /// durability on the tier entry it drained.
-    pub fn mark_spilled(&self, prefix: &str) {
-        if let Some(ck) = self.inner.lock().get_mut(prefix) {
-            ck.spilled = true;
-        }
     }
 
     /// The spill schedule for a sealed entry: every piece with the node

@@ -14,14 +14,13 @@
 
 use std::sync::Arc;
 
-use drms_async::Snapshot;
 use drms_core::manifest::manifest_path;
 use drms_core::segment::DataSegment;
 use drms_core::{
     find_checkpoints, retain_checkpoints, sweep_orphans, Drms, DrmsConfig, EnableFlag,
 };
 use drms_darray::{DistArray, Distribution};
-use drms_memtier::{spill_checkpoint, store_captured, store_checkpoint, MemTier};
+use drms_memtier::{spill_checkpoint, store_captured, store_checkpoint, MemTier, Snapshot};
 use drms_msg::{run_spmd, CostModel};
 use drms_obs::NullRecorder;
 use drms_piofs::{Piofs, PiofsConfig};
@@ -36,9 +35,9 @@ fn fs() -> Arc<Piofs> {
 
 /// Runs one SPMD incarnation that stores a checkpoint into the tier under
 /// each prefix in turn (SOPs 1, 2, ...) and spills every one to PIOFS.
-/// Every store is repeated into a scratch tier through the asynchronous
-/// pipeline's capture + `store_captured`, which must produce the same entry
-/// and report as the blocking `store_checkpoint` of the same state.
+/// Every store is repeated into a scratch tier the way the asynchronous
+/// pipeline stores, capture + `store_captured`, which must produce the same
+/// entry and report as the blocking `store_checkpoint` of the same state.
 fn store_and_spill_all(fs: &Arc<Piofs>, tier: &Arc<MemTier>, ntasks: usize, prefixes: &[&str]) {
     let prefixes: Vec<String> = prefixes.iter().map(|p| p.to_string()).collect();
     let scratch = MemTier::new(tier.replicas());

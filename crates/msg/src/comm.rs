@@ -371,17 +371,6 @@ impl Ctx {
         }
     }
 
-    /// Sends a `u64` scalar.
-    pub fn send_u64(&mut self, dst: Rank, tag: u64, v: u64) {
-        self.send(dst, tag, v.to_le_bytes().to_vec());
-    }
-
-    /// Receives a `u64` scalar.
-    pub fn recv_u64(&mut self, src: Rank, tag: u64) -> u64 {
-        let b = self.recv(src, tag);
-        u64::from_le_bytes(b.as_slice().try_into().expect("u64 payload"))
-    }
-
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------
@@ -497,16 +486,6 @@ impl Incoming {
     /// The bytes task `src` sent to this task.
     pub fn from(&self, src: Rank) -> &[u8] {
         &self.all[src][self.rank]
-    }
-
-    /// Total bytes received (excluding the self-buffer).
-    pub fn total_received(&self) -> usize {
-        self.all
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| s != self.rank)
-            .map(|(_, bufs)| bufs[self.rank].len())
-            .sum()
     }
 }
 

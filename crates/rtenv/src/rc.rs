@@ -1,9 +1,9 @@
 //! The resource coordinator (RC) and its task coordinators (TCs).
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::events::{Event, EventLog};
@@ -28,17 +28,17 @@ enum TcCommand {
 }
 
 struct TcHandle {
-    cmd_tx: Sender<TcCommand>,
+    cmd_tx: SyncSender<TcCommand>,
     alive_rx: Receiver<()>,
     join: JoinHandle<()>,
 }
 
 fn spawn_tc(proc_id: usize) -> TcHandle {
-    let (cmd_tx, cmd_rx) = bounded::<TcCommand>(1);
+    let (cmd_tx, cmd_rx) = sync_channel::<TcCommand>(1);
     // The alive channel never carries messages; its disconnection is the
     // liveness signal, standing in for the paper's lost socket connection.
     let (_alive_tx, alive_rx) = {
-        let (tx, rx) = bounded::<()>(0);
+        let (tx, rx) = sync_channel::<()>(0);
         (tx, rx)
     };
     let join = std::thread::Builder::new()
