@@ -314,7 +314,7 @@ fn restore_checksum(
 
 /// The `async` row of the gate table: for each application of the solver
 /// suite the campaign runs twice (it must be deterministic), the per-app
-/// hard gates of [`checks`] are collected on `gate`, the headline numbers
+/// hard gates of `checks` are collected on `gate`, the headline numbers
 /// are tabulated and the per-flight flusher timeline is rendered as the
 /// `TIMELINE_async.txt` artefact. Takes `--class` (default A).
 pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {

@@ -302,7 +302,7 @@ fn effective_chunk(opts: &Options) -> u64 {
 
 /// The `delta` row of the gate table: for each application of the solver
 /// suite the campaign runs twice (it must be deterministic), the per-app
-/// hard gates of [`checks`] are collected on `gate`, and the headline
+/// hard gates of `checks` are collected on `gate`, and the headline
 /// numbers are tabulated. Takes `--class` (default A), `--chunk-bytes` and
 /// `--full-every`.
 pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {

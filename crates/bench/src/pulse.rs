@@ -19,7 +19,7 @@
 //!
 //! Gates: the simulated run must be bit-identical with pulse on and off
 //! (observation must not perturb the run); pulse's accounted self-overhead
-//! must stay under [`OVERHEAD_BUDGET`] of the pulse-off host wall time; and
+//! must stay under `OVERHEAD_BUDGET` (2%) of the pulse-off host wall time; and
 //! the deterministic headline numbers (heartbeats, alerts, samples,
 //! commits) land in `BENCH_pulse.json` for the ±tolerance baseline gate.
 //! The heartbeat JSONL stream is the `pulse-heartbeat.jsonl` artefact (CI

@@ -25,8 +25,8 @@
 //!   `tests/properties.rs`).
 //!
 //! The crate has no dependencies and injects nothing by itself: layers opt
-//! in by consulting a controller that the runner plumbed into the world
-//! (`run_spmd_chaos`), and a world without one pays nothing.
+//! in by consulting a controller that the region was started with
+//! (`drms_msg::Spmd::chaos`), and a region without one pays nothing.
 
 #![deny(missing_docs)]
 

@@ -254,10 +254,8 @@ mod tests {
     use crate::manifest::CkptKind;
     use crate::{verify, CoreError};
     use drms_chaos::{ChaosCtl, FaultPlan, CKPT_COMMIT, FLUSH_COMMIT};
-    use drms_msg::{run_spmd_chaos, CostModel};
-    use drms_obs::NullRecorder;
+    use drms_msg::{CostModel, Spmd};
     use drms_piofs::PiofsConfig;
-    use std::sync::Arc;
 
     /// The smallest checkpoint a mode can push through the driver: a
     /// segment, one array file, an array-less manifest.
@@ -304,14 +302,10 @@ mod tests {
                 let at = point.map_or("clean", |p| p.as_str());
                 let fs = Piofs::new(PiofsConfig::test_tiny(2), 1);
                 let plan = FaultPlan { crash: point.map(|p| (p, 1)), ..FaultPlan::seeded(5) };
-                let out = run_spmd_chaos(
-                    2,
-                    CostModel::default(),
-                    Arc::new(NullRecorder),
-                    ChaosCtl::new(plan),
-                    |ctx| minimal_commit(ctx, &fs, points),
-                )
-                .unwrap();
+                let out = Spmd::new(2, CostModel::default())
+                    .chaos(ChaosCtl::new(plan))
+                    .run(|ctx| minimal_commit(ctx, &fs, points))
+                    .unwrap();
                 for r in out {
                     match (point, r) {
                         (None, r) => assert!(r.is_ok(), "clean run: {r:?}"),

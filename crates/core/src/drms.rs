@@ -474,11 +474,11 @@ pub fn record_bytes(ctx: &Ctx, segment_bytes: u64, array_bytes: u64) {
 /// barrier rank 0 needs before computing staged integrity.
 ///
 /// Strict no-op unless a flight recorder is attached
-/// ([`Recorder::flight_enabled`]), so runs without one stay
-/// bit-identical. `flight_enabled` is uniform across ranks (it is a
-/// property of the shared recorder), so the conditional collective is
-/// consistent. Public so the recovery journal stages rings under the same
-/// convention as the commit driver.
+/// ([`Recorder::flight_enabled`](drms_obs::Recorder::flight_enabled)), so
+/// runs without one stay bit-identical. `flight_enabled` is uniform across
+/// ranks (it is a property of the shared recorder), so the conditional
+/// collective is consistent. Public so the recovery journal stages rings
+/// under the same convention as the commit driver.
 pub fn stage_flight_rings(ctx: &mut Ctx, fs: &Piofs, staging: &str) {
     let rec = ctx.recorder();
     if !rec.flight_enabled() {

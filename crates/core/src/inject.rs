@@ -26,7 +26,7 @@ use crate::{CoreError, Result};
 /// crashes that interrupt nothing in flight.
 ///
 /// When a flight recorder is attached, every rank salvages one last seal
-/// of its ring to `fs` before dying (see [`salvage_flight_ring`]), so the
+/// of its ring to `fs` before dying (see `salvage_flight_ring`), so the
 /// post-crash restart can recover the incarnation's final moments.
 pub fn crash_point(
     ctx: &mut Ctx,

@@ -1,7 +1,9 @@
 //! Property tests for the decoders a restart trusts with stored bytes.
 
 use drms_core::manifest::{ChunkRecord, ChunkSource};
-use drms_darray::chunks;
+use drms_core::{decode_locals, encode_locals, CheckpointArray};
+use drms_darray::{chunks, DistArray, Distribution};
+use drms_slices::{Order, Slice};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,6 +48,95 @@ proptest! {
             if let Some(out) = chunks::rle_decompress(bad, raw.len()) {
                 prop_assert!(out.len() <= raw.len());
             }
+        }
+    }
+}
+
+/// The arrays one task's local-sections blob carries: element sizes 8, 4
+/// and 1, block-distributed over `p` tasks and seen from `rank`, whose
+/// section may be empty.
+struct Locals {
+    u: DistArray<f64>,
+    k: DistArray<i32>,
+    m: DistArray<u8>,
+}
+
+impl Locals {
+    fn new(rows: i64, cols: i64, p: usize, rank: usize) -> Locals {
+        let grid = Slice::boxed(&[(1, rows), (1, cols)]);
+        let line = Slice::boxed(&[(0, rows * cols - 1)]);
+        let dist = |dom: &Slice| Distribution::block_auto(dom, p, 1).unwrap();
+        Locals {
+            u: DistArray::new("u", Order::ColumnMajor, dist(&grid), rank),
+            k: DistArray::new("k", Order::RowMajor, dist(&line), rank),
+            m: DistArray::new("m", Order::RowMajor, dist(&grid), rank),
+        }
+    }
+
+    /// Fills every mapped element with bits mixed from `seed` and its
+    /// coordinates, so `u` holds NaNs, infinities and subnormals too.
+    fn filled(mut self, seed: u64) -> Locals {
+        let bits = |x: &[i64]| {
+            let h = x.iter().fold(seed, |h, &c| (h ^ c as u64).wrapping_mul(0x100_0000_01b3));
+            h ^ (h >> 29)
+        };
+        self.u.fill_mapped(|x| f64::from_bits(bits(x)));
+        self.k.fill_mapped(|x| bits(x) as i32);
+        self.m.fill_mapped(|x| bits(x) as u8);
+        self
+    }
+
+    fn refs(&self) -> [&dyn CheckpointArray; 3] {
+        [&self.u, &self.k, &self.m]
+    }
+
+    fn muts(&mut self) -> [&mut dyn CheckpointArray; 3] {
+        [&mut self.u, &mut self.k, &mut self.m]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A local-sections blob restores its arrays or refuses, whatever its
+    /// bytes: any blob that starts with `encode_locals`' output (fixed-size
+    /// padding and trailing bytes included) restores them bitwise, any blob
+    /// shorter than their total local length is an `Err`, and a flipped bit
+    /// restores as exactly the bytes it was flipped in.
+    #[test]
+    fn decode_locals_is_total(
+        shape in (1i64..10, 1i64..10, 1usize..4, 0usize..3),
+        seed in 0u64..u64::MAX,
+        pad in 0u64..64,
+        tail in proptest::collection::vec(0u8..255, 0..64),
+        cut in 0usize..4096,
+        flip in 0usize..4096,
+        bit in 0u8..8,
+    ) {
+        let (rows, cols, p, rank) = (shape.0, shape.1, shape.2, shape.3 % shape.2);
+        let orig = Locals::new(rows, cols, p, rank).filled(seed);
+        let exact = encode_locals(&orig.refs(), 0);
+        let total = exact.len();
+        let good = encode_locals(&orig.refs(), (total as u64) + pad);
+        // Restores a fresh set of arrays from `blob`, answering with their
+        // local storage re-encoded.
+        let decode = |blob: &[u8]| {
+            let mut fresh = Locals::new(rows, cols, p, rank);
+            decode_locals(&mut fresh.muts(), blob).map(|()| encode_locals(&fresh.refs(), 0)).ok()
+        };
+
+        let long: Vec<u8> = good.iter().chain(&tail).copied().collect();
+        prop_assert_eq!(decode(&good), Some(exact.clone()));
+        prop_assert_eq!(decode(&long), Some(exact.clone()));
+
+        if total > 0 {
+            prop_assert_eq!(decode(&good[..cut % total]), None);
+        }
+
+        if !good.is_empty() {
+            let mut flipped = good.clone();
+            flipped[flip % good.len()] ^= 1 << bit;
+            prop_assert_eq!(decode(&flipped), Some(flipped[..total].to_vec()));
         }
     }
 }
@@ -108,7 +199,6 @@ fn stage(
 ) -> (std::sync::Arc<drms_piofs::Piofs>, bool) {
     use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults, TornWrite};
     use drms_piofs::{Piofs, PiofsConfig, WriteReq};
-    use std::sync::Arc;
 
     let cfg = if upset.parity() {
         PiofsConfig::test_tiny(4).with_parity()
@@ -141,13 +231,9 @@ fn stage(
     };
     let path = "ck/1.tmp/array-u";
     let clip = |at: usize, n: usize| (at.min(len) as u64, n.min(len - at.min(len)) as u64);
-    let recorder = Arc::new(drms_obs::NullRecorder);
-    drms_msg::run_spmd_chaos(
-        tasks,
-        drms_msg::CostModel::free(),
-        recorder,
-        ChaosCtl::new(plan),
-        |ctx| {
+    drms_msg::Spmd::new(tasks, drms_msg::CostModel::free())
+        .chaos(ChaosCtl::new(plan))
+        .run(|ctx| {
             if ctx.rank() == 0 {
                 fs.create(path, len as u64);
             }
@@ -175,9 +261,8 @@ fn stage(
                     fs.write_at(ctx, path, at, &vec![0xEE; n as usize]);
                 }
             }
-        },
-    )
-    .expect("the staging region runs");
+        })
+        .expect("the staging region runs");
     match upset {
         Upset::RotThenRepair { at, len: n, units } => {
             fs.corrupt_range(path, at as u64, n as u64, 9);

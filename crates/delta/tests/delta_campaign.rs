@@ -14,8 +14,7 @@ use drms_core::{
 };
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{delta_checkpoint, restore_arrays_delta, resume, DeltaChain, DeltaConfig};
-use drms_msg::{run_spmd, run_spmd_chaos, CostModel};
-use drms_obs::NullRecorder;
+use drms_msg::{CostModel, Spmd};
 use drms_piofs::{Piofs, PiofsConfig};
 use drms_slices::{Order, Slice};
 
@@ -122,12 +121,7 @@ fn incarnation(
         }
         Some(u.fold_assigned(0.0, |acc, _, v| acc + v))
     };
-    let sums = match ctl {
-        Some(ctl) => {
-            run_spmd_chaos(NTASKS, CostModel::default(), Arc::new(NullRecorder), ctl, body).unwrap()
-        }
-        None => run_spmd(NTASKS, CostModel::default(), body).unwrap(),
-    };
+    let sums = Spmd::new(NTASKS, CostModel::default()).chaos(ctl).run(body).unwrap();
     let mut total = 0.0;
     for s in sums {
         total += s?;

@@ -9,7 +9,7 @@ use drms_core::segment::DataSegment;
 use drms_core::{Drms, DrmsConfig, EnableFlag};
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{delta_checkpoint, DeltaChain, DeltaConfig};
-use drms_msg::{run_spmd_chaos, CostModel};
+use drms_msg::{CostModel, Spmd};
 use drms_obs::{names, Recorder, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
 use drms_pulse::{Pulse, PulseConfig};
@@ -27,31 +27,34 @@ fn domain() -> Slice {
 fn collapse_scenario(recorder: Arc<dyn Recorder>) {
     let f = Piofs::new(PiofsConfig::test_tiny(4), 7);
     let ctl = ChaosCtl::new(FaultPlan::seeded(1));
-    run_spmd_chaos(2, CostModel::default(), recorder, ctl, |ctx| {
-        let (mut drms, _) =
-            Drms::initialize(ctx, &f, DrmsConfig::new("cov"), EnableFlag::new(), None).unwrap();
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        u.fill_assigned(|p| (p[0] * 11) as f64);
-        let mut chain = DeltaChain::new();
-        let dc = DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true };
-        let seg = DataSegment::new();
-        delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &f, "ck/n1", &seg, &[&u]).unwrap();
-        // Touch every element: every chunk of the next delta is dirty.
-        let region = u.assigned().clone();
-        region.points(Order::ColumnMajor).for_each(|p| {
-            let v = u.get(p).unwrap();
-            u.set(p, v + 1.0).unwrap();
-        });
-        let r =
-            delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &f, "ck/n2", &seg, &[&u]).unwrap();
-        if ctx.rank() == 0 {
-            assert!(!r.full);
-            assert_eq!(r.clean_chunks, 0);
-            assert_eq!(r.dirty_ratio(), 1.0);
-        }
-    })
-    .unwrap();
+    Spmd::new(2, CostModel::default())
+        .recorder(recorder)
+        .chaos(ctl)
+        .run(|ctx| {
+            let (mut drms, _) =
+                Drms::initialize(ctx, &f, DrmsConfig::new("cov"), EnableFlag::new(), None).unwrap();
+            let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+            let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+            u.fill_assigned(|p| (p[0] * 11) as f64);
+            let mut chain = DeltaChain::new();
+            let dc = DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true };
+            let seg = DataSegment::new();
+            delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &f, "ck/n1", &seg, &[&u]).unwrap();
+            // Touch every element: every chunk of the next delta is dirty.
+            let region = u.assigned().clone();
+            region.points(Order::ColumnMajor).for_each(|p| {
+                let v = u.get(p).unwrap();
+                u.set(p, v + 1.0).unwrap();
+            });
+            let r = delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &f, "ck/n2", &seg, &[&u])
+                .unwrap();
+            if ctx.rank() == 0 {
+                assert!(!r.full);
+                assert_eq!(r.clean_chunks, 0);
+                assert_eq!(r.dirty_ratio(), 1.0);
+            }
+        })
+        .unwrap();
 }
 
 #[test]

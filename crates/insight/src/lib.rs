@@ -283,8 +283,8 @@ mod tests {
         r.msg_sent(0.8, 0, 1, 7, 100, 16);
         r.span_end(1.0, 1, Phase::StreamWave, "a");
         r.span_end(2.0, 0, Phase::Segment, "write");
-        r.server_interval(0, "collective", 0.0, 1.5);
-        r.server_interval(1, "collective", 0.0, 0.5);
+        r.server_interval(0, 0, "collective", 0.0, 1.5);
+        r.server_interval(0, 1, "collective", 0.0, 0.5);
         r.event_with_corr(0.0, 0, Phase::Control, "job bt started", 0);
         r
     }

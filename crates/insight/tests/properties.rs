@@ -90,7 +90,9 @@ fn record(spans: &[GenSpan], nranks: usize, reversed_schedule: bool) -> TraceRec
                     sent.insert(corr);
                 }
                 Some(Call::Recv { t, src, dst, corr }) => rec.msg_received(t, src, dst, 7, corr),
-                Some(Call::Server(server, b, e)) => rec.server_interval(server, "collective", b, e),
+                Some(Call::Server(server, b, e)) => {
+                    rec.server_interval(0, server, "collective", b, e)
+                }
                 None => {}
             }
         }

@@ -2,7 +2,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use drms_chaos::{mix, ChaosCtl};
-use drms_obs::{names, NullRecorder, Phase, Recorder};
+use drms_obs::{names, Phase, Recorder};
 use parking_lot::{Condvar, Mutex};
 
 use crate::board::Board;
@@ -11,7 +11,7 @@ use crate::{CostModel, Rank, SimClock};
 /// Shared state of one SPMD region: mailboxes, the exchange board, the cost
 /// model, the task → node placement, the observability recorder, and the
 /// optional chaos controller.
-pub struct World {
+pub(crate) struct World {
     ntasks: usize,
     node_of: Vec<usize>,
     cost: CostModel,
@@ -37,46 +37,16 @@ struct Envelope {
 }
 
 impl World {
-    /// Creates a world of `ntasks` tasks placed on nodes `node_of`
-    /// (one entry per task).
-    pub fn new(ntasks: usize, node_of: Vec<usize>, cost: CostModel) -> Arc<World> {
-        Self::new_traced(ntasks, node_of, cost, Arc::new(NullRecorder))
-    }
-
-    /// Like [`World::new`], but every task reports spans, events, and
-    /// counters to `recorder` (in simulated time).
-    pub fn new_traced(
-        ntasks: usize,
-        node_of: Vec<usize>,
-        cost: CostModel,
-        recorder: Arc<dyn Recorder>,
-    ) -> Arc<World> {
-        Self::build(ntasks, node_of, cost, recorder, None)
-    }
-
-    /// Like [`World::new_traced`], but with a chaos controller installed:
-    /// the send path injects transient failures, duplicated deliveries,
-    /// and added latency per the controller's plan, and instrumented
-    /// layers reach the controller through [`Ctx::chaos`].
-    pub fn new_chaos(
-        ntasks: usize,
-        node_of: Vec<usize>,
-        cost: CostModel,
-        recorder: Arc<dyn Recorder>,
-        chaos: Arc<ChaosCtl>,
-    ) -> Arc<World> {
-        Self::build(ntasks, node_of, cost, recorder, Some(chaos))
-    }
-
-    fn build(
-        ntasks: usize,
+    /// Creates a world of `node_of.len()` tasks, task `rank` placed on node
+    /// `node_of[rank]`. [`crate::Spmd`] is the one way in.
+    pub(crate) fn build(
         node_of: Vec<usize>,
         cost: CostModel,
         recorder: Arc<dyn Recorder>,
         chaos: Option<Arc<ChaosCtl>>,
     ) -> Arc<World> {
+        let ntasks = node_of.len();
         assert!(ntasks > 0, "an SPMD region needs at least one task");
-        assert_eq!(node_of.len(), ntasks, "one node per task");
         Arc::new(World {
             ntasks,
             node_of,
@@ -91,18 +61,12 @@ impl World {
     }
 
     /// Number of tasks in the region.
-    pub fn ntasks(&self) -> usize {
+    pub(crate) fn ntasks(&self) -> usize {
         self.ntasks
     }
 
-    /// The communication cost model in effect.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Builds the per-task context for `rank`. Used by the runner; tests may
-    /// call it directly when driving tasks by hand.
-    pub fn ctx(self: &Arc<World>, rank: Rank) -> Ctx {
+    /// Builds the per-task context for `rank`.
+    pub(crate) fn ctx(self: &Arc<World>, rank: Rank) -> Ctx {
         assert!(rank < self.ntasks);
         Ctx {
             rank,
@@ -180,15 +144,16 @@ impl Ctx {
         &self.world.cost
     }
 
-    /// The observability recorder for this region ([`NullRecorder`] unless
-    /// the world was built with [`World::new_traced`]).
+    /// The observability recorder for this region (the zero-cost
+    /// [`NullRecorder`](drms_obs::NullRecorder) unless the region was started
+    /// with [`Spmd::recorder`](crate::Spmd::recorder)).
     pub fn recorder(&self) -> &dyn Recorder {
         &*self.world.recorder
     }
 
-    /// The chaos controller of this region, when the world was built with
-    /// [`World::new_chaos`]. A clone of the shared handle (cheap), so
-    /// callers can consult it while still charging the clock.
+    /// The chaos controller of this region, when it was started with
+    /// [`Spmd::chaos`](crate::Spmd::chaos). A clone of the shared handle
+    /// (cheap), so callers can consult it while still charging the clock.
     pub fn chaos(&self) -> Option<Arc<ChaosCtl>> {
         self.world.chaos.clone()
     }
@@ -418,20 +383,6 @@ impl Ctx {
         all
     }
 
-    /// Broadcast from `root`: only the root's payload is meaningful; every
-    /// task receives a handle to it.
-    pub fn broadcast_bytes(&mut self, root: Rank, data: Option<Vec<u8>>) -> Arc<Vec<u8>> {
-        debug_assert_eq!(data.is_some(), self.rank == root, "only the root supplies data");
-        let (all, t) = self.exchange(data.map(Arc::new));
-        let payload = all[root].as_ref().expect("root deposited data").clone();
-        self.clock.advance_to(t);
-        self.clock.advance(
-            self.world.cost.collective_latency(self.world.ntasks)
-                + self.world.cost.wire_time(payload.len()),
-        );
-        payload
-    }
-
     /// Personalized all-to-all exchange: `outgoing[d]` is the buffer for
     /// task `d` (empty buffers are free). Returns a handle to every task's
     /// incoming buffers.
@@ -492,8 +443,7 @@ impl Incoming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_spmd;
-    use crate::run_spmd_chaos;
+    use crate::{run_spmd, Spmd};
     use drms_chaos::{FaultPlan, MsgFaults};
     use drms_obs::TraceRecorder;
 
@@ -507,15 +457,18 @@ mod tests {
         };
         let ctl = ChaosCtl::new(plan);
         let rec = Arc::new(TraceRecorder::new());
-        let out = run_spmd_chaos(2, CostModel::free(), rec.clone(), ctl.clone(), |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 5, vec![42]);
-                0u8
-            } else {
-                ctx.recv(0, 5)[0]
-            }
-        })
-        .unwrap();
+        let out = Spmd::new(2, CostModel::free())
+            .recorder(rec.clone())
+            .chaos(ctl.clone())
+            .run(|ctx| {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 5, vec![42]);
+                    0u8
+                } else {
+                    ctx.recv(0, 5)[0]
+                }
+            })
+            .unwrap();
         assert_eq!(out, vec![0, 42]);
         assert!(ctl.retries() > 0, "fault plan never tripped a retry");
         assert_eq!(ctl.giveups(), 1, "full-budget drop must escalate exactly once");
@@ -532,17 +485,20 @@ mod tests {
         };
         let ctl = ChaosCtl::new(plan);
         let rec = Arc::new(TraceRecorder::new());
-        let out = run_spmd_chaos(2, CostModel::free(), rec.clone(), ctl, |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..5u8 {
-                    ctx.send(1, 9, vec![i]);
+        let out = Spmd::new(2, CostModel::free())
+            .recorder(rec.clone())
+            .chaos(ctl)
+            .run(|ctx| {
+                if ctx.rank() == 0 {
+                    for i in 0..5u8 {
+                        ctx.send(1, 9, vec![i]);
+                    }
+                    Vec::new()
+                } else {
+                    (0..5).map(|_| ctx.recv(0, 9)[0]).collect::<Vec<u8>>()
                 }
-                Vec::new()
-            } else {
-                (0..5).map(|_| ctx.recv(0, 9)[0]).collect::<Vec<u8>>()
-            }
-        })
-        .unwrap();
+            })
+            .unwrap();
         // Payloads arrive exactly once each despite double delivery. The
         // fifth message's second copy is still queued when the region ends
         // (nothing recvs past it), so four duplicates are actually dropped.
@@ -558,12 +514,9 @@ mod tests {
                 ..FaultPlan::seeded(seed)
             };
             let ctl = ChaosCtl::new(plan);
-            let out = run_spmd_chaos(
-                2,
-                CostModel::default(),
-                Arc::new(drms_obs::NullRecorder),
-                ctl.clone(),
-                |ctx| {
+            let out = Spmd::new(2, CostModel::default())
+                .chaos(ctl.clone())
+                .run(|ctx| {
                     if ctx.rank() == 0 {
                         for i in 0..20u8 {
                             ctx.send(1, 1, vec![i]);
@@ -574,9 +527,8 @@ mod tests {
                         }
                     }
                     ctx.now().to_bits()
-                },
-            )
-            .unwrap();
+                })
+                .unwrap();
             (out, ctl.retries(), ctl.giveups())
         };
         assert_eq!(run(3), run(3), "same seed must replay bit-identically");
@@ -678,19 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_root_payload() {
-        let out = run_spmd(3, CostModel::default(), |ctx| {
-            let data = (ctx.rank() == 1).then(|| vec![9, 8, 7]);
-            let got = ctx.broadcast_bytes(1, data);
-            got.to_vec()
-        })
-        .unwrap();
-        for v in out {
-            assert_eq!(v, vec![9, 8, 7]);
-        }
-    }
-
-    #[test]
     fn allgather_collects_rank_indexed() {
         let out = run_spmd(3, CostModel::default(), |ctx| {
             let got = ctx.allgather_bytes(vec![ctx.rank() as u8; ctx.rank() + 1]);
@@ -745,11 +684,11 @@ mod tests {
 
     #[test]
     fn node_placement_is_visible() {
-        let world = World::new(3, vec![5, 6, 7], CostModel::free());
-        let ctx = world.ctx(2);
-        assert_eq!(ctx.node(), 7);
-        assert_eq!(ctx.node_of(0), 5);
-        assert_eq!(ctx.ntasks(), 3);
+        let out = Spmd::new(3, CostModel::free())
+            .nodes(vec![5, 6, 7])
+            .run(|ctx| (ctx.node(), ctx.node_of(0), ctx.ntasks()))
+            .unwrap();
+        assert_eq!(out[2], (7, 5, 3));
     }
 
     #[test]

@@ -14,15 +14,21 @@
 //! threads — but *time* is simulated, which is what lets a single-core host
 //! report faithful 16-processor execution times.
 //!
-//! The paper's experiments map tasks one-to-one onto processors; the runtime
-//! records the task → node placement so the file-system layer can model
-//! client/server co-location interference (paper, Section 5).
+//! **Starting a region.** [`Spmd`] is the one way to start a region:
+//! `Spmd::new(ntasks, cost)`, optionally `.nodes(..)`, `.recorder(..)` and
+//! `.chaos(..)`, then `.run(f)`. [`run_spmd`] and [`run_spmd_traced`] are
+//! one-line spellings of its two commonest uses.
 //!
-//! **Observability.** A world optionally carries a `drms-obs`
-//! [`Recorder`](drms_obs::Recorder) (see [`World::new_traced`] /
-//! [`run_spmd_traced`]); tasks reach it through [`Ctx::recorder`] and the
-//! send path counts messages and payload bytes. The default recorder is the
-//! zero-cost [`NullRecorder`](drms_obs::NullRecorder).
+//! The paper's experiments map tasks one-to-one onto processors; the runtime
+//! records the task → node placement ([`Spmd::nodes`]) so the file-system
+//! layer can model client/server co-location interference (paper,
+//! Section 5).
+//!
+//! **Observability.** A region optionally carries a `drms-obs`
+//! [`Recorder`](drms_obs::Recorder) ([`Spmd::recorder`]); tasks reach it
+//! through [`Ctx::recorder`] and the send path counts messages and payload
+//! bytes. The default recorder is the zero-cost
+//! [`NullRecorder`](drms_obs::NullRecorder).
 
 #![deny(missing_docs)]
 
@@ -33,12 +39,9 @@ mod group;
 mod runner;
 
 pub use clock::{CostModel, SimClock};
-pub use comm::{Ctx, Incoming, ReduceOp, World};
+pub use comm::{Ctx, Incoming, ReduceOp};
 pub use group::Group;
-pub use runner::{
-    run_spmd, run_spmd_chaos, run_spmd_traced, run_spmd_with_nodes, run_spmd_with_nodes_chaos,
-    run_spmd_with_nodes_traced, SpmdError,
-};
+pub use runner::{run_spmd, run_spmd_traced, Spmd, SpmdError};
 
 /// Re-export of the fault-injection crate: consumers that only hold a
 /// [`Ctx`] can name the controller types without a direct dependency.

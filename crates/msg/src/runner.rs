@@ -1,9 +1,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use drms_obs::Recorder;
+use drms_chaos::ChaosCtl;
+use drms_obs::{NullRecorder, Recorder};
 
-use crate::{CostModel, Ctx, World};
+use crate::comm::World;
+use crate::{CostModel, Ctx};
 
 /// Error from running an SPMD region.
 #[derive(Debug)]
@@ -29,39 +31,82 @@ impl fmt::Display for SpmdError {
 
 impl std::error::Error for SpmdError {}
 
+/// How to start an SPMD region: the task → node placement, the cost
+/// model, the observability recorder and the optional chaos controller,
+/// then [`Spmd::run`].
+///
+/// ```
+/// use drms_msg::{CostModel, Spmd};
+///
+/// let nodes = Spmd::new(3, CostModel::free()).nodes(vec![4, 5, 6]).run(|ctx| ctx.node());
+/// assert_eq!(nodes.unwrap(), vec![4, 5, 6]);
+/// ```
+pub struct Spmd {
+    node_of: Vec<usize>,
+    cost: CostModel,
+    recorder: Arc<dyn Recorder>,
+    chaos: Option<Arc<ChaosCtl>>,
+}
+
+impl Spmd {
+    /// A region of `ntasks` tasks mapped one-to-one onto nodes `0..ntasks`,
+    /// reporting to the zero-cost [`NullRecorder`], with no chaos.
+    pub fn new(ntasks: usize, cost: CostModel) -> Spmd {
+        Spmd { node_of: (0..ntasks).collect(), cost, recorder: Arc::new(NullRecorder), chaos: None }
+    }
+
+    /// Places the tasks explicitly: `node_of[rank]` is the processor hosting
+    /// `rank`. The placement has one entry per task, so it also sets the
+    /// task count to `node_of.len()`.
+    pub fn nodes(mut self, node_of: Vec<usize>) -> Spmd {
+        self.node_of = node_of;
+        self
+    }
+
+    /// Tasks report spans, events and counters to `recorder` (in simulated
+    /// time), reachable inside the region through [`Ctx::recorder`].
+    pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Spmd {
+        self.recorder = recorder;
+        self
+    }
+
+    /// Subjects the region to a chaos controller's fault plan: the send path
+    /// injects transient failures (retried with backoff), duplicated
+    /// deliveries and added latency, and instrumented layers reach the
+    /// controller through [`Ctx::chaos`]. `None` leaves the region clean.
+    pub fn chaos(mut self, chaos: impl Into<Option<Arc<ChaosCtl>>>) -> Spmd {
+        self.chaos = chaos.into();
+        self
+    }
+
+    /// Runs `f` on every task, returning each task's result in rank order.
+    ///
+    /// One OS thread is spawned per task; the threads communicate through the
+    /// world's mailboxes and exchange board, and each carries its own virtual
+    /// clock. If any task panics, the panic is captured and reported with its
+    /// rank (sibling tasks blocked in collectives will trip their stall
+    /// guards).
+    pub fn run<R, F>(self, f: F) -> Result<Vec<R>, SpmdError>
+    where
+        R: Send,
+        F: Fn(&mut Ctx) -> R + Sync,
+    {
+        run_world(World::build(self.node_of, self.cost, self.recorder, self.chaos), f)
+    }
+}
+
 /// Runs `f` as an SPMD region of `ntasks` tasks mapped one-to-one onto nodes
-/// `0..ntasks`, returning each task's result in rank order.
+/// `0..ntasks`: `Spmd::new(ntasks, cost).run(f)`.
 pub fn run_spmd<R, F>(ntasks: usize, cost: CostModel, f: F) -> Result<Vec<R>, SpmdError>
 where
     R: Send,
     F: Fn(&mut Ctx) -> R + Sync,
 {
-    run_spmd_with_nodes(ntasks, (0..ntasks).collect(), cost, f)
+    Spmd::new(ntasks, cost).run(f)
 }
 
-/// Runs `f` as an SPMD region of `ntasks` tasks with an explicit task → node
-/// placement (`node_of[rank]` is the processor hosting `rank`).
-///
-/// One OS thread is spawned per task; the threads communicate through the
-/// world's mailboxes and exchange board, and each carries its own virtual
-/// clock. If any task panics, the panic is captured and reported with its
-/// rank (sibling tasks blocked in collectives will trip their stall guards).
-pub fn run_spmd_with_nodes<R, F>(
-    ntasks: usize,
-    node_of: Vec<usize>,
-    cost: CostModel,
-    f: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Sync,
-{
-    run_world(World::new(ntasks, node_of, cost), f)
-}
-
-/// Runs `f` as an SPMD region whose tasks report to `recorder` (available
-/// inside via `ctx.recorder()`). Placement is one-to-one onto nodes
-/// `0..ntasks`, as in [`run_spmd`].
+/// Runs `f` as an SPMD region whose tasks report to `recorder`:
+/// `Spmd::new(ntasks, cost).recorder(recorder).run(f)`.
 pub fn run_spmd_traced<R, F>(
     ntasks: usize,
     cost: CostModel,
@@ -72,62 +117,7 @@ where
     R: Send,
     F: Fn(&mut Ctx) -> R + Sync,
 {
-    run_world(World::new_traced(ntasks, (0..ntasks).collect(), cost, recorder), f)
-}
-
-/// Runs `f` with both an explicit task → node placement (as in
-/// [`run_spmd_with_nodes`]) and an observability recorder (as in
-/// [`run_spmd_traced`]). This is the scheduler's entry point: the JSA places
-/// incarnations on whatever processors survive, and still wants their I/O
-/// and recovery activity in the trace.
-pub fn run_spmd_with_nodes_traced<R, F>(
-    ntasks: usize,
-    node_of: Vec<usize>,
-    cost: CostModel,
-    recorder: Arc<dyn Recorder>,
-    f: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Sync,
-{
-    run_world(World::new_traced(ntasks, node_of, cost, recorder), f)
-}
-
-/// Runs `f` as an SPMD region whose message layer is subject to the fault
-/// plan carried by `chaos` (transient send failures with retry/backoff,
-/// duplicated deliveries, added latency). Placement is one-to-one onto
-/// nodes `0..ntasks`.
-pub fn run_spmd_chaos<R, F>(
-    ntasks: usize,
-    cost: CostModel,
-    recorder: Arc<dyn Recorder>,
-    chaos: Arc<drms_chaos::ChaosCtl>,
-    f: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Sync,
-{
-    run_spmd_with_nodes_chaos(ntasks, (0..ntasks).collect(), cost, recorder, chaos, f)
-}
-
-/// [`run_spmd_chaos`] with an explicit task → node placement — the entry
-/// point chaos campaigns drive through the scheduler, which places restart
-/// incarnations on whatever processors survive.
-pub fn run_spmd_with_nodes_chaos<R, F>(
-    ntasks: usize,
-    node_of: Vec<usize>,
-    cost: CostModel,
-    recorder: Arc<dyn Recorder>,
-    chaos: Arc<drms_chaos::ChaosCtl>,
-    f: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Sync,
-{
-    run_world(World::new_chaos(ntasks, node_of, cost, recorder, chaos), f)
+    Spmd::new(ntasks, cost).recorder(recorder).run(f)
 }
 
 fn run_world<R, F>(world: Arc<World>, f: F) -> Result<Vec<R>, SpmdError>
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     fn custom_node_placement() {
         let out =
-            run_spmd_with_nodes(3, vec![10, 20, 30], CostModel::free(), |ctx| ctx.node()).unwrap();
+            Spmd::new(3, CostModel::free()).nodes(vec![10, 20, 30]).run(|ctx| ctx.node()).unwrap();
         assert_eq!(out, vec![10, 20, 30]);
     }
 

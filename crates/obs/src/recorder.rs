@@ -71,17 +71,11 @@ pub trait Recorder: Send + Sync {
 
     /// Reports one PIOFS server's busy interval inside a priced I/O phase
     /// (`[start, end]` in simulated seconds), for utilization and
-    /// stripe-imbalance attribution.
-    fn server_interval(&self, server: usize, name: &str, start: f64, end: f64) {}
-
-    /// As [`Recorder::server_interval`], naming the task whose I/O phase
-    /// priced the interval. Aggregate sinks keep the default (which drops
-    /// the rank); streaming sinks override it to attribute the interval to
-    /// the reporting task's stream, keeping per-task sample order
-    /// deterministic when several ranks price phases concurrently.
-    fn server_interval_from(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {
-        self.server_interval(server, name, start, end);
-    }
+    /// stripe-imbalance attribution. `rank` is the task whose I/O phase
+    /// priced the interval: aggregate sinks ignore it, streaming sinks
+    /// attribute the interval to that task's stream, keeping per-task sample
+    /// order deterministic when several ranks price phases concurrently.
+    fn server_interval(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {}
 
     /// Adds `delta` to the monotonic counter `name`, labelled by `rank`
     /// and optionally an `array` name.
@@ -192,15 +186,9 @@ impl Recorder for FanoutRecorder {
         }
     }
 
-    fn server_interval(&self, server: usize, name: &str, start: f64, end: f64) {
+    fn server_interval(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {
         for s in &self.sinks {
-            s.server_interval(server, name, start, end);
-        }
-    }
-
-    fn server_interval_from(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {
-        for s in &self.sinks {
-            s.server_interval_from(rank, server, name, start, end);
+            s.server_interval(rank, server, name, start, end);
         }
     }
 
@@ -265,7 +253,7 @@ mod tests {
         r.event_with_corr(0.5, 1, Phase::Control, "e", 7);
         r.msg_sent(0.1, 0, 1, 9, 42, 128);
         r.msg_received(0.2, 0, 1, 9, 42);
-        r.server_interval(3, "collective", 0.0, 1.0);
+        r.server_interval(0, 3, "collective", 0.0, 1.0);
         r.counter_add(0, crate::names::MESSAGES_SENT, None, 3);
         r.counter_add_at(0.7, 0, crate::names::MESSAGES_SENT, None, 3);
         r.gauge_set(crate::names::SERVER_BUSY, 2, 1.5);

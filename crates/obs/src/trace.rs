@@ -236,7 +236,7 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn server_interval(&self, server: usize, name: &str, start: f64, end: f64) {
+    fn server_interval(&self, _rank: usize, server: usize, name: &str, start: f64, end: f64) {
         self.servers.lock().push(ServerInterval { server, name: name.to_owned(), start, end });
     }
 
@@ -343,9 +343,9 @@ mod tests {
     #[test]
     fn server_intervals_sorted_deterministically() {
         let r = TraceRecorder::new();
-        r.server_interval(3, "collective", 5.0, 6.0);
-        r.server_interval(1, "collective", 2.0, 4.0);
-        r.server_interval(0, "collective", 2.0, 3.0);
+        r.server_interval(0, 3, "collective", 5.0, 6.0);
+        r.server_interval(0, 1, "collective", 2.0, 4.0);
+        r.server_interval(0, 0, "collective", 2.0, 3.0);
         let si = r.server_intervals();
         assert_eq!(si.len(), 3);
         assert_eq!((si[0].server, si[0].start), (0, 2.0));

@@ -849,7 +849,7 @@ impl Piofs {
             );
         }
         for &(k, start, finish) in &pricing.server_spans {
-            rec.server_interval_from(rank, k, name, start, finish);
+            rec.server_interval(rank, k, name, start, finish);
         }
     }
 }
@@ -1407,15 +1407,18 @@ mod tests {
         };
         let ctl = ChaosCtl::new(plan);
         let rec = Arc::new(TraceRecorder::new());
-        let out = drms_msg::run_spmd_chaos(1, CostModel::free(), rec.clone(), ctl, |ctx| {
-            // Every attempt faults: the write burns its budget, escalates,
-            // and still lands.
-            fs.write_at(ctx, "f", 0, &[1, 2, 3]);
-            assert_eq!(fs.peek("f").unwrap(), vec![1, 2, 3]);
-            // The read gives up hard with Unavailable.
-            fs.read_at(ctx, "f", 0, 3, ReadAccess::Sequential)
-        })
-        .unwrap();
+        let out = drms_msg::Spmd::new(1, CostModel::free())
+            .recorder(rec.clone())
+            .chaos(ctl)
+            .run(|ctx| {
+                // Every attempt faults: the write burns its budget, escalates,
+                // and still lands.
+                fs.write_at(ctx, "f", 0, &[1, 2, 3]);
+                assert_eq!(fs.peek("f").unwrap(), vec![1, 2, 3]);
+                // The read gives up hard with Unavailable.
+                fs.read_at(ctx, "f", 0, 3, ReadAccess::Sequential)
+            })
+            .unwrap();
         assert!(matches!(&out[0], Err(PiofsError::Unavailable { .. })), "{:?}", out[0]);
         let m = rec.metrics();
         assert!(m.counter_total(names::IO_RETRIES) > 0);
@@ -1441,13 +1444,16 @@ mod tests {
         };
         let ctl = ChaosCtl::new(plan);
         let rec = Arc::new(TraceRecorder::new());
-        drms_msg::run_spmd_chaos(1, CostModel::free(), rec.clone(), ctl, |ctx| {
-            fs.write_at(ctx, "other", 0, &[9; 10]); // no match: untouched
-            fs.write_at(ctx, "ck/seg", 0, &[1; 10]); // occurrence 1: whole
-            fs.write_at(ctx, "ck/seg", 10, &[2; 10]); // occurrence 2: torn
-            fs.write_at(ctx, "ck/seg", 20, &[3; 10]); // fires once only
-        })
-        .unwrap();
+        drms_msg::Spmd::new(1, CostModel::free())
+            .recorder(rec.clone())
+            .chaos(ctl)
+            .run(|ctx| {
+                fs.write_at(ctx, "other", 0, &[9; 10]); // no match: untouched
+                fs.write_at(ctx, "ck/seg", 0, &[1; 10]); // occurrence 1: whole
+                fs.write_at(ctx, "ck/seg", 10, &[2; 10]); // occurrence 2: torn
+                fs.write_at(ctx, "ck/seg", 20, &[3; 10]); // fires once only
+            })
+            .unwrap();
         assert_eq!(fs.peek("other").unwrap(), vec![9; 10]);
         let got = fs.peek("ck/seg").unwrap();
         // The torn second write kept a strict prefix (5 of 10 bytes), so

@@ -5,7 +5,7 @@
 //! and of the whole file. The records are computed by the tasks that write
 //! the bytes: each write CRCs its own data, cut at the chunk grid, on the
 //! writer's thread and before the file-system lock is taken
-//! ([`fragment_crcs`]). A file reserved with [`crate::Piofs::create`] keeps
+//! (`fragment_crcs`). A file reserved with [`crate::Piofs::create`] keeps
 //! those CRCs in a slot table, one slot per chunk, and
 //! [`crate::Piofs::take_integrity`] folds the table into the records with
 //! [`Crc32Shift`] instead of reading the file back. Only chunks the writers
@@ -87,7 +87,7 @@ fn update(mut c: u32, bytes: &[u8]) -> u32 {
 
 /// CRC-32 (IEEE) of `bytes`.
 ///
-/// From [`LANES_MIN`] bytes on, the input is cut into four lanes of equal
+/// From `LANES_MIN` (1 KiB) on, the input is cut into four lanes of equal
 /// length (a multiple of eight bytes; the last lane also takes the few bytes
 /// left over), and one loop runs slicing-by-8 on all four at once: the four
 /// registers are independent, so their table lookups overlap instead of

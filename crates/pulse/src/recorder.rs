@@ -93,15 +93,7 @@ impl Recorder for PulseRecorder {
         self.timed(|| self.ring(dst).push(t, dst, Payload::MsgReceived));
     }
 
-    fn server_interval(&self, server: usize, _name: &str, start: f64, end: f64) {
-        // Rankless legacy spelling: attribute to ring 0 at the interval
-        // start. Concurrent pricing paths use `server_interval_from`.
-        self.timed(|| {
-            self.ring(0).push(start, 0, Payload::ServerBusy { server, seconds: end - start })
-        });
-    }
-
-    fn server_interval_from(&self, rank: usize, server: usize, _name: &str, start: f64, end: f64) {
+    fn server_interval(&self, rank: usize, server: usize, _name: &str, start: f64, end: f64) {
         self.timed(|| {
             self.ring(rank).push(start, rank, Payload::ServerBusy { server, seconds: end - start })
         });

@@ -7,7 +7,7 @@ use drms_blackbox::Blackbox;
 use drms_chaos::ChaosCtl;
 use drms_core::EnableFlag;
 use drms_memtier::{MemTier, RestartTier};
-use drms_msg::{run_spmd_with_nodes_chaos, run_spmd_with_nodes_traced, CostModel};
+use drms_msg::{CostModel, Spmd};
 use drms_piofs::Piofs;
 use parking_lot::Mutex;
 
@@ -266,26 +266,12 @@ impl Jsa {
                 restart_tier,
                 localized: self.policy.localized_recovery,
             };
-            let body = Arc::clone(&job.body);
-            let run = move |ctx: &mut drms_msg::Ctx| body(ctx, &env);
-            let outcomes = match &self.chaos {
-                Some(chaos) => run_spmd_with_nodes_chaos(
-                    ntasks,
-                    procs.clone(),
-                    self.cost,
-                    self.log.recorder(),
-                    Arc::clone(chaos),
-                    run,
-                ),
-                None => run_spmd_with_nodes_traced(
-                    ntasks,
-                    procs.clone(),
-                    self.cost,
-                    self.log.recorder(),
-                    run,
-                ),
-            }
-            .unwrap_or_else(|e| vec![JobOutcome::Failed(e.to_string())]);
+            let outcomes = Spmd::new(ntasks, self.cost)
+                .nodes(procs.clone())
+                .recorder(self.log.recorder())
+                .chaos(self.chaos.clone())
+                .run(|ctx| (job.body)(ctx, &env))
+                .unwrap_or_else(|e| vec![JobOutcome::Failed(e.to_string())]);
 
             // Merge task outcomes: any kill or failure dominates.
             let outcome = outcomes

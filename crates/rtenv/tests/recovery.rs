@@ -12,8 +12,8 @@ use drms_core::segment::DataSegment;
 use drms_core::{Drms, DrmsConfig, EnableFlag, IoMode};
 use drms_darray::{DistArray, Distribution};
 use drms_memtier::{store_checkpoint, MemTier, RestartTier};
-use drms_msg::{run_spmd, run_spmd_chaos, run_spmd_traced, CostModel, Ctx};
-use drms_obs::{names, NullRecorder, TraceRecorder};
+use drms_msg::{run_spmd, run_spmd_traced, CostModel, Ctx, Spmd};
+use drms_obs::{names, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
 use drms_rtenv::{
     Event, EventLog, JobEnv, JobOutcome, JobSpec, Jsa, JsaPolicy, KillToken, ResourceCoordinator,
@@ -367,16 +367,12 @@ fn resume_dispatches_on_what_the_jsa_resolved() {
     // ...and an injected crash on the way is the kill the JSA reincarnates.
     let plan =
         FaultPlan { crash: Some((CrashPoint::RestartAfterSegment, 1)), ..Default::default() };
-    let outcomes = run_spmd_chaos(
-        3,
-        CostModel::default(),
-        Arc::new(NullRecorder),
-        ChaosCtl::new(plan),
-        |ctx| {
+    let outcomes = Spmd::new(3, CostModel::default())
+        .chaos(ChaosCtl::new(plan))
+        .run(|ctx| {
             let mut u = field(ctx, 0.0);
             env.resume(ctx, cfg(), &mut [&mut u]).err()
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(outcomes, vec![Some(JobOutcome::Killed); 3]);
 }

@@ -27,8 +27,7 @@ use drms::core::{find_checkpoints, sweep_orphans, verify, Drms, DrmsConfig, Enab
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{restore_arrays_delta, resume, DeltaChain, DeltaConfig};
 use drms::memtier::MemTier;
-use drms::msg::{run_spmd, run_spmd_chaos, CostModel};
-use drms::obs::NullRecorder;
+use drms::msg::{run_spmd, CostModel, Spmd};
 use drms::piofs::{Piofs, PiofsConfig};
 use drms::rtenv::RunSummary;
 use drms::slices::{Order, Slice};
@@ -318,12 +317,7 @@ fn delta_incarnation(
         ck.drain(ctx);
         Some(u.fold_assigned(0.0, |acc, _, v| acc + v))
     };
-    let sums = match ctl {
-        Some(ctl) => {
-            run_spmd_chaos(4, CostModel::default(), Arc::new(NullRecorder), ctl, body).unwrap()
-        }
-        None => run_spmd(4, CostModel::default(), body).unwrap(),
-    };
+    let sums = Spmd::new(4, CostModel::default()).chaos(ctl).run(body).unwrap();
     let mut total = 0.0;
     for s in sums {
         total += s?;

@@ -18,7 +18,7 @@ use drms::core::{Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{delta_checkpoint, DeltaChain, DeltaConfig};
 use drms::memtier::{store_checkpoint, MemTier};
-use drms::msg::{run_spmd_chaos, CostModel};
+use drms::msg::{CostModel, Spmd};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
 use drms::pulse::{builtin_rules, heartbeat, Pulse, PulseConfig, RuleThresholds};
@@ -195,18 +195,21 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             msg: MsgFaults { drop_prob: 1.0, dup_prob: 1.0, ..Default::default() },
             ..FaultPlan::seeded(17)
         });
-        run_spmd_chaos(2, CostModel::default(), rec.clone(), ctl, |ctx| {
-            // Repeated traffic on one channel, so a duplicated delivery is
-            // position-matched by a later recv and dropped by the dedup.
-            for i in 0..3u8 {
-                if ctx.rank() == 0 {
-                    ctx.send(1, 0, vec![i]);
-                } else {
-                    ctx.recv(0, 0);
+        Spmd::new(2, CostModel::default())
+            .recorder(rec.clone())
+            .chaos(ctl)
+            .run(|ctx| {
+                // Repeated traffic on one channel, so a duplicated delivery is
+                // position-matched by a later recv and dropped by the dedup.
+                for i in 0..3u8 {
+                    if ctx.rank() == 0 {
+                        ctx.send(1, 0, vec![i]);
+                    } else {
+                        ctx.recv(0, 0);
+                    }
                 }
-            }
-        })
-        .unwrap();
+            })
+            .unwrap();
 
         let fs = Piofs::new(PiofsConfig::test_tiny(2), 17);
         fs.set_recorder(rec.clone() as Arc<dyn Recorder>);
@@ -318,25 +321,31 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
         ]));
         let fs = Piofs::new(PiofsConfig::test_tiny(4), 7);
         let ctl = ChaosCtl::new(FaultPlan::seeded(1));
-        run_spmd_chaos(2, CostModel::default(), fan, ctl, |ctx| {
-            let (mut drms, _) =
-                Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
-            let dom = Slice::boxed(&[(1, 2048)]);
-            let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
-            let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-            u.fill_assigned(|p| (p[0] * 11) as f64);
-            let mut chain = DeltaChain::new();
-            let dc = DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true };
-            let seg = DataSegment::new();
-            delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &fs, "ck/dn1", &seg, &[&u]).unwrap();
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                let v = u.get(p).unwrap();
-                u.set(p, v + 1.0).unwrap();
-            });
-            delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &fs, "ck/dn2", &seg, &[&u]).unwrap();
-        })
-        .unwrap();
+        Spmd::new(2, CostModel::default())
+            .recorder(fan)
+            .chaos(ctl)
+            .run(|ctx| {
+                let (mut drms, _) =
+                    Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None)
+                        .unwrap();
+                let dom = Slice::boxed(&[(1, 2048)]);
+                let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
+                let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+                u.fill_assigned(|p| (p[0] * 11) as f64);
+                let mut chain = DeltaChain::new();
+                let dc = DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true };
+                let seg = DataSegment::new();
+                delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &fs, "ck/dn1", &seg, &[&u])
+                    .unwrap();
+                let region = u.assigned().clone();
+                region.points(Order::ColumnMajor).for_each(|p| {
+                    let v = u.get(p).unwrap();
+                    u.set(p, v + 1.0).unwrap();
+                });
+                delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &fs, "ck/dn2", &seg, &[&u])
+                    .unwrap();
+            })
+            .unwrap();
         let report = pulse.finish();
         assert!(
             report.alerts.iter().any(|a| a.rule == names::ALERT_DELTA_COLLAPSE),
@@ -388,22 +397,26 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             crash: Some((CrashPoint::FlushAfterSegment, 2)),
             ..FaultPlan::seeded(23)
         });
-        run_spmd_chaos(2, CostModel::default(), rec.clone(), ctl, |ctx| {
-            let (mut drms, _) =
-                Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
-            let dom = Slice::boxed(&[(1, 2048)]);
-            let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
-            let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-            u.fill_assigned(|p| (p[0] * 7) as f64);
-            let seg = DataSegment::new();
-            let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 1 });
-            ck.checkpoint(ctx, &fs, &mut drms, "ck/a1", &seg, &[&u], None).unwrap();
-            match ck.checkpoint(ctx, &fs, &mut drms, "ck/a2", &seg, &[&u], None) {
-                Err(e) if e.is_interrupted() => {}
-                other => panic!("armed flush crash never fired: {other:?}"),
-            }
-        })
-        .unwrap();
+        Spmd::new(2, CostModel::default())
+            .recorder(rec.clone())
+            .chaos(ctl)
+            .run(|ctx| {
+                let (mut drms, _) =
+                    Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None)
+                        .unwrap();
+                let dom = Slice::boxed(&[(1, 2048)]);
+                let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
+                let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+                u.fill_assigned(|p| (p[0] * 7) as f64);
+                let seg = DataSegment::new();
+                let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 1 });
+                ck.checkpoint(ctx, &fs, &mut drms, "ck/a1", &seg, &[&u], None).unwrap();
+                match ck.checkpoint(ctx, &fs, &mut drms, "ck/a2", &seg, &[&u], None) {
+                    Err(e) if e.is_interrupted() => {}
+                    other => panic!("armed flush crash never fired: {other:?}"),
+                }
+            })
+            .unwrap();
         let names_seen = emitted(&rec);
         for name in
             [names::ASYNC_BACKPRESSURE_STALLS, names::ASYNC_STALL_US, names::ASYNC_FLUSH_ABORTS]
@@ -480,53 +493,67 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
         fs.set_recorder(fan.clone());
         let tier = MemTier::new(2);
         let ctl = ChaosCtl::new(FaultPlan::seeded(41));
-        run_spmd_chaos(NPROCS, CostModel::default(), fan, ctl, |ctx| {
-            let (mut drms, _) =
-                Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
-            let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
-            let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-            u.fill_assigned(initial);
-            let mut seg = DataSegment::new();
+        Spmd::new(NPROCS, CostModel::default())
+            .recorder(fan)
+            .chaos(ctl)
+            .run(|ctx| {
+                let (mut drms, _) =
+                    Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None)
+                        .unwrap();
+                let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+                let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+                u.fill_assigned(initial);
+                let mut seg = DataSegment::new();
 
-            // (a) Memtier-hit localized recovery: node 2's sections are
-            // lost, the tier's replicas serve them, PIOFS is never read.
-            seg.set_control("iter", 3);
-            store_checkpoint(ctx, &tier, "ck/r3", &mut drms, &seg, &[&u]).unwrap();
-            let retained = retain(ctx, "ck/r3", 3, &[&u]);
-            u.fill_assigned(|p| initial(p) + 1.5);
-            if ctx.rank() == 0 {
-                tier.fail_node(2);
-            }
-            ctx.barrier();
-            let m0 = Membership::initial(ctx.ntasks());
-            let (m1, rep) =
-                recover(ctx, &fs, Some(&tier), &retained, &m0, &[2], &mut [&mut u], ctx.ntasks())
-                    .unwrap();
-            assert_eq!(rep.source, StreamSource::Replica);
-            assert_eq!(rep.piofs_bytes, 0);
+                // (a) Memtier-hit localized recovery: node 2's sections are
+                // lost, the tier's replicas serve them, PIOFS is never read.
+                seg.set_control("iter", 3);
+                store_checkpoint(ctx, &tier, "ck/r3", &mut drms, &seg, &[&u]).unwrap();
+                let retained = retain(ctx, "ck/r3", 3, &[&u]);
+                u.fill_assigned(|p| initial(p) + 1.5);
+                if ctx.rank() == 0 {
+                    tier.fail_node(2);
+                }
+                ctx.barrier();
+                let m0 = Membership::initial(ctx.ntasks());
+                let (m1, rep) = recover(
+                    ctx,
+                    &fs,
+                    Some(&tier),
+                    &retained,
+                    &m0,
+                    &[2],
+                    &mut [&mut u],
+                    ctx.ntasks(),
+                )
+                .unwrap();
+                assert_eq!(rep.source, StreamSource::Replica);
+                assert_eq!(rep.piofs_bytes, 0);
 
-            // (b) PIOFS fallback: a durable checkpoint serves the next
-            // loss through manifest-ranged section reads.
-            seg.set_control("iter", 6);
-            drms.reconfig_checkpoint(ctx, &fs, "ck/r6", &seg, &[&u]).unwrap();
-            let retained = retain(ctx, "ck/r6", 6, &[&u]);
-            let (m2, rep) =
-                recover(ctx, &fs, None, &retained, &m1, &[4], &mut [&mut u], ctx.ntasks()).unwrap();
-            assert_eq!(rep.source, StreamSource::PiofsFull);
-            assert!(rep.piofs_bytes > 0);
+                // (b) PIOFS fallback: a durable checkpoint serves the next
+                // loss through manifest-ranged section reads.
+                seg.set_control("iter", 6);
+                drms.reconfig_checkpoint(ctx, &fs, "ck/r6", &seg, &[&u]).unwrap();
+                let retained = retain(ctx, "ck/r6", 6, &[&u]);
+                let (m2, rep) =
+                    recover(ctx, &fs, None, &retained, &m1, &[4], &mut [&mut u], ctx.ntasks())
+                        .unwrap();
+                assert_eq!(rep.source, StreamSource::PiofsFull);
+                assert!(rep.piofs_bytes > 0);
 
-            // (c) Online shrink/grow at an SOP: zero storage I/O.
-            let m3 = shrink(ctx, &m2, 5, &mut [&mut u]).unwrap();
-            let m4 = grow(ctx, &m3, ctx.ntasks(), &mut [&mut u]).unwrap();
+                // (c) Online shrink/grow at an SOP: zero storage I/O.
+                let m3 = shrink(ctx, &m2, 5, &mut [&mut u]).unwrap();
+                let m4 = grow(ctx, &m3, ctx.ntasks(), &mut [&mut u]).unwrap();
 
-            // (d) Nothing can serve a never-written checkpoint: the
-            // protocol escalates to a verified full restart.
-            let retained = retain(ctx, "ck/never", 9, &[&u]);
-            let err = recover(ctx, &fs, None, &retained, &m4, &[1], &mut [&mut u], ctx.ntasks())
-                .unwrap_err();
-            assert!(matches!(err, drms::recover::RecoverError::Escalate(_)));
-        })
-        .unwrap();
+                // (d) Nothing can serve a never-written checkpoint: the
+                // protocol escalates to a verified full restart.
+                let retained = retain(ctx, "ck/never", 9, &[&u]);
+                let err =
+                    recover(ctx, &fs, None, &retained, &m4, &[1], &mut [&mut u], ctx.ntasks())
+                        .unwrap_err();
+                assert!(matches!(err, drms::recover::RecoverError::Escalate(_)));
+            })
+            .unwrap();
         let report = pulse.finish();
         assert!(
             report.alerts.iter().any(|a| a.rule == names::ALERT_RECOVERY_DEGRADED),
