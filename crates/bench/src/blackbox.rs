@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use drms_blackbox::{Blackbox, BlackboxConfig};
-use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
+use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms_insight::{stitch, IncarnationInput, RecoveryReport, StitchOptions, StitchedTimeline};
 use drms_obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, RuleThresholds};
@@ -170,7 +170,6 @@ fn run_deep(seed: u64) -> (Run, drms_pulse::PulseReport) {
         ..PulseConfig::default()
     });
     let plan = FaultPlan {
-        msg: MsgFaults { drop_prob: 0.25, dup_prob: 0.1, max_extra_latency: 1e-4 },
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
         crash: Some((CrashPoint::CkptMidPublish, 1)),
         ..FaultPlan::seeded(seed)

@@ -9,10 +9,11 @@
 //! Three campaigns over the campaign job ([`crate::campaign`]):
 //!
 //! 1. **Clean** — no faults: the reference checksum and commit count.
-//! 2. **Weather** — message drops/duplicates/latency and transient PIOFS
-//!    errors, all retried under the backoff policy: the job must complete
-//!    in one incarnation, bitwise-exact, and the retry counters land in
-//!    the result.
+//! 2. **Weather** — transient PIOFS errors, all retried under the backoff
+//!    policy: the job must complete in one incarnation, bitwise-exact, and
+//!    the retry counters land in the result. (There is no message weather:
+//!    checkpoint traffic crosses the collectives, not point-to-point
+//!    sends.)
 //! 3. **Sweep** — every enumerated [`CrashPoint`], one armed crash each:
 //!    the job must recover bitwise, never restart from a `.tmp` staging
 //!    prefix, and the table below reports per point which checkpoint (and
@@ -27,7 +28,7 @@
 
 use std::sync::Arc;
 
-use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
+use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms_core::find_checkpoints;
 use drms_obs::{names, TraceRecorder};
 use drms_piofs::Piofs;
@@ -119,7 +120,6 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // Campaign 2 — transient weather; must complete in one incarnation
     // with real retry traffic, twice identically.
     let weather_plan = FaultPlan {
-        msg: MsgFaults { drop_prob: 0.25, dup_prob: 0.1, max_extra_latency: 1e-4 },
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
         ..FaultPlan::seeded(seed)
     };
@@ -137,10 +137,6 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     );
     result.metric("weather.retries", weather.ctl.retries() as f64);
     result.metric("weather.giveups", weather.ctl.giveups() as f64);
-    result.metric(
-        "weather.msg_retries",
-        weather.rec.metrics().counter_total(names::MSG_RETRIES) as f64,
-    );
     result.metric(
         "weather.io_retries",
         weather.rec.metrics().counter_total(names::IO_RETRIES) as f64,

@@ -53,7 +53,6 @@ fn report(app: &str, op: &str, a: &Analysis, result: &mut BenchResult) {
     result.metric(&key("wall_s"), wall);
     result.metric(&key("segments"), a.critical.segments.len() as f64);
     result.metric(&key("spans"), a.spans.len() as f64);
-    result.metric(&key("msg_edges"), a.msg_edges.len() as f64);
     result.metric(&key("slowest_server"), slowest.unwrap() as f64);
     result.metric(&key("server_imbalance"), a.servers.imbalance());
     for (phase, secs) in a.critical.by_phase() {

@@ -6,7 +6,7 @@
 //!     [--json DIR] [--baseline PATH] [--tolerance 0.05] [--bless]
 //! ```
 //!
-//! One workload — the campaign job ([`crate::campaign`]) under message/IO fault
+//! One workload — the campaign job ([`crate::campaign`]) under PIOFS fault
 //! weather, a memory-tier store per checkpoint, and a mid-run processor
 //! kill — runs three times:
 //!
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use drms_chaos::{ChaosCtl, FaultPlan, MsgFaults, PiofsFaults};
+use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults};
 use drms_memtier::MemTier;
 use drms_obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, PulseReport, RuleThresholds};
@@ -56,7 +56,7 @@ struct Run {
     wall: Duration,
 }
 
-/// Runs the campaign workload: fault weather over messages and I/O, a
+/// Runs the campaign workload: transient PIOFS fault weather, a
 /// memory-tier store+spill per checkpoint, and one processor kill at
 /// iteration 7 (the replica-loss event). `extra` is fanned out next to the
 /// trace when present (the pulse recorder).
@@ -68,7 +68,6 @@ fn run_campaign(seed: u64, extra: Option<Arc<dyn Recorder>>) -> Run {
     };
     let rig = Rig::new(APP, seed, Some(sink));
     let ctl = ChaosCtl::new(FaultPlan {
-        msg: MsgFaults { drop_prob: 0.25, dup_prob: 0.1, max_extra_latency: 1e-4 },
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
         ..FaultPlan::seeded(seed)
     });
@@ -163,7 +162,7 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         off.summary.incarnations.len(),
         "pulse observation changed the incarnation history"
     );
-    for metric in [names::COMMITS, names::MSG_RETRIES, names::IO_RETRIES, names::MESSAGES_SENT] {
+    for metric in [names::COMMITS, names::IO_RETRIES, names::MESSAGES_SENT] {
         assert_eq!(
             on.rec.metrics().counter_total(metric),
             off.rec.metrics().counter_total(metric),

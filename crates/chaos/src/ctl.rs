@@ -7,12 +7,11 @@ use crate::backoff::RetryPolicy;
 use crate::plan::{CrashPoint, FaultPlan};
 use crate::rng::unit;
 
-/// Per-site labels folded into each decision hash, so the same `(rank,
-/// sequence)` coordinates decide independently at different layers.
+/// Site labels folded into each decision hash, so the same `(rank,
+/// sequence)` coordinates decide independently at different sites. The
+/// value is part of every PIOFS fault decision: changing it reshuffles the
+/// weather of every blessed campaign.
 mod site {
-    pub const MSG_DROP: u64 = 1;
-    pub const MSG_DUP: u64 = 2;
-    pub const MSG_LATENCY: u64 = 3;
     pub const IO_FAULT: u64 = 4;
 }
 
@@ -57,31 +56,6 @@ impl ChaosCtl {
     /// The retry/backoff policy instrumented layers charge with.
     pub fn retry(&self) -> RetryPolicy {
         self.plan.retry
-    }
-
-    // ------------------------------------------------------------------
-    // Message layer
-    // ------------------------------------------------------------------
-
-    /// Whether send attempt `attempt` of message `(rank, seq)` fails
-    /// transiently.
-    pub fn msg_drop(&self, rank: u64, seq: u64, attempt: u64) -> bool {
-        self.plan.msg.drop_prob > 0.0
-            && unit(&[self.plan.seed, site::MSG_DROP, rank, seq, attempt]) < self.plan.msg.drop_prob
-    }
-
-    /// Whether message `(rank, seq)` is delivered twice.
-    pub fn msg_dup(&self, rank: u64, seq: u64) -> bool {
-        self.plan.msg.dup_prob > 0.0
-            && unit(&[self.plan.seed, site::MSG_DUP, rank, seq]) < self.plan.msg.dup_prob
-    }
-
-    /// Extra delivery latency for message `(rank, seq)`, simulated seconds.
-    pub fn msg_extra_latency(&self, rank: u64, seq: u64) -> f64 {
-        if self.plan.msg.max_extra_latency <= 0.0 {
-            return 0.0;
-        }
-        self.plan.msg.max_extra_latency * unit(&[self.plan.seed, site::MSG_LATENCY, rank, seq])
     }
 
     // ------------------------------------------------------------------
@@ -166,22 +140,20 @@ impl ChaosCtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{MsgFaults, PiofsFaults, TornWrite};
+    use crate::plan::{PiofsFaults, TornWrite};
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
         let plan = |seed| FaultPlan {
             seed,
-            msg: MsgFaults { drop_prob: 0.5, dup_prob: 0.5, max_extra_latency: 1.0 },
             piofs: PiofsFaults { transient_prob: 0.5, torn: None },
             ..Default::default()
         };
         let a = ChaosCtl::new(plan(1));
         let b = ChaosCtl::new(plan(1));
         let c = ChaosCtl::new(plan(2));
-        let fingerprint = |ctl: &ChaosCtl| -> Vec<bool> {
-            (0..64).map(|i| ctl.msg_drop(i % 4, i, 0) || ctl.io_fault(i % 4, i, 1)).collect()
-        };
+        let fingerprint =
+            |ctl: &ChaosCtl| -> Vec<bool> { (0..64).map(|i| ctl.io_fault(i % 4, i, 1)).collect() };
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
     }

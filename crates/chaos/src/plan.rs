@@ -166,20 +166,6 @@ impl std::fmt::Display for CrashPoint {
     }
 }
 
-/// Message-layer faults, decided per `(rank, send sequence)`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MsgFaults {
-    /// Probability a send attempt fails transiently and is retried under
-    /// the plan's [`RetryPolicy`].
-    pub drop_prob: f64,
-    /// Probability a message is delivered twice (receive-side dedup drops
-    /// the duplicate by correlation id).
-    pub dup_prob: f64,
-    /// Upper bound on extra delivery latency, simulated seconds (uniform
-    /// per message; 0 disables).
-    pub max_extra_latency: f64,
-}
-
 /// File-system faults, decided per `(rank, operation sequence)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PiofsFaults {
@@ -210,8 +196,6 @@ pub struct TornWrite {
 pub struct FaultPlan {
     /// Seed all stateless fault decisions hash against.
     pub seed: u64,
-    /// Message-transport faults.
-    pub msg: MsgFaults,
     /// File-system faults.
     pub piofs: PiofsFaults,
     /// Optional armed crash: the region dies at the n-th consultation
@@ -277,7 +261,6 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let p = FaultPlan::default();
-        assert_eq!(p.msg.drop_prob, 0.0);
         assert_eq!(p.piofs.transient_prob, 0.0);
         assert!(p.crash.is_none() && p.piofs.torn.is_none());
     }

@@ -133,21 +133,8 @@ pub fn read_section<T: Element>(
     path: &str,
     io_tasks: usize,
 ) -> Result<()> {
-    read_section_with(ctx, fs, array, section, path, io_tasks, TARGET_PIECE_BYTES)
-}
-
-/// As [`read_section`], with an explicit per-piece byte target. Must match
-/// the target the stream was written with only in that both describe the
-/// same section — the stream bytes themselves are piece-size independent.
-pub fn read_section_with<T: Element>(
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    array: &mut DistArray<T>,
-    section: &Slice,
-    path: &str,
-    io_tasks: usize,
-    target_piece_bytes: usize,
-) -> Result<()> {
+    // The stream bytes are piece-size independent, so a stream written
+    // with any per-piece target reads back with the default one.
     let plan = Plan::new(
         ctx,
         array.domain(),
@@ -155,7 +142,7 @@ pub fn read_section_with<T: Element>(
         io_tasks,
         T::SIZE,
         array.order(),
-        target_piece_bytes,
+        TARGET_PIECE_BYTES,
     )?;
     let need = (section.size() * T::SIZE) as u64;
     let have = fs.size(path).map_err(|e| DarrayError::Io(e.to_string()))?;

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
+use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms_core::segment::DataSegment;
 use drms_core::{
     find_checkpoints, sweep_orphans, verify, CoreError, Drms, DrmsConfig, EnableFlag, Start,
@@ -184,10 +184,9 @@ fn crash_point_sweep_over_delta_commits() {
 
 #[test]
 fn delta_chain_survives_transient_weather() {
-    // Transient message/I-O faults (no crash): the chain commits through
+    // Transient PIOFS faults (no crash): the chain commits through
     // retries, deterministically per seed.
     let plan = FaultPlan {
-        msg: MsgFaults { drop_prob: 0.2, dup_prob: 0.1, max_extra_latency: 1e-4 },
         piofs: PiofsFaults { transient_prob: 0.2, torn: None },
         ..FaultPlan::seeded(29)
     };

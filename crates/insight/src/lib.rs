@@ -5,9 +5,10 @@
 //!
 //! * a **span DAG**: `Begin`/`End` events paired into closed spans
 //!   ([`spans::build_spans`]), parented by same-rank containment, with
-//!   cross-task causal edges from the message layer's correlation ids
-//!   (send → recv), PIOFS phase → server-busy intervals, and JSA
-//!   incarnation links on control events;
+//!   two families of causal edges: PIOFS phase → server-busy intervals,
+//!   and JSA incarnation links on control events. There is no message
+//!   edge: checkpoint traffic crosses the collectives, whose only trace is
+//!   the spans every rank opens around them;
 //! * the **critical path** of the traced operation
 //!   ([`critical::critical_path`]): every instant of the operation window
 //!   attributed to the deepest covering rank-0 span (or synthetic
@@ -32,7 +33,7 @@ pub mod straggler;
 
 use std::fmt::Write as _;
 
-use drms_obs::{EventKind, MsgRecord, Phase, TraceEvent, TraceRecorder};
+use drms_obs::{EventKind, Phase, TraceEvent, TraceRecorder};
 
 pub use critical::{CriticalPath, Segment};
 pub use recovery::{IncarnationCost, RecoveryReport};
@@ -40,29 +41,6 @@ pub use servers::{ServerReport, ServerRow};
 pub use spans::Span;
 pub use stitch::{stitch, IncarnationInput, StitchOptions, StitchSegment, StitchedTimeline};
 pub use straggler::StragglerRow;
-
-/// A cross-task causal edge: one point-to-point message, resolved to the
-/// deepest span enclosing each endpoint (when the endpoint falls inside
-/// a span).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MsgEdge {
-    /// Correlation id shared by both endpoints.
-    pub corr: u64,
-    /// Sending rank.
-    pub src: usize,
-    /// Receiving rank.
-    pub dst: usize,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Sender completion time.
-    pub send_t: f64,
-    /// Receiver delivery time.
-    pub recv_t: f64,
-    /// Deepest span on `src` containing `send_t`.
-    pub from_span: Option<usize>,
-    /// Deepest span on `dst` containing `recv_t`.
-    pub to_span: Option<usize>,
-}
 
 /// A JSA incarnation link: a control-plane event carrying an incarnation
 /// number as its correlation id.
@@ -85,10 +63,6 @@ pub struct Analysis {
     pub stragglers: Vec<StragglerRow>,
     /// Per-server utilization report.
     pub servers: ServerReport,
-    /// Paired message edges (send → recv).
-    pub msg_edges: Vec<MsgEdge>,
-    /// Messages sent but never received within the trace.
-    pub unpaired_msgs: usize,
     /// JSA incarnation links found on control events.
     pub incarnations: Vec<IncarnationLink>,
 }
@@ -96,39 +70,20 @@ pub struct Analysis {
 impl Analysis {
     /// Analyzes a finished recorder session.
     pub fn from_recorder(rec: &TraceRecorder) -> Analysis {
-        Analysis::from_parts(&rec.events(), &rec.msg_records(), &rec.server_intervals())
+        Analysis::from_parts(&rec.events(), &rec.server_intervals())
     }
 
-    /// Analyzes raw snapshots: `events` must be time-sorted and `msgs` /
+    /// Analyzes raw snapshots: `events` must be time-sorted and
     /// `server_intervals` deterministically sorted, as the
     /// [`TraceRecorder`] accessors guarantee.
     pub fn from_parts(
         events: &[TraceEvent],
-        msgs: &[MsgRecord],
         server_intervals: &[drms_obs::ServerInterval],
     ) -> Analysis {
         let spans = spans::build_spans(events);
         let critical = critical::critical_path(&spans, server_intervals);
         let stragglers = straggler::stragglers(&spans);
         let servers = servers::server_report(server_intervals);
-
-        let mut msg_edges = Vec::new();
-        let mut unpaired = 0usize;
-        for m in msgs {
-            match m.recv_t {
-                Some(recv_t) => msg_edges.push(MsgEdge {
-                    corr: m.corr,
-                    src: m.src,
-                    dst: m.dst,
-                    bytes: m.bytes,
-                    send_t: m.send_t,
-                    recv_t,
-                    from_span: spans::deepest_at(&spans, m.src, m.send_t).map(|s| s.id),
-                    to_span: spans::deepest_at(&spans, m.dst, recv_t).map(|s| s.id),
-                }),
-                None => unpaired += 1,
-            }
-        }
 
         let incarnations = events
             .iter()
@@ -138,15 +93,7 @@ impl Analysis {
             })
             .collect();
 
-        Analysis {
-            spans,
-            critical,
-            stragglers,
-            servers,
-            msg_edges,
-            unpaired_msgs: unpaired,
-            incarnations,
-        }
+        Analysis { spans, critical, stragglers, servers, incarnations }
     }
 
     /// Operation wall time (the critical-path window).
@@ -164,13 +111,11 @@ impl Analysis {
         writeln!(out, "== drms-insight causal analysis ==").unwrap();
         writeln!(
             out,
-            "window [{:.6}, {:.6}] s  wall {:.6} s  spans {}  msg edges {} ({} unpaired)  incarnation links {}",
+            "window [{:.6}, {:.6}] s  wall {:.6} s  spans {}  incarnation links {}",
             self.critical.t0,
             self.critical.t1,
             w,
             self.spans.len(),
-            self.msg_edges.len(),
-            self.unpaired_msgs,
             self.incarnations.len(),
         )
         .unwrap();
@@ -278,9 +223,6 @@ mod tests {
         let r = TraceRecorder::new();
         r.span_start(0.0, 0, Phase::Segment, "write");
         r.span_start(0.0, 1, Phase::StreamWave, "a");
-        r.msg_sent(0.5, 1, 0, 7, 99, 4096);
-        r.msg_received(0.75, 1, 0, 7, 99);
-        r.msg_sent(0.8, 0, 1, 7, 100, 16);
         r.span_end(1.0, 1, Phase::StreamWave, "a");
         r.span_end(2.0, 0, Phase::Segment, "write");
         r.server_interval(0, 0, "collective", 0.0, 1.5);
@@ -290,19 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn analysis_links_messages_and_incarnations() {
+    fn analysis_links_incarnations_and_servers() {
         let a = Analysis::from_recorder(&sample_recorder());
         assert_eq!(a.spans.len(), 2);
-        assert_eq!(a.msg_edges.len(), 1);
-        assert_eq!(a.unpaired_msgs, 1);
-        let edge = &a.msg_edges[0];
-        assert_eq!((edge.src, edge.dst, edge.corr), (1, 0, 99));
-        // Send happened inside rank 1's stream wave, delivery inside
-        // rank 0's segment span.
-        let from = edge.from_span.map(|id| a.spans[id].phase);
-        let to = edge.to_span.map(|id| a.spans[id].phase);
-        assert_eq!(from, Some(Phase::StreamWave));
-        assert_eq!(to, Some(Phase::Segment));
         assert_eq!(a.incarnations.len(), 1);
         assert_eq!(a.incarnations[0].incarnation, 0);
         assert_eq!(a.servers.slowest(), Some(0));

@@ -42,27 +42,19 @@ fn arb_span(nranks: usize) -> impl Strategy<Value = GenSpan> {
 enum Call {
     Begin(f64, usize, Phase, &'static str),
     End(f64, usize, Phase, &'static str),
-    Send { t: f64, src: usize, dst: usize, corr: u64 },
-    Recv { t: f64, src: usize, dst: usize, corr: u64 },
     Server(usize, f64, f64),
 }
 
-/// Replays the generated spans (plus some messages and server intervals)
-/// into a recorder under a chosen cross-rank schedule. Each rank's own
-/// calls keep their program order, and a receive blocks until its send
-/// has executed — exactly the orderings a real threaded run can produce;
-/// only the interleaving across ranks varies.
+/// Replays the generated spans (plus some server intervals) into a
+/// recorder under a chosen cross-rank schedule. Each rank's own calls keep
+/// their program order — exactly the orderings a real threaded run can
+/// produce; only the interleaving across ranks varies.
 fn record(spans: &[GenSpan], nranks: usize, reversed_schedule: bool) -> TraceRecorder {
     let mut queues: Vec<std::collections::VecDeque<Call>> =
         (0..nranks).map(|_| std::collections::VecDeque::new()).collect();
     for (i, s) in spans.iter().enumerate() {
         let (b, e) = (s.start, s.start + s.dur);
         queues[s.rank].push_back(Call::Begin(b, s.rank, s.phase, s.name));
-        if i % 3 == 0 {
-            let (src, dst, corr) = (s.rank, (s.rank + 1) % nranks, i as u64);
-            queues[src].push_back(Call::Send { t: b, src, dst, corr });
-            queues[dst].push_back(Call::Recv { t: e, src, dst, corr });
-        }
         if i % 4 == 0 {
             queues[s.rank].push_back(Call::Server(i % 3, b, e));
         }
@@ -70,26 +62,13 @@ fn record(spans: &[GenSpan], nranks: usize, reversed_schedule: bool) -> TraceRec
     }
 
     let rec = TraceRecorder::new();
-    let mut sent: std::collections::HashSet<u64> = std::collections::HashSet::new();
     let order: Vec<usize> =
         if reversed_schedule { (0..nranks).rev().collect() } else { (0..nranks).collect() };
     while queues.iter().any(|q| !q.is_empty()) {
         for &rank in &order {
-            // A receive waiting on a message not yet sent blocks its rank
-            // for this round, like a real blocked receiver.
-            if let Some(Call::Recv { corr, .. }) = queues[rank].front() {
-                if !sent.contains(corr) {
-                    continue;
-                }
-            }
             match queues[rank].pop_front() {
                 Some(Call::Begin(t, r, p, n)) => rec.span_start(t, r, p, n),
                 Some(Call::End(t, r, p, n)) => rec.span_end(t, r, p, n),
-                Some(Call::Send { t, src, dst, corr }) => {
-                    rec.msg_sent(t, src, dst, 7, corr, 64);
-                    sent.insert(corr);
-                }
-                Some(Call::Recv { t, src, dst, corr }) => rec.msg_received(t, src, dst, 7, corr),
                 Some(Call::Server(server, b, e)) => {
                     rec.server_interval(0, server, "collective", b, e)
                 }

@@ -1,8 +1,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use drms_chaos::{mix, ChaosCtl};
-use drms_obs::{names, Phase, Recorder};
+use drms_chaos::ChaosCtl;
+use drms_obs::{names, Recorder};
 use parking_lot::{Condvar, Mutex};
 
 use crate::board::Board;
@@ -30,9 +30,6 @@ struct Envelope {
     src: Rank,
     tag: u64,
     arrival: f64,
-    /// Correlation id shared by the send and receive trace reports, so
-    /// causal analysis can pair them into cross-task edges.
-    corr: u64,
     payload: Vec<u8>,
 }
 
@@ -68,14 +65,7 @@ impl World {
     /// Builds the per-task context for `rank`.
     pub(crate) fn ctx(self: &Arc<World>, rank: Rank) -> Ctx {
         assert!(rank < self.ntasks);
-        Ctx {
-            rank,
-            world: Arc::clone(self),
-            clock: SimClock::new(),
-            send_seq: 0,
-            chaos_seq: 0,
-            seen_corr: std::collections::HashSet::new(),
-        }
+        Ctx { rank, world: Arc::clone(self), clock: SimClock::new(), chaos_seq: 0 }
     }
 }
 
@@ -106,16 +96,9 @@ pub struct Ctx {
     rank: Rank,
     world: Arc<World>,
     clock: SimClock,
-    /// Messages sent so far by this task; combined with the rank it yields
-    /// a correlation id unique per message and deterministic per run.
-    send_seq: u64,
     /// Chaos decisions drawn so far by this task: a per-task sequence, so
     /// fault outcomes are independent of how sibling tasks interleave.
     chaos_seq: u64,
-    /// Correlation ids already delivered to this task — receive-side dedup
-    /// for chaos-injected duplicate deliveries. Populated only in chaos
-    /// worlds.
-    seen_corr: std::collections::HashSet<u64>,
 }
 
 impl Ctx {
@@ -212,14 +195,12 @@ impl Ctx {
     ///
     /// The sender is occupied for the software overhead plus the wire time
     /// of the payload; the message lands in `dst`'s mailbox carrying its
-    /// arrival timestamp (sender completion + latency).
+    /// arrival timestamp (sender completion + latency). No checkpoint or
+    /// restart path sends point to point — array data moves through
+    /// [`Ctx::alltoallv`] — so the pair carries no fault injection and no
+    /// per-message trace; only the message counters see it.
     pub fn send(&mut self, dst: Rank, tag: u64, payload: Vec<u8>) {
         assert!(dst < self.world.ntasks, "send to nonexistent rank {dst}");
-        // Correlation id: (rank+1) in the high bits, per-task send sequence
-        // in the low bits — unique per message and deterministic per run.
-        let seq = self.send_seq;
-        let corr = ((self.rank as u64 + 1) << 40) | seq;
-        self.send_seq += 1;
         let bytes = payload.len();
         if self.world.recorder.enabled() {
             let rec = &self.world.recorder;
@@ -227,68 +208,11 @@ impl Ctx {
             rec.counter_add_at(t, self.rank, names::MESSAGES_SENT, None, 1);
             rec.counter_add_at(t, self.rank, names::MESSAGE_BYTES, None, bytes as u64);
         }
-
-        // Transient send failures: retry with bounded backoff; after the
-        // budget the transport escalates to the blocking reliable path (a
-        // give-up), so delivery still happens — the faults cost time, not
-        // data.
-        let mut extra_latency = 0.0;
-        let mut duplicate = false;
-        if let Some(chaos) = self.world.chaos.clone() {
-            let policy = chaos.retry();
-            let mut attempt: u32 = 0;
-            while chaos.msg_drop(self.rank as u64, seq, attempt as u64) {
-                attempt += 1;
-                chaos.note_retry();
-                if self.world.recorder.enabled() {
-                    self.world.recorder.counter_add_at(
-                        self.clock.now(),
-                        self.rank,
-                        names::MSG_RETRIES,
-                        None,
-                        1,
-                    );
-                }
-                if attempt >= policy.max_attempts {
-                    chaos.note_giveup();
-                    if self.world.recorder.enabled() {
-                        self.world.recorder.counter_add_at(
-                            self.clock.now(),
-                            self.rank,
-                            names::RETRY_GIVEUPS,
-                            None,
-                            1,
-                        );
-                    }
-                    break;
-                }
-                let d = policy.delay(attempt - 1, mix(&[corr, dst as u64]));
-                let t0 = self.clock.now();
-                self.clock.advance(d);
-                if self.world.recorder.enabled() {
-                    let rec = &self.world.recorder;
-                    rec.span_start(t0, self.rank, Phase::Retry, "send_backoff");
-                    rec.span_end(self.clock.now(), self.rank, Phase::Retry, "send_backoff");
-                }
-            }
-            extra_latency = chaos.msg_extra_latency(self.rank as u64, seq);
-            duplicate = chaos.msg_dup(self.rank as u64, seq);
-        }
-
         let cost = &self.world.cost;
         self.clock.advance(cost.send_overhead + cost.wire_time(bytes));
-        if self.world.recorder.enabled() {
-            self.world.recorder.msg_sent(self.clock.now(), self.rank, dst, tag, corr, bytes as u64);
-        }
-        let arrival = self.clock.now() + cost.latency + extra_latency;
+        let arrival = self.clock.now() + cost.latency;
         let mb = &self.world.mailboxes[dst];
-        let mut q = mb.queue.lock();
-        if duplicate {
-            // Delivered twice with the same correlation id; the receiver's
-            // dedup drops whichever copy arrives second.
-            q.push(Envelope { src: self.rank, tag, arrival, corr, payload: payload.clone() });
-        }
-        q.push(Envelope { src: self.rank, tag, arrival, corr, payload });
+        mb.queue.lock().push(Envelope { src: self.rank, tag, arrival, payload });
         mb.cv.notify_all();
     }
 
@@ -296,38 +220,15 @@ impl Ctx {
     /// it arrives. Messages from the same sender with the same tag are
     /// delivered in send order.
     pub fn recv(&mut self, src: Rank, tag: u64) -> Vec<u8> {
+        assert!(src < self.world.ntasks, "recv from nonexistent rank {src}");
         let mb = &self.world.mailboxes[self.rank];
         let mut q = mb.queue.lock();
         loop {
             if let Some(pos) = q.iter().position(|e| e.src == src && e.tag == tag) {
                 let env = q.remove(pos);
-                // Chaos worlds can deliver a message twice; the first copy
-                // wins and later copies are dropped by correlation id.
-                if self.world.chaos.is_some() && !self.seen_corr.insert(env.corr) {
-                    if self.world.recorder.enabled() {
-                        self.world.recorder.counter_add_at(
-                            self.clock.now(),
-                            self.rank,
-                            names::MSG_DUPLICATES,
-                            None,
-                            1,
-                        );
-                    }
-                    continue;
-                }
                 drop(q);
-                let cost = &self.world.cost;
                 self.clock.advance_to(env.arrival);
-                self.clock.advance(cost.recv_overhead);
-                if self.world.recorder.enabled() {
-                    self.world.recorder.msg_received(
-                        self.clock.now(),
-                        src,
-                        self.rank,
-                        tag,
-                        env.corr,
-                    );
-                }
+                self.clock.advance(self.world.cost.recv_overhead);
                 return env.payload;
             }
             if mb.cv.wait_for(&mut q, Duration::from_secs(120)).timed_out() {
@@ -443,97 +344,7 @@ impl Incoming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_spmd, Spmd};
-    use drms_chaos::{FaultPlan, MsgFaults};
-    use drms_obs::TraceRecorder;
-
-    #[test]
-    fn chaos_drops_retry_then_deliver() {
-        // Every send attempt is faulted: the sender burns its whole retry
-        // budget, gives up, and escalates — the payload still arrives.
-        let plan = FaultPlan {
-            msg: MsgFaults { drop_prob: 1.0, ..Default::default() },
-            ..FaultPlan::seeded(7)
-        };
-        let ctl = ChaosCtl::new(plan);
-        let rec = Arc::new(TraceRecorder::new());
-        let out = Spmd::new(2, CostModel::free())
-            .recorder(rec.clone())
-            .chaos(ctl.clone())
-            .run(|ctx| {
-                if ctx.rank() == 0 {
-                    ctx.send(1, 5, vec![42]);
-                    0u8
-                } else {
-                    ctx.recv(0, 5)[0]
-                }
-            })
-            .unwrap();
-        assert_eq!(out, vec![0, 42]);
-        assert!(ctl.retries() > 0, "fault plan never tripped a retry");
-        assert_eq!(ctl.giveups(), 1, "full-budget drop must escalate exactly once");
-        let m = rec.metrics();
-        assert!(m.counter_total(names::MSG_RETRIES) > 0);
-        assert_eq!(m.counter_total(names::RETRY_GIVEUPS), 1);
-    }
-
-    #[test]
-    fn chaos_duplicates_are_dropped_by_dedup() {
-        let plan = FaultPlan {
-            msg: MsgFaults { dup_prob: 1.0, ..Default::default() },
-            ..FaultPlan::seeded(11)
-        };
-        let ctl = ChaosCtl::new(plan);
-        let rec = Arc::new(TraceRecorder::new());
-        let out = Spmd::new(2, CostModel::free())
-            .recorder(rec.clone())
-            .chaos(ctl)
-            .run(|ctx| {
-                if ctx.rank() == 0 {
-                    for i in 0..5u8 {
-                        ctx.send(1, 9, vec![i]);
-                    }
-                    Vec::new()
-                } else {
-                    (0..5).map(|_| ctx.recv(0, 9)[0]).collect::<Vec<u8>>()
-                }
-            })
-            .unwrap();
-        // Payloads arrive exactly once each despite double delivery. The
-        // fifth message's second copy is still queued when the region ends
-        // (nothing recvs past it), so four duplicates are actually dropped.
-        assert_eq!(out[1], (0..5).collect::<Vec<u8>>());
-        assert_eq!(rec.metrics().counter_total(names::MSG_DUPLICATES), 4);
-    }
-
-    #[test]
-    fn chaos_run_is_deterministic() {
-        let run = |seed: u64| {
-            let plan = FaultPlan {
-                msg: MsgFaults { drop_prob: 0.4, dup_prob: 0.3, max_extra_latency: 0.25 },
-                ..FaultPlan::seeded(seed)
-            };
-            let ctl = ChaosCtl::new(plan);
-            let out = Spmd::new(2, CostModel::default())
-                .chaos(ctl.clone())
-                .run(|ctx| {
-                    if ctx.rank() == 0 {
-                        for i in 0..20u8 {
-                            ctx.send(1, 1, vec![i]);
-                        }
-                    } else {
-                        for _ in 0..20 {
-                            ctx.recv(0, 1);
-                        }
-                    }
-                    ctx.now().to_bits()
-                })
-                .unwrap();
-            (out, ctl.retries(), ctl.giveups())
-        };
-        assert_eq!(run(3), run(3), "same seed must replay bit-identically");
-        assert_ne!(run(3), run(4), "different seeds should perturb the run");
-    }
+    use crate::{run_spmd, Spmd, SpmdError};
 
     #[test]
     fn p2p_roundtrip_and_timing() {
@@ -719,46 +530,37 @@ mod tests {
         // One p2p message plus one alltoallv message per rank.
         assert_eq!(rec.metrics().counter_total(names::MESSAGES_SENT), 3);
         assert_eq!(rec.metrics().counter_total(names::MESSAGE_BYTES), 120);
-        // The point-to-point message got a correlation id and both
-        // endpoints reported, so causal analysis can pair send with
-        // receive. (alltoallv is a synchronized exchange — it has no
-        // per-message arrival to pair, only the counters above.)
-        let msgs = rec.msg_records();
-        assert_eq!(msgs.len(), 1);
-        let m = &msgs[0];
-        assert_eq!((m.src, m.dst, m.tag, m.bytes), (0, 1, 9, 100));
-        assert!(m.recv_t.is_some_and(|rt| rt >= m.send_t));
     }
 
     #[test]
-    fn p2p_correlation_ids_unique_and_paired_across_many_messages() {
-        use drms_obs::TraceRecorder;
-
-        let rec = Arc::new(TraceRecorder::new());
-        crate::run_spmd_traced(
-            3,
-            CostModel::default(),
-            Arc::clone(&rec) as Arc<dyn Recorder>,
-            |ctx| {
-                let me = ctx.rank();
-                let next = (me + 1) % 3;
-                let prev = (me + 2) % 3;
-                for i in 0..4u64 {
-                    ctx.send(next, i, vec![me as u8; 8]);
-                }
-                for i in 0..4u64 {
-                    assert_eq!(ctx.recv(prev, i).len(), 8);
-                }
-            },
-        )
+    fn p2p_ring_delivers_every_message_by_tag() {
+        let out = run_spmd(3, CostModel::default(), |ctx| {
+            let me = ctx.rank();
+            let next = (me + 1) % 3;
+            let prev = (me + 2) % 3;
+            for i in 0..4u64 {
+                ctx.send(next, i, vec![me as u8; 8]);
+            }
+            (0..4u64).map(|i| ctx.recv(prev, i)).collect::<Vec<_>>()
+        })
         .unwrap();
-        let msgs = rec.msg_records();
-        assert_eq!(msgs.len(), 12);
-        assert!(msgs.iter().all(|m| m.recv_t.is_some_and(|rt| rt >= m.send_t)));
-        let mut corrs: Vec<u64> = msgs.iter().map(|m| m.corr).collect();
-        corrs.sort_unstable();
-        corrs.dedup();
-        assert_eq!(corrs.len(), 12, "correlation ids must be unique");
+        for (me, got) in out.iter().enumerate() {
+            let prev = (me + 2) % 3;
+            assert!(got.iter().all(|m| *m == vec![prev as u8; 8]), "rank {me}");
+        }
+    }
+
+    #[test]
+    fn recv_from_nonexistent_rank_panics_at_once() {
+        let started = std::time::Instant::now();
+        let err = run_spmd(1, CostModel::free(), |ctx| ctx.recv(1, 0)).unwrap_err();
+        match err {
+            SpmdError::TaskPanicked { rank, message } => {
+                assert_eq!(rank, 0);
+                assert!(message.contains("nonexistent rank 1"), "{message}");
+            }
+        }
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

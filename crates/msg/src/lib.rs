@@ -2,9 +2,13 @@
 //!
 //! This crate is the substitute for the MPL/MPI layer of the IBM RS/6000 SP
 //! the paper ran on. An application region runs as `P` *tasks* (one OS thread
-//! each) that communicate through a [`Ctx`]: typed point-to-point messages,
-//! barriers, reductions, gathers, and the `alltoallv` exchange that array
-//! redistribution is built on.
+//! each) that communicate through a [`Ctx`]: barriers, reductions, gathers,
+//! and the `alltoallv` exchange that array redistribution is built on.
+//! Checkpoint traffic is collective: every byte a checkpoint or restart
+//! moves between tasks crosses `alltoallv` or the exchange board. The
+//! point-to-point pair [`Ctx::send`]/[`Ctx::recv`] is the plain cost-model
+//! path (overhead, wire time, latency) with no fault injection; no
+//! checkpoint path uses it.
 //!
 //! **Virtual time.** Every task owns a [`SimClock`]. Communication and
 //! compute charge simulated seconds against it according to a [`CostModel`]
@@ -26,8 +30,8 @@
 //!
 //! **Observability.** A region optionally carries a `drms-obs`
 //! [`Recorder`](drms_obs::Recorder) ([`Spmd::recorder`]); tasks reach it
-//! through [`Ctx::recorder`] and the send path counts messages and payload
-//! bytes. The default recorder is the zero-cost
+//! through [`Ctx::recorder`], and `send` and `alltoallv` count messages and
+//! payload bytes. The default recorder is the zero-cost
 //! [`NullRecorder`](drms_obs::NullRecorder).
 
 #![deny(missing_docs)]

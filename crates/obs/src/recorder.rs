@@ -58,17 +58,6 @@ pub trait Recorder: Send + Sync {
         self.event(t, rank, phase, name);
     }
 
-    /// Reports the completed send of a point-to-point message: `t` is the
-    /// sender's clock after the send call returned (wire time charged),
-    /// `corr` is the message's unique correlation id shared with the
-    /// matching [`Recorder::msg_received`] report.
-    fn msg_sent(&self, t: f64, src: usize, dst: usize, tag: u64, corr: u64, bytes: u64) {}
-
-    /// Reports the completed receive of the message with correlation id
-    /// `corr`: `t` is the receiver's clock after delivery (arrival plus
-    /// receive overhead).
-    fn msg_received(&self, t: f64, src: usize, dst: usize, tag: u64, corr: u64) {}
-
     /// Reports one PIOFS server's busy interval inside a priced I/O phase
     /// (`[start, end]` in simulated seconds), for utilization and
     /// stripe-imbalance attribution. `rank` is the task whose I/O phase
@@ -174,18 +163,6 @@ impl Recorder for FanoutRecorder {
         }
     }
 
-    fn msg_sent(&self, t: f64, src: usize, dst: usize, tag: u64, corr: u64, bytes: u64) {
-        for s in &self.sinks {
-            s.msg_sent(t, src, dst, tag, corr, bytes);
-        }
-    }
-
-    fn msg_received(&self, t: f64, src: usize, dst: usize, tag: u64, corr: u64) {
-        for s in &self.sinks {
-            s.msg_received(t, src, dst, tag, corr);
-        }
-    }
-
     fn server_interval(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {
         for s in &self.sinks {
             s.server_interval(rank, server, name, start, end);
@@ -251,8 +228,6 @@ mod tests {
         r.span_end(1.0, 0, Phase::Init, "x");
         r.event(0.5, 1, Phase::Control, "e");
         r.event_with_corr(0.5, 1, Phase::Control, "e", 7);
-        r.msg_sent(0.1, 0, 1, 9, 42, 128);
-        r.msg_received(0.2, 0, 1, 9, 42);
         r.server_interval(0, 3, "collective", 0.0, 1.0);
         r.counter_add(0, crate::names::MESSAGES_SENT, None, 3);
         r.counter_add_at(0.7, 0, crate::names::MESSAGES_SENT, None, 3);

@@ -32,31 +32,9 @@ pub struct TraceEvent {
     pub name: String,
     /// Boundary kind.
     pub kind: EventKind,
-    /// Correlation id linking this event to others (message send/recv
-    /// pairs, JSA incarnation numbers). `None` for uncorrelated events.
+    /// Correlation id linking this event to others (JSA incarnation
+    /// numbers). `None` for uncorrelated events.
     pub corr: Option<u64>,
-}
-
-/// One point-to-point message as reported by the `msg` layer: the sender's
-/// completion time, the receiver's delivery time (once received), and the
-/// correlation id both sides share. These are the cross-task causal edges
-/// of the span DAG.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MsgRecord {
-    /// Correlation id, unique per message within a trace.
-    pub corr: u64,
-    /// Sending task rank.
-    pub src: usize,
-    /// Receiving task rank.
-    pub dst: usize,
-    /// Message tag.
-    pub tag: u64,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Sender clock when the send call returned (wire time charged).
-    pub send_t: f64,
-    /// Receiver clock when delivery completed; `None` if never received.
-    pub recv_t: Option<f64>,
 }
 
 /// One PIOFS server's busy interval inside a priced I/O phase, in simulated
@@ -89,7 +67,6 @@ pub struct TraceRecorder {
     /// Open-span begin times, keyed by (rank, phase, name); a stack per key
     /// supports nested same-name spans.
     open: Mutex<HashMap<(usize, Phase, String), Vec<f64>>>,
-    msgs: Mutex<Vec<MsgRecord>>,
     servers: Mutex<Vec<ServerInterval>>,
     metrics: MetricsRegistry,
 }
@@ -109,20 +86,6 @@ impl TraceRecorder {
         let mut ev = self.events.lock().clone();
         ev.sort_by(|a, b| a.t.total_cmp(&b.t).then(a.rank.cmp(&b.rank)));
         ev
-    }
-
-    /// Snapshot of all message records, sorted by (send time, src, dst,
-    /// corr) so the listing is deterministic across runs.
-    pub fn msg_records(&self) -> Vec<MsgRecord> {
-        let mut ms = self.msgs.lock().clone();
-        ms.sort_by(|a, b| {
-            a.send_t
-                .total_cmp(&b.send_t)
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-                .then(a.corr.cmp(&b.corr))
-        });
-        ms
     }
 
     /// Snapshot of all server busy intervals, sorted by (start, server,
@@ -209,33 +172,6 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn msg_sent(&self, t: f64, src: usize, dst: usize, tag: u64, corr: u64, bytes: u64) {
-        self.msgs.lock().push(MsgRecord { corr, src, dst, tag, bytes, send_t: t, recv_t: None });
-        self.push(TraceEvent {
-            t,
-            rank: src,
-            phase: Phase::Msg,
-            name: format!("send->{dst}"),
-            kind: EventKind::Instant,
-            corr: Some(corr),
-        });
-    }
-
-    fn msg_received(&self, t: f64, src: usize, dst: usize, tag: u64, corr: u64) {
-        let _ = tag;
-        if let Some(m) = self.msgs.lock().iter_mut().rev().find(|m| m.corr == corr) {
-            m.recv_t = Some(t);
-        }
-        self.push(TraceEvent {
-            t,
-            rank: dst,
-            phase: Phase::Msg,
-            name: format!("recv<-{src}"),
-            kind: EventKind::Instant,
-            corr: Some(corr),
-        });
-    }
-
     fn server_interval(&self, _rank: usize, server: usize, name: &str, start: f64, end: f64) {
         self.servers.lock().push(ServerInterval { server, name: name.to_owned(), start, end });
     }
@@ -307,37 +243,6 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 4.0);
         assert!((h.sum() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn msg_records_pair_send_and_recv_by_corr() {
-        let r = TraceRecorder::new();
-        r.msg_sent(1.0, 0, 1, 7, 42, 128);
-        r.msg_sent(1.5, 0, 1, 7, 43, 64);
-        r.msg_received(2.0, 0, 1, 7, 42);
-        let ms = r.msg_records();
-        assert_eq!(ms.len(), 2);
-        assert_eq!(
-            ms[0],
-            MsgRecord {
-                corr: 42,
-                src: 0,
-                dst: 1,
-                tag: 7,
-                bytes: 128,
-                send_t: 1.0,
-                recv_t: Some(2.0)
-            }
-        );
-        assert_eq!(ms[1].recv_t, None);
-        // Instant events carry the correlation id.
-        let ev = r.events();
-        assert!(ev
-            .iter()
-            .any(|e| e.phase == Phase::Msg && e.corr == Some(42) && e.name == "send->1"));
-        assert!(ev
-            .iter()
-            .any(|e| e.phase == Phase::Msg && e.corr == Some(42) && e.name == "recv<-0"));
     }
 
     #[test]

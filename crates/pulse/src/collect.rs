@@ -137,11 +137,6 @@ impl Collector {
             Payload::Gauge { name, index, value } => {
                 w.record_gauge(name, index, GaugeWrite { stamp, rank, value });
             }
-            Payload::MsgSent { bytes } => {
-                w.msgs_sent += 1;
-                w.msg_bytes += bytes;
-            }
-            Payload::MsgReceived => {}
             Payload::ServerBusy { server, seconds } => {
                 let secs = if seconds.is_finite() { seconds.max(0.0) } else { 0.0 };
                 *w.server_busy.entry((server, rank)).or_default() += secs;

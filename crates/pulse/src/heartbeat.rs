@@ -42,13 +42,9 @@ pub mod fields {
     pub const WAVE_SKEW: &str = "wave_skew";
     /// Busiest PIOFS server's busy seconds accrued in the window.
     pub const QUEUE_SECONDS: &str = "queue_s";
-    /// Point-to-point messages sent in the window.
-    pub const MSGS: &str = "msgs";
-    /// Payload bytes of messages sent in the window.
-    pub const MSG_BYTES: &str = "msg_bytes";
 
     /// Every structural field above.
-    pub const ALL: [&str; 13] = [
+    pub const ALL: [&str; 11] = [
         WINDOW,
         T0,
         T1,
@@ -60,8 +56,6 @@ pub mod fields {
         RETRY_SECONDS,
         WAVE_SKEW,
         QUEUE_SECONDS,
-        MSGS,
-        MSG_BYTES,
     ];
 }
 
@@ -116,8 +110,6 @@ impl Row {
         kv.insert(fields::RETRY_SECONDS.into(), num(self.stats.phase_total(Phase::Retry)));
         kv.insert(fields::WAVE_SKEW.into(), num(self.wave_skew()));
         kv.insert(fields::QUEUE_SECONDS.into(), num(self.stats.max_server_busy()));
-        kv.insert(fields::MSGS.into(), self.stats.msgs_sent.to_string());
-        kv.insert(fields::MSG_BYTES.into(), self.stats.msg_bytes.to_string());
         let alerts: Vec<String> = self.stats.alerts.iter().map(|a| format!("\"{a}\"")).collect();
         kv.insert(fields::ALERTS.into(), format!("[{}]", alerts.join(",")));
         for (name, v) in &self.stats.counters {
@@ -140,8 +132,7 @@ mod tests {
 
     #[test]
     fn lines_are_sorted_key_json_with_all_structural_fields() {
-        let mut stats =
-            WindowStats { samples: 3, msgs_sent: 2, msg_bytes: 128, ..Default::default() };
+        let mut stats = WindowStats { samples: 3, ..Default::default() };
         stats.counters.insert(names::COMMITS, 1);
         let gw = |value| crate::window::GaugeWrite { stamp: 0.0, rank: 0, value };
         stats.record_gauge(names::MEMTIER_REPLICAS, 0, gw(2.0));

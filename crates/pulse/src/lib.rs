@@ -236,14 +236,14 @@ mod tests {
         for rank in 0..2 {
             rec.span_start(0.0, rank, Phase::StreamWave, "w");
             rec.span_end(0.4, rank, Phase::StreamWave, "w");
-            rec.counter_add_at(0.1, rank, names::MSG_RETRIES, None, 10);
+            rec.counter_add_at(0.1, rank, names::IO_RETRIES, None, 10);
             rec.counter_add_at(3.0, rank, names::COMMITS, None, 1);
         }
         pulse.drain();
         let report = pulse.finish();
         assert_eq!(report.samples, 8);
         assert_eq!(report.dropped, 0);
-        assert_eq!(report.cum_counters[names::MSG_RETRIES], 20);
+        assert_eq!(report.cum_counters[names::IO_RETRIES], 20);
         assert!((report.span_seconds[&(0, Phase::StreamWave)] - 0.4).abs() < 1e-12);
         assert!(report.alerts.iter().any(|a| a.rule == names::ALERT_RETRY_STORM));
         assert!(!report.heartbeats.is_empty());
@@ -267,7 +267,7 @@ mod tests {
             for i in 0..40u64 {
                 let t = i as f64 * 0.1;
                 let rank = (i % 2) as usize;
-                rec.counter_add_at(t, rank, names::MSG_RETRIES, None, 1 + i % 3);
+                rec.counter_add_at(t, rank, names::IO_RETRIES, None, 1 + i % 3);
                 if chunked && i % 7 == 0 {
                     pulse.drain();
                 }

@@ -85,14 +85,6 @@ impl Recorder for PulseRecorder {
         });
     }
 
-    fn msg_sent(&self, t: f64, src: usize, _dst: usize, _tag: u64, _corr: u64, bytes: u64) {
-        self.timed(|| self.ring(src).push(t, src, Payload::MsgSent { bytes }));
-    }
-
-    fn msg_received(&self, t: f64, _src: usize, dst: usize, _tag: u64, _corr: u64) {
-        self.timed(|| self.ring(dst).push(t, dst, Payload::MsgReceived));
-    }
-
     fn server_interval(&self, rank: usize, server: usize, _name: &str, start: f64, end: f64) {
         self.timed(|| {
             self.ring(rank).push(start, rank, Payload::ServerBusy { server, seconds: end - start })
@@ -136,14 +128,12 @@ mod tests {
         rec.span_start(1.0, 1, Phase::Segment, "seg");
         rec.span_end(2.0, 1, Phase::Segment, "seg");
         rec.counter_add_at(2.5, 2, names::COMMITS, None, 1);
-        rec.counter_add(0, names::MSG_RETRIES, None, 1);
-        rec.msg_sent(0.5, 2, 0, 7, 1, 64);
-        rec.msg_received(0.9, 2, 0, 7, 1);
+        rec.counter_add(0, names::IO_RETRIES, None, 1);
         rec.gauge_set(names::MEMTIER_REPLICAS, 0, 2.0);
         let drained = rec.drain_all();
-        assert_eq!(drained[0].samples.len(), 3); // counter + msg_received + gauge
+        assert_eq!(drained[0].samples.len(), 2); // counter + gauge
         assert_eq!(drained[1].samples.len(), 2); // span pair
-        assert_eq!(drained[2].samples.len(), 2); // counter + msg_sent
+        assert_eq!(drained[2].samples.len(), 1); // counter
         assert!(rec.overhead_seconds() > 0.0);
     }
 

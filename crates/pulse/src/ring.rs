@@ -38,10 +38,6 @@ pub(crate) enum Payload {
     Counter { name: &'static str, delta: u64 },
     /// Gauge `name[index]` set to `value`.
     Gauge { name: &'static str, index: usize, value: f64 },
-    /// A point-to-point message left this rank.
-    MsgSent { bytes: u64 },
-    /// A point-to-point message was delivered to this rank.
-    MsgReceived,
     /// One PIOFS server accrued `seconds` of busy time in a priced phase.
     ServerBusy { server: usize, seconds: f64 },
 }
@@ -146,13 +142,13 @@ mod tests {
     fn full_ring_counts_drops() {
         let r = Ring::new(2);
         for i in 0..5 {
-            r.push(i as f64, 0, Payload::MsgReceived);
+            r.push(i as f64, 0, Payload::Event { phase: Phase::Control });
         }
         let d = r.drain();
         assert_eq!(d.samples.len(), 2);
         assert_eq!(d.dropped, 3);
         // Drops cleared by the drain; capacity is available again.
-        r.push(9.0, 0, Payload::MsgReceived);
+        r.push(9.0, 0, Payload::Event { phase: Phase::Control });
         let d = r.drain();
         assert_eq!(d.samples.len(), 1);
         assert_eq!(d.dropped, 0);
@@ -161,9 +157,9 @@ mod tests {
     #[test]
     fn non_finite_times_collapse_to_hwm() {
         let r = Ring::new(8);
-        r.push(5.0, 0, Payload::MsgReceived);
-        r.push(f64::NAN, 0, Payload::MsgReceived);
-        r.push(f64::INFINITY, 0, Payload::MsgReceived);
+        r.push(5.0, 0, Payload::Event { phase: Phase::Control });
+        r.push(f64::NAN, 0, Payload::Event { phase: Phase::Control });
+        r.push(f64::INFINITY, 0, Payload::Event { phase: Phase::Control });
         let d = r.drain();
         assert!(d.samples.iter().all(|s| s.stamp == 5.0));
         assert!(d.samples.iter().all(|s| s.raw_t == 5.0));

@@ -21,7 +21,7 @@ pub enum Predicate {
     /// Summed counter deltas over `metrics`, divided by the window width,
     /// at or above `per_second`.
     RateAbove {
-        /// Counter names summed together (e.g. msg and I/O retries).
+        /// Counter names summed together.
         metrics: Vec<&'static str>,
         /// Breach threshold in increments per simulated second.
         per_second: f64,
@@ -107,7 +107,7 @@ pub struct Alert {
 pub struct RuleThresholds {
     /// Checkpoint-stall SLO: simulated seconds without a commit.
     pub ckpt_stall_slo: f64,
-    /// Retry-storm threshold: msg+I/O retries per simulated second.
+    /// Retry-storm threshold: PIOFS retries per simulated second.
     pub retry_rate: f64,
     /// Straggler threshold: slowest/median stream-wave seconds.
     pub straggler_factor: f64,
@@ -167,7 +167,7 @@ pub fn builtin_rules(th: &RuleThresholds) -> Vec<PulseRule> {
         PulseRule {
             name: names::ALERT_RETRY_STORM,
             predicate: Predicate::RateAbove {
-                metrics: vec![names::MSG_RETRIES, names::IO_RETRIES],
+                metrics: vec![names::IO_RETRIES],
                 per_second: th.retry_rate,
             },
             min_windows: 1,
@@ -374,12 +374,12 @@ mod tests {
     fn continuous_breach_fires_once_and_rearms() {
         let rule = PulseRule {
             name: names::ALERT_RETRY_STORM,
-            predicate: Predicate::RateAbove { metrics: vec![names::MSG_RETRIES], per_second: 2.0 },
+            predicate: Predicate::RateAbove { metrics: vec![names::IO_RETRIES], per_second: 2.0 },
             min_windows: 1,
         };
         let mut eng = RuleEngine::new(vec![rule]);
-        let hot = window_with(names::MSG_RETRIES, 10);
-        let cold = window_with(names::MSG_RETRIES, 0);
+        let hot = window_with(names::IO_RETRIES, 10);
+        let cold = window_with(names::IO_RETRIES, 0);
         assert_eq!(eng.evaluate(0, 0.0, 1.0, &hot).len(), 1);
         assert_eq!(eng.evaluate(1, 1.0, 2.0, &hot).len(), 0); // latched
         assert_eq!(eng.evaluate(2, 2.0, 3.0, &cold).len(), 0); // re-arms
@@ -390,11 +390,11 @@ mod tests {
     fn min_windows_debounces() {
         let rule = PulseRule {
             name: names::ALERT_RETRY_STORM,
-            predicate: Predicate::CountAbove { metrics: vec![names::MSG_RETRIES], at_least: 1 },
+            predicate: Predicate::CountAbove { metrics: vec![names::IO_RETRIES], at_least: 1 },
             min_windows: 3,
         };
         let mut eng = RuleEngine::new(vec![rule]);
-        let hot = window_with(names::MSG_RETRIES, 1);
+        let hot = window_with(names::IO_RETRIES, 1);
         assert!(eng.evaluate(0, 0.0, 1.0, &hot).is_empty());
         assert!(eng.evaluate(1, 1.0, 2.0, &hot).is_empty());
         assert_eq!(eng.evaluate(2, 2.0, 3.0, &hot).len(), 1);
@@ -435,7 +435,7 @@ mod tests {
         };
         let mut eng = RuleEngine::new(vec![rule]);
         let active = window_with(names::COMMITS, 1);
-        let idle = window_with(names::MSG_RETRIES, 0);
+        let idle = window_with(names::IO_RETRIES, 0);
         assert!(eng.evaluate(0, 0.0, 1.0, &active).is_empty());
         assert!(eng.evaluate(1, 1.0, 2.0, &idle).is_empty()); // gap 1.0
         assert!(eng.evaluate(2, 2.0, 3.0, &idle).is_empty()); // gap 2.0

@@ -16,14 +16,14 @@ pub(crate) fn render(c: &Collector) -> String {
         c.alerts.len()
     ));
     out.push_str(&format!(
-        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>9} alerts\n",
-        "win", "t0", "t1", "ckpt_s", "wave_s", "io_s", "queue_s", "msgs"
+        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} alerts\n",
+        "win", "t0", "t1", "ckpt_s", "wave_s", "io_s", "queue_s"
     ));
     for row in &c.recent {
         let ckpt: f64 =
             crate::heartbeat::CKPT_PHASES.iter().map(|p| row.stats.phase_total(*p)).sum();
         out.push_str(&format!(
-            "{:>6} {:>9.3} {:>9.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>9} {}\n",
+            "{:>6} {:>9.3} {:>9.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {}\n",
             row.window,
             row.t0,
             row.t1,
@@ -31,7 +31,6 @@ pub(crate) fn render(c: &Collector) -> String {
             row.stats.phase_total(drms_obs::Phase::StreamWave),
             row.stats.phase_total(drms_obs::Phase::IoPhase),
             row.stats.max_server_busy(),
-            row.stats.msgs_sent,
             if row.stats.alerts.is_empty() { "-".to_string() } else { row.stats.alerts.join(",") },
         ));
     }

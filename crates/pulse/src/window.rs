@@ -37,10 +37,6 @@ pub struct WindowStats {
     /// window containing the span end (additive: summing over windows
     /// reproduces the post-hoc per-phase totals exactly).
     pub span_secs: BTreeMap<(usize, Phase), f64>,
-    /// Point-to-point messages sent / payload bytes.
-    pub msgs_sent: u64,
-    /// Payload bytes of messages sent.
-    pub msg_bytes: u64,
     /// PIOFS server busy seconds accrued, keyed `(server, rank)`. The rank
     /// in the key fixes the float summation order (per-ring sample order is
     /// drain-invariant; cross-ring arrival order is not), so per-server

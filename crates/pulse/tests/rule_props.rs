@@ -41,7 +41,7 @@ fn replay(script: &[Step], cuts: &[usize]) -> (Vec<String>, Vec<(String, u64)>) 
             PulseRule {
                 name: names::ALERT_RETRY_STORM,
                 predicate: Predicate::RateAbove {
-                    metrics: vec![names::MSG_RETRIES],
+                    metrics: vec![names::IO_RETRIES],
                     per_second: 150.0,
                 },
                 min_windows: 1,
@@ -63,9 +63,9 @@ fn replay(script: &[Step], cuts: &[usize]) -> (Vec<String>, Vec<(String, u64)>) 
         match s.kind {
             0 => rec.span_start(s.t, s.rank, Phase::StreamWave, "wave"),
             1 => rec.span_end(s.t, s.rank, Phase::StreamWave, "wave"),
-            2 => rec.counter_add_at(s.t, s.rank, names::MSG_RETRIES, None, 1),
+            2 => rec.counter_add_at(s.t, s.rank, names::IO_RETRIES, None, 1),
             3 => rec.gauge_set_at(s.t, s.rank, names::MEMTIER_REPLICAS, 0, (s.rank % 3) as f64),
-            4 => rec.msg_sent(s.t, s.rank, (s.rank + 1) % 4, 7, i as u64, 64),
+            4 => rec.server_interval(s.rank, s.rank % 2, "collective", s.t, s.t + 1e-4),
             _ => rec.event(s.t, s.rank, Phase::Segment, "tick"),
         }
         if cuts.contains(&i) {
@@ -128,7 +128,7 @@ proptest! {
             rules: vec![PulseRule {
                 name: names::ALERT_RETRY_STORM,
                 predicate: Predicate::RateAbove {
-                    metrics: vec![names::MSG_RETRIES],
+                    metrics: vec![names::IO_RETRIES],
                     per_second: THRESHOLD,
                 },
                 min_windows: 1,
@@ -139,7 +139,7 @@ proptest! {
         for (i, &d) in deltas.iter().enumerate() {
             // One counter sample per window keeps every window populated
             // (delta 0 is a sample with no increment — a clean window).
-            rec.counter_add_at(i as f64 * WIDTH + 0.5, 0, names::MSG_RETRIES, None, d);
+            rec.counter_add_at(i as f64 * WIDTH + 0.5, 0, names::IO_RETRIES, None, d);
         }
         let report = pulse.finish();
 

@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# The byte-identity check of a change that must not move a number: every gate
+# row's outputs from the working tree against those of a parent revision.
+#
+#   scripts/gate_diff.sh <parent-rev> [row...]
+#
+# Unpacks the parent's committed files with `git archive` under
+# .bench_build/gates/parent (git-ignored, clear of the benchmark harness's own
+# CARGO_TARGET_DIR=.bench_build), builds the `gate` binary once per side with
+# its own CARGO_TARGET_DIR, and runs `gate --all --json <dir>` (or, when rows
+# are named, `gate <row> --json <dir> --baseline results/baselines/...` for
+# each) from each side's own tree, so each side gates against its own
+# committed baselines. The two output directories are
+# .bench_build/gates/{parent,change}.out. Then it prints `same` or `differs`
+# for every file either side wrote, then the diff of each file that differs,
+# and exits 1 on any difference (or if either side's gates failed). The one
+# known host-order difference, the last digit of the `stream_wave` histogram
+# `sum` in trace's checkpoint events.jsonl, shows up here like any other.
+# Offline, no dependency beyond git, tar, cargo, diff.
+set -euo pipefail
+
+if [ "$#" -lt 1 ]; then
+    sed -n '2,5p' "$0" >&2
+    exit 2
+fi
+rev=$1
+shift
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+cd "$root"
+work=$root/.bench_build/gates
+
+commit=$(git rev-parse --verify "$rev^{commit}")
+rm -rf "$work/parent"
+mkdir -p "$work/parent"
+git archive "$commit" | tar -x -C "$work/parent"
+
+status=0
+side() { # <side> <tree>: builds the side's gate and runs the rows into <side>.out
+    local target=$work/target-$1 out=$work/$1.out row
+    CARGO_TARGET_DIR=$target cargo build --release --offline --quiet \
+        --manifest-path "$2/Cargo.toml" -p drms-bench --bin gate
+    rm -rf "$out"
+    mkdir -p "$out"
+    echo "$1: gating in $2" >&2
+    if [ "${#rows[@]}" -eq 0 ]; then
+        (cd "$2" && "$target/release/gate" --all --json "$out") >"$work/$1.log" 2>&1 ||
+            { echo "$1: gate --all failed (see $work/$1.log)" >&2; status=1; }
+    else
+        for row in "${rows[@]}"; do
+            (cd "$2" && "$target/release/gate" "$row" --json "$out" \
+                --baseline "results/baselines/BENCH_$row.json") >>"$work/$1.log" 2>&1 ||
+                { echo "$1: gate $row failed (see $work/$1.log)" >&2; status=1; }
+        done
+    fi
+}
+rows=("$@")
+: >"$work/parent.log"
+: >"$work/change.log"
+side parent "$work/parent"
+side change "$root"
+
+differing=()
+while read -r f; do
+    if cmp -s "$work/parent.out/$f" "$work/change.out/$f"; then
+        echo "same     $f"
+    else
+        echo "differs  $f"
+        differing+=("$f")
+    fi
+done < <( (cd "$work/parent.out" && ls; cd "$work/change.out" && ls) | sort -u)
+for f in "${differing[@]}"; do
+    echo
+    echo "=== $f"
+    diff "$work/parent.out/$f" "$work/change.out/$f" || true
+done
+[ "${#differing[@]}" -eq 0 ] || status=1
+exit "$status"

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
-use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults};
+use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms::core::segment::DataSegment;
 use drms::core::{find_checkpoints, sweep_orphans, verify, Drms, DrmsConfig, EnableFlag, Start};
 use drms::darray::{DistArray, Distribution};
@@ -198,7 +198,6 @@ fn async_weather_is_deterministic_per_seed() {
             continue;
         }
         let plan = FaultPlan {
-            msg: MsgFaults { drop_prob: 0.2, dup_prob: 0.1, max_extra_latency: 1e-4 },
             piofs: PiofsFaults { transient_prob: 0.2, torn: None },
             ..FaultPlan::seeded(seed)
         };

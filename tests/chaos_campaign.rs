@@ -12,15 +12,15 @@
 //! * after the run, `sweep_orphans` reclaims whatever staging the crash
 //!   stranded, leaving no `.tmp` debris behind.
 //!
-//! Two scenario campaigns ride along: transient message/IO weather (every
-//! layer retries under the backoff policy and the run still completes
+//! Two scenario campaigns ride along: transient PIOFS weather (every I/O
+//! operation retries under the backoff policy and the run still completes
 //! bitwise-exact), and a torn staged write paired with a crash (the torn
 //! bytes die in staging and are never published — the hazard the two-phase
 //! commit exists to close).
 
 use std::sync::Arc;
 
-use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite};
+use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults, TornWrite};
 use drms::core::{find_checkpoints, sweep_orphans};
 use drms::piofs::Piofs;
 use drms::rtenv::RunSummary;
@@ -163,8 +163,8 @@ fn every_crash_point_recovers_bitwise() {
     }
 }
 
-/// Transient weather: message drops/duplicates/latency plus file-system
-/// server errors, all retried under the backoff policy. The job completes
+/// Transient weather: file-system server errors, all retried under the
+/// backoff policy. The job completes
 /// in one incarnation, bitwise-exact, and actually exercised the retry
 /// paths. Deterministic per seed: the same plan replays the same faults.
 #[test]
@@ -174,7 +174,6 @@ fn transient_weather_retries_to_exact_completion() {
             continue;
         }
         let plan = FaultPlan {
-            msg: MsgFaults { drop_prob: 0.25, dup_prob: 0.1, max_extra_latency: 1e-4 },
             piofs: PiofsFaults { transient_prob: 0.25, torn: None },
             ..FaultPlan::seeded(seed)
         };

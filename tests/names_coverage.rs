@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::blackbox::{Blackbox, BlackboxConfig};
-use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, MsgFaults, PiofsFaults, TornWrite};
+use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults, TornWrite};
 use drms::core::segment::DataSegment;
 use drms::core::{Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
@@ -20,7 +20,7 @@ use drms::delta::{delta_checkpoint, DeltaChain, DeltaConfig};
 use drms::memtier::{store_checkpoint, MemTier};
 use drms::msg::{CostModel, Spmd};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
-use drms::piofs::{Piofs, PiofsConfig};
+use drms::piofs::{Piofs, PiofsConfig, WriteReq};
 use drms::pulse::{builtin_rules, heartbeat, Pulse, PulseConfig, RuleThresholds};
 use drms::recover::{grow, recover, retain, shrink, Membership, StreamSource};
 use drms::resil::{scrub_checkpoint, CorruptionCampaign};
@@ -162,14 +162,13 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     }
 
     // Scenario 4 — chaos: deterministic fault injection against the
-    // two-phase commit. Message drops/duplicates and transient I/O errors
-    // retry under backoff; a staged segment write is torn and the region
-    // crashes inside the commit window (abort + reincarnation + eventual
-    // commit). Covers the retry, duplicate, torn, crash and commit names.
+    // two-phase commit. Transient I/O errors retry under backoff; a staged
+    // segment write is torn and the region crashes inside the commit window
+    // (abort + reincarnation + eventual commit). Covers the retry, torn,
+    // crash and commit names.
     {
         let w = build_world(piofs(5, false));
         let ctl = ChaosCtl::new(FaultPlan {
-            msg: MsgFaults { drop_prob: 0.3, dup_prob: 0.5, max_extra_latency: 1e-4 },
             piofs: PiofsFaults {
                 transient_prob: 0.3,
                 torn: Some(TornWrite {
@@ -186,32 +185,27 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     }
 
     // Scenario 5 — retry exhaustion and the rename no-clobber guard. A
-    // certain-to-drop plan makes a send burn its whole attempt budget and
-    // escalate (giveup); a stray rename onto a committed manifest bounces
-    // off the guard into the file system's own recorder.
+    // certain-to-fault plan makes a collective write burn its whole attempt
+    // budget and escalate (giveup); a stray rename onto a committed
+    // manifest bounces off the guard into the file system's own recorder.
     {
         let rec = Arc::new(TraceRecorder::default());
         let ctl = ChaosCtl::new(FaultPlan {
-            msg: MsgFaults { drop_prob: 1.0, dup_prob: 1.0, ..Default::default() },
+            piofs: PiofsFaults { transient_prob: 1.0, torn: None },
             ..FaultPlan::seeded(17)
         });
+        let fs = Piofs::new(PiofsConfig::test_tiny(2), 17);
         Spmd::new(2, CostModel::default())
             .recorder(rec.clone())
             .chaos(ctl)
             .run(|ctx| {
-                // Repeated traffic on one channel, so a duplicated delivery is
-                // position-matched by a later recv and dropped by the dedup.
-                for i in 0..3u8 {
-                    if ctx.rank() == 0 {
-                        ctx.send(1, 0, vec![i]);
-                    } else {
-                        ctx.recv(0, 0);
-                    }
-                }
+                let offset = ctx.rank() as u64 * 8;
+                let req = WriteReq { path: "ck/giveup/f".into(), offset, data: vec![1; 8] };
+                fs.collective_write(ctx, vec![req]);
             })
             .unwrap();
+        assert_eq!(fs.peek("ck/giveup/f").unwrap(), vec![1; 16], "escalated writes land");
 
-        let fs = Piofs::new(PiofsConfig::test_tiny(2), 17);
         fs.set_recorder(rec.clone() as Arc<dyn Recorder>);
         fs.preload("ck/guard/manifest", vec![1; 8]);
         fs.preload("ck/guard/stray", vec![2; 8]);
@@ -288,7 +282,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
         ]));
         let w = build_pulse_world(5, false, trace.clone(), fan);
         let ctl = ChaosCtl::new(FaultPlan {
-            msg: MsgFaults { drop_prob: 0.3, dup_prob: 0.5, max_extra_latency: 1e-4 },
             piofs: PiofsFaults { transient_prob: 0.3, torn: None },
             ..FaultPlan::seeded(5)
         });

@@ -1,5 +1,5 @@
 //! Acceptance campaign for the pulse pipeline: during a chaos campaign
-//! with seeded message faults and a memory-tier node kill, the live
+//! with seeded PIOFS faults and a memory-tier node kill, the live
 //! heartbeat stream must contain a **retry-storm** alert and a
 //! **replica-loss** alert *before the run ends* — and the whole stream
 //! must be deterministic for a fixed `FAULT_SEED`.
@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use drms::chaos::{ChaosCtl, FaultPlan, MsgFaults, PiofsFaults};
+use drms::chaos::{ChaosCtl, FaultPlan, PiofsFaults};
 use drms::memtier::MemTier;
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms::pulse::{builtin_rules, Alert, Pulse, PulseConfig, RuleThresholds};
@@ -48,7 +48,7 @@ struct Observed {
     end_t: f64,
 }
 
-/// Runs the chaos + memory-tier campaign with a live pulse: message fault
+/// Runs the chaos + memory-tier campaign with a live pulse: PIOFS fault
 /// weather, a tier store + spill per checkpoint, and one processor kill at
 /// iteration 7 (which costs the two-way replicated tier a node). A
 /// background thread drains the pulse at an uncontrolled host cadence and
@@ -75,7 +75,6 @@ fn run_observed(seed: u64) -> Observed {
         Arc::new(FanoutRecorder::new(vec![trace.clone() as Arc<dyn Recorder>, pulse.recorder()]));
     let rig = Rig::new(APP, seed, Some(fan));
     let ctl = ChaosCtl::new(FaultPlan {
-        msg: MsgFaults { drop_prob: 0.25, dup_prob: 0.1, max_extra_latency: 1e-4 },
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
         ..FaultPlan::seeded(seed)
     });
