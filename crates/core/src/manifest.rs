@@ -15,7 +15,7 @@
 
 use std::borrow::Cow;
 
-use drms_darray::chunks::{self, ChunkParams, Codec};
+use drms_darray::chunks::{self, ChunkParams, Codec, StoredChunk};
 use drms_slices::{Order, Range, Slice};
 
 use crate::handle::CheckpointArray;
@@ -24,9 +24,9 @@ use drms_piofs::integrity::{chunk_crcs, fold_whole};
 use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
 
 const MAGIC: [u8; 4] = *b"DMFT";
-/// Current manifest version. v1 had no integrity section and no trailing
-/// self-CRC; v2 added integrity records and the trailing self-CRC; v3 adds
-/// the per-array delta chunk tables. `decode` still accepts all of them.
+/// Manifest version, the only one `decode` accepts: a flipped version bit
+/// must not turn a manifest into an older layout with fewer sections, and
+/// so less, to check.
 const VERSION: u32 = 3;
 
 /// Which checkpointing scheme produced the state.
@@ -185,11 +185,20 @@ impl ChunkRecord {
         pack.get(start..start.checked_add(self.stored_len as usize)?)
     }
 
+    /// This chunk's `stored` bytes paired with the identity this record
+    /// promises for them, as [`chunks::check_chunks`] and
+    /// [`StoredChunk::decode_into`] take them.
+    pub fn with_stored<'a>(&self, stored: &'a [u8]) -> StoredChunk<'a> {
+        StoredChunk { codec: self.codec, stored, len: self.len, hash: self.hash }
+    }
+
     /// Decodes this chunk's `stored` bytes and checks them against the
     /// record: exactly `len` raw bytes whose FNV-1a hash is `hash`. A `Raw`
     /// chunk is hashed in place and lent back, and an `Rle` one is never
     /// expanded past `len`. The error names the check that failed (`"fails
-    /// to decode"`, `"fails its content hash"`).
+    /// to decode"`, `"fails its content hash"`). One chunk at a time, with
+    /// the byte-serial `fnv128`: the reference the batch check
+    /// [`chunks::check_chunks`] is tested against.
     pub fn decode<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>, &'static str> {
         let raw = match self.codec {
             Codec::Raw => Cow::Borrowed(stored),
@@ -237,11 +246,11 @@ pub struct Manifest {
     pub sop: u64,
     /// Array streams present.
     pub arrays: Vec<ArrayEntry>,
-    /// Integrity records for the checkpoint's data files (v2+; empty when
-    /// decoded from a v1 manifest).
+    /// Integrity records for the checkpoint's data files (empty for a
+    /// memory-tier entry, whose pieces carry their own CRCs).
     pub integrity: Vec<FileIntegrity>,
     /// Delta chunk tables, one per array, for [`CkptKind::DrmsDelta`]
-    /// checkpoints (v3+; empty otherwise).
+    /// checkpoints (empty otherwise).
     pub deltas: Vec<ArrayDelta>,
 }
 
@@ -273,8 +282,8 @@ pub fn delta_path(prefix: &str, name: &str) -> String {
 
 /// Smallest encodings of the counted records, in bytes: what a count read
 /// from the buffer is capped by before anything is allocated for it
-/// ([`Reader::fits`]) — a v1 header carries no self-CRC, so a count can be
-/// anything.
+/// ([`Reader::fits`]), so a hostile count is an error, not an
+/// allocation.
 const MIN_RANGE: usize = 1 + 8;
 const MIN_ARRAY_ENTRY: usize = 4 + 1 + 1 + 4;
 const MIN_INTEGRITY: usize = 4 + 8 + 8 + 4 + 4;
@@ -402,16 +411,14 @@ impl Manifest {
         w.finish_with_crc()
     }
 
-    /// Decodes a manifest. Accepts the current version, v2 (pre-delta),
-    /// and v1 (pre-integrity, no trailing CRC) for backward compatibility.
+    /// Decodes a manifest of the current version, refusing any other, a
+    /// failed self-CRC, and bytes left over after the last table.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, WireError> {
-        let (_, version) = Reader::with_header(bytes, MAGIC)?;
-        let body = match version {
-            1 => bytes,
-            2 | VERSION => split_trailing_crc(bytes, "manifest")?,
-            v => return Err(WireError::BadVersion(v)),
-        };
-        let (mut r, _) = Reader::with_header(body, MAGIC)?;
+        match Reader::with_header(bytes, MAGIC)? {
+            (_, VERSION) => {}
+            (_, v) => return Err(WireError::BadVersion(v)),
+        }
+        let (mut r, _) = Reader::with_header(split_trailing_crc(bytes, "manifest")?, MAGIC)?;
         let app = r.string()?;
         let kind = match r.u8()? {
             0 => CkptKind::Drms,
@@ -434,55 +441,50 @@ impl Manifest {
             let domain = read_slice(&mut r)?;
             arrays.push(ArrayEntry { name, elem_code, domain, order });
         }
-        let mut integrity = Vec::new();
-        if version >= 2 {
-            let n = r.u32()? as usize;
-            integrity.reserve(r.fits(n, MIN_INTEGRITY));
-            for _ in 0..n {
-                let name = r.string()?;
-                let len = r.u64()?;
-                let chunk = r.u64()?;
-                let ncrcs = r.u32()? as usize;
-                // Every record `compute` ever wrote has one CRC per chunk of
-                // its geometry; anything else would index out of step.
-                if ncrcs != ChunkParams::new(chunk).count(len) {
-                    return Err(WireError::Truncated { what: "integrity chunk count" });
-                }
-                let mut crcs = Vec::with_capacity(r.fits(ncrcs, 4));
-                for _ in 0..ncrcs {
-                    crcs.push(r.u32()?);
-                }
-                let whole = r.u32()?;
-                integrity.push(FileIntegrity { name, len, chunk, crcs, whole });
+        let n = r.u32()? as usize;
+        let mut integrity = Vec::with_capacity(r.fits(n, MIN_INTEGRITY));
+        for _ in 0..n {
+            let name = r.string()?;
+            let len = r.u64()?;
+            let chunk = r.u64()?;
+            let ncrcs = r.u32()? as usize;
+            // Every record `compute` ever wrote has one CRC per chunk of
+            // its geometry; anything else would index out of step.
+            if ncrcs != ChunkParams::new(chunk).count(len) {
+                return Err(WireError::Truncated { what: "integrity chunk count" });
             }
-        }
-        let mut deltas = Vec::new();
-        if version >= 3 {
-            let n = r.u32()? as usize;
-            deltas.reserve(r.fits(n, MIN_DELTA));
-            for _ in 0..n {
-                let name = r.string()?;
-                let chunk_bytes = r.u64()?;
-                let stream_len = r.u64()?;
-                let nchunks = r.u32()? as usize;
-                let mut chunks = Vec::with_capacity(r.fits(nchunks, MIN_CHUNK_RECORD));
-                for _ in 0..nchunks {
-                    let hash = ((r.u64()? as u128) << 64) | r.u64()? as u128;
-                    let len = r.u32()?;
-                    let stored_len = r.u32()?;
-                    let codec = Codec::from_tag(r.u8()?)
-                        .ok_or(WireError::Truncated { what: "chunk codec tag" })?;
-                    let offset = r.u64()?;
-                    let source = match r.u8()? {
-                        0 => ChunkSource::Local,
-                        1 => ChunkSource::Ref { prefix: r.string()?, array: r.string()? },
-                        _ => return Err(WireError::Truncated { what: "chunk source tag" }),
-                    };
-                    chunks.push(ChunkRecord { hash, len, stored_len, codec, offset, source });
-                }
-                deltas.push(ArrayDelta { name, chunk_bytes, stream_len, chunks });
+            let mut crcs = Vec::with_capacity(r.fits(ncrcs, 4));
+            for _ in 0..ncrcs {
+                crcs.push(r.u32()?);
             }
+            let whole = r.u32()?;
+            integrity.push(FileIntegrity { name, len, chunk, crcs, whole });
         }
+        let n = r.u32()? as usize;
+        let mut deltas = Vec::with_capacity(r.fits(n, MIN_DELTA));
+        for _ in 0..n {
+            let name = r.string()?;
+            let chunk_bytes = r.u64()?;
+            let stream_len = r.u64()?;
+            let nchunks = r.u32()? as usize;
+            let mut chunks = Vec::with_capacity(r.fits(nchunks, MIN_CHUNK_RECORD));
+            for _ in 0..nchunks {
+                let hash = ((r.u64()? as u128) << 64) | r.u64()? as u128;
+                let len = r.u32()?;
+                let stored_len = r.u32()?;
+                let codec = Codec::from_tag(r.u8()?)
+                    .ok_or(WireError::Truncated { what: "chunk codec tag" })?;
+                let offset = r.u64()?;
+                let source = match r.u8()? {
+                    0 => ChunkSource::Local,
+                    1 => ChunkSource::Ref { prefix: r.string()?, array: r.string()? },
+                    _ => return Err(WireError::Truncated { what: "chunk source tag" }),
+                };
+                chunks.push(ChunkRecord { hash, len, stored_len, codec, offset, source });
+            }
+            deltas.push(ArrayDelta { name, chunk_bytes, stream_len, chunks });
+        }
+        r.finish("manifest")?;
         Ok(Manifest { app, kind, ntasks, sop, arrays, integrity, deltas })
     }
 
@@ -642,94 +644,36 @@ mod tests {
         }
     }
 
-    /// Encodes `m` the way version 1 did: no integrity section, no
-    /// trailing CRC.
-    fn encode_v1(m: &Manifest) -> Vec<u8> {
-        let mut w = Writer::with_header(MAGIC, 1);
-        w.string(&m.app);
-        w.u8(match m.kind {
-            CkptKind::Drms => 0,
-            CkptKind::Spmd => 1,
-            CkptKind::DrmsDelta => 2,
-        });
-        w.u64(m.ntasks as u64);
-        w.u64(m.sop);
-        w.u32(m.arrays.len() as u32);
-        for a in &m.arrays {
-            w.string(&a.name);
-            w.u8(a.elem_code);
-            w.u8(match a.order {
-                Order::ColumnMajor => 0,
-                Order::RowMajor => 1,
-            });
-            write_slice(&mut w, &a.domain);
-        }
-        w.finish()
-    }
-
-    #[test]
-    fn v1_manifest_still_decodes() {
-        let mut m = sample();
-        let bytes = encode_v1(&m);
-        let d = Manifest::decode(&bytes).unwrap();
-        m.integrity.clear();
-        assert_eq!(d, m);
-    }
-
-    /// Encodes `m` the way version 2 did: integrity section and trailing
-    /// CRC, but no delta tables.
-    fn encode_v2(m: &Manifest) -> Vec<u8> {
-        let mut w = Writer::with_header(MAGIC, 2);
-        w.string(&m.app);
-        w.u8(match m.kind {
-            CkptKind::Drms => 0,
-            CkptKind::Spmd => 1,
-            CkptKind::DrmsDelta => 2,
-        });
-        w.u64(m.ntasks as u64);
-        w.u64(m.sop);
-        w.u32(m.arrays.len() as u32);
-        for a in &m.arrays {
-            w.string(&a.name);
-            w.u8(a.elem_code);
-            w.u8(match a.order {
-                Order::ColumnMajor => 0,
-                Order::RowMajor => 1,
-            });
-            write_slice(&mut w, &a.domain);
-        }
-        w.u32(m.integrity.len() as u32);
-        for fi in &m.integrity {
-            w.string(&fi.name);
-            w.u64(fi.len);
-            w.u64(fi.chunk);
-            w.u32(fi.crcs.len() as u32);
-            for &c in &fi.crcs {
-                w.u32(c);
-            }
-            w.u32(fi.whole);
-        }
-        w.finish_with_crc()
-    }
-
-    #[test]
-    fn v2_manifest_still_decodes() {
-        let m = sample();
-        let bytes = encode_v2(&m);
-        let d = Manifest::decode(&bytes).unwrap();
-        assert_eq!(d, m);
-        // v2 carries its trailing self-CRC: flips are still detected.
-        for i in [8usize, 20, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x10;
-            assert!(Manifest::decode(&bad).is_err(), "flip at {i} went undetected");
-        }
-    }
-
     #[test]
     fn unknown_version_rejected() {
-        let w = Writer::with_header(MAGIC, 9);
-        assert!(matches!(Manifest::decode(&w.finish()), Err(WireError::BadVersion(9))));
+        // Versions 1 and 2 included: a flipped version bit must not turn
+        // a manifest into one with fewer sections to check.
+        for v in [1, 2, 4, 9] {
+            let w = Writer::with_header(MAGIC, v);
+            assert_eq!(Manifest::decode(&w.finish_with_crc()), Err(WireError::BadVersion(v)));
+            let mut bytes = sample().encode();
+            bytes[4..8].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(Manifest::decode(&bytes), Err(WireError::BadVersion(v)));
+        }
+    }
+
+    #[test]
+    fn leftover_bytes_rejected() {
+        // A byte after the last table, behind a valid self-CRC.
+        let mut w = v3_preamble();
+        for count in [0u32, 0, 0] {
+            w.u32(count); // arrays, integrity records, delta tables
+        }
+        assert!(Manifest::decode(&w.finish_with_crc()).is_ok());
+        let mut w = v3_preamble();
+        for count in [0u32, 0, 0] {
+            w.u32(count);
+        }
+        w.u8(0);
+        assert_eq!(
+            Manifest::decode(&w.finish_with_crc()),
+            Err(WireError::TrailingBytes { what: "manifest" })
+        );
     }
 
     /// An integrity record by the definition its fields document, with the
@@ -830,14 +774,13 @@ mod tests {
 
     #[test]
     fn hostile_counts_are_errors_not_allocations() {
-        // v1 carries no self-CRC: nothing stands between a flipped count and
-        // `Vec::with_capacity`.
-        let mut bytes = encode_v1(&sample());
-        let narrays_at = 8 + (4 + 2) + 1 + 8 + 8;
-        bytes[narrays_at..narrays_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(Manifest::decode(&bytes), Err(WireError::Truncated { .. })));
+        // Behind a valid CRC, so only the count stands between the bytes
+        // and `Vec::with_capacity`: an array count...
+        let mut w = v3_preamble();
+        w.u32(u32::MAX);
+        assert!(matches!(Manifest::decode(&w.finish_with_crc()), Err(WireError::Truncated { .. })));
 
-        // Behind a valid CRC: a record whose geometry really does call for
+        // ...a record whose geometry really does call for
         // u32::MAX CRCs, none of which follow.
         let mut w = v3_preamble();
         w.u32(0); // arrays

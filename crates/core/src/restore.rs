@@ -152,8 +152,9 @@ pub fn open<S: RestartSource>(
     let mut decoded = None;
     let mut verify_and_decode = |bytes: &[u8]| {
         // End-to-end verification: bytes that survived the storage may
-        // still be bytes that rotted on it. v1 manifests and the memory
-        // tier (per-piece CRCs) carry no record and skip this.
+        // still be bytes that rotted on it. Only the memory tier (per-piece
+        // CRCs) carries no record and skips this; `verify` refuses a PIOFS
+        // manifest without one.
         decoded =
             Some(if manifest.file_integrity("segment").is_some_and(|fi| !fi.matches(bytes)) {
                 Err(CoreError::Integrity(format!(

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use drms_darray::chunks;
 use drms_piofs::Piofs;
 
 use crate::manifest::{
@@ -35,6 +36,10 @@ pub struct VerifyReport {
     pub manifest: Option<Manifest>,
     /// Files the checkpoint kind mandates that are missing.
     pub missing: Vec<String>,
+    /// Files the checkpoint kind mandates under its own prefix that the
+    /// manifest carries no integrity record for. Every PIOFS writer records
+    /// each of them, so such a manifest cannot vouch for its data.
+    pub unrecorded: Vec<String>,
     /// Files that could not be read logically (lost with a server and not
     /// reconstructible from parity).
     pub unreadable: Vec<String>,
@@ -49,19 +54,19 @@ pub struct VerifyReport {
 
 impl VerifyReport {
     /// Whether the checkpoint verified clean: manifest intact, nothing
-    /// missing, unreadable, corrupt, or badly referenced.
+    /// missing, unrecorded, unreadable, corrupt, or badly referenced.
     pub fn is_valid(&self) -> bool {
         self.manifest.is_some()
             && self.missing.is_empty()
+            && self.unrecorded.is_empty()
             && self.unreadable.is_empty()
             && self.corrupt.is_empty()
             && self.bad_refs.is_empty()
     }
 }
 
-/// Files the checkpoint kind mandates beyond what integrity records cover
-/// (a v1 manifest has no integrity records at all; a damaged writer could
-/// also have died between data and manifest).
+/// Files the checkpoint kind mandates, whatever the integrity records say
+/// (a damaged writer could have died between data and manifest).
 fn required_files(prefix: &str, m: &Manifest) -> Vec<String> {
     match m.kind {
         CkptKind::Drms => std::iter::once(segment_path(prefix))
@@ -80,11 +85,12 @@ fn required_files(prefix: &str, m: &Manifest) -> Vec<String> {
 }
 
 /// Verifies the checkpoint under `prefix` end-to-end and reports every
-/// defect found: the manifest fails to decode, a mandated file is missing, a
-/// file is unreadable (unreconstructible), a chunk fails its recorded CRC,
-/// or — for a delta checkpoint — a chunk stored in a prior incarnation's
-/// pack no longer decodes to its recorded content hash. A v1 manifest
-/// carries no integrity records and verifies on existence alone. Every file
+/// defect found: the manifest fails to decode, a mandated file is missing or
+/// (under `prefix`) has no integrity record, a file is unreadable
+/// (unreconstructible), a chunk fails its recorded CRC, or — for a delta
+/// checkpoint — a chunk stored in a prior incarnation's pack no longer
+/// decodes to its recorded content hash. Such packs are checked by content
+/// hash alone, in one [`chunks::check_chunks`] batch per pack. Every file
 /// is borrowed through [`Piofs::with_bytes`], each referenced pack once.
 /// Control-plane operation (no clock).
 pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
@@ -92,7 +98,12 @@ pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
     let Some(Ok(m)) = fs.with_bytes(&manifest_path(prefix), Manifest::decode) else {
         return report;
     };
+    let own = format!("{prefix}/");
     for path in required_files(prefix, &m) {
+        let recorded = path.strip_prefix(&own).is_none_or(|name| m.file_integrity(name).is_some());
+        if !recorded && !report.unrecorded.contains(&path) {
+            report.unrecorded.push(path.clone());
+        }
         if !fs.exists(&path) {
             report.missing.push(path);
         }
@@ -125,9 +136,12 @@ pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
             refs.entry(c.pack_path(prefix, &d.name)).or_default().push(c);
         }
     }
-    for (pack, chunks) in refs {
+    for (pack, records) in refs {
+        // Every chunk in range, then all of them checked in one batch.
         let intact = |bytes: &[u8]| {
-            chunks.iter().all(|c| c.stored(bytes).is_some_and(|s| c.decode(s).is_ok()))
+            let stored: Option<Vec<_>> =
+                records.iter().map(|c| c.stored(bytes).map(|s| c.with_stored(s))).collect();
+            stored.is_some_and(|stored| chunks::check_chunks(&stored).is_ok())
         };
         match fs.with_bytes(&pack, intact) {
             Some(true) => {}

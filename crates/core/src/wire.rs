@@ -35,6 +35,12 @@ pub enum WireError {
     },
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// Bytes were left over after the last field of a value whose
+    /// encoding ends there.
+    TrailingBytes {
+        /// What was being decoded.
+        what: &'static str,
+    },
     /// A trailing CRC did not match the bytes it covers.
     ChecksumMismatch {
         /// What was being verified.
@@ -51,6 +57,7 @@ impl fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             WireError::Truncated { what } => write!(f, "truncated while decoding {what}"),
             WireError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
+            WireError::TrailingBytes { what } => write!(f, "bytes left over after {what}"),
             WireError::ChecksumMismatch { what } => {
                 write!(f, "checksum mismatch verifying {what}")
             }
@@ -244,6 +251,15 @@ impl<'a> Reader<'a> {
     /// allocator.
     pub fn fits(&self, count: usize, min_bytes: usize) -> usize {
         count.min(self.remaining() / min_bytes)
+    }
+
+    /// Ends a value whose encoding must use up the buffer: refuses any
+    /// byte left over.
+    pub fn finish(self, what: &'static str) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(WireError::TrailingBytes { what }),
+        }
     }
 }
 

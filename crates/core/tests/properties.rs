@@ -2,7 +2,8 @@
 
 use drms_core::manifest::{ChunkRecord, ChunkSource};
 use drms_core::{decode_locals, encode_locals, CheckpointArray};
-use drms_darray::{chunks, DistArray, Distribution};
+use drms_darray::chunks::{self, Codec};
+use drms_darray::{DistArray, Distribution};
 use drms_slices::{Order, Slice};
 use proptest::prelude::*;
 
@@ -49,6 +50,130 @@ proptest! {
                 prop_assert!(out.len() <= raw.len());
             }
         }
+    }
+}
+
+/// `len` bytes from `seed`: runs of up to 600 equal bytes when `runny`
+/// (what RLE wins on), one fresh byte per position otherwise.
+fn chunk_bytes(len: usize, seed: u64, runny: bool) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let run = if runny { 1 + (x >> 40) as usize % 600 } else { 1 };
+        out.extend(std::iter::repeat_n((x >> 56) as u8, run.min(len - out.len())));
+    }
+    out
+}
+
+/// One way to break a stored chunk, each a rule `ChunkRecord::decode`
+/// refuses by.
+fn spoil(case: usize, pos: usize, raw: &[u8]) -> (Codec, Vec<u8>) {
+    let (_, mut rle) = chunks::encode_chunk(raw, true);
+    let mut plain = raw.to_vec();
+    match case {
+        // A flipped raw byte.
+        0 => {
+            let i = pos % raw.len();
+            plain[i] ^= 0x10;
+            (Codec::Raw, plain)
+        }
+        // A short chunk.
+        1 => {
+            plain.pop();
+            (Codec::Raw, plain)
+        }
+        // A flipped RLE pair: its run length or its byte.
+        2 => {
+            let i = pos % rle.len();
+            rle[i] ^= 0x04;
+            (Codec::Rle, rle)
+        }
+        // An odd-length RLE stream.
+        3 => (Codec::Rle, rle[..rle.len() - 1].to_vec()),
+        // A run past the recorded length.
+        _ => (Codec::Rle, [rle, vec![255, 7]].concat()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The batch kernels return `fnv128` of every input, and
+    /// `check_chunks` refuses a batch exactly where and why
+    /// `ChunkRecord::decode` refuses one of its chunks, whichever lane of a
+    /// group of four it sits in. Batches are ragged: 0 to 9 chunks of
+    /// unequal lengths up to 192 KiB, raw and RLE mixed. A batch of eight
+    /// or nine chunks of at least 128 KiB holds a mebibyte and is split
+    /// across the host's cores; every other batch runs on one thread.
+    #[test]
+    fn batch_kernels_equal_fnv128_and_refuse_what_decode_refuses(
+        big in proptest::bool::ANY,
+        shapes in proptest::collection::vec(
+            (0usize..65537, 0u64..u64::MAX, proptest::bool::ANY, proptest::bool::ANY),
+            0..10,
+        ),
+        at in 0usize..9,
+        case in 0usize..5,
+        pos in 0usize..1 << 20,
+    ) {
+        let raws: Vec<Vec<u8>> = shapes
+            .iter()
+            .map(|&(len, seed, runny, _)| {
+                let len = if big { 131_072 + len } else { len % 4097 };
+                chunk_bytes(len, seed, runny)
+            })
+            .collect();
+        let inputs: Vec<&[u8]> = raws.iter().map(Vec::as_slice).collect();
+        let hashes: Vec<u128> = inputs.iter().map(|b| chunks::fnv128(b)).collect();
+        prop_assert_eq!(&chunks::fnv128_batch(&inputs), &hashes);
+        prop_assert_eq!(&chunks::fnv128_lanes(&inputs), &hashes);
+
+        let mut records: Vec<(ChunkRecord, Vec<u8>)> = raws
+            .iter()
+            .zip(&shapes)
+            .map(|(raw, &(_, _, _, compress))| {
+                let (codec, stored) = chunks::encode_chunk(raw, compress);
+                let record = ChunkRecord {
+                    hash: chunks::fnv128(raw),
+                    len: raw.len() as u32,
+                    stored_len: stored.len() as u32,
+                    codec,
+                    offset: 0,
+                    source: ChunkSource::Local,
+                };
+                (record, stored)
+            })
+            .collect();
+        let batch = |records: &[(ChunkRecord, Vec<u8>)]| {
+            let stored: Vec<_> = records.iter().map(|(c, s)| c.with_stored(s)).collect();
+            chunks::check_chunks(&stored)
+        };
+        prop_assert_eq!(batch(&records), Ok(()));
+
+        // Spoil one chunk: a run of 40 equal bytes, so its RLE stream wins
+        // and every case applies.
+        if records.is_empty() {
+            return Ok(());
+        }
+        let at = at % records.len();
+        let raw = vec![0x5a; 40];
+        let (codec, stored) = spoil(case, pos, &raw);
+        records[at] = (
+            ChunkRecord {
+                hash: chunks::fnv128(&raw),
+                len: raw.len() as u32,
+                stored_len: stored.len() as u32,
+                codec,
+                offset: 0,
+                source: ChunkSource::Local,
+            },
+            stored,
+        );
+        let (record, stored) = &records[at];
+        let why = record.decode(stored).expect_err("every case is refused");
+        let got = batch(&records);
+        prop_assert_eq!(got.map_err(|(i, r)| (i, r.why())), Err((at, why)));
     }
 }
 

@@ -17,6 +17,7 @@
 //! crashed checkpoint can never mark chunks clean.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Smallest allowed chunk size in bytes.
 pub const MIN_CHUNK_BYTES: u64 = 1024;
@@ -65,17 +66,105 @@ impl ChunkParams {
     }
 }
 
+const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
+
 /// 128-bit FNV-1a hash — deterministic, dependency-free, and wide enough
 /// that treating hash-equal chunks as bitwise equal is safe in practice.
+///
+/// This byte-serial loop is the definition: every batch kernel below
+/// returns exactly its value for each input.
 pub fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
+    let mut h = FNV128_OFFSET;
     for &b in bytes {
         h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV128_PRIME);
     }
     h
+}
+
+/// A batch holding at least this many bytes is split across the host's
+/// cores. A smaller one runs on the calling thread: it hashes in well under
+/// a millisecond, so starting threads would take back much of what
+/// splitting saves.
+const SPREAD_MIN: usize = 1 << 20;
+
+/// [`fnv128`] of four inputs at once. One loop runs the four multiply
+/// chains over the inputs' common length: the chains are independent, so
+/// each lane's multiply overlaps the others' instead of waiting on its own
+/// previous step. Each lane then finishes its own tail alone.
+fn fnv128_x4(lanes: [&[u8]; 4]) -> [u128; 4] {
+    let n = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
+    let [mut h0, mut h1, mut h2, mut h3] = [FNV128_OFFSET; 4];
+    let abreast = lanes[0][..n].iter().zip(&lanes[1][..n]).zip(&lanes[2][..n]).zip(&lanes[3][..n]);
+    for (((&b0, &b1), &b2), &b3) in abreast {
+        h0 = (h0 ^ b0 as u128).wrapping_mul(FNV128_PRIME);
+        h1 = (h1 ^ b1 as u128).wrapping_mul(FNV128_PRIME);
+        h2 = (h2 ^ b2 as u128).wrapping_mul(FNV128_PRIME);
+        h3 = (h3 ^ b3 as u128).wrapping_mul(FNV128_PRIME);
+    }
+    let mut out = [h0, h1, h2, h3];
+    for (h, lane) in out.iter_mut().zip(lanes) {
+        for &b in &lane[n..] {
+            *h = (*h ^ b as u128).wrapping_mul(FNV128_PRIME);
+        }
+    }
+    out
+}
+
+/// [`fnv128`] of every input, four abreast, on the calling thread:
+/// `out[i] == fnv128(inputs[i])`.
+pub fn fnv128_lanes(inputs: &[&[u8]]) -> Vec<u128> {
+    let mut out = Vec::with_capacity(inputs.len());
+    for group in inputs.chunks(4) {
+        let mut lanes: [&[u8]; 4] = [&[]; 4];
+        lanes[..group.len()].copy_from_slice(group);
+        out.extend_from_slice(&fnv128_x4(lanes)[..group.len()]);
+    }
+    out
+}
+
+/// [`fnv128`] of every input, as [`fnv128_lanes`], with a batch of at
+/// least a mebibyte split across the host's cores.
+pub fn fnv128_batch(inputs: &[&[u8]]) -> Vec<u128> {
+    spread(inputs, |c| c.len(), |_, part| fnv128_lanes(part)).concat()
+}
+
+/// The host's cores, asked once per process.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Runs `work` over `items` cut into contiguous parts and returns each
+/// part's result, in order; `work` gets the index of its part's first item
+/// too. Items holding fewer than [`SPREAD_MIN`] bytes (`bytes` sizes each)
+/// make one part, run on the calling thread. A larger batch makes one part
+/// per host core, each a multiple of four items; every part but the first
+/// runs on a scoped thread, and all of them have joined when this returns.
+/// `work` is a pure function of its part, so where a part ran never shows
+/// in a result.
+fn spread<T: Sync, R: Send>(
+    items: &[T],
+    bytes: impl Fn(&T) -> usize,
+    work: impl Fn(usize, &[T]) -> R + Sync,
+) -> Vec<R> {
+    let parts = cores().min(items.len().div_ceil(4));
+    if parts <= 1 || items.iter().map(&bytes).sum::<usize>() < SPREAD_MIN {
+        return vec![work(0, items)];
+    }
+    let per = items.len().div_ceil(4 * parts) * 4;
+    let work = &work;
+    std::thread::scope(|s| {
+        let mut cut = items.chunks(per).enumerate();
+        let (_, first) = cut.next().expect("a non-empty batch");
+        let others: Vec<_> = cut.map(|(k, part)| s.spawn(move || work(k * per, part))).collect();
+        let mut out = vec![work(0, first)];
+        for h in others {
+            out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
 }
 
 /// Content identity of one chunk: hash plus raw length.
@@ -99,15 +188,19 @@ pub struct ChunkDigests {
     pub digests: Vec<ChunkDigest>,
 }
 
-/// Digests a whole stream under `params`.
+/// Digests a whole stream under `params`, through [`fnv128_batch`].
 pub fn digest_stream(bytes: &[u8], params: ChunkParams) -> ChunkDigests {
     let len = bytes.len() as u64;
-    let digests = (0..params.count(len))
+    let chunks: Vec<&[u8]> = (0..params.count(len))
         .map(|i| {
             let (s, e) = params.range(len, i);
-            let chunk = &bytes[s as usize..e as usize];
-            ChunkDigest { hash: fnv128(chunk), len: chunk.len() as u32 }
+            &bytes[s as usize..e as usize]
         })
+        .collect();
+    let digests = fnv128_batch(&chunks)
+        .into_iter()
+        .zip(&chunks)
+        .map(|(hash, chunk)| ChunkDigest { hash, len: chunk.len() as u32 })
         .collect();
     ChunkDigests { params, stream_len: len, digests }
 }
@@ -213,8 +306,20 @@ impl Codec {
 /// on the long constant (often zero) spans of solver state.
 pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
+    rle_compress_below(bytes, usize::MAX, &mut out);
+    out
+}
+
+/// Appends the [`rle_compress`] output of `bytes` to `out` and returns
+/// whether it came out shorter than `limit` bytes. Gives up, with `out`
+/// holding a prefix of the output, as soon as the next pair would reach
+/// `limit`: the output only grows, so it could never get back under.
+fn rle_compress_below(bytes: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
     let mut i = 0;
     while i < bytes.len() {
+        if out.len() + 2 >= limit {
+            return false;
+        }
         let b = bytes[i];
         let mut run = 1usize;
         while run < 256 && i + run < bytes.len() && bytes[i + run] == b {
@@ -224,7 +329,7 @@ pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
         out.push(b);
         i += run;
     }
-    out
+    out.len() < limit
 }
 
 /// Inverse of [`rle_compress`], producing at most `len` bytes. Returns
@@ -232,30 +337,157 @@ pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
 /// would pass `len`: a hostile stream expands up to 128x, so it is stopped
 /// at the length its record promises, not after.
 pub fn rle_decompress(bytes: &[u8], len: usize) -> Option<Vec<u8>> {
-    if !bytes.len().is_multiple_of(2) {
-        return None;
-    }
     let mut out = Vec::new();
+    rle_decompress_into(bytes, len, &mut out).then_some(out)
+}
+
+/// [`rle_decompress`] appending to `out`: at most `len` bytes land there.
+/// Returns `false` on the streams `rle_decompress` refuses, with `out`
+/// holding whatever landed before the refusal.
+fn rle_decompress_into(bytes: &[u8], len: usize, out: &mut Vec<u8>) -> bool {
+    if !bytes.len().is_multiple_of(2) {
+        return false;
+    }
+    let end = out.len() + len;
     for pair in bytes.chunks_exact(2) {
         let run = pair[0] as usize + 1;
-        if run > len - out.len() {
-            return None;
+        if run > end - out.len() {
+            return false;
         }
         out.resize(out.len() + run, pair[1]);
     }
-    Some(out)
+    true
 }
 
 /// Encodes a chunk for storage: RLE when it strictly wins (and is
-/// enabled), raw otherwise.
+/// enabled), raw otherwise. The RLE attempt stops as soon as its output
+/// reaches the raw length, so incompressible bytes cost one pass of the
+/// encoder over at most their own length, into one buffer that the raw
+/// copy then reuses.
 pub fn encode_chunk(bytes: &[u8], compress: bool) -> (Codec, Vec<u8>) {
-    if compress {
-        let c = rle_compress(bytes);
-        if c.len() < bytes.len() {
-            return (Codec::Rle, c);
+    let mut out = Vec::with_capacity(bytes.len());
+    if compress && rle_compress_below(bytes, bytes.len(), &mut out) {
+        return (Codec::Rle, out);
+    }
+    out.clear();
+    out.extend_from_slice(bytes);
+    (Codec::Raw, out)
+}
+
+/// A stored chunk and the identity its record promises: what a reader
+/// checks before trusting a byte of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredChunk<'a> {
+    /// Codec of the stored bytes.
+    pub codec: Codec,
+    /// The stored (possibly compressed) bytes.
+    pub stored: &'a [u8],
+    /// Raw length the record promises.
+    pub len: u32,
+    /// [`fnv128`] of the raw bytes the record promises.
+    pub hash: u128,
+}
+
+/// Why a stored chunk was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The stored bytes are not a well-formed stream of their codec: an
+    /// odd-length RLE stream, or one whose runs pass the promised length.
+    Decode,
+    /// The raw bytes are not the promised length, or do not hash to the
+    /// promised hash.
+    Hash,
+}
+
+impl Refusal {
+    /// The check that failed, as a reader reports it.
+    pub fn why(self) -> &'static str {
+        match self {
+            Refusal::Decode => "fails to decode",
+            Refusal::Hash => "fails its content hash",
         }
     }
-    (Codec::Raw, bytes.to_vec())
+}
+
+impl<'a> StoredChunk<'a> {
+    /// Appends this chunk's raw bytes to `out`: a `Raw` chunk's stored
+    /// bytes, or an `Rle` chunk's runs, never more than `len` of them.
+    /// Refuses a malformed RLE stream ([`Refusal::Decode`]) and a chunk
+    /// whose raw bytes are not `len` long ([`Refusal::Hash`]); the hash is
+    /// the caller's to check, with [`fnv128_lanes`].
+    pub fn decode_into(&self, out: &mut Vec<u8>) -> Result<(), Refusal> {
+        let start = out.len();
+        match self.codec {
+            Codec::Raw => out.extend_from_slice(self.stored),
+            Codec::Rle => {
+                if !rle_decompress_into(self.stored, self.len as usize, out) {
+                    return Err(Refusal::Decode);
+                }
+            }
+        }
+        if out.len() - start != self.len as usize {
+            return Err(Refusal::Hash);
+        }
+        Ok(())
+    }
+
+    /// This chunk's raw bytes, checked against its length but not its
+    /// hash: a `Raw` chunk's stored bytes in place, an `Rle` one decoded
+    /// into `buf` (cleared first).
+    fn raw<'b>(&self, buf: &'b mut Vec<u8>) -> Result<&'b [u8], Refusal>
+    where
+        'a: 'b,
+    {
+        if self.codec == Codec::Raw {
+            let whole = self.stored.len() == self.len as usize;
+            return if whole { Ok(self.stored) } else { Err(Refusal::Hash) };
+        }
+        buf.clear();
+        self.decode_into(buf)?;
+        Ok(buf)
+    }
+}
+
+/// Checks every stored chunk against its record, four abreast, with a
+/// batch of at least a mebibyte of raw bytes split across the host's
+/// cores. Returns the lowest index that fails and why: the refusals of
+/// [`StoredChunk::decode_into`], and [`Refusal::Hash`] for raw bytes whose
+/// [`fnv128`] is not the promised one. A `Raw` chunk is hashed where it
+/// lies; an `Rle` chunk is decoded into one of four buffers each part
+/// reuses, so the memory this takes is bounded by four chunks per core,
+/// whatever the batch holds.
+pub fn check_chunks(chunks: &[StoredChunk<'_>]) -> Result<(), (usize, Refusal)> {
+    let parts = spread(
+        chunks,
+        |c| c.len as usize,
+        |base, part| check_part(part).map_err(|(i, why)| (base + i, why)),
+    );
+    parts.into_iter().collect()
+}
+
+/// [`check_chunks`] on the calling thread.
+fn check_part(chunks: &[StoredChunk<'_>]) -> Result<(), (usize, Refusal)> {
+    let mut bufs: [Vec<u8>; 4] = Default::default();
+    for (g, group) in chunks.chunks(4).enumerate() {
+        let mut lanes: [&[u8]; 4] = [&[]; 4];
+        let mut refused = [None; 4];
+        for (((c, buf), lane), refusal) in
+            group.iter().zip(&mut bufs).zip(&mut lanes).zip(&mut refused)
+        {
+            match c.raw(buf) {
+                Ok(raw) => *lane = raw,
+                Err(why) => *refusal = Some(why),
+            }
+        }
+        let hashes = fnv128_x4(lanes);
+        for (k, c) in group.iter().enumerate() {
+            let why = refused[k].or((hashes[k] != c.hash).then_some(Refusal::Hash));
+            if let Some(why) = why {
+                return Err((4 * g + k, why));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Decodes a stored chunk back to its raw bytes, at most
@@ -373,6 +605,65 @@ mod tests {
             assert_eq!(stored, data);
         }
         assert!(rle_decompress(&[1, 2, 3], 8).is_none());
+    }
+
+    /// The early-stopping encoder decides exactly as compressing in full
+    /// and then comparing lengths did, on both sides of the tie.
+    #[test]
+    fn encode_chunk_decides_as_compress_then_compare() {
+        let noise: Vec<u8> =
+            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        // Runs of three, one and two: three pairs, six bytes either way.
+        let tie = vec![5, 5, 5, 6, 7, 7];
+        assert_eq!(rle_compress(&tie).len(), tie.len());
+        for data in
+            [vec![], vec![7u8], vec![0u8; 256], vec![0u8; 257], noise, vec![0u8; 65536], tie]
+        {
+            let full = rle_compress(&data);
+            let expected = if full.len() < data.len() {
+                (Codec::Rle, full)
+            } else {
+                (Codec::Raw, data.clone())
+            };
+            assert_eq!(encode_chunk(&data, true), expected, "len {}", data.len());
+        }
+    }
+
+    /// The batch kernels equal `fnv128` input by input, on ragged batches
+    /// just under the size that spreads across cores and just over it.
+    #[test]
+    fn batch_kernels_equal_fnv128_on_both_sides_of_the_spread() {
+        let bytes: Vec<u8> = (0..SPREAD_MIN as u32 + 4096).map(|i| (i % 251) as u8).collect();
+        for total in [SPREAD_MIN - 1, SPREAD_MIN, SPREAD_MIN + 4096] {
+            // Lengths 0, 1, 2, ... 16 KiB + 3 cycling, cut from `bytes`.
+            let mut inputs: Vec<&[u8]> = Vec::new();
+            let mut at = 0;
+            for k in (0..).map(|k: usize| k % 7) {
+                let len = (k * 2731 + k % 3).min(total - at);
+                inputs.push(&bytes[at..at + len]);
+                at += len;
+                if at == total {
+                    break;
+                }
+            }
+            let expected: Vec<u128> = inputs.iter().map(|b| fnv128(b)).collect();
+            assert_eq!(fnv128_batch(&inputs), expected, "total {total}");
+            assert_eq!(fnv128_lanes(&inputs), expected, "total {total}");
+            let stored: Vec<StoredChunk<'_>> = inputs
+                .iter()
+                .map(|b| StoredChunk {
+                    codec: Codec::Raw,
+                    stored: b,
+                    len: b.len() as u32,
+                    hash: fnv128(b),
+                })
+                .collect();
+            assert_eq!(check_chunks(&stored), Ok(()));
+            let last = stored.len() - 1;
+            let mut bad = stored.clone();
+            bad[last].hash ^= 1;
+            assert_eq!(check_chunks(&bad), Err((last, Refusal::Hash)));
+        }
     }
 
     #[test]

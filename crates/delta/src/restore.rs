@@ -1,12 +1,15 @@
 //! Restart from a committed delta chain: bitwise materialization of each
 //! array's canonical stream out of the chunk graph.
 
+use std::collections::hash_map::Entry;
+
 use drms_core::chaos::{RestartPoints, RESTART_DELTA};
 use drms_core::manifest::{ArrayDelta, CkptKind, Manifest};
 use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
 use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
+use drms_darray::chunks::{self, Refusal};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
@@ -147,10 +150,9 @@ fn fetch_stream_range(
             d.name, d.stream_len
         )));
     }
-    let mut idxs = Vec::new();
+    let first = params.index_of(off);
     let mut reqs = Vec::new();
     if len > 0 {
-        let first = params.index_of(off);
         let last = params.index_of(off + len - 1);
         for i in first..=last {
             let c = d.chunks.get(i).ok_or_else(|| {
@@ -159,7 +161,6 @@ fn fetch_stream_range(
                     d.name
                 ))
             })?;
-            idxs.push(i);
             reqs.push(ReadReq {
                 path: c.pack_path(prefix, &d.name),
                 offset: c.offset,
@@ -170,15 +171,65 @@ fn fetch_stream_range(
     }
     // Idle ranks participate with an empty request list.
     let got = fs.collective_read(ctx, reqs)?;
+    let stored: Vec<&[u8]> = got.iter().map(Vec::as_slice).collect();
+    assemble(d, first, &stored, off, len)
+}
+
+/// Decodes and checks chunks `first..` of `d`, whose stored bytes are
+/// `stored`, and returns bytes `[off, off + len)` of the stream they cover.
+/// A chunk inside the range decodes straight into the output; only the
+/// first and the last can stick out of it, and they decode into scratch.
+/// Every chunk is then hashed whole, four abreast on the calling thread
+/// ([`chunks::fnv128_lanes`]): restore already runs a task per core. A
+/// failure names the lowest chunk that fails, as checking them one by one
+/// would.
+fn assemble(d: &ArrayDelta, first: usize, stored: &[&[u8]], off: u64, len: u64) -> Result<Vec<u8>> {
+    /// Where a chunk's raw bytes landed: a range of the output, or scratch.
+    enum At {
+        Out(usize, usize),
+        Scratch(usize),
+    }
+    let params = d.params();
     let mut out = Vec::with_capacity(len as usize);
-    for (stored, i) in got.iter().zip(idxs) {
-        let raw = d.chunks[i].decode(stored).map_err(|why| {
-            CoreError::Integrity(format!("chunk {i} of array {:?} {why}", d.name))
-        })?;
-        let (s, _) = params.range(d.stream_len, i);
-        let lo = (off.max(s) - s) as usize;
-        let hi = ((off + len).min(s + raw.len() as u64) - s) as usize;
-        out.extend_from_slice(&raw[lo..hi]);
+    let mut scratch: [Vec<u8>; 2] = Default::default();
+    let mut at = Vec::with_capacity(stored.len());
+    let mut refused = None;
+    for (j, &bytes) in stored.iter().enumerate() {
+        let i = first + j;
+        let chunk = d.chunks[i].with_stored(bytes);
+        let (s, e) = params.range(d.stream_len, i);
+        let landed = if off <= s && e <= off + len {
+            let start = out.len();
+            chunk.decode_into(&mut out).map(|()| At::Out(start, out.len()))
+        } else {
+            let k = usize::from(j > 0);
+            scratch[k].clear();
+            chunk.decode_into(&mut scratch[k]).map(|()| {
+                let lo = (off.max(s) - s) as usize;
+                let hi = ((off + len).min(s + chunk.len as u64) - s) as usize;
+                out.extend_from_slice(&scratch[k][lo..hi]);
+                At::Scratch(k)
+            })
+        };
+        match landed {
+            Ok(landed) => at.push(landed),
+            Err(why) => {
+                refused = Some((i, why));
+                break;
+            }
+        }
+    }
+    let raws: Vec<&[u8]> = at
+        .iter()
+        .map(|a| match *a {
+            At::Out(s, e) => &out[s..e],
+            At::Scratch(k) => &scratch[k][..],
+        })
+        .collect();
+    let hashes = chunks::fnv128_lanes(&raws);
+    let mismatch = (first..).zip(hashes).find(|&(i, h)| h != d.chunks[i].hash);
+    if let Some((i, why)) = mismatch.map(|(i, _)| (i, Refusal::Hash)).or(refused) {
+        return Err(CoreError::Integrity(format!("chunk {i} of array {:?} {}", d.name, why.why())));
     }
     if out.len() as u64 != len {
         return Err(CoreError::Integrity(format!(
@@ -202,34 +253,26 @@ pub fn materialize_stream(
 ) -> Result<Vec<u8>> {
     let d = chunk_table(manifest, array)?;
     let mut packs: std::collections::HashMap<String, Vec<u8>> = Default::default();
-    let mut out = Vec::with_capacity(d.stream_len as usize);
-    for (i, c) in d.chunks.iter().enumerate() {
-        let path = c.pack_path(prefix, &d.name);
-        let bytes = match packs.entry(path.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let b = fs.peek(&path).ok_or_else(|| {
-                    CoreError::Integrity(format!("pack {path} of array {array:?} is unreadable"))
-                })?;
-                e.insert(b)
-            }
-        };
-        let stored = c.stored(bytes).ok_or_else(|| {
-            CoreError::Integrity(format!(
-                "chunk {i} of array {array:?} is out of bounds in pack {path}"
-            ))
-        })?;
-        let raw = c
-            .decode(stored)
-            .map_err(|why| CoreError::Integrity(format!("chunk {i} of array {array:?} {why}")))?;
-        out.extend_from_slice(&raw);
+    for c in &d.chunks {
+        if let Entry::Vacant(e) = packs.entry(c.pack_path(prefix, &d.name)) {
+            let bytes = fs.peek(e.key()).ok_or_else(|| {
+                CoreError::Integrity(format!("pack {} of array {array:?} is unreadable", e.key()))
+            })?;
+            e.insert(bytes);
+        }
     }
-    if out.len() as u64 != d.stream_len {
-        return Err(CoreError::Integrity(format!(
-            "array {array:?}: materialized {} bytes, stream is {}",
-            out.len(),
-            d.stream_len
-        )));
-    }
-    Ok(out)
+    let stored = d
+        .chunks
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let path = c.pack_path(prefix, &d.name);
+            c.stored(&packs[&path]).ok_or_else(|| {
+                CoreError::Integrity(format!(
+                    "chunk {i} of array {array:?} is out of bounds in pack {path}"
+                ))
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    assemble(d, 0, &stored, 0, d.stream_len)
 }

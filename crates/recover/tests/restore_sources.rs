@@ -293,8 +293,9 @@ fn a_bad_segment_fails_every_rank_alike_and_strands_none() {
         assert_eq!(open("flipped"), rotted(prefix));
         fs.preload(&path, good[..good.len() - 9].to_vec());
         assert_eq!(open("truncated"), rotted(prefix));
-        // With no record to hold it against (a v1 manifest), the cut-short
-        // file reaches the decoder, whose refusal every rank gets.
+        // With no record to hold it against (a manifest stripped of its
+        // records, which `verify` refuses but opening does not consult), the
+        // cut-short file reaches the decoder, whose refusal every rank gets.
         let mpath = format!("{prefix}/manifest");
         let mut manifest = Manifest::decode(&fs.peek(&mpath).unwrap()).unwrap();
         manifest.integrity.clear();

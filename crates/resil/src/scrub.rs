@@ -51,6 +51,7 @@ pub fn scrub_checkpoint(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) ->
         unrepairable: Vec::new(),
         beyond_repair: before.manifest.is_none()
             || !before.missing.is_empty()
+            || !before.unrecorded.is_empty()
             || !before.unreadable.is_empty()
             || !before.bad_refs.is_empty(),
     };

@@ -18,6 +18,9 @@ pub fn verify_checkpoint(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) -
     if report.manifest.is_none() && fs.with_bytes(&manifest_path(prefix), |_| ()).is_some() {
         rec.event(t, 0, Phase::Verify, &format!("manifest of {prefix} fails its CRC"));
     }
+    for path in &report.unrecorded {
+        rec.event(t, 0, Phase::Verify, &format!("{path} has no integrity record"));
+    }
     for f in &report.corrupt {
         rec.event(t, 0, Phase::Verify, &format!("{} chunk {} corrupt", f.path, f.chunk));
     }

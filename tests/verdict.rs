@@ -4,7 +4,9 @@
 //! itself agree with it — a delta link whose referenced history rotted
 //! included.
 
-use drms_core::manifest::{delta_path, ChunkSource};
+use drms_core::manifest::{
+    array_path, delta_path, manifest_path, segment_path, ChunkSource, Manifest,
+};
 use drms_core::segment::DataSegment;
 use drms_core::{
     find_checkpoints, retain_checkpoints, verify, CoreError, Drms, DrmsConfig, EnableFlag, Start,
@@ -165,4 +167,54 @@ proptest! {
             prop_assert_eq!(valid, restored, "link {} after a flip in {} at {}", k, file.path, offset);
         }
     }
+}
+
+/// A flipped bit in a manifest's version field does not make a rotted link
+/// a restart source. Flipping bit 1 of byte 4 turns version 3 into version
+/// 1, which the decoder used to read as a manifest with no integrity
+/// records and no self-CRC: `verify` then passed the link, the restart walk
+/// chose it and the restart returned wrong data.
+#[test]
+fn a_flipped_manifest_version_does_not_hide_rotted_data() {
+    let fs = Piofs::new(PiofsConfig::test_tiny(4), 31);
+    let bands = [1];
+    write_links(&fs, 4, false, &bands);
+    assert_eq!(fs.corrupt_range(&array_path(&link(1), "u"), 8, 1, 7), 1);
+    assert!(!verify(&fs, &link(1)).is_valid());
+
+    let path = manifest_path(&link(1));
+    let mut bytes = fs.peek(&path).expect("link 1 committed");
+    bytes[4] ^= 1 << 1;
+    fs.preload(&path, bytes);
+    assert!(!verify(&fs, &link(1)).is_valid());
+    let plan = choose_restart(&fs, Some(APP), &NullRecorder, 0.0);
+    assert_eq!(plan.chosen.map(|(p, _)| p), Some(link(0)));
+    assert!(restart(&fs, 4, false, 1, &bands).is_err());
+    assert_eq!(restart(&fs, 4, false, 0, &bands), Ok(true));
+}
+
+/// A manifest that decodes but carries no integrity record for a file it
+/// mandates under its own prefix cannot vouch for that file, so `verify`
+/// refuses it. Packs of older links are exempt: their chunks are checked by
+/// content hash.
+#[test]
+fn a_manifest_without_records_for_its_own_files_is_refused() {
+    let fs = Piofs::new(PiofsConfig::test_tiny(4), 37);
+    write_links(&fs, 4, true, &[1]);
+    assert!(verify(&fs, &link(1)).is_valid());
+
+    let path = manifest_path(&link(1));
+    let mut m = Manifest::decode(&fs.peek(&path).expect("link 1 committed")).expect("decodes");
+    assert!(m
+        .delta("u")
+        .expect("chunk table")
+        .chunks
+        .iter()
+        .any(|c| c.source != ChunkSource::Local));
+    m.integrity.clear();
+    fs.preload(&path, m.encode());
+    let report = verify(&fs, &link(1));
+    assert!(!report.is_valid());
+    assert_eq!(report.unrecorded, [segment_path(&link(1)), delta_path(&link(1), "u")]);
+    assert!(report.missing.is_empty() && report.corrupt.is_empty() && report.bad_refs.is_empty());
 }
