@@ -247,14 +247,15 @@ impl AsyncCheckpointer {
         crash_point(ctx, fs, CrashPoint::FlushArmed, false)?;
 
         let prefix_owned = prefix.to_string();
-        let (flushed, d) = ctx.run_detached(|ctx| flush_full(ctx, fs, tier, &prefix_owned, &snap));
+        let (sop, total_bytes) = (snap.sop, snap.total_bytes);
+        let (flushed, d) = ctx.run_detached(|ctx| flush_full(ctx, fs, tier, &prefix_owned, snap));
         if let Err(e) = flushed {
             if ctx.rank() == 0 && ctx.recorder().enabled() {
                 ctx.recorder().counter_add_at(t_snap, 0, names::ASYNC_FLUSH_ABORTS, None, 1);
             }
             return Err(e);
         }
-        Ok(self.arm(ctx, prefix, snap.sop, snap.total_bytes, t_sop, t_snap, d, stalled))
+        Ok(self.arm(ctx, prefix, sop, total_bytes, t_sop, t_snap, d, stalled))
     }
 
     /// Asynchronous incremental checkpoint: the chunk diff/dedup pass runs
@@ -391,7 +392,7 @@ fn flush_full(
     fs: &Piofs,
     tier: Option<&MemTier>,
     prefix: &str,
-    snap: &Snapshot,
+    mut snap: Snapshot,
 ) -> Result<()> {
     let commit = Commit::new(fs, prefix, &FLUSH_COMMIT);
     if let Some(tier) = tier {
@@ -404,7 +405,7 @@ fn flush_full(
         ctx.barrier();
         commit.array_staged(ctx)?;
     } else {
-        commit.stage_segment(ctx, snap.segment.as_deref())?;
+        commit.stage_segment(ctx, snap.segment.take())?;
         for a in &snap.arrays {
             let path = array_path(commit.staging(), &a.entry.name);
             if ctx.rank() == 0 {
@@ -493,11 +494,12 @@ fn capture_delta(
 /// crash-point sequence as the full path.
 fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: DeltaPlan) -> Result<()> {
     let commit = Commit::new(fs, prefix, &FLUSH_COMMIT);
-    commit.stage_segment(ctx, plan.segment.as_deref())?;
-    for i in 0..plan.entries.len() {
-        if ctx.rank() == 0 {
-            let (name, pack) = &plan.packs[i];
-            let path = delta_path(commit.staging(), name);
+    commit.stage_segment(ctx, plan.segment)?;
+    // Rank 0 holds one pack per array; the others hold none.
+    let mut packs = plan.packs.into_iter();
+    for _ in &plan.entries {
+        if let Some((name, pack)) = packs.next() {
+            let path = delta_path(commit.staging(), &name);
             fs.create(&path, pack.len() as u64);
             if !pack.is_empty() {
                 fs.write_at(ctx, &path, 0, pack);

@@ -169,8 +169,10 @@ impl<'a> Commit<'a> {
     }
 
     /// Phase 1: the representative task stages the data segment (`segment`
-    /// is read on rank 0 only), then all tasks synchronize.
-    pub fn stage_segment(&self, ctx: &mut Ctx, segment: Option<&[u8]>) -> Result<()> {
+    /// is read on rank 0 only), then all tasks synchronize. The encoded
+    /// segment is handed over by value: it fills its reserved file whole,
+    /// so the store adopts the buffer instead of copying it.
+    pub fn stage_segment(&self, ctx: &mut Ctx, segment: Option<Vec<u8>>) -> Result<()> {
         if ctx.rank() == 0 {
             let bytes = segment.expect("rank 0 holds the encoded segment");
             let path = segment_path(&self.staging);
@@ -214,7 +216,7 @@ impl<'a> Commit<'a> {
             let bytes = manifest(compute_integrity_staged(fs, prefix)).encode();
             let smp = staged_manifest_path(prefix);
             fs.create(&smp, bytes.len() as u64);
-            fs.write_at(ctx, &smp, 0, &bytes);
+            fs.write_at(ctx, &smp, 0, bytes);
         }
         // No barrier before the publish: only rank 0 acts in this window
         // (renames are control-plane), and the crash-point vote is itself
@@ -261,7 +263,7 @@ mod tests {
     /// segment, one array file, an array-less manifest.
     fn minimal_commit(ctx: &mut Ctx, fs: &Piofs, points: &'static CommitPoints) -> Result<f64> {
         let commit = Commit::new(fs, "ck/1", points);
-        commit.stage_segment(ctx, Some(&[7u8; 64]))?;
+        commit.stage_segment(ctx, Some(vec![7u8; 64]))?;
         if ctx.rank() == 0 {
             let path = format!("{}/array-u", commit.staging());
             fs.create(&path, 128);

@@ -166,7 +166,7 @@ impl Drms {
             let segment = (ctx.rank() == 0).then(|| {
                 encode_segment_with_locals(base_segment, arrays, self.cfg.fixed_local_bytes)
             });
-            commit.stage_segment(ctx, segment.as_deref())?;
+            commit.stage_segment(ctx, segment)?;
         }
         let t1 = ctx.now();
 

@@ -2,11 +2,11 @@
 //! checkpoint call can cover a heterogeneous set of arrays.
 
 use drms_darray::{assign, decode_into, encode_into, stream, DistArray, Distribution, Element};
-use drms_msg::Ctx;
+use drms_msg::{spread, Ctx, SPREAD_PIECE};
 use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
 
-use crate::segment::{DataSegment, Region, RegionKind};
+use crate::segment::{DataSegment, RegionKind};
 use crate::{CoreError, Result};
 
 /// A distributed array as seen by the checkpoint machinery.
@@ -27,7 +27,15 @@ pub trait CheckpointArray: Send {
     fn stream_bytes(&self) -> u64;
 
     /// Bytes of this task's local storage (mapped section, storage order).
-    fn local_encoded(&self) -> Vec<u8>;
+    fn local_encoded(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.local_encoded_len()];
+        self.encode_local_into(&mut out);
+        out
+    }
+
+    /// Writes [`Self::local_encoded`] into `out`, which is exactly
+    /// [`Self::local_encoded_len`] bytes long.
+    fn encode_local_into(&self, out: &mut [u8]);
 
     /// Restores this task's local storage from [`Self::local_encoded`]
     /// bytes (same distribution required — this is the SPMD baseline path).
@@ -108,10 +116,21 @@ impl<T: Element> CheckpointArray for DistArray<T> {
         (DistArray::domain(self).size() * T::SIZE) as u64
     }
 
-    fn local_encoded(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.local().len() * T::SIZE];
-        encode_into(self.local(), &mut out);
-        out
+    /// Encodes in pieces [`spread`] over the host's idle cores.
+    fn encode_local_into(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.local().len() * T::SIZE, "local storage vs its slot");
+        let per = (SPREAD_PIECE / T::SIZE).max(1);
+        let mut pieces: Vec<(&[T], &mut [u8])> =
+            self.local().chunks(per).zip(out.chunks_mut(per * T::SIZE)).collect();
+        spread(
+            &mut pieces,
+            |(_, slot)| slot.len(),
+            |_, part| {
+                for (vals, slot) in part {
+                    encode_into(vals, slot);
+                }
+            },
+        );
     }
 
     fn restore_local(&mut self, bytes: &[u8]) -> Result<()> {
@@ -234,29 +253,40 @@ impl<T: Element> CheckpointArray for DistArray<T> {
 /// `fixed_bytes` — the compile-time-fixed local-section reservation of the
 /// paper's Fortran codes (storage does not shrink as tasks are added).
 pub fn encode_locals(arrays: &[&dyn CheckpointArray], fixed_bytes: u64) -> Vec<u8> {
-    let actual: usize = arrays.iter().map(|a| a.local_encoded_len()).sum();
-    let target = (fixed_bytes as usize).max(actual);
-    let mut out = Vec::with_capacity(target);
-    for a in arrays {
-        out.extend(a.local_encoded());
-    }
-    out.resize(target, 0);
+    let mut out = vec![0u8; locals_len(arrays, fixed_bytes)];
+    encode_locals_into(arrays, &mut out);
     out
 }
 
+/// Length of [`encode_locals`]' output.
+fn locals_len(arrays: &[&dyn CheckpointArray], fixed_bytes: u64) -> usize {
+    let actual: usize = arrays.iter().map(|a| a.local_encoded_len()).sum();
+    (fixed_bytes as usize).max(actual)
+}
+
+/// Writes each array's local storage into its slot at the front of the
+/// zeroed `out`; the padding after them stays as it is.
+fn encode_locals_into(arrays: &[&dyn CheckpointArray], out: &mut [u8]) {
+    let mut rest = out;
+    for a in arrays {
+        let (slot, tail) = std::mem::take(&mut rest).split_at_mut(a.local_encoded_len());
+        a.encode_local_into(slot);
+        rest = tail;
+    }
+}
+
 /// Encodes `base` with the local-sections region assembled from `arrays`
-/// ([`encode_locals`]): the data segment every full checkpoint saves.
+/// ([`encode_locals`]): the data segment every full checkpoint saves. Each
+/// array encodes its local storage straight into its slot of the one
+/// exact-length buffer, and the padding is the buffer's own zeros.
 pub fn encode_segment_with_locals(
     base: &DataSegment,
     arrays: &[&dyn CheckpointArray],
     fixed_bytes: u64,
 ) -> Vec<u8> {
-    let local = Region {
-        name: "local-sections".to_string(),
-        kind: RegionKind::LocalSections,
-        bytes: encode_locals(arrays, fixed_bytes),
-    };
-    base.encode_with_region(Some(&local))
+    let len = locals_len(arrays, fixed_bytes);
+    let frame = ("local-sections", RegionKind::LocalSections, len);
+    base.encode_framed(Some(frame), |slot| encode_locals_into(arrays, slot))
 }
 
 /// Restores array local storage from an [`encode_locals`] blob (same arrays,
@@ -280,7 +310,10 @@ pub fn decode_locals(arrays: &mut [&mut dyn CheckpointArray], blob: &[u8]) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::Region;
     use drms_darray::Distribution;
+    use drms_msg::SPREAD_MIN;
+    use proptest::prelude::*;
 
     fn arr(rank: usize, p: usize) -> DistArray<f64> {
         let dom = Slice::boxed(&[(0, 7), (0, 7)]);
@@ -344,5 +377,95 @@ mod tests {
         assert_eq!(h.elem_code(), 1);
         assert_eq!(h.stream_bytes(), 64 * 8);
         assert_eq!(h.order(), Order::ColumnMajor);
+    }
+
+    /// `len` bytes of a xorshift stream `seed` picks: every offset of a
+    /// region tells where it came from, so a misplaced copy shows.
+    fn pattern(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let step = |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        (0..len).map(step).collect()
+    }
+
+    /// A body length: as drawn, one byte either side of `SPREAD_MIN`, or
+    /// a few bytes.
+    fn body_len(drawn: usize, how: usize) -> usize {
+        match how {
+            0 | 1 => drawn,
+            2 => SPREAD_MIN - 1 + drawn % 3,
+            _ => drawn % 64,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The spread encoders and decoder are the Writer-based encoder they
+        /// replaced and the `blob`-based decoder, byte for byte: over 0–4
+        /// regions of up to 3 MiB, bodies either side of `SPREAD_MIN`, an
+        /// array's local storage either side of it too, any padding, and no
+        /// extra region, a new one or one replacing a region of the base.
+        #[test]
+        fn the_spread_codec_is_the_reference_codec(
+            bodies in proptest::collection::vec((0usize..3 << 20, 0usize..4), 0..5),
+            extra in 0usize..3,
+            side in 1i64..400,
+            pad in 0u64..1 << 20,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut base = DataSegment::new();
+            base.set_control("iter", seed as i64);
+            base.set_replicated("dt", pattern(8, seed));
+            let kinds = [RegionKind::SystemBuffers, RegionKind::PrivateData, RegionKind::LocalSections];
+            for (i, &(drawn, how)) in bodies.iter().enumerate() {
+                // With `extra == 2` the last region is the one the
+                // local-sections region replaces.
+                let replaced = extra == 2 && i + 1 == bodies.len();
+                let name = if replaced { "local-sections".to_string() } else { format!("r{i}") };
+                base.set_region(&name, kinds[i % 3], pattern(body_len(drawn, how), seed + i as u64));
+            }
+
+            let dom = Slice::boxed(&[(0, side - 1), (0, side - 1)]);
+            let dist = Distribution::block_auto(&dom, 1, 1).unwrap();
+            let mut a: DistArray<f64> = DistArray::new("u", Order::ColumnMajor, dist, 0);
+            a.fill_mapped(|p| (p[0] * 1000 + p[1]) as f64 + seed as f64);
+            let arrays: [&dyn CheckpointArray; 1] = [&a];
+            // The old `encode_locals`: the storage encoded whole, then
+            // zero-padded to the fixed reservation.
+            let actual = a.local().len() * 8;
+            let fixed = actual as u64 + pad;
+            let mut old_locals = vec![0u8; actual];
+            encode_into(a.local(), &mut old_locals);
+            old_locals.resize(fixed as usize, 0);
+            prop_assert_eq!(&encode_locals(&arrays, fixed), &old_locals);
+
+            let encoded = if extra == 0 {
+                let encoded = base.encode_with_region(None);
+                prop_assert_eq!(&encoded, &base.encode_with_region_reference(None));
+                encoded
+            } else {
+                let local = Region {
+                    name: "local-sections".to_string(),
+                    kind: RegionKind::LocalSections,
+                    bytes: old_locals,
+                };
+                let reference = base.encode_with_region_reference(Some(&local));
+                prop_assert_eq!(&base.encode_with_region(Some(&local)), &reference);
+                let encoded = encode_segment_with_locals(&base, &arrays, fixed);
+                prop_assert_eq!(&encoded, &reference);
+                encoded
+            };
+
+            let decoded = DataSegment::decode(&encoded);
+            prop_assert!(decoded.is_ok());
+            prop_assert_eq!(&decoded, &DataSegment::decode_serial(&encoded));
+            let cut = &encoded[..(seed as usize) % encoded.len()];
+            prop_assert_eq!(DataSegment::decode(cut), DataSegment::decode_serial(cut));
+        }
     }
 }

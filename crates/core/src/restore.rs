@@ -61,6 +61,11 @@ pub trait RestartSource {
     /// The checkpoint kind this source restores.
     const KIND: CkptKind = CkptKind::Drms;
 
+    /// Whether the manifest must hold an integrity record for the segment:
+    /// a restart refuses a segment without one. Only the memory tier, whose
+    /// pieces carry their own CRCs, says no.
+    const SEGMENT_RECORD: bool = true;
+
     /// The prefix the state was archived under.
     fn prefix(&self) -> &str;
 
@@ -152,18 +157,19 @@ pub fn open<S: RestartSource>(
     let mut decoded = None;
     let mut verify_and_decode = |bytes: &[u8]| {
         // End-to-end verification: bytes that survived the storage may
-        // still be bytes that rotted on it. Only the memory tier (per-piece
-        // CRCs) carries no record and skips this; `verify` refuses a PIOFS
-        // manifest without one.
-        decoded =
-            Some(if manifest.file_integrity("segment").is_some_and(|fi| !fi.matches(bytes)) {
-                Err(CoreError::Integrity(format!(
-                    "segment of {:?} fails checksum verification",
-                    src.prefix()
-                )))
-            } else {
-                DataSegment::decode(bytes).map_err(CoreError::from)
-            });
+        // still be bytes that rotted on it. A source on PIOFS must carry the
+        // segment's record, as `verify` demands, and a segment without one
+        // is refused; only the memory tier (`S::SEGMENT_RECORD` false),
+        // whose pieces are CRC-checked as they are fetched, has none.
+        let refusal = match manifest.file_integrity("segment") {
+            Some(fi) if !fi.matches(bytes) => Some("fails checksum verification"),
+            None if S::SEGMENT_RECORD => Some("has no integrity record"),
+            _ => None,
+        };
+        decoded = Some(match refusal {
+            Some(why) => Err(CoreError::Integrity(format!("segment of {:?} {why}", src.prefix()))),
+            None => DataSegment::decode(bytes).map_err(CoreError::from),
+        });
     };
     let charged = match ctx.rank() {
         0 => src.segment(ctx, &mut verify_and_decode),

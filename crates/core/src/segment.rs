@@ -13,6 +13,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use drms_msg::copy_spread;
+
 use crate::wire::{Reader, WireError, Writer};
 
 const MAGIC: [u8; 4] = *b"DSEG";
@@ -149,32 +151,115 @@ impl DataSegment {
     /// just to attach the per-checkpoint local-sections blob — at class A
     /// these are tens of megabytes per task.
     pub fn encode_with_region(&self, extra: Option<&Region>) -> Vec<u8> {
-        let mut w = Writer::with_header(MAGIC, VERSION);
-        w.u32(self.control.len() as u32);
-        for (k, v) in &self.control {
-            w.string(k);
-            w.i64(*v);
-        }
-        w.u32(self.replicated.len() as u32);
-        for (k, v) in &self.replicated {
-            w.string(k);
-            w.blob(v);
-        }
-        let kept = || {
-            let regions = self.regions.iter().map(|r| &**r);
-            regions.filter(|r| extra.is_none_or(|e| e.name != r.name))
-        };
-        w.u32((kept().count() + usize::from(extra.is_some())) as u32);
-        for r in kept().chain(extra) {
-            w.string(&r.name);
-            w.u8(r.kind.code());
-            w.blob(&r.bytes);
-        }
-        w.finish()
+        let frame = extra.map(|e| (e.name.as_str(), e.kind, e.bytes.len()));
+        self.encode_framed(frame, |slot| {
+            copy_spread(extra.map(|e| e.bytes.as_slice()).zip(Some(slot)))
+        })
     }
 
-    /// Decodes a segment from its checkpoint representation.
+    /// The encoding of this segment with an extra last region `(name, kind,
+    /// len)` in place of any same-named one, built in one allocation of its
+    /// exact length: the framing is written in order, the kept regions'
+    /// bodies are copied into their slots in pieces [`spread`] over the
+    /// host's idle cores, and `fill_extra` writes the extra region's body
+    /// into its zeroed slot (an empty one when there is no extra region).
+    ///
+    /// [`spread`]: drms_msg::spread
+    pub(crate) fn encode_framed(
+        &self,
+        extra: Option<(&str, RegionKind, usize)>,
+        fill_extra: impl FnOnce(&mut [u8]),
+    ) -> Vec<u8> {
+        let mut head = Writer::with_header(MAGIC, VERSION);
+        head.u32(self.control.len() as u32);
+        for (k, v) in &self.control {
+            head.string(k);
+            head.i64(*v);
+        }
+        head.u32(self.replicated.len() as u32);
+        for (k, v) in &self.replicated {
+            head.string(k);
+            head.blob(v);
+        }
+        let kept: Vec<&Region> = (self.regions.iter().map(|r| &**r))
+            .filter(|r| extra.is_none_or(|(name, ..)| name != r.name))
+            .collect();
+        head.u32((kept.len() + usize::from(extra.is_some())) as u32);
+        let framing = |name: &str, kind: RegionKind, len: usize| {
+            let mut w = Writer::new();
+            w.string(name);
+            w.u8(kind.code());
+            w.u64(len as u64);
+            (w.finish(), len)
+        };
+        let frames: Vec<(Vec<u8>, usize)> =
+            (kept.iter().map(|r| framing(&r.name, r.kind, r.bytes.len())))
+                .chain(extra.map(|(name, kind, len)| framing(name, kind, len)))
+                .collect();
+        let head = head.finish();
+        let total = head.len() + frames.iter().map(|(f, len)| f.len() + len).sum::<usize>();
+
+        let mut out = vec![0u8; total];
+        let (at_head, mut rest) = out.split_at_mut(head.len());
+        at_head.copy_from_slice(&head);
+        let mut slots = Vec::with_capacity(frames.len());
+        for (frame, len) in &frames {
+            let (at_frame, tail) = std::mem::take(&mut rest).split_at_mut(frame.len());
+            at_frame.copy_from_slice(frame);
+            let (slot, tail) = tail.split_at_mut(*len);
+            slots.push(slot);
+            rest = tail;
+        }
+        let extra_slot = if extra.is_some() { slots.pop() } else { None };
+        fill_extra(extra_slot.unwrap_or_default());
+        copy_spread(kept.iter().map(|r| r.bytes.as_slice()).zip(slots));
+        out
+    }
+
+    /// Decodes a segment from its checkpoint representation: the framing in
+    /// order, then the region bodies copied out in pieces [`spread`] over
+    /// the host's idle cores — the restart's one decode, made by the
+    /// representative task while its siblings wait.
+    ///
+    /// [`spread`]: drms_msg::spread
     pub fn decode(bytes: &[u8]) -> Result<DataSegment, WireError> {
+        let (mut r, mut seg) = DataSegment::decode_head(bytes)?;
+        let nreg = r.u32()?;
+        let mut framed = Vec::new();
+        for _ in 0..nreg {
+            let name = r.string()?;
+            let kind = RegionKind::from_code(r.u8()?)?;
+            framed.push((name, kind, r.blob_ref()?));
+        }
+        let mut bodies: Vec<Vec<u8>> = framed.iter().map(|(.., b)| vec![0; b.len()]).collect();
+        let pairs = framed.iter().map(|(.., b)| *b).zip(bodies.iter_mut().map(Vec::as_mut_slice));
+        copy_spread(pairs);
+        seg.regions = (framed.into_iter().zip(bodies))
+            .map(|((name, kind, _), bytes)| Arc::new(Region { name, kind, bytes }))
+            .collect();
+        Ok(seg)
+    }
+
+    /// [`DataSegment::decode`] on the calling thread, each region body
+    /// copied out by [`Reader::blob`]: for a task that decodes while every
+    /// other task decodes too (the SPMD restart, one segment per task).
+    /// There the cores are taken, and the spread decoder's zeroed buffers
+    /// would cost a pass of their own when the allocator recycles memory.
+    pub(crate) fn decode_serial(bytes: &[u8]) -> Result<DataSegment, WireError> {
+        let (mut r, mut seg) = DataSegment::decode_head(bytes)?;
+        let nreg = r.u32()?;
+        for _ in 0..nreg {
+            let name = r.string()?;
+            let kind = RegionKind::from_code(r.u8()?)?;
+            let bytes = r.blob()?;
+            seg.regions.push(Arc::new(Region { name, kind, bytes }));
+        }
+        Ok(seg)
+    }
+
+    /// The header, control and replicated variables of an encoded segment,
+    /// and a reader positioned at its region count.
+    fn decode_head(bytes: &[u8]) -> Result<(Reader<'_>, DataSegment), WireError> {
         let (mut r, version) = Reader::with_header(bytes, MAGIC)?;
         if version != VERSION {
             return Err(WireError::BadVersion(version));
@@ -192,14 +277,7 @@ impl DataSegment {
             let v = r.blob()?;
             seg.replicated.insert(k, v);
         }
-        let nreg = r.u32()?;
-        for _ in 0..nreg {
-            let name = r.string()?;
-            let kind = RegionKind::from_code(r.u8()?)?;
-            let bytes = r.blob()?;
-            seg.regions.push(Arc::new(Region { name, kind, bytes }));
-        }
-        Ok(seg)
+        Ok((r, seg))
     }
 
     /// The Table 4 anatomy of this segment.
@@ -235,6 +313,36 @@ impl DataSegment {
             n += 4 + r.name.len() as u64 + 1 + 8 + r.bytes.len() as u64;
         }
         n
+    }
+}
+
+/// The Writer-based encoder the spread one replaced, kept as the definition
+/// the tests hold it to.
+#[cfg(test)]
+impl DataSegment {
+    pub(crate) fn encode_with_region_reference(&self, extra: Option<&Region>) -> Vec<u8> {
+        let mut w = Writer::with_header(MAGIC, VERSION);
+        w.u32(self.control.len() as u32);
+        for (k, v) in &self.control {
+            w.string(k);
+            w.i64(*v);
+        }
+        w.u32(self.replicated.len() as u32);
+        for (k, v) in &self.replicated {
+            w.string(k);
+            w.blob(v);
+        }
+        let kept = || {
+            let regions = self.regions.iter().map(|r| &**r);
+            regions.filter(|r| extra.is_none_or(|e| e.name != r.name))
+        };
+        w.u32((kept().count() + usize::from(extra.is_some())) as u32);
+        for r in kept().chain(extra) {
+            w.string(&r.name);
+            w.u8(r.kind.code());
+            w.blob(&r.bytes);
+        }
+        w.finish()
     }
 }
 

@@ -58,7 +58,7 @@ pub fn checkpoint(
         // so an observer never sees a half-written commit marker.
         let smp = crate::commit::staged_manifest_path(prefix);
         fs.create(&smp, bytes.len() as u64);
-        fs.write_at(ctx, &smp, 0, &bytes);
+        fs.write_at(ctx, &smp, 0, bytes);
         fs.delete(&manifest_path(prefix));
         crate::commit::publish_manifest(fs, prefix);
     }
@@ -111,7 +111,7 @@ pub fn restart(
         ctx,
         vec![ReadReq { path: path.clone(), offset: 0, len, access: ReadAccess::Sequential }],
     )?;
-    let segment = DataSegment::decode(&got.pop().expect("one request"))?;
+    let segment = DataSegment::decode_serial(&got.pop().expect("one request"))?;
     ctx.barrier();
     let t2 = ctx.now();
 

@@ -235,8 +235,13 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed blob.
     pub fn blob(&mut self) -> Result<Vec<u8>, WireError> {
+        Ok(self.blob_ref()?.to_vec())
+    }
+
+    /// Reads a length-prefixed blob, lent from the buffer.
+    pub fn blob_ref(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u64()? as usize;
-        Ok(self.take(n, "blob body")?.to_vec())
+        self.take(n, "blob body")
     }
 
     /// Bytes remaining.

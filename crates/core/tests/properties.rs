@@ -383,7 +383,7 @@ fn stage(
             if ctx.rank() == 0 {
                 if let Upset::Rewrite { at, len: n } = upset {
                     let (at, n) = clip(at, n);
-                    fs.write_at(ctx, path, at, &vec![0xEE; n as usize]);
+                    fs.write_at(ctx, path, at, vec![0xEE; n as usize]);
                 }
             }
         })

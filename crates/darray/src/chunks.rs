@@ -17,7 +17,8 @@
 //! crashed checkpoint can never mark chunks clean.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+
+use drms_msg::spread;
 
 /// Smallest allowed chunk size in bytes.
 pub const MIN_CHUNK_BYTES: u64 = 1024;
@@ -83,12 +84,6 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
     h
 }
 
-/// A batch holding at least this many bytes is split across the host's
-/// cores. A smaller one runs on the calling thread: it hashes in well under
-/// a millisecond, so starting threads would take back much of what
-/// splitting saves.
-const SPREAD_MIN: usize = 1 << 20;
-
 /// [`fnv128`] of four inputs at once. One loop runs the four multiply
 /// chains over the inputs' common length: the chains are independent, so
 /// each lane's multiply overlaps the others' instead of waiting on its own
@@ -127,44 +122,7 @@ pub fn fnv128_lanes(inputs: &[&[u8]]) -> Vec<u128> {
 /// [`fnv128`] of every input, as [`fnv128_lanes`], with a batch of at
 /// least a mebibyte split across the host's cores.
 pub fn fnv128_batch(inputs: &[&[u8]]) -> Vec<u128> {
-    spread(inputs, |c| c.len(), |_, part| fnv128_lanes(part)).concat()
-}
-
-/// The host's cores, asked once per process.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Runs `work` over `items` cut into contiguous parts and returns each
-/// part's result, in order; `work` gets the index of its part's first item
-/// too. Items holding fewer than [`SPREAD_MIN`] bytes (`bytes` sizes each)
-/// make one part, run on the calling thread. A larger batch makes one part
-/// per host core, each a multiple of four items; every part but the first
-/// runs on a scoped thread, and all of them have joined when this returns.
-/// `work` is a pure function of its part, so where a part ran never shows
-/// in a result.
-fn spread<T: Sync, R: Send>(
-    items: &[T],
-    bytes: impl Fn(&T) -> usize,
-    work: impl Fn(usize, &[T]) -> R + Sync,
-) -> Vec<R> {
-    let parts = cores().min(items.len().div_ceil(4));
-    if parts <= 1 || items.iter().map(&bytes).sum::<usize>() < SPREAD_MIN {
-        return vec![work(0, items)];
-    }
-    let per = items.len().div_ceil(4 * parts) * 4;
-    let work = &work;
-    std::thread::scope(|s| {
-        let mut cut = items.chunks(per).enumerate();
-        let (_, first) = cut.next().expect("a non-empty batch");
-        let others: Vec<_> = cut.map(|(k, part)| s.spawn(move || work(k * per, part))).collect();
-        let mut out = vec![work(0, first)];
-        for h in others {
-            out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        out
-    })
+    spread(&mut inputs.to_vec(), |c| c.len(), |_, part| fnv128_lanes(part)).concat()
 }
 
 /// Content identity of one chunk: hash plus raw length.
@@ -458,7 +416,7 @@ impl<'a> StoredChunk<'a> {
 /// whatever the batch holds.
 pub fn check_chunks(chunks: &[StoredChunk<'_>]) -> Result<(), (usize, Refusal)> {
     let parts = spread(
-        chunks,
+        &mut chunks.to_vec(),
         |c| c.len as usize,
         |base, part| check_part(part).map_err(|(i, why)| (base + i, why)),
     );
@@ -505,6 +463,7 @@ pub fn decode_chunk(codec: Codec, stored: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drms_msg::SPREAD_MIN;
 
     #[test]
     fn geometry_covers_stream_exactly() {

@@ -111,7 +111,7 @@ fn run(
     let commit = Commit::new(fs, prefix, &CKPT_COMMIT);
     {
         let segment = (ctx.rank() == 0).then(|| base_segment.encode_with_region(None));
-        commit.stage_segment(ctx, segment.as_deref())?;
+        commit.stage_segment(ctx, segment)?;
     }
     let t1 = ctx.now();
 
@@ -125,7 +125,7 @@ fn run(
             let pack_path = delta_path(commit.staging(), a.array_name());
             fs.create(&pack_path, pack.len() as u64);
             if !pack.is_empty() {
-                fs.write_at(ctx, &pack_path, 0, &pack);
+                fs.write_at(ctx, &pack_path, 0, pack);
             }
         }
         commit.array_staged(ctx)?;

@@ -63,6 +63,7 @@ impl TierSource<'_> {
 
 impl RestartSource for TierSource<'_> {
     type Error = MemTierError;
+    const SEGMENT_RECORD: bool = false;
 
     fn prefix(&self) -> &str {
         self.prefix

@@ -378,7 +378,7 @@ fn finish_spill(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str) -> Resu
     // manifest-less data files fall to the orphan sweep instead).
     let smp = drms_core::commit::staged_manifest_path(prefix);
     fs.create(&smp, bytes.len() as u64);
-    fs.write_at(ctx, &smp, 0, &bytes);
+    fs.write_at(ctx, &smp, 0, bytes);
     let mp = manifest_path(prefix);
     fs.delete(&mp);
     if !drms_core::commit::publish_manifest(fs, prefix) {

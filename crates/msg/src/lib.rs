@@ -23,6 +23,11 @@
 //! `.chaos(..)`, then `.run(f)`. [`run_spmd`] and [`run_spmd_traced`] are
 //! one-line spellings of its two commonest uses.
 //!
+//! **Host threads.** [`spread`] is the one fan-out of host work over the
+//! idle cores: a task doing pure byte work alone (the representative
+//! task's segment encode, CRC and decode) lends it to scoped threads that
+//! join before the call returns, and never reaches a clock.
+//!
 //! The paper's experiments map tasks one-to-one onto processors; the runtime
 //! records the task → node placement ([`Spmd::nodes`]) so the file-system
 //! layer can model client/server co-location interference (paper,
@@ -41,11 +46,13 @@ mod clock;
 mod comm;
 mod group;
 mod runner;
+mod spread;
 
 pub use clock::{CostModel, SimClock};
 pub use comm::{Ctx, Incoming, ReduceOp};
 pub use group::Group;
 pub use runner::{run_spmd, run_spmd_traced, Spmd, SpmdError};
+pub use spread::{copy_spread, spread, SPREAD_MIN, SPREAD_PIECE};
 
 /// Re-export of the fault-injection crate: consumers that only hold a
 /// [`Ctx`] can name the controller types without a direct dependency.

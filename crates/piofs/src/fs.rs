@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -9,7 +10,7 @@ use drms_msg::Ctx;
 use drms_obs::{names, NullRecorder, Phase, Recorder};
 
 use crate::config::PiofsConfig;
-use crate::integrity::{fragment_crcs, ChunkCrcs, Slots};
+use crate::integrity::{crc32, fragments, piece_crcs, ChunkCrcs, Slots};
 use crate::parity::ParityGeom;
 use crate::phase::{price_phase, DescKind, Pricing, ReadAccess, ReadReq, ReqDesc, WriteReq};
 use crate::rng::SplitMix64;
@@ -309,9 +310,9 @@ impl Piofs {
         let mut st = self.state.lock();
         let down = st.down.clone();
         let f = st.intern(path);
-        f.bytes.clear();
+        f.bytes = Vec::new();
         f.slots = None;
-        f.write_parity_aware(0, &bytes, geom.as_ref(), &down);
+        f.write_parity_aware(0, Cow::Owned(bytes), geom.as_ref(), &down);
     }
 
     /// Renames a file; `true` if `from` existed and the rename happened.
@@ -480,7 +481,7 @@ impl Piofs {
         for (a, b) in lost.iter().copied().chain(std::iter::once((end, end))) {
             if cursor < a {
                 let (s, e) = ((cursor - offset) as usize, (a - offset) as usize);
-                f.write_at(cursor, &data[s..e]);
+                f.write_at(cursor, Cow::Borrowed(&data[s..e]));
                 f.stale(cursor, a);
             }
             cursor = b.max(cursor);
@@ -537,19 +538,35 @@ impl Piofs {
 
     /// Writes `data` at `offset`, creating the file if needed. Single-client
     /// operation: only the calling task is involved (e.g. the representative
-    /// task writing the data segment while siblings wait at a barrier).
+    /// task writing the data segment while siblings wait at a barrier), so
+    /// the write's integrity CRCs are spread over the host's idle cores
+    /// ([`crate::integrity::piece_crcs`]).
+    ///
+    /// `data` is borrowed or owned. An owned buffer that fills a file
+    /// reserved by [`Piofs::create`] whole, from offset 0, is adopted by the
+    /// store: the file's bytes become that buffer, moved under the lock, not
+    /// copied. What the store holds afterwards is the same either way.
     ///
     /// Transient faults from an attached chaos plan are retried with
     /// backoff; when the budget runs out the write escalates to the
     /// blocking reliable path and still lands. A torn-write fault instead
     /// persists only a strict prefix of `data` — the crash-consistency
     /// hazard the two-phase checkpoint commit defends against.
-    pub fn write_at(&self, ctx: &mut Ctx, path: &str, offset: u64, data: &[u8]) {
+    pub fn write_at<'d>(
+        &self,
+        ctx: &mut Ctx,
+        path: &str,
+        offset: u64,
+        data: impl Into<Cow<'d, [u8]>>,
+    ) {
         let _ = self.weather(ctx, "write_at");
-        let mut data = data;
+        let mut data = data.into();
         if let Some(chaos) = ctx.chaos() {
             if let Some(keep) = chaos.torn_len(path, data.len()) {
-                data = &data[..keep];
+                match &mut data {
+                    Cow::Borrowed(b) => *b = &b[..keep],
+                    Cow::Owned(v) => v.truncate(keep),
+                }
                 let rec = ctx.recorder();
                 if rec.enabled() {
                     rec.counter_add(ctx.rank(), names::TORN_WRITES, None, 1);
@@ -561,33 +578,22 @@ impl Piofs {
         let rank = ctx.rank();
         let now = ctx.now();
         let geom = self.geom();
-        // The bytes' integrity CRCs, on this task's thread, before the lock.
-        let crcs = fragment_crcs(offset, data, self.cfg.integrity_chunk());
+        // The bytes' integrity CRCs, before the lock, on the idle cores.
+        let crcs = piece_crcs(&mut fragments(offset, &data, self.cfg.integrity_chunk()));
+        let len = data.len() as u64;
         let mut st = self.state.lock();
         let down = st.down.clone();
         let file = st.intern(path);
         let parity_bytes = file.write_recorded(offset, data, &crcs, geom.as_ref(), &down);
-        let desc = ReqDesc {
-            client: rank,
-            node,
-            path_id: file.id,
-            offset,
-            len: data.len() as u64,
-            kind: DescKind::Write,
-        };
+        let desc =
+            ReqDesc { client: rank, node, path_id: file.id, offset, len, kind: DescKind::Write };
         let pricing = st.price(&self.cfg, now, &[desc], &[rank]);
         drop(st);
         let rec = ctx.recorder();
         if rec.enabled() && parity_bytes > 0 {
             rec.counter_add_at(now, rank, names::PARITY_BYTES, None, parity_bytes);
         }
-        self.observe_phase(
-            ctx.recorder(),
-            rank,
-            "write_at",
-            &[(offset, data.len() as u64)],
-            &pricing,
-        );
+        self.observe_phase(ctx.recorder(), rank, "write_at", &[(offset, len)], &pricing);
         ctx.advance_to(pricing.completion[&rank]);
     }
 
@@ -653,26 +659,27 @@ impl Piofs {
         // the phase, never an abort — a task that bailed unilaterally would
         // strand its siblings in the descriptor exchange.
         let _ = self.weather(ctx, "collective_write");
-        // This task's integrity CRCs of its own bytes, before the lock.
+        // This task's integrity CRCs of its own bytes, before the lock, on
+        // its own thread: every task of the region is writing.
         let chunk = self.cfg.integrity_chunk();
-        let crcs: Vec<Vec<u32>> =
-            reqs.iter().map(|r| fragment_crcs(r.offset, &r.data, chunk)).collect();
-        // Store this task's bytes and build wire descriptors.
+        let crcs: Vec<Vec<u32>> = reqs
+            .iter()
+            .map(|r| fragments(r.offset, &r.data, chunk).into_iter().map(crc32).collect())
+            .collect();
+        // Store this task's bytes (the store adopts a buffer that fills a
+        // reserved file whole) and build wire descriptors.
         let geom = self.geom();
         let mut descs = Vec::with_capacity(reqs.len());
         let mut parity_bytes = 0;
         {
             let mut st = self.state.lock();
             let down = st.down.clone();
-            for (r, crcs) in reqs.iter().zip(&crcs) {
+            for (r, crcs) in reqs.into_iter().zip(&crcs) {
+                let len = r.data.len() as u64;
                 let file = st.intern(&r.path);
-                parity_bytes += file.write_recorded(r.offset, &r.data, crcs, geom.as_ref(), &down);
-                descs.push(WireDesc {
-                    path: r.path.clone(),
-                    offset: r.offset,
-                    len: r.data.len() as u64,
-                    kind: DescKind::Write,
-                });
+                parity_bytes +=
+                    file.write_recorded(r.offset, Cow::Owned(r.data), crcs, geom.as_ref(), &down);
+                descs.push(WireDesc { path: r.path, offset: r.offset, len, kind: DescKind::Write });
             }
         }
         let rank = ctx.rank();
@@ -1544,5 +1551,129 @@ mod tests {
         // A 2 MB write across a striped file touches more than one server.
         let servers: std::collections::BTreeSet<usize> = spans.iter().map(|s| s.server).collect();
         assert!(servers.len() > 1, "expected multiple busy servers, got {servers:?}");
+    }
+
+    /// An owned buffer that fills a `create`d file whole is adopted, by
+    /// `write_at` and by `collective_write` alike; a shorter one is copied
+    /// into the file's reservation.
+    #[test]
+    fn an_owned_write_filling_a_created_file_is_adopted_and_a_short_one_is_not() {
+        let fs = fs();
+        run_spmd(1, CostModel::free(), |ctx| {
+            let whole = vec![7u8; 5000];
+            let at = whole.as_ptr();
+            fs.create("whole", 5000);
+            fs.write_at(ctx, "whole", 0, whole);
+            assert_eq!(fs.with_bytes("whole", |b| b.as_ptr()), Some(at));
+
+            let task = vec![3u8; 6000];
+            let at = task.as_ptr();
+            fs.create("task-0", 6000);
+            fs.collective_write(
+                ctx,
+                vec![WriteReq { path: "task-0".into(), offset: 0, data: task }],
+            );
+            assert_eq!(fs.with_bytes("task-0", |b| b.as_ptr()), Some(at));
+
+            let short = vec![9u8; 4999];
+            let at = short.as_ptr();
+            fs.create("short", 5000);
+            fs.write_at(ctx, "short", 0, short);
+            assert_ne!(fs.with_bytes("short", |b| b.as_ptr()), Some(at));
+            assert_eq!(fs.peek("short").unwrap(), vec![9u8; 4999]);
+        })
+        .unwrap();
+    }
+
+    /// Everything the store keeps of a file: stored bytes (poison
+    /// included), parity, lost ranges and lost parity groups, and the
+    /// integrity records (the slot table, taken).
+    type Kept = (String, Vec<u8>, Vec<u8>, Vec<(u64, u64)>, Vec<u64>, Option<ChunkCrcs>);
+
+    fn kept(fs: &Piofs) -> Vec<Kept> {
+        let paths: Vec<String> = fs.list("").into_iter().map(|f| f.path).collect();
+        let records: Vec<Option<ChunkCrcs>> = paths.iter().map(|p| fs.take_integrity(p)).collect();
+        let st = fs.state.lock();
+        paths
+            .into_iter()
+            .zip(records)
+            .map(|(path, crcs)| {
+                let f = &st.files[&path];
+                let lost = f.lost.intervals().to_vec();
+                let parity_lost = f.parity_lost.iter().copied().collect();
+                (path, f.bytes.clone(), f.parity.clone(), lost, parity_lost, crcs)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Whether a write lends its bytes or hands them over never shows
+        /// in the store. Two twins run one random sequence of `create`s,
+        /// whole-file, short and overlapping writes, server failures and
+        /// repairs, under parity or not, with one write torn by a chaos
+        /// plan; one twin lends every write, the other hands it over. They
+        /// leave identical bytes, sizes, parity, lost ranges, poison and
+        /// integrity records.
+        #[test]
+        fn a_lent_and_an_owned_write_leave_the_same_store(
+            parity in proptest::bool::ANY,
+            steps in proptest::collection::vec((0u8..8, 0u64..1 << 14, 0u64..1 << 14), 1..24),
+            torn_at in 1u32..8,
+        ) {
+            use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults, TornWrite};
+
+            let run = |owned: bool| {
+                let cfg = PiofsConfig::test_tiny(4);
+                let fs = Piofs::new(if parity { cfg.with_parity() } else { cfg }, 9);
+                let torn = TornWrite { path_contains: "f".into(), occurrence: torn_at, keep_fraction: 0.5 };
+                let plan = FaultPlan {
+                    piofs: PiofsFaults { transient_prob: 0.0, torn: Some(torn) },
+                    ..FaultPlan::seeded(3)
+                };
+                let write = |ctx: &mut Ctx, path: &str, offset: u64, len: u64, salt: u64| {
+                    let data: Vec<u8> = (0..len).map(|i| (i * 31 + salt) as u8 | 1).collect();
+                    if owned {
+                        fs.write_at(ctx, path, offset, data);
+                    } else {
+                        fs.write_at(ctx, path, offset, &data);
+                    }
+                };
+                drms_msg::Spmd::new(1, CostModel::free())
+                    .chaos(ChaosCtl::new(plan))
+                    .run(|ctx| {
+                        for (k, &(kind, a, b)) in steps.iter().enumerate() {
+                            let path = format!("f{}", a % 2);
+                            let salt = k as u64;
+                            match kind {
+                                0 => fs.create(&path, b),
+                                1 | 2 => {
+                                    // A whole-file write into a fresh reservation.
+                                    fs.create(&path, b);
+                                    write(ctx, &path, 0, b, salt);
+                                }
+                                3 => {
+                                    // A short write at the start of one.
+                                    fs.create(&path, b + 1);
+                                    write(ctx, &path, 0, b % (b + 1), salt);
+                                }
+                                // Over the head of what the file holds, or anywhere.
+                                4 => write(ctx, &path, 0, b % 6000, salt),
+                                5 => write(ctx, &path, a % 9000, b % 6000, salt),
+                                6 => {
+                                    fs.fail_server((a % 4) as usize);
+                                }
+                                _ => {
+                                    fs.repair_server((a % 4) as usize);
+                                }
+                            }
+                        }
+                    })
+                    .unwrap();
+                kept(&fs)
+            };
+            proptest::prop_assert_eq!(run(false), run(true));
+        }
     }
 }

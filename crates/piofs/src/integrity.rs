@@ -3,15 +3,18 @@
 //! A checkpoint's manifest carries one record per stored file: the CRC-32 of
 //! every integrity chunk ([`PiofsConfig::integrity_chunk`], the stripe unit)
 //! and of the whole file. The records are computed by the tasks that write
-//! the bytes: each write CRCs its own data, cut at the chunk grid, on the
-//! writer's thread and before the file-system lock is taken
-//! (`fragment_crcs`). A file reserved with [`crate::Piofs::create`] keeps
+//! the bytes: each write CRCs its own data, cut at the chunk grid
+//! (`fragments`), before the file-system lock is taken — on the writer's
+//! thread, or spread over the idle cores when the writer writes alone
+//! ([`piece_crcs`]). A file reserved with [`crate::Piofs::create`] keeps
 //! those CRCs in a slot table, one slot per chunk, and
 //! [`crate::Piofs::take_integrity`] folds the table into the records with
 //! [`Crc32Shift`] instead of reading the file back. Only chunks the writers
 //! did not cover whole, or whose bytes changed under them, are read.
 //!
 //! [`PiofsConfig::integrity_chunk`]: crate::PiofsConfig::integrity_chunk
+
+use drms_msg::spread;
 
 /// The CRC-32 generator (IEEE 802.3), reflected: bit 31 is the coefficient of
 /// x^0, bit 0 that of x^31.
@@ -185,6 +188,13 @@ impl Crc32Shift {
     }
 }
 
+/// The CRC-32 of each of `pieces`, in order, [`spread`] over the host's
+/// idle cores: for a task that CRCs alone while its siblings wait.
+pub fn piece_crcs(pieces: &mut [&[u8]]) -> Vec<u32> {
+    let crcs = |_, part: &mut [&[u8]]| part.iter().map(|p| crc32(p)).collect::<Vec<_>>();
+    spread(pieces, |p| p.len(), crcs).concat()
+}
+
 /// The CRC-32 of each `chunk`-byte piece of `bytes` (the last may be
 /// short; `chunk` is taken as at least 1).
 pub fn chunk_crcs(bytes: &[u8], chunk: u64) -> Vec<u32> {
@@ -236,17 +246,18 @@ impl ChunkCrcs {
     }
 }
 
-/// A writer's CRCs of `data`, to land at `offset`: one per piece of
-/// `[offset, offset + data.len())` cut at the `chunk`-byte grid, in order.
-/// Computed before the write takes the file-system lock.
-pub(crate) fn fragment_crcs(offset: u64, data: &[u8], chunk: u64) -> Vec<u32> {
+/// The pieces of `data`, to land at `offset`, cut at the `chunk`-byte grid:
+/// one per chunk `[offset, offset + data.len())` touches, in order. A
+/// writer CRCs each before the write takes the file-system lock, and the
+/// slot table records one CRC per piece.
+pub(crate) fn fragments(offset: u64, data: &[u8], chunk: u64) -> Vec<&[u8]> {
     let mut out = Vec::with_capacity(data.len().div_ceil(chunk as usize) + 1);
     let mut rest = data;
     let mut at = offset;
     while !rest.is_empty() {
         let n = ((chunk - at % chunk) as usize).min(rest.len());
         let (piece, tail) = rest.split_at(n);
-        out.push(crc32(piece));
+        out.push(piece);
         rest = tail;
         at += n as u64;
     }
@@ -296,8 +307,8 @@ impl Slots {
     }
 
     /// Records one write of `n` bytes at `offset` whose writer CRC'd them
-    /// into `crcs` ([`fragment_crcs`]). A fragment extends its chunk's head,
-    /// or prepends to its tail, or marks the chunk stale.
+    /// into `crcs`, one per piece of [`fragments`]. A fragment extends its
+    /// chunk's head, or prepends to its tail, or marks the chunk stale.
     pub(crate) fn record(&mut self, offset: u64, n: u64, crcs: &[u32]) {
         let end = offset + n;
         let mut a = offset;

@@ -6,6 +6,7 @@
 //! original data must genuinely reconstruct it from parity plus the
 //! surviving stripe units — there is no hidden copy to cheat from.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::integrity::{ChunkCrcs, Slots};
@@ -79,13 +80,32 @@ impl FileData {
     /// Writes `data` at `offset`, zero-extending the file as needed. Raw:
     /// no parity maintenance (use [`FileData::write_parity_aware`] on the
     /// I/O path).
-    pub fn write_at(&mut self, offset: u64, data: &[u8]) {
+    ///
+    /// An owned buffer written at offset 0 into an empty file, covering the
+    /// whole of the file's reservation ([`crate::Piofs::create`]), is
+    /// adopted: it becomes the stored bytes and no byte is copied. Its spare
+    /// capacity is given back (a buffer grown by appending, such as a delta
+    /// pack, would otherwise keep up to its length again for as long as the
+    /// file lives). Any other write copies, overwriting in place what the
+    /// file already holds and appending the rest.
+    pub fn write_at(&mut self, offset: u64, data: Cow<'_, [u8]>) {
+        let data = match data {
+            Cow::Owned(v)
+                if offset == 0 && self.bytes.is_empty() && v.len() >= self.bytes.capacity() =>
+            {
+                self.bytes = v;
+                self.bytes.shrink_to_fit();
+                return;
+            }
+            data => data,
+        };
         let offset = offset as usize;
-        let end = offset + data.len();
-        if end > self.bytes.len() {
-            self.bytes.resize(end, 0);
+        if offset > self.bytes.len() {
+            self.bytes.resize(offset, 0);
         }
-        self.bytes[offset..end].copy_from_slice(data);
+        let in_place = (self.bytes.len() - offset).min(data.len());
+        self.bytes[offset..offset + in_place].copy_from_slice(&data[..in_place]);
+        self.bytes.extend_from_slice(&data[in_place..]);
     }
 
     /// Reads `len` bytes at `offset`; `None` if out of bounds. Raw: lost
@@ -203,14 +223,15 @@ impl FileData {
     pub fn write_recorded(
         &mut self,
         offset: u64,
-        data: &[u8],
+        data: Cow<'_, [u8]>,
         crcs: &[u32],
         geom: Option<&ParityGeom>,
         down: &[bool],
     ) -> u64 {
+        let len = data.len() as u64;
         let parity_bytes = self.write_parity_aware(offset, data, geom, down);
         if let Some(slots) = &mut self.slots {
-            slots.record(offset, data.len() as u64, crcs);
+            slots.record(offset, len, crcs);
         }
         parity_bytes
     }
@@ -230,7 +251,7 @@ impl FileData {
     pub fn write_parity_aware(
         &mut self,
         offset: u64,
-        data: &[u8],
+        data: Cow<'_, [u8]>,
         geom: Option<&ParityGeom>,
         down: &[bool],
     ) -> u64 {
@@ -457,14 +478,14 @@ mod tests {
     fn filled(n: usize) -> FileData {
         let mut f = FileData::new(0);
         let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8 + 1).collect();
-        f.write_parity_aware(0, &data, Some(&G), &UP);
+        f.write_parity_aware(0, Cow::Owned(data), Some(&G), &UP);
         f
     }
 
     #[test]
     fn write_extends_with_zeros() {
         let mut f = FileData::new(0);
-        f.write_at(4, &[1, 2]);
+        f.write_at(4, Cow::Borrowed(&[1, 2]));
         assert_eq!(f.len(), 6);
         assert_eq!(f.read_at(0, 6).unwrap(), vec![0, 0, 0, 0, 1, 2]);
     }
@@ -472,8 +493,8 @@ mod tests {
     #[test]
     fn overwrite_in_place() {
         let mut f = FileData::new(0);
-        f.write_at(0, &[1, 2, 3, 4]);
-        f.write_at(1, &[9, 9]);
+        f.write_at(0, Cow::Borrowed(&[1, 2, 3, 4]));
+        f.write_at(1, Cow::Borrowed(&[9, 9]));
         assert_eq!(f.read_at(0, 4).unwrap(), vec![1, 9, 9, 4]);
         assert_eq!(f.len(), 4);
     }
@@ -481,7 +502,7 @@ mod tests {
     #[test]
     fn read_out_of_bounds_is_none() {
         let mut f = FileData::new(0);
-        f.write_at(0, &[1, 2, 3]);
+        f.write_at(0, Cow::Borrowed(&[1, 2, 3]));
         assert!(f.read_at(1, 3).is_none());
         assert!(f.read_at(3, 1).is_none());
         assert_eq!(f.read_at(3, 0).unwrap(), Vec::<u8>::new());
@@ -510,7 +531,7 @@ mod tests {
         f.fail_server(1, &G, true);
         // Overwrite a range spanning lost and surviving units.
         let patch: Vec<u8> = (0..24).map(|i| 200 + i as u8).collect();
-        f.write_parity_aware(8, &patch, Some(&G), &[false, true, false]);
+        f.write_parity_aware(8, Cow::Borrowed(&patch), Some(&G), &[false, true, false]);
         let mut want: Vec<u8> = (0..40).map(|i| (i % 251) as u8 + 1).collect();
         want[8..32].copy_from_slice(&patch);
         let (got, rec) = f.read_logical(0, 40, Some(&G)).unwrap();
@@ -555,7 +576,7 @@ mod tests {
     #[test]
     fn parity_off_loss_is_permanent() {
         let mut f = FileData::new(0);
-        f.write_parity_aware(0, &[7; 32], None, &UP);
+        f.write_parity_aware(0, Cow::Borrowed(&[7; 32]), None, &UP);
         assert!(f.parity.is_empty());
         f.fail_server(0, &G, false);
         // Without parity blocks the lost units cannot come back.

@@ -122,7 +122,7 @@ proptest! {
             cfg.jitter_sigma = 0.0;
             let fs = Piofs::new(cfg, 1);
             run_spmd(1, CostModel::free(), move |ctx| {
-                fs.write_at(ctx, "f", 0, &vec![0u8; bytes]);
+                fs.write_at(ctx, "f", 0, vec![0u8; bytes]);
                 ctx.now()
             })
             .unwrap()[0]

@@ -294,13 +294,14 @@ fn a_bad_segment_fails_every_rank_alike_and_strands_none() {
         fs.preload(&path, good[..good.len() - 9].to_vec());
         assert_eq!(open("truncated"), rotted(prefix));
         // With no record to hold it against (a manifest stripped of its
-        // records, which `verify` refuses but opening does not consult), the
-        // cut-short file reaches the decoder, whose refusal every rank gets.
+        // records, which `verify` refuses too), the segment is refused
+        // before it reaches the decoder, on every rank.
         let mpath = format!("{prefix}/manifest");
         let mut manifest = Manifest::decode(&fs.peek(&mpath).unwrap()).unwrap();
         manifest.integrity.clear();
         fs.preload(&mpath, manifest.encode());
-        assert!(matches!(open("truncated, no record"), CoreError::Wire(_)));
+        let unrecorded = format!("segment of {prefix:?} has no integrity record");
+        assert_eq!(open("truncated, no record"), CoreError::Integrity(unrecorded));
     }
 
     // The tier: every rank runs its own per-piece-CRC-checked fetch, so a

@@ -218,3 +218,35 @@ fn a_manifest_without_records_for_its_own_files_is_refused() {
     assert_eq!(report.unrecorded, [segment_path(&link(1)), delta_path(&link(1), "u")]);
     assert!(report.missing.is_empty() && report.corrupt.is_empty() && report.bad_refs.is_empty());
 }
+
+/// A restart from PIOFS refuses a segment its manifest holds no record for,
+/// as `verify` does. The restart used to skip the check whenever the record
+/// was absent: with the segment's record dropped from a committed manifest
+/// and a byte of a region body flipped, `verify` called the link invalid
+/// while `Drms::initialize` restarted from it with the rotted region.
+#[test]
+fn a_segment_without_a_record_is_refused_by_the_restart_too() {
+    let fs = Piofs::new(PiofsConfig::test_tiny(4), 41);
+    write_links(&fs, 4, false, &[1]);
+    let at = link(1);
+    let path = manifest_path(&at);
+    let mut m = Manifest::decode(&fs.peek(&path).expect("link 1 committed")).expect("decodes");
+    m.integrity.retain(|fi| fi.name != "segment");
+    fs.preload(&path, m.encode());
+
+    // The local-sections region is the segment's last: flip its first byte.
+    let seg = segment_path(&at);
+    let bytes = fs.peek(&seg).expect("segment stored");
+    let decoded = DataSegment::decode(&bytes).expect("segment decodes");
+    let body = decoded.region("local-sections").expect("local sections saved").bytes.len();
+    assert!(body > 0);
+    assert_eq!(fs.corrupt_range(&seg, (bytes.len() - body) as u64, 1, 7), 1);
+    assert!(!verify(&fs, &at).is_valid());
+
+    let opened = run_spmd(2, CostModel::default(), |ctx| {
+        Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), Some(&at)).map(|_| ())
+    })
+    .expect("restart region");
+    let refusal = CoreError::Integrity(format!("segment of {at:?} has no integrity record"));
+    assert!(opened.iter().all(|r| r.as_ref().err() == Some(&refusal)), "{opened:?}");
+}
