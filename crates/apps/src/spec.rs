@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use drms_core::{DrmsConfig, IoMode};
+use drms_core::DrmsConfig;
 use drms_darray::{factorize, Distribution};
 use drms_slices::Slice;
 
@@ -189,7 +189,6 @@ impl AppSpec {
     pub fn drms_config(&self) -> DrmsConfig {
         DrmsConfig {
             app: self.name.to_string(),
-            io: IoMode::Parallel,
             text_bytes: scale(8 << 20, self.class).max(1024),
             fixed_local_bytes: self.fixed_local_bytes(),
         }

@@ -152,11 +152,11 @@ fn restore_leg<S: RestartSource<Error = CoreError> + Sync>(
     fs.clear_residency();
     fs.reset_time();
     let restores = run_spmd(RESTORE_TASKS, CostModel::default(), |ctx| {
-        let (drms, info) =
+        let (_, info) =
             restore::open(ctx, fs, spec.drms_config(), EnableFlag::new(), &src).unwrap();
         let (mut u, mut forcing) = fields(spec, ctx);
         let arrays: &mut [&mut dyn CheckpointArray] = &mut [&mut u, &mut forcing];
-        let t = restore::restore_arrays(&drms, ctx, &src, &info.manifest, arrays).unwrap();
+        let t = restore::restore_arrays(ctx, &src, &info.manifest, arrays).unwrap();
         let sum = u.fold_assigned(0.0, |acc, _, v| acc + v)
             + forcing.fold_assigned(0.0, |acc, _, v| acc + v);
         (t, sum, info.segment.control("iter"))

@@ -31,7 +31,7 @@ pub mod wire;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use drms_obs::{EventKind, FlightSeal, Phase, Recorder, TraceEvent};
+use drms_obs::{EventKind, FlightSeal, Phase, Record, Recorder, TraceEvent};
 use parking_lot::Mutex;
 
 pub use archive::SealArchive;
@@ -61,16 +61,6 @@ pub const RESTORE_SPAN_NAMES: [&str; 3] = ["load_text", "load_segment", "restore
 /// as localized restore, mirroring how [`RESTORE_SPAN_NAMES`] mark a full
 /// restart's restore window.
 pub const LOCALIZED_SPAN_NAME: &str = "localized_recover";
-
-/// File name of rank `rank`'s sealed ring under a checkpoint (or staging)
-/// prefix directory.
-pub fn ring_file_name(rank: usize) -> String {
-    format!("blackbox-r{rank}")
-}
-
-/// Storage directory crash-point salvage seals land under (keyed by their
-/// unique seal tag, so they never collide across incarnations).
-pub const SALVAGE_DIR: &str = "bb";
 
 /// Configuration of a [`Blackbox`].
 #[derive(Debug, Clone)]
@@ -262,25 +252,6 @@ impl Blackbox {
             evicted: stats.evicted_delta,
         })
     }
-
-    fn capture(
-        &self,
-        t: f64,
-        rank: usize,
-        phase: Phase,
-        name: &str,
-        kind: EventKind,
-        corr: Option<u64>,
-    ) {
-        let Some(ring) = self.rings.get(rank) else { return };
-        // Control-plane events carry sequence-number pseudo-times, not
-        // simulated time — except the crash markers the injector stamps
-        // with the real clock, which the stitcher needs.
-        if phase == Phase::Control && !name.starts_with(CRASH_EVENT_PREFIX) {
-            return;
-        }
-        ring.lock().push(TraceEvent { t, rank, phase, name: name.to_string(), kind, corr });
-    }
 }
 
 impl Recorder for Blackbox {
@@ -292,20 +263,16 @@ impl Recorder for Blackbox {
         true
     }
 
-    fn span_start(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        self.capture(t, rank, phase, name, EventKind::Begin, None);
-    }
-
-    fn span_end(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        self.capture(t, rank, phase, name, EventKind::End, None);
-    }
-
-    fn event(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        self.capture(t, rank, phase, name, EventKind::Instant, None);
-    }
-
-    fn event_with_corr(&self, t: f64, rank: usize, phase: Phase, name: &str, corr: u64) {
-        self.capture(t, rank, phase, name, EventKind::Instant, Some(corr));
+    fn record(&self, t: Option<f64>, rank: usize, r: Record<'_>) {
+        let Some(ring) = self.rings.get(rank) else { return };
+        let Some(ev) = TraceEvent::from_record(t, rank, r) else { return };
+        // Control-plane events carry sequence-number pseudo-times, not
+        // simulated time — except the crash markers the injector stamps
+        // with the real clock, which the stitcher needs.
+        if ev.phase == Phase::Control && !ev.name.starts_with(CRASH_EVENT_PREFIX) {
+            return;
+        }
+        ring.lock().push(ev);
     }
 
     fn flight_seal(&self, t: f64, rank: usize, reason: &str) -> Option<FlightSeal> {

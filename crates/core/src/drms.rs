@@ -16,15 +16,13 @@ use crate::report::OpBreakdown;
 use crate::restore::{self, PiofsFull, RestartInfo};
 use crate::segment::DataSegment;
 use crate::verify::verify;
-use crate::{CoreError, IoMode, Result};
+use crate::{CoreError, Result};
 
 /// Static configuration of a DRMS application.
 #[derive(Debug, Clone)]
 pub struct DrmsConfig {
     /// Application name (manifests are tagged with it).
     pub app: String,
-    /// How many tasks perform array-stream I/O.
-    pub io: IoMode,
     /// Size of the application text segment, reloaded at restart (the
     /// paper's restart totals include this initialization component).
     pub text_bytes: u64,
@@ -35,14 +33,9 @@ pub struct DrmsConfig {
 }
 
 impl DrmsConfig {
-    /// A configuration with typical defaults (parallel I/O, 8 MB text).
+    /// A configuration with typical defaults (8 MB text).
     pub fn new(app: &str) -> DrmsConfig {
-        DrmsConfig {
-            app: app.to_string(),
-            io: IoMode::Parallel,
-            text_bytes: 8 << 20,
-            fixed_local_bytes: 0,
-        }
+        DrmsConfig { app: app.to_string(), text_bytes: 8 << 20, fixed_local_bytes: 0 }
     }
 }
 
@@ -171,9 +164,8 @@ impl Drms {
         let t1 = ctx.now();
 
         // Phase 2: every distributed array, streamed in sequence, staged.
-        let io = self.cfg.io.resolve(ctx.ntasks());
         for a in arrays {
-            a.write_stream(ctx, fs, &array_path(commit.staging(), a.array_name()), io)?;
+            a.write_stream(ctx, fs, &array_path(commit.staging(), a.array_name()), ctx.ntasks())?;
             commit.array_staged(ctx)?;
         }
         ctx.barrier();
@@ -239,7 +231,7 @@ impl Drms {
         manifest: &Manifest,
         arrays: &mut [&mut dyn CheckpointArray],
     ) -> Result<f64> {
-        restore::restore_arrays(self, ctx, &PiofsFull { fs, prefix }, manifest, arrays)
+        restore::restore_arrays(ctx, &PiofsFull { fs, prefix }, manifest, arrays)
     }
 }
 
@@ -487,7 +479,7 @@ pub fn stage_flight_rings(ctx: &mut Ctx, fs: &Piofs, staging: &str) {
     let (t, r) = (ctx.now(), ctx.rank());
     let mut reqs = Vec::new();
     if let Some(seal) = rec.flight_seal(t, r, "sop") {
-        let path = format!("{staging}/{}", drms_blackbox::ring_file_name(r));
+        let path = format!("{staging}/{}", drms_obs::ring_file_name(r));
         let rec = ctx.recorder();
         rec.counter_add_at(t, r, names::BLACKBOX_SEALS, None, 1);
         rec.counter_add_at(t, r, names::BLACKBOX_SEAL_BYTES, None, seal.bytes.len() as u64);

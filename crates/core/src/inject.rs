@@ -65,7 +65,7 @@ fn salvage_flight_ring(ctx: &Ctx, fs: &Piofs, reason: &str) {
         return;
     }
     let Some(seal) = rec.flight_seal(ctx.now(), ctx.rank(), reason) else { return };
-    fs.preload(&format!("{}/{}", drms_blackbox::SALVAGE_DIR, seal.tag), seal.bytes.clone());
+    fs.preload(&format!("{}/{}", drms_obs::SALVAGE_DIR, seal.tag), seal.bytes.clone());
     let (t, r) = (ctx.now(), ctx.rank());
     rec.counter_add_at(t, r, names::BLACKBOX_SALVAGES, None, 1);
     rec.counter_add_at(t, r, names::BLACKBOX_SEALS, None, 1);

@@ -68,25 +68,3 @@ pub use handle::{decode_locals, encode_locals, encode_segment_with_locals, Check
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
-
-/// Number of I/O tasks to use for array streaming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Every task performs I/O (fully parallel streaming).
-    Parallel,
-    /// One task performs I/O (serial streaming; works without seek support).
-    Serial,
-    /// A fixed number of I/O tasks.
-    Tasks(usize),
-}
-
-impl IoMode {
-    /// Resolves the mode to a task count for a region of `ntasks` tasks.
-    pub fn resolve(self, ntasks: usize) -> usize {
-        match self {
-            IoMode::Parallel => ntasks,
-            IoMode::Serial => 1,
-            IoMode::Tasks(n) => n.clamp(1, ntasks),
-        }
-    }
-}

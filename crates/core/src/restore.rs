@@ -215,7 +215,6 @@ pub fn open<S: RestartSource>(
 /// application has (re-)created them under the current distributions
 /// (adjusted when the task count changed). Returns the array-phase time.
 pub fn restore_arrays<S: RestartSource>(
-    drms: &Drms,
     ctx: &mut Ctx,
     src: &S,
     manifest: &Manifest,
@@ -223,10 +222,9 @@ pub fn restore_arrays<S: RestartSource>(
 ) -> Sourced<f64, S> {
     ctx.barrier();
     let t0 = ctx.now();
-    let io = drms.cfg().io.resolve(ctx.ntasks());
     for a in arrays.iter_mut() {
         check_array(manifest, &**a)?;
-        src.read_array(ctx, manifest, &mut **a, io)?;
+        src.read_array(ctx, manifest, &mut **a, ctx.ntasks())?;
     }
     ctx.barrier();
     consult(ctx, src, 2)?;

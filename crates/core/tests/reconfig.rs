@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use drms_core::manifest::CkptKind;
 use drms_core::segment::DataSegment;
-use drms_core::{find_checkpoints, CheckpointArray, Drms, DrmsConfig, EnableFlag, IoMode, Start};
+use drms_core::{find_checkpoints, CheckpointArray, Drms, DrmsConfig, EnableFlag, Start};
 use drms_darray::{DistArray, Distribution};
 use drms_msg::{run_spmd, CostModel};
 use drms_piofs::{Piofs, PiofsConfig};
@@ -19,7 +19,6 @@ fn fs() -> Arc<Piofs> {
 fn cfg() -> DrmsConfig {
     let mut c = DrmsConfig::new("mini");
     c.text_bytes = 4096;
-    c.io = IoMode::Parallel;
     c
 }
 

@@ -116,16 +116,18 @@ pub fn resume(
 /// is assembled chunk by chunk: the covering pack reads run as collective
 /// phases (priced deterministically across the region), each chunk is
 /// decompressed, and its content hash is verified before a single byte
-/// reaches the array. Returns the array-phase time.
+/// reaches the array. Returns the array-phase time. The `Drms` handle is
+/// not consulted (every task streams); the parameter keeps the signature
+/// of the other restore entry points.
 pub fn restore_arrays_delta(
-    drms: &Drms,
+    _drms: &Drms,
     ctx: &mut Ctx,
     fs: &Piofs,
     prefix: &str,
     manifest: &Manifest,
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<f64> {
-    restore::restore_arrays(drms, ctx, &DeltaSource(PiofsFull { fs, prefix }), manifest, arrays)
+    restore::restore_arrays(ctx, &DeltaSource(PiofsFull { fs, prefix }), manifest, arrays)
 }
 
 /// Assembles `[off, off + len)` of an array's canonical stream from its

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use drms_core::manifest::{delta_path, ChunkSource, CkptKind};
 use drms_core::segment::DataSegment;
-use drms_core::{find_checkpoints, verify, Drms, DrmsConfig, EnableFlag, IoMode, Start};
+use drms_core::{find_checkpoints, verify, Drms, DrmsConfig, EnableFlag, Start};
 use drms_darray::chunks::Codec;
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{
@@ -28,7 +28,6 @@ fn fs() -> Arc<Piofs> {
 fn cfg() -> DrmsConfig {
     let mut c = DrmsConfig::new("mini");
     c.text_bytes = 4096;
-    c.io = IoMode::Parallel;
     c
 }
 

@@ -3,14 +3,12 @@
 //!
 //! The recorder deliberately does not issue span ids (concurrent ranks
 //! would race over them and break export determinism), so the analysis
-//! re-derives the span tree from the time-sorted event stream: per
-//! `(rank, phase, name)` the events pair LIFO, mirroring
-//! [`drms_obs::TraceRecorder`]'s own histogram pairing. Ids are assigned
-//! after a deterministic sort, so equal traces yield equal span tables.
+//! re-derives the span tree from the time-sorted event stream, pairing
+//! through [`drms_obs::closed_spans`] like the trace's own histograms and
+//! phase summary. Ids are assigned after a deterministic sort, so equal
+//! traces yield equal span tables.
 
-use std::collections::HashMap;
-
-use drms_obs::{EventKind, Phase, TraceEvent};
+use drms_obs::{closed_spans, Phase, TraceEvent};
 
 /// One closed span reconstructed from a `Begin`/`End` pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,38 +47,23 @@ fn phase_ord(p: Phase) -> usize {
 }
 
 /// Reconstructs closed spans from a **time-sorted** event stream (as
-/// returned by `TraceRecorder::events`). `Begin`s pair with the nearest
-/// later `End` of the same `(rank, phase, name)` (LIFO); unmatched
-/// `Begin`s and `End`s are dropped, mirroring the recorder's histogram
-/// pairing. The result is sorted by `(start, longer-first, rank, phase,
+/// returned by `TraceRecorder::events`), paired by
+/// [`drms_obs::closed_spans`]. The result is sorted by `(start, longer-first, rank, phase,
 /// name)` and ids are indices into that order; `parent` links each span
 /// to its smallest enclosing span on the same rank.
 pub fn build_spans(events: &[TraceEvent]) -> Vec<Span> {
-    let mut open: HashMap<(usize, Phase, &str), Vec<f64>> = HashMap::new();
-    let mut spans = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::Begin => {
-                open.entry((e.rank, e.phase, e.name.as_str())).or_default().push(e.t);
-            }
-            EventKind::End => {
-                if let Some(start) =
-                    open.get_mut(&(e.rank, e.phase, e.name.as_str())).and_then(Vec::pop)
-                {
-                    spans.push(Span {
-                        id: 0,
-                        rank: e.rank,
-                        phase: e.phase,
-                        name: e.name.clone(),
-                        start,
-                        end: e.t,
-                        parent: None,
-                    });
-                }
-            }
-            EventKind::Instant => {}
-        }
-    }
+    let mut spans: Vec<Span> = closed_spans(events)
+        .into_iter()
+        .map(|(start, e)| Span {
+            id: 0,
+            rank: e.rank,
+            phase: e.phase,
+            name: e.name.clone(),
+            start,
+            end: e.t,
+            parent: None,
+        })
+        .collect();
 
     spans.sort_by(|a, b| {
         a.start
@@ -149,6 +132,7 @@ pub fn deepest_at(spans: &[Span], rank: usize, t: f64) -> Option<&Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drms_obs::EventKind;
 
     fn ev(t: f64, rank: usize, phase: Phase, name: &str, kind: EventKind) -> TraceEvent {
         TraceEvent { t, rank, phase, name: name.to_owned(), kind, corr: None }

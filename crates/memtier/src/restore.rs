@@ -127,14 +127,16 @@ pub fn resume_from_tier(
 /// Loads every array from the tier entry under `prefix` (collective), after
 /// the application has re-created them under the current distributions.
 /// Validates each array against the manifest exactly like
-/// [`Drms::restore_arrays`] and returns the array-phase time.
+/// [`Drms::restore_arrays`] and returns the array-phase time. The `Drms`
+/// handle is not consulted (every task streams); the parameter keeps the
+/// signature of the other restore entry points.
 pub fn restore_arrays_from_tier(
     ctx: &mut Ctx,
     tier: &MemTier,
-    drms: &Drms,
+    _drms: &Drms,
     prefix: &str,
     manifest: &Manifest,
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<f64> {
-    restore::restore_arrays(drms, ctx, &TierSource { tier, prefix }, manifest, arrays)
+    restore::restore_arrays(ctx, &TierSource { tier, prefix }, manifest, arrays)
 }

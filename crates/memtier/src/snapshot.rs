@@ -75,7 +75,6 @@ impl Snapshot {
         arrays: &[&dyn CheckpointArray],
     ) -> Result<Snapshot> {
         let cfg = drms.cfg();
-        let io = cfg.io.resolve(ctx.ntasks());
         let mut segment = None;
         let mut local_bytes = 0u64;
         if ctx.rank() == 0 {
@@ -86,7 +85,7 @@ impl Snapshot {
         let mut snaps = Vec::with_capacity(arrays.len());
         for a in arrays {
             let pieces: Vec<SnapshotPiece> = a
-                .stream_pieces(ctx, io)?
+                .stream_pieces(ctx, ctx.ntasks())?
                 .into_iter()
                 .map(|p| SnapshotPiece { offset: p.offset, data: Arc::new(p.data) })
                 .collect();

@@ -1,6 +1,6 @@
 //! Trace exporters: JSONL event log and Chrome `trace_event` JSON.
 
-use crate::trace::{EventKind, TraceRecorder};
+use crate::trace::{span_histograms, EventKind, TraceRecorder};
 
 fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
@@ -27,12 +27,15 @@ fn json_str(s: &str) -> String {
 impl TraceRecorder {
     /// Exports everything as JSON Lines: one object per event (sorted by
     /// simulated time), then one per counter series, then one per gauge,
-    /// then one per latency histogram. Events carry a `corr` field only
+    /// then one per phase's span latency histogram (derived here from the
+    /// sorted events, so its sums do not depend on host thread order).
+    /// Events carry a `corr` field only
     /// when they have a correlation id, so uncorrelated lines are
     /// byte-identical to earlier releases.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in self.events() {
+        let events = self.events();
+        for ev in &events {
             let kind = match ev.kind {
                 EventKind::Begin => "begin",
                 EventKind::End => "end",
@@ -73,7 +76,7 @@ impl TraceRecorder {
                 value
             ));
         }
-        for (name, h) in self.metrics().histograms() {
+        for (name, h) in span_histograms(&events) {
             out.push_str(&format!(
                 "{{\"hist\":{},\"count\":{},\"sum\":{},\"max\":{},\
                  \"p50\":{},\"p95\":{},\"p99\":{}}}\n",
@@ -167,6 +170,24 @@ mod tests {
         let r = TraceRecorder::new();
         r.event(0.5, 0, Phase::Control, "job bt started");
         assert!(!r.to_jsonl().contains("corr"));
+    }
+
+    /// The same spans reported in two host interleavings export the same
+    /// bytes: the histogram sum adds in sorted order, not arrival order
+    /// (0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last digit).
+    #[test]
+    fn jsonl_is_independent_of_host_interleaving() {
+        let export = |ranks: [usize; 3]| {
+            let r = TraceRecorder::new();
+            for rank in ranks {
+                r.span_start(0.0, rank, Phase::StreamWave, "u");
+                r.span_end([0.1, 0.2, 0.3][rank], rank, Phase::StreamWave, "u");
+            }
+            r.to_jsonl()
+        };
+        let forward = export([0, 1, 2]);
+        assert!(forward.contains("\"hist\":\"stream_wave\",\"count\":3"));
+        assert_eq!(forward, export([2, 1, 0]));
     }
 
     /// Golden snapshot of the Chrome trace export.

@@ -123,7 +123,6 @@ impl Histogram {
 struct Inner {
     counters: BTreeMap<CounterKey, u64>,
     gauges: BTreeMap<(&'static str, usize), f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// Thread-safe registry of monotonic counters (labelled by rank and
@@ -174,21 +173,6 @@ impl MetricsRegistry {
     /// Every gauge, sorted by `(name, index)`.
     pub fn gauges(&self) -> Vec<((&'static str, usize), f64)> {
         self.inner.lock().gauges.iter().map(|(k, v)| (*k, *v)).collect()
-    }
-
-    /// Records one latency sample (seconds) into histogram `name`.
-    pub fn histogram_record(&self, name: &'static str, value: f64) {
-        self.inner.lock().histograms.entry(name).or_default().record(value);
-    }
-
-    /// Snapshot of histogram `name`, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().histograms.iter().find(|(n, _)| **n == name).map(|(_, h)| h.clone())
-    }
-
-    /// Every histogram, sorted by name.
-    pub fn histograms(&self) -> Vec<(&'static str, Histogram)> {
-        self.inner.lock().histograms.iter().map(|(n, h)| (*n, h.clone())).collect()
     }
 }
 
@@ -257,22 +241,6 @@ mod tests {
         assert_eq!(h.max(), 1e9);
         assert_eq!(h.quantile(1.0), 1e9);
         assert_eq!(h.quantile(0.0), bucket_bound(0).min(1e9));
-    }
-
-    #[test]
-    fn registry_histograms_aggregate_by_name() {
-        let m = MetricsRegistry::new();
-        assert!(m.histogram("io_phase").is_none());
-        m.histogram_record("io_phase", 0.5);
-        m.histogram_record("io_phase", 1.5);
-        m.histogram_record("stream_wave", 0.25);
-        let h = m.histogram("io_phase").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 1.5);
-        let all = m.histograms();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, "io_phase");
-        assert_eq!(all[1].0, "stream_wave");
     }
 
     #[test]

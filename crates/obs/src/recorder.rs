@@ -23,16 +23,90 @@ pub struct FlightSeal {
     pub evicted: u64,
 }
 
+/// File name of rank `rank`'s sealed ring under a checkpoint (or staging)
+/// prefix directory.
+pub fn ring_file_name(rank: usize) -> String {
+    format!("blackbox-r{rank}")
+}
+
+/// Storage directory crash-point salvage seals land under (keyed by their
+/// unique seal tag, so they never collide across incarnations).
+pub const SALVAGE_DIR: &str = "bb";
+
+/// One report to a [`Recorder`]: what happened, without the when and who
+/// that [`Recorder::record`] carries beside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Record<'a> {
+    /// A span named `name` opened.
+    SpanStart {
+        /// Pipeline phase of the span.
+        phase: Phase,
+        /// Span name.
+        name: &'a str,
+    },
+    /// The most recent open span with this `(rank, phase, name)` closed.
+    SpanEnd {
+        /// Pipeline phase of the span.
+        phase: Phase,
+        /// Span name.
+        name: &'a str,
+    },
+    /// An instantaneous event.
+    Event {
+        /// Pipeline phase of the event.
+        phase: Phase,
+        /// Event name.
+        name: &'a str,
+        /// Correlation id linking the event to other records (e.g. a job
+        /// start to its JSA incarnation number); `None` for uncorrelated
+        /// events.
+        corr: Option<u64>,
+    },
+    /// One PIOFS server was busy from the report's time until `end` inside
+    /// the priced I/O phase `name`, for utilization and stripe-imbalance
+    /// attribution. The rank is the task whose I/O phase priced it.
+    ServerBusy {
+        /// Server index.
+        server: usize,
+        /// Name of the I/O phase that occupied the server.
+        name: &'a str,
+        /// The server's new busy horizon, in simulated seconds.
+        end: f64,
+    },
+    /// `delta` added to the monotonic counter `name`.
+    Counter {
+        /// Metric name (see [`crate::names`]).
+        name: &'static str,
+        /// Checkpoint array the increment belongs to, when applicable.
+        array: Option<&'a str>,
+        /// Amount added.
+        delta: u64,
+    },
+    /// Gauge `name[index]` set to `value` (e.g. per-server busy time).
+    Gauge {
+        /// Metric name (see [`crate::names`]).
+        name: &'static str,
+        /// Gauge index (a server, or 0 for scalar gauges).
+        index: usize,
+        /// New value.
+        value: f64,
+    },
+}
+
 /// Sink for structured spans, instant events, counters, and gauges.
 ///
-/// All timestamps (`t`) are **simulated** seconds supplied by the caller's
-/// task clock; implementations must not consult host time. `rank` is the
-/// reporting task's rank (control-plane callers pass rank 0). `array`
-/// optionally labels the checkpoint array a sample belongs to.
+/// A sink implements one report method, [`Recorder::record`]. The named
+/// spellings (`span_start`, `event`, `counter_add_at`, ...) are what
+/// instrumentation calls; each only builds a [`Record`] and passes it on,
+/// and no sink overrides them.
 ///
-/// Every method has an empty default body so null recording costs nothing;
-/// instrumentation sites may additionally check [`Recorder::enabled`] to
-/// skip building labels.
+/// All timestamps are **simulated** seconds supplied by the caller's task
+/// clock; implementations must not consult host time. `rank` is the
+/// reporting task's rank (control-plane callers pass rank 0).
+///
+/// Every method has a default body, and `record`'s is empty, so null
+/// recording costs nothing; instrumentation sites may additionally check
+/// [`Recorder::enabled`] to skip building labels.
 #[allow(unused_variables)]
 pub trait Recorder: Send + Sync {
     /// Whether this recorder keeps anything. When `false`, callers may
@@ -41,41 +115,46 @@ pub trait Recorder: Send + Sync {
         false
     }
 
+    /// The one report hook: `r` happened on `rank` at simulated time `t`.
+    /// `t == None` marks a control-plane report that has no clock.
+    fn record(&self, t: Option<f64>, rank: usize, r: Record<'_>) {}
+
     /// Opens a span named `name` at simulated time `t`.
-    fn span_start(&self, t: f64, rank: usize, phase: Phase, name: &str) {}
-
-    /// Closes the most recent open span with this `(rank, phase, name)`.
-    fn span_end(&self, t: f64, rank: usize, phase: Phase, name: &str) {}
-
-    /// Records an instantaneous event.
-    fn event(&self, t: f64, rank: usize, phase: Phase, name: &str) {}
-
-    /// Records an instantaneous event carrying a correlation id, so causal
-    /// analysis can link it to other records (e.g. a job start to its JSA
-    /// incarnation number). The default forwards to [`Recorder::event`],
-    /// dropping the id.
-    fn event_with_corr(&self, t: f64, rank: usize, phase: Phase, name: &str, corr: u64) {
-        self.event(t, rank, phase, name);
+    fn span_start(&self, t: f64, rank: usize, phase: Phase, name: &str) {
+        self.record(Some(t), rank, Record::SpanStart { phase, name });
     }
 
-    /// Reports one PIOFS server's busy interval inside a priced I/O phase
-    /// (`[start, end]` in simulated seconds), for utilization and
-    /// stripe-imbalance attribution. `rank` is the task whose I/O phase
-    /// priced the interval: aggregate sinks ignore it, streaming sinks
-    /// attribute the interval to that task's stream, keeping per-task sample
-    /// order deterministic when several ranks price phases concurrently.
-    fn server_interval(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {}
+    /// Closes the most recent open span with this `(rank, phase, name)`.
+    fn span_end(&self, t: f64, rank: usize, phase: Phase, name: &str) {
+        self.record(Some(t), rank, Record::SpanEnd { phase, name });
+    }
+
+    /// Records an instantaneous event.
+    fn event(&self, t: f64, rank: usize, phase: Phase, name: &str) {
+        self.record(Some(t), rank, Record::Event { phase, name, corr: None });
+    }
+
+    /// Records an instantaneous event carrying a correlation id, so causal
+    /// analysis can link it to other records.
+    fn event_with_corr(&self, t: f64, rank: usize, phase: Phase, name: &str, corr: u64) {
+        self.record(Some(t), rank, Record::Event { phase, name, corr: Some(corr) });
+    }
+
+    /// Reports one PIOFS server's busy interval `[start, end]` inside a
+    /// priced I/O phase; `rank` is the task whose I/O phase priced it.
+    fn server_interval(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {
+        self.record(Some(start), rank, Record::ServerBusy { server, name, end });
+    }
 
     /// Adds `delta` to the monotonic counter `name`, labelled by `rank`
-    /// and optionally an `array` name.
-    fn counter_add(&self, rank: usize, name: &'static str, array: Option<&str>, delta: u64) {}
+    /// and optionally an `array` name, with no clock.
+    fn counter_add(&self, rank: usize, name: &'static str, array: Option<&str>, delta: u64) {
+        self.record(None, rank, Record::Counter { name, array, delta });
+    }
 
     /// As [`Recorder::counter_add`], stamped with the caller's simulated
-    /// clock `t`. Aggregate-only sinks keep the default (which drops the
-    /// timestamp and forwards to [`Recorder::counter_add`]); streaming
-    /// sinks such as windowed online collectors override it to place the
-    /// increment on the simulated time axis. Instrumentation sites that
-    /// hold a clock should prefer this variant.
+    /// clock `t`. Instrumentation sites that hold a clock should prefer
+    /// this spelling.
     fn counter_add_at(
         &self,
         t: f64,
@@ -84,18 +163,19 @@ pub trait Recorder: Send + Sync {
         array: Option<&str>,
         delta: u64,
     ) {
-        self.counter_add(rank, name, array, delta);
+        self.record(Some(t), rank, Record::Counter { name, array, delta });
     }
 
-    /// Sets gauge `name[index]` to `value` (e.g. per-server busy time).
-    fn gauge_set(&self, name: &'static str, index: usize, value: f64) {}
+    /// Sets gauge `name[index]` to `value` from the control plane (rank 0,
+    /// no clock).
+    fn gauge_set(&self, name: &'static str, index: usize, value: f64) {
+        self.record(None, 0, Record::Gauge { name, index, value });
+    }
 
     /// As [`Recorder::gauge_set`], stamped with the caller's simulated
-    /// clock `t` and reporting `rank`. Aggregate sinks keep the default
-    /// (which drops both); streaming sinks override it to place the sample
-    /// on the reporting task's stream.
+    /// clock `t` and reporting `rank`.
     fn gauge_set_at(&self, t: f64, rank: usize, name: &'static str, index: usize, value: f64) {
-        self.gauge_set(name, index, value);
+        self.record(Some(t), rank, Record::Gauge { name, index, value });
     }
 
     /// Whether a flight recorder is attached somewhere in this recorder
@@ -128,7 +208,7 @@ pub struct FanoutRecorder {
 }
 
 impl FanoutRecorder {
-    /// A fan-out over `sinks`, invoked in order on every hook.
+    /// A fan-out over `sinks`, invoked in order on every report.
     pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> FanoutRecorder {
         FanoutRecorder { sinks }
     }
@@ -139,64 +219,9 @@ impl Recorder for FanoutRecorder {
         self.sinks.iter().any(|s| s.enabled())
     }
 
-    fn span_start(&self, t: f64, rank: usize, phase: Phase, name: &str) {
+    fn record(&self, t: Option<f64>, rank: usize, r: Record<'_>) {
         for s in &self.sinks {
-            s.span_start(t, rank, phase, name);
-        }
-    }
-
-    fn span_end(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        for s in &self.sinks {
-            s.span_end(t, rank, phase, name);
-        }
-    }
-
-    fn event(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        for s in &self.sinks {
-            s.event(t, rank, phase, name);
-        }
-    }
-
-    fn event_with_corr(&self, t: f64, rank: usize, phase: Phase, name: &str, corr: u64) {
-        for s in &self.sinks {
-            s.event_with_corr(t, rank, phase, name, corr);
-        }
-    }
-
-    fn server_interval(&self, rank: usize, server: usize, name: &str, start: f64, end: f64) {
-        for s in &self.sinks {
-            s.server_interval(rank, server, name, start, end);
-        }
-    }
-
-    fn counter_add(&self, rank: usize, name: &'static str, array: Option<&str>, delta: u64) {
-        for s in &self.sinks {
-            s.counter_add(rank, name, array, delta);
-        }
-    }
-
-    fn counter_add_at(
-        &self,
-        t: f64,
-        rank: usize,
-        name: &'static str,
-        array: Option<&str>,
-        delta: u64,
-    ) {
-        for s in &self.sinks {
-            s.counter_add_at(t, rank, name, array, delta);
-        }
-    }
-
-    fn gauge_set(&self, name: &'static str, index: usize, value: f64) {
-        for s in &self.sinks {
-            s.gauge_set(name, index, value);
-        }
-    }
-
-    fn gauge_set_at(&self, t: f64, rank: usize, name: &'static str, index: usize, value: f64) {
-        for s in &self.sinks {
-            s.gauge_set_at(t, rank, name, index, value);
+            s.record(t, rank, r);
         }
     }
 
@@ -219,20 +244,63 @@ impl Recorder for NullRecorder {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     #[test]
     fn null_recorder_is_disabled_and_inert() {
         let r = NullRecorder;
         assert!(!r.enabled());
+        assert!(!r.flight_enabled());
         r.span_start(0.0, 0, Phase::Init, "x");
-        r.span_end(1.0, 0, Phase::Init, "x");
-        r.event(0.5, 1, Phase::Control, "e");
-        r.event_with_corr(0.5, 1, Phase::Control, "e", 7);
-        r.server_interval(0, 3, "collective", 0.0, 1.0);
-        r.counter_add(0, crate::names::MESSAGES_SENT, None, 3);
-        r.counter_add_at(0.7, 0, crate::names::MESSAGES_SENT, None, 3);
-        r.gauge_set(crate::names::SERVER_BUSY, 2, 1.5);
+        r.record(None, 0, Record::Gauge { name: crate::names::SERVER_BUSY, index: 2, value: 1.5 });
         assert!(r.flight_seal(0.9, 0, "sop").is_none());
+    }
+
+    /// Keeps every report it receives, its `Record` as a debug string.
+    #[derive(Default)]
+    struct Capture(Mutex<Vec<(Option<f64>, usize, String)>>);
+
+    impl Recorder for Capture {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&self, t: Option<f64>, rank: usize, r: Record<'_>) {
+            self.0.lock().push((t, rank, format!("{r:?}")));
+        }
+    }
+
+    #[test]
+    fn every_spelling_reaches_record_through_fanout() {
+        use crate::names::{COMMITS, SERVER_BUSY};
+        use std::sync::Arc;
+
+        let cap = Arc::new(Capture::default());
+        let fan = FanoutRecorder::new(vec![Arc::new(NullRecorder), cap.clone()]);
+        assert!(fan.enabled());
+        fan.span_start(1.0, 2, Phase::Arrays, "u");
+        fan.span_end(2.0, 2, Phase::Arrays, "u");
+        fan.event(3.0, 1, Phase::Manifest, "e");
+        fan.event_with_corr(4.0, 0, Phase::Control, "job", 7);
+        fan.server_interval(3, 5, "collective", 5.0, 6.5);
+        fan.counter_add(1, COMMITS, Some("v"), 2);
+        fan.counter_add_at(7.0, 2, COMMITS, None, 3);
+        fan.gauge_set(SERVER_BUSY, 4, 0.5);
+        fan.gauge_set_at(8.0, 3, SERVER_BUSY, 1, 0.25);
+        let want: Vec<(Option<f64>, usize, Record<'_>)> = vec![
+            (Some(1.0), 2, Record::SpanStart { phase: Phase::Arrays, name: "u" }),
+            (Some(2.0), 2, Record::SpanEnd { phase: Phase::Arrays, name: "u" }),
+            (Some(3.0), 1, Record::Event { phase: Phase::Manifest, name: "e", corr: None }),
+            (Some(4.0), 0, Record::Event { phase: Phase::Control, name: "job", corr: Some(7) }),
+            (Some(5.0), 3, Record::ServerBusy { server: 5, name: "collective", end: 6.5 }),
+            (None, 1, Record::Counter { name: COMMITS, array: Some("v"), delta: 2 }),
+            (Some(7.0), 2, Record::Counter { name: COMMITS, array: None, delta: 3 }),
+            (None, 0, Record::Gauge { name: SERVER_BUSY, index: 4, value: 0.5 }),
+            (Some(8.0), 3, Record::Gauge { name: SERVER_BUSY, index: 1, value: 0.25 }),
+        ];
+        let want: Vec<_> =
+            want.into_iter().map(|(t, rank, r)| (t, rank, format!("{r:?}"))).collect();
+        assert_eq!(*cap.0.lock(), want);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-phase summary derived from recorded spans.
 
-use crate::trace::{EventKind, TraceEvent};
+use crate::trace::{closed_spans, TraceEvent};
 use crate::Phase;
 use std::collections::HashMap;
 
@@ -19,9 +19,9 @@ pub struct PhaseRow {
 ///
 /// The orchestration layer emits its phase spans on rank 0 only, with the
 /// exact timestamps it also uses to build its operation report — so a
-/// summary built here and the report can never disagree. Spans are matched
-/// by `(phase, name)` with a stack per key, so nested spans of the same
-/// name pair up innermost-first.
+/// summary built here and the report can never disagree. Spans pair
+/// through [`closed_spans`], so nested spans of the same name pair up
+/// innermost-first.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseSummary {
     rows: Vec<PhaseRow>,
@@ -32,23 +32,11 @@ impl PhaseSummary {
     /// counted (other ranks' spans serve the timeline view); unmatched
     /// span boundaries are ignored.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut open: HashMap<(Phase, &str), Vec<f64>> = HashMap::new();
         let mut spans: HashMap<Phase, (usize, f64)> = HashMap::new();
-        for ev in events.iter().filter(|e| e.rank == 0) {
-            match ev.kind {
-                EventKind::Begin => {
-                    open.entry((ev.phase, ev.name.as_str())).or_default().push(ev.t);
-                }
-                EventKind::End => {
-                    if let Some(t0) = open.get_mut(&(ev.phase, ev.name.as_str())).and_then(Vec::pop)
-                    {
-                        let (n, total) = spans.entry(ev.phase).or_insert((0, 0.0));
-                        *n += 1;
-                        *total += ev.t - t0;
-                    }
-                }
-                EventKind::Instant => {}
-            }
+        for (t0, end) in closed_spans(events).into_iter().filter(|(_, e)| e.rank == 0) {
+            let (n, total) = spans.entry(end.phase).or_insert((0, 0.0));
+            *n += 1;
+            *total += end.t - t0;
         }
         let rows = Phase::ALL
             .iter()

@@ -1,9 +1,9 @@
 //! The collecting recorder.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use crate::metrics::MetricsRegistry;
-use crate::recorder::Recorder;
+use crate::metrics::{Histogram, MetricsRegistry};
+use crate::recorder::{Record, Recorder};
 use crate::summary::PhaseSummary;
 use crate::Phase;
 use parking_lot::Mutex;
@@ -52,21 +52,64 @@ pub struct ServerInterval {
     pub end: f64,
 }
 
+impl TraceEvent {
+    /// The event a span or event report makes on `rank` at `t`; `None` for
+    /// an untimed report and for server intervals, counters and gauges.
+    pub fn from_record(t: Option<f64>, rank: usize, r: Record<'_>) -> Option<TraceEvent> {
+        let (phase, name, kind, corr) = match r {
+            Record::SpanStart { phase, name } => (phase, name, EventKind::Begin, None),
+            Record::SpanEnd { phase, name } => (phase, name, EventKind::End, None),
+            Record::Event { phase, name, corr } => (phase, name, EventKind::Instant, corr),
+            _ => return None,
+        };
+        Some(TraceEvent { t: t?, rank, phase, name: name.to_owned(), kind, corr })
+    }
+}
+
+/// Pairs span boundaries LIFO per `(rank, phase, name)`: each `End` closes
+/// the most recent open `Begin` of its key, so nested same-name spans pair
+/// innermost-first, and unmatched boundaries are dropped. `events` must be
+/// sorted as [`TraceRecorder::events`] returns them, which makes the
+/// pairing, and every sum over it, independent of host thread order.
+/// Returns `(start, End event)` per closed span, in `End` order.
+pub fn closed_spans(events: &[TraceEvent]) -> Vec<(f64, &TraceEvent)> {
+    let mut open: HashMap<(usize, Phase, &str), Vec<f64>> = HashMap::new();
+    let mut closed = Vec::new();
+    for e in events {
+        let key = (e.rank, e.phase, e.name.as_str());
+        match e.kind {
+            EventKind::Begin => open.entry(key).or_default().push(e.t),
+            EventKind::End => {
+                if let Some(start) = open.get_mut(&key).and_then(Vec::pop) {
+                    closed.push((start, e));
+                }
+            }
+            EventKind::Instant => {}
+        }
+    }
+    closed
+}
+
+/// Per-phase latency histograms of the closed spans in the sorted `events`,
+/// sorted by phase name.
+pub(crate) fn span_histograms(events: &[TraceEvent]) -> BTreeMap<&'static str, Histogram> {
+    let mut hists: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+    for (start, end) in closed_spans(events) {
+        hists.entry(end.phase.as_str()).or_default().record(end.t - start);
+    }
+    hists
+}
+
 /// Recorder that appends events to a vector under one short-lived mutex
 /// and aggregates counters/gauges into a [`MetricsRegistry`]. Event order
 /// is append order; consumers sort by time where needed.
 ///
-/// Span closes additionally record the span's duration into a latency
-/// histogram named after the phase (`MetricsRegistry::histogram`), pairing
-/// each `span_end` with the most recent open `span_start` of the same
-/// `(rank, phase, name)`; unmatched ends are ignored, mirroring
-/// [`PhaseSummary`].
+/// The per-phase span latency histograms of the JSONL export are derived
+/// there from the sorted [`TraceRecorder::events`] through
+/// [`closed_spans`], like [`PhaseSummary`]; nothing pairs spans live.
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     events: Mutex<Vec<TraceEvent>>,
-    /// Open-span begin times, keyed by (rank, phase, name); a stack per key
-    /// supports nested same-name spans.
-    open: Mutex<HashMap<(usize, Phase, String), Vec<f64>>>,
     servers: Mutex<Vec<ServerInterval>>,
     metrics: MetricsRegistry,
 }
@@ -102,7 +145,7 @@ impl TraceRecorder {
         si
     }
 
-    /// The aggregated counters, gauges, and latency histograms.
+    /// The aggregated counters and gauges.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -111,10 +154,6 @@ impl TraceRecorder {
     pub fn phase_summary(&self) -> PhaseSummary {
         PhaseSummary::from_events(&self.events())
     }
-
-    fn push(&self, ev: TraceEvent) {
-        self.events.lock().push(ev);
-    }
 }
 
 impl Recorder for TraceRecorder {
@@ -122,66 +161,27 @@ impl Recorder for TraceRecorder {
         true
     }
 
-    fn span_start(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        self.open.lock().entry((rank, phase, name.to_owned())).or_default().push(t);
-        self.push(TraceEvent {
-            t,
-            rank,
-            phase,
-            name: name.to_owned(),
-            kind: EventKind::Begin,
-            corr: None,
-        });
-    }
-
-    fn span_end(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        if let Some(t0) =
-            self.open.lock().get_mut(&(rank, phase, name.to_owned())).and_then(Vec::pop)
-        {
-            self.metrics.histogram_record(phase.as_str(), t - t0);
+    fn record(&self, t: Option<f64>, rank: usize, r: Record<'_>) {
+        match r {
+            Record::ServerBusy { server, name, end } => {
+                let start = t.unwrap_or(end);
+                self.servers.lock().push(ServerInterval {
+                    server,
+                    name: name.to_owned(),
+                    start,
+                    end,
+                });
+            }
+            Record::Counter { name, array, delta } => {
+                self.metrics.counter_add(rank, name, array, delta)
+            }
+            Record::Gauge { name, index, value } => self.metrics.gauge_set(name, index, value),
+            _ => {
+                if let Some(ev) = TraceEvent::from_record(t, rank, r) {
+                    self.events.lock().push(ev);
+                }
+            }
         }
-        self.push(TraceEvent {
-            t,
-            rank,
-            phase,
-            name: name.to_owned(),
-            kind: EventKind::End,
-            corr: None,
-        });
-    }
-
-    fn event(&self, t: f64, rank: usize, phase: Phase, name: &str) {
-        self.push(TraceEvent {
-            t,
-            rank,
-            phase,
-            name: name.to_owned(),
-            kind: EventKind::Instant,
-            corr: None,
-        });
-    }
-
-    fn event_with_corr(&self, t: f64, rank: usize, phase: Phase, name: &str, corr: u64) {
-        self.push(TraceEvent {
-            t,
-            rank,
-            phase,
-            name: name.to_owned(),
-            kind: EventKind::Instant,
-            corr: Some(corr),
-        });
-    }
-
-    fn server_interval(&self, _rank: usize, server: usize, name: &str, start: f64, end: f64) {
-        self.servers.lock().push(ServerInterval { server, name: name.to_owned(), start, end });
-    }
-
-    fn counter_add(&self, rank: usize, name: &'static str, array: Option<&str>, delta: u64) {
-        self.metrics.counter_add(rank, name, array, delta);
-    }
-
-    fn gauge_set(&self, name: &'static str, index: usize, value: f64) {
-        self.metrics.gauge_set(name, index, value);
     }
 }
 
@@ -226,7 +226,7 @@ mod tests {
         r.span_end(5.0, 0, Phase::IoPhase, "collective");
         // Unmatched end: ignored, like PhaseSummary.
         r.span_end(9.0, 2, Phase::IoPhase, "collective");
-        let h = r.metrics().histogram("io_phase").unwrap();
+        let h = &span_histograms(&r.events())["io_phase"];
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 4.0);
         assert!((h.sum() - 6.0).abs() < 1e-12);
@@ -239,7 +239,7 @@ mod tests {
         r.span_start(1.0, 0, Phase::Arrays, "a");
         r.span_end(2.0, 0, Phase::Arrays, "a"); // inner: 1
         r.span_end(4.0, 0, Phase::Arrays, "a"); // outer: 4
-        let h = r.metrics().histogram("arrays").unwrap();
+        let h = &span_histograms(&r.events())["arrays"];
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 4.0);
         assert!((h.sum() - 5.0).abs() < 1e-12);

@@ -6,21 +6,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use drms_obs::{Phase, Recorder};
+use drms_obs::{Phase, Record, Recorder};
 
 use crate::ring::{Drained, Payload, Ring};
 
-/// Routes every [`Recorder`] hook into bounded per-task rings.
+/// Routes every [`Record`] into bounded per-task rings.
 ///
-/// Hooks that carry a rank (`span_*`, `event`, `counter_add*`) go to that
-/// rank's ring; message hooks go to the sender's/receiver's ring; reports
-/// with no rank of their own (gauges, server intervals) go to ring 0,
-/// which in this runtime is fed by the control plane and the rank-0 task —
-/// the threads that produce those reports.
+/// A report goes to its rank's ring; control-plane reports carry rank 0,
+/// and ring 0 is fed by the control plane and the rank-0 task — the
+/// threads that produce those reports.
 ///
-/// Every hook body is timed with the host clock and accumulated into an
-/// atomic nanosecond counter, so pulse's own cost is a first-class metric
-/// rather than an invisible tax (see `Pulse::overhead_seconds`).
+/// The one hook, [`Recorder::record`], is timed with the host clock and
+/// accumulated into an atomic nanosecond counter, so pulse's own cost is a
+/// first-class metric rather than an invisible tax (see
+/// `Pulse::overhead_seconds`).
 pub struct PulseRecorder {
     rings: Vec<Ring>,
     overhead_ns: AtomicU64,
@@ -40,12 +39,6 @@ impl PulseRecorder {
         &self.rings[rank.min(self.rings.len() - 1)]
     }
 
-    fn timed(&self, f: impl FnOnce()) {
-        let t0 = Instant::now();
-        f();
-        self.overhead_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Host seconds spent inside recorder hooks so far.
     pub(crate) fn overhead_seconds(&self) -> f64 {
         self.overhead_ns.load(Ordering::Relaxed) as f64 * 1e-9
@@ -62,58 +55,32 @@ impl Recorder for PulseRecorder {
         true
     }
 
-    fn span_start(&self, t: f64, rank: usize, phase: Phase, _name: &str) {
-        self.timed(|| self.ring(rank).push(t, rank, Payload::SpanStart { phase }));
-    }
-
-    fn span_end(&self, t: f64, rank: usize, phase: Phase, _name: &str) {
-        self.timed(|| self.ring(rank).push(t, rank, Payload::SpanEnd { phase }));
-    }
-
-    fn event(&self, t: f64, rank: usize, phase: Phase, _name: &str) {
-        // Control-plane instants (the event log) carry a sequence number as
-        // their pseudo-time, not a simulated clock; stamping them literally
-        // would drag the ring's high-water mark — and with it the whole
-        // window timeline — onto the sequence axis. Place them at the
-        // ring's current mark instead.
-        self.timed(|| {
-            if phase == Phase::Control {
-                self.ring(rank).push_at_hwm(rank, Payload::Event { phase });
-            } else {
-                self.ring(rank).push(t, rank, Payload::Event { phase });
+    fn record(&self, t: Option<f64>, rank: usize, r: Record<'_>) {
+        let t0 = Instant::now();
+        let payload = match r {
+            Record::SpanStart { phase, .. } => Payload::SpanStart { phase },
+            Record::SpanEnd { phase, .. } => Payload::SpanEnd { phase },
+            Record::Event { phase, .. } => Payload::Event { phase },
+            Record::ServerBusy { server, end, .. } => {
+                Payload::ServerBusy { server, seconds: end - t.unwrap_or(end) }
             }
-        });
-    }
-
-    fn server_interval(&self, rank: usize, server: usize, _name: &str, start: f64, end: f64) {
-        self.timed(|| {
-            self.ring(rank).push(start, rank, Payload::ServerBusy { server, seconds: end - start })
-        });
-    }
-
-    fn counter_add(&self, rank: usize, name: &'static str, _array: Option<&str>, delta: u64) {
-        // No caller clock: place the increment at the ring's current
-        // high-water mark (the newest simulated time this rank reported).
-        self.timed(|| self.ring(rank).push_at_hwm(rank, Payload::Counter { name, delta }));
-    }
-
-    fn counter_add_at(
-        &self,
-        t: f64,
-        rank: usize,
-        name: &'static str,
-        _array: Option<&str>,
-        delta: u64,
-    ) {
-        self.timed(|| self.ring(rank).push(t, rank, Payload::Counter { name, delta }));
-    }
-
-    fn gauge_set(&self, name: &'static str, index: usize, value: f64) {
-        self.timed(|| self.ring(0).push_at_hwm(0, Payload::Gauge { name, index, value }));
-    }
-
-    fn gauge_set_at(&self, t: f64, rank: usize, name: &'static str, index: usize, value: f64) {
-        self.timed(|| self.ring(rank).push(t, rank, Payload::Gauge { name, index, value }));
+            Record::Counter { name, delta, .. } => Payload::Counter { name, delta },
+            Record::Gauge { name, index, value } => Payload::Gauge { name, index, value },
+        };
+        // A report with no clock goes at the ring's current high-water mark
+        // (the newest simulated time this rank reported). So do
+        // control-plane instants (the event log): they carry a sequence
+        // number as their pseudo-time, and stamping them literally would
+        // drag the mark, and with it the whole window timeline, onto the
+        // sequence axis.
+        let ring = self.ring(rank);
+        match t {
+            Some(t) if !matches!(r, Record::Event { phase: Phase::Control, .. }) => {
+                ring.push(t, rank, payload)
+            }
+            _ => ring.push_at_hwm(rank, payload),
+        }
+        self.overhead_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 

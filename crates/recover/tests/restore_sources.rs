@@ -96,8 +96,8 @@ fn restore_via<S: RestartSource>(
     app: &str,
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<DataSegment, S::Error> {
-    let (drms, info) = restore::open(ctx, fs, DrmsConfig::new(app), EnableFlag::new(), src)?;
-    restore::restore_arrays(&drms, ctx, src, &info.manifest, arrays)?;
+    let (_, info) = restore::open(ctx, fs, DrmsConfig::new(app), EnableFlag::new(), src)?;
+    restore::restore_arrays(ctx, src, &info.manifest, arrays)?;
     Ok(info.segment)
 }
 

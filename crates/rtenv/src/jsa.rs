@@ -351,7 +351,7 @@ impl Jsa {
             }
         }
         let mut recovered = 0u64;
-        let salvage_dir = format!("{}/", drms_blackbox::SALVAGE_DIR);
+        let salvage_dir = format!("{}/", drms_obs::SALVAGE_DIR);
         for info in self.fs.list("") {
             let is_ring = info.path.starts_with(&salvage_dir)
                 || info.path.rsplit_once('/').is_some_and(|(_, n)| n.starts_with("blackbox-r"));

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms_core::segment::DataSegment;
-use drms_core::{Drms, DrmsConfig, EnableFlag, IoMode};
+use drms_core::{Drms, DrmsConfig, EnableFlag};
 use drms_darray::{DistArray, Distribution};
 use drms_memtier::{store_checkpoint, MemTier, RestartTier};
 use drms_msg::{run_spmd, run_spmd_traced, CostModel, Ctx, Spmd};
@@ -32,7 +32,6 @@ fn domain() -> Slice {
 fn cfg() -> DrmsConfig {
     let mut c = DrmsConfig::new("solver");
     c.text_bytes = 2048;
-    c.io = IoMode::Parallel;
     c
 }
 

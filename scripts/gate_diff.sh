@@ -13,9 +13,8 @@
 # committed baselines. The two output directories are
 # .bench_build/gates/{parent,change}.out. Then it prints `same` or `differs`
 # for every file either side wrote, then the diff of each file that differs,
-# and exits 1 on any difference (or if either side's gates failed). The one
-# known host-order difference, the last digit of the `stream_wave` histogram
-# `sum` in trace's checkpoint events.jsonl, shows up here like any other.
+# and exits 1 on any difference (or if either side's gates failed). Every
+# output is byte-stable per seed, so any difference is the change's doing.
 # Offline, no dependency beyond git, tar, cargo, diff.
 set -euo pipefail
 
