@@ -412,10 +412,11 @@ fn flush_full(
                 fs.create(&path, a.stream_bytes);
             }
             ctx.barrier();
-            let reqs: Vec<WriteReq> = a
+            // The snapshot's pieces are lent to the store, never cloned.
+            let reqs: Vec<WriteReq<&[u8]>> = a
                 .pieces
                 .iter()
-                .map(|p| WriteReq { path: path.clone(), offset: p.offset, data: (*p.data).clone() })
+                .map(|p| WriteReq { path: path.clone(), offset: p.offset, data: &p.data[..] })
                 .collect();
             fs.collective_write(ctx, reqs);
             commit.array_staged(ctx)?;

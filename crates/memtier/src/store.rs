@@ -13,16 +13,19 @@
 //!
 //! All replication traffic moves through [`drms_msg::Ctx::alltoallv`], so
 //! its virtual-time price follows the same deterministic cost model as
-//! every other message in the simulation.
+//! every other message in the simulation. A replica crosses as a handle to
+//! the owner's shared bytes, priced at the length of its wire encoding
+//! ([`CapturedPiece`]'s [`Parcel`] impl): holders share one buffer, and no
+//! byte is encoded, copied or decoded on the way.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use drms_core::manifest::{manifest_path, Manifest};
 use drms_core::segment::DataSegment;
-use drms_core::wire::{crc32, Reader, Writer};
+use drms_core::wire::crc32;
 use drms_core::{compute_integrity, CheckpointArray, CoreError, Drms};
-use drms_msg::Ctx;
+use drms_msg::{Ctx, Parcel};
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
 
@@ -79,6 +82,26 @@ pub struct CapturedPiece {
     pub data: Arc<Vec<u8>>,
     /// CRC32 of `data`.
     pub crc: u32,
+}
+
+/// A piece crossing to a replica holder is priced at the bytes its wire
+/// encoding takes — `file` as a length-prefixed string, `offset`, `crc`,
+/// and `data` as a length-prefixed blob — while the receiver shares the
+/// owner's buffer.
+impl Parcel for CapturedPiece {
+    fn wire_len(&self) -> usize {
+        4 + self.file.len() + 8 + 4 + 8 + self.data.len()
+    }
+}
+
+/// The replicas one task addresses to one holder, in send order.
+#[derive(Default)]
+struct Replicas(Vec<CapturedPiece>);
+
+impl Parcel for Replicas {
+    fn wire_len(&self) -> usize {
+        self.0.iter().map(Parcel::wire_len).sum()
+    }
 }
 
 /// Whether a store into `tier` can satisfy its replication factor on the
@@ -144,7 +167,8 @@ pub fn store_checkpoint(
 ///
 /// Every task passes its own `local` pieces; `app`, `sop`, `manifest` and
 /// `file_lens` are meaningful on rank 0 only. Errors identically on every
-/// task when replication is not feasible or sealing fails.
+/// task when replication is not feasible, a piece conflicts with another
+/// task's bytes for the same stream range, or sealing fails.
 #[allow(clippy::too_many_arguments)]
 pub fn store_captured(
     ctx: &mut Ctx,
@@ -165,7 +189,11 @@ type Captured = (Vec<u8>, Vec<(String, u64)>, Vec<CapturedPiece>);
 
 /// The one store body: feasibility check, fresh tier entry, `capture` (run
 /// between the entry barrier and the inserts, so whatever it prices lands
-/// inside the reported window), owner inserts, replica scatter, seal vote.
+/// inside the reported window), replica scatter, owner and replica
+/// inserts, seal vote.
+/// A conflicting insert on any task does not end that task early — its
+/// siblings would stall in the scatter — but joins the vote, so every task
+/// returns the same error.
 fn store_with(
     ctx: &mut Ctx,
     tier: &MemTier,
@@ -194,59 +222,51 @@ fn store_with(
     let (manifest, file_lens, local) = capture(ctx)?;
     let my_node = ctx.node();
     let my_bytes: u64 = local.iter().map(|p| p.data.len() as u64).sum();
-    for p in &local {
-        tier.insert_piece(prefix, &p.file, p.offset, &p.data, p.crc, my_node)?;
-    }
 
     // Replication scatter: one priced alltoallv carrying every replica,
     // addressed to the lowest rank of each chosen node. Placement keys on
     // (file, offset) so the rotation spreads load across pieces.
-    let mut outgoing: Vec<Vec<u8>> = vec![Vec::new(); ctx.ntasks()];
+    let mut outgoing: Vec<Replicas> = (0..ctx.ntasks()).map(|_| Replicas::default()).collect();
     let mut my_replica_bytes = 0u64;
     for p in &local {
         let key = u64::from(crc32(p.file.as_bytes())).wrapping_add(p.offset);
         for node in placement::replica_nodes(my_node, &node_set, tier.replicas(), key)? {
-            let dst = rank_of_node[&node];
-            let mut w = Writer::new();
-            w.string(&p.file);
-            w.u64(p.offset);
-            w.u32(p.crc);
-            w.blob(&p.data);
-            outgoing[dst].extend(w.finish());
+            outgoing[rank_of_node[&node]].0.push(p.clone());
             my_replica_bytes += p.data.len() as u64;
         }
     }
     let incoming = ctx.alltoallv(outgoing);
-    for src in 0..ctx.ntasks() {
-        if src == ctx.rank() {
-            continue;
-        }
-        let buf = incoming.from(src).to_vec();
-        let mut r = Reader::new(&buf);
-        while r.remaining() > 0 {
-            let file = r.string().map_err(CoreError::from)?;
-            let off = r.u64().map_err(CoreError::from)?;
-            let crc = r.u32().map_err(CoreError::from)?;
-            let data = Arc::new(r.blob().map_err(CoreError::from)?);
-            tier.insert_piece(prefix, &file, off, &data, crc, my_node)?;
-        }
-    }
 
-    // Free rendezvous for the report totals (deterministic, no clock cost).
-    let (per_task, _) = ctx.exchange((my_bytes, my_replica_bytes, local.len() as u64));
+    // Owner copies, then the replicas received. The first insert this task
+    // cannot make goes to the vote below.
+    let received =
+        (0..ctx.ntasks()).filter(|&src| src != ctx.rank()).flat_map(|src| &incoming.from(src).0);
+    let insert_err = local
+        .iter()
+        .chain(received)
+        .find_map(|p| tier.insert_piece(prefix, &p.file, p.offset, &p.data, p.crc, my_node).err());
+
+    // Free rendezvous for the report totals and every task's insert
+    // outcome (deterministic, no clock cost).
+    let (per_task, _) = ctx.exchange((my_bytes, my_replica_bytes, local.len() as u64, insert_err));
     let bytes: u64 = per_task.iter().map(|x| x.0).sum();
     let replica_bytes: u64 = per_task.iter().map(|x| x.1).sum();
     let pieces: u64 = per_task.iter().map(|x| x.2).sum();
+    let insert_err = per_task.iter().find_map(|x| x.3.clone());
 
-    // All inserts done: rank 0 seals (identity + coverage check) and the
-    // outcome is shared so every task fails identically.
+    // All inserts done: rank 0 seals (identity + coverage check) unless an
+    // insert failed anywhere, and the outcome is shared so every task fails
+    // identically.
     ctx.barrier();
-    let seal_err: Option<String> = if ctx.rank() == 0 {
-        tier.seal(prefix, app, sop, manifest, &file_lens).err().map(|e| e.to_string())
-    } else {
-        None
+    let verdict = match insert_err {
+        Some(err) => Some(err),
+        None if ctx.rank() == 0 => tier
+            .seal(prefix, app, sop, manifest, &file_lens)
+            .err()
+            .map(|e| MemTierError::Incomplete(e.to_string())),
+        None => None,
     };
-    let (votes, t) = ctx.exchange(seal_err);
+    let (votes, t) = ctx.exchange(verdict);
     ctx.advance_to(t);
     ctx.barrier();
     let t1 = ctx.now();
@@ -263,7 +283,7 @@ fn store_with(
         }
     }
     if let Some(err) = votes[0].clone() {
-        return Err(MemTierError::Incomplete(err));
+        return Err(err);
     }
     Ok(StoreReport { seconds: t1 - t0, sop, bytes, replica_bytes, pieces })
 }
@@ -309,13 +329,14 @@ fn write_resident_pieces(
     }
     ctx.barrier();
 
-    let my_reqs: Vec<WriteReq> = pieces
+    // The tier's pieces are lent to the store, never cloned.
+    let my_reqs: Vec<WriteReq<&[u8]>> = pieces
         .iter()
         .filter(|p| *rank_of_node.get(&p.primary).unwrap_or(&0) == ctx.rank())
         .map(|p| WriteReq {
             path: format!("{dir}/{}", p.file),
             offset: p.offset,
-            data: (*p.data).clone(),
+            data: &p.data[..],
         })
         .collect();
     let my_bytes: u64 = my_reqs.iter().map(|r| r.data.len() as u64).sum();

@@ -284,27 +284,30 @@ impl Ctx {
         all
     }
 
-    /// Personalized all-to-all exchange: `outgoing[d]` is the buffer for
-    /// task `d` (empty buffers are free). Returns a handle to every task's
-    /// incoming buffers.
+    /// Personalized all-to-all exchange: `outgoing[d]` is the parcel for
+    /// task `d` (empty parcels are free). Returns a handle to every task's
+    /// incoming parcels.
     ///
     /// Time: all tasks synchronize (data dependency), then each task is
     /// charged the log-latency of the exchange plus the wire time of
     /// `max(bytes sent, bytes received)` — the standard congestion-free
-    /// alltoall model.
-    pub fn alltoallv(&mut self, outgoing: Vec<Vec<u8>>) -> Incoming {
-        assert_eq!(outgoing.len(), self.world.ntasks, "one buffer per destination");
+    /// alltoall model. A parcel is priced and counted at its
+    /// [`Parcel::wire_len`], whatever it holds: tasks share one address
+    /// space, so a parcel of shared handles crosses by reference at the
+    /// price of its encoding.
+    pub fn alltoallv<P: Parcel>(&mut self, outgoing: Vec<P>) -> Incoming<P> {
+        assert_eq!(outgoing.len(), self.world.ntasks, "one parcel per destination");
         let sent: usize = outgoing
             .iter()
             .enumerate()
             .filter(|&(d, _)| d != self.rank)
-            .map(|(_, b)| b.len())
+            .map(|(_, b)| b.wire_len())
             .sum();
         if self.world.recorder.enabled() {
             let msgs = outgoing
                 .iter()
                 .enumerate()
-                .filter(|&(d, b)| d != self.rank && !b.is_empty())
+                .filter(|&(d, b)| d != self.rank && b.wire_len() > 0)
                 .count() as u64;
             let rec = &*self.world.recorder;
             let t = self.clock.now();
@@ -316,7 +319,7 @@ impl Ctx {
             .iter()
             .enumerate()
             .filter(|&(s, _)| s != self.rank)
-            .map(|(_, bufs)| bufs[self.rank].len())
+            .map(|(_, parcels)| parcels[self.rank].wire_len())
             .sum();
         self.clock.advance_to(t);
         self.clock.advance(
@@ -327,16 +330,33 @@ impl Ctx {
     }
 }
 
-/// Received side of an [`Ctx::alltoallv`]: zero-copy access to the buffer
+/// A payload [`Ctx::alltoallv`] can carry: it reports the bytes it would
+/// occupy on the wire, which is all the cost model and the message counters
+/// see. A byte buffer is its own length; a parcel of shared handles reports
+/// the length of the encoding it stands for, so passing it by reference
+/// leaves every clock and counter where the encoded bytes would have.
+pub trait Parcel: Send + Sync + 'static {
+    /// Bytes this parcel occupies on the wire (0 for an empty parcel,
+    /// which is free and not counted as a message).
+    fn wire_len(&self) -> usize;
+}
+
+impl Parcel for Vec<u8> {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Received side of an [`Ctx::alltoallv`]: zero-copy access to the parcel
 /// each source task addressed to this rank.
-pub struct Incoming {
-    all: Arc<Vec<Vec<Vec<u8>>>>,
+pub struct Incoming<P = Vec<u8>> {
+    all: Arc<Vec<Vec<P>>>,
     rank: Rank,
 }
 
-impl Incoming {
-    /// The bytes task `src` sent to this task.
-    pub fn from(&self, src: Rank) -> &[u8] {
+impl<P> Incoming<P> {
+    /// The parcel task `src` sent to this task.
+    pub fn from(&self, src: Rank) -> &P {
         &self.all[src][self.rank]
     }
 }
@@ -491,6 +511,47 @@ mod tests {
         // Both directions overlap; each task pays max(sent, received) = 8.
         assert!((out[0] - 8.0).abs() < 1e-12);
         assert!((out[1] - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_parcel_is_priced_and_counted_like_bytes_of_its_wire_length() {
+        use drms_obs::TraceRecorder;
+
+        /// Stands for `len` encoded bytes without holding any.
+        struct Stub(usize);
+        impl Parcel for Stub {
+            fn wire_len(&self) -> usize {
+                self.0
+            }
+        }
+
+        // Uneven lengths, with empty parcels to others (free, not a
+        // message) and to self (never priced).
+        const LEN: [[usize; 3]; 3] = [[0, 3000, 0], [500, 0, 2000], [0, 7000, 64]];
+        let len = |src: usize, dst: usize| LEN[src][dst];
+        let run = |stub: bool| {
+            let rec = Arc::new(TraceRecorder::new());
+            let clocks = crate::run_spmd_traced(
+                3,
+                CostModel::default(),
+                Arc::clone(&rec) as Arc<dyn Recorder>,
+                |ctx| {
+                    ctx.charge(ctx.rank() as f64 * 1e-4);
+                    let me = ctx.rank();
+                    if stub {
+                        let _ = ctx.alltoallv((0..3).map(|d| Stub(len(me, d))).collect());
+                    } else {
+                        let _ = ctx.alltoallv((0..3).map(|d| vec![0u8; len(me, d)]).collect());
+                    }
+                    ctx.now().to_bits()
+                },
+            )
+            .unwrap();
+            (clocks, rec.metrics().counters())
+        };
+        let (bytes, stubs) = (run(false), run(true));
+        assert_eq!(stubs, bytes);
+        assert!(bytes.1.iter().any(|(k, v)| k.name == names::MESSAGE_BYTES && *v > 0));
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod runner;
 mod spread;
 
 pub use clock::{CostModel, SimClock};
-pub use comm::{Ctx, Incoming, ReduceOp};
+pub use comm::{Ctx, Incoming, Parcel, ReduceOp};
 pub use group::Group;
 pub use runner::{run_spmd, run_spmd_traced, Spmd, SpmdError};
 pub use spread::{copy_spread, spread, SPREAD_MIN, SPREAD_PIECE};

@@ -654,7 +654,15 @@ impl Piofs {
     /// (possibly empty) request list. Bytes are stored immediately; the
     /// phase is priced once, deterministically, and every task's clock
     /// advances to its computed completion.
-    pub fn collective_write(&self, ctx: &mut Ctx, reqs: Vec<WriteReq>) {
+    ///
+    /// Each request's `data` is borrowed or owned, as in
+    /// [`Piofs::write_at`]: an owned buffer that fills a reserved file whole
+    /// is adopted, a borrowed one is copied into the store once. What the
+    /// store holds afterwards is the same either way.
+    pub fn collective_write<'d, D>(&self, ctx: &mut Ctx, reqs: Vec<WriteReq<D>>)
+    where
+        D: AsRef<[u8]> + Into<Cow<'d, [u8]>>,
+    {
         // Chaos weather: faults cost each task retry waits before it joins
         // the phase, never an abort — a task that bailed unilaterally would
         // strand its siblings in the descriptor exchange.
@@ -664,7 +672,7 @@ impl Piofs {
         let chunk = self.cfg.integrity_chunk();
         let crcs: Vec<Vec<u32>> = reqs
             .iter()
-            .map(|r| fragments(r.offset, &r.data, chunk).into_iter().map(crc32).collect())
+            .map(|r| fragments(r.offset, r.data.as_ref(), chunk).into_iter().map(crc32).collect())
             .collect();
         // Store this task's bytes (the store adopts a buffer that fills a
         // reserved file whole) and build wire descriptors.
@@ -675,10 +683,10 @@ impl Piofs {
             let mut st = self.state.lock();
             let down = st.down.clone();
             for (r, crcs) in reqs.into_iter().zip(&crcs) {
-                let len = r.data.len() as u64;
+                let len = r.data.as_ref().len() as u64;
                 let file = st.intern(&r.path);
                 parity_bytes +=
-                    file.write_recorded(r.offset, Cow::Owned(r.data), crcs, geom.as_ref(), &down);
+                    file.write_recorded(r.offset, r.data.into(), crcs, geom.as_ref(), &down);
                 descs.push(WireDesc { path: r.path, offset: r.offset, len, kind: DescKind::Write });
             }
         }
@@ -1611,15 +1619,19 @@ mod tests {
 
         /// Whether a write lends its bytes or hands them over never shows
         /// in the store. Two twins run one random sequence of `create`s,
-        /// whole-file, short and overlapping writes, server failures and
-        /// repairs, under parity or not, with one write torn by a chaos
-        /// plan; one twin lends every write, the other hands it over. They
-        /// leave identical bytes, sizes, parity, lost ranges, poison and
-        /// integrity records.
+        /// whole-file, short and overlapping writes — each a `write_at` or
+        /// a one-request `collective_write` — server failures and repairs,
+        /// under parity or not, with one `write_at` torn by a chaos plan;
+        /// one twin lends every write (`&[u8]`), the other hands it over
+        /// (`Vec<u8>`). They leave identical bytes, sizes, parity, lost
+        /// ranges, poison and integrity records.
         #[test]
         fn a_lent_and_an_owned_write_leave_the_same_store(
             parity in proptest::bool::ANY,
-            steps in proptest::collection::vec((0u8..8, 0u64..1 << 14, 0u64..1 << 14), 1..24),
+            steps in proptest::collection::vec(
+                (0u8..8, 0u64..1 << 14, 0u64..1 << 14, proptest::bool::ANY),
+                1..24,
+            ),
             torn_at in 1u32..8,
         ) {
             use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults, TornWrite};
@@ -1632,18 +1644,26 @@ mod tests {
                     piofs: PiofsFaults { transient_prob: 0.0, torn: Some(torn) },
                     ..FaultPlan::seeded(3)
                 };
-                let write = |ctx: &mut Ctx, path: &str, offset: u64, len: u64, salt: u64| {
+                let write = |ctx: &mut Ctx, path: &str, at: (u64, u64), salt: u64, coll: bool| {
+                    let (offset, len) = at;
                     let data: Vec<u8> = (0..len).map(|i| (i * 31 + salt) as u8 | 1).collect();
-                    if owned {
-                        fs.write_at(ctx, path, offset, data);
-                    } else {
-                        fs.write_at(ctx, path, offset, &data);
+                    let path = path.to_string();
+                    match (coll, owned) {
+                        (false, true) => fs.write_at(ctx, &path, offset, data),
+                        (false, false) => fs.write_at(ctx, &path, offset, &data),
+                        (true, true) => {
+                            fs.collective_write(ctx, vec![WriteReq { path, offset, data }])
+                        }
+                        (true, false) => {
+                            let data = &data[..];
+                            fs.collective_write(ctx, vec![WriteReq { path, offset, data }])
+                        }
                     }
                 };
                 drms_msg::Spmd::new(1, CostModel::free())
                     .chaos(ChaosCtl::new(plan))
                     .run(|ctx| {
-                        for (k, &(kind, a, b)) in steps.iter().enumerate() {
+                        for (k, &(kind, a, b, collective)) in steps.iter().enumerate() {
                             let path = format!("f{}", a % 2);
                             let salt = k as u64;
                             match kind {
@@ -1651,16 +1671,16 @@ mod tests {
                                 1 | 2 => {
                                     // A whole-file write into a fresh reservation.
                                     fs.create(&path, b);
-                                    write(ctx, &path, 0, b, salt);
+                                    write(ctx, &path, (0, b), salt, collective);
                                 }
                                 3 => {
                                     // A short write at the start of one.
                                     fs.create(&path, b + 1);
-                                    write(ctx, &path, 0, b % (b + 1), salt);
+                                    write(ctx, &path, (0, b % (b + 1)), salt, collective);
                                 }
                                 // Over the head of what the file holds, or anywhere.
-                                4 => write(ctx, &path, 0, b % 6000, salt),
-                                5 => write(ctx, &path, a % 9000, b % 6000, salt),
+                                4 => write(ctx, &path, (0, b % 6000), salt, collective),
+                                5 => write(ctx, &path, (a % 9000, b % 6000), salt, collective),
                                 6 => {
                                     fs.fail_server((a % 4) as usize);
                                 }

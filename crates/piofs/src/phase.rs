@@ -25,15 +25,17 @@ pub enum ReadAccess {
     Strided,
 }
 
-/// A write request, carried by the issuing task.
+/// A write request, carried by the issuing task. The payload is an owned
+/// buffer by default; a request may lend its bytes instead (`&[u8]`), and
+/// [`crate::Piofs::collective_write`] stores either the same way.
 #[derive(Debug, Clone)]
-pub struct WriteReq {
+pub struct WriteReq<D = Vec<u8>> {
     /// Logical file path.
     pub path: String,
     /// Byte offset of the write.
     pub offset: u64,
     /// Payload.
-    pub data: Vec<u8>,
+    pub data: D,
 }
 
 /// A read request.
