@@ -817,9 +817,7 @@ pub fn ablation(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         .map(|&target_mb| {
             let target = ((target_mb * 1e6 * scale) as usize).max(1024);
             stream_time(&spec, pes, args.seed, |ctx, a, fs| {
-                let domain = a.domain().clone();
-                stream::write_section_with(ctx, fs, a, &domain, "abl", ctx.ntasks(), target)
-                    .unwrap()
+                stream::write_array_with(ctx, fs, a, "abl", ctx.ntasks(), target).unwrap()
             })
         })
         .collect();

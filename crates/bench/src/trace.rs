@@ -11,14 +11,16 @@
 //! Perfetto or `chrome://tracing`) plus a JSONL event/counter log, and its
 //! per-phase summary table is printed. The row asserts that
 //! [`OpBreakdown::from_trace`] over the recorded spans equals the breakdown
-//! the operation itself returned: the report and the trace are two views
-//! of the same timestamps.
+//! the operation itself returned — the report and the trace are two views
+//! of the same timestamps — and that every span the run opened closed on
+//! the same `(rank, phase, name)`.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use drms_apps::{bt, lu, sp, Class};
 use drms_core::report::OpBreakdown;
-use drms_obs::{names, TraceRecorder};
+use drms_obs::{names, EventKind, TraceRecorder};
 
 use crate::args::Options;
 use crate::experiment::traced_cycle;
@@ -59,8 +61,8 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     output
 }
 
-/// Checks the trace against the reported breakdown, records the headline
-/// numbers and renders the phase summary.
+/// Checks the trace against the reported breakdown and its spans for
+/// pairing, records the headline numbers and renders the phase summary.
 fn emit(
     rec: &TraceRecorder,
     reported: OpBreakdown,
@@ -75,6 +77,18 @@ fn emit(
         derived, reported,
         "{app} {op}: trace-derived breakdown diverges from the reported one"
     );
+    let events = rec.events();
+    let mut open = BTreeMap::new();
+    for e in &events {
+        let depth: &mut i64 = open.entry((e.rank, e.phase, e.name.as_str())).or_default();
+        match e.kind {
+            EventKind::Begin => *depth += 1,
+            EventKind::End => *depth -= 1,
+            EventKind::Instant => {}
+        }
+    }
+    open.retain(|_, depth| *depth != 0);
+    assert!(open.is_empty(), "{app} {op}: spans opened and closed unequally: {open:?}");
     result.metric(&format!("{app}.{op}.total_s"), reported.total());
     result.metric(&format!("{app}.{op}.total_mb"), reported.total_bytes() as f64 / 1e6);
 
@@ -94,7 +108,7 @@ fn emit(
     writeln!(
         out,
         "events {}  |  messages {} ({:.1} MB)  |  pieces {}  |  io phases {}\n",
-        rec.events().len(),
+        events.len(),
         m.counter_total(names::MESSAGES_SENT),
         m.counter_total(names::MESSAGE_BYTES) as f64 / 1e6,
         m.counter_total(names::PIECES_WRITTEN),

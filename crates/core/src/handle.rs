@@ -47,16 +47,14 @@ pub trait CheckpointArray: Send {
     /// Collective: writes the array's distribution-independent stream.
     fn write_stream(&self, ctx: &mut Ctx, fs: &Piofs, path: &str, io_tasks: usize) -> Result<()>;
 
-    /// Collective: fills the array from its stream (any writer distribution).
-    fn read_stream(&mut self, ctx: &mut Ctx, fs: &Piofs, path: &str, io_tasks: usize)
-        -> Result<()>;
-
     /// Collective: collects this task's pieces of the array's canonical
     /// stream without touching the file system (the diskless tier path).
     fn stream_pieces(&self, ctx: &mut Ctx, io_tasks: usize) -> Result<Vec<stream::StreamPiece>>;
 
-    /// Collective: fills the array from its canonical stream, fetching each
-    /// piece's byte range through `fetch` instead of the file system.
+    /// Collective: fills the array from its canonical stream (any writer
+    /// distribution), fetching each piece's byte range through `fetch`.
+    /// A task whose fetch failed still runs every wave and returns its
+    /// error after the last one; the error is that task's alone.
     fn read_stream_via(
         &mut self,
         ctx: &mut Ctx,
@@ -83,7 +81,8 @@ pub trait CheckpointArray: Send {
     /// lost ranks' sections — the current distribution's assigned sections
     /// of every non-survivor — fetched from the array's canonical
     /// full-domain stream through `fetch` (memory-tier replicas or PIOFS).
-    /// Returns the bytes fetched for the lost sections.
+    /// Returns the bytes fetched for the lost sections, summed over the
+    /// region; a failed fetch on any task fails it on every task.
     fn restore_sections(
         &mut self,
         ctx: &mut Ctx,
@@ -155,17 +154,6 @@ impl<T: Element> CheckpointArray for DistArray<T> {
         Ok(())
     }
 
-    fn read_stream(
-        &mut self,
-        ctx: &mut Ctx,
-        fs: &Piofs,
-        path: &str,
-        io_tasks: usize,
-    ) -> Result<()> {
-        stream::read_array(ctx, fs, self, path, io_tasks)?;
-        Ok(())
-    }
-
     fn stream_pieces(&self, ctx: &mut Ctx, io_tasks: usize) -> Result<Vec<stream::StreamPiece>> {
         Ok(stream::collect_array_pieces(ctx, self, io_tasks)?)
     }
@@ -176,7 +164,7 @@ impl<T: Element> CheckpointArray for DistArray<T> {
         io_tasks: usize,
         fetch: &mut stream::PieceFetch<'_>,
     ) -> Result<()> {
-        stream::read_array_via(ctx, self, io_tasks, fetch)?;
+        stream::read_via(ctx, self, None, io_tasks, fetch)?;
         Ok(())
     }
 
@@ -242,8 +230,12 @@ impl<T: Element> CheckpointArray for DistArray<T> {
         let mut next: DistArray<T> =
             DistArray::new(self.name(), DistArray::order(self), new_dist, self.rank());
         assign::assign(ctx, &mut next, &donor)?;
-        // ...which the canonical-stream fetch then fills.
-        let fetched = stream::read_overlapping_via(ctx, &mut next, &lost, io_tasks, fetch)?;
+        // ...which the canonical-stream fetch then fills. Every task ran
+        // every wave; one clock-free exchange sums the fetched bytes and
+        // hands any task's failure to all of them.
+        let fetched = stream::read_via(ctx, &mut next, Some(&lost), io_tasks, fetch);
+        let (all, _) = ctx.exchange(fetched);
+        let fetched = all.iter().cloned().sum::<drms_darray::Result<u64>>()?;
         self.adopt(next)?;
         Ok(fetched)
     }

@@ -13,6 +13,7 @@
 //! fetches lost sections through the same three.
 
 use drms_chaos::{RestartPoints, RESTART_FULL};
+use drms_darray::stream::{self, StreamRange};
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
@@ -87,20 +88,22 @@ pub trait RestartSource {
     /// must not call back into the source.
     fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Sourced<u64, Self>;
 
-    /// Bytes `[off, off + len)` of `array`'s canonical stream, verified,
-    /// under the [`drms_darray::stream::PieceFetch`] convention: every task
-    /// calls once per wave, idle ones with `len == 0` for an empty answer.
+    /// Leaves `range` of `array`'s canonical stream, verified, in `out`
+    /// (handed over empty), under the [`stream::PieceFetch`] convention:
+    /// every task calls once per wave, idle ones with `len == 0` for an
+    /// empty answer.
     fn fetch_range(
         &self,
         ctx: &mut Ctx,
         manifest: &Manifest,
         array: &str,
-        off: u64,
-        len: u64,
-    ) -> Sourced<Vec<u8>, Self>;
+        range: StreamRange,
+        out: &mut Vec<u8>,
+    ) -> Sourced<(), Self>;
 
     /// Fills the whole of `a`: by default piece by piece through
-    /// [`RestartSource::fetch_range`].
+    /// [`RestartSource::fetch_range`]. A task whose fetch failed still runs
+    /// every wave and returns its error after the last one.
     fn read_array(
         &self,
         ctx: &mut Ctx,
@@ -118,14 +121,16 @@ pub trait RestartSource {
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64);
 }
 
-/// [`RestartSource::fetch_range`] of `array` as the
-/// [`drms_darray::stream::PieceFetch`] callback the stream readers take.
+/// [`RestartSource::fetch_range`] of `array` as the [`stream::PieceFetch`]
+/// callback the stream reader takes.
 pub fn range_fetch<'a, S: RestartSource + ?Sized>(
     src: &'a S,
     manifest: &'a Manifest,
     array: &'a str,
-) -> impl FnMut(&mut Ctx, u64, u64) -> std::result::Result<Vec<u8>, String> + 'a {
-    move |ctx, off, len| src.fetch_range(ctx, manifest, array, off, len).map_err(|e| e.to_string())
+) -> impl FnMut(&mut Ctx, StreamRange, &mut Vec<u8>) -> std::result::Result<(), String> + 'a {
+    move |ctx, range, out| {
+        src.fetch_range(ctx, manifest, array, range, out).map_err(|e| e.to_string())
+    }
 }
 
 /// Consults stage `stage` of the source's restart-point table, if it has one.
@@ -214,6 +219,8 @@ pub fn open<S: RestartSource>(
 /// Loads every array from the archived state `src` holds, after the
 /// application has (re-)created them under the current distributions
 /// (adjusted when the task count changed). Returns the array-phase time.
+/// A read that fails on one task fails the restore on every task, and no
+/// task leaves before its siblings are done with the arrays.
 pub fn restore_arrays<S: RestartSource>(
     ctx: &mut Ctx,
     src: &S,
@@ -222,11 +229,24 @@ pub fn restore_arrays<S: RestartSource>(
 ) -> Sourced<f64, S> {
     ctx.barrier();
     let t0 = ctx.now();
+    // A failed read keeps this task in the remaining arrays' waves, so its
+    // siblings are never left in a redistribution.
+    let mut failed = None;
     for a in arrays.iter_mut() {
         check_array(manifest, &**a)?;
-        src.read_array(ctx, manifest, &mut **a, ctx.ntasks())?;
+        if let Err(e) = src.read_array(ctx, manifest, &mut **a, ctx.ntasks()) {
+            failed.get_or_insert(e);
+        }
     }
-    ctx.barrier();
+    // The closing barrier is a vote: one clock-free exchange of every
+    // task's failure, then the barrier's own clock advances, so every task
+    // returns the same error and every clock is what a barrier leaves.
+    let (votes, t) = ctx.exchange(failed);
+    ctx.advance_to(t);
+    ctx.charge(ctx.cost().barrier_cost);
+    if let Some(e) = votes.iter().find_map(Clone::clone) {
+        return Err(e);
+    }
     consult(ctx, src, 2)?;
     let t1 = ctx.now();
     src.arrays_restored(ctx, t0, t1, arrays.iter().map(|a| a.stream_bytes()).sum());
@@ -303,39 +323,17 @@ impl RestartSource for PiofsFull<'_> {
         Ok(len)
     }
 
-    /// One strided range read of the array's stream file — the section
-    /// fetch of localized recovery.
+    /// One collective range read of the array's stream file, copied once
+    /// out of its loan ([`stream::read_range`]).
     fn fetch_range(
         &self,
         ctx: &mut Ctx,
         _manifest: &Manifest,
         array: &str,
-        off: u64,
-        len: u64,
-    ) -> Result<Vec<u8>> {
-        let mut reqs = Vec::new();
-        if len > 0 {
-            reqs.push(ReadReq {
-                path: array_path(self.prefix, array),
-                offset: off,
-                len,
-                access: ReadAccess::Strided,
-            });
-        }
-        Ok(self.fs.collective_read(ctx, reqs)?.pop().unwrap_or_default())
-    }
-
-    /// [`CheckpointArray::read_stream`] picks sequential or strided access
-    /// from the I/O task count.
-    fn read_array(
-        &self,
-        ctx: &mut Ctx,
-        _manifest: &Manifest,
-        a: &mut dyn CheckpointArray,
-        io_tasks: usize,
+        range: StreamRange,
+        out: &mut Vec<u8>,
     ) -> Result<()> {
-        let path = array_path(self.prefix, a.array_name());
-        a.read_stream(ctx, self.fs, &path, io_tasks)
+        Ok(stream::read_range(ctx, self.fs, &array_path(self.prefix, array), range, out)?)
     }
 
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {

@@ -1,19 +1,21 @@
-//! Serial and parallel array-section streaming (paper, Section 3.2 and
-//! Figure 5b).
+//! Serial and parallel array streaming (paper, Section 3.2 and Figure 5b).
 //!
-//! `write_section` produces the *distribution-independent* stream of an
-//! array section: the section is partitioned into `m = 2^k` stream-contiguous
-//! pieces of roughly 1 MB (at least one per I/O task), each wave of pieces is
-//! redistributed to a *canonical* distribution (piece `j0 + p` lands wholly
-//! in task `p`'s address space), and all I/O tasks then write their local
-//! buffers at the piece's known stream offset, in parallel. `read_section`
-//! runs the mirror image. With `io_tasks == 1` the operations degrade to the
-//! serial streaming of reference \[12\] — a pure append stream that needs no seek
+//! An array's *distribution-independent* stream is produced in waves: the
+//! domain is partitioned into `m = 2^k` stream-contiguous pieces of roughly
+//! 1 MB (at least one per I/O task), each wave of pieces is redistributed to
+//! a *canonical* distribution (piece `j0 + p` lands wholly in task `p`'s
+//! address space), and every task then hands its piece to the wave's sink:
+//! a PIOFS collective write at the piece's known stream offset
+//! ([`write_array`]) or a [`StreamPiece`] kept in memory
+//! ([`collect_array_pieces`]). Reading runs the mirror image, one
+//! [`PieceFetch`] per wave ([`read_via`]); [`read_array`] fetches from a
+//! PIOFS file. With `io_tasks == 1` the operations degrade to the serial
+//! streaming of reference \[12\] — a pure append stream that needs no seek
 //! capability; with `io_tasks == P` they exploit the full parallelism of the
 //! file system.
 //!
-//! Because the stream depends only on (section, element type, order) — never
-//! on the distribution — a section written from 16 tasks reads back
+//! Because the stream depends only on (domain, element type, order) — never
+//! on the distribution — an array written from 16 tasks reads back
 //! correctly into 5, which is the property reconfigurable checkpointing is
 //! built on.
 
@@ -21,7 +23,7 @@ use std::sync::Arc;
 
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
-use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
+use drms_piofs::{Piofs, PiofsError, ReadAccess, ReadReq, WriteReq};
 use drms_slices::partition::{choose_piece_count, partition, stream_offsets};
 use drms_slices::{Order, Slice};
 
@@ -33,167 +35,9 @@ use crate::{DarrayError, DistArray, Distribution, Element, Result};
 /// between parallelism/buffer pressure and per-piece overhead).
 pub const TARGET_PIECE_BYTES: usize = 1 << 20;
 
-/// Collective: streams `section` of `array` into the file `path`.
-///
-/// `io_tasks` is the paper's `P`: how many tasks perform actual I/O
-/// (1 = serial streaming; `ctx.ntasks()` = fully parallel). All tasks of the
-/// region must call, regardless of `io_tasks` — they all hold pieces of the
-/// section and must participate in the redistribution.
-pub fn write_section<T: Element>(
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    array: &DistArray<T>,
-    section: &Slice,
-    path: &str,
-    io_tasks: usize,
-) -> Result<()> {
-    write_section_with(ctx, fs, array, section, path, io_tasks, TARGET_PIECE_BYTES)
-}
-
-/// As [`write_section`], with an explicit per-piece byte target — exposed
-/// for the piece-size ablation study (the paper reasons about this choice:
-/// larger pieces mean less overhead, smaller pieces mean more parallelism
-/// and less intermediate buffer pressure).
-pub fn write_section_with<T: Element>(
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    array: &DistArray<T>,
-    section: &Slice,
-    path: &str,
-    io_tasks: usize,
-    target_piece_bytes: usize,
-) -> Result<()> {
-    let plan = Plan::new(
-        ctx,
-        array.domain(),
-        section,
-        io_tasks,
-        T::SIZE,
-        array.order(),
-        target_piece_bytes,
-    )?;
-    if ctx.rank() == 0 {
-        // Truncate: a stream fully defines the file, and its length is known.
-        fs.create(path, (section.size() * T::SIZE) as u64);
-    }
-    ctx.barrier();
-
-    let traced = ctx.recorder().enabled();
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let data = gather(ctx, plan.canonical(wave, array.domain())?, array)?;
-
-        let mut reqs = Vec::new();
-        let my_piece = plan.piece_for(wave, ctx.rank());
-        if let Some(j) = my_piece {
-            if plan.pieces[j].size() > 0 {
-                reqs.push(WriteReq {
-                    path: path.to_string(),
-                    offset: (plan.offsets[j] * T::SIZE) as u64,
-                    data,
-                });
-            }
-        }
-        if traced {
-            let bytes: usize = reqs.iter().map(|r| r.data.len()).sum();
-            let rec = ctx.recorder();
-            rec.counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::PIECES_WRITTEN,
-                Some(array.name()),
-                reqs.len() as u64,
-            );
-            rec.counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::BYTES_STREAMED,
-                Some(array.name()),
-                bytes as u64,
-            );
-        }
-        fs.collective_write(ctx, reqs);
-        if traced {
-            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-    }
-    Ok(())
-}
-
-/// Collective: fills `section` of `array` from the stream in `path`
-/// (written by [`write_section`], possibly under a different distribution
-/// and task count).
-pub fn read_section<T: Element>(
-    ctx: &mut Ctx,
-    fs: &Piofs,
-    array: &mut DistArray<T>,
-    section: &Slice,
-    path: &str,
-    io_tasks: usize,
-) -> Result<()> {
-    // The stream bytes are piece-size independent, so a stream written
-    // with any per-piece target reads back with the default one.
-    let plan = Plan::new(
-        ctx,
-        array.domain(),
-        section,
-        io_tasks,
-        T::SIZE,
-        array.order(),
-        TARGET_PIECE_BYTES,
-    )?;
-    let need = (section.size() * T::SIZE) as u64;
-    let have = fs.size(path).map_err(|e| DarrayError::Io(e.to_string()))?;
-    if have < need {
-        return Err(DarrayError::Io(format!(
-            "stream {path} holds {have} bytes but section needs {need}"
-        )));
-    }
-    let access = if plan.io_tasks == 1 { ReadAccess::Sequential } else { ReadAccess::Strided };
-
-    let traced = ctx.recorder().enabled();
-    // This task's piece bytes, copied once out of the read's loan into one
-    // buffer every wave of the array reuses.
-    let mut bytes = Vec::new();
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let mut reqs = Vec::new();
-        let my_piece = plan.piece_for(wave, ctx.rank());
-        if let Some(j) = my_piece {
-            if plan.pieces[j].size() > 0 {
-                reqs.push(ReadReq {
-                    path: path.to_string(),
-                    offset: (plan.offsets[j] * T::SIZE) as u64,
-                    len: (plan.pieces[j].size() * T::SIZE) as u64,
-                    access,
-                });
-            }
-        }
-        if traced {
-            let bytes: u64 = reqs.iter().map(|r| r.len).sum();
-            ctx.recorder().counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::BYTES_STREAMED,
-                Some(array.name()),
-                bytes,
-            );
-        }
-        bytes.clear();
-        fs.collective_read_with(ctx, reqs, |_, lent| bytes.extend_from_slice(lent))
-            .map_err(|e| DarrayError::Io(e.to_string()))?;
-        bytes = scatter(ctx, plan.canonical(wave, array.domain())?, array, bytes)?;
-    }
-    Ok(())
-}
-
 /// One locally produced piece of a canonical stream: the piece's index in
 /// the stream partition, its byte offset within the stream, and its encoded
-/// bytes. This is what [`collect_section_pieces`] hands to callers that keep
+/// bytes. This is what [`collect_array_pieces`] hands to callers that keep
 /// the stream somewhere other than a PIOFS file (the in-memory checkpoint
 /// tier).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,7 +53,7 @@ pub struct StreamPiece {
 /// Assembles a task's stream pieces into contiguous stream bytes: sorted
 /// by offset and concatenated. When one task holds every piece of a stream
 /// (serial gathering, `io_tasks == 1`) the result is bitwise identical to
-/// the file [`write_section`] would have produced.
+/// the file [`write_array`] would have produced.
 pub fn assemble_pieces(mut pieces: Vec<StreamPiece>) -> Vec<u8> {
     pieces.sort_by_key(|p| p.offset);
     let total: usize = pieces.iter().map(|p| p.data.len()).sum();
@@ -220,249 +64,12 @@ pub fn assemble_pieces(mut pieces: Vec<StreamPiece>) -> Vec<u8> {
     out
 }
 
-/// Byte-range fetch callback for [`read_section_via`]: called as
-/// `fetch(ctx, offset, len)` and must return exactly `len` bytes of the
-/// stream starting at byte `offset`, pricing its own data movement against
-/// the calling task's clock. The callback is invoked **collectively**:
-/// every rank of the region calls it exactly once per wave, with `len == 0`
-/// on ranks that hold no piece that wave (they must return an empty
-/// buffer). That lets fetchers built on collective file-system phases line
-/// their participants up, which keeps simulated pricing deterministic.
-pub type PieceFetch<'a> =
-    dyn FnMut(&mut Ctx, u64, u64) -> std::result::Result<Vec<u8>, String> + 'a;
-
-/// Collective: runs the same redistribution waves as [`write_section`] but
-/// returns this task's canonical stream pieces instead of writing them to a
-/// file. The concatenation of all tasks' pieces (by offset) is bitwise
-/// identical to the file [`write_section`] would have produced.
+/// Collective: streams `array` into the file `path` (the checkpoint path).
 ///
-/// All tasks of the region must call — they all hold parts of the section
-/// and must participate in every wave's redistribution — but only the first
-/// `io_tasks` ranks receive pieces.
-pub fn collect_section_pieces<T: Element>(
-    ctx: &mut Ctx,
-    array: &DistArray<T>,
-    section: &Slice,
-    io_tasks: usize,
-) -> Result<Vec<StreamPiece>> {
-    let plan = Plan::new(
-        ctx,
-        array.domain(),
-        section,
-        io_tasks,
-        T::SIZE,
-        array.order(),
-        TARGET_PIECE_BYTES,
-    )?;
-    let traced = ctx.recorder().enabled();
-    let mut out = Vec::new();
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let data = gather(ctx, plan.canonical(wave, array.domain())?, array)?;
-
-        if let Some(j) = plan.piece_for(wave, ctx.rank()) {
-            if plan.pieces[j].size() > 0 {
-                if traced {
-                    let rec = ctx.recorder();
-                    rec.counter_add_at(
-                        ctx.now(),
-                        ctx.rank(),
-                        names::PIECES_WRITTEN,
-                        Some(array.name()),
-                        1,
-                    );
-                    rec.counter_add_at(
-                        ctx.now(),
-                        ctx.rank(),
-                        names::BYTES_STREAMED,
-                        Some(array.name()),
-                        data.len() as u64,
-                    );
-                }
-                out.push(StreamPiece {
-                    index: j,
-                    offset: (plan.offsets[j] * T::SIZE) as u64,
-                    data,
-                });
-            }
-        }
-        if traced {
-            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-    }
-    Ok(out)
-}
-
-/// Collective: fills `section` of `array` from its canonical stream,
-/// fetching each piece's byte range through `fetch` instead of the file
-/// system. The reader's piece plan need not match the writer's: `fetch` is
-/// given arbitrary `(offset, len)` ranges of the stream and may assemble
-/// them from whatever storage granularity it kept.
-pub fn read_section_via<T: Element>(
-    ctx: &mut Ctx,
-    array: &mut DistArray<T>,
-    section: &Slice,
-    io_tasks: usize,
-    fetch: &mut PieceFetch<'_>,
-) -> Result<()> {
-    let plan = Plan::new(
-        ctx,
-        array.domain(),
-        section,
-        io_tasks,
-        T::SIZE,
-        array.order(),
-        TARGET_PIECE_BYTES,
-    )?;
-    let traced = ctx.recorder().enabled();
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
-            Some(j) if plan.pieces[j].size() > 0 => {
-                ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
-            }
-            _ => (0, 0),
-        };
-        // Every rank fetches every wave (see [`PieceFetch`]) so collective
-        // fetchers stay aligned; idle ranks ask for zero bytes.
-        let bytes = fetch(ctx, offset, len).map_err(DarrayError::Io)?;
-        if bytes.len() as u64 != len {
-            return Err(DarrayError::Io(format!(
-                "stream fetch at {offset} returned {} bytes, wanted {len}",
-                bytes.len()
-            )));
-        }
-        if len > 0 && traced {
-            ctx.recorder().counter_add_at(
-                ctx.now(),
-                ctx.rank(),
-                names::BYTES_STREAMED,
-                Some(array.name()),
-                len,
-            );
-        }
-        scatter(ctx, plan.canonical(wave, array.domain())?, array, bytes)?;
-        if traced {
-            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-    }
-    Ok(())
-}
-
-/// Collective: collects the entire array's canonical stream pieces (the
-/// diskless checkpoint path).
-pub fn collect_array_pieces<T: Element>(
-    ctx: &mut Ctx,
-    array: &DistArray<T>,
-    io_tasks: usize,
-) -> Result<Vec<StreamPiece>> {
-    let section = array.domain().clone();
-    collect_section_pieces(ctx, array, &section, io_tasks)
-}
-
-/// Collective: fills the entire array from its canonical stream through a
-/// byte-range fetch callback.
-pub fn read_array_via<T: Element>(
-    ctx: &mut Ctx,
-    array: &mut DistArray<T>,
-    io_tasks: usize,
-    fetch: &mut PieceFetch<'_>,
-) -> Result<()> {
-    let section = array.domain().clone();
-    read_section_via(ctx, array, &section, io_tasks, fetch)
-}
-
-/// Collective: fills only the parts of `array` that overlap one of the
-/// `needed` sections from the array's *full-domain* canonical stream,
-/// leaving everything else untouched. Fetch offsets are full-stream byte
-/// offsets — exactly the layout of a checkpoint's `array-{name}` file or
-/// its memory-tier replica — so a localized recovery can pull just the
-/// lost ranks' section ranges out of an existing whole-array stream.
-///
-/// The piece plan is the same as [`read_array_via`]'s; a piece is fetched
-/// iff its slice intersects some needed section, and the per-wave
-/// redistribution is masked to the fetched pieces so unfetched pieces
-/// never clobber live data. A fetched piece may extend past the needed
-/// sections (pieces are stream-contiguous, sections are not); the extra
-/// elements are overwritten with bytes from the same stream, which is
-/// harmless by construction — everything restored is checkpoint state.
-///
-/// Every rank calls `fetch` once per wave (`len == 0` when it has nothing
-/// to fetch), preserving the collective-fetcher convention of
-/// [`PieceFetch`]. Returns the total bytes fetched.
-pub fn read_overlapping_via<T: Element>(
-    ctx: &mut Ctx,
-    array: &mut DistArray<T>,
-    needed: &[Slice],
-    io_tasks: usize,
-    fetch: &mut PieceFetch<'_>,
-) -> Result<u64> {
-    let domain = array.domain().clone();
-    let plan =
-        Plan::new(ctx, &domain, &domain, io_tasks, T::SIZE, array.order(), TARGET_PIECE_BYTES)?;
-    let wanted: Vec<bool> = plan
-        .pieces
-        .iter()
-        .map(|piece| {
-            needed.iter().any(|n| {
-                !n.is_empty() && piece.intersect(n).map(|s| !s.is_empty()).unwrap_or(false)
-            })
-        })
-        .collect();
-    let traced = ctx.recorder().enabled();
-    let mut fetched_total = 0u64;
-    for wave in 0..plan.waves() {
-        if traced {
-            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-        // Mask the canonical wave distribution to the wanted pieces, so the
-        // exchange moves only fetched data into the array.
-        let keep: Vec<bool> = (0..ctx.ntasks())
-            .map(|r| plan.piece_for(wave, r).map(|j| wanted[j]).unwrap_or(false))
-            .collect();
-        let masked = plan.canonical(wave, &domain)?.masked(&keep)?;
-
-        let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
-            Some(j) if wanted[j] && plan.pieces[j].size() > 0 => {
-                ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
-            }
-            _ => (0, 0),
-        };
-        let bytes = fetch(ctx, offset, len).map_err(DarrayError::Io)?;
-        if bytes.len() as u64 != len {
-            return Err(DarrayError::Io(format!(
-                "stream fetch at {offset} returned {} bytes, wanted {len}",
-                bytes.len()
-            )));
-        }
-        if len > 0 {
-            fetched_total += len;
-            if traced {
-                ctx.recorder().counter_add_at(
-                    ctx.now(),
-                    ctx.rank(),
-                    names::BYTES_STREAMED,
-                    Some(array.name()),
-                    len,
-                );
-            }
-        }
-        scatter(ctx, masked, array, bytes)?;
-        if traced {
-            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
-        }
-    }
-    // Every rank fetched the same piece set, but only the fetching rank
-    // counted its bytes; make the return value the collective total.
-    let (per_rank, _) = ctx.exchange(fetched_total);
-    Ok(per_rank.iter().sum())
-}
-
-/// Collective: streams the entire array (the checkpoint path).
+/// `io_tasks` is the paper's `P`: how many tasks perform actual I/O
+/// (1 = serial streaming; `ctx.ntasks()` = fully parallel). All tasks of the
+/// region must call, regardless of `io_tasks` — they all hold pieces of the
+/// array and must participate in the redistribution.
 pub fn write_array<T: Element>(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -470,11 +77,121 @@ pub fn write_array<T: Element>(
     path: &str,
     io_tasks: usize,
 ) -> Result<()> {
-    let section = array.domain().clone();
-    write_section(ctx, fs, array, &section, path, io_tasks)
+    write_array_with(ctx, fs, array, path, io_tasks, TARGET_PIECE_BYTES)
 }
 
-/// Collective: fills the entire array from its stream file.
+/// As [`write_array`], with an explicit per-piece byte target — exposed
+/// for the piece-size ablation study (the paper reasons about this choice:
+/// larger pieces mean less overhead, smaller pieces mean more parallelism
+/// and less intermediate buffer pressure). The stream bytes do not depend
+/// on the target, so [`read_array`] reads them back with the default one.
+pub fn write_array_with<T: Element>(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    array: &DistArray<T>,
+    path: &str,
+    io_tasks: usize,
+    target_piece_bytes: usize,
+) -> Result<()> {
+    if ctx.rank() == 0 {
+        // Truncate: a stream fully defines the file, and its length is known.
+        fs.create(path, stream_len(array));
+    }
+    ctx.barrier();
+    write_waves(ctx, array, io_tasks, target_piece_bytes, |ctx, piece| {
+        let reqs =
+            piece.map(|p| WriteReq { path: path.to_string(), offset: p.offset, data: p.data });
+        fs.collective_write(ctx, reqs.into_iter().collect());
+    })
+}
+
+/// Collective: runs the waves of [`write_array`] but returns this task's
+/// canonical stream pieces instead of writing them to a file (the diskless
+/// checkpoint path). The concatenation of all tasks' pieces (by offset) is
+/// bitwise identical to the file [`write_array`] would have produced.
+///
+/// All tasks of the region must call — they all hold parts of the array
+/// and must participate in every wave's redistribution — but only the first
+/// `io_tasks` ranks receive pieces.
+pub fn collect_array_pieces<T: Element>(
+    ctx: &mut Ctx,
+    array: &DistArray<T>,
+    io_tasks: usize,
+) -> Result<Vec<StreamPiece>> {
+    let mut out = Vec::new();
+    write_waves(ctx, array, io_tasks, TARGET_PIECE_BYTES, |_, piece| out.extend(piece))?;
+    Ok(out)
+}
+
+/// Collective: the one write-wave loop. Each wave gathers its pieces into
+/// the canonical distribution and hands `sink` this task's piece — `None`
+/// on a task holding no non-empty piece that wave. Every task calls `sink`
+/// once per wave, so a sink built on a collective file-system phase lines
+/// its participants up.
+fn write_waves<T: Element>(
+    ctx: &mut Ctx,
+    array: &DistArray<T>,
+    io_tasks: usize,
+    target_piece_bytes: usize,
+    mut sink: impl FnMut(&mut Ctx, Option<StreamPiece>),
+) -> Result<()> {
+    let plan =
+        Plan::new(ctx, array.domain(), io_tasks, T::SIZE, array.order(), target_piece_bytes)?;
+    let traced = ctx.recorder().enabled();
+    for wave in 0..plan.waves() {
+        if traced {
+            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
+        }
+        let data = gather(ctx, plan.canonical(wave, array.domain())?, array)?;
+        let piece = plan
+            .piece_for(wave, ctx.rank())
+            .filter(|&j| plan.pieces[j].size() > 0)
+            .map(|j| StreamPiece { index: j, offset: (plan.offsets[j] * T::SIZE) as u64, data });
+        if let Some(p) = piece.as_ref().filter(|_| traced) {
+            let rec = ctx.recorder();
+            let (t, rank, name) = (ctx.now(), ctx.rank(), Some(array.name()));
+            rec.counter_add_at(t, rank, names::PIECES_WRITTEN, name, 1);
+            rec.counter_add_at(t, rank, names::BYTES_STREAMED, name, p.data.len() as u64);
+        }
+        sink(ctx, piece);
+        if traced {
+            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
+        }
+    }
+    Ok(())
+}
+
+/// What one wave asks of a [`PieceFetch`]: bytes `[offset, offset + len)`
+/// of the canonical stream, and how a file system would see the read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamRange {
+    /// Byte offset within the stream.
+    pub offset: u64,
+    /// Bytes wanted; zero on a task with nothing to read this wave.
+    pub len: u64,
+    /// `Sequential` exactly when one I/O task reads the whole stream front
+    /// to back, else `Strided`.
+    pub access: ReadAccess,
+}
+
+/// Byte-range fetch callback of [`read_via`]: called as
+/// `fetch(ctx, range, buf)` with `buf` empty, and must leave exactly
+/// `range.len` bytes of the stream starting at `range.offset` in `buf` —
+/// copied in, or `buf` replaced by a buffer the fetch already owns —
+/// pricing its own data movement against the calling task's clock. The
+/// read driver reuses `buf` across waves. The callback is invoked
+/// **collectively**: every rank of the region calls it exactly once per
+/// wave, with `len == 0` on ranks that hold no piece that wave (they must
+/// leave `buf` empty). That lets fetchers built on collective file-system
+/// phases line their participants up, which keeps simulated pricing
+/// deterministic.
+pub type PieceFetch<'a> =
+    dyn FnMut(&mut Ctx, StreamRange, &mut Vec<u8>) -> std::result::Result<(), String> + 'a;
+
+/// Collective: fills `array` from its stream file `path` (written by
+/// [`write_array`], possibly under a different distribution and task
+/// count). Every task checks the file's size before the first wave, so a
+/// short stream fails on all of them.
 pub fn read_array<T: Element>(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -482,8 +199,123 @@ pub fn read_array<T: Element>(
     path: &str,
     io_tasks: usize,
 ) -> Result<()> {
-    let section = array.domain().clone();
-    read_section(ctx, fs, array, &section, path, io_tasks)
+    let need = stream_len(array);
+    let have = fs.size(path).map_err(|e| DarrayError::Io(e.to_string()))?;
+    if have < need {
+        return Err(DarrayError::Io(format!("stream {path} holds {have} bytes but needs {need}")));
+    }
+    let mut fetch = |ctx: &mut Ctx, range, buf: &mut Vec<u8>| {
+        read_range(ctx, fs, path, range, buf).map_err(|e| e.to_string())
+    };
+    read_via(ctx, array, None, io_tasks, &mut fetch)?;
+    Ok(())
+}
+
+/// The [`PieceFetch`] of a stream kept in the PIOFS file `path`: one
+/// collective read of `range`, copied once out of the read's loan into
+/// `buf`. A task with nothing to read joins the phase with no request.
+pub fn read_range(
+    ctx: &mut Ctx,
+    fs: &Piofs,
+    path: &str,
+    range: StreamRange,
+    buf: &mut Vec<u8>,
+) -> std::result::Result<(), PiofsError> {
+    let StreamRange { offset, len, access } = range;
+    let reqs = (len > 0).then(|| ReadReq { path: path.to_string(), offset, len, access });
+    fs.collective_read_with(ctx, reqs.into_iter().collect(), |_, lent| buf.extend_from_slice(lent))
+}
+
+/// Collective: the one read-wave loop. Fills `array` from its canonical
+/// full-domain stream, fetching each wave's pieces through `fetch` — which
+/// need not share the writer's piece plan: it is given arbitrary
+/// `(offset, len)` ranges and may assemble them from whatever storage
+/// granularity it kept.
+///
+/// With `needed`, only the pieces that overlap one of those sections are
+/// fetched, and each wave's redistribution is masked to them, so
+/// everything else in `array` is left untouched; this is how a localized
+/// recovery pulls just the lost ranks' sections out of a whole-array
+/// stream. A fetched piece may extend past the needed sections (pieces are
+/// stream-contiguous, sections are not); the extra elements are
+/// overwritten with bytes from the same stream, which is harmless by
+/// construction — everything restored is checkpoint state.
+///
+/// Returns the bytes this task fetched. A failed fetch does not end the
+/// read: the task runs the remaining waves with zeros in place of its
+/// piece, so its siblings are never left waiting in a wave's
+/// redistribution, and returns its first error after the last wave. The
+/// error is this task's alone; callers that must fail together vote on it.
+pub fn read_via<T: Element>(
+    ctx: &mut Ctx,
+    array: &mut DistArray<T>,
+    needed: Option<&[Slice]>,
+    io_tasks: usize,
+    fetch: &mut PieceFetch<'_>,
+) -> Result<u64> {
+    let domain = array.domain().clone();
+    let plan = Plan::new(ctx, &domain, io_tasks, T::SIZE, array.order(), TARGET_PIECE_BYTES)?;
+    let wanted: Vec<bool> = plan
+        .pieces
+        .iter()
+        .map(|piece| {
+            needed.is_none_or(|needed| {
+                needed
+                    .iter()
+                    .any(|n| !n.is_empty() && piece.intersect(n).is_ok_and(|s| !s.is_empty()))
+            })
+        })
+        .collect();
+    let access = match (plan.io_tasks, needed) {
+        (1, None) => ReadAccess::Sequential,
+        _ => ReadAccess::Strided,
+    };
+    let traced = ctx.recorder().enabled();
+    let (mut buf, mut fetched, mut failed) = (Vec::new(), 0u64, None);
+    for wave in 0..plan.waves() {
+        if traced {
+            ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
+        }
+        let mut canonical = plan.canonical(wave, &domain)?;
+        if needed.is_some() {
+            let keep: Vec<bool> = (0..ctx.ntasks())
+                .map(|r| plan.piece_for(wave, r).is_some_and(|j| wanted[j]))
+                .collect();
+            canonical = canonical.masked(&keep)?;
+        }
+        let (offset, len) = match plan.piece_for(wave, ctx.rank()) {
+            Some(j) if wanted[j] && plan.pieces[j].size() > 0 => {
+                ((plan.offsets[j] * T::SIZE) as u64, (plan.pieces[j].size() * T::SIZE) as u64)
+            }
+            _ => (0, 0),
+        };
+        buf.clear();
+        let mut got = fetch(ctx, StreamRange { offset, len, access }, &mut buf);
+        if got.is_ok() && buf.len() as u64 != len {
+            got =
+                Err(format!("stream fetch at {offset} returned {} bytes, wanted {len}", buf.len()));
+        }
+        if let Err(why) = got {
+            failed.get_or_insert(DarrayError::Io(why));
+            buf.clear();
+            buf.resize(len as usize, 0);
+        }
+        if len > 0 && traced {
+            let (t, rank) = (ctx.now(), ctx.rank());
+            ctx.recorder().counter_add_at(t, rank, names::BYTES_STREAMED, Some(array.name()), len);
+        }
+        fetched += len;
+        buf = scatter(ctx, canonical, array, buf)?;
+        if traced {
+            ctx.recorder().span_end(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
+        }
+    }
+    failed.map_or(Ok(fetched), Err)
+}
+
+/// Bytes of `array`'s stream.
+fn stream_len<T: Element>(array: &DistArray<T>) -> u64 {
+    (array.domain().size() * T::SIZE) as u64
 }
 
 /// Collective: the write half of a wave — every task's elements of the
@@ -568,26 +400,19 @@ impl Plan {
     fn new(
         ctx: &Ctx,
         domain: &Slice,
-        section: &Slice,
         io_tasks: usize,
         elem_size: usize,
-        order: drms_slices::Order,
+        order: Order,
         target_piece_bytes: usize,
     ) -> Result<Plan> {
-        if !section.is_subset_of(domain) {
-            return Err(DarrayError::DomainMismatch {
-                left: section.clone(),
-                right: domain.clone(),
-            });
-        }
         let io_tasks = io_tasks.clamp(1, ctx.ntasks());
-        let bytes = section.size() * elem_size;
+        let bytes = domain.size() * elem_size;
         let m = choose_piece_count(bytes, io_tasks, target_piece_bytes);
         // The stream linearization is the array's storage order (the paper
         // supports both FORTRAN column-major and C row-major streams), so
         // the partition splits along that order's slowest axis and each
         // piece's local buffer is already stream-contiguous.
-        let pieces = partition(section, m, order)?;
+        let pieces = partition(domain, m, order)?;
         let offsets = stream_offsets(&pieces);
         Ok(Plan { pieces, offsets, io_tasks, ntasks: ctx.ntasks() })
     }
@@ -606,7 +431,7 @@ impl Plan {
     }
 
     /// Canonical distribution of this wave's pieces onto tasks.
-    fn canonical(&self, wave: usize, domain: &Slice) -> Result<std::sync::Arc<Distribution>> {
+    fn canonical(&self, wave: usize, domain: &Slice) -> Result<Arc<Distribution>> {
         let lo = wave * self.io_tasks;
         let hi = (lo + self.io_tasks).min(self.pieces.len());
         Distribution::pieces(domain, self.ntasks, &self.pieces[lo..hi])
@@ -616,9 +441,9 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drms_msg::{run_spmd, CostModel};
+    use drms_msg::{run_spmd, run_spmd_traced, CostModel};
+    use drms_obs::{EventKind, TraceRecorder};
     use drms_piofs::PiofsConfig;
-    use drms_slices::Order;
     use std::sync::Arc as StdArc;
 
     fn fs() -> StdArc<Piofs> {
@@ -718,33 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn section_streaming_subset() {
-        let dom = Slice::boxed(&[(0, 9), (0, 9)]);
-        let section = Slice::boxed(&[(2, 5), (3, 8)]);
-        let fs = fs();
-        run_spmd(2, CostModel::default(), |ctx| {
-            let dist = Distribution::block(&dom, &[2, 1], &[0, 0]).unwrap();
-            let mut a = DistArray::<f64>::new("u", Order::ColumnMajor, dist.clone(), ctx.rank());
-            a.fill_assigned(value);
-            write_section(ctx, &fs, &a, &section, "sec", 2).unwrap();
-
-            let mut b = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-            read_section(ctx, &fs, &mut b, &section, "sec", 2).unwrap();
-            // Elements inside the section restored; outside untouched.
-            b.mapped().clone().points(Order::ColumnMajor).for_each(|p| {
-                let expect = if section.contains(p).unwrap() { value(p) } else { 0.0 };
-                // Only assigned values were written by fill_assigned, and the
-                // section restore only defines in-section elements.
-                if section.contains(p).unwrap() {
-                    assert_eq!(b.get(p).unwrap(), expect, "point {p:?}");
-                }
-            });
-        })
-        .unwrap();
-        assert_eq!(fs.size("sec").unwrap(), (section.size() * 8) as u64);
-    }
-
-    #[test]
     fn read_missing_or_short_file_errors() {
         let dom = Slice::boxed(&[(0, 9)]);
         let fs = fs();
@@ -756,6 +554,112 @@ mod tests {
             assert!(matches!(read_array(ctx, &fs, &mut a, "short", 1), Err(DarrayError::Io(_))));
         })
         .unwrap();
+
+        // On 4 tasks a stream one piece short (four 640-byte pieces, the
+        // last cut off) is caught by every task's size check before the
+        // first wave, so it fails everywhere, not just on the task whose
+        // piece runs past the end.
+        let dom = Slice::boxed(&[(0, 39), (0, 7)]);
+        let results = run_spmd(4, CostModel::free(), |ctx| {
+            let dist = Distribution::block_auto(&dom, 4, 1).unwrap();
+            let mut a = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+            a.fill_assigned(value);
+            write_array(ctx, &fs, &a, "whole", 4).unwrap();
+            if ctx.rank() == 0 {
+                let whole = fs.peek("whole").unwrap();
+                fs.write_at(ctx, "cut", 0, &whole[..whole.len() * 3 / 4]);
+            }
+            ctx.barrier();
+            read_array(ctx, &fs, &mut a, "cut", 4)
+        })
+        .unwrap();
+        assert!(results.iter().all(|r| matches!(r, Err(DarrayError::Io(_)))), "{results:?}");
+    }
+
+    // Recorded from the dedicated file-stream reader that `read_array` used
+    // before it shared the read loop, on the inputs of `read_footprint`.
+    const GOLDEN_1_CLOCK: f64 = 0.0018429759999999999;
+    const GOLDEN_1_BUSY: [(usize, f64); 4] =
+        [(0, 0.000963776), (1, 0.000963776), (2, 0.000963776), (3, 0.000963776)];
+    const GOLDEN_4_CLOCKS: [f64; 4] =
+        [0.00867472857142857, 0.00868887142857143, 0.00868887142857143, 0.00867472857142857];
+    const GOLDEN_4_BUSY: [(usize, f64); 4] = [
+        (0, 0.0005464045714285714),
+        (1, 0.0005464045714285714),
+        (2, 0.0005464045714285714),
+        (3, 0.0005464045714285714),
+    ];
+
+    /// Every rank's clock and every server's `piofs.server_busy` gauge
+    /// after `read_array` of a 64 x 64 stream on `ntasks` tasks.
+    fn read_footprint(ntasks: usize) -> (Vec<f64>, Vec<(usize, f64)>) {
+        let dom = Slice::boxed(&[(0, 63), (0, 63)]);
+        // Strided reads are priced slower than sequential ones, so the
+        // access mode shows in the clocks and the busy times.
+        let cfg = PiofsConfig { client_strided_read_bw: 1e6, ..PiofsConfig::test_tiny(4) };
+        let fs = Piofs::new(cfg, 7);
+        run_spmd(ntasks, CostModel::default(), |ctx| {
+            let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
+            let mut a = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+            a.fill_assigned(value);
+            write_array(ctx, &fs, &a, "g", ctx.ntasks()).unwrap();
+        })
+        .unwrap();
+        let rec = StdArc::new(TraceRecorder::new());
+        let clocks = run_spmd_traced(ntasks, CostModel::default(), rec.clone(), |ctx| {
+            let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
+            let mut b = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+            read_array(ctx, &fs, &mut b, "g", ctx.ntasks()).unwrap();
+            ctx.now()
+        })
+        .unwrap();
+        let busy = rec
+            .metrics()
+            .gauges()
+            .into_iter()
+            .filter(|((name, _), _)| *name == names::SERVER_BUSY)
+            .map(|((_, server), v)| (server, v))
+            .collect();
+        (clocks, busy)
+    }
+
+    #[test]
+    fn read_access_is_sequential_on_one_io_task_only() {
+        // One I/O task reads its stream `Sequential`, four read theirs
+        // `Strided`: both leave the clocks and server busy times the
+        // dedicated file-stream reader left.
+        let (clocks, busy) = read_footprint(1);
+        assert_eq!(clocks, vec![GOLDEN_1_CLOCK]);
+        assert_eq!(busy, GOLDEN_1_BUSY.to_vec());
+        let (clocks, busy) = read_footprint(4);
+        assert_eq!(clocks, GOLDEN_4_CLOCKS.to_vec());
+        assert_eq!(busy, GOLDEN_4_BUSY.to_vec());
+    }
+
+    #[test]
+    fn every_stream_wave_span_closes() {
+        let dom = Slice::boxed(&[(0, 19), (0, 11)]);
+        let fs = fs();
+        let rec = StdArc::new(TraceRecorder::new());
+        run_spmd_traced(4, CostModel::default(), rec.clone(), |ctx| {
+            let dist = Distribution::block_auto(&dom, 4, 1).unwrap();
+            let mut a = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+            a.fill_assigned(value);
+            write_array(ctx, &fs, &a, "w", 4).unwrap();
+            read_array(ctx, &fs, &mut a, "w", 4).unwrap();
+        })
+        .unwrap();
+        let waves = rec.events().into_iter().filter(|e| e.phase == Phase::StreamWave);
+        let (mut begins, mut ends) = (0, 0);
+        for e in waves {
+            match e.kind {
+                EventKind::Begin => begins += 1,
+                EventKind::End => ends += 1,
+                EventKind::Instant => {}
+            }
+        }
+        assert!(begins > 0);
+        assert_eq!(begins, ends, "every StreamWave span a read or write opens must close");
     }
 
     #[test]
@@ -811,14 +715,15 @@ mod tests {
             let dist = Distribution::block_auto(&dom, 3, 2).unwrap();
             let mut b = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
             let bytes = stream.clone();
-            let mut fetch = |_ctx: &mut Ctx, off: u64, len: u64| {
-                let (off, len) = (off as usize, len as usize);
+            let mut fetch = |_ctx: &mut Ctx, range: StreamRange, buf: &mut Vec<u8>| {
+                let (off, len) = (range.offset as usize, range.len as usize);
                 if off + len > bytes.len() {
                     return Err(format!("range {off}+{len} past {}", bytes.len()));
                 }
-                Ok(bytes[off..off + len].to_vec())
+                buf.extend_from_slice(&bytes[off..off + len]);
+                Ok(())
             };
-            read_array_via(ctx, &mut b, 3, &mut fetch).unwrap();
+            read_via(ctx, &mut b, None, 3, &mut fetch).unwrap();
             let mut checked = 0;
             b.mapped().clone().points(Order::ColumnMajor).for_each(|p| {
                 assert_eq!(b.get(p).unwrap(), value(p), "point {p:?}");

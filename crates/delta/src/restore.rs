@@ -10,6 +10,7 @@ use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
 use drms_darray::chunks::{self, Refusal};
+use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
@@ -57,10 +58,10 @@ impl RestartSource for DeltaSource<'_> {
         ctx: &mut Ctx,
         manifest: &Manifest,
         array: &str,
-        off: u64,
-        len: u64,
-    ) -> Result<Vec<u8>> {
-        fetch_stream_range(ctx, self.0, chunk_table(manifest, array)?, off, len)
+        range: StreamRange,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        fetch_stream_range(ctx, self.0, chunk_table(manifest, array)?, range, out)
     }
 
     fn read_array(
@@ -79,8 +80,8 @@ impl RestartSource for DeltaSource<'_> {
                 a.stream_bytes()
             )));
         }
-        let mut fetch = |ctx: &mut Ctx, off: u64, len: u64| {
-            fetch_stream_range(ctx, self.0, d, off, len).map_err(|e| e.to_string())
+        let mut fetch = |ctx: &mut Ctx, range, out: &mut Vec<u8>| {
+            fetch_stream_range(ctx, self.0, d, range, out).map_err(|e| e.to_string())
         };
         a.read_stream_via(ctx, io_tasks, &mut fetch)
     }
@@ -137,62 +138,78 @@ pub fn restore_arrays_delta(
 /// phase's pricing orders the whole region's requests deterministically —
 /// per-rank independent reads would price in thread arrival order and make
 /// restore times nondeterministic. Each chunk is then decoded and
-/// hash-verified before a byte reaches the caller.
+/// hash-verified before a byte reaches `out` (handed over empty).
 fn fetch_stream_range(
     ctx: &mut Ctx,
     PiofsFull { fs, prefix }: PiofsFull<'_>,
     d: &ArrayDelta,
-    off: u64,
-    len: u64,
-) -> Result<Vec<u8>> {
+    StreamRange { offset: off, len, .. }: StreamRange,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     let params = d.params();
-    if off + len > d.stream_len {
-        return Err(CoreError::Integrity(format!(
+    let first = params.index_of(off);
+    let reqs = if off + len > d.stream_len {
+        Err(CoreError::Integrity(format!(
             "array {:?}: fetch {off}+{len} past stream length {}",
             d.name, d.stream_len
-        )));
-    }
-    let first = params.index_of(off);
-    let mut reqs = Vec::new();
-    if len > 0 {
-        let last = params.index_of(off + len - 1);
-        for i in first..=last {
-            let c = d.chunks.get(i).ok_or_else(|| {
-                CoreError::Integrity(format!(
-                    "array {:?}: chunk table is missing chunk {i}",
-                    d.name
-                ))
-            })?;
-            reqs.push(ReadReq {
-                path: c.pack_path(prefix, &d.name),
-                offset: c.offset,
-                len: c.stored_len as u64,
-                access: ReadAccess::Strided,
-            });
-        }
-    }
-    // Idle ranks participate with an empty request list.
+        )))
+    } else {
+        let end = if len == 0 { first } else { params.index_of(off + len - 1) + 1 };
+        (first..end)
+            .map(|i| {
+                let c = d.chunks.get(i).ok_or_else(|| {
+                    CoreError::Integrity(format!(
+                        "array {:?}: chunk table is missing chunk {i}",
+                        d.name
+                    ))
+                })?;
+                Ok(ReadReq {
+                    path: c.pack_path(prefix, &d.name),
+                    offset: c.offset,
+                    len: c.stored_len as u64,
+                    access: ReadAccess::Strided,
+                })
+            })
+            .collect::<Result<Vec<_>>>()
+    };
+    // Idle ranks, and a range the table cannot serve, join the phase with
+    // an empty request list, so no sibling is left waiting in it.
+    let (reqs, refused) = match reqs {
+        Ok(reqs) => (reqs, None),
+        Err(e) => (Vec::new(), Some(e)),
+    };
     let got = fs.collective_read(ctx, reqs)?;
+    if let Some(e) = refused {
+        return Err(e);
+    }
     let stored: Vec<&[u8]> = got.iter().map(Vec::as_slice).collect();
-    assemble(d, first, &stored, off, len)
+    assemble(d, first, &stored, off, len, out)
 }
 
 /// Decodes and checks chunks `first..` of `d`, whose stored bytes are
-/// `stored`, and returns bytes `[off, off + len)` of the stream they cover.
+/// `stored`, and leaves bytes `[off, off + len)` of the stream they cover in
+/// `out` (handed over empty).
 /// A chunk inside the range decodes straight into the output; only the
 /// first and the last can stick out of it, and they decode into scratch.
 /// Every chunk is then hashed whole, four abreast on the calling thread
 /// ([`chunks::fnv128_lanes`]): restore already runs a task per core. A
 /// failure names the lowest chunk that fails, as checking them one by one
 /// would.
-fn assemble(d: &ArrayDelta, first: usize, stored: &[&[u8]], off: u64, len: u64) -> Result<Vec<u8>> {
+fn assemble(
+    d: &ArrayDelta,
+    first: usize,
+    stored: &[&[u8]],
+    off: u64,
+    len: u64,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     /// Where a chunk's raw bytes landed: a range of the output, or scratch.
     enum At {
         Out(usize, usize),
         Scratch(usize),
     }
     let params = d.params();
-    let mut out = Vec::with_capacity(len as usize);
+    out.reserve(len as usize);
     let mut scratch: [Vec<u8>; 2] = Default::default();
     let mut at = Vec::with_capacity(stored.len());
     let mut refused = None;
@@ -202,7 +219,7 @@ fn assemble(d: &ArrayDelta, first: usize, stored: &[&[u8]], off: u64, len: u64) 
         let (s, e) = params.range(d.stream_len, i);
         let landed = if off <= s && e <= off + len {
             let start = out.len();
-            chunk.decode_into(&mut out).map(|()| At::Out(start, out.len()))
+            chunk.decode_into(out).map(|()| At::Out(start, out.len()))
         } else {
             let k = usize::from(j > 0);
             scratch[k].clear();
@@ -240,7 +257,7 @@ fn assemble(d: &ArrayDelta, first: usize, stored: &[&[u8]], off: u64, len: u64) 
             out.len()
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Materializes an array's full canonical stream out of a committed delta
@@ -276,5 +293,7 @@ pub fn materialize_stream(
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    assemble(d, 0, &stored, 0, d.stream_len)
+    let mut out = Vec::new();
+    assemble(d, 0, &stored, 0, d.stream_len, &mut out)?;
+    Ok(out)
 }

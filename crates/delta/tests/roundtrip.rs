@@ -5,16 +5,18 @@
 use std::sync::{Arc, Mutex};
 
 use drms_core::manifest::{delta_path, ChunkSource, CkptKind};
+use drms_core::restore::{PiofsFull, RestartSource};
 use drms_core::segment::DataSegment;
 use drms_core::{find_checkpoints, verify, Drms, DrmsConfig, EnableFlag, Start};
 use drms_darray::chunks::Codec;
+use drms_darray::stream::StreamRange;
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{
     delta_checkpoint, materialize_stream, restore_arrays_delta, resume, DeltaChain, DeltaConfig,
-    DeltaReport,
+    DeltaReport, DeltaSource,
 };
 use drms_msg::{run_spmd, CostModel};
-use drms_piofs::{Piofs, PiofsConfig};
+use drms_piofs::{Piofs, PiofsConfig, ReadAccess};
 use drms_slices::{Order, Slice};
 
 const N: i64 = 4096; // elements of u
@@ -318,4 +320,42 @@ fn fresh_prefix_is_required() {
         }
     })
     .unwrap();
+}
+
+#[test]
+fn a_chunk_that_rots_after_commit_fails_every_task_promptly() {
+    // Chunk 20 of 32 lies in the third of four stream pieces, so on 4 tasks
+    // only rank 2's fetch meets it. That rank must not leave its siblings
+    // waiting in the wave's redistribution: every task returns the error,
+    // in well under the collectives' stall guard.
+    let f = fs();
+    let reports = Mutex::new(Vec::new());
+    run_app(&f, 4, None, &[1, 2], 2, &dcfg(), &reports);
+    let outcomes = run_spmd(4, CostModel::default(), |ctx| {
+        let (drms, start) = resume(ctx, &f, cfg(), EnableFlag::new(), "ck/d2").unwrap();
+        let Start::Restarted(info) = start else { panic!("resume always restarts") };
+        if ctx.rank() == 0 {
+            let chunk = &info.manifest.delta("u").unwrap().chunks[20];
+            f.corrupt_range(&chunk.pack_path("ck/d2", "u"), chunk.offset, 1, 7);
+        }
+        ctx.barrier();
+        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+        let began = std::time::Instant::now();
+        let restored = restore_arrays_delta(&drms, ctx, &f, "ck/d2", &info.manifest, &mut [&mut u]);
+        // A range the chunk table cannot serve is refused after the fetch's
+        // collective read, not instead of it: rank 3 asks past the stream.
+        let link = DeltaSource(PiofsFull { fs: &f, prefix: "ck/d2" });
+        let offset = if ctx.rank() == 3 { (N * 8) as u64 } else { 0 };
+        let range = StreamRange { offset, len: 8, access: ReadAccess::Strided };
+        let fetched = link.fetch_range(ctx, &info.manifest, "u", range, &mut Vec::new());
+        (restored.map_err(|e| e.to_string()), fetched.is_ok(), began.elapsed())
+    })
+    .unwrap();
+    for (rank, (restored, fetched, took)) in outcomes.iter().enumerate() {
+        let err = restored.as_ref().expect_err("a rotted chunk must fail the restore");
+        assert!(err.contains("chunk 20"), "rank {rank} reported {err}");
+        assert_eq!(*fetched, rank != 3, "rank {rank}'s range fetch");
+        assert!(took.as_secs_f64() < 1.0, "rank {rank} returned after {took:?}");
+    }
 }

@@ -11,6 +11,7 @@
 use drms_core::manifest::Manifest;
 use drms_core::restore::{self, Lend, RestartSource};
 use drms_core::{phase_span, CheckpointArray, Drms, DrmsConfig, EnableFlag, RestartInfo};
+use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::Piofs;
@@ -89,10 +90,11 @@ impl RestartSource for TierSource<'_> {
         ctx: &mut Ctx,
         _manifest: &Manifest,
         array: &str,
-        off: u64,
-        len: u64,
-    ) -> Result<Vec<u8>> {
-        self.fetch(ctx, &array_file(array), off, len)
+        range: StreamRange,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        *out = self.fetch(ctx, &array_file(array), range.offset, range.len)?;
+        Ok(())
     }
 
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {

@@ -7,13 +7,14 @@ use std::sync::Arc;
 use drms_core::restore::{PiofsFull, RestartSource};
 use drms_core::segment::DataSegment;
 use drms_core::{CoreError, Drms, DrmsConfig, EnableFlag, Start};
+use drms_darray::stream::StreamRange;
 use drms_darray::{DistArray, Distribution};
 use drms_delta::{
     delta_checkpoint, restore_arrays_delta, resume, DeltaChain, DeltaConfig, DeltaSource,
 };
 use drms_memtier::{store_checkpoint, MemTier};
 use drms_msg::{run_spmd, CostModel, Ctx, ReduceOp};
-use drms_piofs::{Piofs, PiofsConfig};
+use drms_piofs::{Piofs, PiofsConfig, ReadAccess};
 use drms_recover::{recover, retain, Membership, RecoverError, StreamSource};
 use drms_slices::{Order, Slice};
 
@@ -160,7 +161,8 @@ fn falls_back_to_delta_chain_range_reads() {
             fs.corrupt_range(&chunk.pack_path("ck/d1", "u"), chunk.offset, 1, 7);
         }
         ctx.barrier();
-        let rung = link.fetch_range(ctx, &manifest, "u", 0, chunk.len as u64).unwrap_err();
+        let range = StreamRange { offset: 0, len: chunk.len as u64, access: ReadAccess::Strided };
+        let rung = link.fetch_range(ctx, &manifest, "u", range, &mut Vec::new()).unwrap_err();
         assert!(matches!(rung, CoreError::Integrity(_)), "rung reported {rung}");
         rung.to_string()
     })

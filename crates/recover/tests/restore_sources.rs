@@ -11,6 +11,7 @@ use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
 use drms_core::segment::DataSegment;
 use drms_core::wire::crc32;
 use drms_core::{spmd, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag};
+use drms_darray::stream::StreamRange;
 use drms_darray::{DistArray, Distribution, Element};
 use drms_delta::{delta_checkpoint, DeltaChain, DeltaConfig, DeltaSource};
 use drms_memtier::{
@@ -365,10 +366,10 @@ impl RestartSource for OneRankFails<'_> {
         ctx: &mut Ctx,
         manifest: &Manifest,
         array: &str,
-        off: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, CoreError> {
-        self.0.fetch_range(ctx, manifest, array, off, len)
+        range: StreamRange,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CoreError> {
+        self.0.fetch_range(ctx, manifest, array, range, out)
     }
 
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
