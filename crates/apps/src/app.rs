@@ -4,7 +4,7 @@ use drms_core::report::OpBreakdown;
 use drms_core::segment::{DataSegment, RegionKind, SegmentAnatomy};
 use drms_core::{spmd, CheckpointArray, CoreError, Drms, EnableFlag, RestartInfo, Start};
 use drms_darray::DistArray;
-use drms_memtier::{MemTier, MemTierError, SpillReport, StoreReport};
+use drms_memtier::{MemTier, SpillReport, StoreReport};
 use drms_msg::Ctx;
 use drms_piofs::Piofs;
 use drms_slices::Order;
@@ -183,11 +183,11 @@ impl MiniApp {
         fs: &Piofs,
         tier: &MemTier,
         prefix: &str,
-    ) -> Result<(StoreReport, SpillReport), MemTierError> {
+    ) -> Result<(StoreReport, SpillReport), CoreError> {
         if self.variant != AppVariant::Drms {
-            return Err(MemTierError::Core(CoreError::ManifestMismatch(
+            return Err(CoreError::ManifestMismatch(
                 "memory-tier checkpoints require the DRMS variant".to_string(),
-            )));
+            ));
         }
         let handles: Vec<&dyn CheckpointArray> =
             self.fields.iter().map(|f| f as &dyn CheckpointArray).collect();
@@ -210,7 +210,7 @@ impl MiniApp {
         spec: AppSpec,
         enable: EnableFlag,
         prefix: &str,
-    ) -> Result<MiniApp, MemTierError> {
+    ) -> Result<MiniApp, CoreError> {
         let cfg = spec.drms_config();
         fs.set_residency(ctx.node(), spec.expected_segment_bytes());
 
@@ -474,7 +474,7 @@ mod tests {
             app.checkpoint_memtier(ctx, &f, &tier, "ck/s").unwrap_err()
         })
         .unwrap();
-        assert!(matches!(&errs[0], MemTierError::Core(CoreError::ManifestMismatch(_))));
+        assert!(matches!(&errs[0], CoreError::ManifestMismatch(_)));
     }
 
     #[test]

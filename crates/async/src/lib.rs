@@ -39,17 +39,16 @@
 //! detached clock, and the flusher timeline is then reconstructed
 //! analytically — `finish = max(t_snap, flusher_free) + d` — identically
 //! on every task. Replaying a seed replays the exact interleaving.
+//!
+//! **Errors.** The pipeline fails in [`drms_core::CoreError`], whether the
+//! snapshot, the tier or the flush failed; an injected crash arrives as
+//! [`drms_core::CoreError::Interrupted`], unwrapped.
 
 #![deny(missing_docs)]
 
-mod error;
 mod pipeline;
 
-pub use error::AsyncError;
 pub use pipeline::{AsyncCheckpointer, AsyncConfig, AsyncReport, DeltaSummary, Flight};
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, AsyncError>;
 
 /// Seconds to whole microseconds, the unit the `async.*_us` counters use.
 pub(crate) fn micros(seconds: f64) -> u64 {

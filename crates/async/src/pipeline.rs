@@ -8,7 +8,7 @@ use drms_core::commit::Commit;
 use drms_core::crash_point;
 use drms_core::manifest::{array_path, delta_path, ArrayEntry};
 use drms_core::segment::DataSegment;
-use drms_core::{CheckpointArray, Drms};
+use drms_core::{CheckpointArray, Drms, Result};
 use drms_delta::{
     record_commit, require_fresh_prefix, DeltaChain, DeltaConfig, DeltaStage, StageStats,
 };
@@ -17,7 +17,7 @@ use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
 
-use crate::{micros, Result};
+use crate::micros;
 
 /// Tuning knobs of the asynchronous pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -284,7 +284,7 @@ impl AsyncCheckpointer {
         ctx.barrier();
         if let Err(e) = crash_point(ctx, fs, CrashPoint::CkptEnter, false) {
             chain.abort();
-            return Err(e.into());
+            return Err(e);
         }
         let t_sop = ctx.now();
 
@@ -292,7 +292,7 @@ impl AsyncCheckpointer {
             Ok(p) => p,
             Err(e) => {
                 chain.abort();
-                return Err(e.into());
+                return Err(e);
             }
         };
         ctx.barrier();
@@ -303,7 +303,7 @@ impl AsyncCheckpointer {
         plan.stage.record(ctx, prefix, t_snap);
         if let Err(e) = crash_point(ctx, fs, CrashPoint::FlushArmed, false) {
             chain.abort();
-            return Err(e.into());
+            return Err(e);
         }
 
         let (sop, total_bytes) = (plan.sop, plan.total_bytes);
@@ -456,7 +456,7 @@ fn capture_delta(
     prefix: &str,
     base_segment: &DataSegment,
     arrays: &[&dyn CheckpointArray],
-) -> drms_core::Result<DeltaPlan> {
+) -> Result<DeltaPlan> {
     let mut segment = None;
     let mut captured = 0u64;
     if ctx.rank() == 0 {

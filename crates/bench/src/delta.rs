@@ -15,8 +15,8 @@ use drms_apps::{bt, lu, sp, AppSpec, Class};
 use drms_core::manifest::array_path;
 use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
-    find_checkpoints, read_manifest_collective, sweep_orphans, verify, CheckpointArray, CoreError,
-    Drms, EnableFlag,
+    find_checkpoints, read_manifest_collective, sweep_orphans, verify, CheckpointArray, Drms,
+    EnableFlag,
 };
 use drms_darray::DistArray;
 use drms_delta::{delta_checkpoint, materialize_stream, DeltaChain, DeltaConfig, DeltaSource};
@@ -144,7 +144,7 @@ fn advance(grid: i64, u: &mut DistArray<f64>, iter: i64) {
 
 /// One restart procedure, whichever source: restore time, state checksum
 /// and the control variable, as rank 0 saw them.
-fn restore_leg<S: RestartSource<Error = CoreError> + Sync>(
+fn restore_leg<S: RestartSource + Sync>(
     spec: &AppSpec,
     fs: &Piofs,
     src: S,

@@ -45,9 +45,6 @@ pub struct RestartInfo {
     pub segment_time: f64,
 }
 
-/// A result in the error type of source `S`.
-pub type Sourced<T, S> = std::result::Result<T, <S as RestartSource>::Error>;
-
 /// The closure [`RestartSource::segment`] shows the segment bytes to; a task
 /// that is only there to be charged passes one that does not look.
 pub type Lend<'a> = &'a mut dyn FnMut(&[u8]);
@@ -55,10 +52,6 @@ pub type Lend<'a> = &'a mut dyn FnMut(&[u8]);
 /// Where the bytes of one archived state live. Every method is collective
 /// and prices its own data movement against the calling task's clock.
 pub trait RestartSource {
-    /// The error type at this source's public boundary; [`open`] hands the
-    /// decoding task's failure to every task, hence the sharing bounds.
-    type Error: From<CoreError> + std::fmt::Display + Clone + Send + Sync + 'static;
-
     /// The checkpoint kind this source restores.
     const KIND: CkptKind = CkptKind::Drms;
 
@@ -78,7 +71,7 @@ pub trait RestartSource {
     }
 
     /// The manifest.
-    fn manifest(&self, ctx: &mut Ctx) -> Sourced<Manifest, Self>;
+    fn manifest(&self, ctx: &mut Ctx) -> Result<Manifest>;
 
     /// Charges the calling task for loading the whole encoded data segment
     /// and returns its length. The bytes are priced on every rank and lent,
@@ -86,7 +79,7 @@ pub trait RestartSource {
     /// before an `Ok` return, and only the rank whose closure looks costs
     /// the host anything. `lend` may run under the source's lock, so it
     /// must not call back into the source.
-    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Sourced<u64, Self>;
+    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64>;
 
     /// Leaves `range` of `array`'s canonical stream, verified, in `out`
     /// (handed over empty), under the [`stream::PieceFetch`] convention:
@@ -99,7 +92,7 @@ pub trait RestartSource {
         array: &str,
         range: StreamRange,
         out: &mut Vec<u8>,
-    ) -> Sourced<(), Self>;
+    ) -> Result<()>;
 
     /// Fills the whole of `a`: by default piece by piece through
     /// [`RestartSource::fetch_range`]. A task whose fetch failed still runs
@@ -110,10 +103,10 @@ pub trait RestartSource {
         manifest: &Manifest,
         a: &mut dyn CheckpointArray,
         io_tasks: usize,
-    ) -> Sourced<(), Self> {
+    ) -> Result<()> {
         let name = a.array_name().to_string();
         let mut fetch = range_fetch(self, manifest, &name);
-        Ok(a.read_stream_via(ctx, io_tasks, &mut fetch)?)
+        a.read_stream_via(ctx, io_tasks, &mut fetch)
     }
 
     /// The source's spans and counters for the array phase `[t0, t1]`,
@@ -151,7 +144,7 @@ pub fn open<S: RestartSource>(
     cfg: DrmsConfig,
     enable: EnableFlag,
     src: &S,
-) -> Sourced<(Drms, RestartInfo), S> {
+) -> Result<(Drms, RestartInfo)> {
     let manifest = src.manifest(ctx)?;
     check_manifest(&manifest, S::KIND, src.prefix(), &cfg.app)?;
 
@@ -186,7 +179,7 @@ pub fn open<S: RestartSource>(
     // barrier below is the phase's synchronization.
     let mine = match &charged {
         Err(e) => Err(e.clone()),
-        Ok(_) => decoded.transpose().map_err(S::Error::from),
+        Ok(_) => decoded.transpose(),
     };
     let (all, _) = ctx.exchange(mine);
     let segment_bytes = charged?;
@@ -226,7 +219,7 @@ pub fn restore_arrays<S: RestartSource>(
     src: &S,
     manifest: &Manifest,
     arrays: &mut [&mut dyn CheckpointArray],
-) -> Sourced<f64, S> {
+) -> Result<f64> {
     ctx.barrier();
     let t0 = ctx.now();
     // A failed read keeps this task in the remaining arrays' waves, so its
@@ -238,23 +231,31 @@ pub fn restore_arrays<S: RestartSource>(
             failed.get_or_insert(e);
         }
     }
-    // The closing barrier is a vote: one clock-free exchange of every
-    // task's failure, then the barrier's own clock advances, so every task
-    // returns the same error and every clock is what a barrier leaves.
-    let (votes, t) = ctx.exchange(failed);
-    ctx.advance_to(t);
-    ctx.charge(ctx.cost().barrier_cost);
-    if let Some(e) = votes.iter().find_map(Clone::clone) {
-        return Err(e);
-    }
+    closing_vote(ctx, failed)?;
     consult(ctx, src, 2)?;
     let t1 = ctx.now();
     src.arrays_restored(ctx, t0, t1, arrays.iter().map(|a| a.stream_bytes()).sum());
     Ok(t1 - t0)
 }
 
+/// A restore phase's closing barrier as a vote: one clock-free exchange of
+/// every task's failure, then the barrier's own clock advance, so every task
+/// returns the same error (the lowest failing rank's) and every clock is
+/// what a barrier leaves.
+pub(crate) fn closing_vote(ctx: &mut Ctx, failed: Option<CoreError>) -> Result<()> {
+    let (votes, t) = ctx.exchange(failed);
+    ctx.advance_to(t);
+    ctx.charge(ctx.cost().barrier_cost);
+    votes.iter().find_map(Clone::clone).map_or(Ok(()), Err)
+}
+
 /// The manifest-vs-source-and-application check every restart makes.
-fn check_manifest(manifest: &Manifest, want: CkptKind, prefix: &str, app: &str) -> Result<()> {
+pub(crate) fn check_manifest(
+    manifest: &Manifest,
+    want: CkptKind,
+    prefix: &str,
+    app: &str,
+) -> Result<()> {
     if manifest.kind != want {
         return Err(CoreError::ManifestMismatch(format!(
             "{prefix:?} is a {:?} checkpoint: Drms restarts through Drms::initialize, \
@@ -298,8 +299,6 @@ pub struct PiofsFull<'a> {
 }
 
 impl RestartSource for PiofsFull<'_> {
-    type Error = CoreError;
-
     fn prefix(&self) -> &str {
         self.prefix
     }

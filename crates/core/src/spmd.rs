@@ -19,6 +19,7 @@ use crate::drms::{load_text, phase_span, record_bytes};
 use crate::handle::{encode_segment_with_locals, CheckpointArray};
 use crate::manifest::{manifest_path, task_segment_path, CkptKind, Manifest};
 use crate::report::OpBreakdown;
+use crate::restore::{check_manifest, closing_vote};
 use crate::segment::DataSegment;
 use crate::{CoreError, DrmsConfig, Result};
 
@@ -80,7 +81,9 @@ pub fn checkpoint(
 }
 
 /// Conventional SPMD restart: each task reads back its own segment file.
-/// Fails unless the task count matches the checkpoint exactly.
+/// Fails unless the checkpoint is an SPMD one of this application taken on
+/// exactly this task count; a task that cannot load its segment fails the
+/// restart on every task.
 pub fn restart(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -88,11 +91,7 @@ pub fn restart(
     prefix: &str,
 ) -> Result<(DataSegment, OpBreakdown)> {
     let manifest = crate::drms::read_manifest_collective(ctx, fs, prefix)?;
-    if manifest.kind != CkptKind::Spmd {
-        return Err(CoreError::ManifestMismatch(format!(
-            "{prefix:?} is a DRMS checkpoint; use Drms::initialize"
-        )));
-    }
+    check_manifest(&manifest, CkptKind::Spmd, prefix, &cfg.app)?;
     if manifest.ntasks != ctx.ntasks() {
         return Err(CoreError::TaskCountFixed {
             checkpointed: manifest.ntasks,
@@ -104,15 +103,24 @@ pub fn restart(
     let t0 = load_text(ctx, fs, &cfg.app)?;
     let t1 = ctx.now();
 
-    // Each task reads its own (large, sequential) segment file.
+    // Each task reads its own (large, sequential) segment file. A task whose
+    // file cannot be sized still joins the read phase, with no request, and
+    // every failure waits for the closing vote so the tasks fail together.
     let path = task_segment_path(prefix, ctx.rank());
-    let len = fs.size(&path)?;
-    let mut got = fs.collective_read(
-        ctx,
-        vec![ReadReq { path: path.clone(), offset: 0, len, access: ReadAccess::Sequential }],
-    )?;
-    let segment = DataSegment::decode_serial(&got.pop().expect("one request"))?;
-    ctx.barrier();
+    let len = fs.size(&path);
+    let reqs = len.iter().map(|&len| ReadReq {
+        path: path.clone(),
+        offset: 0,
+        len,
+        access: ReadAccess::Sequential,
+    });
+    let read = fs.collective_read(ctx, reqs.collect());
+    let segment = len
+        .and(read)
+        .map_err(CoreError::from)
+        .and_then(|mut got| Ok(DataSegment::decode_serial(&got.pop().expect("one request"))?));
+    closing_vote(ctx, segment.as_ref().err().cloned())?;
+    let segment = segment?;
     let t2 = ctx.now();
 
     let total: u64 =
@@ -228,6 +236,40 @@ mod tests {
         // Doubling tasks roughly doubles the saved state.
         let ratio = sizes[1] as f64 / sizes[0] as f64;
         assert!(ratio > 1.8 && ratio < 2.2, "sizes {sizes:?}");
+    }
+
+    #[test]
+    fn restart_rejects_another_apps_checkpoint() {
+        let (fs, cfg) = setup();
+        run_spmd(2, CostModel::default(), |ctx| {
+            let a = make_array(ctx.rank(), 2);
+            let mut seg = DataSegment::new();
+            seg.set_control("iter", 3);
+            checkpoint(ctx, &fs, &cfg, "ck/toy", &seg, &[&a], 1).unwrap();
+            let err = restart(ctx, &fs, &DrmsConfig::new("other"), "ck/toy").err().unwrap();
+            let CoreError::ManifestMismatch(text) = err else { panic!("{err}") };
+            assert!(text.contains("belongs to app \"toy\""), "{text}");
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn restart_fails_every_task_at_once_when_one_cannot_decode() {
+        let (fs, cfg) = setup();
+        run_spmd(2, CostModel::default(), |ctx| {
+            let a = make_array(ctx.rank(), 2);
+            checkpoint(ctx, &fs, &cfg, "ck/rot", &DataSegment::new(), &[&a], 1).unwrap();
+        })
+        .unwrap();
+        assert_eq!(fs.corrupt_range(&task_segment_path("ck/rot", 1), 0, 1, 3), 1);
+        let started = std::time::Instant::now();
+        let errs = run_spmd(2, CostModel::default(), |ctx| {
+            restart(ctx, &fs, &cfg, "ck/rot").err().unwrap()
+        })
+        .unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert!(matches!(errs[1], CoreError::Wire(_)), "{}", errs[1]);
+        assert_eq!(errs[0], errs[1]);
     }
 
     #[test]

@@ -31,7 +31,6 @@ fn chunk_table<'m>(manifest: &'m Manifest, array: &str) -> Result<&'m ArrayDelta
 }
 
 impl RestartSource for DeltaSource<'_> {
-    type Error = CoreError;
     const KIND: CkptKind = CkptKind::DrmsDelta;
 
     fn prefix(&self) -> &str {

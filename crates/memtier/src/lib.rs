@@ -32,10 +32,14 @@
 //!   walk of `drms_resil` with its scrub/quarantine fallback.
 //!   [`resume_from_tier`] / [`restore_arrays_from_tier`] then serve the
 //!   restart out of resident pieces at memory/interconnect speed.
+//!
+//! Every operation fails in [`drms_core::CoreError`], the tier's own
+//! failures included ([`drms_core::CoreError::NotIntact`],
+//! [`drms_core::CoreError::TierCorrupt`], …): a restart served out of the
+//! tier fails exactly like one served out of PIOFS.
 
 #![deny(missing_docs)]
 
-mod error;
 pub mod placement;
 mod restart;
 mod restore;
@@ -43,7 +47,6 @@ mod snapshot;
 mod store;
 mod tier;
 
-pub use error::MemTierError;
 pub use restart::{choose_restart_tiered, RestartTier, TieredRestartPlan};
 pub use restore::{restore_arrays_from_tier, resume_from_tier, TierSource};
 pub use snapshot::{ArraySnapshot, Snapshot, SnapshotPiece};
@@ -52,6 +55,3 @@ pub use store::{
     store_feasible, CapturedPiece, SpillReport, StoreReport, SEGMENT_FILE,
 };
 pub use tier::{Fetched, MemTier, DEFAULT_PIECE_BYTES};
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, MemTierError>;

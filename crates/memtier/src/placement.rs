@@ -7,7 +7,7 @@
 //! remains), and placement is a pure function of (owner, node set, piece
 //! key) so every task computes the same assignment without communication.
 
-use crate::{MemTierError, Result};
+use drms_core::{CoreError, Result};
 
 /// Whether a replication factor is satisfiable on `nodes` distinct nodes:
 /// every piece needs `replicas >= 1` holders distinct from its owner.
@@ -34,7 +34,7 @@ pub fn replica_nodes(
     candidates.dedup();
     let distinct = candidates.len() + nodes.contains(&owner) as usize;
     if replicas == 0 || replicas > candidates.len() {
-        return Err(MemTierError::ReplicationUnsatisfiable { replicas, nodes: distinct });
+        return Err(CoreError::ReplicationUnsatisfiable { replicas, nodes: distinct });
     }
     let start = (piece % candidates.len() as u64) as usize;
     Ok((0..replicas).map(|i| candidates[(start + i) % candidates.len()]).collect())
@@ -65,11 +65,11 @@ mod tests {
         let nodes: Vec<usize> = (0..4).collect();
         assert!(matches!(
             replica_nodes(0, &nodes, 0, 7),
-            Err(MemTierError::ReplicationUnsatisfiable { replicas: 0, nodes: 4 })
+            Err(CoreError::ReplicationUnsatisfiable { replicas: 0, nodes: 4 })
         ));
         assert!(matches!(
             replica_nodes(0, &nodes, 4, 7),
-            Err(MemTierError::ReplicationUnsatisfiable { replicas: 4, nodes: 4 })
+            Err(CoreError::ReplicationUnsatisfiable { replicas: 4, nodes: 4 })
         ));
         assert!(replica_nodes(0, &nodes, 3, 7).is_ok());
         assert!(!replication_feasible(4, 4));

@@ -10,7 +10,9 @@
 
 use drms_core::manifest::Manifest;
 use drms_core::restore::{self, Lend, RestartSource};
-use drms_core::{phase_span, CheckpointArray, Drms, DrmsConfig, EnableFlag, RestartInfo};
+use drms_core::{
+    phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo, Result,
+};
 use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
@@ -18,7 +20,6 @@ use drms_piofs::Piofs;
 
 use crate::store::{array_file, SEGMENT_FILE};
 use crate::tier::MemTier;
-use crate::{MemTierError, Result};
 
 /// The sealed tier entry under `prefix` as a restart source: manifest,
 /// segment and array streams all come out of resident pieces, and the
@@ -63,7 +64,6 @@ impl TierSource<'_> {
 }
 
 impl RestartSource for TierSource<'_> {
-    type Error = MemTierError;
     const SEGMENT_RECORD: bool = false;
 
     fn prefix(&self) -> &str {
@@ -120,7 +120,7 @@ pub fn resume_from_tier(
     prefix: &str,
 ) -> Result<(Drms, Box<RestartInfo>)> {
     if !tier.is_intact(prefix) {
-        return Err(MemTierError::NotIntact(format!("{prefix:?} cannot serve a restart")));
+        return Err(CoreError::NotIntact(format!("{prefix:?} cannot serve a restart")));
     }
     let (drms, info) = restore::open(ctx, fs, cfg, enable, &TierSource { tier, prefix })?;
     Ok((drms, Box::new(info)))

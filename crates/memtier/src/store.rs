@@ -24,7 +24,7 @@ use std::sync::Arc;
 use drms_core::manifest::{manifest_path, Manifest};
 use drms_core::segment::DataSegment;
 use drms_core::wire::crc32;
-use drms_core::{compute_integrity, CheckpointArray, CoreError, Drms};
+use drms_core::{compute_integrity, CheckpointArray, CoreError, Drms, Result};
 use drms_msg::{Ctx, Parcel};
 use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
@@ -32,7 +32,6 @@ use drms_piofs::{Piofs, WriteReq};
 use crate::placement;
 use crate::snapshot::Snapshot;
 use crate::tier::MemTier;
-use crate::{MemTierError, Result};
 
 /// Name of the data-segment stream within a tier entry (matches the
 /// `{prefix}/segment` file of the PIOFS layout).
@@ -204,7 +203,7 @@ fn store_with(
 ) -> Result<StoreReport> {
     let (rank_of_node, node_set) = node_map(ctx);
     if !placement::replication_feasible(node_set.len(), tier.replicas()) {
-        return Err(MemTierError::ReplicationUnsatisfiable {
+        return Err(CoreError::ReplicationUnsatisfiable {
             replicas: tier.replicas(),
             nodes: node_set.len(),
         });
@@ -263,7 +262,7 @@ fn store_with(
         None if ctx.rank() == 0 => tier
             .seal(prefix, app, sop, manifest, &file_lens)
             .err()
-            .map(|e| MemTierError::Incomplete(e.to_string())),
+            .map(|e| CoreError::Incomplete(e.to_string())),
         None => None,
     };
     let (votes, t) = ctx.exchange(verdict);
@@ -385,13 +384,13 @@ pub fn spill_checkpoint(
         rec.gauge_set_at(t1, 0, names::MEMTIER_SPILL_SECONDS, 0, t1 - t0);
     }
     if let Some(err) = votes[0].clone() {
-        return Err(MemTierError::SpillVerify(err));
+        return Err(CoreError::SpillVerify(err));
     }
     Ok(SpillReport { seconds: t1 - t0, bytes })
 }
 
 fn finish_spill(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str) -> Result<()> {
-    let mut m = Manifest::decode(&tier.manifest_bytes(prefix)?).map_err(CoreError::from)?;
+    let mut m = Manifest::decode(&tier.manifest_bytes(prefix)?)?;
     m.integrity = compute_integrity(fs, prefix);
     let bytes = m.encode();
     // Two-phase: stage the manifest, then publish it by atomic rename, so
@@ -403,7 +402,7 @@ fn finish_spill(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str) -> Resu
     let mp = manifest_path(prefix);
     fs.delete(&mp);
     if !drms_core::commit::publish_manifest(fs, prefix) {
-        return Err(MemTierError::SpillVerify(format!(
+        return Err(CoreError::SpillVerify(format!(
             "{prefix:?} spill could not publish its manifest"
         )));
     }
@@ -413,7 +412,7 @@ fn finish_spill(ctx: &mut Ctx, fs: &Piofs, tier: &MemTier, prefix: &str) -> Resu
     let report = drms_resil::verify_checkpoint(fs, prefix, ctx.recorder(), ctx.now());
     if !report.is_valid() {
         fs.delete(&mp);
-        return Err(MemTierError::SpillVerify(format!(
+        return Err(CoreError::SpillVerify(format!(
             "{prefix:?} failed end-to-end verification after spill"
         )));
     }

@@ -20,9 +20,8 @@ use std::sync::Arc;
 
 use drms_core::manifest::Manifest;
 use drms_core::wire::crc32;
+use drms_core::{CoreError, Result};
 use parking_lot::Mutex;
-
-use crate::{MemTierError, Result};
 
 /// Default capture granularity: matches the ~1 MB stream pieces of
 /// `darray::stream`, so a tier piece is usually exactly one stream piece.
@@ -155,11 +154,11 @@ impl MemTier {
     /// Decodes the manifest of a sealed entry.
     pub fn manifest(&self, prefix: &str) -> Result<Manifest> {
         let inner = self.inner.lock();
-        let ck = inner.get(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
+        let ck = inner.get(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
         if !ck.sealed {
-            return Err(MemTierError::NotIntact(format!("{prefix:?} is not sealed")));
+            return Err(CoreError::NotIntact(format!("{prefix:?} is not sealed")));
         }
-        Ok(Manifest::decode(&ck.manifest).map_err(drms_core::CoreError::from)?)
+        Ok(Manifest::decode(&ck.manifest)?)
     }
 
     /// The newest intact checkpoint, optionally filtered by application:
@@ -184,17 +183,18 @@ impl MemTier {
     /// Length of a file's stream in a sealed entry.
     pub fn file_len(&self, prefix: &str, file: &str) -> Result<u64> {
         let inner = self.inner.lock();
-        let ck = inner.get(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
-        let f = ck.files.get(file).ok_or_else(|| {
-            MemTierError::Incomplete(format!("{prefix:?} holds no file {file:?}"))
-        })?;
+        let ck = inner.get(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
+        let f = ck
+            .files
+            .get(file)
+            .ok_or_else(|| CoreError::Incomplete(format!("{prefix:?} holds no file {file:?}")))?;
         Ok(f.len)
     }
 
     /// `(name, stream length)` of every file in a sealed entry, sorted.
     pub fn files(&self, prefix: &str) -> Result<Vec<(String, u64)>> {
         let inner = self.inner.lock();
-        let ck = inner.get(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
+        let ck = inner.get(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
         Ok(ck.files.iter().map(|(n, f)| (n.clone(), f.len)).collect())
     }
 
@@ -203,15 +203,16 @@ impl MemTier {
     /// holder/byte provenance the caller prices the movement from.
     pub fn fetch(&self, prefix: &str, file: &str, offset: u64, len: u64) -> Result<Fetched> {
         let inner = self.inner.lock();
-        let ck = inner.get(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
+        let ck = inner.get(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
         if !ck.sealed {
-            return Err(MemTierError::NotIntact(format!("{prefix:?} is not sealed")));
+            return Err(CoreError::NotIntact(format!("{prefix:?} is not sealed")));
         }
-        let f = ck.files.get(file).ok_or_else(|| {
-            MemTierError::Incomplete(format!("{prefix:?} holds no file {file:?}"))
-        })?;
+        let f = ck
+            .files
+            .get(file)
+            .ok_or_else(|| CoreError::Incomplete(format!("{prefix:?} holds no file {file:?}")))?;
         if offset + len > f.len {
-            return Err(MemTierError::Incomplete(format!(
+            return Err(CoreError::Incomplete(format!(
                 "fetch {offset}+{len} past end of {file:?} ({} bytes)",
                 f.len
             )));
@@ -224,13 +225,13 @@ impl MemTier {
                 continue;
             }
             let holder = *p.holders.first().ok_or_else(|| {
-                MemTierError::NotIntact(format!(
+                CoreError::NotIntact(format!(
                     "all replicas of {file:?} piece at {} are lost",
                     p.offset
                 ))
             })?;
             if crc32(&p.data) != p.crc {
-                return Err(MemTierError::Corrupt {
+                return Err(CoreError::TierCorrupt {
                     prefix: prefix.into(),
                     file: file.into(),
                     offset: p.offset,
@@ -242,7 +243,7 @@ impl MemTier {
             sources.push((holder, hi - lo));
         }
         if data.len() as u64 != len {
-            return Err(MemTierError::Incomplete(format!(
+            return Err(CoreError::Incomplete(format!(
                 "pieces of {file:?} cover only {} of {len} bytes at {offset}",
                 data.len()
             )));
@@ -305,7 +306,7 @@ impl MemTier {
         let f = ck.files.entry(file.to_string()).or_default();
         if let Some(p) = f.pieces.iter_mut().find(|p| p.offset == offset) {
             if p.len != data.len() as u64 || p.crc != crc {
-                return Err(MemTierError::Incomplete(format!(
+                return Err(CoreError::Incomplete(format!(
                     "conflicting piece at {file:?} offset {offset}: \
                      {} bytes crc {:#x} vs {} bytes crc {crc:#x}",
                     p.len,
@@ -340,7 +341,7 @@ impl MemTier {
         file_lens: &[(String, u64)],
     ) -> Result<()> {
         let mut inner = self.inner.lock();
-        let ck = inner.get_mut(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
+        let ck = inner.get_mut(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
         for (name, len) in file_lens {
             let f = ck.files.entry(name.clone()).or_default();
             f.len = *len;
@@ -348,7 +349,7 @@ impl MemTier {
             let mut at = 0u64;
             for p in &f.pieces {
                 if p.offset != at {
-                    return Err(MemTierError::Incomplete(format!(
+                    return Err(CoreError::Incomplete(format!(
                         "{prefix:?} file {name:?}: gap before offset {} (covered to {at})",
                         p.offset
                     )));
@@ -356,13 +357,13 @@ impl MemTier {
                 at += p.len;
             }
             if at != *len {
-                return Err(MemTierError::Incomplete(format!(
+                return Err(CoreError::Incomplete(format!(
                     "{prefix:?} file {name:?}: pieces cover {at} of {len} bytes"
                 )));
             }
         }
         if let Some(extra) = ck.files.keys().find(|n| !file_lens.iter().any(|(m, _)| m == *n)) {
-            return Err(MemTierError::Incomplete(format!(
+            return Err(CoreError::Incomplete(format!(
                 "{prefix:?} holds unexpected file {extra:?}"
             )));
         }
@@ -377,15 +378,15 @@ impl MemTier {
     /// whose copy gets written (its first surviving holder).
     pub(crate) fn pieces_for_spill(&self, prefix: &str) -> Result<Vec<SpillPiece>> {
         let inner = self.inner.lock();
-        let ck = inner.get(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
+        let ck = inner.get(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
         if !ck.sealed {
-            return Err(MemTierError::NotIntact(format!("{prefix:?} is not sealed")));
+            return Err(CoreError::NotIntact(format!("{prefix:?} is not sealed")));
         }
         let mut out = Vec::new();
         for (name, f) in &ck.files {
             for p in &f.pieces {
                 let primary = *p.holders.first().ok_or_else(|| {
-                    MemTierError::NotIntact(format!(
+                    CoreError::NotIntact(format!(
                         "all replicas of {name:?} piece at {} are lost",
                         p.offset
                     ))
@@ -405,7 +406,7 @@ impl MemTier {
     /// file-integrity records before putting it on PIOFS).
     pub(crate) fn manifest_bytes(&self, prefix: &str) -> Result<Vec<u8>> {
         let inner = self.inner.lock();
-        let ck = inner.get(prefix).ok_or_else(|| MemTierError::NoCheckpoint(prefix.into()))?;
+        let ck = inner.get(prefix).ok_or_else(|| CoreError::NoCheckpoint(prefix.into()))?;
         Ok(ck.manifest.clone())
     }
 }
@@ -518,7 +519,7 @@ mod tests {
         tier.seal("ck/c", "app", 1, manifest("app", 1), &[("segment".into(), 4)]).unwrap();
         assert!(matches!(
             tier.fetch("ck/c", "segment", 0, 4),
-            Err(MemTierError::Corrupt { offset: 0, .. })
+            Err(CoreError::TierCorrupt { offset: 0, .. })
         ));
     }
 

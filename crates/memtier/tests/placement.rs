@@ -11,8 +11,8 @@
 
 use std::collections::BTreeSet;
 
+use drms_core::CoreError;
 use drms_memtier::placement::{replica_nodes, replication_feasible};
-use drms_memtier::MemTierError;
 use proptest::prelude::*;
 
 proptest! {
@@ -86,11 +86,11 @@ proptest! {
 
         let err = replica_nodes(owner, &nodes, too_many, piece).unwrap_err();
         prop_assert!(
-            matches!(err, MemTierError::ReplicationUnsatisfiable { replicas, nodes: n }
+            matches!(err, CoreError::ReplicationUnsatisfiable { replicas, nodes: n }
                 if replicas == too_many && n == nodes.len()),
             "wrong error for r={} on {} nodes: {:?}", too_many, nodes.len(), err
         );
         let err = replica_nodes(owner, &nodes, 0, piece).unwrap_err();
-        prop_assert!(matches!(err, MemTierError::ReplicationUnsatisfiable { replicas: 0, .. }));
+        prop_assert!(matches!(err, CoreError::ReplicationUnsatisfiable { replicas: 0, .. }));
     }
 }

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drms_core::wire::{crc32, Writer};
-use drms_memtier::{store_captured, CapturedPiece, MemTier, MemTierError, SEGMENT_FILE};
+use drms_core::CoreError;
+use drms_memtier::{store_captured, CapturedPiece, MemTier, SEGMENT_FILE};
 use drms_msg::{run_spmd, CostModel, Parcel};
 
 proptest::proptest! {
@@ -68,7 +69,7 @@ fn a_conflicting_piece_fails_every_task_at_once() {
     .unwrap();
 
     let first = outcomes[0].0.clone();
-    assert!(matches!(first, Err(MemTierError::Incomplete(ref m)) if m.contains("conflicting")));
+    assert!(matches!(first, Err(CoreError::Incomplete(ref m)) if m.contains("conflicting")));
     for (rank, (out, took)) in outcomes.iter().enumerate() {
         assert_eq!(*out, first, "rank {rank} returned a different outcome");
         assert!(*took < Duration::from_secs(1), "rank {rank} took {took:?}");

@@ -19,7 +19,7 @@
 //!   range-limited PIOFS reads of the committed checkpoint (full streams,
 //!   or delta chains via [`drms_delta::DeltaSource`]), and — when neither
 //!   can serve — escalation to the ordinary verified full restart
-//!   ([`RecoverError::Escalate`]).
+//!   ([`drms_core::CoreError::Escalate`]).
 //! * Distributions are re-adjusted **online**: the arrays re-partition onto
 //!   the surviving task subset through the live redistribution path
 //!   (`drms_darray::assign`), never through storage. The same machinery
@@ -35,13 +35,13 @@
 //! journal is published with its final rename as the commit point. A
 //! second failure mid-recovery therefore degrades *deterministically* to
 //! the verified full restart — never to a half-restored state.
+//!
+//! Every entry point fails in [`drms_core::CoreError`]: `Escalate` asks
+//! the caller for the full restart, and a crash point firing mid-protocol
+//! is [`drms_core::CoreError::Interrupted`], the kill a checkpoint-time
+//! crash is.
 
 #![deny(missing_docs)]
-
-use std::fmt;
-
-use drms_core::CoreError;
-use drms_memtier::MemTierError;
 
 mod epoch;
 mod malleable;
@@ -50,67 +50,3 @@ mod protocol;
 pub use epoch::{recovery_barrier, Membership};
 pub use malleable::{grow, resize, shrink};
 pub use protocol::{recover, retain, RecoverReport, Retained, StreamSource};
-
-/// Why localized recovery could not run (distinct from a protocol error).
-#[derive(Debug)]
-pub enum RecoverError {
-    /// Localized recovery cannot serve this loss (replicas gone and no
-    /// readable checkpoint, no survivors, or an unsupported checkpoint
-    /// kind). The caller must fall back to the verified full restart.
-    Escalate(
-        /// Human-readable reason, surfaced in the degradation alert.
-        String,
-    ),
-    /// A core-protocol error — including [`CoreError::Interrupted`] when a
-    /// chaos crash fires at a `Recover*` crash point, which the job maps to
-    /// a kill exactly like a checkpoint-time crash.
-    Core(CoreError),
-    /// A memory-tier error outside the escalation decision (the upfront
-    /// intact check routes ordinary replica loss to `Escalate`).
-    MemTier(MemTierError),
-}
-
-impl fmt::Display for RecoverError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoverError::Escalate(why) => {
-                write!(f, "localized recovery escalated to full restart: {why}")
-            }
-            RecoverError::Core(e) => write!(f, "{e}"),
-            RecoverError::MemTier(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RecoverError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RecoverError::Escalate(_) => None,
-            RecoverError::Core(e) => Some(e),
-            RecoverError::MemTier(e) => Some(e),
-        }
-    }
-}
-
-impl From<CoreError> for RecoverError {
-    fn from(e: CoreError) -> RecoverError {
-        RecoverError::Core(e)
-    }
-}
-
-impl From<MemTierError> for RecoverError {
-    fn from(e: MemTierError) -> RecoverError {
-        RecoverError::MemTier(e)
-    }
-}
-
-impl RecoverError {
-    /// Whether this error is the chaos-injected crash signal (the job must
-    /// treat it as a kill, not an escalation).
-    pub fn is_interrupted(&self) -> bool {
-        matches!(self, RecoverError::Core(CoreError::Interrupted(_)))
-    }
-}
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, RecoverError>;

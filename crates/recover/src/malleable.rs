@@ -10,12 +10,11 @@
 //! (ready to be re-grown or to serve as replacements); grow re-activates
 //! them and spreads the arrays back out. Zero checkpoint I/O either way.
 
-use drms_core::{CheckpointArray, CoreError};
+use drms_core::{CheckpointArray, CoreError, Result};
 use drms_msg::Ctx;
 use drms_obs::names;
 
 use crate::epoch::{recovery_barrier, Membership};
-use crate::Result;
 
 /// Collective: re-partitions every array onto `active` tasks and stamps
 /// the membership transition with a fresh epoch. The active list must be
@@ -27,7 +26,7 @@ pub fn resize(
     arrays: &mut [&mut dyn CheckpointArray],
 ) -> Result<Membership> {
     if active.is_empty() {
-        return Err(CoreError::ManifestMismatch("cannot resize to zero tasks".into()).into());
+        return Err(CoreError::ManifestMismatch("cannot resize to zero tasks".into()));
     }
     for a in arrays.iter_mut() {
         a.repartition(ctx, active)?;

@@ -23,7 +23,9 @@ use drms_core::chaos::CrashPoint;
 use drms_core::commit::{publish_staged_files, staging_prefix};
 use drms_core::manifest::CkptKind;
 use drms_core::restore::{range_fetch, PiofsFull, RestartSource};
-use drms_core::{crash_point, phase_span, stage_flight_rings, verify, CheckpointArray, CoreError};
+use drms_core::{
+    crash_point, phase_span, stage_flight_rings, verify, CheckpointArray, CoreError, Result,
+};
 use drms_darray::stream::PieceFetch;
 use drms_delta::DeltaSource;
 use drms_memtier::{MemTier, TierSource};
@@ -32,7 +34,6 @@ use drms_obs::{names, Phase};
 use drms_piofs::{Piofs, WriteReq};
 
 use crate::epoch::{recovery_barrier, Membership};
-use crate::{RecoverError, Result};
 
 /// A task's retained checkpoint-state sections: the local bytes of every
 /// array as they stood at the last committed checkpoint. Survivors
@@ -130,13 +131,13 @@ const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 // the reason. Collective consistency holds because every escalation
 // decision is computed from shared state (tier, file system, exchanged
 // votes) — all ranks take this path together.
-fn escalate(ctx: &mut Ctx, why: &str) -> RecoverError {
+fn escalate(ctx: &mut Ctx, why: &str) -> CoreError {
     if ctx.rank() == 0 && ctx.recorder().enabled() {
         let rec = ctx.recorder();
         rec.counter_add_at(ctx.now(), 0, names::RECOVER_FULL_RESTARTS, None, 1);
         rec.event(ctx.now(), 0, Phase::Recover, "recover:escalate");
     }
-    RecoverError::Escalate(why.to_string())
+    CoreError::Escalate(why.to_string())
 }
 
 /// Collective localized recovery. Call at an SOP after observing node
@@ -147,7 +148,7 @@ fn escalate(ctx: &mut Ctx, why: &str) -> RecoverError {
 /// block distribution over the survivors, holding exactly the checkpoint
 /// state — the application resumes computing from [`Retained::sop`].
 ///
-/// Returns [`RecoverError::Escalate`] when localized recovery cannot
+/// Returns [`CoreError::Escalate`] when localized recovery cannot
 /// serve (replicas gone and no readable checkpoint): the caller must take
 /// the ordinary verified-full-restart path. Bit-for-bit, both paths
 /// produce the same final state — localized recovery only changes *how
@@ -250,10 +251,10 @@ pub fn recover(
     let digests = group.allgather_u64(ctx, my_digest);
     let combined = digests.iter().fold(FNV_SEED, |h, d| fnv1a64(h, &d.to_le_bytes()));
     if !group.agree_u64(ctx, combined) {
-        return Err(RecoverError::Core(CoreError::Integrity(format!(
+        return Err(CoreError::Integrity(format!(
             "survivors disagree on restored bytes at epoch {}",
             next.epoch
-        ))));
+        )));
     }
     crash_point(ctx, fs, CrashPoint::RecoverRestored, false)?;
 

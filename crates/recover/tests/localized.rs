@@ -15,7 +15,7 @@ use drms_delta::{
 use drms_memtier::{store_checkpoint, MemTier};
 use drms_msg::{run_spmd, CostModel, Ctx, ReduceOp};
 use drms_piofs::{Piofs, PiofsConfig, ReadAccess};
-use drms_recover::{recover, retain, Membership, RecoverError, StreamSource};
+use drms_recover::{recover, retain, Membership, StreamSource};
 use drms_slices::{Order, Slice};
 
 const APP: &str = "loct";
@@ -194,7 +194,7 @@ fn escalates_when_nothing_can_serve() {
         let prev = Membership::initial(ctx.ntasks());
         let err = recover(ctx, &fs, None, &retained, &prev, &[3], &mut [&mut u], ctx.ntasks())
             .unwrap_err();
-        assert!(matches!(err, RecoverError::Escalate(_)), "expected escalation, got {err}");
+        assert!(matches!(err, CoreError::Escalate(_)), "expected escalation, got {err}");
         assert!(!err.is_interrupted());
     })
     .unwrap();

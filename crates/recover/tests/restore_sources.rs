@@ -15,8 +15,7 @@ use drms_darray::stream::StreamRange;
 use drms_darray::{DistArray, Distribution, Element};
 use drms_delta::{delta_checkpoint, DeltaChain, DeltaConfig, DeltaSource};
 use drms_memtier::{
-    store_captured, store_checkpoint, CapturedPiece, MemTier, MemTierError, TierSource,
-    SEGMENT_FILE,
+    store_captured, store_checkpoint, CapturedPiece, MemTier, TierSource, SEGMENT_FILE,
 };
 use drms_msg::{run_spmd, CostModel, Ctx};
 use drms_piofs::{Piofs, PiofsConfig};
@@ -96,7 +95,7 @@ fn restore_via<S: RestartSource>(
     src: &S,
     app: &str,
     arrays: &mut [&mut dyn CheckpointArray],
-) -> Result<DataSegment, S::Error> {
+) -> Result<DataSegment, CoreError> {
     let (_, info) = restore::open(ctx, fs, DrmsConfig::new(app), EnableFlag::new(), src)?;
     restore::restore_arrays(ctx, src, &info.manifest, arrays)?;
     Ok(info.segment)
@@ -113,27 +112,24 @@ const SOURCES: [Src; 3] = [Src::Full, Src::Delta, Src::Tier];
 
 impl Src {
     /// Restarts from this source's archive of the state — or, with `spmd`,
-    /// from the SPMD-kind manifest — with every error widened to the tier's.
+    /// from the SPMD-kind manifest.
     fn restore(
         self,
         ctx: &mut Ctx,
         (fs, tier): (&Piofs, &MemTier),
         (app, spmd): (&str, bool),
         arrays: &mut [&mut dyn CheckpointArray],
-    ) -> Result<DataSegment, MemTierError> {
+    ) -> Result<DataSegment, CoreError> {
         let at = |own| if spmd { "ck/spmd" } else { own };
         match self {
             Src::Full => {
                 let src = PiofsFull { fs, prefix: at("ck/full") };
-                Ok(restore_via(ctx, fs, &src, app, arrays)?)
+                restore_via(ctx, fs, &src, app, arrays)
             }
-            Src::Delta => Ok(restore_via(
-                ctx,
-                fs,
-                &DeltaSource(PiofsFull { fs, prefix: at("ck/delta") }),
-                app,
-                arrays,
-            )?),
+            Src::Delta => {
+                let src = DeltaSource(PiofsFull { fs, prefix: at("ck/delta") });
+                restore_via(ctx, fs, &src, app, arrays)
+            }
             Src::Tier => {
                 restore_via(ctx, fs, &TierSource { tier, prefix: at("ck/tier") }, app, arrays)
             }
@@ -225,7 +221,7 @@ fn every_source_rejects_a_mismatch_in_the_same_words() {
             let ranks = run_spmd(READERS, CostModel::default(), |ctx| {
                 let mut a = declare(ctx);
                 match src.restore(ctx, (&fs, &tier), (app, spmd), &mut [&mut *a]) {
-                    Err(MemTierError::Core(CoreError::ManifestMismatch(text))) => text,
+                    Err(CoreError::ManifestMismatch(text)) => text,
                     other => panic!("{what} via {src:?}: expected a mismatch, got {other:?}"),
                 }
             })
@@ -244,7 +240,7 @@ fn every_source_rejects_a_mismatch_in_the_same_words() {
         run_spmd(READERS, CostModel::default(), |ctx| {
             let mut u = array::<f64>(ctx, "u", &domain());
             match src.restore(ctx, (&fs, &tier), (APP, false), &mut [&mut u]) {
-                Err(MemTierError::Core(CoreError::Integrity(text))) => {
+                Err(CoreError::Integrity(text)) => {
                     assert_eq!(text, format!("segment of {prefix:?} fails checksum verification"))
                 }
                 other => panic!("{src:?}: expected an integrity failure, got {other:?}"),
@@ -257,10 +253,7 @@ fn every_source_rejects_a_mismatch_in_the_same_words() {
 /// Opens `src` on 4 tasks and returns the one error every task must come
 /// back with. `run_spmd` returning at all is the no-stall half: a task
 /// still waiting at the segment rendezvous would trip the board's deadline.
-fn open_fails_alike<S: RestartSource + Sync>(fs: &Piofs, src: &S, what: &str) -> S::Error
-where
-    S::Error: std::fmt::Debug + PartialEq,
-{
+fn open_fails_alike<S: RestartSource + Sync>(fs: &Piofs, src: &S, what: &str) -> CoreError {
     let errs = run_spmd(4, CostModel::default(), |ctx| {
         match restore::open(ctx, fs, DrmsConfig::new(APP), EnableFlag::new(), src) {
             Err(e) => e,
@@ -329,13 +322,13 @@ fn a_bad_segment_fails_every_rank_alike_and_strands_none() {
     flipped[good.len() / 2] ^= 0x10;
     seal("bad/flipped", flipped, crc32(&good));
     let err = open_fails_alike(&fs, &TierSource { tier: &tier, prefix: "bad/flipped" }, "flipped");
-    assert!(matches!(err, MemTierError::Corrupt { offset: 0, .. }), "{err:?}");
+    assert!(matches!(err, CoreError::TierCorrupt { offset: 0, .. }), "{err:?}");
 
     let short = good[..good.len() - 9].to_vec();
     let crc = crc32(&short);
     seal("bad/short", short, crc);
     let err = open_fails_alike(&fs, &TierSource { tier: &tier, prefix: "bad/short" }, "truncated");
-    assert!(matches!(err, MemTierError::Core(CoreError::Wire(_))), "{err:?}");
+    assert!(matches!(err, CoreError::Wire(_)), "{err:?}");
 }
 
 /// `ck/full`, except that one rank's segment load fails after the
@@ -343,8 +336,6 @@ fn a_bad_segment_fails_every_rank_alike_and_strands_none() {
 struct OneRankFails<'a>(PiofsFull<'a>, usize);
 
 impl RestartSource for OneRankFails<'_> {
-    type Error = CoreError;
-
     fn prefix(&self) -> &str {
         self.0.prefix
     }

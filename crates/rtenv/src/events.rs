@@ -89,26 +89,6 @@ pub enum Event {
         /// Evicted memory-tier checkpoint prefix.
         prefix: String,
     },
-    /// A node loss was handled by localized recovery: survivors kept their
-    /// in-memory sections and only the lost ranks' sections were restored,
-    /// with no full-application restart.
-    LocalizedRecovery {
-        /// Application name.
-        app: String,
-        /// Membership epoch the recovery committed.
-        epoch: u64,
-        /// Checkpoint prefix the lost sections were restored from.
-        prefix: String,
-    },
-    /// A localized recovery could not complete (replicas gone, checkpoint
-    /// unreadable, or a second failure mid-protocol) and the job escalated
-    /// to a verified full restart.
-    RecoveryEscalated {
-        /// Application name.
-        app: String,
-        /// Why localized recovery degraded to a full restart.
-        reason: String,
-    },
     /// A kill discarded trace events that had been recorded but never made
     /// it into a sealed flight-ring snapshot. Historically this loss was
     /// silent — the pre-crash `TraceRecorder` simply vanished with the
@@ -156,12 +136,6 @@ impl fmt::Display for Event {
             }
             Event::MemTierInvalidated { prefix } => {
                 write!(f, "memory-tier checkpoint {prefix} invalidated by node loss")
-            }
-            Event::LocalizedRecovery { app, epoch, prefix } => {
-                write!(f, "job {app} recovered locally at epoch {epoch} from {prefix}")
-            }
-            Event::RecoveryEscalated { app, reason } => {
-                write!(f, "job {app} escalated to full restart: {reason}")
             }
             Event::TraceDropped { app, incarnation, events } => {
                 write!(
@@ -251,12 +225,6 @@ impl EventLog {
                 }
                 Event::MemTierInvalidated { .. } => {
                     self.recorder.counter_add(0, names::MEMTIER_INVALIDATIONS, None, 1)
-                }
-                Event::LocalizedRecovery { .. } => {
-                    self.recorder.counter_add(0, names::RECOVER_LOCALIZED, None, 1)
-                }
-                Event::RecoveryEscalated { .. } => {
-                    self.recorder.counter_add(0, names::RECOVER_FULL_RESTARTS, None, 1)
                 }
                 Event::TraceDropped { events, .. } => {
                     self.recorder.counter_add(0, names::BLACKBOX_EVENTS_DROPPED, None, *events)

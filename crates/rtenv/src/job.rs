@@ -138,16 +138,14 @@ pub enum JobOutcome {
 impl JobOutcome {
     /// The outcome of an incarnation that met `err` in a checkpoint or
     /// restart call: an injected crash point firing
-    /// ([`CoreError::Interrupted`], however deeply wrapped) is a kill the
-    /// JSA reincarnates from the last committed checkpoint; anything else
-    /// fails the job with the error's text.
-    pub fn from_err(err: impl std::error::Error + 'static) -> JobOutcome {
-        let first: &(dyn std::error::Error + 'static) = &err;
-        let mut causes = std::iter::successors(Some(first), |e| e.source());
-        if causes.any(|e| matches!(e.downcast_ref(), Some(CoreError::Interrupted(_)))) {
-            return JobOutcome::Killed;
+    /// ([`CoreError::Interrupted`]) is a kill the JSA reincarnates from the
+    /// last committed checkpoint; anything else fails the job with the
+    /// error's text.
+    pub fn from_err(err: CoreError) -> JobOutcome {
+        match err {
+            CoreError::Interrupted(_) => JobOutcome::Killed,
+            err => JobOutcome::Failed(err.to_string()),
         }
-        JobOutcome::Failed(err.to_string())
     }
 }
 
@@ -205,11 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn from_err_finds_an_interrupt_however_wrapped() {
+    fn from_err_kills_only_on_an_interrupt() {
         let crash = CoreError::Interrupted("ckpt_enter".into());
-        assert_eq!(JobOutcome::from_err(crash.clone()), JobOutcome::Killed);
-        let wrapped = drms_memtier::MemTierError::Core(crash);
-        assert_eq!(JobOutcome::from_err(wrapped), JobOutcome::Killed);
+        assert_eq!(JobOutcome::from_err(crash), JobOutcome::Killed);
         let other = CoreError::NoCheckpoint("ck/x".into());
         assert_eq!(JobOutcome::from_err(other.clone()), JobOutcome::Failed(other.to_string()));
     }

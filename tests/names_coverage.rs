@@ -14,7 +14,7 @@ use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::blackbox::{Blackbox, BlackboxConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults, TornWrite};
 use drms::core::segment::DataSegment;
-use drms::core::{Drms, DrmsConfig, EnableFlag};
+use drms::core::{CoreError, Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
 use drms::delta::{delta_checkpoint, DeltaChain, DeltaConfig};
 use drms::memtier::{store_checkpoint, MemTier};
@@ -544,7 +544,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
                 let err =
                     recover(ctx, &fs, None, &retained, &m4, &[1], &mut [&mut u], ctx.ntasks())
                         .unwrap_err();
-                assert!(matches!(err, drms::recover::RecoverError::Escalate(_)));
+                assert!(matches!(err, CoreError::Escalate(_)));
             })
             .unwrap();
         let report = pulse.finish();
