@@ -23,6 +23,12 @@ const GOLDEN: &[(&str, f64)] =
 const DIGESTS: &[(&str, u64)] =
     &[("bt", 0x8315_43e7_5033_a151), ("lu", 0xb872_9d8b_e33c_e027), ("sp", 0x56db_5893_ba69_5255)];
 
+/// The same digest after 3 iterations of class S (16³) on 3 tasks, whose
+/// blocks are uneven (the grid does not divide by 3), captured from the
+/// point-by-point reference kernel.
+const DIGESTS_S3: &[(&str, u64)] =
+    &[("bt", 0x6722_1038_c573_9430), ("lu", 0xe55d_3e04_4828_8041), ("sp", 0x809d_0a63_56bb_c339)];
+
 /// Every field's assigned elements after 3 iterations on `ntasks`, in
 /// sorted global order.
 fn snapshot(spec: &AppSpec, ntasks: usize) -> Vec<((usize, Vec<i64>), f64)> {
@@ -69,6 +75,16 @@ fn every_element_matches_its_golden_digest_on_one_and_four_tasks() {
             let got = digest(&spec, p);
             assert_eq!(got, golden, "{} on {p} tasks: digest {got:#x} vs {golden:#x}", spec.name);
         }
+    }
+}
+
+#[test]
+fn uneven_blocks_match_their_golden_digest() {
+    for spec_fn in [bt as fn(Class) -> AppSpec, lu, sp] {
+        let spec = spec_fn(Class::S);
+        let golden = DIGESTS_S3.iter().find(|(n, _)| *n == spec.name).unwrap().1;
+        let got = digest(&spec, 3);
+        assert_eq!(got, golden, "{} class S on 3 tasks: digest {got:#x} vs {golden:#x}", spec.name);
     }
 }
 

@@ -19,9 +19,9 @@ use drms_apps::{bt, lu, sp, AppSpec};
 use drms_async::{AsyncCheckpointer, AsyncConfig, AsyncReport};
 use drms_core::manifest::array_path;
 use drms_core::{Drms, EnableFlag, Start};
-use drms_darray::DistArray;
+use drms_darray::{for_each_region_index, DistArray};
 use drms_msg::{run_spmd, CostModel, Ctx, SpmdError};
-use drms_slices::{Order, Slice};
+use drms_slices::Order;
 
 use crate::args::Options;
 use crate::experiment::experiment_fs;
@@ -161,11 +161,12 @@ fn field(spec: &AppSpec, ctx: &Ctx) -> DistArray<f64> {
 /// One iteration of "solver" work: touch a moving quarter-window of the
 /// z-extent, then charge the calibrated compute time.
 fn advance(grid: i64, u: &mut DistArray<f64>, iter: i64, ctx: &mut Ctx, compute_s: f64) {
-    let region: Slice = u.assigned().clone();
-    region.points(Order::ColumnMajor).for_each(|p| {
+    let dist = Arc::clone(u.dist());
+    let (rank, order) = (u.rank(), u.order());
+    let local = u.local_mut();
+    for_each_region_index(dist.mapped(rank), dist.assigned(rank), order, |at, p| {
         if (p[3] - 1) / (grid / 4) == (iter - 1) % 4 {
-            let v = u.get(p).unwrap();
-            u.set(p, v + 0.25).unwrap();
+            local[at] += 0.25;
         }
     });
     ctx.charge(compute_s);

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use drms_async::{AsyncCheckpointer, AsyncConfig};
 use drms_core::segment::DataSegment;
 use drms_core::{find_checkpoints, Drms, DrmsConfig};
-use drms_darray::{DistArray, Distribution};
+use drms_darray::{for_each_region_index, DistArray, Distribution};
 use drms_memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
 use drms_msg::{CostModel, Ctx};
 use drms_obs::Recorder;
@@ -152,10 +152,11 @@ impl Toy {
 
     /// Computes iteration `iter` and records it in the segment.
     fn advance(&mut self, iter: i64) {
-        let region = self.u.assigned().clone();
-        region.points(Order::ColumnMajor).for_each(|p| {
-            let v = self.u.get(p).expect("assigned point");
-            self.u.set(p, v + 1.5).expect("assigned point");
+        let dist = Arc::clone(self.u.dist());
+        let (rank, order) = (self.u.rank(), self.u.order());
+        let local = self.u.local_mut();
+        for_each_region_index(dist.mapped(rank), dist.assigned(rank), order, |at, _| {
+            local[at] += 1.5;
         });
         self.seg.set_control("iter", iter);
     }

@@ -18,11 +18,11 @@ use drms_core::{
     find_checkpoints, read_manifest_collective, sweep_orphans, verify, CheckpointArray, Drms,
     EnableFlag,
 };
-use drms_darray::DistArray;
+use drms_darray::{for_each_region_index, DistArray};
 use drms_delta::{delta_checkpoint, materialize_stream, DeltaChain, DeltaConfig, DeltaSource};
 use drms_msg::{run_spmd, CostModel, Ctx, SpmdError};
 use drms_piofs::Piofs;
-use drms_slices::{Order, Slice};
+use drms_slices::Order;
 
 use crate::args::Options;
 use crate::experiment::experiment_fs;
@@ -133,11 +133,12 @@ fn fields(spec: &AppSpec, ctx: &Ctx) -> (DistArray<f64>, DistArray<f64>) {
 }
 
 fn advance(grid: i64, u: &mut DistArray<f64>, iter: i64) {
-    let region: Slice = u.assigned().clone();
-    region.points(Order::ColumnMajor).for_each(|p| {
+    let dist = Arc::clone(u.dist());
+    let (rank, order) = (u.rank(), u.order());
+    let local = u.local_mut();
+    for_each_region_index(dist.mapped(rank), dist.assigned(rank), order, |at, p| {
         if touched(grid, p, iter) {
-            let v = u.get(p).unwrap();
-            u.set(p, v + 0.25).unwrap();
+            local[at] += 0.25;
         }
     });
 }

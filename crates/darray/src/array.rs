@@ -181,10 +181,14 @@ impl<T: Element> DistArray<T> {
 ///
 /// Uses per-axis offset tables (computed once) plus an odometer walk, so the
 /// per-element cost is O(rank) arithmetic with no range searches. This is
-/// the walk of `fill`/`fold`, which need coordinates; packing and unpacking
-/// move whole runs ([`for_each_region_run`]).
+/// the walk of `fill`/`fold` and of the mini-applications' stencil, which
+/// need coordinates; packing and unpacking move whole runs
+/// ([`for_each_region_run`]).
+///
+/// Panics when `region` is not a subset of `mapped` (the caller's
+/// invariant, as for a view's assigned and mapped sections).
 #[allow(clippy::needless_range_loop)] // per-axis loop reads several tables
-pub(crate) fn for_each_region_index(
+pub fn for_each_region_index(
     mapped: &Slice,
     region: &Slice,
     order: Order,

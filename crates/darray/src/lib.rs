@@ -32,7 +32,7 @@ mod dist;
 mod element;
 mod error;
 
-pub use array::{for_each_region_run, DistArray};
+pub use array::{for_each_region_index, for_each_region_run, DistArray};
 pub use dist::{factorize, Distribution};
 pub use element::{decode_into, encode_into, Element};
 pub use error::DarrayError;

@@ -15,6 +15,10 @@
 # for every file either side wrote, then the diff of each file that differs,
 # and exits 1 on any difference (or if either side's gates failed). Every
 # output is byte-stable per seed, so any difference is the change's doing.
+# Between the two it prints a host table, one line per row: wall seconds and
+# peak RSS (MB) of each side, parsed from the `<row>: host <wall> s, peak RSS
+# <MB> MB` line every passing row writes to its side's log ("-" where a side
+# wrote none).
 # Offline, no dependency beyond git, tar, cargo, diff.
 set -euo pipefail
 
@@ -68,6 +72,22 @@ while read -r f; do
         differing+=("$f")
     fi
 done < <( (cd "$work/parent.out" && ls; cd "$work/change.out" && ls) | sort -u)
+
+host() { # <log>: "<row> <wall> <MB>" per host line
+    sed -nE 's/^([A-Za-z0-9_]+): host ([0-9.]+) s, peak RSS ([0-9]+|unknown) MB$/\1 \2 \3/p' "$1"
+}
+echo
+awk 'BEGIN { fmt = "%-14s %10s %10s %10s %10s\n"; printf fmt, "row", "parent s", "change s", "parent MB", "change MB" }
+     FILENAME == ARGV[1] { p[$1] = $2 " " $3; rows[++n] = $1; next }
+     { c[$1] = $2 " " $3; if (!($1 in p)) rows[++n] = $1 }
+     END {
+         for (i = 1; i <= n; i++) {
+             r = rows[i]
+             split((r in p) ? p[r] : "- -", a, " ")
+             split((r in c) ? c[r] : "- -", b, " ")
+             printf fmt, r, a[1], b[1], a[2], b[2]
+         }
+     }' <(host "$work/parent.log") <(host "$work/change.log")
 for f in "${differing[@]}"; do
     echo
     echo "=== $f"
