@@ -17,7 +17,7 @@
 //!    recovered event stream is non-empty — the kill salvage, the SOP
 //!    seals riding committed checkpoints, or the final seal got it there),
 //!    consecutive segments must abut bit-exactly (zero unattributed
-//!    gaps), and the five attribution buckets must tile the stitched wall
+//!    gaps), and the six attribution buckets must tile the stitched wall
 //!    clock to floating-point association.
 //! 3. **Deep dive** — fault weather, a mid-publish crash *and* a
 //!    processor kill: at least three incarnations, a dropped-event audit
@@ -26,6 +26,10 @@
 //!    recovery-cost table printed. Run twice: the rendered report and the
 //!    recovery-cost total must be bit-identical (the per-`FAULT_SEED`
 //!    determinism contract).
+//!
+//! In every campaign the last `blackbox.recovery_ratio` gauge the JSA
+//! published must equal the report's recovery fraction bit for bit: both
+//! come from one `RunSummary::attribution` call.
 //!
 //! With `--json DIR` the headline numbers land in `BENCH_blackbox.json`;
 //! `--baseline PATH` compares against a committed baseline within
@@ -39,10 +43,10 @@ use std::sync::Arc;
 
 use drms_blackbox::{Blackbox, BlackboxConfig};
 use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
-use drms_insight::{stitch, IncarnationInput, RecoveryReport, StitchOptions, StitchedTimeline};
+use drms_insight::{RecoveryReport, StitchedTimeline};
 use drms_obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, RuleThresholds};
-use drms_rtenv::{JobOutcome, RunSummary};
+use drms_rtenv::RunSummary;
 
 use crate::campaign::{policy, reference, Campaign, Fault, Rig, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
@@ -99,24 +103,20 @@ fn run_campaign(plan: FaultPlan, kill_at: Option<i64>, extra: Option<Arc<dyn Rec
     Run { checksum, summary, rec, bb, ctl }
 }
 
-/// Builds the stitched cross-incarnation timeline and its recovery-cost
-/// attribution from the flight recorder's recovered archive plus what the
-/// JSA knows about each incarnation's fate.
-pub fn attribution(summary: &RunSummary, bb: &Blackbox) -> (StitchedTimeline, RecoveryReport) {
-    let inputs: Vec<IncarnationInput> = summary
-        .incarnations
-        .iter()
-        .enumerate()
-        .map(|(i, inc)| IncarnationInput {
-            incarnation: i as u64,
-            events: bb.events_for(i as u64),
-            killed: inc.outcome == JobOutcome::Killed,
-            restarted: inc.restart_from.is_some(),
-        })
-        .collect();
-    let tl = stitch(&inputs, &StitchOptions { detection_latency: bb.cfg().detection_latency });
-    let report = RecoveryReport::from_timeline(&tl);
-    (tl, report)
+/// The gauge is the report: the `blackbox.recovery_ratio` gauge the JSA
+/// last published equals the attribution's recovery fraction bit for bit.
+pub(crate) fn check_gauge(
+    gate: &mut Gate,
+    rec: &TraceRecorder,
+    report: &RecoveryReport,
+    what: &str,
+) {
+    let gauge = rec.metrics().gauge(names::BLACKBOX_RECOVERY_RATIO, 0);
+    let fraction = report.recovery_fraction();
+    gate.check(
+        gauge.map(f64::to_bits) == Some(fraction.to_bits()),
+        format!("{what}: recovery-ratio gauge {gauge:?} is not the report's fraction {fraction}"),
+    );
 }
 
 /// The coverage contract: the run recovered bitwise, the stitched
@@ -167,7 +167,6 @@ fn run_deep(seed: u64) -> (Run, drms_pulse::PulseReport) {
             recovery_budget: 0.05,
             ..RuleThresholds::default()
         }),
-        ..PulseConfig::default()
     });
     let plan = FaultPlan {
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
@@ -190,7 +189,7 @@ pub(crate) fn render_events(tl: &StitchedTimeline) -> String {
 }
 
 /// The `blackbox` row of the gate table.
-pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
+pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     no_gate_flags("blackbox", &args.rest);
     let seed = args.seed;
     println!(
@@ -207,8 +206,9 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // Campaign 1 — clean: one incarnation, recovered from its final
     // seal, zero recovery cost.
     let clean = run_campaign(FaultPlan::seeded(seed), None, None);
-    let (clean_tl, clean_rep) = attribution(&clean.summary, &clean.bb);
+    let (clean_tl, clean_rep) = clean.summary.attribution(&clean.bb);
     assert_covered(&clean, &clean_tl, &clean_rep, "clean");
+    check_gauge(gate, &clean.rec, &clean_rep, "clean");
     assert_eq!(clean.summary.incarnations.len(), 1, "clean run reincarnated");
     assert_eq!(clean_rep.recovery_cost(), 0.0, "clean run billed recovery cost");
     let clean_events = recovered_events(&clean);
@@ -251,8 +251,9 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         let what = format!("sweep {point}");
         assert!(r.ctl.crash_fired(), "{what}: armed crash never fired");
         assert!(r.summary.incarnations.len() >= 2, "{what}: no reincarnation");
-        let (tl, rep) = attribution(&r.summary, &r.bb);
+        let (tl, rep) = r.summary.attribution(&r.bb);
         assert_covered(&r, &tl, &rep, &what);
+        check_gauge(gate, &r.rec, &rep, &what);
         let events = recovered_events(&r);
         let salvages = r.rec.metrics().counter_total(names::BLACKBOX_SALVAGES);
         assert!(salvages > 0, "{what}: dying region salvaged nothing");
@@ -275,8 +276,9 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // live pulse on top, full attribution table out.
     println!("\ndeep dive (weather + mid-publish crash + processor kill):");
     let (deep, pulse_rep) = run_deep(seed);
-    let (deep_tl, deep_rep) = attribution(&deep.summary, &deep.bb);
+    let (deep_tl, deep_rep) = deep.summary.attribution(&deep.bb);
     assert_covered(&deep, &deep_tl, &deep_rep, "deep");
+    check_gauge(gate, &deep.rec, &deep_rep, "deep");
     assert!(
         deep.summary.incarnations.len() >= 3,
         "deep: expected crash kill + token kill + completion, got {:?}",
@@ -292,7 +294,7 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // Determinism: the whole pipeline — capture, seal, salvage,
     // recovery, stitch, attribution — must be bit-reproducible.
     let (again, _) = run_deep(seed);
-    let (_, again_rep) = attribution(&again.summary, &again.bb);
+    let (_, again_rep) = again.summary.attribution(&again.bb);
     assert_eq!(again.checksum, deep.checksum, "deep campaign is nondeterministic");
     assert_eq!(again_rep.render(), deep_rep.render(), "recovery-cost report is nondeterministic");
     assert_eq!(

@@ -61,23 +61,18 @@ const DRMS_MARKERS: &[&str] = &[
     "spmd::checkpoint",
 ];
 
-fn code_lines(src: &str) -> usize {
-    src.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with("//")).count()
-}
-
-fn drms_lines(src: &str) -> usize {
-    let mut in_tests = false;
-    src.lines()
-        .filter(|l| {
-            if l.contains("mod tests") {
-                in_tests = true;
-            }
-            !in_tests
-        })
+/// Table 1's two counts of one source: its code lines (non-blank,
+/// non-comment, before the `#[cfg(test)]` module: code, not tests) and
+/// how many of those mention a DRMS marker.
+fn line_counts(src: &str) -> (usize, usize) {
+    let code: Vec<&str> = src
+        .lines()
         .map(str::trim)
+        .take_while(|l| *l != "#[cfg(test)]")
         .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .filter(|l| DRMS_MARKERS.iter().any(|m| l.contains(m)))
-        .count()
+        .collect();
+    let drms = code.iter().filter(|l| DRMS_MARKERS.iter().any(|m| l.contains(m))).count();
+    (code.len(), drms)
 }
 
 /// Table 1: source-code cost of adopting the DRMS programming model. The
@@ -97,8 +92,7 @@ pub fn table1(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     let mut result = BenchResult::new("table1");
     result.stamp_header(args.seed, 0);
     for (name, src) in SOURCES {
-        let t = code_lines(src);
-        let d = drms_lines(src);
+        let (t, d) = line_counts(src);
         total += t;
         drms += d;
         rows.push(vec![

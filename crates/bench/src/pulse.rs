@@ -101,7 +101,6 @@ fn run_with_pulse(seed: u64) -> (Run, PulseReport, String) {
             min_replicas: 2.0,
             ..RuleThresholds::default()
         }),
-        ..PulseConfig::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
     let drainer = {

@@ -29,7 +29,9 @@
 //! a **strictly lower recovery cost** (restore + recompute share of the
 //! attributed wall clock) than the full restart. Campaigns 1 and 3 run
 //! twice; checksums and rendered attributions must be bit-identical (the
-//! per-`FAULT_SEED` determinism contract).
+//! per-`FAULT_SEED` determinism contract). In campaigns 1–3 the JSA's last
+//! `blackbox.recovery_ratio` gauge must equal the report's recovery
+//! fraction bit for bit, localized time included.
 //!
 //! With `--json DIR` the headline numbers land in `BENCH_recover.json`;
 //! `--baseline PATH` compares against a committed baseline within
@@ -53,7 +55,7 @@ use drms_rtenv::{JsaPolicy, RunSummary};
 use drms_slices::Order;
 use parking_lot::Mutex;
 
-use crate::blackbox::{attribution, flight_sinks, render_events};
+use crate::blackbox::{check_gauge, flight_sinks, render_events};
 use crate::campaign::{
     domain, initial, policy, reference, Campaign, Fault, LossDrill, Rig, NPROCS,
 };
@@ -137,7 +139,7 @@ fn bucket_total(rep: &RecoveryReport, f: impl Fn(&drms_insight::IncarnationCost)
 }
 
 /// The `recover` row of the gate table.
-pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
+pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     no_gate_flags("recover", &args.rest);
     let seed = args.seed;
     println!(
@@ -157,8 +159,9 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // Campaign 1 — localized recovery off memory-tier replicas: one
     // incarnation, zero PIOFS restore bytes, only `localized` billed.
     let tier_run = run_campaign(FaultPlan::seeded(seed), Mode::Tier);
-    let (_, tier_rep) = attribution(&tier_run.summary, &tier_run.bb);
+    let (_, tier_rep) = tier_run.summary.attribution(&tier_run.bb);
     assert_sound(&tier_run, &tier_rep, "localized-tier");
+    check_gauge(gate, &tier_run.rec, &tier_rep, "localized-tier");
     assert_eq!(
         tier_run.summary.incarnations.len(),
         1,
@@ -197,8 +200,9 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // the lost ranks' sections stream back, strictly less than the
     // whole state.
     let piofs_run = run_campaign(FaultPlan::seeded(seed), Mode::Piofs);
-    let (_, piofs_rep) = attribution(&piofs_run.summary, &piofs_run.bb);
+    let (_, piofs_rep) = piofs_run.summary.attribution(&piofs_run.bb);
     assert_sound(&piofs_run, &piofs_rep, "localized-piofs");
+    check_gauge(gate, &piofs_run.rec, &piofs_rep, "localized-piofs");
     assert_eq!(piofs_run.summary.incarnations.len(), 1, "localized-piofs: reincarnated");
     let prep = piofs_run.report.as_ref().expect("localized-piofs: protocol report missing");
     assert_eq!(prep.source, StreamSource::PiofsFull, "localized-piofs: wrong ladder rung");
@@ -224,8 +228,9 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // Campaign 3 — the classical full restart at the same seed and the
     // same loss point: kill, detect, restore everything, recompute.
     let full_run = run_campaign(FaultPlan::seeded(seed), Mode::Full);
-    let (full_tl, full_rep) = attribution(&full_run.summary, &full_run.bb);
+    let (full_tl, full_rep) = full_run.summary.attribution(&full_run.bb);
     assert_sound(&full_run, &full_rep, "full-restart");
+    check_gauge(gate, &full_run.rec, &full_rep, "full-restart");
     assert!(
         full_run.summary.incarnations.len() >= 2,
         "full-restart: the kill never caused a restart"
@@ -311,7 +316,7 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     // Determinism: the localized protocol and the escalated full
     // restart must both replay bit-identically per seed.
     let tier_again = run_campaign(FaultPlan::seeded(seed), Mode::Tier);
-    let (_, tier_again_rep) = attribution(&tier_again.summary, &tier_again.bb);
+    let (_, tier_again_rep) = tier_again.summary.attribution(&tier_again.bb);
     assert_eq!(
         tier_again.checksum.to_bits(),
         tier_run.checksum.to_bits(),
@@ -323,7 +328,7 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         "localized attribution is nondeterministic"
     );
     let full_again = run_campaign(FaultPlan::seeded(seed), Mode::Full);
-    let (_, full_again_rep) = attribution(&full_again.summary, &full_again.bb);
+    let (_, full_again_rep) = full_again.summary.attribution(&full_again.bb);
     assert_eq!(
         full_again.checksum.to_bits(),
         full_run.checksum.to_bits(),

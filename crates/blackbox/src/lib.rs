@@ -8,11 +8,16 @@
 //! per-rank [`FlightRing`]s; at every SOP each rank *seals* its ring — a
 //! snapshot encoded by [`wire`] — into the checkpoint's two-phase staging
 //! area, and when a chaos crash point fires the dying region salvages one
-//! last seal straight to storage. After a restart, the JSA scans storage,
-//! feeds every seal it finds into the [`SealArchive`], and hands the
-//! reconstructed per-incarnation event streams to the insight stitcher,
-//! which joins pre-crash and post-crash span DAGs into one cross-
-//! incarnation timeline with exact recovery-cost attribution.
+//! last seal straight to storage. After every incarnation, the JSA scans
+//! storage, feeds every seal it finds into the [`SealArchive`], and hands
+//! the reconstructed per-incarnation event streams to the insight
+//! stitcher, which joins pre-crash and post-crash span DAGs into one
+//! cross-incarnation timeline with exact recovery-cost attribution. That
+//! attribution's recovery fraction is also what the JSA publishes live as
+//! the `blackbox.recovery_ratio` gauge; this crate computes no estimate of
+//! its own. The markers the attribution keys on (`commit:`/`crash:`
+//! events, restore and localized-recovery spans) are declared once, in
+//! `drms_obs::markers`.
 //!
 //! Determinism: rings are single-writer — only rank *r*'s thread captures
 //! into ring *r*, and seals are taken by each rank at its own program
@@ -31,36 +36,13 @@ pub mod wire;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use drms_obs::{EventKind, FlightSeal, Phase, Record, Recorder, TraceEvent};
+use drms_obs::markers::CRASH_EVENT_PREFIX;
+use drms_obs::{FlightSeal, Phase, Record, Recorder, TraceEvent};
 use parking_lot::Mutex;
 
 pub use archive::SealArchive;
 pub use ring::{FlightRing, SealStats};
 pub use wire::{decode_seal, encode_seal, DecodedSeal, SealHeader};
-
-/// Event-name prefix of the rank-0 instant the core checkpoint paths emit
-/// at each two-phase commit point (`commit:{prefix}`). The recovery-cost
-/// attribution uses these markers as the durable-progress lattice.
-pub const COMMIT_EVENT_PREFIX: &str = "commit:";
-
-/// Event-name prefix of the `Phase::Control` instant the crash injector
-/// emits when a crash point fires (`crash:{point}`). These carry real
-/// simulated time (unlike other control-plane events) and mark where an
-/// incarnation died.
-pub const CRASH_EVENT_PREFIX: &str = "crash:";
-
-/// Span names of the restart restore path, in execution order. The live
-/// recovery estimate and the insight attribution both treat the latest
-/// close of any of these as the end of an incarnation's restore window.
-pub const RESTORE_SPAN_NAMES: [&str; 3] = ["load_text", "load_segment", "restore_arrays"];
-
-/// Span name of a localized in-incarnation recovery window (rank 0,
-/// `Phase::Recover`): survivors reinstated their retained sections and the
-/// lost sections were fetched, all without tearing the incarnation down.
-/// The recovery-cost attribution carves these windows out of useful work
-/// as localized restore, mirroring how [`RESTORE_SPAN_NAMES`] mark a full
-/// restart's restore window.
-pub const LOCALIZED_SPAN_NAME: &str = "localized_recover";
 
 /// Configuration of a [`Blackbox`].
 #[derive(Debug, Clone)]
@@ -174,63 +156,6 @@ impl Blackbox {
         self.archive.lock().events_for(incarnation)
     }
 
-    /// Live estimate of the cumulative recovery fraction: (detection +
-    /// restore + re-computation + lost work) over the stitched wall clock,
-    /// computed from the archive alone. `killed[k]` says whether
-    /// incarnation `k` died (the JSA knows; the archive alone cannot).
-    ///
-    /// This drives the `blackbox.recovery_ratio` gauge and the pulse
-    /// recovery-budget rule between incarnations; the offline insight
-    /// report recomputes the same quantity with exact wall-clock tiling.
-    pub fn live_recovery_fraction(&self, killed: &[bool]) -> f64 {
-        let archive = self.archive.lock();
-        let mut wall = 0.0;
-        let mut cost = 0.0;
-        for (i, inc) in archive.incarnations().into_iter().enumerate() {
-            let events = archive.events_for(inc);
-            let horizon = events.iter().map(|e| e.t).fold(0.0, f64::max);
-            let restarted = i > 0;
-            let restore_end = if restarted {
-                events
-                    .iter()
-                    .filter(|e| {
-                        e.kind == EventKind::End && RESTORE_SPAN_NAMES.contains(&e.name.as_str())
-                    })
-                    .map(|e| e.t)
-                    .fold(0.0, f64::max)
-            } else {
-                0.0
-            };
-            let commits: Vec<f64> = events
-                .iter()
-                .filter(|e| e.kind == EventKind::Instant && e.name.starts_with(COMMIT_EVENT_PREFIX))
-                .map(|e| e.t)
-                .collect();
-            let was_killed = killed.get(i).copied().unwrap_or(false);
-            if restarted {
-                cost += self.cfg.detection_latency + restore_end;
-                if let Some(first) = commits.first() {
-                    cost += (first - restore_end).max(0.0);
-                } else if !was_killed {
-                    cost += (horizon - restore_end).max(0.0);
-                }
-            }
-            if was_killed {
-                let last = commits.last().copied().unwrap_or(restore_end);
-                cost += (horizon - last).max(0.0);
-            }
-            wall += horizon;
-            if restarted {
-                wall += self.cfg.detection_latency;
-            }
-        }
-        if wall <= 0.0 {
-            0.0
-        } else {
-            cost / wall
-        }
-    }
-
     fn seal_rank(&self, t: f64, rank: usize, reason: &str) -> Option<FlightSeal> {
         let inc = self.incarnation();
         let mut ring = self.rings.get(rank)?.lock();
@@ -334,30 +259,5 @@ mod tests {
         bb.begin_incarnation(1);
         assert_eq!(bb.incarnation_died(), 0);
         assert_eq!(bb.incarnation(), 1);
-    }
-
-    #[test]
-    fn live_recovery_fraction_accounts_lost_and_detection() {
-        let cfg = BlackboxConfig { capacity: 1024, detection_latency: 2.0 };
-        let bb = Blackbox::new(cfg, 1);
-        // Incarnation 0: commit at t=4, horizon t=10 → 6s lost.
-        bb.begin_incarnation(0);
-        bb.event(4.0, 0, Phase::Manifest, "commit:ck/a");
-        bb.event(10.0, 0, Phase::Arrays, "work");
-        for s in bb.seal_all(10.0, "salvage") {
-            bb.ingest(&s.bytes).unwrap();
-        }
-        // Incarnation 1: restore ends t=3, commit t=5, horizon t=8, completed.
-        bb.begin_incarnation(1);
-        bb.span_end(3.0, 0, Phase::Arrays, "restore_arrays");
-        bb.event(5.0, 0, Phase::Manifest, "commit:ck/a");
-        bb.event(8.0, 0, Phase::Arrays, "work");
-        for s in bb.seal_all(8.0, "final") {
-            bb.ingest(&s.bytes).unwrap();
-        }
-        // cost = lost(6) + detect(2) + restore(3) + recompute(2) = 13
-        // wall = 10 + 2 + 8 = 20
-        let frac = bb.live_recovery_fraction(&[true, false]);
-        assert!((frac - 13.0 / 20.0).abs() < 1e-12, "got {frac}");
     }
 }

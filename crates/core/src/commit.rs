@@ -26,7 +26,7 @@
 
 use drms_chaos::CommitPoints;
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::{markers, names, Phase};
 use drms_piofs::Piofs;
 
 use crate::drms::{integrity_chunk, stage_flight_rings};
@@ -240,7 +240,8 @@ impl<'a> Commit<'a> {
                 // Durable-progress marker for the flight recorder: the
                 // stitched timeline attributes everything after the last
                 // `commit:` of a killed incarnation as lost work.
-                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &format!("commit:{prefix}"));
+                let marker = format!("{}{prefix}", markers::COMMIT_EVENT_PREFIX);
+                ctx.recorder().event(ctx.now(), 0, Phase::Manifest, &marker);
             }
         }
         ctx.barrier();

@@ -11,7 +11,7 @@
 
 use drms_chaos::CrashPoint;
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::{markers, names, Phase};
 use drms_piofs::Piofs;
 
 use crate::{CoreError, Result};
@@ -46,7 +46,7 @@ pub fn crash_point(
         if aborts_commit {
             rec.counter_add(0, names::COMMIT_ABORTS, None, 1);
         }
-        rec.event(ctx.now(), 0, Phase::Control, &format!("crash:{point}"));
+        rec.event(ctx.now(), 0, Phase::Control, &format!("{}{point}", markers::CRASH_EVENT_PREFIX));
     }
     salvage_flight_ring(ctx, fs, point.as_str());
     Err(CoreError::Interrupted(point.as_str().to_string()))

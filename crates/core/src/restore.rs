@@ -15,7 +15,7 @@
 use drms_chaos::{RestartPoints, RESTART_FULL};
 use drms_darray::stream::{self, StreamRange};
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::{markers, names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
 
 use crate::drms::{
@@ -198,8 +198,8 @@ pub fn open<S: RestartSource>(
     // moved in this phase are ntasks x its size: record per rank, matching
     // the aggregate the restart report uses.
     let t2 = ctx.now();
-    phase_span(ctx, Phase::Init, "load_text", t0, t1);
-    phase_span(ctx, Phase::Segment, "load_segment", t1, t2);
+    phase_span(ctx, Phase::Init, markers::LOAD_TEXT, t0, t1);
+    phase_span(ctx, Phase::Segment, markers::LOAD_SEGMENT, t1, t2);
     if ctx.recorder().enabled() {
         ctx.recorder().counter_add_at(t2, ctx.rank(), names::SEGMENT_BYTES, None, segment_bytes);
     }
@@ -336,7 +336,7 @@ impl RestartSource for PiofsFull<'_> {
     }
 
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
-        phase_span(ctx, Phase::Arrays, "restore_arrays", t0, t1);
+        phase_span(ctx, Phase::Arrays, markers::RESTORE_ARRAYS, t0, t1);
         record_bytes(ctx, 0, array_bytes);
     }
 }

@@ -12,7 +12,7 @@
 //!   recovery.
 
 use drms_msg::Ctx;
-use drms_obs::Phase;
+use drms_obs::{markers, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq, WriteReq};
 
 use crate::drms::{load_text, phase_span, record_bytes};
@@ -125,7 +125,7 @@ pub fn restart(
 
     let total: u64 =
         (0..ctx.ntasks()).map(|r| fs.size(&task_segment_path(prefix, r)).unwrap_or(0)).sum();
-    phase_span(ctx, Phase::Init, "load_text", t0, t1);
+    phase_span(ctx, Phase::Init, markers::LOAD_TEXT, t0, t1);
     phase_span(ctx, Phase::Segment, "spmd_read_segment", t1, t2);
     record_bytes(ctx, total, 0);
     Ok((

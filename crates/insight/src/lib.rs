@@ -39,7 +39,7 @@ pub use critical::{CriticalPath, Segment};
 pub use recovery::{IncarnationCost, RecoveryReport};
 pub use servers::{ServerReport, ServerRow};
 pub use spans::Span;
-pub use stitch::{stitch, IncarnationInput, StitchOptions, StitchSegment, StitchedTimeline};
+pub use stitch::{stitch, IncarnationInput, StitchSegment, StitchedTimeline};
 pub use straggler::StragglerRow;
 
 /// A JSA incarnation link: a control-plane event carrying an incarnation

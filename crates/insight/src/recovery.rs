@@ -13,9 +13,9 @@
 //!
 //! * **detect** — the gap billed before `start_k` (restarts only);
 //! * **restore** — `start_k` to the last close of a restore span
-//!   ([`drms_blackbox::RESTORE_SPAN_NAMES`]), restarted incarnations only;
+//!   ([`drms_obs::markers::RESTORE_SPAN_NAMES`]), restarted incarnations only;
 //! * **localized** — the union of in-incarnation localized-recovery
-//!   spans ([`drms_blackbox::LOCALIZED_SPAN_NAME`]): survivors paused
+//!   spans ([`drms_obs::markers::LOCALIZED_SPAN_NAME`]): survivors paused
 //!   while lost sections were restored in place, no restart billed.
 //!   Overlap with the restore window stays restore; overlap with the
 //!   recompute or lost windows is billed localized (priority
@@ -35,7 +35,7 @@
 
 use std::fmt::Write as _;
 
-use drms_blackbox::{COMMIT_EVENT_PREFIX, LOCALIZED_SPAN_NAME, RESTORE_SPAN_NAMES};
+use drms_obs::markers::{COMMIT_EVENT_PREFIX, LOCALIZED_SPAN_NAME, RESTORE_SPAN_NAMES};
 use drms_obs::EventKind;
 
 use crate::stitch::StitchedTimeline;
@@ -196,8 +196,8 @@ impl RecoveryReport {
     }
 
     /// Recovery cost as a fraction of the stitched wall clock (0 when the
-    /// timeline is empty) — the offline, exactly-tiled counterpart of the
-    /// live `blackbox.recovery_ratio` gauge.
+    /// timeline is empty). The JSA publishes this value as the
+    /// `blackbox.recovery_ratio` gauge.
     pub fn recovery_fraction(&self) -> f64 {
         if self.wall <= 0.0 {
             0.0
@@ -206,7 +206,7 @@ impl RecoveryReport {
         }
     }
 
-    /// Largest absolute tiling error: how far the five buckets are from
+    /// Largest absolute tiling error: how far the six buckets are from
     /// summing to the wall clock. Zero up to floating-point association
     /// (the quantities are differences of shared timestamps).
     pub fn tiling_error(&self) -> f64 {
@@ -291,7 +291,7 @@ fn overlap(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stitch::{stitch, IncarnationInput, StitchOptions};
+    use crate::stitch::{stitch, IncarnationInput};
     use drms_obs::{Phase, TraceEvent};
 
     fn ev(t: f64, rank: usize, name: &str, kind: EventKind) -> TraceEvent {
@@ -325,7 +325,7 @@ mod tests {
                 restarted: true,
             },
         ];
-        stitch(&inputs, &StitchOptions { detection_latency: 2.0 })
+        stitch(&inputs, 2.0)
     }
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
             killed: false,
             restarted: false,
         }];
-        let tl = stitch(&inputs, &StitchOptions { detection_latency: 2.0 });
+        let tl = stitch(&inputs, 2.0);
         let rep = RecoveryReport::from_timeline(&tl);
         assert_eq!(rep.rows[0].localized, 2.0);
         assert_eq!(rep.rows[0].useful, 8.0);
@@ -399,7 +399,7 @@ mod tests {
             killed: true,
             restarted: false,
         }];
-        let tl = stitch(&inputs, &StitchOptions { detection_latency: 1.0 });
+        let tl = stitch(&inputs, 1.0);
         let rep = RecoveryReport::from_timeline(&tl);
         assert_eq!(rep.rows[0].localized, 2.0);
         assert_eq!(rep.rows[0].lost, 4.0);
@@ -420,7 +420,7 @@ mod tests {
             killed: true,
             restarted: false,
         }];
-        let tl = stitch(&inputs, &StitchOptions { detection_latency: 1.0 });
+        let tl = stitch(&inputs, 1.0);
         let rep = RecoveryReport::from_timeline(&tl);
         // With no commit the whole extent is a lost tail; the open span
         // carves [6, 9] out of it as localized-recovery time.
@@ -449,7 +449,7 @@ mod tests {
                 restarted: true,
             },
         ];
-        let tl = stitch(&inputs, &StitchOptions { detection_latency: 1.0 });
+        let tl = stitch(&inputs, 1.0);
         let rep = RecoveryReport::from_timeline(&tl);
         assert_eq!(rep.rows[1].restore, 2.0);
         assert_eq!(rep.rows[1].recompute, 0.0);

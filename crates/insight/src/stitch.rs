@@ -3,11 +3,15 @@
 //! Each incarnation of a job records simulated time from zero: its trace
 //! is a self-contained span DAG that knows nothing of the incarnations
 //! before or after it. The stitcher lays the recovered per-incarnation
-//! event streams (from the flight-recorder [`drms_blackbox::SealArchive`])
+//! event streams (from the flight recorder's seal archive, `drms-blackbox`)
 //! end to end on one global clock — incarnation `k` is offset by the total
 //! duration of incarnations `0..k` plus one detection-latency gap per
 //! restart — producing a single timeline whose segments abut exactly, so
 //! the stitched wall clock has zero unattributed gaps by construction.
+//!
+//! The JSA's `RunSummary::attribution` (rtenv crate) is the one caller on
+//! the run path: it feeds the archive's streams and its incarnation
+//! records in, with the flight recorder's configured detection latency.
 
 use drms_obs::TraceEvent;
 
@@ -24,20 +28,6 @@ pub struct IncarnationInput {
     /// Whether the incarnation restarted from a checkpoint (false for the
     /// first and for rare fresh re-starts that found no checkpoint).
     pub restarted: bool,
-}
-
-/// Stitching knobs.
-#[derive(Debug, Clone)]
-pub struct StitchOptions {
-    /// Simulated seconds between an incarnation's death and its
-    /// successor's clock starting — billed as detection latency.
-    pub detection_latency: f64,
-}
-
-impl Default for StitchOptions {
-    fn default() -> StitchOptions {
-        StitchOptions { detection_latency: 1.0 }
-    }
 }
 
 /// One incarnation's extent on the stitched clock.
@@ -86,13 +76,16 @@ impl StitchedTimeline {
 }
 
 /// Stitches the incarnations (pre-sorted by `incarnation`) into one
-/// timeline. Deterministic: output order depends only on the inputs.
-pub fn stitch(inputs: &[IncarnationInput], opts: &StitchOptions) -> StitchedTimeline {
+/// timeline, `detection_latency` simulated seconds between an
+/// incarnation's death and its successor's clock starting (billed as
+/// detection latency). Deterministic: output order depends only on the
+/// inputs.
+pub fn stitch(inputs: &[IncarnationInput], detection_latency: f64) -> StitchedTimeline {
     let mut events = Vec::new();
     let mut segments = Vec::new();
     let mut cursor = 0.0f64;
     for (i, inp) in inputs.iter().enumerate() {
-        let detect = if i > 0 { opts.detection_latency } else { 0.0 };
+        let detect = if i > 0 { detection_latency } else { 0.0 };
         cursor += detect;
         let start = cursor;
         let horizon = inp.events.iter().map(|e| e.t).fold(0.0f64, f64::max);
@@ -146,7 +139,7 @@ mod tests {
                 restarted: true,
             },
         ];
-        let tl = stitch(&inputs, &StitchOptions { detection_latency: 2.0 });
+        let tl = stitch(&inputs, 2.0);
         assert_eq!(tl.segments.len(), 2);
         assert_eq!(tl.segments[0].start, 0.0);
         assert_eq!(tl.segments[0].end, 10.0);
@@ -170,7 +163,7 @@ mod tests {
                 restarted: true,
             },
         ];
-        let tl = stitch(&inputs, &StitchOptions::default());
+        let tl = stitch(&inputs, 1.0);
         assert_eq!(tl.segments[0].start, tl.segments[0].end);
         assert_eq!(tl.segments[1].start, 1.0);
         assert_eq!(tl.wall(), 4.0);

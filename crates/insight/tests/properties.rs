@@ -7,7 +7,7 @@
 //!   same events in different interleavings (as racing ranks would)
 //!   renders byte-identical reports.
 
-use drms_insight::{stitch, Analysis, IncarnationInput, StitchOptions};
+use drms_insight::{stitch, Analysis, IncarnationInput};
 use drms_obs::{EventKind, Phase, Recorder, TraceEvent, TraceRecorder};
 use proptest::prelude::*;
 
@@ -166,7 +166,7 @@ proptest! {
                 }
             })
             .collect();
-        let tl = stitch(&inputs, &StitchOptions { detection_latency: detection });
+        let tl = stitch(&inputs, detection);
         prop_assert_eq!(tl.segments.len(), inputs.len());
         prop_assert_eq!(tl.events.len(), shapes.iter().map(Vec::len).sum::<usize>());
         prop_assert_eq!(tl.segments[0].detect, 0.0);

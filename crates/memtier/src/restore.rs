@@ -15,7 +15,7 @@ use drms_core::{
 };
 use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::{markers, names, Phase};
 use drms_piofs::Piofs;
 
 use crate::store::{array_file, SEGMENT_FILE};
@@ -98,7 +98,7 @@ impl RestartSource for TierSource<'_> {
     }
 
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
-        phase_span(ctx, Phase::Arrays, "restore_arrays", t0, t1);
+        phase_span(ctx, Phase::Arrays, markers::RESTORE_ARRAYS, t0, t1);
         phase_span(ctx, Phase::MemTier, "restore", t0, t1);
         if ctx.rank() == 0 && ctx.recorder().enabled() {
             ctx.recorder().counter_add(0, names::ARRAY_BYTES, None, array_bytes);

@@ -78,21 +78,13 @@ pub struct PulseConfig {
     pub ntasks: usize,
     /// Tumbling-window width in simulated seconds.
     pub window: f64,
-    /// Bounded capacity of each per-task ring, in samples. Overflow drops
-    /// samples (counted in `pulse.dropped`) rather than blocking the run.
-    pub ring_capacity: usize,
     /// Health rules to evaluate per window.
     pub rules: Vec<PulseRule>,
 }
 
 impl Default for PulseConfig {
     fn default() -> PulseConfig {
-        PulseConfig {
-            ntasks: 1,
-            window: 0.5,
-            ring_capacity: 1 << 16,
-            rules: builtin_rules(&RuleThresholds::default()),
-        }
+        PulseConfig { ntasks: 1, window: 0.5, rules: builtin_rules(&RuleThresholds::default()) }
     }
 }
 
@@ -135,7 +127,7 @@ impl Pulse {
     /// Builds the pipeline for `config`.
     pub fn new(config: PulseConfig) -> Arc<Pulse> {
         Arc::new(Pulse {
-            recorder: PulseRecorder::new(config.ntasks, config.ring_capacity),
+            recorder: PulseRecorder::new(config.ntasks),
             collector: Mutex::new(Collector::new(config.window, config.rules)),
             sink: Mutex::new(Arc::new(NullRecorder)),
             collect_ns: AtomicU64::new(0),

@@ -10,6 +10,10 @@ use drms_obs::{Phase, Record, Recorder};
 
 use crate::ring::{Drained, Payload, Ring};
 
+/// Bounded capacity of each per-task ring, in samples. Overflow drops
+/// samples (counted in `pulse.dropped`) rather than blocking the run.
+pub(crate) const RING_CAPACITY: usize = 1 << 16;
+
 /// Routes every [`Record`] into bounded per-task rings.
 ///
 /// A report goes to its rank's ring; control-plane reports carry rank 0,
@@ -26,11 +30,11 @@ pub struct PulseRecorder {
 }
 
 impl PulseRecorder {
-    /// Rings for `ntasks` tasks, each bounded to `ring_capacity` samples.
-    pub(crate) fn new(ntasks: usize, ring_capacity: usize) -> Arc<PulseRecorder> {
+    /// Rings for `ntasks` tasks, each bounded to [`RING_CAPACITY`] samples.
+    pub(crate) fn new(ntasks: usize) -> Arc<PulseRecorder> {
         let n = ntasks.max(1);
         Arc::new(PulseRecorder {
-            rings: (0..n).map(|_| Ring::new(ring_capacity)).collect(),
+            rings: (0..n).map(|_| Ring::new(RING_CAPACITY)).collect(),
             overhead_ns: AtomicU64::new(0),
         })
     }
@@ -91,7 +95,7 @@ mod tests {
 
     #[test]
     fn hooks_land_in_the_right_rings_and_are_metered() {
-        let rec = PulseRecorder::new(3, 64);
+        let rec = PulseRecorder::new(3);
         rec.span_start(1.0, 1, Phase::Segment, "seg");
         rec.span_end(2.0, 1, Phase::Segment, "seg");
         rec.counter_add_at(2.5, 2, names::COMMITS, None, 1);
@@ -106,7 +110,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ranks_clamp_to_the_last_ring() {
-        let rec = PulseRecorder::new(2, 64);
+        let rec = PulseRecorder::new(2);
         rec.event(1.0, 99, Phase::Control, "e");
         let drained = rec.drain_all();
         assert_eq!(drained[1].samples.len(), 1);

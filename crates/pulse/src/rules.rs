@@ -124,9 +124,9 @@ pub struct RuleThresholds {
     /// least this many microseconds of commit lag inside one window (the
     /// background flusher has fallen behind the snapshot cadence).
     pub flush_lag_budget_us: u64,
-    /// Recovery-budget ceiling: alert when the flight recorder's live
-    /// cumulative recovery fraction (detection, restore, re-computation,
-    /// and lost work over stitched wall clock, the
+    /// Recovery-budget ceiling: alert when the cumulative recovery
+    /// fraction (everything but useful work over the stitched wall clock:
+    /// the JSA's recovery-cost attribution, published as the
     /// `blackbox.recovery_ratio` gauge) exceeds this fraction of the run.
     pub recovery_budget: f64,
     /// Recovery-degradation floor: alert when localized recovery

@@ -56,7 +56,6 @@ fn replay(script: &[Step], cuts: &[usize]) -> (Vec<String>, Vec<(String, u64)>) 
                 min_windows: 1,
             },
         ],
-        ..PulseConfig::default()
     });
     let rec = pulse.recorder();
     for (i, s) in script.iter().enumerate() {
@@ -133,7 +132,6 @@ proptest! {
                 },
                 min_windows: 1,
             }],
-            ..PulseConfig::default()
         });
         let rec = pulse.recorder();
         for (i, &d) in deltas.iter().enumerate() {

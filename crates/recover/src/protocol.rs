@@ -18,7 +18,6 @@
 //! recovery never happened, and the ordinary full restart remains correct
 //! because nothing the protocol stages mutates the checkpoint itself.
 
-use drms_blackbox::LOCALIZED_SPAN_NAME;
 use drms_core::chaos::CrashPoint;
 use drms_core::commit::{publish_staged_files, staging_prefix};
 use drms_core::manifest::CkptKind;
@@ -30,7 +29,7 @@ use drms_darray::stream::PieceFetch;
 use drms_delta::DeltaSource;
 use drms_memtier::{MemTier, TierSource};
 use drms_msg::{Ctx, Group};
-use drms_obs::{names, Phase};
+use drms_obs::{markers, names, Phase};
 use drms_piofs::{Piofs, WriteReq};
 
 use crate::epoch::{recovery_barrier, Membership};
@@ -321,6 +320,6 @@ pub fn recover(
         }
         rec.counter_add_at(t1, 0, names::RECOVER_SURVIVOR_BYTES, None, report.survivor_bytes);
     }
-    phase_span(ctx, Phase::Recover, LOCALIZED_SPAN_NAME, t0, t1);
+    phase_span(ctx, Phase::Recover, markers::LOCALIZED_SPAN_NAME, t0, t1);
     Ok((next, report))
 }

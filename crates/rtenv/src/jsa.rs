@@ -6,6 +6,7 @@ use std::sync::Arc;
 use drms_blackbox::Blackbox;
 use drms_chaos::ChaosCtl;
 use drms_core::EnableFlag;
+use drms_insight::{stitch, IncarnationInput, RecoveryReport, StitchedTimeline};
 use drms_memtier::{MemTier, RestartTier};
 use drms_msg::{CostModel, Spmd};
 use drms_piofs::Piofs;
@@ -15,12 +16,13 @@ use crate::events::{Event, EventLog};
 use crate::job::{JobEnv, JobOutcome, JobSpec, KillToken};
 use crate::rc::ResourceCoordinator;
 
-/// Scheduling policy knobs.
-#[derive(Debug, Clone)]
+/// Safety bound on incarnations per job (prevents a crash-looping
+/// application from monopolizing the system).
+const MAX_INCARNATIONS: usize = 16;
+
+/// Scheduling policy knobs (all off by default).
+#[derive(Debug, Clone, Default)]
 pub struct JsaPolicy {
-    /// Safety bound on incarnations per job (prevents a crash-looping
-    /// application from monopolizing the system).
-    pub max_incarnations: usize,
     /// Repair all failed processors automatically when a job cannot fit in
     /// the available pool (otherwise the job stays queued until `repair`).
     pub repair_when_starved: bool,
@@ -31,12 +33,6 @@ pub struct JsaPolicy {
     /// ignores it, or a recovery that escalates, falls back to the ordinary
     /// kill-and-restart path.
     pub localized_recovery: bool,
-}
-
-impl Default for JsaPolicy {
-    fn default() -> Self {
-        JsaPolicy { max_incarnations: 16, repair_when_starved: false, localized_recovery: false }
-    }
 }
 
 /// Record of one incarnation of a job.
@@ -72,6 +68,31 @@ impl RunSummary {
     /// Number of restarts (incarnations after the first).
     pub fn restarts(&self) -> usize {
         self.incarnations.len().saturating_sub(1)
+    }
+
+    /// The cross-incarnation recovery attribution: the flight recorder's
+    /// recovered event streams, one per incarnation record, stitched at the
+    /// recorder's detection latency and tiled into the recovery-cost
+    /// buckets. An incarnation counts as killed when its outcome is
+    /// [`JobOutcome::Killed`] and as restarted when it restarted from a
+    /// checkpoint. The JSA publishes the report's
+    /// [`RecoveryReport::recovery_fraction`] as the
+    /// `blackbox.recovery_ratio` gauge after every incarnation.
+    pub fn attribution(&self, bb: &Blackbox) -> (StitchedTimeline, RecoveryReport) {
+        let inputs: Vec<IncarnationInput> = self
+            .incarnations
+            .iter()
+            .enumerate()
+            .map(|(i, inc)| IncarnationInput {
+                incarnation: i as u64,
+                events: bb.events_for(i as u64),
+                killed: inc.outcome == JobOutcome::Killed,
+                restarted: inc.restart_from.is_some(),
+            })
+            .collect();
+        let tl = stitch(&inputs, bb.cfg().detection_latency);
+        let report = RecoveryReport::from_timeline(&tl);
+        (tl, report)
     }
 }
 
@@ -147,8 +168,9 @@ impl Jsa {
     /// the JSA drives its lifecycle: incarnation resets before each SPMD
     /// region, the final seal of a completed run, recovery of sealed rings
     /// and crash salvages from storage after every incarnation, the
-    /// dropped-event audit for killed incarnations, and the live
-    /// `blackbox.recovery_ratio` gauge the pulse budget rule watches.
+    /// dropped-event audit for killed incarnations, and the
+    /// `blackbox.recovery_ratio` gauge the pulse budget rule watches (the
+    /// recovery fraction of [`RunSummary::attribution`] so far).
     pub fn with_blackbox(mut self, bb: Arc<Blackbox>) -> Jsa {
         self.blackbox = Some(bb);
         self
@@ -178,7 +200,7 @@ impl Jsa {
         let (min_tasks, max_tasks) = job.task_range;
         let mut summary = RunSummary { incarnations: Vec::new(), completed: false };
 
-        for incarnation in 0..self.policy.max_incarnations {
+        for incarnation in 0..MAX_INCARNATIONS {
             // Allocate processors.
             let mut avail = self.rc.available();
             if avail.len() < min_tasks && self.policy.repair_when_starved {
@@ -323,7 +345,8 @@ impl Jsa {
     /// logged as [`Event::TraceDropped`] — the loss that used to be silent;
     /// then every sealed ring reachable on storage (committed `blackbox-r*`
     /// checkpoint files and crash salvages under the `bb/` area) is fed to
-    /// the archive, and the live recovery-ratio gauge is re-published.
+    /// the archive, and the recovery-ratio gauge is re-published as the
+    /// attribution's recovery fraction over the incarnations so far.
     fn blackbox_epilogue(
         &self,
         bb: &Blackbox,
@@ -369,16 +392,8 @@ impl Jsa {
             if recovered > 0 {
                 rec.counter_add(0, drms_obs::names::BLACKBOX_RINGS_RECOVERED, None, recovered);
             }
-            let killed: Vec<bool> = summary
-                .incarnations
-                .iter()
-                .map(|r| matches!(r.outcome, JobOutcome::Killed))
-                .collect();
-            rec.gauge_set(
-                drms_obs::names::BLACKBOX_RECOVERY_RATIO,
-                0,
-                bb.live_recovery_fraction(&killed),
-            );
+            let (_, report) = summary.attribution(bb);
+            rec.gauge_set(drms_obs::names::BLACKBOX_RECOVERY_RATIO, 0, report.recovery_fraction());
         }
     }
 

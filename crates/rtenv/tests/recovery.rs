@@ -7,17 +7,18 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use drms_blackbox::{Blackbox, BlackboxConfig};
 use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms_core::segment::DataSegment;
 use drms_core::{Drms, DrmsConfig, EnableFlag};
 use drms_darray::{DistArray, Distribution};
 use drms_memtier::{store_checkpoint, MemTier, RestartTier};
 use drms_msg::{run_spmd, run_spmd_traced, CostModel, Ctx, Spmd};
-use drms_obs::{names, TraceRecorder};
+use drms_obs::{names, Phase, Recorder, TraceRecorder};
 use drms_piofs::{Piofs, PiofsConfig};
 use drms_rtenv::{
-    Event, EventLog, JobEnv, JobOutcome, JobSpec, Jsa, JsaPolicy, KillToken, ResourceCoordinator,
-    Uic,
+    Event, EventLog, IncarnationRecord, JobEnv, JobOutcome, JobSpec, Jsa, JsaPolicy, KillToken,
+    ResourceCoordinator, RunSummary, Uic,
 };
 use drms_slices::{Order, Slice};
 use parking_lot::Mutex;
@@ -374,4 +375,65 @@ fn resume_dispatches_on_what_the_jsa_resolved() {
         })
         .unwrap();
     assert_eq!(outcomes, vec![Some(JobOutcome::Killed); 3]);
+}
+
+/// An incarnation record with only the fields the attribution reads set.
+fn record(restart_from: Option<&str>, outcome: JobOutcome) -> IncarnationRecord {
+    IncarnationRecord {
+        ntasks: 1,
+        procs: vec![0],
+        restart_from: restart_from.map(str::to_string),
+        fallback_depth: 0,
+        tier: RestartTier::Piofs,
+        outcome,
+    }
+}
+
+/// `RunSummary::attribution` bills a killed incarnation's uncommitted
+/// tail as lost and a restart's detection gap, restore window and
+/// re-computation as recovery, at the flight recorder's detection latency;
+/// a re-start that found no checkpoint is a fresh start.
+#[test]
+fn attribution_accounts_lost_and_detection() {
+    let cfg = BlackboxConfig { capacity: 1024, detection_latency: 2.0 };
+    let bb = Blackbox::new(cfg, 1);
+    // Incarnation 0: commit at t=4, horizon t=10, killed → 6s lost.
+    bb.begin_incarnation(0);
+    bb.event(4.0, 0, Phase::Manifest, "commit:ck/a");
+    bb.event(10.0, 0, Phase::Arrays, "work");
+    for s in bb.seal_all(10.0, "salvage") {
+        bb.ingest(&s.bytes).unwrap();
+    }
+    // Incarnation 1 (restarted): restore ends t=3, commit t=5, horizon
+    // t=8, completed.
+    bb.begin_incarnation(1);
+    bb.span_end(3.0, 0, Phase::Arrays, "restore_arrays");
+    bb.event(5.0, 0, Phase::Manifest, "commit:ck/a");
+    bb.event(8.0, 0, Phase::Arrays, "work");
+    for s in bb.seal_all(8.0, "final") {
+        bb.ingest(&s.bytes).unwrap();
+    }
+    let summary = RunSummary {
+        incarnations: vec![
+            record(None, JobOutcome::Killed),
+            record(Some("ck/a"), JobOutcome::Completed),
+        ],
+        completed: true,
+    };
+    let (tl, rep) = summary.attribution(&bb);
+    // The detection latency is the flight recorder's.
+    assert_eq!(tl.segments[1].detect, 2.0);
+    // cost = lost(6) + detect(2) + restore(3) + recompute(2) = 13
+    // wall = 10 + 2 + 8 = 20
+    assert!((rep.recovery_fraction() - 13.0 / 20.0).abs() < 1e-12, "got {rep:?}");
+    // A re-start that found no checkpoint is a fresh start: no restore
+    // window, and its pre-commit work is useful, not re-computation.
+    let fresh = RunSummary {
+        incarnations: vec![record(None, JobOutcome::Killed), record(None, JobOutcome::Completed)],
+        completed: true,
+    };
+    let (_, rep) = fresh.attribution(&bb);
+    assert_eq!(rep.rows[1].restore, 0.0);
+    assert_eq!(rep.rows[1].recompute, 0.0);
+    assert!((rep.recovery_fraction() - 8.0 / 20.0).abs() < 1e-12, "got {rep:?}");
 }

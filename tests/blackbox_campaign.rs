@@ -15,14 +15,17 @@
 //!   consecutive segments abut bit-exactly, separated only by the billed
 //!   detection latency;
 //! * the recovery-cost attribution tiles the stitched wall clock to
-//!   floating-point association error.
+//!   floating-point association error;
+//! * the `blackbox.recovery_ratio` gauge the JSA last published is the
+//!   attribution's recovery fraction, bit for bit.
 //!
 //! A token-kill scenario rides along: a processor failure (no crash
 //! point, so nothing salvages the tail) must surface its loss as the
 //! audited `blackbox.events_dropped` counter rather than silence, and the
 //! campaign replays bit-identically per seed — same stitched render, same
 //! recovery cost to the bit — which is what makes the `FAULT_SEED` repro
-//! lines below trustworthy.
+//! lines below trustworthy. A localized-recovery run closes the set: its
+//! in-place recovery is billed, and gauged, inside one incarnation.
 
 use std::sync::Arc;
 
@@ -30,8 +33,8 @@ use drms::blackbox::{Blackbox, BlackboxConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms::insight::{RecoveryReport, StitchedTimeline};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
-use drms::rtenv::RunSummary;
-use drms_bench::campaign::{policy, reference, Campaign, Fault, Rig, NPROCS};
+use drms::rtenv::{JsaPolicy, RunSummary};
+use drms_bench::campaign::{policy, reference, Campaign, Fault, LossDrill, Rig, NPROCS};
 
 const NITER: i64 = 10;
 const APP: &str = "bbcamp";
@@ -73,8 +76,14 @@ struct CampaignResult {
 /// Runs the campaign job under a fault plan with the flight recorder on
 /// the fan-out and its lifecycle driven by the JSA, optionally killing
 /// one processor at an iteration (the token kill: an organic restart with
-/// no crash point, so nothing salvages the unsealed tail).
-fn run_campaign(plan: FaultPlan, fail_at: Option<Fault>) -> CampaignResult {
+/// no crash point, so nothing salvages the unsealed tail), or surviving a
+/// node loss in place (`drill`, under a policy that permits localized
+/// recovery).
+fn run_campaign(
+    plan: FaultPlan,
+    fail_at: Option<Fault>,
+    drill: Option<LossDrill>,
+) -> CampaignResult {
     let rec = Arc::new(TraceRecorder::default());
     let bb = Arc::new(Blackbox::new(
         BlackboxConfig { capacity: RING_CAPACITY, detection_latency: DETECTION_LATENCY },
@@ -86,22 +95,26 @@ fn run_campaign(plan: FaultPlan, fail_at: Option<Fault>) -> CampaignResult {
     ]));
     let rig = Rig::new(APP, plan.seed, Some(fan));
     let ctl = ChaosCtl::new(plan);
-    let jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl)).with_blackbox(Arc::clone(&bb));
+    let jsa = rig
+        .jsa(JsaPolicy { localized_recovery: drill.is_some(), ..policy() })
+        .with_chaos(Arc::clone(&ctl))
+        .with_blackbox(Arc::clone(&bb));
     let job =
         Campaign { faults: fail_at.into_iter().collect(), ..Campaign::new(APP, "ck/bb", NITER) };
-    let (checksum, summary) = job.launch(&rig, &jsa);
+    let (checksum, summary) = match drill {
+        Some(drill) => {
+            let (checksum, summary, _) = job.launch_drill(&rig, &jsa, drill);
+            (checksum, summary)
+        }
+        None => job.launch(&rig, &jsa),
+    };
     CampaignResult { checksum, summary, rec, bb, ctl }
-}
-
-/// Stitches the recovered per-incarnation streams into the global
-/// timeline and derives the recovery-cost attribution from it.
-fn attribution(r: &CampaignResult) -> (StitchedTimeline, RecoveryReport) {
-    drms_bench::blackbox::attribution(&r.summary, &r.bb)
 }
 
 /// The coverage contract shared by every campaign assertion: bitwise
 /// completion, a non-empty recovered stream for every incarnation, exact
-/// segment abutment, and attribution tiling the stitched wall clock.
+/// segment abutment, attribution tiling the stitched wall clock, and the
+/// JSA's recovery-ratio gauge reading the attribution's fraction.
 fn assert_covered(
     r: &CampaignResult,
     tl: &StitchedTimeline,
@@ -152,6 +165,15 @@ fn assert_covered(
         rep.tiling_error(),
         repro_cmd(seed)
     );
+    let gauge = r.rec.metrics().gauge(names::BLACKBOX_RECOVERY_RATIO, 0);
+    assert_eq!(
+        gauge.map(f64::to_bits),
+        Some(rep.recovery_fraction().to_bits()),
+        "{what}: the recovery-ratio gauge ({gauge:?}) is not the report's fraction ({})\n\
+         reproduce with: {}",
+        rep.recovery_fraction(),
+        repro_cmd(seed)
+    );
 }
 
 /// The tentpole sweep: every blocking-path crash point, exhaustively. The
@@ -179,7 +201,7 @@ fn every_crash_point_leaves_a_recoverable_flight_record() {
                 | CrashPoint::RestartAfterArrays
         );
         let fail_at = restart_side.then(|| Fault::kill(4, 2));
-        let r = run_campaign(plan, fail_at);
+        let r = run_campaign(plan, fail_at, None);
         let what = format!("crash point {point}");
         assert!(
             r.ctl.crash_fired(),
@@ -199,7 +221,7 @@ fn every_crash_point_leaves_a_recoverable_flight_record() {
             "{what}: crash fired but no ring was salvaged\nreproduce with: {}",
             repro_cmd(SWEEP_SEED)
         );
-        let (tl, rep) = attribution(&r);
+        let (tl, rep) = r.summary.attribution(&r.bb);
         assert_covered(&r, &tl, &rep, &what, SWEEP_SEED);
     }
 }
@@ -215,7 +237,7 @@ fn token_kill_audits_its_dropped_tail() {
     if seed_filter().is_some_and(|only| only != seed) {
         return;
     }
-    let r = run_campaign(FaultPlan::seeded(seed), Some(Fault::kill(4, 2)));
+    let r = run_campaign(FaultPlan::seeded(seed), Some(Fault::kill(4, 2)), None);
     assert!(
         r.summary.incarnations.len() >= 2,
         "token kill never reincarnated: {:?}\nreproduce with: {}",
@@ -228,7 +250,7 @@ fn token_kill_audits_its_dropped_tail() {
         "token kill lost no trace events — the drop audit is vacuous\nreproduce with: {}",
         repro_cmd(seed)
     );
-    let (tl, rep) = attribution(&r);
+    let (tl, rep) = r.summary.attribution(&r.bb);
     assert_covered(&r, &tl, &rep, "token kill", seed);
 }
 
@@ -243,18 +265,47 @@ fn campaign_replays_bit_identically() {
     }
     let plan =
         FaultPlan { crash: Some((CrashPoint::CkptMidPublish, 1)), ..FaultPlan::seeded(seed) };
-    let a = run_campaign(plan.clone(), Some(Fault::kill(7, 2)));
-    let b = run_campaign(plan, Some(Fault::kill(7, 2)));
+    let a = run_campaign(plan.clone(), Some(Fault::kill(7, 2)), None);
+    let b = run_campaign(plan, Some(Fault::kill(7, 2)), None);
     assert_eq!(a.checksum, b.checksum, "reproduce with: {}", repro_cmd(seed));
     assert_eq!(a.summary, b.summary, "reproduce with: {}", repro_cmd(seed));
-    let (tla, repa) = attribution(&a);
-    let (tlb, repb) = attribution(&b);
+    let (tla, repa) = a.summary.attribution(&a.bb);
+    let (tlb, repb) = b.summary.attribution(&b.bb);
     assert_eq!(tla.events.len(), tlb.events.len(), "reproduce with: {}", repro_cmd(seed));
     assert_eq!(repa.render(), repb.render(), "reproduce with: {}", repro_cmd(seed));
     assert_eq!(
         repa.recovery_cost().to_bits(),
         repb.recovery_cost().to_bits(),
         "reproduce with: {}",
+        repro_cmd(seed)
+    );
+}
+
+/// Localized recovery: a node loss survived in place, inside the one
+/// incarnation. The attribution bills the recovery window to its own
+/// bucket, and the gauge the JSA published counts it too (the coverage
+/// contract compares the two bit for bit).
+#[test]
+fn localized_recovery_is_billed_and_gauged() {
+    let seed = SWEEP_SEED ^ 0x10CA;
+    if seed_filter().is_some_and(|only| only != seed) {
+        return;
+    }
+    let drill = LossDrill { at: 5, victim: 2, replicas: None };
+    let r = run_campaign(FaultPlan::seeded(seed), None, Some(drill));
+    assert_eq!(
+        r.summary.incarnations.len(),
+        1,
+        "a localized recovery cost an incarnation: {:?}\nreproduce with: {}",
+        r.summary,
+        repro_cmd(seed)
+    );
+    let (tl, rep) = r.summary.attribution(&r.bb);
+    assert_covered(&r, &tl, &rep, "localized recovery", seed);
+    assert!(
+        rep.rows[0].localized > 0.0,
+        "localized recovery billed no localized time\n{}\nreproduce with: {}",
+        rep.render(),
         repro_cmd(seed)
     );
 }

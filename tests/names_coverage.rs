@@ -234,7 +234,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             ntasks: NPROCS,
             window: 0.002,
             rules: builtin_rules(&thresholds),
-            ..PulseConfig::default()
         });
         pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
         let fan: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
@@ -273,7 +272,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             ntasks: NPROCS,
             window: 0.01,
             rules: builtin_rules(&thresholds),
-            ..PulseConfig::default()
         });
         pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
         let fan: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
@@ -305,7 +303,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             ntasks: 2,
             window: 0.002,
             rules: builtin_rules(&RuleThresholds::default()),
-            ..PulseConfig::default()
         });
         pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
         let fan: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
@@ -362,7 +359,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             ntasks: NPROCS,
             window: 0.002,
             rules: builtin_rules(&thresholds),
-            ..PulseConfig::default()
         });
         pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
         let fan: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![
@@ -435,7 +431,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             ntasks: NPROCS,
             window: 0.002,
             rules: builtin_rules(&thresholds),
-            ..PulseConfig::default()
         });
         pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
         let bb = Arc::new(Blackbox::new(
@@ -475,7 +470,6 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             ntasks: NPROCS,
             window: 0.002,
             rules: builtin_rules(&RuleThresholds::default()),
-            ..PulseConfig::default()
         });
         pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
         let fan: Arc<dyn Recorder> = Arc::new(FanoutRecorder::new(vec![

@@ -67,7 +67,6 @@ fn run_observed(seed: u64) -> Observed {
             min_replicas: 2.0,
             ..RuleThresholds::default()
         }),
-        ..PulseConfig::default()
     });
 
     let trace = Arc::new(TraceRecorder::default());

@@ -36,7 +36,6 @@ fn online_totals_match_the_post_hoc_trace_and_insight() {
         ntasks: NPROCS,
         window: 0.002,
         rules: builtin_rules(&RuleThresholds::default()),
-        ..PulseConfig::default()
     });
     let fan: Arc<dyn Recorder> =
         Arc::new(FanoutRecorder::new(vec![trace.clone() as Arc<dyn Recorder>, pulse.recorder()]));
@@ -109,7 +108,6 @@ fn async_flush_lag_agrees_across_online_trace_and_insight() {
             flush_lag_budget_us: 1,
             ..RuleThresholds::default()
         }),
-        ..PulseConfig::default()
     });
     let fan: Arc<dyn Recorder> =
         Arc::new(FanoutRecorder::new(vec![trace.clone() as Arc<dyn Recorder>, pulse.recorder()]));
