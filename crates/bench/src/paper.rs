@@ -8,10 +8,11 @@
 //!
 //! Each row renders its table as the artefact `<name>.txt` — the file
 //! committed under `results/` — and its headline numbers as
-//! `BENCH_<name>.json`. A row's defaults are the flags behind the committed
-//! output: class A for Tables 3–6 and Figure 7, 5 runs for Table 5, 3 for
-//! Table 6 and Figure 7, class W for the ablations. The timed rows derive
-//! run `r`'s seed as the fault seed plus `r` times a per-table stride.
+//! `BENCH_<name>.json`; the timed row `table5` renders Tables 5 and 6 and
+//! Figure 7 from one grid of runs ([`TIMED_TABLES`]). A row's defaults are
+//! the flags behind the committed output: class A for Tables 3–6 and
+//! Figure 7, 5 runs of each timed cell, class W for the ablations. Run `r`
+//! of a timed cell is seeded with the fault seed plus `r` times 7919.
 
 use std::fmt::Write as _;
 
@@ -23,8 +24,8 @@ use drms_piofs::Piofs;
 use drms_slices::{Order, Slice};
 
 use crate::args::Options;
-use crate::experiment::{experiment_fs, run_pair, run_state_size, Experiment};
-use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
+use crate::experiment::{experiment_fs, run_pair, run_state_size, Experiment, PairResult};
+use crate::gate::{no_gate_flags, table_file, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 use crate::stats::Summary;
 use crate::table::{mb, render};
@@ -283,20 +284,47 @@ pub fn table4(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     GateOutput::table(result, out)
 }
 
-/// The flags of the timed rows (Tables 5, 6 and Figure 7): class A, 8 and
-/// 16 PEs, `runs` seeded runs by default.
-fn timed_options(row: &str, runs: usize, rest: &[String]) -> Options {
-    Options { runs, ..Options::default() }.parse(row, &["--class", "--runs", "--pes"], rest)
+/// The tables the timed row renders, in order: Tables 5 and 6 and
+/// Figure 7 are three views of one grid of runs, so one row writes all
+/// three (`<name>.txt` each).
+pub const TIMED_TABLES: [&str; 3] = ["table5", "table6", "fig7"];
+
+/// One (app, PEs) cell of the timed grid: `runs` seeded checkpoint/restart
+/// pairs of the DRMS variant and as many of the SPMD variant.
+struct GridCell {
+    app: &'static str,
+    pes: usize,
+    /// `[drms, spmd]`, run `r` at the fault seed plus `r` times 7919.
+    runs: [Vec<PairResult>; 2],
 }
 
-/// Records the options of a timed row on its result.
-fn timed_result(bench: &str, opts: &Options, seed: u64) -> BenchResult {
-    let mut result = BenchResult::new(bench);
-    result.param("class", opts.class);
-    result.param("runs", opts.runs);
-    result.param("pes", opts.pes.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(","));
-    result.stamp_header(seed, opts.pes.iter().copied().max().unwrap_or(0));
-    result
+impl GridCell {
+    /// Mean ± sd of `f` over the restart (else checkpoint) breakdowns of
+    /// variant `vi`'s runs (0 DRMS, 1 SPMD).
+    fn stat(&self, vi: usize, restart: bool, f: fn(&OpBreakdown) -> f64) -> Summary {
+        let ops = self.runs[vi].iter().map(|p| if restart { &p.restart } else { &p.ckpt });
+        Summary::of(&ops.map(f).collect::<Vec<_>>())
+    }
+}
+
+/// Runs the timed grid: every app of `opts.class` on every PE count, DRMS
+/// and SPMD, `opts.runs` seeded runs each.
+fn run_grid(opts: &Options, seed: u64) -> Vec<GridCell> {
+    let mut grid = Vec::new();
+    for spec in &apps(opts.class) {
+        for &pes in &opts.pes {
+            let runs = [AppVariant::Drms, AppVariant::Spmd].map(|variant| {
+                (0..opts.runs as u64)
+                    .map(|run| {
+                        run_pair(spec, variant, pes, seed + run * 7919, 1).expect("experiment")
+                    })
+                    .collect()
+            });
+            eprintln!("... {} @ {} PEs done", spec.name, pes);
+            grid.push(GridCell { app: spec.name, pes, runs });
+        }
+    }
+    grid
 }
 
 /// A Table 5 paper cell: (mean, sd) seconds, or `None` where the source
@@ -331,7 +359,7 @@ const TABLE5_PAPER: &[PaperRow] = &[
     },
 ];
 
-fn paper_cell(app: &str, restart: bool, pes: usize, variant: AppVariant) -> String {
+fn paper_cell(app: &str, restart: bool, pes: usize, vi: usize) -> String {
     let Some(row) = TABLE5_PAPER.iter().find(|r| r.app == app) else { return "-".into() };
     let pi = if pes == 8 {
         0
@@ -340,10 +368,6 @@ fn paper_cell(app: &str, restart: bool, pes: usize, variant: AppVariant) -> Stri
     } else {
         return "-".into();
     };
-    let vi = match variant {
-        AppVariant::Drms => 0,
-        AppVariant::Spmd => 1,
-    };
     let table = if restart { &row.restart } else { &row.ckpt };
     match table[pi][vi] {
         Some((m, s)) => format!("{m:.0} ± {s:.0}"),
@@ -351,10 +375,40 @@ fn paper_cell(app: &str, restart: bool, pes: usize, variant: AppVariant) -> Stri
     }
 }
 
+/// The two operations of a grid cell, as (name, is restart).
+const OPS: [(&str, bool); 2] = [("checkpoint", false), ("restart", true)];
+
+/// The timed row: one grid of seeded checkpoint/restart runs rendered as
+/// Table 5 (time to checkpoint and restart DRMS and SPMD applications, mean
+/// ± sd), Table 6 (the DRMS runs' phase breakdown) and Figure 7 (Table 6 as
+/// stacked bars), the three [`TIMED_TABLES`].
+pub fn table5(args: &GateArgs, gate: &mut Gate) -> GateOutput {
+    let takes = ["--class", "--runs", "--pes"];
+    let opts = Options { runs: 5, ..Options::default() }.parse("table5", &takes, &args.rest);
+    let mut result = BenchResult::new("table5");
+    result.param("class", opts.class);
+    result.param("runs", opts.runs);
+    result.param("pes", opts.pes.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(","));
+    result.stamp_header(args.seed, opts.pes.iter().copied().max().unwrap_or(0));
+
+    let grid = run_grid(&opts, args.seed);
+    let texts = [
+        render_table5(&opts, &grid, &mut result),
+        render_table6(&opts, &grid, &mut result, gate),
+        render_fig7(&opts, &grid, &mut result),
+    ];
+    let mut artefacts = Vec::new();
+    for (name, text) in TIMED_TABLES.into_iter().zip(texts) {
+        print!("{text}");
+        artefacts.push((table_file(name), text));
+    }
+    GateOutput { result, artefacts }
+}
+
 /// Table 5: time to checkpoint and restart DRMS and non-reconfigurable
-/// SPMD applications (mean ± sd over seeded runs), on 8 and 16 processors.
-pub fn table5(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
-    let opts = timed_options("table5", 5, &args.rest);
+/// SPMD applications (mean ± sd over the grid's runs), on 8 and 16
+/// processors.
+fn render_table5(opts: &Options, grid: &[GridCell], result: &mut BenchResult) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -390,39 +444,22 @@ pub fn table5(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         "SPMD (paper)",
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut result = timed_result("table5", &opts, args.seed);
-
-    for spec in &apps(opts.class) {
-        for &pes in &opts.pes {
-            let mut measured: [[Option<Summary>; 2]; 2] = [[None, None], [None, None]];
-            for (vi, variant) in [AppVariant::Drms, AppVariant::Spmd].into_iter().enumerate() {
-                let mut ckpts = Vec::new();
-                let mut restarts = Vec::new();
-                for run in 0..opts.runs {
-                    let seed = args.seed + run as u64 * 7919;
-                    let pair = run_pair(spec, variant, pes, seed, 1).expect("experiment");
-                    ckpts.push(pair.ckpt.total());
-                    restarts.push(pair.restart.total());
-                }
-                measured[0][vi] = Some(Summary::of(&ckpts));
-                measured[1][vi] = Some(Summary::of(&restarts));
+    for cell in grid {
+        let (app, pes) = (cell.app, cell.pes);
+        for (op, restart) in OPS {
+            let measured = [0, 1].map(|vi| cell.stat(vi, restart, OpBreakdown::total));
+            for (variant, m) in ["drms", "spmd"].into_iter().zip(&measured) {
+                result.metric(&format!("{app}.p{pes}.{variant}.{op}_s"), m.mean);
             }
-            for (oi, op) in ["checkpoint", "restart"].into_iter().enumerate() {
-                for (vi, variant) in ["drms", "spmd"].into_iter().enumerate() {
-                    let mean = measured[oi][vi].as_ref().unwrap().mean;
-                    result.metric(&format!("{}.p{pes}.{variant}.{op}_s", spec.name), mean);
-                }
-                rows.push(vec![
-                    spec.name.to_string(),
-                    pes.to_string(),
-                    op.to_string(),
-                    measured[oi][0].as_ref().unwrap().pm(),
-                    paper_cell(spec.name, oi == 1, pes, AppVariant::Drms),
-                    measured[oi][1].as_ref().unwrap().pm(),
-                    paper_cell(spec.name, oi == 1, pes, AppVariant::Spmd),
-                ]);
-            }
-            eprintln!("... {} @ {} PEs done", spec.name, pes);
+            rows.push(vec![
+                app.to_string(),
+                pes.to_string(),
+                op.to_string(),
+                measured[0].pm(),
+                paper_cell(app, restart, pes, 0),
+                measured[1].pm(),
+                paper_cell(app, restart, pes, 1),
+            ]);
         }
     }
     writeln!(out, "{}", render(&header, &rows)).unwrap();
@@ -434,7 +471,7 @@ pub fn table5(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
          collapses above it (BT at 16; LU already at 8)."
     )
     .unwrap();
-    GateOutput::table(result, out)
+    out
 }
 
 /// Table 6 paper values at class A:
@@ -449,22 +486,28 @@ const TABLE6_PAPER: &[(&str, usize, [f64; 6], [f64; 6])] = &[
     ("sp", 16, [16.3, 6.2, 39.0, 8.3, 61.0, 4.9], [26.5, 33.6, 57.0, 55.9, 29.0, 6.2]),
 ];
 
-fn six(b: &OpBreakdown) -> [f64; 6] {
-    [
-        b.total(),
-        b.rate_mb_s(),
-        b.segment_pct(),
-        b.segment_rate_mb_s(),
-        b.arrays_pct(),
-        b.array_rate_mb_s(),
-    ]
-}
+/// Table 6's six columns of one operation: total time and rate, then the
+/// data-segment and distributed-array phases as percentages of the total
+/// with their own rates.
+const SIX: [fn(&OpBreakdown) -> f64; 6] = [
+    OpBreakdown::total,
+    OpBreakdown::rate_mb_s,
+    OpBreakdown::segment_pct,
+    OpBreakdown::segment_rate_mb_s,
+    OpBreakdown::arrays_pct,
+    OpBreakdown::array_rate_mb_s,
+];
 
-/// Table 6: components of DRMS checkpoint and restart operations — total
-/// time and rate, plus the data-segment and distributed-array phases as
-/// percentages of the total with their own rates.
-pub fn table6(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
-    let opts = timed_options("table6", 3, &args.rest);
+/// Table 6: components of the grid's DRMS checkpoint and restart
+/// operations, each column the mean over the runs. Table 6 breaks down the
+/// runs Table 5 reports, so `gate` checks that every total is the Table 5
+/// DRMS mean already on `result`, to the bit.
+fn render_table6(
+    opts: &Options,
+    grid: &[GridCell],
+    result: &mut BenchResult,
+    gate: &mut Gate,
+) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -477,60 +520,35 @@ pub fn table6(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     let header =
         vec!["app", "PEs", "op", "", "total(s)", "rate", "seg %", "seg rate", "arr %", "arr rate"];
     let mut rows = Vec::new();
-    let mut result = timed_result("table6", &opts, args.seed);
-    for spec in apps(opts.class) {
-        for &pes in &opts.pes {
-            let mut cs: Vec<[f64; 6]> = Vec::new();
-            let mut rs: Vec<[f64; 6]> = Vec::new();
-            for run in 0..opts.runs {
-                let seed = args.seed + run as u64 * 104729;
-                let pair = run_pair(&spec, AppVariant::Drms, pes, seed, 1).expect("experiment");
-                cs.push(six(&pair.ckpt));
-                rs.push(six(&pair.restart));
+    for cell in grid {
+        let (app, pes) = (cell.app, cell.pes);
+        let paper = TABLE6_PAPER.iter().find(|(n, p, _, _)| *n == app && *p == pes);
+        for (op, restart) in OPS {
+            let measured = SIX.map(|f| cell.stat(0, restart, f).mean);
+            let t5 = result.metric_value(&format!("{app}.p{pes}.drms.{op}_s"));
+            gate.check(
+                t5.map(f64::to_bits) == Some(measured[0].to_bits()),
+                format!(
+                    "{app} @ {pes} PEs {op}: Table 6 total {} is not Table 5's {t5:?}",
+                    measured[0]
+                ),
+            );
+            for (i, m) in [(0, "total_s"), (1, "rate_mb_s"), (2, "seg_pct"), (4, "arr_pct")] {
+                result.metric(&format!("table6.{app}.p{pes}.{op}.{m}"), measured[i]);
             }
-            let mean6 = |v: &Vec<[f64; 6]>| -> [f64; 6] {
-                let mut out = [0.0; 6];
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = Summary::of(&v.iter().map(|x| x[i]).collect::<Vec<_>>()).mean;
-                }
-                out
-            };
-            let paper = TABLE6_PAPER.iter().find(|(n, p, _, _)| *n == spec.name && *p == pes);
-            for (op, measured, paper_vals) in [
-                ("checkpoint", mean6(&cs), paper.map(|p| p.2)),
-                ("restart", mean6(&rs), paper.map(|p| p.3)),
-            ] {
-                let key = |m: &str| format!("{}.p{pes}.{op}.{m}", spec.name);
-                result.metric(&key("total_s"), measured[0]);
-                result.metric(&key("rate_mb_s"), measured[1]);
-                result.metric(&key("seg_pct"), measured[2]);
-                result.metric(&key("arr_pct"), measured[4]);
-                let fmt = |v: [f64; 6]| -> Vec<String> {
-                    vec![
-                        format!("{:.1}", v[0]),
-                        format!("{:.1}", v[1]),
-                        format!("{:.0}", v[2]),
-                        format!("{:.1}", v[3]),
-                        format!("{:.0}", v[4]),
-                        format!("{:.1}", v[5]),
-                    ]
-                };
-                let mut row = vec![
-                    spec.name.to_string(),
-                    pes.to_string(),
-                    op.to_string(),
-                    "measured".to_string(),
-                ];
-                row.extend(fmt(measured));
+            // Percentages to whole numbers, times and rates to tenths.
+            let fmt =
+                |v: [f64; 6]| (0..6).map(move |i| format!("{:.*}", [1, 1, 0, 1, 0, 1][i], v[i]));
+            let mut row =
+                vec![app.to_string(), pes.to_string(), op.to_string(), "measured".to_string()];
+            row.extend(fmt(measured));
+            rows.push(row);
+            if let Some(p) = paper.map(|p| if restart { p.3 } else { p.2 }) {
+                let mut row =
+                    vec![String::new(), String::new(), String::new(), "paper".to_string()];
+                row.extend(fmt(p));
                 rows.push(row);
-                if let Some(p) = paper_vals {
-                    let mut row =
-                        vec![String::new(), String::new(), String::new(), "paper".to_string()];
-                    row.extend(fmt(p));
-                    rows.push(row);
-                }
             }
-            eprintln!("... {} @ {} PEs done", spec.name, pes);
         }
     }
     writeln!(out, "{}", render(&header, &rows)).unwrap();
@@ -542,105 +560,52 @@ pub fn table6(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
          FALL (server-limited with co-location interference)."
     )
     .unwrap();
-    GateOutput::table(result, out)
+    out
 }
 
-struct Bar {
-    label: String,
-    segment: f64,
-    arrays: f64,
-    other: f64,
-}
-
-/// Figure 7: the data of Table 6 as stacked component bars — checkpoint
-/// ('C') and restart ('R') per application, grouped by partition size, with
-/// data-segment / distributed-array / other components. Renders both a CSV
-/// series (for plotting) and an ASCII rendering.
-pub fn fig7(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
-    let opts = timed_options("fig7", 3, &args.rest);
+/// Figure 7: Table 6's components as stacked bars — checkpoint ('C') and
+/// restart ('R') per application, grouped by partition size, with
+/// data-segment / distributed-array / other (restart init) components.
+/// Renders both a CSV series (for plotting) and an ASCII rendering.
+fn render_fig7(opts: &Options, grid: &[GridCell], result: &mut BenchResult) -> String {
     let mut out = String::new();
     writeln!(out, "Figure 7 — components of DRMS checkpoint (C) and restart (R) times").unwrap();
     writeln!(out, "class {} | mean of {} runs\n", opts.class, opts.runs).unwrap();
 
-    let mut bars: Vec<(usize, Vec<Bar>)> = Vec::new();
+    // One bar per (partition, app, op): its label and mean components.
+    let mut bars = Vec::new();
     for &pes in &opts.pes {
-        let mut group = Vec::new();
-        for spec in apps(opts.class) {
-            let mut cseg = Vec::new();
-            let mut carr = Vec::new();
-            let mut rseg = Vec::new();
-            let mut rarr = Vec::new();
-            let mut rinit = Vec::new();
-            for run in 0..opts.runs {
-                let seed = args.seed + run as u64 * 65537;
-                let pair = run_pair(&spec, AppVariant::Drms, pes, seed, 1).expect("experiment");
-                cseg.push(pair.ckpt.segment);
-                carr.push(pair.ckpt.arrays);
-                rseg.push(pair.restart.segment);
-                rarr.push(pair.restart.arrays);
-                rinit.push(pair.restart.init);
+        for cell in grid.iter().filter(|c| c.pes == pes) {
+            for (op, restart) in OPS {
+                let part = |f: fn(&OpBreakdown) -> f64| cell.stat(0, restart, f).mean;
+                let label = format!("{}-{}", cell.app, &op[..1]).to_uppercase();
+                bars.push((
+                    pes,
+                    label,
+                    [part(|b| b.segment), part(|b| b.arrays), part(|b| b.init)],
+                ));
             }
-            let m = |v: &[f64]| Summary::of(v).mean;
-            group.push(Bar {
-                label: format!("{}-C", spec.name.to_uppercase()),
-                segment: m(&cseg),
-                arrays: m(&carr),
-                other: 0.0,
-            });
-            group.push(Bar {
-                label: format!("{}-R", spec.name.to_uppercase()),
-                segment: m(&rseg),
-                arrays: m(&rarr),
-                other: m(&rinit),
-            });
-            eprintln!("... {} @ {pes} PEs done", spec.name);
         }
-        bars.push((pes, group));
     }
 
     // CSV series for external plotting.
-    let mut result = timed_result("fig7", &opts, args.seed);
     writeln!(out, "partition,bar,segment_s,arrays_s,other_s,total_s").unwrap();
-    for (pes, group) in &bars {
-        for b in group {
-            let key = |m: &str| format!("{}.p{pes}.{m}", b.label.to_lowercase());
-            result.metric(&key("segment_s"), b.segment);
-            result.metric(&key("arrays_s"), b.arrays);
-            result.metric(&key("other_s"), b.other);
-            writeln!(
-                out,
-                "{pes},{},{:.2},{:.2},{:.2},{:.2}",
-                b.label,
-                b.segment,
-                b.arrays,
-                b.other,
-                b.segment + b.arrays + b.other
-            )
-            .unwrap();
+    for (pes, label, [s, a, o]) in &bars {
+        for (m, v) in [("segment_s", s), ("arrays_s", a), ("other_s", o)] {
+            result.metric(&format!("fig7.{}.p{pes}.{m}", label.to_lowercase()), *v);
         }
+        writeln!(out, "{pes},{label},{s:.2},{a:.2},{o:.2},{:.2}", s + a + o).unwrap();
     }
     writeln!(out).unwrap();
 
     // ASCII stacked bars, one row per bar, '#'=segment '='=arrays '.'=other.
-    let max_total = bars
-        .iter()
-        .flat_map(|(_, g)| g.iter().map(|b| b.segment + b.arrays + b.other))
-        .fold(0.0f64, f64::max);
-    let width = 60.0;
-    for (pes, group) in &bars {
+    let max_total = bars.iter().map(|(_, _, [s, a, o])| s + a + o).fold(0.0f64, f64::max);
+    let scale = |v: f64| ((v / max_total) * 60.0).round() as usize;
+    for &pes in &opts.pes {
         writeln!(out, "-- {pes} processors --").unwrap();
-        for b in group {
-            let scale = |v: f64| ((v / max_total) * width).round() as usize;
-            writeln!(
-                out,
-                "{:>5} |{}{}{}| {:.1}s",
-                b.label,
-                "#".repeat(scale(b.segment)),
-                "=".repeat(scale(b.arrays)),
-                ".".repeat(scale(b.other)),
-                b.segment + b.arrays + b.other
-            )
-            .unwrap();
+        for (_, label, [s, a, o]) in bars.iter().filter(|b| b.0 == pes) {
+            let bar = [("#", s), ("=", a), (".", o)].map(|(c, v)| c.repeat(scale(*v))).concat();
+            writeln!(out, "{label:>5} |{bar}| {:.1}s", s + a + o).unwrap();
         }
         writeln!(out).unwrap();
     }
@@ -653,7 +618,7 @@ pub fn fig7(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
          interference)."
     )
     .unwrap();
-    GateOutput::table(result, out)
+    out
 }
 
 /// Section 6 of the paper: the shadow-region accounting model. Local-view

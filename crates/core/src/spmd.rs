@@ -126,7 +126,7 @@ pub fn restart(
     let total: u64 =
         (0..ctx.ntasks()).map(|r| fs.size(&task_segment_path(prefix, r)).unwrap_or(0)).sum();
     phase_span(ctx, Phase::Init, markers::LOAD_TEXT, t0, t1);
-    phase_span(ctx, Phase::Segment, "spmd_read_segment", t1, t2);
+    phase_span(ctx, Phase::Segment, markers::SPMD_READ_SEGMENT, t1, t2);
     record_bytes(ctx, total, 0);
     Ok((
         segment,

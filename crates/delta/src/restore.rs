@@ -12,7 +12,7 @@ use drms_core::{
 use drms_darray::chunks::{self, Refusal};
 use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
-use drms_obs::{names, Phase};
+use drms_obs::{markers, names, Phase};
 use drms_piofs::{Piofs, ReadAccess, ReadReq};
 
 /// A committed delta chain on PIOFS as a restart source: manifest and
@@ -86,7 +86,7 @@ impl RestartSource for DeltaSource<'_> {
     }
 
     fn arrays_restored(&self, ctx: &Ctx, t0: f64, t1: f64, array_bytes: u64) {
-        phase_span(ctx, Phase::Arrays, "restore_arrays_delta", t0, t1);
+        phase_span(ctx, Phase::Arrays, markers::RESTORE_ARRAYS_DELTA, t0, t1);
         if ctx.rank() == 0 && ctx.recorder().enabled() {
             ctx.recorder().counter_add_at(t1, 0, names::ARRAY_BYTES, None, array_bytes);
         }

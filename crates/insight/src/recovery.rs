@@ -292,6 +292,7 @@ fn overlap(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::stitch::{stitch, IncarnationInput};
+    use drms_obs::markers::{RESTORE_ARRAYS_DELTA, SPMD_READ_SEGMENT};
     use drms_obs::{Phase, TraceEvent};
 
     fn ev(t: f64, rank: usize, name: &str, kind: EventKind) -> TraceEvent {
@@ -299,8 +300,13 @@ mod tests {
     }
 
     fn timeline() -> StitchedTimeline {
-        // Incarnation 0: commits at 4 and 6, killed at horizon 10.
-        // Incarnation 1 (restarted): restore ends 3, commit 5, horizon 8.
+        timeline_restored_by("restore_arrays")
+    }
+
+    /// Incarnation 0: commits at 4 and 6, killed at horizon 10.
+    /// Incarnation 1 (restarted): a `restore_span` closes at 3, commit 5,
+    /// horizon 8.
+    fn timeline_restored_by(restore_span: &str) -> StitchedTimeline {
         let inputs = vec![
             IncarnationInput {
                 incarnation: 0,
@@ -317,7 +323,7 @@ mod tests {
             IncarnationInput {
                 incarnation: 1,
                 events: vec![
-                    ev(3.0, 0, "restore_arrays", EventKind::End),
+                    ev(3.0, 0, restore_span, EventKind::End),
                     ev(5.0, 0, "commit:ck/c", EventKind::Instant),
                     ev(8.0, 0, "done", EventKind::Instant),
                 ],
@@ -345,6 +351,18 @@ mod tests {
         assert_eq!(rep.rows[1].useful, 3.0);
         // cost = 4 + 2 + 3 + 2 = 11 of 20.
         assert!((rep.recovery_fraction() - 11.0 / 20.0).abs() < 1e-12);
+    }
+
+    /// A delta-chain restart closes its restore window with
+    /// `restore_arrays_delta`, a conventional SPMD restart with
+    /// `spmd_read_segment`: either close ends the restore bucket, so only
+    /// the run-up to the first commit is billed as re-computation.
+    #[test]
+    fn every_restore_path_closes_the_restore_window() {
+        for span in [RESTORE_ARRAYS_DELTA, SPMD_READ_SEGMENT] {
+            let rep = RecoveryReport::from_timeline(&timeline_restored_by(span));
+            assert_eq!((rep.rows[1].restore, rep.rows[1].recompute), (3.0, 2.0), "{span}");
+        }
     }
 
     #[test]
