@@ -12,7 +12,7 @@ use crate::gate::usage;
 pub struct Options {
     /// Problem class (default A, the paper's setting).
     pub class: Class,
-    /// Seeded repetitions per configuration (the paper uses 10).
+    /// Seeded repetitions per configuration (default 5, Table 5's runs).
     pub runs: usize,
     /// Processor counts to measure.
     pub pes: Vec<usize>,
@@ -26,7 +26,7 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
-        Options { class: Class::A, runs: 10, pes: vec![8, 16], chunk_bytes: 0, full_every: 8 }
+        Options { class: Class::A, runs: 5, pes: vec![8, 16], chunk_bytes: 0, full_every: 8 }
     }
 }
 
@@ -106,7 +106,7 @@ mod tests {
     fn defaults() {
         let o = parse(&[]);
         assert_eq!(o.class, Class::A);
-        assert_eq!(o.runs, 10);
+        assert_eq!(o.runs, 5);
         assert_eq!(o.pes, vec![8, 16]);
     }
 

@@ -384,7 +384,7 @@ const OPS: [(&str, bool); 2] = [("checkpoint", false), ("restart", true)];
 /// stacked bars), the three [`TIMED_TABLES`].
 pub fn table5(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     let takes = ["--class", "--runs", "--pes"];
-    let opts = Options { runs: 5, ..Options::default() }.parse("table5", &takes, &args.rest);
+    let opts = Options::default().parse("table5", &takes, &args.rest);
     let mut result = BenchResult::new("table5");
     result.param("class", opts.class);
     result.param("runs", opts.runs);

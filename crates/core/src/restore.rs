@@ -154,20 +154,13 @@ pub fn open<S: RestartSource>(
 
     let mut decoded = None;
     let mut verify_and_decode = |bytes: &[u8]| {
-        // End-to-end verification: bytes that survived the storage may
-        // still be bytes that rotted on it. A source on PIOFS must carry the
-        // segment's record, as `verify` demands, and a segment without one
-        // is refused; only the memory tier (`S::SEGMENT_RECORD` false),
-        // whose pieces are CRC-checked as they are fetched, has none.
-        let refusal = match manifest.file_integrity("segment") {
-            Some(fi) if !fi.matches(bytes) => Some("fails checksum verification"),
-            None if S::SEGMENT_RECORD => Some("has no integrity record"),
-            _ => None,
-        };
-        decoded = Some(match refusal {
-            Some(why) => Err(CoreError::Integrity(format!("segment of {:?} {why}", src.prefix()))),
-            None => DataSegment::decode(bytes).map_err(CoreError::from),
-        });
+        // A source on PIOFS must carry the segment's record, as `verify`
+        // demands; only the memory tier (`S::SEGMENT_RECORD` false), whose
+        // pieces are CRC-checked as they are fetched, has none.
+        decoded = Some(
+            check_record(&manifest, "segment", src.prefix(), bytes, S::SEGMENT_RECORD)
+                .and_then(|()| Ok(DataSegment::decode(bytes)?)),
+        );
     };
     let charged = match ctx.rank() {
         0 => src.segment(ctx, &mut verify_and_decode),
@@ -247,6 +240,25 @@ pub(crate) fn closing_vote(ctx: &mut Ctx, failed: Option<CoreError>) -> Result<(
     ctx.advance_to(t);
     ctx.charge(ctx.cost().barrier_cost);
     votes.iter().find_map(Clone::clone).map_or(Ok(()), Err)
+}
+
+/// End-to-end verification of the stored file `name` of the checkpoint at
+/// `prefix`: bytes that survived the storage may still be bytes that rotted
+/// on it, so they must match the manifest's record of the file. A file
+/// with no record is refused when `required`.
+pub(crate) fn check_record(
+    manifest: &Manifest,
+    name: &str,
+    prefix: &str,
+    bytes: &[u8],
+    required: bool,
+) -> Result<()> {
+    let why = match manifest.file_integrity(name) {
+        Some(fi) if !fi.matches(bytes) => "fails checksum verification",
+        None if required => "has no integrity record",
+        _ => return Ok(()),
+    };
+    Err(CoreError::Integrity(format!("{name} of {prefix:?} {why}")))
 }
 
 /// The manifest-vs-source-and-application check every restart makes.

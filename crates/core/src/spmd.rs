@@ -19,7 +19,7 @@ use crate::drms::{load_text, phase_span, record_bytes};
 use crate::handle::{encode_segment_with_locals, CheckpointArray};
 use crate::manifest::{manifest_path, task_segment_path, CkptKind, Manifest};
 use crate::report::OpBreakdown;
-use crate::restore::{check_manifest, closing_vote};
+use crate::restore::{check_manifest, check_record, closing_vote};
 use crate::segment::DataSegment;
 use crate::{CoreError, DrmsConfig, Result};
 
@@ -82,8 +82,9 @@ pub fn checkpoint(
 
 /// Conventional SPMD restart: each task reads back its own segment file.
 /// Fails unless the checkpoint is an SPMD one of this application taken on
-/// exactly this task count; a task that cannot load its segment fails the
-/// restart on every task.
+/// exactly this task count; a task that cannot load its segment, or whose
+/// segment does not match its manifest record, fails the restart on every
+/// task.
 pub fn restart(
     ctx: &mut Ctx,
     fs: &Piofs,
@@ -103,10 +104,13 @@ pub fn restart(
     let t0 = load_text(ctx, fs, &cfg.app)?;
     let t1 = ctx.now();
 
-    // Each task reads its own (large, sequential) segment file. A task whose
-    // file cannot be sized still joins the read phase, with no request, and
-    // every failure waits for the closing vote so the tasks fail together.
+    // Each task reads its own (large, sequential) segment file, lent in
+    // place: it is checked against its manifest record and decoded from the
+    // stored bytes, one copy per byte. A task whose file cannot be sized
+    // still joins the read phase, with no request, and every failure waits
+    // for the closing vote so the tasks fail together.
     let path = task_segment_path(prefix, ctx.rank());
+    let record = &path[prefix.len() + 1..]; // `task-{rank}`, its record's name
     let len = fs.size(&path);
     let reqs = len.iter().map(|&len| ReadReq {
         path: path.clone(),
@@ -114,11 +118,15 @@ pub fn restart(
         len,
         access: ReadAccess::Sequential,
     });
-    let read = fs.collective_read(ctx, reqs.collect());
-    let segment = len
-        .and(read)
-        .map_err(CoreError::from)
-        .and_then(|mut got| Ok(DataSegment::decode_serial(&got.pop().expect("one request"))?));
+    let mut loaded = None;
+    let read = fs.collective_read_with(ctx, reqs.collect(), |_, bytes| {
+        loaded = Some(
+            check_record(&manifest, record, prefix, bytes, true)
+                .and_then(|()| Ok(DataSegment::decode_serial(bytes)?)),
+        );
+    });
+    let segment =
+        len.and(read).map_err(CoreError::from).and_then(|()| loaded.expect("lent the one request"));
     closing_vote(ctx, segment.as_ref().err().cloned())?;
     let segment = segment?;
     let t2 = ctx.now();
@@ -268,7 +276,94 @@ mod tests {
         })
         .unwrap();
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
-        assert!(matches!(errs[1], CoreError::Wire(_)), "{}", errs[1]);
+        assert!(matches!(errs[1], CoreError::Integrity(_)), "{}", errs[1]);
+        assert_eq!(errs[0], errs[1]);
+    }
+
+    /// Checkpoints `p` tasks, each with its array and `iter` in the segment.
+    fn checkpoint_toy(fs: &Piofs, cfg: &DrmsConfig, prefix: &str, p: usize, iter: i64) {
+        run_spmd(p, CostModel::default(), |ctx| {
+            let mut a = make_array(ctx.rank(), p);
+            a.fill_mapped(|pt| (pt[0] * iter) as f64);
+            let mut seg = DataSegment::new();
+            seg.set_control("iter", iter);
+            checkpoint(ctx, fs, cfg, prefix, &seg, &[&a], 1).unwrap();
+        })
+        .unwrap();
+    }
+
+    /// Each rank's restart outcome: its restored `iter`, or its error.
+    fn restart_all(
+        fs: &Piofs,
+        cfg: &DrmsConfig,
+        prefix: &str,
+        p: usize,
+    ) -> Vec<Result<Option<i64>>> {
+        run_spmd(p, CostModel::default(), |ctx| {
+            restart(ctx, fs, cfg, prefix).map(|(seg, _)| seg.control("iter"))
+        })
+        .unwrap()
+    }
+
+    /// Flips every byte of every task's segment in turn: each flip must
+    /// fail the restart on every rank, none may restore rotted bytes.
+    fn every_flip_fails_every_rank(p: usize) {
+        let (fs, cfg) = setup();
+        let prefix = format!("ck/sweep{p}");
+        checkpoint_toy(&fs, &cfg, &prefix, p, 3);
+        for rank in 0..p {
+            let path = task_segment_path(&prefix, rank);
+            for offset in 0..fs.size(&path).unwrap() {
+                assert_eq!(fs.corrupt_range(&path, offset, 1, offset), 1);
+                let out = restart_all(&fs, &cfg, &prefix, p);
+                assert!(
+                    out.iter().all(Result::is_err),
+                    "task {rank}, byte {offset} flipped: {out:?}"
+                );
+                // The same flip again restores the byte.
+                fs.corrupt_range(&path, offset, 1, offset);
+            }
+        }
+        assert!(restart_all(&fs, &cfg, &prefix, p).into_iter().all(|r| r == Ok(Some(3))));
+    }
+
+    #[test]
+    fn restart_refuses_every_single_byte_flip_on_one_task() {
+        every_flip_fails_every_rank(1);
+    }
+
+    #[test]
+    fn restart_refuses_every_single_byte_flip_on_two_tasks() {
+        every_flip_fails_every_rank(2);
+    }
+
+    /// An overwrite in place that crashed before its manifest was
+    /// published leaves the old manifest over the new bytes: refused, not
+    /// restored as the old checkpoint.
+    #[test]
+    fn restart_refuses_an_old_manifest_over_new_bytes() {
+        let (fs, cfg) = setup();
+        checkpoint_toy(&fs, &cfg, "ck/over", 2, 3);
+        let old = fs.peek(&manifest_path("ck/over")).unwrap();
+        checkpoint_toy(&fs, &cfg, "ck/over", 2, 4);
+        assert!(restart_all(&fs, &cfg, "ck/over", 2).into_iter().all(|r| r == Ok(Some(4))));
+        fs.preload(&manifest_path("ck/over"), old);
+        for err in restart_all(&fs, &cfg, "ck/over", 2) {
+            let Err(CoreError::Integrity(text)) = err else { panic!("{err:?}") };
+            assert!(text.contains("fails checksum verification"), "{text}");
+        }
+    }
+
+    #[test]
+    fn restart_refuses_a_segment_without_a_record() {
+        let (fs, cfg) = setup();
+        checkpoint_toy(&fs, &cfg, "ck/bare", 2, 3);
+        let mut manifest = Manifest::decode(&fs.peek(&manifest_path("ck/bare")).unwrap()).unwrap();
+        manifest.integrity.retain(|fi| fi.name != "task-1");
+        fs.preload(&manifest_path("ck/bare"), manifest.encode());
+        let errs = restart_all(&fs, &cfg, "ck/bare", 2);
+        let Err(CoreError::Integrity(text)) = &errs[0] else { panic!("{errs:?}") };
+        assert_eq!(text, "task-1 of \"ck/bare\" has no integrity record");
         assert_eq!(errs[0], errs[1]);
     }
 

@@ -90,13 +90,27 @@ fn update(mut c: u32, bytes: &[u8]) -> u32 {
 
 /// CRC-32 (IEEE) of `bytes`.
 ///
+/// On an x86-64 host with the carry-less multiply (`PCLMULQDQ`), inputs of
+/// at least 128 bytes run on a folding kernel; everything else runs on the
+/// portable table kernel. Both give the same value for every input.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc32(bytes) {
+        return crc;
+    }
+    crc32_portable(bytes)
+}
+
+/// The portable CRC-32 kernel: what [`crc32`] runs on inputs under 128
+/// bytes, and on every input on a host without the carry-less multiply.
+///
 /// From `LANES_MIN` (1 KiB) on, the input is cut into four lanes of equal
 /// length (a multiple of eight bytes; the last lane also takes the few bytes
 /// left over), and one loop runs slicing-by-8 on all four at once: the four
 /// registers are independent, so their table lookups overlap instead of
 /// each waiting on the previous step. The lane CRCs are joined with
 /// [`Crc32Shift`].
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32_portable(bytes: &[u8]) -> u32 {
     if bytes.len() < LANES_MIN {
         return !update(!0, bytes);
     }
@@ -117,6 +131,121 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let join = Crc32Shift::new(lane as u64);
     let c = join.combine(join.combine(!c0, !c1), !c2);
     Crc32Shift::new(l3.len() as u64).combine(c, !c3)
+}
+
+/// The folding CRC-32 kernel on x86-64's carry-less multiply (`PCLMULQDQ`),
+/// after Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction" (Intel, 2009), in its bit-reflected form.
+///
+/// The register is a 128-bit polynomial. Multiplying one 64-bit half by
+/// `x^k mod P` moves it `k` bits further down the message without reading
+/// the bytes in between, so four registers fold 64 input bytes per step,
+/// each by 512 bits, with two carry-less multiplies and no table. The four
+/// then fold into one, which takes the remaining 16-byte words by 128 bits
+/// each; the 128-bit remainder is cut to 64 bits and a Barrett reduction
+/// leaves the 32-bit register. The last bytes (fewer than 16) go through
+/// the portable `update`.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input the kernel takes: below it the setup and the final
+    /// reduction cost more than the table kernel does.
+    const MIN: usize = 128;
+
+    // The fold constants: `x^n mod P` in the reflected representation,
+    // one bit left of a 32-bit register's place, which absorbs the extra
+    // factor of `x` a reflected carry-less product carries.
+    /// `x^(4·128+32) mod P`: folds a register's low half 512 bits on.
+    pub(super) const K1: u64 = 0x1_5444_2BD4;
+    /// `x^(4·128-32) mod P`: folds its high half 512 bits on.
+    pub(super) const K2: u64 = 0x1_C6E4_1596;
+    /// `x^(128+32) mod P`: the low half, 128 bits on.
+    pub(super) const K3: u64 = 0x1_7519_97D0;
+    /// `x^(128-32) mod P`: the high half, 128 bits on.
+    pub(super) const K4: u64 = 0x0_CCAA_009E;
+    /// `x^64 mod P`: the 96-bit remainder down to 64 bits.
+    pub(super) const K5: u64 = 0x1_63CD_6124;
+    /// The generator `P`, all 33 coefficients, reflected.
+    pub(super) const P: u64 = 0x1_DB71_0641;
+    /// Barrett's `μ = ⌊x^64 / P⌋`, reflected.
+    pub(super) const MU: u64 = 0x1_F701_1641;
+
+    /// CRC-32 of `bytes` on this kernel, or `None` when the input is short
+    /// or the host lacks the instructions.
+    pub(super) fn crc32(bytes: &[u8]) -> Option<u32> {
+        if bytes.len() < MIN
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return None;
+        }
+        // SAFETY: the only requirement of calling a `#[target_feature]`
+        // function is that the host has those features: `fold` enables
+        // PCLMULQDQ and SSE4.1 (over the SSE2 every x86-64 has), and the
+        // host was just found to have both.
+        Some(!unsafe { fold(!0, bytes) })
+    }
+
+    /// 16 bytes as a 128-bit little-endian lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(w: &[u8]) -> __m128i {
+        let half = |i: usize| i64::from_le_bytes(w[i..i + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// `a` folded on by the distance the constant pair `k` encodes, added to
+    /// `b`: the low half of `a` times `k`'s low constant, its high half
+    /// times the high one.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold16(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), b)
+    }
+
+    /// The register `c` after `bytes` (at least 64 of them).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(c: u32, bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(64);
+        let first = blocks.next().expect("at least MIN bytes");
+        let mut x = [0, 16, 32, 48].map(|at| load(&first[at..at + 16]));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(c as i32));
+        let k1k2 = _mm_set_epi64x(K2 as i64, K1 as i64);
+        for block in &mut blocks {
+            for (lane, at) in x.iter_mut().zip([0, 16, 32, 48]) {
+                *lane = fold16(*lane, load(&block[at..at + 16]), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4 as i64, K3 as i64);
+        let mut r = fold16(fold16(fold16(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        let mut words = blocks.remainder().chunks_exact(16);
+        for w in &mut words {
+            r = fold16(r, load(w), k3k4);
+        }
+
+        // 128 bits to 96: the low half times `x^(128-32)`, plus the high half.
+        let r = _mm_xor_si128(_mm_clmulepi64_si128(r, k3k4, 0x10), _mm_srli_si128(r, 8));
+        // 96 bits to 64: the low word times `x^64`, plus the upper three.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let k5 = _mm_set_epi64x(0, K5 as i64);
+        let r = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(r, low32), k5, 0x00),
+            _mm_srli_si128(r, 4),
+        );
+        // Barrett: `t1 = (r mod x^32)·μ`, `t2 = (t1 mod x^32)·P`, and the
+        // register is the upper word of `r + t2`.
+        let pmu = _mm_set_epi64x(MU as i64, P as i64);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(r, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let c = _mm_extract_epi32(_mm_xor_si128(r, t2), 1) as u32;
+        super::update(c, words.remainder())
+    }
 }
 
 /// The byte-at-a-time table CRC-32: the definition [`crc32`], the shift
@@ -409,12 +538,73 @@ mod tests {
         for len in
             [0, 1, 1023, 1024, 1025, 1031, 4095, 4096, 4097, 4103, 32771, 65536, (1 << 20) + 3]
         {
-            assert_eq!(crc32(&buf[..len]), crc32_reference(&buf[..len]), "len {len}");
+            assert_eq!(crc32_portable(&buf[..len]), crc32_reference(&buf[..len]), "len {len}");
             // Unaligned starts too: the lanes cut wherever the slice begins.
             if len > 3 {
                 let s = &buf[3..len];
-                assert_eq!(crc32(s), crc32_reference(s), "start 3, len {}", len - 3);
+                assert_eq!(crc32_portable(s), crc32_reference(s), "start 3, len {}", len - 3);
             }
+        }
+    }
+
+    /// Both kernels, and the dispatch between them, at every length up to
+    /// 1 KiB from every start in a 16-byte lane: every count of whole
+    /// 64-byte blocks, 16-byte words and tail bytes the folding kernel
+    /// splits an input into, on both sides of its 128-byte threshold.
+    #[test]
+    fn both_kernels_equal_the_reference_at_every_length_and_start() {
+        let buf = pattern(1024 + 16, 3);
+        for start in 0..=15 {
+            for len in 0..=1024 {
+                let s = &buf[start..start + len];
+                let want = crc32_reference(s);
+                assert_eq!(crc32_portable(s), want, "portable, start {start}, len {len}");
+                assert_eq!(crc32(s), want, "dispatch, start {start}, len {len}");
+            }
+        }
+    }
+
+    /// The folding kernel's constants are the powers of `x` they are named
+    /// for, recomputed from the generator: `x^n mod P` one multiply by `x`
+    /// at a time, and `μ` by long division of `x^64` by `P`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_the_powers_of_x_they_name() {
+        let x_pow = |n: u32| (0..n).fold(1u32 << 31, |p, _| mul_mod_poly(p, 1 << 30));
+        let k = |n: u32| (x_pow(n) as u64) << 1;
+        assert_eq!(clmul::K1, k(4 * 128 + 32));
+        assert_eq!(clmul::K2, k(4 * 128 - 32));
+        assert_eq!(clmul::K3, k(128 + 32));
+        assert_eq!(clmul::K4, k(128 - 32));
+        assert_eq!(clmul::K5, k(64));
+        assert_eq!(clmul::P, (CRC32_POLY as u64) << 1 | 1);
+        // μ = ⌊x^64 / P⌋ with bit i the coefficient of x^i, then reflected
+        // over its 33 coefficients.
+        let p = (CRC32_POLY.reverse_bits() as u128) | 1 << 32;
+        let (mut rem, mut mu) = (1u128 << 64, 0u64);
+        for bit in (0..=32).rev() {
+            if (rem >> (bit + 32)) & 1 != 0 {
+                rem ^= p << bit;
+                mu |= 1 << bit;
+            }
+        }
+        assert_eq!(clmul::MU, mu.reverse_bits() >> 31);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Both kernels on inputs up to a mebibyte, from any start.
+        #[test]
+        fn both_kernels_equal_the_reference(
+            len in 0usize..(1 << 20) + 1,
+            start in 0usize..16,
+            salt in 0u32..1000,
+        ) {
+            let buf = pattern(start + len, salt);
+            let want = crc32_reference(&buf[start..]);
+            proptest::prop_assert_eq!(crc32_portable(&buf[start..]), want);
+            proptest::prop_assert_eq!(crc32(&buf[start..]), want);
         }
     }
 

@@ -20,13 +20,22 @@
 # non-zero if either step objects. Last, one line per (workload, end-to-end
 # metric) counts the untraced pairs the change won in the metric's `better`
 # direction from BENCHMARK.json (ties count for neither side), the tally the
-# 9-in-10 rule of "Claiming a gain" reads.
+# 9-in-10 rule of "Claiming a gain" reads. The same (workload, metric) pairs
+# are summarized as one JSON record each in .bench_build/pairs/summary.jsonl
+# (rewritten every invocation, over every record the two files hold): the
+# label $HOST_PAIRS_LABEL (default "unlabelled"), the parent revision and
+# this invocation's seed base, the pairs counted, won and lost, each side's
+# median and quartiles (the methods of benchmark/src/stats.rs; null quartiles
+# with fewer than two runs), each side's host.memcpy_mbps (median of its
+# traced runs of the workload) and `nproc`. A change that claims a host-speed
+# gain appends them to the committed trajectory, results/host/BENCH_host.jsonl.
 #
 # Everything lives under .bench_build/pairs/, which is git-ignored and clear
 # of the benchmark driver's own CARGO_TARGET_DIR=.bench_build. The parent's
 # committed files are unpacked there with `git archive` (what the driver
 # itself measures: committed files in a new directory; nothing is registered
-# in .git, nothing to prune). Offline, no dependency beyond git, tar, cargo.
+# in .git, nothing to prune). Offline, no dependency beyond git, tar, cargo,
+# sed and awk.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
@@ -185,4 +194,56 @@ for w in "${workloads_seen[@]}"; do
         echo "pairs won: $w ${e2e[j]% *} (${e2e[j]#* } is better): change ${won[$key]} of $n, parent ${lost[$key]}, tied ${tied[$key]}" >&2
     done
 done
+
+summarize() { # "key1 key2 value" lines -> "key1 key2 median q1 q3" per key pair
+    sort -k1,1 -k2,2n -k3,3g |
+        awk 'function at(q,   pos, j) { # benchmark/src/stats.rs: quartiles
+                 pos = q * (n + 1); j = int(pos)
+                 if (j < 1) j = 1
+                 if (j > n - 1) j = n - 1
+                 return v[j] + (pos - j) * (v[j + 1] - v[j])
+             }
+             function flush(   m) {
+                 if (n == 0) return
+                 m = n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+                 if (n < 2) printf "%s %.6g null null\n", last, m
+                 else printf "%s %.6g %.6g %.6g\n", last, m, at(0.25), at(0.75)
+             }
+             ($1 " " $2) != last { flush(); n = 0; last = $1 " " $2 }
+             { v[++n] = $3 }
+             END { flush() }'
+}
+stats() { # <side>: "workload metric-index median q1 q3" per (workload, end-to-end metric)
+    e2e_values "$1" |
+        awk '{ for (j = 3; j <= NF; j++) if ($j != "null") print $1, j - 3, $j }' | summarize
+}
+memcpy() { # <side> <workload>: median host.memcpy_mbps over the side's traced runs, or null
+    local med
+    read -r _ _ med _ < <(grep -F "{\"workload\": \"$2\"," "$work/$1.jsonl" | grep -F '"trace": 1,' |
+        sed -n 's/.*"host\.memcpy_mbps": {"value": \([^,}]*\).*/memcpy 0 \1/p' | summarize) || true
+    echo "${med:-null}"
+}
+declare -A stat=()
+for side in parent change; do
+    while read -r w j rest; do stat["$side $w $j"]=$rest; done < <(stats "$side")
+done
+label=${HOST_PAIRS_LABEL:-unlabelled}
+summary=$work/summary.jsonl
+for w in "${workloads_seen[@]}"; do
+    pm=$(memcpy parent "$w") cm=$(memcpy change "$w")
+    for j in "${!e2e[@]}"; do
+        key="$w $j"
+        read -r p_med p_q1 p_q3 <<<"${stat["parent $key"]:-null null null}"
+        read -r c_med c_q1 c_q3 <<<"${stat["change $key"]:-null null null}"
+        printf '{"pr": "%s", "parent": "%s", "seed_base": %s, "workload": "%s", "metric": "%s", ' \
+            "$label" "${commit:0:7}" "$seed_base" "$w" "${e2e[j]% *}"
+        printf '"pairs": %s, "won": %s, "lost": %s, ' \
+            "$((won[$key] + lost[$key] + tied[$key]))" "${won[$key]}" "${lost[$key]}"
+        printf '"parent_median": %s, "parent_q1": %s, "parent_q3": %s, ' "$p_med" "$p_q1" "$p_q3"
+        printf '"change_median": %s, "change_q1": %s, "change_q3": %s, ' "$c_med" "$c_q1" "$c_q3"
+        printf '"parent_memcpy_mbps": %s, "change_memcpy_mbps": %s, "nproc": %s, "source": "host_pairs"}\n' \
+            "$pm" "$cm" "$(nproc)"
+    done
+done >"$summary"
+echo "summary: $(wc -l <"$summary") record(s) in $summary" >&2
 exit "$status"
