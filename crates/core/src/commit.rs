@@ -83,7 +83,7 @@ pub(crate) fn integrity_of(fs: &Piofs, dirs: &[String]) -> Vec<FileIntegrity> {
             let rec = fs.take_integrity(&path)?;
             let fi = FileIntegrity { name, len: rec.len, chunk, crcs: rec.crcs, whole: rec.whole };
             if cfg!(debug_assertions) && rec.folded {
-                let read = fs.with_bytes(&path, |b| FileIntegrity::compute(&fi.name, b, chunk));
+                let read = fs.bytes(&path).map(|b| FileIntegrity::compute(&fi.name, &b, chunk));
                 debug_assert_eq!(Some(&fi), read.as_ref(), "the slot fold of {path}");
             }
             Some(fi)
@@ -380,8 +380,8 @@ mod tests {
         assert!(seg.matches(&[3; 8]), "staged copy must win the collision");
     }
 
-    /// The pass as it was before `with_bytes`: every listed file copied out
-    /// whole by `peek`, a file `peek` cannot serve left out of the records.
+    /// A pass that copies every listed file out whole with `peek` and leaves
+    /// a file `peek` cannot serve out of the records.
     /// The fault campaigns pin that omission (a manifest over a degraded
     /// prefix lists what was readable, and verification reports the rest).
     #[test]

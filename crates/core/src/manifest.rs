@@ -19,8 +19,7 @@ use drms_darray::chunks::{self, ChunkParams, Codec, StoredChunk};
 use drms_slices::{Order, Range, Slice};
 
 use crate::handle::CheckpointArray;
-use drms_msg::SPREAD_PIECE;
-use drms_piofs::integrity::{chunk_crcs, fold_whole, piece_crcs};
+use drms_piofs::integrity::{chunk_crcs, fold_whole};
 
 use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
 
@@ -127,17 +126,11 @@ impl FileIntegrity {
             .collect()
     }
 
-    /// Whether `bytes` matches this record exactly. The whole-file CRC is
-    /// folded ([`fold_whole`]) from the CRCs of [`SPREAD_PIECE`]s, which a
-    /// file of at least [`drms_msg::SPREAD_MIN`] bytes computes over the
-    /// host's idle cores ([`piece_crcs`]): the restart verifies the segment
-    /// on rank 0 while its siblings wait.
+    /// Whether `bytes` matches this record exactly: its length and its
+    /// whole-file CRC, computed on the calling thread (every task of an SPMD
+    /// restart checks its own file at once).
     pub fn matches(&self, bytes: &[u8]) -> bool {
-        if bytes.len() as u64 != self.len {
-            return false;
-        }
-        let crcs = piece_crcs(&mut bytes.chunks(SPREAD_PIECE).collect::<Vec<_>>());
-        fold_whole(&crcs, self.len, SPREAD_PIECE as u64) == self.whole
+        bytes.len() as u64 == self.len && crc32(bytes) == self.whole
     }
 }
 

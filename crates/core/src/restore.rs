@@ -4,7 +4,7 @@
 //! where the saved state lives: every new task loads the single saved data
 //! segment ([`open`], `drms_initialize` against an archived state — each task
 //! is charged for the load; the tasks are threads of one address space, so
-//! the host verifies and decodes the bytes once and lends the result), the
+//! the host verifies and decodes the bytes once and shares the result), the
 //! application re-creates its arrays under freshly adjusted distributions,
 //! and each task loads *its* sections of every array's
 //! distribution-independent stream ([`restore_arrays`]). What differs is the
@@ -16,7 +16,7 @@ use drms_chaos::{RestartPoints, RESTART_FULL};
 use drms_darray::stream::{self, StreamRange};
 use drms_msg::Ctx;
 use drms_obs::{markers, names, Phase};
-use drms_piofs::{Piofs, ReadAccess, ReadReq};
+use drms_piofs::{Piofs, ReadAccess, ReadReq, Stored};
 
 use crate::drms::{
     load_text, phase_span, read_manifest_collective, record_bytes, Drms, DrmsConfig, EnableFlag,
@@ -45,10 +45,6 @@ pub struct RestartInfo {
     pub segment_time: f64,
 }
 
-/// The closure [`RestartSource::segment`] shows the segment bytes to; a task
-/// that is only there to be charged passes one that does not look.
-pub type Lend<'a> = &'a mut dyn FnMut(&[u8]);
-
 /// Where the bytes of one archived state live. Every method is collective
 /// and prices its own data movement against the calling task's clock.
 pub trait RestartSource {
@@ -74,12 +70,10 @@ pub trait RestartSource {
     fn manifest(&self, ctx: &mut Ctx) -> Result<Manifest>;
 
     /// Charges the calling task for loading the whole encoded data segment
-    /// and returns its length. The bytes are priced on every rank and lent,
-    /// not handed over: `lend` is called exactly once with the segment
-    /// before an `Ok` return, and only the rank whose closure looks costs
-    /// the host anything. `lend` may run under the source's lock, so it
-    /// must not call back into the source.
-    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64>;
+    /// and hands it the bytes. Every rank is priced for them; a rank that is
+    /// only there to be charged drops the handle, which costs the host
+    /// nothing where the handle shares stored bytes.
+    fn segment(&self, ctx: &mut Ctx) -> Result<Stored>;
 
     /// Leaves `range` of `array`'s canonical stream, verified, in `out`
     /// (handed over empty), under the [`stream::PieceFetch`] convention:
@@ -152,37 +146,29 @@ pub fn open<S: RestartSource>(
     consult(ctx, src, 0)?;
     let t1 = ctx.now();
 
-    let mut decoded = None;
-    let mut verify_and_decode = |bytes: &[u8]| {
-        // A source on PIOFS must carry the segment's record, as `verify`
-        // demands; only the memory tier (`S::SEGMENT_RECORD` false), whose
-        // pieces are CRC-checked as they are fetched, has none.
-        decoded = Some(
+    // A source on PIOFS must carry the segment's record, as `verify`
+    // demands; only the memory tier (`S::SEGMENT_RECORD` false), whose
+    // pieces are CRC-checked as they are fetched, has none.
+    let loaded = src.segment(ctx);
+    let mine = match &loaded {
+        Err(e) => Err(e.clone()),
+        Ok(bytes) if ctx.rank() == 0 => {
             check_record(&manifest, "segment", src.prefix(), bytes, S::SEGMENT_RECORD)
-                .and_then(|()| Ok(DataSegment::decode(bytes)?)),
-        );
-    };
-    let charged = match ctx.rank() {
-        0 => src.segment(ctx, &mut verify_and_decode),
-        _ => src.segment(ctx, &mut |_| {}),
+                .and_then(|()| Ok(Some(DataSegment::decode(bytes)?)))
+        }
+        Ok(_) => Ok(None),
     };
     // Every task reaches this rendezvous, whatever its own load came to, and
     // all of them fail if any did: a task that left early, or alone, would
     // strand its siblings at the next collective. It carries no clock; the
     // barrier below is the phase's synchronization.
-    let mine = match &charged {
-        Err(e) => Err(e.clone()),
-        Ok(_) => decoded.transpose(),
-    };
     let (all, _) = ctx.exchange(mine);
-    let segment_bytes = charged?;
+    let segment_bytes = loaded?.len() as u64;
     let mut segment = None;
     for deposit in all.iter() {
-        if let Some(decoded) = deposit.clone()? {
-            segment = Some(decoded);
-        }
+        segment = segment.or(deposit.clone()?);
     }
-    let segment = segment.expect("rank 0 was lent the segment it was charged for");
+    let segment = segment.expect("rank 0 deposits the segment it decoded");
     ctx.barrier();
     consult(ctx, src, 1)?;
 
@@ -324,18 +310,17 @@ impl RestartSource for PiofsFull<'_> {
     }
 
     /// Each task reads the single saved segment file, whole (a delta
-    /// link's too), in one collective phase; the stored bytes are lent in
-    /// place.
-    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64> {
+    /// link's too), in one collective phase; the handle shares the stored
+    /// bytes.
+    fn segment(&self, ctx: &mut Ctx) -> Result<Stored> {
         let path = segment_path(self.prefix);
         let len = self.fs.size(&path)?;
         let req = ReadReq { path, offset: 0, len, access: ReadAccess::Sequential };
-        self.fs.collective_read_with(ctx, vec![req], |_, bytes| lend(bytes))?;
-        Ok(len)
+        Ok(self.fs.collective_read(ctx, vec![req])?.pop().expect("one request"))
     }
 
     /// One collective range read of the array's stream file, copied once
-    /// out of its loan ([`stream::read_range`]).
+    /// out of the read's handle ([`stream::read_range`]).
     fn fetch_range(
         &self,
         ctx: &mut Ctx,

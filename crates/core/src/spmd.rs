@@ -104,11 +104,12 @@ pub fn restart(
     let t0 = load_text(ctx, fs, &cfg.app)?;
     let t1 = ctx.now();
 
-    // Each task reads its own (large, sequential) segment file, lent in
-    // place: it is checked against its manifest record and decoded from the
-    // stored bytes, one copy per byte. A task whose file cannot be sized
-    // still joins the read phase, with no request, and every failure waits
-    // for the closing vote so the tasks fail together.
+    // Each task reads its own (large, sequential) segment file. The handle
+    // shares the stored bytes, so every task checks its file against its
+    // manifest record and decodes it at once, one copy per byte. A task
+    // whose file cannot be sized still joins the read phase, with no
+    // request, and every failure waits for the closing vote so the tasks
+    // fail together.
     let path = task_segment_path(prefix, ctx.rank());
     let record = &path[prefix.len() + 1..]; // `task-{rank}`, its record's name
     let len = fs.size(&path);
@@ -118,15 +119,13 @@ pub fn restart(
         len,
         access: ReadAccess::Sequential,
     });
-    let mut loaded = None;
-    let read = fs.collective_read_with(ctx, reqs.collect(), |_, bytes| {
-        loaded = Some(
-            check_record(&manifest, record, prefix, bytes, true)
-                .and_then(|()| Ok(DataSegment::decode_serial(bytes)?)),
-        );
+    let read = fs.collective_read(ctx, reqs.collect());
+    let segment = len.and(read).map_err(CoreError::from).and_then(|got| {
+        // The file was sized, so there was exactly one request.
+        let bytes = &got[0];
+        check_record(&manifest, record, prefix, bytes, true)?;
+        Ok(DataSegment::decode_serial(bytes)?)
     });
-    let segment =
-        len.and(read).map_err(CoreError::from).and_then(|()| loaded.expect("lent the one request"));
     closing_vote(ctx, segment.as_ref().err().cloned())?;
     let segment = segment?;
     let t2 = ctx.now();

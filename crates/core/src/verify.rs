@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use drms_darray::chunks;
-use drms_piofs::Piofs;
+use drms_piofs::{Piofs, Stored};
 
 use crate::manifest::{
     array_path, manifest_path, segment_path, task_segment_path, ChunkRecord, ChunkSource, CkptKind,
@@ -91,11 +91,11 @@ fn required_files(prefix: &str, m: &Manifest) -> Vec<String> {
 /// checkpoint — a chunk stored in a prior incarnation's pack no longer
 /// decodes to its recorded content hash. Such packs are checked by content
 /// hash alone, in one [`chunks::check_chunks`] batch per pack. Every file
-/// is borrowed through [`Piofs::with_bytes`], each referenced pack once.
+/// is read through [`Piofs::bytes`], each referenced pack once.
 /// Control-plane operation (no clock).
 pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
     let mut report = VerifyReport { prefix: prefix.to_string(), ..VerifyReport::default() };
-    let Some(Ok(m)) = fs.with_bytes(&manifest_path(prefix), Manifest::decode) else {
+    let Some(Ok(m)) = fs.bytes(&manifest_path(prefix)).map(|b| Manifest::decode(&b)) else {
         return report;
     };
     let own = format!("{prefix}/");
@@ -110,7 +110,7 @@ pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
     }
     for fi in &m.integrity {
         let path = format!("{prefix}/{}", fi.name);
-        let Some(corrupt) = fs.with_bytes(&path, |bytes| fi.corrupt_chunks(bytes)) else {
+        let Some(corrupt) = fs.bytes(&path).map(|bytes| fi.corrupt_chunks(&bytes)) else {
             if fs.exists(&path) {
                 report.unreadable.push(path);
             } else if !report.missing.contains(&path) {
@@ -138,12 +138,12 @@ pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
     }
     for (pack, records) in refs {
         // Every chunk in range, then all of them checked in one batch.
-        let intact = |bytes: &[u8]| {
+        let intact = |bytes: Stored| {
             let stored: Option<Vec<_>> =
-                records.iter().map(|c| c.stored(bytes).map(|s| c.with_stored(s))).collect();
+                records.iter().map(|c| c.stored(&bytes).map(|s| c.with_stored(s))).collect();
             stored.is_some_and(|stored| chunks::check_chunks(&stored).is_ok())
         };
-        match fs.with_bytes(&pack, intact) {
+        match fs.bytes(&pack).map(intact) {
             Some(true) => {}
             Some(false) => report.bad_refs.push(pack),
             // A missing pack is already a missing required file.

@@ -212,7 +212,7 @@ pub fn read_array<T: Element>(
 }
 
 /// The [`PieceFetch`] of a stream kept in the PIOFS file `path`: one
-/// collective read of `range`, copied once out of the read's loan into
+/// collective read of `range`, copied once out of the read's handle into
 /// `buf`. A task with nothing to read joins the phase with no request.
 pub fn read_range(
     ctx: &mut Ctx,
@@ -223,7 +223,10 @@ pub fn read_range(
 ) -> std::result::Result<(), PiofsError> {
     let StreamRange { offset, len, access } = range;
     let reqs = (len > 0).then(|| ReadReq { path: path.to_string(), offset, len, access });
-    fs.collective_read_with(ctx, reqs.into_iter().collect(), |_, lent| buf.extend_from_slice(lent))
+    for bytes in fs.collective_read(ctx, reqs.into_iter().collect())? {
+        buf.extend_from_slice(&bytes);
+    }
+    Ok(())
 }
 
 /// Collective: the one read-wave loop. Fills `array` from its canonical

@@ -41,6 +41,7 @@
 //! [`ChunkRecord`]: drms_core::manifest::ChunkRecord
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod chain;
 mod checkpoint;

@@ -5,7 +5,7 @@ use std::collections::hash_map::Entry;
 
 use drms_core::chaos::{RestartPoints, RESTART_DELTA};
 use drms_core::manifest::{ArrayDelta, CkptKind, Manifest};
-use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
+use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
@@ -13,7 +13,7 @@ use drms_darray::chunks::{self, Refusal};
 use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
 use drms_obs::{markers, names, Phase};
-use drms_piofs::{Piofs, ReadAccess, ReadReq};
+use drms_piofs::{Piofs, ReadAccess, ReadReq, Stored};
 
 /// A committed delta chain on PIOFS as a restart source: manifest and
 /// segment are read exactly like a full checkpoint's (the wrapped
@@ -45,8 +45,8 @@ impl RestartSource for DeltaSource<'_> {
         self.0.manifest(ctx)
     }
 
-    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64> {
-        self.0.segment(ctx, lend)
+    fn segment(&self, ctx: &mut Ctx) -> Result<Stored> {
+        self.0.segment(ctx)
     }
 
     /// The range-limited materialization localized recovery uses as its
@@ -181,7 +181,7 @@ fn fetch_stream_range(
     if let Some(e) = refused {
         return Err(e);
     }
-    let stored: Vec<&[u8]> = got.iter().map(Vec::as_slice).collect();
+    let stored: Vec<&[u8]> = got.iter().map(|bytes| &**bytes).collect();
     assemble(d, first, &stored, off, len, out)
 }
 

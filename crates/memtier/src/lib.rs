@@ -39,6 +39,7 @@
 //! tier fails exactly like one served out of PIOFS.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod placement;
 mod restart;

@@ -9,14 +9,14 @@
 //! bandwidth, which is the whole point of the tier.
 
 use drms_core::manifest::Manifest;
-use drms_core::restore::{self, Lend, RestartSource};
+use drms_core::restore::{self, RestartSource};
 use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo, Result,
 };
 use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
 use drms_obs::{markers, names, Phase};
-use drms_piofs::Piofs;
+use drms_piofs::{Piofs, Stored};
 
 use crate::store::{array_file, SEGMENT_FILE};
 use crate::tier::MemTier;
@@ -76,11 +76,10 @@ impl RestartSource for TierSource<'_> {
 
     /// Every task runs its own priced, per-piece-CRC-checked fetch (tier
     /// reads price locally from the holders of the pieces it touched) and
-    /// lends what it fetched.
-    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64> {
+    /// is handed what it fetched.
+    fn segment(&self, ctx: &mut Ctx) -> Result<Stored> {
         let len = self.tier.file_len(self.prefix, SEGMENT_FILE)?;
-        lend(&self.fetch(ctx, SEGMENT_FILE, 0, len)?);
-        Ok(len)
+        Ok(self.fetch(ctx, SEGMENT_FILE, 0, len)?.into())
     }
 
     /// The section-granular read localized recovery uses: only the byte

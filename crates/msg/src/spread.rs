@@ -3,7 +3,7 @@
 //! The tasks of a region are threads of one address space, and many
 //! checkpoint steps run on one of them while its siblings wait at a
 //! barrier: the representative task encoding and CRCing the data segment,
-//! or verifying and decoding it at restart. [`spread`] cuts such a batch
+//! or decoding it at restart. [`spread`] cuts such a batch
 //! into one part per host core and runs the parts on scoped threads that
 //! have all joined before it returns. It never touches a [`crate::Ctx`] or
 //! a clock, and every part's work is a pure function of its part, so where

@@ -29,6 +29,14 @@
 //! A seeded Gaussian jitter on phase times produces the run-to-run variance
 //! reported in Table 5 of the paper.
 //!
+//! Reads hand out shared bytes. A read takes a [`Stored`] handle under the
+//! file-system lock — the file's bytes plus a range, or the parity rebuild
+//! of a range with lost bytes — and its caller uses the handle after the
+//! lock is dropped. Writes are copy-on-write: a write copies a file's bytes
+//! only while some handle still holds them, so a handle keeps the bytes it
+//! was given. The lock guards the namespace, parity, the integrity slot
+//! tables and pricing, and never runs caller code.
+//!
 //! Every write also CRCs its own bytes at the integrity-chunk grid
 //! ([`integrity`]), so a checkpoint's integrity records are folded from what
 //! its writers computed rather than read back by one task.
@@ -49,3 +57,4 @@ pub use config::PiofsConfig;
 pub use fs::{FileInfo, Piofs, PiofsError};
 pub use parity::ParityGeom;
 pub use phase::{ReadAccess, ReadReq, WriteReq};
+pub use store::Stored;

@@ -8,8 +8,11 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use crate::integrity::{ChunkCrcs, Slots};
+use crate::integrity::Slots;
 use crate::parity::ParityGeom;
 use crate::stripe::IntervalSet;
 
@@ -23,8 +26,10 @@ pub(crate) struct FileData {
     pub id: u64,
     /// The file's bytes, contiguous. Striping is a property of the cost
     /// model, not of the storage representation. Ranges in `lost` hold
-    /// poison, not data.
-    pub bytes: Vec<u8>,
+    /// poison, not data. Shared with the [`Stored`] handles reads hand out,
+    /// and written copy-on-write: a write copies them only while a handle
+    /// still holds them.
+    pub bytes: Arc<Vec<u8>>,
     /// Parity blocks, group-major, one stripe unit per group (empty when
     /// parity is off). Invariant: an intact block is the byte-wise XOR of
     /// its group's *true* unit contents, zero-padded past end-of-file.
@@ -43,7 +48,7 @@ impl FileData {
     pub fn new(id: u64) -> FileData {
         FileData {
             id,
-            bytes: Vec::new(),
+            bytes: Arc::default(),
             parity: Vec::new(),
             lost: IntervalSet::new(),
             parity_lost: BTreeSet::new(),
@@ -56,24 +61,6 @@ impl FileData {
     pub fn stale(&mut self, offset: u64, end: u64) {
         if let Some(slots) = &mut self.slots {
             slots.stale(offset, end);
-        }
-    }
-
-    /// The integrity records of the logical file at `chunk`-byte chunks,
-    /// taking the slot table. Folded from the table when the file is intact
-    /// and of the length it was reserved for; otherwise read whole, lost
-    /// ranges reconstructed from parity. `None` when a lost byte is
-    /// unreconstructible.
-    pub fn take_integrity(&mut self, geom: Option<&ParityGeom>, chunk: u64) -> Option<ChunkCrcs> {
-        let slots = self.slots.take();
-        match self.intact(0, self.len()) {
-            Some(bytes) => {
-                slots.and_then(|s| s.fold(bytes)).or_else(|| Some(ChunkCrcs::read(bytes, chunk)))
-            }
-            None => {
-                let (bytes, _) = self.read_logical(0, self.len(), geom).ok()?;
-                Some(ChunkCrcs::read(&bytes, chunk))
-            }
         }
     }
 
@@ -90,22 +77,23 @@ impl FileData {
     /// file already holds and appending the rest.
     pub fn write_at(&mut self, offset: u64, data: Cow<'_, [u8]>) {
         let data = match data {
-            Cow::Owned(v)
+            Cow::Owned(mut v)
                 if offset == 0 && self.bytes.is_empty() && v.len() >= self.bytes.capacity() =>
             {
-                self.bytes = v;
-                self.bytes.shrink_to_fit();
+                v.shrink_to_fit();
+                self.bytes = Arc::new(v);
                 return;
             }
             data => data,
         };
+        let bytes = Arc::make_mut(&mut self.bytes);
         let offset = offset as usize;
-        if offset > self.bytes.len() {
-            self.bytes.resize(offset, 0);
+        if offset > bytes.len() {
+            bytes.resize(offset, 0);
         }
-        let in_place = (self.bytes.len() - offset).min(data.len());
-        self.bytes[offset..offset + in_place].copy_from_slice(&data[..in_place]);
-        self.bytes.extend_from_slice(&data[in_place..]);
+        let in_place = (bytes.len() - offset).min(data.len());
+        bytes[offset..offset + in_place].copy_from_slice(&data[..in_place]);
+        bytes.extend_from_slice(&data[in_place..]);
     }
 
     /// Reads `len` bytes at `offset`; `None` if out of bounds. Raw: lost
@@ -120,15 +108,23 @@ impl FileData {
         Some(self.bytes[offset..end].to_vec())
     }
 
-    /// The stored bytes of `[offset, offset + len)` where they are the
-    /// logical bytes — in bounds and nothing of the range lost; `None`
-    /// sends the caller to [`FileData::read_logical`].
-    pub fn intact(&self, offset: u64, len: u64) -> Option<&[u8]> {
-        let end = offset.checked_add(len)?;
-        if end > self.len() || self.lost.overlaps(offset, end) {
-            return None;
+    /// The logical bytes of `[offset, offset + len)` and the number of them
+    /// rebuilt from parity. Where nothing of the range is lost they are the
+    /// stored bytes, shared, not copied; otherwise
+    /// [`FileData::read_logical`]'s reconstruction.
+    pub fn read(
+        &self,
+        offset: u64,
+        len: u64,
+        geom: Option<&ParityGeom>,
+    ) -> Result<(Stored, u64), ReadFail> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len() && !self.lost.overlaps(offset, end) => {
+                let (start, end) = (offset as usize, end as usize);
+                Ok((Stored { bytes: Arc::clone(&self.bytes), start, end }, 0))
+            }
+            _ => self.read_logical(offset, len, geom).map(|(data, rebuilt)| (data.into(), rebuilt)),
         }
-        Some(&self.bytes[offset as usize..end as usize])
     }
 
     pub fn len(&self) -> u64 {
@@ -184,7 +180,7 @@ impl FileData {
                     v ^= self.byte_or_zero(u2 * g.stripe_unit + o);
                 }
             }
-            self.bytes[b as usize] = v;
+            Arc::make_mut(&mut self.bytes)[b as usize] = v;
         }
         true
     }
@@ -212,7 +208,7 @@ impl FileData {
         for (a, b) in ivs {
             let b = b.min(self.len());
             if a < b {
-                self.bytes[a as usize..b as usize].fill(POISON);
+                Arc::make_mut(&mut self.bytes)[a as usize..b as usize].fill(POISON);
             }
         }
     }
@@ -453,6 +449,41 @@ impl FileData {
     }
 }
 
+/// Bytes read from a file: a range of its stored bytes, shared with the
+/// file, or the parity rebuild of a range that had lost bytes. A read takes
+/// the handle under the file-system lock and its caller uses it after the
+/// lock is dropped. A later write to the file copies the stored bytes
+/// rather than change the ones a handle holds, so a handle keeps the bytes
+/// the file held when it was read.
+#[derive(Clone)]
+pub struct Stored {
+    bytes: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl From<Vec<u8>> for Stored {
+    /// A handle owning `bytes` (a read served from elsewhere than a file).
+    fn from(bytes: Vec<u8>) -> Stored {
+        let end = bytes.len();
+        Stored { bytes: Arc::new(bytes), start: 0, end }
+    }
+}
+
+impl Deref for Stored {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[self.start..self.end]
+    }
+}
+
+impl fmt::Debug for Stored {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Why a logical read failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadFail {
@@ -511,13 +542,13 @@ mod tests {
 
     #[test]
     fn any_single_server_loss_reconstructs_exactly() {
-        let want = filled(41).bytes.clone();
+        let want = filled(41).bytes.to_vec();
         for k in 0..3 {
             let mut f = filled(41);
             let lost = f.fail_server(k, &G, true);
             // Poison genuinely destroys the stored copy of lost units.
             if lost > 0 {
-                assert_ne!(f.bytes, want, "server {k}");
+                assert_ne!(*f.bytes, want, "server {k}");
             }
             let (got, rec) = f.read_logical(0, 41, Some(&G)).unwrap();
             assert_eq!(got, want, "server {k}");
@@ -549,11 +580,11 @@ mod tests {
 
     #[test]
     fn repair_restores_bitwise_and_clears_loss() {
-        let want = filled(53).bytes.clone();
+        let want = filled(53).bytes.to_vec();
         let mut f = filled(53);
         f.fail_server(2, &G, true);
         assert_eq!(f.repair_after_server(2, &G), 0);
-        assert_eq!(f.bytes, want);
+        assert_eq!(*f.bytes, want);
         assert!(f.parity_lost.is_empty());
         // Reads need no reconstruction afterwards.
         let (_, rec) = f.read_logical(0, 53, Some(&G)).unwrap();
@@ -563,12 +594,13 @@ mod tests {
     #[test]
     fn reconstruct_range_ignores_stored_corruption() {
         let mut f = filled(36);
-        let want = f.bytes.clone();
+        let want = f.bytes.to_vec();
         // Corrupt one stripe unit in place (parity untouched, like real bit
         // rot). Reconstruction of that unit comes from parity + siblings, so
         // the stored garbage never participates.
-        f.bytes[10] ^= 0xFF;
-        f.bytes[11] ^= 0x0F;
+        let bytes = Arc::make_mut(&mut f.bytes);
+        bytes[10] ^= 0xFF;
+        bytes[11] ^= 0x0F;
         let fixed = f.reconstruct_range(8, 4, &G).unwrap();
         assert_eq!(fixed, want[8..12].to_vec());
     }

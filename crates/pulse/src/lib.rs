@@ -48,6 +48,7 @@
 //! host wall time of an identical pulse-off run.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod collect;
 pub mod heartbeat;

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use drms_core::manifest::{CkptKind, Manifest};
-use drms_core::restore::{self, Lend, PiofsFull, RestartSource};
+use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::segment::DataSegment;
 use drms_core::wire::crc32;
 use drms_core::{spmd, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag};
@@ -18,7 +18,7 @@ use drms_memtier::{
     store_captured, store_checkpoint, CapturedPiece, MemTier, TierSource, SEGMENT_FILE,
 };
 use drms_msg::{run_spmd, CostModel, Ctx};
-use drms_piofs::{Piofs, PiofsConfig};
+use drms_piofs::{Piofs, PiofsConfig, Stored};
 use drms_slices::{Order, Slice};
 
 const APP: &str = "srcs";
@@ -344,12 +344,12 @@ impl RestartSource for OneRankFails<'_> {
         self.0.manifest(ctx)
     }
 
-    fn segment(&self, ctx: &mut Ctx, lend: Lend<'_>) -> Result<u64, CoreError> {
-        let len = self.0.segment(ctx, lend)?;
+    fn segment(&self, ctx: &mut Ctx) -> Result<Stored, CoreError> {
+        let bytes = self.0.segment(ctx)?;
         if ctx.rank() == self.1 {
             return Err(CoreError::NoCheckpoint(format!("rank {} lost it", self.1)));
         }
-        Ok(len)
+        Ok(bytes)
     }
 
     fn fetch_range(

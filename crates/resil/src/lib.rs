@@ -33,6 +33,7 @@
 //! `resil.corruptions_detected` / `resil.corruptions_repaired`).
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod faults;
 mod restart;

@@ -85,5 +85,5 @@ pub fn scrub_checkpoint(fs: &Piofs, prefix: &str, rec: &dyn Recorder, t: f64) ->
 fn chunk_now_clean(fs: &Piofs, prefix: &str, m: &Manifest, fault: &ChunkFault) -> bool {
     let name = &fault.path[prefix.len() + 1..];
     let Some(fi) = m.file_integrity(name) else { return false };
-    fs.with_bytes(&fault.path, |b| !fi.corrupt_chunks(b).contains(&fault.chunk)) == Some(true)
+    fs.bytes(&fault.path).is_some_and(|b| !fi.corrupt_chunks(&b).contains(&fault.chunk))
 }
