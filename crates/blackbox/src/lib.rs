@@ -28,6 +28,7 @@
 //! deduplicate exactly.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod archive;
 mod ring;

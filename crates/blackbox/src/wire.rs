@@ -4,9 +4,13 @@
 //! with the writer but this format, so everything is explicit: magic,
 //! version, full header, and per-event records with the capture sequence
 //! numbers that make overlapping snapshot seals deduplicate exactly.
-//! Little-endian throughout. Decoding is total: corrupt or torn bytes
-//! produce an `Err`, never a panic, so recovery can skip damaged seals.
+//! The bytes are written and read by [`drms_core::wire`], the codec of
+//! every stored file, so decoding is total: corrupt or torn bytes produce
+//! an `Err`, never a panic, so recovery can skip damaged seals.
 
+use std::error::Error;
+
+use drms_core::wire::{Reader, Writer};
 use drms_obs::{EventKind, Phase, TraceEvent};
 
 /// Wire magic, leading every encoded seal.
@@ -46,150 +50,87 @@ pub struct DecodedSeal {
 /// and the two string length prefixes (4 each) with empty strings.
 const MIN_EVENT_BYTES: usize = 8 + 8 + 8 + 1 + 1 + 8 + 4 + 4;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Encodes a seal from a header and the ring's buffered events.
 pub fn encode_seal<'a>(
     header: &SealHeader,
     events: impl Iterator<Item = &'a (u64, TraceEvent)>,
     count: usize,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + count * 48);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&header.incarnation.to_le_bytes());
-    out.extend_from_slice(&(header.rank as u64).to_le_bytes());
-    out.extend_from_slice(&header.seal_seq.to_le_bytes());
-    out.extend_from_slice(&header.t.to_bits().to_le_bytes());
-    out.extend_from_slice(&header.evicted_total.to_le_bytes());
-    put_str(&mut out, &header.reason);
-    out.extend_from_slice(&(count as u64).to_le_bytes());
+    let mut w = Writer::with_magic(MAGIC);
+    w.u16(VERSION);
+    w.u64(header.incarnation);
+    w.u64(header.rank as u64);
+    w.u64(header.seal_seq);
+    w.f64(header.t);
+    w.u64(header.evicted_total);
+    w.string(&header.reason);
+    w.u64(count as u64);
     for (seq, ev) in events {
-        out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&ev.t.to_bits().to_le_bytes());
-        out.extend_from_slice(&(ev.rank as u64).to_le_bytes());
-        out.push(match ev.kind {
+        w.u64(*seq);
+        w.f64(ev.t);
+        w.u64(ev.rank as u64);
+        w.u8(match ev.kind {
             EventKind::Begin => 0,
             EventKind::End => 1,
             EventKind::Instant => 2,
         });
-        match ev.corr {
-            Some(c) => {
-                out.push(1);
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
-        put_str(&mut out, ev.phase.as_str());
-        put_str(&mut out, &ev.name);
+        // An absent id is padded with zeros, so every event has one width.
+        w.u8(u8::from(ev.corr.is_some()));
+        w.u64(ev.corr.unwrap_or(0));
+        w.string(ev.phase.as_str());
+        w.string(&ev.name);
     }
-    out
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.bytes.len() {
-            return Err(format!("truncated seal: need {n} bytes at offset {}", self.pos));
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| "invalid utf-8 in seal".to_string())
-    }
-}
-
-fn phase_from_str(s: &str) -> Result<Phase, String> {
-    Phase::ALL
-        .iter()
-        .copied()
-        .find(|p| p.as_str() == s)
-        .ok_or_else(|| format!("unknown phase {s:?} in seal"))
+    w.finish()
 }
 
 /// Decodes a seal; damaged bytes yield an `Err` describing the first
 /// inconsistency, so recovery can skip the seal and keep going.
 pub fn decode_seal(bytes: &[u8]) -> Result<DecodedSeal, String> {
-    let mut c = Cursor { bytes, pos: 0 };
-    if c.take(4)? != MAGIC {
-        return Err("bad magic: not a flight-recorder seal".to_string());
-    }
-    let version = c.u16()?;
+    decode(bytes).map_err(|e| format!("damaged seal: {e}"))
+}
+
+fn decode(bytes: &[u8]) -> Result<DecodedSeal, Box<dyn Error>> {
+    let mut r = Reader::with_magic(bytes, MAGIC)?;
+    let version = r.u16()?;
     if version != VERSION {
-        return Err(format!("unsupported seal version {version}"));
+        return Err(format!("unsupported seal version {version}").into());
     }
-    let incarnation = c.u64()?;
-    let rank = c.u64()? as usize;
-    let seal_seq = c.u64()?;
-    let t = c.f64()?;
-    let evicted_total = c.u64()?;
-    let reason = c.str()?;
-    let count = c.u64()? as usize;
+    let incarnation = r.u64()?;
+    let rank = r.u64()? as usize;
+    let seal_seq = r.u64()?;
+    let t = r.f64()?;
+    let evicted_total = r.u64()?;
+    let reason = r.string()?;
+    let count = r.u64()?;
     // The count is untrusted: reserve no more events than the bytes left
-    // could hold. A larger count runs out of bytes and fails `take`.
-    let mut events = Vec::with_capacity(count.min((bytes.len() - c.pos) / MIN_EVENT_BYTES));
+    // could hold. A larger count runs out of bytes.
+    let mut events = Vec::with_capacity(r.fits(count as usize, MIN_EVENT_BYTES));
     for _ in 0..count {
-        let seq = c.u64()?;
-        let t = c.f64()?;
-        let rank = c.u64()? as usize;
-        let kind = match c.u8()? {
+        let seq = r.u64()?;
+        let t = r.f64()?;
+        let rank = r.u64()? as usize;
+        let kind = match r.u8()? {
             0 => EventKind::Begin,
             1 => EventKind::End,
             2 => EventKind::Instant,
-            k => return Err(format!("unknown event kind {k} in seal")),
+            k => return Err(format!("unknown event kind {k}").into()),
         };
-        let has_corr = c.u8()?;
-        let corr_raw = c.u64()?;
-        // The encoder pads an absent id with zeros; anything else there is
-        // damage, so every seal that decodes has exactly one encoding.
-        let corr = match has_corr {
-            0 if corr_raw == 0 => None,
-            1 => Some(corr_raw),
-            f => return Err(format!("bad corr flag {f} in seal")),
+        // Anything but zeros behind an absent id is damage, so every seal
+        // that decodes has exactly one encoding.
+        let corr = match (r.u8()?, r.u64()?) {
+            (0, 0) => None,
+            (1, c) => Some(c),
+            (f, _) => return Err(format!("bad corr flag {f}").into()),
         };
-        let phase = phase_from_str(&c.str()?)?;
-        let name = c.str()?;
+        let phase = r.string()?;
+        let phase = Phase::ALL
+            .into_iter()
+            .find(|p| p.as_str() == phase)
+            .ok_or_else(|| format!("unknown phase {phase:?}"))?;
+        let name = r.string()?;
         events.push((seq, TraceEvent { t, rank, phase, name, kind, corr }));
     }
-    if c.pos != bytes.len() {
-        return Err(format!("{} trailing bytes after seal", bytes.len() - c.pos));
-    }
+    r.finish("seal")?;
     Ok(DecodedSeal {
         header: SealHeader { incarnation, rank, seal_seq, t, reason, evicted_total },
         events,
@@ -199,6 +140,7 @@ pub fn decode_seal(bytes: &[u8]) -> Result<DecodedSeal, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drms_core::wire::crc32;
     use proptest::prelude::*;
 
     fn sample_events() -> Vec<(u64, TraceEvent)> {
@@ -275,7 +217,9 @@ mod tests {
         assert!(decode_seal(&trailing).is_err());
     }
 
-    fn sample_seal() -> Vec<u8> {
+    /// A seal of [`sample_events`] plus one event with fields at their
+    /// edges: a negative zero time, a multi-byte name, the largest id.
+    fn pinned_seal() -> Vec<u8> {
         let header = SealHeader {
             incarnation: 2,
             rank: 1,
@@ -284,11 +228,22 @@ mod tests {
             reason: "sop".into(),
             evicted_total: 1,
         };
-        let events = sample_events();
+        let mut events = sample_events();
+        events.push((
+            9,
+            TraceEvent {
+                t: -0.0,
+                rank: 7,
+                phase: Phase::Recover,
+                name: "é".into(),
+                kind: EventKind::End,
+                corr: Some(u64::MAX),
+            },
+        ));
         encode_seal(&header, events.iter(), events.len())
     }
 
-    /// Where the event count sits in [`sample_seal`]: magic, version, five
+    /// Where the event count sits in [`pinned_seal`]: magic, version, five
     /// u64 header fields, then the reason `"sop"` behind its u32 length.
     const COUNT_AT: usize = 4 + 2 + 5 * 8 + 4 + 3;
 
@@ -300,9 +255,9 @@ mod tests {
         /// decode reserves more events than its bytes could hold.
         #[test]
         fn decode_is_total(cut in 0usize..400, flip in 0usize..400, bit in 0u8..8, huge in 2u32..64) {
-            let good = sample_seal();
+            let good = pinned_seal();
             prop_assert!(good.len() < 400);
-            prop_assert_eq!(&good[COUNT_AT..COUNT_AT + 8], &2u64.to_le_bytes());
+            prop_assert_eq!(&good[COUNT_AT..COUNT_AT + 8], &3u64.to_le_bytes());
 
             prop_assert!(decode_seal(&good[..cut.min(good.len() - 1)]).is_err());
 
@@ -313,7 +268,7 @@ mod tests {
                 prop_assert_eq!(encode_seal(&d.header, d.events.iter(), d.events.len()), flipped);
             }
 
-            // A count of 2^huge (or every bit set) events behind two real
+            // A count of 2^huge (or every bit set) events behind three real
             // ones: the bytes run out long before the count does.
             for count in [1u64 << huge, u64::MAX] {
                 let mut inflated = good.clone();
@@ -323,11 +278,24 @@ mod tests {
         }
     }
 
+    /// Version 1 of the seal layout, byte for byte: seals written by any
+    /// earlier build must keep decoding, and this one must write theirs.
+    #[test]
+    fn the_v1_encoding_is_pinned() {
+        let bytes = pinned_seal();
+        assert_eq!(bytes.len(), 245);
+        assert_eq!(crc32(&bytes), 0x683b_6bb0);
+        assert_eq!(&bytes[..6], b"DRBB\x01\x00");
+        let d = decode_seal(&bytes).unwrap();
+        assert_eq!(d.events[2].1.t.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(encode_seal(&d.header, d.events.iter(), d.events.len()), bytes);
+    }
+
     #[test]
     fn the_reservation_is_bounded_by_the_bytes() {
-        let good = sample_seal();
+        let good = pinned_seal();
         let d = decode_seal(&good).unwrap();
-        assert_eq!(d.events.len(), 2);
+        assert_eq!(d.events.len(), 3);
         assert!(d.events.capacity() <= good.len() / MIN_EVENT_BYTES);
         // The shortest event an encoder can write is the bound's unit.
         let empty = TraceEvent {

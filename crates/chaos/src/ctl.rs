@@ -1,7 +1,7 @@
 //! The chaos controller instrumented layers consult.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::backoff::RetryPolicy;
 use crate::plan::{CrashPoint, FaultPlan};
@@ -30,7 +30,7 @@ pub struct ChaosCtl {
     /// Whether the armed crash already fired (fires exactly once).
     crash_fired: AtomicBool,
     /// Matching writes seen by the armed torn write.
-    torn_seen: Mutex<u64>,
+    torn_seen: AtomicU64,
     retries: AtomicU64,
     giveups: AtomicU64,
 }
@@ -42,7 +42,7 @@ impl ChaosCtl {
             plan,
             crash_seen: AtomicU64::new(0),
             crash_fired: AtomicBool::new(false),
-            torn_seen: Mutex::new(0),
+            torn_seen: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             giveups: AtomicU64::new(0),
         })
@@ -79,9 +79,8 @@ impl ChaosCtl {
         if len == 0 || !path.contains(&torn.path_contains) {
             return None;
         }
-        let mut seen = self.torn_seen.lock().expect("torn counter poisoned");
-        *seen += 1;
-        if *seen != torn.occurrence as u64 {
+        let seen = self.torn_seen.fetch_add(1, Ordering::SeqCst) + 1;
+        if seen != torn.occurrence as u64 {
             return None;
         }
         Some(((len as f64 * torn.keep_fraction) as usize).min(len - 1))

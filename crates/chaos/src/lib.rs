@@ -30,6 +30,7 @@
 //! (`drms_msg::Spmd::chaos`), and a region without one pays nothing.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod backoff;
 mod ctl;

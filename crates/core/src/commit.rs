@@ -27,7 +27,7 @@
 use drms_chaos::CommitPoints;
 use drms_msg::Ctx;
 use drms_obs::{markers, names, Phase};
-use drms_piofs::Piofs;
+use drms_piofs::{Piofs, PiofsError};
 
 use crate::drms::{integrity_chunk, stage_flight_rings};
 use crate::inject::crash_point;
@@ -169,13 +169,14 @@ impl<'a> Commit<'a> {
     }
 
     /// Phase 1: the representative task stages the data segment (`segment`
-    /// is read on rank 0 only), then all tasks synchronize. The encoded
-    /// segment is handed over by value: it fills its reserved file whole,
-    /// so the store adopts the buffer instead of copying it.
+    /// is read on rank 0 only, and rank 0 without one fails with
+    /// [`PiofsError::NotFound`] for it), then all tasks synchronize. The
+    /// encoded segment is handed over by value: it fills its reserved file
+    /// whole, so the store adopts the buffer instead of copying it.
     pub fn stage_segment(&self, ctx: &mut Ctx, segment: Option<Vec<u8>>) -> Result<()> {
         if ctx.rank() == 0 {
-            let bytes = segment.expect("rank 0 holds the encoded segment");
             let path = segment_path(&self.staging);
+            let Some(bytes) = segment else { return Err(PiofsError::NotFound(path).into()) };
             self.fs.create(&path, bytes.len() as u64);
             self.fs.write_at(ctx, &path, 0, bytes);
         }

@@ -528,5 +528,6 @@ pub fn read_manifest_collective(ctx: &mut Ctx, fs: &Piofs, prefix: &str) -> Resu
         ctx,
         vec![ReadReq { path, offset: 0, len, access: ReadAccess::Sequential }],
     )?;
-    Ok(Manifest::decode(&got.pop().expect("one request"))?)
+    let bytes = got.pop().ok_or_else(|| CoreError::NoCheckpoint(prefix.to_string()))?;
+    Ok(Manifest::decode(&bytes)?)
 }

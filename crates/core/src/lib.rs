@@ -35,6 +35,7 @@
 //! information is lost by this substitution.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod commit;
 pub mod manifest;

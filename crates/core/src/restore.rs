@@ -168,7 +168,8 @@ pub fn open<S: RestartSource>(
     for deposit in all.iter() {
         segment = segment.or(deposit.clone()?);
     }
-    let segment = segment.expect("rank 0 deposits the segment it decoded");
+    // Rank 0 deposits the segment it decoded, so every task finds one.
+    let segment = segment.ok_or_else(|| CoreError::NoCheckpoint(src.prefix().to_string()))?;
     ctx.barrier();
     consult(ctx, src, 1)?;
 
@@ -316,7 +317,8 @@ impl RestartSource for PiofsFull<'_> {
         let path = segment_path(self.prefix);
         let len = self.fs.size(&path)?;
         let req = ReadReq { path, offset: 0, len, access: ReadAccess::Sequential };
-        Ok(self.fs.collective_read(ctx, vec![req])?.pop().expect("one request"))
+        let mut got = self.fs.collective_read(ctx, vec![req])?;
+        got.pop().ok_or_else(|| CoreError::NoCheckpoint(self.prefix.to_string()))
     }
 
     /// One collective range read of the array's stream file, copied once

@@ -237,6 +237,7 @@ impl DataSegment {
         seg.regions = (framed.into_iter().zip(bodies))
             .map(|((name, kind, _), bytes)| Arc::new(Region { name, kind, bytes }))
             .collect();
+        r.finish("data segment")?;
         Ok(seg)
     }
 
@@ -254,12 +255,23 @@ impl DataSegment {
             let bytes = r.blob()?;
             seg.regions.push(Arc::new(Region { name, kind, bytes }));
         }
+        r.finish("data segment")?;
         Ok(seg)
     }
 
     /// The header, control and replicated variables of an encoded segment,
-    /// and a reader positioned at its region count.
+    /// and a reader positioned at its region count. Variables are encoded
+    /// in name order, and a name out of order is refused, so a segment that
+    /// decodes has exactly one encoding.
     fn decode_head(bytes: &[u8]) -> Result<(Reader<'_>, DataSegment), WireError> {
+        fn in_order<V>(map: &BTreeMap<String, V>, k: &str) -> Result<(), WireError> {
+            match map.last_key_value() {
+                Some((last, _)) if last.as_str() >= k => {
+                    Err(WireError::Truncated { what: "variable order" })
+                }
+                _ => Ok(()),
+            }
+        }
         let (mut r, version) = Reader::with_header(bytes, MAGIC)?;
         if version != VERSION {
             return Err(WireError::BadVersion(version));
@@ -268,14 +280,14 @@ impl DataSegment {
         let ncontrol = r.u32()?;
         for _ in 0..ncontrol {
             let k = r.string()?;
-            let v = r.i64()?;
-            seg.control.insert(k, v);
+            in_order(&seg.control, &k)?;
+            seg.control.insert(k, r.i64()?);
         }
         let nrep = r.u32()?;
         for _ in 0..nrep {
             let k = r.string()?;
-            let v = r.blob()?;
-            seg.replicated.insert(k, v);
+            in_order(&seg.replicated, &k)?;
+            seg.replicated.insert(k, r.blob()?);
         }
         Ok((r, seg))
     }
@@ -475,5 +487,23 @@ mod tests {
         assert!(DataSegment::decode(&bytes).is_err());
         bytes[0] = b'X';
         assert!(matches!(DataSegment::decode(&bytes), Err(WireError::BadMagic { .. })));
+
+        // Only the one encoding of a segment decodes: no byte may follow
+        // the last region, and variables must come in name order.
+        let mut trailing = s.encode();
+        trailing.push(0);
+        let left_over = Err(WireError::TrailingBytes { what: "data segment" });
+        assert_eq!(DataSegment::decode(&trailing), left_over);
+        assert_eq!(DataSegment::decode_serial(&trailing), left_over);
+        let mut w = Writer::with_header(MAGIC, VERSION);
+        w.u32(2);
+        for name in ["phase", "iter"] {
+            w.string(name);
+            w.i64(1);
+        }
+        w.u32(0);
+        w.u32(0);
+        let unordered = Err(WireError::Truncated { what: "variable order" });
+        assert_eq!(DataSegment::decode(&w.finish()), unordered);
     }
 }

@@ -1,5 +1,6 @@
 //! The checkpoint wire format: a small, versioned, little-endian binary
-//! encoding used for data segments and manifests.
+//! encoding used by every stored file: data segments, manifests and
+//! flight-ring seals.
 //!
 //! A checkpointing system must own its on-disk format — it has to be stable
 //! across versions and platforms, self-describing enough to fail loudly on
@@ -9,7 +10,9 @@
 //!
 //! Layout conventions: all integers little-endian; strings are
 //! `u32 length + UTF-8 bytes`; blobs are `u64 length + bytes`; every file
-//! starts with a 4-byte magic and a `u32` version.
+//! starts with a 4-byte magic and a version, a `u32` (a seal's is a `u16`).
+//! Decoding is total: bytes that are not a valid encoding are an `Err`,
+//! never a panic.
 
 use std::fmt;
 
@@ -74,12 +77,8 @@ pub use drms_piofs::integrity::crc32;
 /// Splits `buf` into its payload and a verified trailing CRC-32; errors when
 /// the buffer is too short or the CRC does not match the payload.
 pub fn split_trailing_crc<'a>(buf: &'a [u8], what: &'static str) -> Result<&'a [u8], WireError> {
-    if buf.len() < 4 {
-        return Err(WireError::Truncated { what });
-    }
-    let (payload, tail) = buf.split_at(buf.len() - 4);
-    let stored = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
-    if crc32(payload) != stored {
+    let (payload, tail) = buf.split_last_chunk().ok_or(WireError::Truncated { what })?;
+    if crc32(payload) != u32::from_le_bytes(*tail) {
         return Err(WireError::ChecksumMismatch { what });
     }
     Ok(payload)
@@ -97,10 +96,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer starting with `magic`.
+    pub fn with_magic(magic: [u8; 4]) -> Writer {
+        Writer { buf: magic.to_vec() }
+    }
+
     /// A writer starting with `magic` and `version`.
     pub fn with_header(magic: [u8; 4], version: u32) -> Writer {
-        let mut w = Writer::new();
-        w.buf.extend_from_slice(&magic);
+        let mut w = Writer::with_magic(magic);
         w.u32(version);
         w
     }
@@ -108,6 +111,11 @@ impl Writer {
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Appends a `u16`.
+    pub fn u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32`.
@@ -178,14 +186,19 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// A reader that validates `magic` and returns the version.
-    pub fn with_header(buf: &'a [u8], magic: [u8; 4]) -> Result<(Reader<'a>, u32), WireError> {
+    /// A reader past `magic`, which it validates.
+    pub fn with_magic(buf: &'a [u8], magic: [u8; 4]) -> Result<Reader<'a>, WireError> {
         let mut r = Reader::new(buf);
-        let found = r.take(4, "magic")?;
-        let found: [u8; 4] = found.try_into().expect("4 bytes");
+        let found = r.array("magic")?;
         if found != magic {
             return Err(WireError::BadMagic { expected: magic, found });
         }
+        Ok(r)
+    }
+
+    /// A reader that validates `magic` and returns the version.
+    pub fn with_header(buf: &'a [u8], magic: [u8; 4]) -> Result<(Reader<'a>, u32), WireError> {
+        let mut r = Reader::with_magic(buf, magic)?;
         let version = r.u32()?;
         Ok((r, version))
     }
@@ -201,29 +214,42 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes, as the array every fixed-width field is read
+    /// from.
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N, what)?);
+        Ok(a)
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1, "u8")?[0])
+        Ok(u8::from_le_bytes(self.array("u8")?))
+    }
+
+    /// Reads a `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.array("u16")?))
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array("u32")?))
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array("u64")?))
     }
 
     /// Reads an `i64`.
     pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8, "i64")?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.array("i64")?))
     }
 
     /// Reads an `f64`.
     pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8, "f64")?.try_into().expect("8 bytes")))
+        Ok(f64::from_le_bytes(self.array("f64")?))
     }
 
     /// Reads a length-prefixed string.

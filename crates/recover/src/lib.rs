@@ -42,6 +42,7 @@
 //! crash is.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod epoch;
 mod malleable;

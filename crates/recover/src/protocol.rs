@@ -195,7 +195,8 @@ pub fn recover(
     // rung is a restart source; only its range fetch is used here.
     let prefix = retained.prefix.as_str();
     let full = PiofsFull { fs, prefix };
-    let (source, manifest) = match tier.filter(|t| t.is_intact(prefix)) {
+    let intact = tier.filter(|t| t.is_intact(prefix));
+    let (source, manifest) = match intact {
         Some(tier) => (StreamSource::Replica, tier.manifest(prefix)?),
         None if verify(fs, prefix).is_valid() => {
             let m = full.manifest(ctx)?;
@@ -212,20 +213,17 @@ pub fn recover(
 
     // Restore: survivors' sections via live redistribution, lost sections
     // via the chosen stream source. Each rank only offers retained bytes
-    // if it survives.
-    let replica = tier.map(|tier| TierSource { tier, prefix });
+    // if it survives. `replica` is `Some` exactly when the replicas serve.
+    let replica = intact.map(|tier| TierSource { tier, prefix });
     let delta = DeltaSource(full);
     let mut fetched_total = 0u64;
     for a in arrays.iter_mut() {
         let name = a.array_name().to_string();
         let retained_bytes = if i_survive { retained.bytes_for(&name) } else { None };
-        let mut fetch: Box<PieceFetch<'_>> = match source {
-            StreamSource::Replica => {
-                let replica = replica.as_ref().expect("replica source implies a tier");
-                Box::new(range_fetch(replica, &manifest, &name))
-            }
-            StreamSource::PiofsFull => Box::new(range_fetch(&full, &manifest, &name)),
-            StreamSource::PiofsDelta => Box::new(range_fetch(&delta, &manifest, &name)),
+        let mut fetch: Box<PieceFetch<'_>> = match (&replica, source) {
+            (Some(replica), _) => Box::new(range_fetch(replica, &manifest, &name)),
+            (None, StreamSource::PiofsDelta) => Box::new(range_fetch(&delta, &manifest, &name)),
+            (None, _) => Box::new(range_fetch(&full, &manifest, &name)),
         };
         fetched_total += a.restore_sections(
             ctx,

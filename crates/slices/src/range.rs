@@ -74,7 +74,8 @@ impl Range {
         if lo > hi {
             return Ok(Range::empty());
         }
-        let last = lo + ((hi - lo) / step) * step;
+        // `hi - lo` can exceed `i64::MAX`; the last element cannot pass `hi`.
+        let last = lo.wrapping_add_unsigned(hi.abs_diff(lo) / step as u64 * step as u64);
         if step == 1 {
             Ok(Range::Contiguous { lo, hi: last })
         } else if last == lo {
@@ -104,16 +105,17 @@ impl Range {
             0 => Range::empty(),
             1 => Range::single(indices[0]),
             _ => {
-                let step = indices[1] - indices[0];
-                let uniform = indices.windows(2).all(|w| w[1] - w[0] == step);
-                if uniform {
-                    if step == 1 {
+                // Gaps are compared as `u64`: one can exceed `i64::MAX`.
+                let step = indices[1].abs_diff(indices[0]);
+                let uniform = indices.windows(2).all(|w| w[1].abs_diff(w[0]) == step);
+                match (uniform, i64::try_from(step)) {
+                    (true, Ok(1)) => {
                         Range::Contiguous { lo: indices[0], hi: *indices.last().unwrap() }
-                    } else {
+                    }
+                    (true, Ok(step)) => {
                         Range::Strided { lo: indices[0], hi: *indices.last().unwrap(), step }
                     }
-                } else {
-                    Range::Explicit(Arc::from(indices))
+                    _ => Range::Explicit(Arc::from(indices)),
                 }
             }
         }
@@ -407,6 +409,21 @@ mod tests {
         assert_eq!(Range::from_indices(&[1, 3, 5]).unwrap(), Range::strided(1, 5, 2).unwrap());
         assert_eq!(Range::from_indices(&[]).unwrap(), Range::empty());
         assert_eq!(Range::from_indices(&[9]).unwrap(), Range::single(9));
+    }
+
+    /// Bounds a decoder reads from hostile bytes can be any `i64`s: a span
+    /// past `i64::MAX` normalizes without overflowing.
+    #[test]
+    fn spans_past_i64_max_do_not_overflow() {
+        let wide = [i64::MIN, i64::MAX];
+        assert_eq!(Range::from_indices(&wide).unwrap(), Range::Explicit(Arc::from(wide)));
+        let r = Range::from_indices(&[i64::MIN, 0, i64::MAX - 1]).unwrap();
+        assert_eq!(r, Range::Explicit(Arc::from([i64::MIN, 0, i64::MAX - 1])));
+        let r = Range::from_indices(&[-1, i64::MAX - 1]).unwrap();
+        assert_eq!(r, Range::Strided { lo: -1, hi: i64::MAX - 1, step: i64::MAX });
+        let r = Range::strided(i64::MIN, i64::MAX, i64::MAX).unwrap();
+        assert_eq!(r, Range::Strided { lo: i64::MIN, hi: i64::MAX - 1, step: i64::MAX });
+        assert_eq!(Range::strided(i64::MIN, i64::MAX, 1).unwrap().last(), Some(i64::MAX));
     }
 
     #[test]

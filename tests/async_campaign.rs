@@ -18,20 +18,22 @@
 //! link, transient weather replayed twice for determinism, and a
 //! restore-through-`Drms::initialize` bitwise check of an async commit.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::DeltaToy;
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms::core::segment::DataSegment;
 use drms::core::{find_checkpoints, sweep_orphans, verify, Drms, DrmsConfig, EnableFlag, Start};
 use drms::darray::{DistArray, Distribution};
-use drms::delta::{restore_arrays_delta, resume, DeltaChain, DeltaConfig};
 use drms::memtier::MemTier;
-use drms::msg::{run_spmd, CostModel, Spmd};
+use drms::msg::{run_spmd, CostModel};
 use drms::piofs::{Piofs, PiofsConfig};
 use drms::rtenv::RunSummary;
-use drms::slices::{Order, Slice};
-use drms_bench::campaign::{domain, policy, reference, Campaign, CkptMode, Rig, CKPT_EVERY};
+use drms::slices::Order;
+use drms_bench::campaign::{domain, policy, reference, Campaign, CkptMode, Rig};
 
 const NITER: i64 = 10;
 const APP: &str = "asynccamp";
@@ -219,110 +221,8 @@ fn async_weather_is_deterministic_per_seed() {
 // Delta-chain flush interleavings (two-incarnation structure, no JSA).
 // ---------------------------------------------------------------------------
 
-const D_NITER: i64 = 9;
-const D_N: i64 = 2048;
-const D_BAND: i64 = 256;
-const D_APP: &str = "adelta";
-
-fn d_domain() -> Slice {
-    Slice::boxed(&[(1, D_N)])
-}
-
-fn d_cfg() -> DrmsConfig {
-    DrmsConfig::new(D_APP)
-}
-
-fn dcfg() -> DeltaConfig {
-    DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true }
-}
-
-fn d_touched(p: &[i64], iter: i64) -> bool {
-    (p[0] - 1) / D_BAND == iter % (D_N / D_BAND)
-}
-
-fn d_truth(p: &[i64], iter: i64) -> f64 {
-    let mut v = (p[0] * 7 + 2) as f64;
-    for t in 1..=iter {
-        if d_touched(p, t) {
-            v += 0.25;
-        }
-    }
-    v
-}
-
-fn d_reference() -> f64 {
-    let mut total = 0.0;
-    d_domain().points(Order::ColumnMajor).for_each(|p| total += d_truth(p, D_NITER));
-    total
-}
-
-/// One incarnation of the delta-async job: links at iterations 3, 6, 9
-/// through `AsyncCheckpointer::checkpoint_delta`, drained before the sum.
-fn delta_incarnation(
-    f: &Arc<Piofs>,
-    ctl: Option<Arc<ChaosCtl>>,
-    restart_from: Option<&str>,
-) -> Option<f64> {
-    let body = |ctx: &mut drms::msg::Ctx| {
-        let dist = Distribution::block_auto(&d_domain(), ctx.ntasks(), 1).unwrap();
-        let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-        let mut seg = DataSegment::new();
-        let mut start_iter = 1i64;
-        let mut chain;
-        let mut drms = match restart_from {
-            None => {
-                let (drms, _) = Drms::initialize(ctx, f, d_cfg(), EnableFlag::new(), None).unwrap();
-                chain = DeltaChain::new();
-                u.fill_assigned(|p| d_truth(p, 0));
-                drms
-            }
-            Some(prefix) => {
-                let (drms, start) = resume(ctx, f, d_cfg(), EnableFlag::new(), prefix).unwrap();
-                let Start::Restarted(info) = start else { panic!("expected restart") };
-                seg = info.segment.clone();
-                start_iter = seg.control("iter").unwrap() + 1;
-                restore_arrays_delta(&drms, ctx, f, prefix, &info.manifest, &mut [&mut u]).unwrap();
-                chain = DeltaChain::recover(prefix, &info.manifest).unwrap();
-                drms
-            }
-        };
-        let mut ck = AsyncCheckpointer::new(AsyncConfig { budget: 2 });
-        for iter in start_iter..=D_NITER {
-            let region = u.assigned().clone();
-            region.points(Order::ColumnMajor).for_each(|p| {
-                if d_touched(p, iter) {
-                    let v = u.get(p).unwrap();
-                    u.set(p, v + 0.25).unwrap();
-                }
-            });
-            seg.set_control("iter", iter);
-            if iter % CKPT_EVERY == 0 {
-                match ck.checkpoint_delta(
-                    ctx,
-                    f,
-                    &mut drms,
-                    &mut chain,
-                    &dcfg(),
-                    &format!("ck/ad{iter}"),
-                    &seg,
-                    &[&u],
-                ) {
-                    Ok(_) => {}
-                    Err(e) if e.is_interrupted() => return None,
-                    Err(e) => panic!("delta checkpoint failed: {e}"),
-                }
-            }
-        }
-        ck.drain(ctx);
-        Some(u.fold_assigned(0.0, |acc, _, v| acc + v))
-    };
-    let sums = Spmd::new(4, CostModel::default()).chaos(ctl).run(body).unwrap();
-    let mut total = 0.0;
-    for s in sums {
-        total += s?;
-    }
-    Some(total)
-}
+/// The shared delta toy, its links taken by `AsyncCheckpointer::checkpoint_delta`.
+const D_TOY: DeltaToy = DeltaToy { app: "adelta", stem: "ck/ad", overlapped: true };
 
 /// Every flush stage, cut during the **second** delta link: the
 /// half-flushed link is never a restart source, the chain recovers from
@@ -330,14 +230,14 @@ fn delta_incarnation(
 #[test]
 fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
     let seed = SWEEP_SEED ^ 0xDE17;
-    let reference = d_reference();
+    let reference = DeltaToy::reference();
     for &point in &PIPELINE_POINTS[1..] {
         if seed_filter().is_some_and(|only| only != seed) {
             continue;
         }
         let ctl = ChaosCtl::new(FaultPlan { crash: Some((point, 2)), ..FaultPlan::seeded(seed) });
-        let f = Piofs::new(PiofsConfig::test_tiny(8), 17);
-        let first = delta_incarnation(&f, Some(Arc::clone(&ctl)), None);
+        let f = common::fs();
+        let first = D_TOY.incarnation(&f, Some(Arc::clone(&ctl)), None);
         assert!(
             ctl.crash_fired(),
             "{point}: armed crash never fired\nreproduce with: {}",
@@ -345,12 +245,12 @@ fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
         );
         assert_eq!(first, None, "{point}: crashed incarnation completed");
 
-        for (prefix, _) in find_checkpoints(&f, Some(D_APP)) {
+        for (prefix, _) in find_checkpoints(&f, Some(D_TOY.app)) {
             assert!(!prefix.contains(".tmp"), "{point}: staged {prefix:?} discoverable");
             assert!(verify(&f, &prefix).is_valid(), "{point}: {prefix:?} invalid");
         }
         let expect = if point == CrashPoint::FlushCommitted { "ck/ad6" } else { "ck/ad3" };
-        let from = find_checkpoints(&f, Some(D_APP))
+        let from = find_checkpoints(&f, Some(D_TOY.app))
             .first()
             .map(|(p, _)| p.clone())
             .expect("a committed fallback must exist");
@@ -358,7 +258,8 @@ fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
         sweep_orphans(&f);
         assert!(verify(&f, &from).is_valid(), "{point}: sweep broke the fallback");
 
-        let total = delta_incarnation(&f, None, Some(&from))
+        let total = D_TOY
+            .incarnation(&f, None, Some(&from))
             .unwrap_or_else(|| panic!("{point}: recovery incarnation crashed"));
         assert_eq!(
             total,
