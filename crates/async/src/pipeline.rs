@@ -490,7 +490,7 @@ fn capture_delta(
     })
 }
 
-/// The background flush of a staged delta plan: segment, pack files, v3
+/// The background flush of a staged delta plan: segment, pack files, v4
 /// manifest, then the shared two-phase publish tail — the same `Flush*`
 /// crash-point sequence as the full path.
 fn flush_delta(ctx: &mut Ctx, fs: &Piofs, prefix: &str, plan: DeltaPlan) -> Result<()> {

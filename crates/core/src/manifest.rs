@@ -26,8 +26,9 @@ use crate::wire::{crc32, split_trailing_crc, Reader, WireError, Writer};
 const MAGIC: [u8; 4] = *b"DMFT";
 /// Manifest version, the only one `decode` accepts: a flipped version bit
 /// must not turn a manifest into an older layout with fewer sections, and
-/// so less, to check.
-const VERSION: u32 = 3;
+/// so less, to check. Version 4 changed what [`ChunkRecord::hash`] means
+/// (version 3's was FNV-1a), not the layout.
+const VERSION: u32 = 4;
 
 /// Which checkpointing scheme produced the state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +156,7 @@ pub enum ChunkSource {
 /// an incremental checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkRecord {
-    /// 128-bit FNV-1a content hash of the raw chunk bytes.
+    /// [`chunks::content_hash`] of the raw chunk bytes.
     pub hash: u128,
     /// Raw (uncompressed) chunk length in bytes.
     pub len: u32,
@@ -195,12 +196,12 @@ impl ChunkRecord {
     }
 
     /// Decodes this chunk's `stored` bytes and checks them against the
-    /// record: exactly `len` raw bytes whose FNV-1a hash is `hash`. A `Raw`
-    /// chunk is hashed in place and lent back, and an `Rle` one is never
-    /// expanded past `len`. The error names the check that failed (`"fails
-    /// to decode"`, `"fails its content hash"`). One chunk at a time, with
-    /// the byte-serial `fnv128`: the reference the batch check
-    /// [`chunks::check_chunks`] is tested against.
+    /// record: exactly `len` raw bytes whose [`chunks::content_hash`] is
+    /// `hash`. A `Raw` chunk is hashed in place and lent back, and an `Rle`
+    /// one is never expanded past `len`. The error names the check that
+    /// failed (`"fails to decode"`, `"fails its content hash"`). One chunk
+    /// at a time: the reference the batch check [`chunks::check_chunks`] is
+    /// tested against.
     pub fn decode<'a>(&self, stored: &'a [u8]) -> Result<Cow<'a, [u8]>, &'static str> {
         let raw = match self.codec {
             Codec::Raw => Cow::Borrowed(stored),
@@ -208,7 +209,7 @@ impl ChunkRecord {
                 chunks::rle_decompress(stored, self.len as usize).ok_or("fails to decode")?,
             ),
         };
-        if raw.len() != self.len as usize || chunks::fnv128(&raw) != self.hash {
+        if raw.len() != self.len as usize || chunks::content_hash(&raw) != self.hash {
             return Err("fails its content hash");
         }
         Ok(raw)
@@ -315,12 +316,20 @@ fn write_range(w: &mut Writer, r: &Range) {
     }
 }
 
+/// Decodes a range as [`write_range`] wrote it. The constructors normalise
+/// (`lo > hi` is the empty index list, a uniform index list a strided or
+/// contiguous range), so a range is refused unless it is already in the
+/// form they make of it: only then does it re-encode to the bytes it was
+/// read from.
 fn read_range(r: &mut Reader<'_>) -> Result<Range, WireError> {
-    match r.u8()? {
-        0 => Ok(Range::contiguous(r.i64()?, r.i64()?)),
+    let (written, range) = match r.u8()? {
+        0 => {
+            let (lo, hi) = (r.i64()?, r.i64()?);
+            (Range::Contiguous { lo, hi }, Ok(Range::contiguous(lo, hi)))
+        }
         1 => {
             let (lo, hi, step) = (r.i64()?, r.i64()?, r.i64()?);
-            Range::strided(lo, hi, step).map_err(|_| WireError::Truncated { what: "range" })
+            (Range::Strided { lo, hi, step }, Range::strided(lo, hi, step))
         }
         2 => {
             let n = r.u64()? as usize;
@@ -328,9 +337,14 @@ fn read_range(r: &mut Reader<'_>) -> Result<Range, WireError> {
             for _ in 0..n {
                 v.push(r.i64()?);
             }
-            Range::from_indices(&v).map_err(|_| WireError::Truncated { what: "range" })
+            let range = Range::from_indices(&v);
+            (Range::Explicit(v.into()), range)
         }
-        _ => Err(WireError::Truncated { what: "range tag" }),
+        _ => return Err(WireError::Truncated { what: "range tag" }),
+    };
+    match range {
+        Ok(range) if range == written => Ok(range),
+        _ => Err(WireError::Truncated { what: "range" }),
     }
 }
 
@@ -648,9 +662,10 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        // Versions 1 and 2 included: a flipped version bit must not turn
-        // a manifest into one with fewer sections to check.
-        for v in [1, 2, 4, 9] {
+        // Versions 1 to 3 included: a flipped version bit must not turn a
+        // manifest into one with fewer sections to check, and a version 3
+        // manifest's chunk hashes are FNV-1a, which no reader checks.
+        for v in [1, 2, 3, 5, 9] {
             let w = Writer::with_header(MAGIC, v);
             assert_eq!(Manifest::decode(&w.finish_with_crc()), Err(WireError::BadVersion(v)));
             let mut bytes = sample().encode();
@@ -659,15 +674,46 @@ mod tests {
         }
     }
 
+    /// A range is read back only in the form the constructors make: a
+    /// range they would normalise re-encodes to other bytes.
+    #[test]
+    fn non_canonical_ranges_are_refused() {
+        let range = |tag: u8, fields: &[i64]| {
+            let mut w = Writer::new();
+            w.u8(tag);
+            if tag == 2 {
+                w.u64(fields.len() as u64);
+            }
+            fields.iter().for_each(|&x| w.i64(x));
+            w.finish()
+        };
+        // `lo > hi`, a stride that passes `hi`, one index, a uniform list.
+        for bytes in [range(0, &[5, 4]), range(1, &[0, 5, 2]), range(2, &[3]), range(2, &[1, 4, 7])]
+        {
+            let refused = Err(WireError::Truncated { what: "range" });
+            assert_eq!(read_range(&mut Reader::new(&bytes)), refused, "{bytes:?}");
+        }
+        for r in [
+            Range::contiguous(4, 5),
+            Range::strided(0, 4, 2).unwrap(),
+            Range::from_indices(&[1, 2, 4]).unwrap(),
+            Range::empty(),
+        ] {
+            let mut w = Writer::new();
+            write_range(&mut w, &r);
+            assert_eq!(read_range(&mut Reader::new(&w.finish())), Ok(r));
+        }
+    }
+
     #[test]
     fn leftover_bytes_rejected() {
         // A byte after the last table, behind a valid self-CRC.
-        let mut w = v3_preamble();
+        let mut w = preamble();
         for count in [0u32, 0, 0] {
             w.u32(count); // arrays, integrity records, delta tables
         }
         assert!(Manifest::decode(&w.finish_with_crc()).is_ok());
-        let mut w = v3_preamble();
+        let mut w = preamble();
         for count in [0u32, 0, 0] {
             w.u32(count);
         }
@@ -763,9 +809,9 @@ mod tests {
         }
     }
 
-    /// The v3 header and scalar fields of `sample()`, up to and excluding
+    /// The header and scalar fields of `sample()`, up to and excluding
     /// the array count.
-    fn v3_preamble() -> Writer {
+    fn preamble() -> Writer {
         let mut w = Writer::with_header(MAGIC, VERSION);
         w.string("bt");
         w.u8(0);
@@ -778,13 +824,13 @@ mod tests {
     fn hostile_counts_are_errors_not_allocations() {
         // Behind a valid CRC, so only the count stands between the bytes
         // and `Vec::with_capacity`: an array count...
-        let mut w = v3_preamble();
+        let mut w = preamble();
         w.u32(u32::MAX);
         assert!(matches!(Manifest::decode(&w.finish_with_crc()), Err(WireError::Truncated { .. })));
 
         // ...a record whose geometry really does call for
         // u32::MAX CRCs, none of which follow.
-        let mut w = v3_preamble();
+        let mut w = preamble();
         w.u32(0); // arrays
         w.u32(1); // integrity records
         w.string("segment");
@@ -795,7 +841,7 @@ mod tests {
 
         // Likewise the record and chunk-table counts themselves.
         for (nintegrity, ndeltas) in [(u32::MAX, None), (0, Some(u32::MAX))] {
-            let mut w = v3_preamble();
+            let mut w = preamble();
             w.u32(0);
             w.u32(nintegrity);
             if let Some(n) = ndeltas {
@@ -806,7 +852,7 @@ mod tests {
                 Err(WireError::Truncated { .. })
             ));
         }
-        let mut w = v3_preamble();
+        let mut w = preamble();
         w.u32(0);
         w.u32(0);
         w.u32(1); // delta tables

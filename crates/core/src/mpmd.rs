@@ -180,7 +180,8 @@ impl MpmdManifest {
         w.finish()
     }
 
-    /// Decodes an umbrella manifest.
+    /// Decodes an umbrella manifest, refusing bytes left over after the
+    /// last component.
     pub fn decode(bytes: &[u8]) -> std::result::Result<MpmdManifest, WireError> {
         let (mut r, version) = Reader::with_header(bytes, MAGIC)?;
         if version != VERSION {
@@ -196,6 +197,7 @@ impl MpmdManifest {
                 ntasks: r.u64()? as usize,
             });
         }
+        r.finish("MPMD manifest")?;
         Ok(MpmdManifest { app, components })
     }
 

@@ -26,7 +26,7 @@ proptest! {
         let raw: Vec<u8> = runs.iter().flat_map(|&(n, b)| std::iter::repeat_n(b, n)).collect();
         let (codec, stored) = chunks::encode_chunk(&raw, compress);
         let c = ChunkRecord {
-            hash: chunks::fnv128(&raw),
+            hash: chunks::content_hash(&raw),
             len: raw.len() as u32,
             stored_len: stored.len() as u32,
             codec,
@@ -99,15 +99,15 @@ fn spoil(case: usize, pos: usize, raw: &[u8]) -> (Codec, Vec<u8>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The batch kernels return `fnv128` of every input, and
+    /// The batch kernels return `content_hash` of every input, and
     /// `check_chunks` refuses a batch exactly where and why
-    /// `ChunkRecord::decode` refuses one of its chunks, whichever lane of a
-    /// group of four it sits in. Batches are ragged: 0 to 9 chunks of
+    /// `ChunkRecord::decode` refuses one of its chunks, wherever in the
+    /// batch it sits. Batches are ragged: 0 to 9 chunks of
     /// unequal lengths up to 192 KiB, raw and RLE mixed. A batch of eight
     /// or nine chunks of at least 128 KiB holds a mebibyte and is split
     /// across the host's cores; every other batch runs on one thread.
     #[test]
-    fn batch_kernels_equal_fnv128_and_refuse_what_decode_refuses(
+    fn batch_kernels_equal_content_hash_and_refuse_what_decode_refuses(
         big in proptest::bool::ANY,
         shapes in proptest::collection::vec(
             (0usize..65537, 0u64..u64::MAX, proptest::bool::ANY, proptest::bool::ANY),
@@ -125,9 +125,8 @@ proptest! {
             })
             .collect();
         let inputs: Vec<&[u8]> = raws.iter().map(Vec::as_slice).collect();
-        let hashes: Vec<u128> = inputs.iter().map(|b| chunks::fnv128(b)).collect();
-        prop_assert_eq!(&chunks::fnv128_batch(&inputs), &hashes);
-        prop_assert_eq!(&chunks::fnv128_lanes(&inputs), &hashes);
+        let hashes: Vec<u128> = inputs.iter().map(|b| chunks::content_hash(b)).collect();
+        prop_assert_eq!(&chunks::content_hash_batch(&inputs), &hashes);
 
         let mut records: Vec<(ChunkRecord, Vec<u8>)> = raws
             .iter()
@@ -135,7 +134,7 @@ proptest! {
             .map(|(raw, &(_, _, _, compress))| {
                 let (codec, stored) = chunks::encode_chunk(raw, compress);
                 let record = ChunkRecord {
-                    hash: chunks::fnv128(raw),
+                    hash: chunks::content_hash(raw),
                     len: raw.len() as u32,
                     stored_len: stored.len() as u32,
                     codec,
@@ -161,7 +160,7 @@ proptest! {
         let (codec, stored) = spoil(case, pos, &raw);
         records[at] = (
             ChunkRecord {
-                hash: chunks::fnv128(&raw),
+                hash: chunks::content_hash(&raw),
                 len: raw.len() as u32,
                 stored_len: stored.len() as u32,
                 codec,

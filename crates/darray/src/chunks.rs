@@ -2,7 +2,7 @@
 //! incremental checkpointing.
 //!
 //! A distribution-independent array stream is divided into fixed-size
-//! chunks. Each chunk's identity is its 128-bit FNV-1a content hash plus
+//! chunks. Each chunk's identity is its 128-bit [`content_hash`] plus
 //! its length; two chunks with equal identity are treated as bitwise equal
 //! (dedup), and a chunk whose identity differs from the last *committed*
 //! checkpoint is dirty and must be rewritten. The same [`ChunkParams`]
@@ -70,11 +70,9 @@ impl ChunkParams {
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 
-/// 128-bit FNV-1a hash — deterministic, dependency-free, and wide enough
-/// that treating hash-equal chunks as bitwise equal is safe in practice.
-///
-/// This byte-serial loop is the definition: every batch kernel below
-/// returns exactly its value for each input.
+/// 128-bit FNV-1a hash, byte by byte. The chunk identity of manifest
+/// versions up to 3; no product path calls it any more, and it stays
+/// bit-identical because host-speed probes time it as a fixed reference.
 pub fn fnv128(bytes: &[u8]) -> u128 {
     let mut h = FNV128_OFFSET;
     for &b in bytes {
@@ -84,51 +82,130 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
     h
 }
 
-/// [`fnv128`] of four inputs at once. One loop runs the four multiply
-/// chains over the inputs' common length: the chains are independent, so
-/// each lane's multiply overlaps the others' instead of waiting on its own
-/// previous step. Each lane then finishes its own tail alone.
-fn fnv128_x4(lanes: [&[u8]; 4]) -> [u128; 4] {
-    let n = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
-    let [mut h0, mut h1, mut h2, mut h3] = [FNV128_OFFSET; 4];
-    let abreast = lanes[0][..n].iter().zip(&lanes[1][..n]).zip(&lanes[2][..n]).zip(&lanes[3][..n]);
-    for (((&b0, &b1), &b2), &b3) in abreast {
-        h0 = (h0 ^ b0 as u128).wrapping_mul(FNV128_PRIME);
-        h1 = (h1 ^ b1 as u128).wrapping_mul(FNV128_PRIME);
-        h2 = (h2 ^ b2 as u128).wrapping_mul(FNV128_PRIME);
-        h3 = (h3 ^ b3 as u128).wrapping_mul(FNV128_PRIME);
+/// Bytes [`content_hash`] reads per step: one `u64` into each of its
+/// eight accumulators.
+const STRIPE: usize = 64;
+/// Accumulators, one per 8-byte word of a stripe.
+const LANES: usize = STRIPE / 8;
+/// Stripes between two scrambles of the accumulators (a kibibyte).
+const BLOCK_STRIPES: usize = 16;
+
+/// Key words of [`content_hash`], a splitmix64 sequence (Steele, Lea and
+/// Flood, 2014): stripe `s` of a block reads `KEYS[s..s + 8]`, the
+/// scramble `KEYS[24..32]` and the two halves of the fold `KEYS[32..40]`
+/// and `KEYS[40..48]`.
+const KEYS: [u64; 48] = {
+    let mut keys = [0u64; 48];
+    let mut x = 0u64;
+    let mut i = 0;
+    while i < keys.len() {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        keys[i] = z ^ (z >> 31);
+        i += 1;
     }
-    let mut out = [h0, h1, h2, h3];
-    for (h, lane) in out.iter_mut().zip(lanes) {
-        for &b in &lane[n..] {
-            *h = (*h ^ b as u128).wrapping_mul(FNV128_PRIME);
+    keys
+};
+const SCRAMBLE_KEY: usize = 24;
+const FOLD_KEYS: [usize; 2] = [32, 40];
+/// XXH3's odd multipliers: the scramble's, and the length's in each half
+/// of the fold.
+const PRIME32: u64 = 0x9e37_79b1;
+const PRIME64: [u64; 2] = [0x9e37_79b1_85eb_ca87, 0xc2b2_ae3d_27d4_eb4f];
+/// Starting accumulators: XXH3's.
+const INIT: [u64; LANES] = [
+    0xc2b2_ae3d,
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+    0x85eb_ca77,
+    0x27d4_eb2f_1656_67c5,
+    0x9e37_79b1,
+];
+
+/// The 128-bit content identity of a chunk: wide enough that treating
+/// hash-equal chunks as bitwise equal is safe in practice, and a word-wide
+/// kernel that keeps up with memory on one core.
+///
+/// The long-input loop of XXH3 (Collet, 2019), in portable safe Rust.
+/// Each 64-byte stripe feeds one 8-byte word to each of eight `u64`
+/// accumulators: the word is added to the neighbouring accumulator, and
+/// the product of the two 32-bit halves of the word xor its key to its
+/// own. The keys slide one word per stripe, so no two stripes of a block
+/// are interchangeable; every 16 stripes the accumulators are scrambled; a
+/// short tail is zero-padded to a stripe; and two multiply-folds of the
+/// accumulators, each seeded with the length, give the two halves of the
+/// result. Its values are its own: no XXH3 compatibility is claimed.
+pub fn content_hash(bytes: &[u8]) -> u128 {
+    let mut acc = INIT;
+    let (stripes, tail) = bytes.as_chunks::<STRIPE>();
+    for block in stripes.chunks(BLOCK_STRIPES) {
+        for (s, stripe) in block.iter().enumerate() {
+            accumulate(&mut acc, stripe, s);
+        }
+        if block.len() == BLOCK_STRIPES {
+            scramble(&mut acc);
         }
     }
-    out
-}
-
-/// [`fnv128`] of every input, four abreast, on the calling thread:
-/// `out[i] == fnv128(inputs[i])`.
-pub fn fnv128_lanes(inputs: &[&[u8]]) -> Vec<u128> {
-    let mut out = Vec::with_capacity(inputs.len());
-    for group in inputs.chunks(4) {
-        let mut lanes: [&[u8]; 4] = [&[]; 4];
-        lanes[..group.len()].copy_from_slice(group);
-        out.extend_from_slice(&fnv128_x4(lanes)[..group.len()]);
+    if !tail.is_empty() {
+        let mut padded = [0u8; STRIPE];
+        padded[..tail.len()].copy_from_slice(tail);
+        accumulate(&mut acc, &padded, stripes.len() % BLOCK_STRIPES);
     }
-    out
+    let len = bytes.len() as u64;
+    let [lo, hi] = [len.wrapping_mul(PRIME64[0]), !len.wrapping_mul(PRIME64[1])];
+    (fold(&acc, FOLD_KEYS[1], hi) as u128) << 64 | fold(&acc, FOLD_KEYS[0], lo) as u128
 }
 
-/// [`fnv128`] of every input, as [`fnv128_lanes`], with a batch of at
-/// least a mebibyte split across the host's cores.
-pub fn fnv128_batch(inputs: &[&[u8]]) -> Vec<u128> {
-    spread(&mut inputs.to_vec(), |c| c.len(), |_, part| fnv128_lanes(part)).concat()
+/// Feeds stripe `s` of its block into the accumulators.
+#[inline(always)]
+fn accumulate(acc: &mut [u64; LANES], stripe: &[u8; STRIPE], s: usize) {
+    let key = &KEYS[s..s + LANES];
+    let words: [u64; LANES] =
+        std::array::from_fn(|i| u64::from_le_bytes(std::array::from_fn(|j| stripe[8 * i + j])));
+    let keyed: [u64; LANES] = std::array::from_fn(|i| words[i] ^ key[i]);
+    for i in 0..LANES {
+        let product = (keyed[i] & 0xffff_ffff) * (keyed[i] >> 32);
+        acc[i] = acc[i].wrapping_add(words[i ^ 1]).wrapping_add(product);
+    }
+}
+
+/// Mixes each accumulator's high bits into its low bits, which the
+/// 32 × 32-bit products of the next block read.
+fn scramble(acc: &mut [u64; LANES]) {
+    for (a, k) in acc.iter_mut().zip(&KEYS[SCRAMBLE_KEY..]) {
+        *a = ((*a ^ (*a >> 47)) ^ k).wrapping_mul(PRIME32);
+    }
+}
+
+/// One 64-bit half of the result: the accumulators, keyed from
+/// `KEYS[key..]`, multiplied in pairs into 128 bits and folded back to 64,
+/// summed from `seed` and avalanched.
+fn fold(acc: &[u64; LANES], key: usize, seed: u64) -> u64 {
+    let keys = &KEYS[key..key + LANES];
+    let mut h = seed;
+    for i in (0..LANES).step_by(2) {
+        let p = ((acc[i] ^ keys[i]) as u128) * ((acc[i + 1] ^ keys[i + 1]) as u128);
+        h = h.wrapping_add(p as u64 ^ (p >> 64) as u64);
+    }
+    h ^= h >> 37;
+    h = h.wrapping_mul(0x1656_6791_9e37_79f9);
+    h ^ (h >> 32)
+}
+
+/// [`content_hash`] of every input, with a batch of at least a mebibyte
+/// split across the host's cores: `out[i] == content_hash(inputs[i])`.
+pub fn content_hash_batch(inputs: &[&[u8]]) -> Vec<u128> {
+    let hash_all = |_, part: &mut [&[u8]]| part.iter().map(|b| content_hash(b)).collect::<Vec<_>>();
+    spread(&mut inputs.to_vec(), |c| c.len(), hash_all).concat()
 }
 
 /// Content identity of one chunk: hash plus raw length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkDigest {
-    /// 128-bit FNV-1a hash of the raw (uncompressed) chunk bytes.
+    /// [`content_hash`] of the raw (uncompressed) chunk bytes.
     pub hash: u128,
     /// Raw chunk length in bytes.
     pub len: u32,
@@ -146,7 +223,7 @@ pub struct ChunkDigests {
     pub digests: Vec<ChunkDigest>,
 }
 
-/// Digests a whole stream under `params`, through [`fnv128_batch`].
+/// Digests a whole stream under `params`, through [`content_hash_batch`].
 pub fn digest_stream(bytes: &[u8], params: ChunkParams) -> ChunkDigests {
     let len = bytes.len() as u64;
     let chunks: Vec<&[u8]> = (0..params.count(len))
@@ -155,7 +232,7 @@ pub fn digest_stream(bytes: &[u8], params: ChunkParams) -> ChunkDigests {
             &bytes[s as usize..e as usize]
         })
         .collect();
-    let digests = fnv128_batch(&chunks)
+    let digests = content_hash_batch(&chunks)
         .into_iter()
         .zip(&chunks)
         .map(|(hash, chunk)| ChunkDigest { hash, len: chunk.len() as u32 })
@@ -342,7 +419,7 @@ pub struct StoredChunk<'a> {
     pub stored: &'a [u8],
     /// Raw length the record promises.
     pub len: u32,
-    /// [`fnv128`] of the raw bytes the record promises.
+    /// [`content_hash`] of the raw bytes the record promises.
     pub hash: u128,
 }
 
@@ -367,12 +444,13 @@ impl Refusal {
     }
 }
 
-impl<'a> StoredChunk<'a> {
-    /// Appends this chunk's raw bytes to `out`: a `Raw` chunk's stored
-    /// bytes, or an `Rle` chunk's runs, never more than `len` of them.
-    /// Refuses a malformed RLE stream ([`Refusal::Decode`]) and a chunk
-    /// whose raw bytes are not `len` long ([`Refusal::Hash`]); the hash is
-    /// the caller's to check, with [`fnv128_lanes`].
+impl StoredChunk<'_> {
+    /// Appends this chunk's raw bytes to `out`, a `Raw` chunk's stored
+    /// bytes or an `Rle` chunk's runs, never more than `len` of them, and
+    /// checks them while they are still in cache. Refuses a malformed RLE
+    /// stream ([`Refusal::Decode`]) and raw bytes that are not `len` long
+    /// or do not hash to `hash` ([`Refusal::Hash`]); a refused chunk may
+    /// leave bytes in `out`.
     pub fn decode_into(&self, out: &mut Vec<u8>) -> Result<(), Refusal> {
         let start = out.len();
         match self.codec {
@@ -383,37 +461,27 @@ impl<'a> StoredChunk<'a> {
                 }
             }
         }
-        if out.len() - start != self.len as usize {
-            return Err(Refusal::Hash);
-        }
-        Ok(())
+        self.check(&out[start..])
     }
 
-    /// This chunk's raw bytes, checked against its length but not its
-    /// hash: a `Raw` chunk's stored bytes in place, an `Rle` one decoded
-    /// into `buf` (cleared first).
-    fn raw<'b>(&self, buf: &'b mut Vec<u8>) -> Result<&'b [u8], Refusal>
-    where
-        'a: 'b,
-    {
-        if self.codec == Codec::Raw {
-            let whole = self.stored.len() == self.len as usize;
-            return if whole { Ok(self.stored) } else { Err(Refusal::Hash) };
+    /// Whether `raw` is what the record promises: `len` bytes whose
+    /// [`content_hash`] is `hash`.
+    fn check(&self, raw: &[u8]) -> Result<(), Refusal> {
+        let promised = raw.len() == self.len as usize && content_hash(raw) == self.hash;
+        if promised {
+            Ok(())
+        } else {
+            Err(Refusal::Hash)
         }
-        buf.clear();
-        self.decode_into(buf)?;
-        Ok(buf)
     }
 }
 
-/// Checks every stored chunk against its record, four abreast, with a
-/// batch of at least a mebibyte of raw bytes split across the host's
-/// cores. Returns the lowest index that fails and why: the refusals of
-/// [`StoredChunk::decode_into`], and [`Refusal::Hash`] for raw bytes whose
-/// [`fnv128`] is not the promised one. A `Raw` chunk is hashed where it
-/// lies; an `Rle` chunk is decoded into one of four buffers each part
-/// reuses, so the memory this takes is bounded by four chunks per core,
-/// whatever the batch holds.
+/// Checks every stored chunk against its record, with a batch of at least
+/// a mebibyte of raw bytes split across the host's cores. Returns the
+/// lowest index that fails and why, as [`StoredChunk::decode_into`]
+/// refuses. A `Raw` chunk is hashed where it lies; an `Rle` chunk is
+/// decoded into one buffer each part reuses, so the memory this takes is
+/// bounded by one chunk per core, whatever the batch holds.
 pub fn check_chunks(chunks: &[StoredChunk<'_>]) -> Result<(), (usize, Refusal)> {
     let parts = spread(
         &mut chunks.to_vec(),
@@ -425,25 +493,16 @@ pub fn check_chunks(chunks: &[StoredChunk<'_>]) -> Result<(), (usize, Refusal)> 
 
 /// [`check_chunks`] on the calling thread.
 fn check_part(chunks: &[StoredChunk<'_>]) -> Result<(), (usize, Refusal)> {
-    let mut bufs: [Vec<u8>; 4] = Default::default();
-    for (g, group) in chunks.chunks(4).enumerate() {
-        let mut lanes: [&[u8]; 4] = [&[]; 4];
-        let mut refused = [None; 4];
-        for (((c, buf), lane), refusal) in
-            group.iter().zip(&mut bufs).zip(&mut lanes).zip(&mut refused)
-        {
-            match c.raw(buf) {
-                Ok(raw) => *lane = raw,
-                Err(why) => *refusal = Some(why),
+    let mut buf = Vec::new();
+    for (i, c) in chunks.iter().enumerate() {
+        let checked = match c.codec {
+            Codec::Raw => c.check(c.stored),
+            Codec::Rle => {
+                buf.clear();
+                c.decode_into(&mut buf)
             }
-        }
-        let hashes = fnv128_x4(lanes);
-        for (k, c) in group.iter().enumerate() {
-            let why = refused[k].or((hashes[k] != c.hash).then_some(Refusal::Hash));
-            if let Some(why) = why {
-                return Err((4 * g + k, why));
-            }
-        }
+        };
+        checked.map_err(|why| (i, why))?;
     }
     Ok(())
 }
@@ -588,10 +647,11 @@ mod tests {
         }
     }
 
-    /// The batch kernels equal `fnv128` input by input, on ragged batches
-    /// just under the size that spreads across cores and just over it.
+    /// The batch kernels equal `content_hash` input by input, on ragged
+    /// batches just under the size that spreads across cores and just over
+    /// it.
     #[test]
-    fn batch_kernels_equal_fnv128_on_both_sides_of_the_spread() {
+    fn batch_kernels_equal_content_hash_on_both_sides_of_the_spread() {
         let bytes: Vec<u8> = (0..SPREAD_MIN as u32 + 4096).map(|i| (i % 251) as u8).collect();
         for total in [SPREAD_MIN - 1, SPREAD_MIN, SPREAD_MIN + 4096] {
             // Lengths 0, 1, 2, ... 16 KiB + 3 cycling, cut from `bytes`.
@@ -605,16 +665,15 @@ mod tests {
                     break;
                 }
             }
-            let expected: Vec<u128> = inputs.iter().map(|b| fnv128(b)).collect();
-            assert_eq!(fnv128_batch(&inputs), expected, "total {total}");
-            assert_eq!(fnv128_lanes(&inputs), expected, "total {total}");
+            let expected: Vec<u128> = inputs.iter().map(|b| content_hash(b)).collect();
+            assert_eq!(content_hash_batch(&inputs), expected, "total {total}");
             let stored: Vec<StoredChunk<'_>> = inputs
                 .iter()
                 .map(|b| StoredChunk {
                     codec: Codec::Raw,
                     stored: b,
                     len: b.len() as u32,
-                    hash: fnv128(b),
+                    hash: content_hash(b),
                 })
                 .collect();
             assert_eq!(check_chunks(&stored), Ok(()));
@@ -639,5 +698,60 @@ mod tests {
         assert_ne!(fnv128(b"a"), fnv128(b"b"));
         assert_ne!(fnv128(&[0u8; 8]), fnv128(&[0u8; 9]));
         assert_eq!(fnv128(b"delta"), fnv128(b"delta"));
+    }
+
+    /// `len` bytes of a ramp whose period, 251 bytes, is prime to the
+    /// stripe length.
+    fn ramp(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Known answers on both sides of every stripe, block and tail edge.
+    #[test]
+    fn content_hash_known_answers() {
+        let answers: [(usize, u128); 9] = [
+            (0, 0x6330_5f90_9a30_0d80_eb9d_1cdd_6be5_05ab),
+            (1, 0x7f5e_b972_0d5e_9b63_e411_9772_79a0_4160),
+            (63, 0x051e_698a_a888_8260_453a_4aca_9de4_d56e),
+            (64, 0x1eda_8610_695a_a17a_b281_fee8_61aa_8c8e),
+            (65, 0x3f4c_c34e_8501_9bf8_f811_1faa_10fd_2d1d),
+            (1023, 0xb77d_b19e_2db7_9ea6_930a_eb6c_f8e2_d42d),
+            (1024, 0x345b_9ae3_11a8_e764_c7b6_f06a_53e7_19df),
+            (1025, 0xdf00_30a4_1d6c_5026_ab1b_c350_a382_d144),
+            (65536, 0x843f_126f_0078_6e65_4ba6_abdd_fdd6_ef74),
+        ];
+        for (len, want) in answers {
+            assert_eq!(content_hash(&ramp(len)), want, "len {len}");
+        }
+    }
+
+    /// Every single-bit flip of a 4 KiB chunk changes its hash, and no two
+    /// flips of the same chunk collide: on zeros, on a ramp and on `f64`
+    /// data.
+    #[test]
+    fn every_single_bit_flip_of_a_chunk_hashes_distinctly() {
+        let floats: Vec<u8> =
+            (0..512).flat_map(|i| (1.0 + f64::from(i) / 3.0).to_le_bytes()).collect();
+        for (what, chunk) in [("zeros", vec![0u8; 4096]), ("ramp", ramp(4096)), ("f64", floats)] {
+            let mut seen = std::collections::HashSet::from([content_hash(&chunk)]);
+            let mut flipped = chunk.clone();
+            for bit in 0..8 * chunk.len() {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(seen.insert(content_hash(&flipped)), "{what}: flip of bit {bit} collides");
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// A zero run's length alone tells it apart: the zero-padded tail
+    /// stripe reads the same for every length of a stripe, so only the
+    /// length in the fold separates them.
+    #[test]
+    fn zero_runs_of_every_length_hash_distinctly() {
+        let zeros = vec![0u8; 4096];
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=zeros.len() {
+            assert!(seen.insert(content_hash(&zeros[..len])), "zero run of {len} collides");
+        }
     }
 }

@@ -58,7 +58,7 @@ impl DeltaReport {
 /// then every array's canonical stream is gathered to rank 0, chunked,
 /// diffed against the last committed checkpoint, deduplicated by content
 /// hash, optionally compressed per chunk, and only the surviving chunks are
-/// written to the staged pack file. The manifest (v3, with per-chunk
+/// written to the staged pack file. The manifest (v4, with per-chunk
 /// records) publishes through the same two-phase commit as
 /// [`Drms::reconfig_checkpoint`], with the same crash-point sequence; the
 /// chain state itself is two-phase, committing only after the manifest
@@ -134,7 +134,7 @@ fn run(
     ctx.barrier();
     let t2 = ctx.now();
 
-    // Phase 3: manifest v3 staged, then the two-phase publish.
+    // Phase 3: manifest v4 staged, then the two-phase publish.
     let (stats, full) = (stage.stats, stage.full);
     let (app, ntasks, sop) = (&drms.cfg().app, ctx.ntasks(), drms.sop());
     let entries = arrays.iter().map(|&a| ArrayEntry::of(a)).collect();

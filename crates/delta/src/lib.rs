@@ -11,9 +11,11 @@
 //! * each array's canonical stream is cut into fixed-size chunks (the
 //!   shared [`drms_darray::chunks::ChunkParams`] geometry, by default the
 //!   same chunk size integrity CRCs use);
-//! * a chunk whose 128-bit content hash is unchanged since the last
-//!   *committed* checkpoint is carried forward as a one-hop **reference**
-//!   to the incarnation that stores it — no bytes written;
+//! * a chunk whose 128-bit content hash
+//!   ([`drms_darray::chunks::content_hash`], a word-wide kernel that keeps
+//!   up with memory on one core) is unchanged since the last *committed*
+//!   checkpoint is carried forward as a one-hop **reference** to the
+//!   incarnation that stores it — no bytes written;
 //! * a dirty chunk whose content already exists anywhere in the committed
 //!   chain (or earlier in this very checkpoint) is **deduplicated** into a
 //!   reference as well;
@@ -22,7 +24,7 @@
 //! * every [`DeltaConfig::full_every`]-th checkpoint is a **full rewrite**,
 //!   bounding the chain a restart must reach through.
 //!
-//! The manifest (v3) records one self-contained [`ChunkRecord`] per chunk
+//! The manifest (v4) records one self-contained [`ChunkRecord`] per chunk
 //! — hash, lengths, codec, offset, and source pack — so restore and
 //! garbage collection never chase manifests transitively: restart
 //! materializes any chain bitwise with one pack read per chunk

@@ -9,7 +9,6 @@ use drms_core::restore::{self, PiofsFull, RestartSource};
 use drms_core::{
     phase_span, CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, Result, Start,
 };
-use drms_darray::chunks::{self, Refusal};
 use drms_darray::stream::StreamRange;
 use drms_msg::Ctx;
 use drms_obs::{markers, names, Phase};
@@ -93,7 +92,7 @@ impl RestartSource for DeltaSource<'_> {
     }
 }
 
-/// `drms_initialize` for a delta chain: reads the committed v3 manifest at
+/// `drms_initialize` for a delta chain: reads the committed v4 manifest at
 /// `prefix`, verifies and loads the shared data segment, and returns the
 /// run-time handle plus the restart info — exactly like
 /// [`Drms::initialize`], which refuses delta manifests and points here.
@@ -190,10 +189,10 @@ fn fetch_stream_range(
 /// `out` (handed over empty).
 /// A chunk inside the range decodes straight into the output; only the
 /// first and the last can stick out of it, and they decode into scratch.
-/// Every chunk is then hashed whole, four abreast on the calling thread
-/// ([`chunks::fnv128_lanes`]): restore already runs a task per core. A
-/// failure names the lowest chunk that fails, as checking them one by one
-/// would.
+/// Each chunk is hashed as it lands, on the calling thread
+/// ([`drms_darray::chunks::StoredChunk::decode_into`]): restore already
+/// runs a task per core. A failure names the lowest chunk
+/// that fails.
 fn assemble(
     d: &ArrayDelta,
     first: usize,
@@ -202,52 +201,26 @@ fn assemble(
     len: u64,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    /// Where a chunk's raw bytes landed: a range of the output, or scratch.
-    enum At {
-        Out(usize, usize),
-        Scratch(usize),
-    }
     let params = d.params();
     out.reserve(len as usize);
-    let mut scratch: [Vec<u8>; 2] = Default::default();
-    let mut at = Vec::with_capacity(stored.len());
-    let mut refused = None;
+    let mut scratch = Vec::new();
     for (j, &bytes) in stored.iter().enumerate() {
         let i = first + j;
         let chunk = d.chunks[i].with_stored(bytes);
         let (s, e) = params.range(d.stream_len, i);
-        let landed = if off <= s && e <= off + len {
-            let start = out.len();
-            chunk.decode_into(out).map(|()| At::Out(start, out.len()))
+        let checked = if off <= s && e <= off + len {
+            chunk.decode_into(out)
         } else {
-            let k = usize::from(j > 0);
-            scratch[k].clear();
-            chunk.decode_into(&mut scratch[k]).map(|()| {
+            scratch.clear();
+            chunk.decode_into(&mut scratch).map(|()| {
                 let lo = (off.max(s) - s) as usize;
                 let hi = ((off + len).min(s + chunk.len as u64) - s) as usize;
-                out.extend_from_slice(&scratch[k][lo..hi]);
-                At::Scratch(k)
+                out.extend_from_slice(&scratch[lo..hi]);
             })
         };
-        match landed {
-            Ok(landed) => at.push(landed),
-            Err(why) => {
-                refused = Some((i, why));
-                break;
-            }
-        }
-    }
-    let raws: Vec<&[u8]> = at
-        .iter()
-        .map(|a| match *a {
-            At::Out(s, e) => &out[s..e],
-            At::Scratch(k) => &scratch[k][..],
-        })
-        .collect();
-    let hashes = chunks::fnv128_lanes(&raws);
-    let mismatch = (first..).zip(hashes).find(|&(i, h)| h != d.chunks[i].hash);
-    if let Some((i, why)) = mismatch.map(|(i, _)| (i, Refusal::Hash)).or(refused) {
-        return Err(CoreError::Integrity(format!("chunk {i} of array {:?} {}", d.name, why.why())));
+        checked.map_err(|why| {
+            CoreError::Integrity(format!("chunk {i} of array {:?} {}", d.name, why.why()))
+        })?;
     }
     if out.len() as u64 != len {
         return Err(CoreError::Integrity(format!(

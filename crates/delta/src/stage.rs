@@ -1,7 +1,7 @@
 //! The delta stage both incremental writers share: the blocking
 //! [`crate::delta_checkpoint`] and the asynchronous pipeline of
 //! `drms-async` run the same fresh-prefix refusal, the same per-array diff,
-//! the same observability and the same v3 manifest, and differ only in
+//! the same observability and the same v4 manifest, and differ only in
 //! when the pack bytes reach storage.
 
 use drms_core::manifest::{
@@ -109,7 +109,7 @@ impl DeltaStage {
         rec.span_end(t, 0, Phase::Delta, prefix);
     }
 
-    /// The link's v3 manifest around `integrity`, taking the staged chunk
+    /// The link's v4 manifest around `integrity`, taking the staged chunk
     /// tables.
     pub fn manifest(
         self,

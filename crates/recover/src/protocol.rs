@@ -25,6 +25,7 @@ use drms_core::restore::{range_fetch, PiofsFull, RestartSource};
 use drms_core::{
     crash_point, phase_span, stage_flight_rings, verify, CheckpointArray, CoreError, Result,
 };
+use drms_darray::chunks::content_hash;
 use drms_darray::stream::PieceFetch;
 use drms_delta::DeltaSource;
 use drms_memtier::{MemTier, TierSource};
@@ -114,17 +115,13 @@ pub struct RecoverReport {
     pub duration: f64,
 }
 
-// FNV-1a, the agreement digest over restored local bytes.
-fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+// The agreement digest of a sequence of byte strings: the content hash of
+// their content hashes, cut to the 64 bits the group exchanges.
+fn digest<B: AsRef<[u8]>>(parts: impl IntoIterator<Item = B>) -> u64 {
+    let hashes: Vec<u8> =
+        parts.into_iter().flat_map(|p| content_hash(p.as_ref()).to_le_bytes()).collect();
+    content_hash(&hashes) as u64
 }
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 // Escalation exit: counts the degradation (rank 0) and hands the caller
 // the reason. Collective consistency holds because every escalation
@@ -240,13 +237,9 @@ pub fn recover(
     // order, and the group agrees on the combined digest — every survivor
     // commits to the same global state or the recovery fails loudly.
     let group = Group::new(active.clone());
-    let my_digest = if i_survive {
-        arrays.iter().fold(FNV_SEED, |h, a| fnv1a64(h, &a.local_encoded()))
-    } else {
-        0
-    };
+    let my_digest = if i_survive { digest(arrays.iter().map(|a| a.local_encoded())) } else { 0 };
     let digests = group.allgather_u64(ctx, my_digest);
-    let combined = digests.iter().fold(FNV_SEED, |h, d| fnv1a64(h, &d.to_le_bytes()));
+    let combined = digest(digests.iter().map(|d| d.to_le_bytes()));
     if !group.agree_u64(ctx, combined) {
         return Err(CoreError::Integrity(format!(
             "survivors disagree on restored bytes at epoch {}",

@@ -7,7 +7,7 @@
 //!
 //! * a truncation is an `Err`;
 //! * a flip or a saturated `u32` is an `Err`, or decodes to a value that
-//!   re-encodes to exactly those bytes, where the format is canonical;
+//!   re-encodes to exactly those bytes: every format is canonical;
 //! * a count or length field inflated to 2^k, up to all bits set, is an
 //!   `Err`;
 //! * no decode allocates more than a small multiple of its input, so no
@@ -106,8 +106,6 @@ struct Format {
     reseal: Option<fn(&mut [u8])>,
     /// The count and length fields of `good`.
     fields: Vec<Field>,
-    /// Whether a decodable edit must re-encode to exactly its own bytes.
-    canonical: bool,
 }
 
 fn trailing_crc(bytes: &mut [u8]) {
@@ -157,7 +155,7 @@ impl Format {
 
     fn refuses_or_is_canonical(&self, bytes: &[u8], what: &str) {
         for (input, out) in self.decode(bytes) {
-            if let (Some(again), true) = (out, self.canonical) {
+            if let Some(again) = out {
                 assert_eq!(again, input, "{}: {what} re-encodes differently", self.name);
             }
         }
@@ -260,7 +258,6 @@ fn manifest() -> Format {
             field(172, 4, 2),
             field(244, 4, 4),
         ],
-        canonical: false,
     }
 }
 
@@ -290,7 +287,6 @@ fn segment() -> Format {
             Field { at: 8, width: 4, holds: 2, from: 9 },
             Field { at: local_len, width: 8, holds: 100, from: 8 },
         ],
-        canonical: true,
     }
 }
 
@@ -316,7 +312,6 @@ fn mpmd_manifest() -> Format {
             Field { at: 19, width: 4, holds: 2, from: 9 },
             Field { at: 23, width: 4, holds: 5, from: 9 },
         ],
-        canonical: false,
     }
 }
 
@@ -366,7 +361,6 @@ fn seal() -> Format {
             Field { at: 53, width: 8, holds: 3, from: 2 },
             Field { at: 95, width: 4, holds: 7, from: 9 },
         ],
-        canonical: true,
     }
 }
 
