@@ -45,6 +45,7 @@
 //! [`drms_core::CoreError::Interrupted`], unwrapped.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod pipeline;
 

@@ -141,11 +141,7 @@ impl AsyncCheckpointer {
     /// its overlap ratio (fraction of the flush window hidden off the
     /// critical path).
     fn retire(&mut self, ctx: &Ctx, now: f64) {
-        while let Some(f) = self.flights.front() {
-            if f.finish > now {
-                break;
-            }
-            let f = self.flights.pop_front().expect("front exists");
+        while let Some(f) = self.flights.pop_front_if(|f| f.finish <= now) {
             if ctx.rank() == 0 && ctx.recorder().enabled() {
                 let window = (f.finish - f.t_snap).max(0.0);
                 let overlap =
@@ -170,10 +166,11 @@ impl AsyncCheckpointer {
             if self.flights.len() < self.cfg.budget.max(1) {
                 break;
             }
-            let finish = self.flights.front().expect("budget > 0").finish;
+            let Some(oldest) = self.flights.front_mut() else { break };
+            let finish = oldest.finish;
             let wait = (finish - now).max(0.0);
             stalled += wait;
-            self.flights.front_mut().expect("budget > 0").stall += wait;
+            oldest.stall += wait;
             if ctx.rank() == 0 && ctx.recorder().enabled() {
                 let rec = ctx.recorder();
                 rec.counter_add_at(now, 0, names::ASYNC_BACKPRESSURE_STALLS, None, 1);
@@ -193,12 +190,12 @@ impl AsyncCheckpointer {
     pub fn drain(&mut self, ctx: &mut Ctx) -> f64 {
         ctx.barrier();
         let start = ctx.now();
-        while let Some(f) = self.flights.front() {
+        while let Some(f) = self.flights.front_mut() {
             let finish = f.finish;
             let now = ctx.now();
             if finish > now {
                 let wait = finish - now;
-                self.flights.front_mut().expect("front exists").stall += wait;
+                f.stall += wait;
                 if ctx.rank() == 0 && ctx.recorder().enabled() {
                     ctx.recorder().counter_add_at(
                         now,

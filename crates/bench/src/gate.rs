@@ -203,8 +203,8 @@ pub const TABLE: &[GateRow] = &[
     GateRow { name: "insight", default_seed: 42, scenario: crate::insight::scenario },
     GateRow { name: "chaos", default_seed: 42, scenario: crate::chaos::scenario },
     GateRow { name: "pulse", default_seed: 42, scenario: crate::pulse::scenario },
-    GateRow { name: "delta", default_seed: 11, scenario: crate::delta::scenario },
-    GateRow { name: "async", default_seed: 11, scenario: crate::asyncck::scenario },
+    GateRow { name: "delta", default_seed: 11, scenario: crate::window::delta_scenario },
+    GateRow { name: "async", default_seed: 11, scenario: crate::window::async_scenario },
     GateRow { name: "blackbox", default_seed: 42, scenario: crate::blackbox::scenario },
     GateRow { name: "recover", default_seed: 42, scenario: crate::recover::scenario },
     GateRow { name: "table1", default_seed: 0, scenario: crate::paper::table1 },
@@ -565,7 +565,7 @@ mod tests {
         let ci = std::fs::read_to_string(ci).expect("the CI workflow");
         let mut files: Vec<String> = [
             crate::pulse::HEARTBEAT_FILE,
-            crate::asyncck::TIMELINE_FILE,
+            crate::window::TIMELINE_FILE,
             crate::blackbox::RECOVERY_FILE,
             crate::blackbox::STITCHED_FILE,
             crate::recover::TIMELINE_FILE,

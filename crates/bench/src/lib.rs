@@ -9,9 +9,11 @@
 //! its headline numbers against a committed baseline; a paper row's
 //! rendered table is the file committed under `results/`. Every row that
 //! runs a mini-application goes through the one checkpoint/restart cycle
-//! of [`experiment`], and the toy job every fault campaign drives is
-//! [`campaign`]. Host-time measurement
-//! of the Figure 5 algorithms lives in the standalone `benchmark/` package.
+//! of [`experiment`]; the toy job every fault campaign drives is
+//! [`campaign`], and the moving-window job the incremental (`delta`) and
+//! overlapped (`async`) checkpoint rows drive is [`window`]. Host-time
+//! measurement of the Figure 5 algorithms lives in the standalone
+//! `benchmark/` package.
 //!
 //! Conventions shared by all experiments, matching the paper's setup:
 //! a 16-node system with PIOFS striped across all 16 nodes; applications
@@ -23,11 +25,9 @@
 #![deny(missing_docs)]
 
 pub mod args;
-pub mod asyncck;
 pub mod blackbox;
 pub mod campaign;
 pub mod chaos;
-pub mod delta;
 pub mod experiment;
 pub mod gate;
 pub mod insight;
@@ -41,3 +41,4 @@ pub mod seed;
 pub mod stats;
 pub mod table;
 pub mod trace;
+pub mod window;
