@@ -48,7 +48,7 @@ use drms_obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, RuleThresholds};
 use drms_rtenv::RunSummary;
 
-use crate::campaign::{policy, reference, Campaign, Fault, Rig, NPROCS};
+use crate::campaign::{policy, Campaign, Fault, Rig, FAULTS, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -125,7 +125,7 @@ pub(crate) fn check_gauge(
 /// gaps), and the attribution buckets tile the stitched wall clock.
 fn assert_covered(run: &Run, tl: &StitchedTimeline, report: &RecoveryReport, what: &str) {
     assert!(run.summary.completed, "{what}: job did not complete: {:?}", run.summary);
-    assert_eq!(run.checksum, reference(NITER), "{what}: recovered state diverged");
+    assert_eq!(run.checksum, FAULTS.reference(NITER), "{what}: recovered state diverged");
     for (i, _) in run.summary.incarnations.iter().enumerate() {
         assert!(
             !run.bb.events_for(i as u64).is_empty(),

@@ -2,13 +2,14 @@
 //!
 //! Every fault campaign and every fault-driven gate proves the same claim
 //! — a restart on any task count is bitwise identical to an uninterrupted
-//! run — on the same toy: an 18×14 block-distributed `u`, filled
-//! `13·i + 3·j`, `+1.5` per iteration, checkpointed every third iteration
-//! under the JSA and killed mid-run. This module holds that job as a
-//! value. What callers vary is data on [`Campaign`]: the application name
-//! and checkpoint prefix stem (both end up inside manifests, so blessed
-//! byte counts depend on them and each caller keeps its own strings), the
-//! iteration count, the [`CkptMode`] and the [`Fault`] schedule. What they
+//! run — on the same toy: a block-distributed `u`, filled `13·i + 3·j`,
+//! `+1.5` per iteration on the points its [`Shape`]'s band covers,
+//! checkpointed every third iteration under the JSA and killed mid-run.
+//! This module holds that job as a value. What callers vary is data on
+//! [`Campaign`]: the application name and checkpoint prefix stem (both end
+//! up inside manifests, so blessed byte counts depend on them and each
+//! caller keeps its own strings), the iteration count, the [`Shape`], the
+//! [`CkptMode`] and the [`Fault`] schedule. What they
 //! share is code here: the toy's steps (resume-or-fill, advance,
 //! checkpoint, checksum), the one loop that owns the SOP kill checks and
 //! the rank-0 injection ([`Campaign::launch`]), the loss drill that rewinds
@@ -18,9 +19,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms_async::{AsyncCheckpointer, AsyncConfig};
+use drms_core::manifest::CkptKind;
 use drms_core::segment::DataSegment;
-use drms_core::{find_checkpoints, Drms, DrmsConfig};
+use drms_core::{find_checkpoints, CheckpointArray, Drms, DrmsConfig};
 use drms_darray::{for_each_region_index, DistArray, Distribution};
+use drms_delta::{delta_checkpoint, DeltaChain, DeltaConfig};
 use drms_memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
 use drms_msg::{CostModel, Ctx};
 use drms_obs::Recorder;
@@ -39,24 +42,55 @@ pub const CKPT_EVERY: i64 = 3;
 /// Processors of the rig (and the job's maximum task count).
 pub const NPROCS: usize = 8;
 
-/// The toy's global index space.
-pub fn domain() -> Slice {
-    Slice::boxed(&[(1, 18), (1, 14)])
+/// Chunk settings of the delta arms: 1 KiB chunks, a full rewrite every
+/// eighth link, compression on.
+const DELTA: DeltaConfig = DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true };
+
+/// The toy's field: a column-major `rows × cols` domain whose iteration
+/// `i` adds 1.5 to the `band` columns of band `i mod (cols / band)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    rows: i64,
+    cols: i64,
+    band: i64,
+}
+
+/// The fault campaigns' 18×14 field, one band wide: every iteration moves
+/// every point, so every link of a delta chain dirties every chunk.
+pub const FAULTS: Shape = Shape { rows: 18, cols: 14, band: 14 };
+
+/// A 64×32 field whose 4-column band (2 KiB, 2 of 16 one-KiB chunks)
+/// moves on each iteration: a link every third iteration stores 6 chunks
+/// and carries 10 forward by reference.
+pub const BANDED: Shape = Shape { rows: 64, cols: 32, band: 4 };
+
+impl Shape {
+    /// The toy's global index space.
+    pub fn domain(&self) -> Slice {
+        Slice::boxed(&[(1, self.rows), (1, self.cols)])
+    }
+
+    /// Whether iteration `iter`'s band covers point `p`.
+    fn touched(&self, p: &[i64], iter: i64) -> bool {
+        (p[1] - 1) / self.band == iter % (self.cols / self.band)
+    }
+
+    /// Checksum of the final state of an uninterrupted `niter`-iteration
+    /// run, in closed form. Every term is a multiple of 0.5 far below
+    /// 2^53, so the f64 sum is exact in any order — which is what lets a
+    /// checksum gathered from any task count be compared with `==`.
+    pub fn reference(&self, niter: i64) -> f64 {
+        let mut s = 0.0;
+        self.domain().points(Order::ColumnMajor).for_each(|p| {
+            s += initial(p) + (1..=niter).filter(|&i| self.touched(p, i)).count() as f64 * 1.5;
+        });
+        s
+    }
 }
 
 /// The toy's initial value at point `p`.
 pub fn initial(p: &[i64]) -> f64 {
     (p[0] * 13 + p[1] * 3) as f64
-}
-
-/// Checksum of the final state of an uninterrupted `niter`-iteration run,
-/// in closed form. Every term is a multiple of 0.5 far below 2^53, so the
-/// f64 sum is exact in any order — which is what lets a checksum gathered
-/// from any task count be compared with `==`.
-pub fn reference(niter: i64) -> f64 {
-    let mut s = 0.0;
-    domain().points(Order::ColumnMajor).for_each(|p| s += initial(p) + niter as f64 * 1.5);
-    s
 }
 
 /// How the job takes its checkpoints.
@@ -74,6 +108,16 @@ pub enum CkptMode {
     /// budget (through the JSA's memory tier when one is attached),
     /// drained before completion.
     Overlapped {
+        /// Maximum snapshots in flight.
+        budget: usize,
+    },
+    /// A blocking link of the job's delta chain ([`delta_checkpoint`]).
+    Delta,
+    /// A link of the job's delta chain overlapped through an
+    /// [`AsyncCheckpointer`] with this snapshot budget
+    /// ([`AsyncCheckpointer::checkpoint_delta`]), drained before
+    /// completion.
+    OverlappedDelta {
         /// Maximum snapshots in flight.
         budget: usize,
     },
@@ -119,20 +163,31 @@ struct Toy {
     next: i64,
     /// Whether this incarnation is a fresh start (not a restart).
     fresh: bool,
+    shape: Shape,
     mode: CkptMode,
-    /// The pipeline of [`CkptMode::Overlapped`].
+    /// The pipeline of the overlapped modes.
     flusher: Option<AsyncCheckpointer>,
+    /// The chain the delta modes link onto.
+    chain: DeltaChain,
 }
 
 impl Toy {
     /// Creates `u` under the region's distribution, then fills it (fresh
     /// start) or reloads it and the segment from whatever the JSA resolved
-    /// for this incarnation.
+    /// for this incarnation; a restart from a delta link recovers the
+    /// chain from its manifest.
     fn resume(ctx: &mut Ctx, env: &JobEnv, job: &Campaign) -> Result<Toy, JobOutcome> {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).expect("toy distribution");
+        let dist = Distribution::block_auto(&job.shape.domain(), ctx.ntasks(), 1)
+            .expect("toy distribution");
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
         let (drms, restart) = env.resume(ctx, DrmsConfig::new(job.app), &mut [&mut u])?;
         let fresh = restart.is_none();
+        let chain = match (&restart, env.restart_from.as_deref()) {
+            (Some(info), Some(prefix)) if info.manifest.kind == CkptKind::DrmsDelta => {
+                DeltaChain::recover(prefix, &info.manifest).map_err(JobOutcome::from_err)?
+            }
+            _ => DeltaChain::new(),
+        };
         let (seg, next) = match restart {
             None => {
                 u.fill_assigned(initial);
@@ -144,19 +199,23 @@ impl Toy {
             }
         };
         let flusher = match job.mode {
-            CkptMode::Overlapped { budget } => Some(AsyncCheckpointer::new(AsyncConfig { budget })),
-            CkptMode::Blocking | CkptMode::Tier => None,
+            CkptMode::Overlapped { budget } | CkptMode::OverlappedDelta { budget } => {
+                Some(AsyncCheckpointer::new(AsyncConfig { budget }))
+            }
+            CkptMode::Blocking | CkptMode::Tier | CkptMode::Delta => None,
         };
-        Ok(Toy { u, seg, drms, next, fresh, mode: job.mode, flusher })
+        Ok(Toy { u, seg, drms, next, fresh, shape: job.shape, mode: job.mode, flusher, chain })
     }
 
     /// Computes iteration `iter` and records it in the segment.
     fn advance(&mut self, iter: i64) {
         let dist = Arc::clone(self.u.dist());
-        let (rank, order) = (self.u.rank(), self.u.order());
+        let (rank, order, shape) = (self.u.rank(), self.u.order(), self.shape);
         let local = self.u.local_mut();
-        for_each_region_index(dist.mapped(rank), dist.assigned(rank), order, |at, _| {
-            local[at] += 1.5;
+        for_each_region_index(dist.mapped(rank), dist.assigned(rank), order, |at, p| {
+            if shape.touched(p, iter) {
+                local[at] += 1.5;
+            }
         });
         self.seg.set_control("iter", iter);
     }
@@ -164,26 +223,26 @@ impl Toy {
     /// Takes one checkpoint at `prefix` in this toy's [`CkptMode`]. An
     /// error is the [`JobOutcome`] the body returns.
     fn checkpoint(&mut self, ctx: &mut Ctx, env: &JobEnv, prefix: &str) -> Result<(), JobOutcome> {
-        let Toy { u, seg, drms, flusher, .. } = self;
-        let tier = env.memtier.as_deref();
-        if let Some(flusher) = flusher {
-            return flusher
-                .checkpoint(ctx, &env.fs, drms, prefix, seg, &[&*u], tier)
-                .map(drop)
-                .map_err(JobOutcome::from_err);
-        }
-        match tier {
-            Some(tier) if self.mode == CkptMode::Tier && store_feasible(ctx, tier) => {
-                store_checkpoint(ctx, tier, prefix, drms, seg, &[&*u])
-                    .and_then(|_| spill_checkpoint(ctx, &env.fs, tier, prefix))
-                    .map(drop)
-                    .map_err(JobOutcome::from_err)
+        let Toy { u, seg, drms, flusher, chain, mode, .. } = self;
+        let (fs, arrays) = (&*env.fs, [&*u as &dyn CheckpointArray]);
+        let done = match (*mode, flusher.as_mut(), env.memtier.as_deref()) {
+            (CkptMode::Delta, ..) => {
+                delta_checkpoint(drms, chain, &DELTA, ctx, fs, prefix, seg, &arrays).map(drop)
             }
-            _ => drms
-                .reconfig_checkpoint(ctx, &env.fs, prefix, seg, &[&*u])
-                .map(drop)
-                .map_err(JobOutcome::from_err),
-        }
+            (CkptMode::OverlappedDelta { .. }, Some(flusher), _) => flusher
+                .checkpoint_delta(ctx, fs, drms, chain, &DELTA, prefix, seg, &arrays)
+                .map(drop),
+            (_, Some(flusher), tier) => {
+                flusher.checkpoint(ctx, fs, drms, prefix, seg, &arrays, tier).map(drop)
+            }
+            (CkptMode::Tier, None, Some(tier)) if store_feasible(ctx, tier) => {
+                store_checkpoint(ctx, tier, prefix, drms, seg, &arrays)
+                    .and_then(|_| spill_checkpoint(ctx, fs, tier, prefix))
+                    .map(drop)
+            }
+            _ => drms.reconfig_checkpoint(ctx, fs, prefix, seg, &arrays).map(drop),
+        };
+        done.map_err(JobOutcome::from_err)
     }
 
     /// Ends the incarnation: drains an overlapped pipeline, takes the last
@@ -280,6 +339,8 @@ pub struct Campaign {
     pub niter: i64,
     /// How checkpoints are taken.
     pub mode: CkptMode,
+    /// The field the job computes on.
+    pub shape: Shape,
     /// The fault schedule.
     pub faults: Vec<Fault>,
 }
@@ -326,9 +387,10 @@ impl Injector {
 }
 
 impl Campaign {
-    /// A fault-free job taking blocking checkpoints.
+    /// A fault-free job on the [`FAULTS`] field taking blocking
+    /// checkpoints.
     pub fn new(app: &'static str, stem: &'static str, niter: i64) -> Campaign {
-        Campaign { app, stem, niter, mode: CkptMode::Blocking, faults: Vec::new() }
+        Campaign { app, stem, niter, mode: CkptMode::Blocking, shape: FAULTS, faults: Vec::new() }
     }
 
     /// One incarnation: resume or fill, then per iteration the SOP kill
@@ -485,8 +547,13 @@ impl Campaign {
 mod tests {
     use super::*;
 
-    const MODES: [CkptMode; 3] =
-        [CkptMode::Blocking, CkptMode::Tier, CkptMode::Overlapped { budget: 2 }];
+    const MODES: [CkptMode; 5] = [
+        CkptMode::Blocking,
+        CkptMode::Tier,
+        CkptMode::Overlapped { budget: 2 },
+        CkptMode::Delta,
+        CkptMode::OverlappedDelta { budget: 2 },
+    ];
 
     fn job(niter: i64, mode: CkptMode, faults: Vec<Fault>) -> Campaign {
         Campaign { mode, faults, ..Campaign::new("toy", "ck/toy", niter) }
@@ -512,7 +579,7 @@ mod tests {
                     assert!(summary.completed, "{what}: {summary:?}");
                     assert_eq!(summary.incarnations.len(), 1, "{what}");
                     assert_eq!(summary.incarnations[0].ntasks, ntasks, "{what}");
-                    assert_eq!(sum, reference(niter), "{what}");
+                    assert_eq!(sum, FAULTS.reference(niter), "{what}");
                     // Iterations 3, 6, 9 (and 12) committed, the last one
                     // carrying the last checkpointed iteration.
                     let committed = find_checkpoints(&rig.fs, Some("toy"));
@@ -534,7 +601,7 @@ mod tests {
             assert!(summary.incarnations.len() > 1, "{mode:?}: the kill cost no incarnation");
             assert_eq!(summary.incarnations[1].restart_from.as_deref(), Some("ck/toy/3"));
             assert_eq!(summary.incarnations[1].ntasks, NPROCS - 1);
-            assert_eq!(sum, reference(10), "{mode:?}");
+            assert_eq!(sum, FAULTS.reference(10), "{mode:?}");
         }
     }
 
@@ -547,7 +614,7 @@ mod tests {
             Fault::kill(20, 0),
         ];
         let (sum, summary) = job(10, CkptMode::Blocking, faults).launch(&rig, &rig.jsa(policy()));
-        assert_eq!(sum, reference(10));
+        assert_eq!(sum, FAULTS.reference(10));
         // Iteration 2 kills 5; iteration 2 of the next incarnation (one
         // fault per launch per iteration) takes the server and 6 — 5 is
         // already dead; iteration 20 never comes. Neither kill left a
@@ -578,7 +645,7 @@ mod tests {
             let (sum, summary, report) =
                 Campaign::new("toy", "ck/toy", 10).launch_drill(&rig, &jsa, drill);
             assert_eq!(summary.incarnations.len(), 1, "tiered {tiered}: {summary:?}");
-            assert_eq!(sum, reference(10), "tiered {tiered}");
+            assert_eq!(sum, FAULTS.reference(10), "tiered {tiered}");
             let report = report.expect("the drill ran");
             assert_eq!(report.replica_bytes > 0, tiered);
             assert_eq!(report.piofs_bytes > 0, !tiered);

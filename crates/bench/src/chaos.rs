@@ -34,7 +34,7 @@ use drms_obs::{names, TraceRecorder};
 use drms_piofs::Piofs;
 use drms_rtenv::{JobOutcome, RunSummary};
 
-use crate::campaign::{policy, reference, Campaign, Fault, Rig, CKPT_EVERY, NPROCS};
+use crate::campaign::{policy, Campaign, Fault, Rig, CKPT_EVERY, FAULTS, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -82,7 +82,7 @@ fn run_campaign(plan: FaultPlan) -> Run {
 /// discoverable as a checkpoint.
 fn assert_consistent(r: &Run, what: &str) {
     assert!(r.summary.completed, "{what}: job did not complete: {:?}", r.summary);
-    assert_eq!(r.checksum, reference(NITER), "{what}: recovered state diverged");
+    assert_eq!(r.checksum, FAULTS.reference(NITER), "{what}: recovered state diverged");
     for inc in &r.summary.incarnations {
         if let Some(from) = &inc.restart_from {
             assert!(!from.contains(".tmp"), "{what}: restarted from staging prefix {from:?}");

@@ -9,8 +9,9 @@
 //! its headline numbers against a committed baseline; a paper row's
 //! rendered table is the file committed under `results/`. Every row that
 //! runs a mini-application goes through the one checkpoint/restart cycle
-//! of [`experiment`]; the toy job every fault campaign drives is
-//! [`campaign`], and the moving-window job the incremental (`delta`) and
+//! of [`experiment`]; the toy job every fault campaign drives, the delta
+//! crash campaigns included (its delta arms restart from a delta link
+//! through the JSA), is [`campaign`], and the moving-window job the incremental (`delta`) and
 //! overlapped (`async`) checkpoint rows drive is [`window`]. Host-time
 //! measurement of the Figure 5 algorithms lives in the standalone
 //! `benchmark/` package.

@@ -56,9 +56,7 @@ use drms_slices::Order;
 use parking_lot::Mutex;
 
 use crate::blackbox::{check_gauge, flight_sinks, render_events};
-use crate::campaign::{
-    domain, initial, policy, reference, Campaign, Fault, LossDrill, Rig, NPROCS,
-};
+use crate::campaign::{initial, policy, Campaign, Fault, LossDrill, Rig, FAULTS, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -125,7 +123,7 @@ fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
 /// buckets tile the stitched wall clock.
 fn assert_sound(run: &Run, report: &RecoveryReport, what: &str) {
     assert!(run.summary.completed, "{what}: job did not complete: {:?}", run.summary);
-    assert_eq!(run.checksum, reference(NITER), "{what}: final state diverged");
+    assert_eq!(run.checksum, FAULTS.reference(NITER), "{what}: final state diverged");
     let budget = 1e-9 * report.wall.max(1.0);
     assert!(
         report.tiling_error() <= budget,
@@ -153,8 +151,8 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     result.param("nprocs", NPROCS);
     result.param("recover_at", RECOVER_AT);
     result.stamp_header(seed, NPROCS);
-    let state_bytes =
-        domain().extents().iter().product::<usize>() as u64 * std::mem::size_of::<f64>() as u64;
+    let state_bytes = FAULTS.domain().extents().iter().product::<usize>() as u64
+        * std::mem::size_of::<f64>() as u64;
 
     // Campaign 1 — localized recovery off memory-tier replicas: one
     // incarnation, zero PIOFS restore bytes, only `localized` billed.
@@ -288,7 +286,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     let after = Arc::new(Mutex::new(Vec::new()));
     let (b2, a2) = (Arc::clone(&before), Arc::clone(&after));
     run_spmd_traced(NPROCS, CostModel::default(), resize_rec.clone(), |ctx| {
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+        let dist = Distribution::block_auto(&FAULTS.domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
         u.fill_assigned(initial);
         b2.lock().push(u.fold_assigned(0.0, |acc, _, v| acc + v));

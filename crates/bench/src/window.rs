@@ -134,8 +134,7 @@ struct Run {
 
 /// What a run measured, as rank 0 saw it: virtual times when the first
 /// interval began and when the run ended, then per arm the blocking
-/// checkpoints' array bytes, the chain's links, or the pipeline's flights,
-/// snapshot seconds and backpressure stalls.
+/// checkpoints' array bytes, the chain's links, or the pipeline's flights.
 #[derive(Default)]
 struct Outcome {
     t0: f64,
@@ -143,8 +142,6 @@ struct Outcome {
     bytes: u64,
     links: Vec<DeltaReport>,
     flights: Vec<FlightRow>,
-    snapshot_s: f64,
-    stalls: u64,
 }
 
 impl Run {
@@ -187,7 +184,6 @@ impl Run {
                         let ck = pipeline
                             .get_or_insert_with(|| AsyncCheckpointer::new(AsyncConfig { budget }));
                         let r = ck.checkpoint(ctx, fs, &mut drms, &prefix, &seg, &arrays, None)?;
-                        out.snapshot_s += r.snapshot_seconds;
                         out.flights.push(FlightRow {
                             prefix,
                             sop: r.sop,
@@ -203,7 +199,6 @@ impl Run {
                 ctx.charge(self.compute_s);
                 if let Some(ck) = &mut pipeline {
                     ck.drain(ctx);
-                    out.stalls = ck.stalls();
                 }
                 ctx.barrier();
             }
@@ -311,10 +306,6 @@ pub struct DeltaCampaign {
     pub full_state_bytes: u64,
     /// Everything under the delta campaign's checkpoint prefixes.
     pub delta_state_bytes: u64,
-    /// Dirty chunks re-stored across the chain.
-    pub dirty_chunks: u64,
-    /// Chunks carried forward by reference.
-    pub clean_chunks: u64,
     /// Dirty chunks satisfied by content-hash dedup.
     pub dedup_hits: u64,
     /// Bytes saved by per-chunk compression.
@@ -386,8 +377,6 @@ pub fn run_delta(spec: &AppSpec, params: &DeltaParams) -> Result<DeltaCampaign> 
         delta_bytes: total(|r| r.pack_bytes),
         full_state_bytes,
         delta_state_bytes,
-        dirty_chunks: total(|r| r.dirty_chunks),
-        clean_chunks: total(|r| r.clean_chunks),
         dedup_hits: total(|r| r.dedup_hits),
         compressed_saved: total(|r| r.compressed_saved),
         chain_depth: links.last().map(|r| r.chain_depth).unwrap_or(0),
@@ -553,10 +542,6 @@ pub struct AsyncCampaign {
     pub wall_blocking: f64,
     /// Wall time with async checkpoints at the same interval (drained).
     pub wall_async: f64,
-    /// Critical-path seconds the async runs spent capturing snapshots.
-    pub snapshot_s: f64,
-    /// Backpressure engagements of the async run.
-    pub backpressure_stalls: u64,
     /// The async run's flusher timeline.
     pub flights: Vec<FlightRow>,
     /// Checksum of the state restored from the last blocking checkpoint.
@@ -621,8 +606,6 @@ pub fn run_async(spec: &AppSpec, params: &AsyncParams) -> Result<AsyncCampaign> 
         wall_none,
         wall_blocking,
         wall_async: overlapped.wall,
-        snapshot_s: overlapped.snapshot_s,
-        backpressure_stalls: overlapped.stalls,
         flights: overlapped.flights,
         blocking_checksum: blocking.checksum,
         async_checksum: async_.checksum,

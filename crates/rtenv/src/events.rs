@@ -55,11 +55,6 @@ pub enum Event {
         /// Application name.
         app: String,
     },
-    /// The JSA raised the enabling-checkpoint signal for a job.
-    CheckpointEnabled {
-        /// Application name.
-        app: String,
-    },
     /// A checkpoint failed verification (and could not be scrubbed back to
     /// health), so the restart walk took it out of circulation.
     CheckpointQuarantined {
@@ -122,9 +117,6 @@ impl fmt::Display for Event {
                 None => write!(f, "job {app} started on {ntasks} tasks"),
             },
             Event::JobCompleted { app } => write!(f, "job {app} completed"),
-            Event::CheckpointEnabled { app } => {
-                write!(f, "checkpoint enabled for {app}")
-            }
             Event::CheckpointQuarantined { prefix } => {
                 write!(f, "checkpoint {prefix} quarantined after failed verification")
             }

@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use drms_core::manifest::CkptKind;
 use drms_core::{CheckpointArray, CoreError, Drms, DrmsConfig, EnableFlag, RestartInfo, Start};
+use drms_delta::restore_arrays_delta;
 use drms_memtier::{restore_arrays_from_tier, resume_from_tier, MemTier, RestartTier};
 use drms_msg::Ctx;
 use drms_piofs::Piofs;
@@ -52,6 +54,10 @@ pub struct JobEnv {
     pub fs: Arc<Piofs>,
     /// Checkpoint prefix to restart from, if this incarnation is a restart.
     pub restart_from: Option<String>,
+    /// The kind of the checkpoint `restart_from` names, from the manifest
+    /// the JSA's restart walk chose. [`CkptKind::Drms`] when `restart_from`
+    /// is `None`.
+    pub restart_kind: CkptKind,
     /// Cooperative kill signal (check at every SOP via
     /// [`JobEnv::sop_killed`]).
     pub kill: KillToken,
@@ -91,8 +97,10 @@ impl JobEnv {
     /// `None` and leaves `arrays` untouched; a restart serves the segment
     /// and every array — already created under the current distributions —
     /// out of the memory tier or the PIOFS checkpoint `restart_from` names,
-    /// and returns the restart info. An error comes back as the
-    /// [`JobOutcome`] the body should return ([`JobOutcome::from_err`]).
+    /// a delta link through [`drms_delta::resume`] and
+    /// [`restore_arrays_delta`], and returns the restart info. An error
+    /// comes back as the [`JobOutcome`] the body should return
+    /// ([`JobOutcome::from_err`]).
     pub fn resume(
         &self,
         ctx: &mut Ctx,
@@ -110,13 +118,21 @@ impl JobEnv {
                 .map_err(JobOutcome::from_err)?;
             return Ok((drms, Some(*info)));
         }
-        let (drms, start) =
-            Drms::initialize(ctx, fs, cfg, enable, from).map_err(JobOutcome::from_err)?;
+        let delta = self.restart_kind == CkptKind::DrmsDelta;
+        let (drms, start) = match from {
+            Some(prefix) if delta => drms_delta::resume(ctx, fs, cfg, enable, prefix),
+            _ => Drms::initialize(ctx, fs, cfg, enable, from),
+        }
+        .map_err(JobOutcome::from_err)?;
         let (Some(prefix), Start::Restarted(info)) = (from, start) else {
             return Ok((drms, None));
         };
-        drms.restore_arrays(ctx, fs, prefix, &info.manifest, arrays)
-            .map_err(JobOutcome::from_err)?;
+        if delta {
+            restore_arrays_delta(&drms, ctx, fs, prefix, &info.manifest, arrays)
+        } else {
+            drms.restore_arrays(ctx, fs, prefix, &info.manifest, arrays)
+        }
+        .map_err(JobOutcome::from_err)?;
         Ok((drms, Some(*info)))
     }
 }

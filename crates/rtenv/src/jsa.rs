@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use drms_blackbox::Blackbox;
 use drms_chaos::ChaosCtl;
+use drms_core::manifest::CkptKind;
 use drms_core::EnableFlag;
 use drms_insight::{stitch, IncarnationInput, RecoveryReport, StitchedTimeline};
 use drms_memtier::{MemTier, RestartTier};
@@ -235,13 +236,12 @@ impl Jsa {
                 &*self.log.recorder(),
                 incarnation as f64,
             );
-            let (restart_from, fallback_depth, restart_tier) = match plan.tier {
+            let (restart, fallback_depth, restart_tier) = match plan.tier {
                 RestartTier::Memory => {
-                    let prefix = plan.memory.map(|(p, _)| p);
-                    if let Some(p) = &prefix {
+                    if let Some((p, _)) = &plan.memory {
                         self.log.record(Event::MemTierHit { prefix: p.clone() });
                     }
-                    (prefix, 0, RestartTier::Memory)
+                    (plan.memory, 0, RestartTier::Memory)
                 }
                 RestartTier::Piofs => {
                     let plan = plan.piofs;
@@ -257,9 +257,13 @@ impl Jsa {
                             });
                         }
                     }
-                    (plan.chosen.map(|(p, _)| p), plan.fallback_depth, RestartTier::Piofs)
+                    (plan.chosen, plan.fallback_depth, RestartTier::Piofs)
                 }
             };
+            // The manifest the walk chose names the restart path: the job's
+            // resume dispatches on its kind without reading it again.
+            let restart_kind = restart.as_ref().map_or(CkptKind::Drms, |(_, m)| m.kind);
+            let restart_from = restart.map(|(p, _)| p);
 
             let kill = KillToken::new();
             self.rc.form_pool(&job.app, &procs, kill.clone());
@@ -281,6 +285,7 @@ impl Jsa {
             let env = JobEnv {
                 fs: Arc::clone(&self.fs),
                 restart_from: restart_from.clone(),
+                restart_kind,
                 kill: kill.clone(),
                 enable: enable.clone(),
                 incarnation,
@@ -313,7 +318,7 @@ impl Jsa {
             });
 
             if let Some(bb) = &self.blackbox {
-                self.blackbox_epilogue(bb, &job.app, incarnation, &summary);
+                self.blackbox_epilogue(bb, &job.app, incarnation, &outcome, &summary);
             }
 
             match outcome {
@@ -339,11 +344,11 @@ impl Jsa {
         summary
     }
 
-    /// Flight-recorder bookkeeping at the end of one incarnation: a
-    /// completed run's in-memory tail is sealed directly (no rank thread is
-    /// alive to race with); a killed run's unsealed tail is counted and
-    /// logged as [`Event::TraceDropped`] — the loss that used to be silent;
-    /// then every sealed ring reachable on storage (committed `blackbox-r*`
+    /// Flight-recorder bookkeeping at the end of one incarnation, whose
+    /// `outcome` was just pushed onto `summary`: a completed run's
+    /// in-memory tail is sealed directly (no rank thread is alive to race
+    /// with); a killed run's unsealed tail is counted and logged as
+    /// [`Event::TraceDropped`] — the loss that used to be silent; then every sealed ring reachable on storage (committed `blackbox-r*`
     /// checkpoint files and crash salvages under the `bb/` area) is fed to
     /// the archive, and the recovery-ratio gauge is re-published as the
     /// attribution's recovery fraction over the incarnations so far.
@@ -352,10 +357,9 @@ impl Jsa {
         bb: &Blackbox,
         app: &str,
         incarnation: usize,
+        outcome: &JobOutcome,
         summary: &RunSummary,
     ) {
-        let outcome =
-            &summary.incarnations.last().expect("epilogue follows a pushed record").outcome;
         match outcome {
             JobOutcome::Completed => {
                 for seal in bb.seal_all(bb.latest_time(), "final") {
@@ -429,13 +433,5 @@ impl Jsa {
                 .unwrap_or(0);
             rec.gauge_set(drms_obs::names::MEMTIER_REPLICAS, 0, replicas as f64);
         }
-    }
-
-    /// Raises the system-initiated-checkpoint signal for a job (feature 2
-    /// of Section 4: checkpointing under JSA direction for dynamic
-    /// scheduling).
-    pub fn enable_checkpoint(&self, app: &str, enable: &EnableFlag) {
-        enable.raise();
-        self.log.record(Event::CheckpointEnabled { app: app.to_string() });
     }
 }

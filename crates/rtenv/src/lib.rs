@@ -26,6 +26,7 @@
 //! recovery is always a complete checkpoint, never a torn one.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod events;
 mod job;

@@ -33,7 +33,9 @@ struct TcHandle {
     join: JoinHandle<()>,
 }
 
-fn spawn_tc(proc_id: usize) -> TcHandle {
+/// Starts processor `proc_id`'s TC daemon; `None` when its thread cannot
+/// start — a processor whose TC cannot come up is a failed processor.
+fn spawn_tc(proc_id: usize) -> Option<TcHandle> {
     let (cmd_tx, cmd_rx) = sync_channel::<TcCommand>(1);
     // The alive channel never carries messages; its disconnection is the
     // liveness signal, standing in for the paper's lost socket connection.
@@ -50,8 +52,8 @@ fn spawn_tc(proc_id: usize) -> TcHandle {
             // channel.
             let _ = cmd_rx.recv();
         })
-        .expect("spawn TC thread");
-    TcHandle { cmd_tx, alive_rx, join }
+        .ok()?;
+    Some(TcHandle { cmd_tx, alive_rx, join })
 }
 
 struct RcInner {
@@ -71,14 +73,14 @@ pub struct ResourceCoordinator {
 impl ResourceCoordinator {
     /// Brings up a system of `nprocs` processors, one TC each.
     pub fn new(nprocs: usize, log: EventLog) -> ResourceCoordinator {
-        let tcs = (0..nprocs).map(|p| Some(spawn_tc(p))).collect();
+        let tcs: Vec<_> = (0..nprocs).map(spawn_tc).collect();
+        let state = tcs
+            .iter()
+            .map(|tc| if tc.is_some() { ProcessorState::Available } else { ProcessorState::Failed })
+            .collect();
         ResourceCoordinator {
             log,
-            inner: Mutex::new(RcInner {
-                tcs,
-                state: vec![ProcessorState::Available; nprocs],
-                pools: HashMap::new(),
-            }),
+            inner: Mutex::new(RcInner { tcs, state, pools: HashMap::new() }),
         }
     }
 
@@ -187,8 +189,9 @@ impl ResourceCoordinator {
         }
         inner.state[failed_proc] = ProcessorState::Failed;
 
-        let Some(app) = owner else { return };
-        let (pool, kill) = inner.pools.remove(&app).expect("owner pool exists");
+        let Some((app, (pool, kill))) = owner.and_then(|app| inner.pools.remove_entry(&app)) else {
+            return;
+        };
 
         // Step 2: kill all other processes of the application and all TCs
         // in the pool. (Application processes die cooperatively via the
@@ -212,12 +215,22 @@ impl ResourceCoordinator {
         // throughout, with reduced processor availability.
         for &p in &pool {
             if p != failed_proc {
-                inner.tcs[p] = Some(spawn_tc(p));
-                inner.state[p] = ProcessorState::Available;
-                self.log.record(Event::TcRestarted { proc: p });
-                self.log.record(Event::ProcessorRestored { proc: p });
+                self.restart_tc(&mut inner, p);
             }
         }
+    }
+
+    /// Restarts processor `p`'s TC and returns it to the available pool;
+    /// a TC that cannot start leaves the processor failed.
+    fn restart_tc(&self, inner: &mut RcInner, p: usize) {
+        inner.tcs[p] = spawn_tc(p);
+        if inner.tcs[p].is_none() {
+            inner.state[p] = ProcessorState::Failed;
+            return;
+        }
+        inner.state[p] = ProcessorState::Available;
+        self.log.record(Event::TcRestarted { proc: p });
+        self.log.record(Event::ProcessorRestored { proc: p });
     }
 
     /// Repairs a failed processor ("rebooting or even fixing it first"),
@@ -225,10 +238,7 @@ impl ResourceCoordinator {
     pub fn repair(&self, proc_id: usize) {
         let mut inner = self.inner.lock();
         assert_eq!(inner.state[proc_id], ProcessorState::Failed, "repairing a healthy processor");
-        inner.tcs[proc_id] = Some(spawn_tc(proc_id));
-        inner.state[proc_id] = ProcessorState::Available;
-        self.log.record(Event::TcRestarted { proc: proc_id });
-        self.log.record(Event::ProcessorRestored { proc: proc_id });
+        self.restart_tc(&mut inner, proc_id);
     }
 
     /// Shuts every TC down (end of simulation).

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use drms_blackbox::{Blackbox, BlackboxConfig};
 use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan};
+use drms_core::manifest::CkptKind;
 use drms_core::segment::DataSegment;
 use drms_core::{Drms, DrmsConfig, EnableFlag};
 use drms_darray::{DistArray, Distribution};
@@ -297,6 +298,7 @@ fn env_for(
     JobEnv {
         fs: Arc::clone(fs),
         restart_from: restart.map(|(prefix, _)| prefix.to_string()),
+        restart_kind: CkptKind::Drms,
         kill: KillToken::new(),
         enable: EnableFlag::new(),
         incarnation: usize::from(restart.is_some()),

@@ -9,10 +9,11 @@
 # seeds <seed-base>, <seed-base>+1, ... — both sides of a pair on the same
 # seed, so stored_ratio / sim_ckpt_s / sim_restore_s can be compared to the
 # last digit — alternating which side goes first, then one traced pair per
-# workload on <seed-base> for the per-layer rows. Records are appended to
-# .bench_build/pairs/{parent,change}.jsonl and every run's table to
-# {parent,change}.log beside them (delete the directory's files to start
-# afresh). The last two steps are `compare parent.jsonl change.jsonl` (exit
+# workload on <seed-base> for the per-layer rows. Each invocation starts
+# .bench_build/pairs/{parent,change}.jsonl afresh and writes this run's
+# records there, every run's table to {parent,change}.log beside them (name
+# each workload once: a (workload, seed, trace) key names one record a
+# side). The last two steps are `compare parent.jsonl change.jsonl` (exit
 # code 1 on a regression) and rule 5 of "Claiming a gain": for every
 # (workload, seed, trace) pair of records whose two runs attempted the same
 # number of ops, stored_ratio, sim_ckpt_s, sim_restore_s and ok_share must be
@@ -22,7 +23,7 @@
 # direction from BENCHMARK.json (ties count for neither side), the tally the
 # 9-in-10 rule of "Claiming a gain" reads. The same (workload, metric) pairs
 # are summarized as one JSON record each in .bench_build/pairs/summary.jsonl
-# (rewritten every invocation, over every record the two files hold): the
+# (rewritten every invocation, over this invocation's records): the
 # label $HOST_PAIRS_LABEL (default "unlabelled"), the parent revision and
 # this invocation's seed base, the pairs counted, won and lost, each side's
 # median and quartiles (the methods of benchmark/src/stats.rs; null quartiles
@@ -66,6 +67,7 @@ build() { # <side> <manifest>: prints the path of the side's binary
 }
 parent_bin=$(build parent "$work/parent/benchmark/Cargo.toml")
 change_bin=$(build change benchmark/Cargo.toml)
+rm -f "$work"/{parent,change}.{jsonl,log}
 
 run() { # <side> <workload> <seed> <trace>
     local bin=${1}_bin
@@ -96,21 +98,14 @@ exact() { # <side>: "workload seed trace attempted stored_ratio sim_ckpt_s sim_r
     sed -n 's/^{"workload": "\([^"]*\)", "seed": \([0-9]*\),.*"trace": \([01]\),.*"attempted": \([0-9]*\),.*"stored_ratio": {"value": \([^,]*\),.*"sim_ckpt_s": {"value": \([^,]*\),.*"sim_restore_s": {"value": \([^,]*\),.*"ok_share": {"value": \([^,]*\),.*/\1 \2 \3 \4 \5 \6 \7 \8/p' \
         "$work/$1.jsonl"
 }
-# Records accumulate, so a key can repeat: the n-th parent record of a key
-# pairs with the n-th change record of it.
-declare -A nth=() parent_rec=()
+declare -A parent_rec=()
 while read -r w s t rec; do
-    key="$w seed $s trace $t"
-    i=${nth["p $key"]:-0}
-    nth["p $key"]=$((i + 1))
-    parent_rec["$key #$i"]=$rec
+    parent_rec["$w seed $s trace $t"]=$rec
 done < <(exact parent)
 checked=0 mismatches=0
 while read -r w s t rec; do
     key="$w seed $s trace $t"
-    i=${nth["c $key"]:-0}
-    nth["c $key"]=$((i + 1))
-    read -r -a p <<<"${parent_rec["$key #$i"]:-}"
+    read -r -a p <<<"${parent_rec["$key"]:-}"
     read -r -a c <<<"$rec"
     # Unpaired, or the loop limit cut one side's ops short: medians over
     # different op counts are not the same quantity.
@@ -157,18 +152,14 @@ dec_cmp() { # <a> <b>: -1, 0 or 1 for two non-negative decimal numerals
         [[ $ai$af < $bi$bf ]] && echo -1 || echo 1
     fi
 }
-declare -A nth=() parent_vals=() won=() lost=() tied=()
+declare -A parent_vals=() won=() lost=() tied=()
 workloads_seen=()
 while read -r w s rec; do
-    i=${nth["p $w $s"]:-0}
-    nth["p $w $s"]=$((i + 1))
-    parent_vals["$w $s #$i"]=$rec
+    parent_vals["$w $s"]=$rec
 done < <(e2e_values parent)
 while read -r w s rec; do
-    i=${nth["c $w $s"]:-0}
-    nth["c $w $s"]=$((i + 1))
-    [ -n "${parent_vals["$w $s #$i"]:-}" ] || continue
-    read -r -a p <<<"${parent_vals["$w $s #$i"]}"
+    [ -n "${parent_vals["$w $s"]:-}" ] || continue
+    read -r -a p <<<"${parent_vals["$w $s"]}"
     read -r -a c <<<"$rec"
     [ -n "${won["$w 0"]+set}" ] || workloads_seen+=("$w")
     for j in "${!e2e[@]}"; do

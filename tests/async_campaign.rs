@@ -18,11 +18,8 @@
 //! link, transient weather replayed twice for determinism, and a
 //! restore-through-`Drms::initialize` bitwise check of an async commit.
 
-mod common;
-
 use std::sync::Arc;
 
-use common::DeltaToy;
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms::core::segment::DataSegment;
@@ -31,9 +28,9 @@ use drms::darray::{DistArray, Distribution};
 use drms::memtier::MemTier;
 use drms::msg::{run_spmd, CostModel};
 use drms::piofs::{Piofs, PiofsConfig};
-use drms::rtenv::RunSummary;
+use drms::rtenv::{JobOutcome, RunSummary};
 use drms::slices::Order;
-use drms_bench::campaign::{domain, policy, reference, Campaign, CkptMode, Rig};
+use drms_bench::campaign::{policy, Campaign, CkptMode, Rig, BANDED, FAULTS};
 
 const NITER: i64 = 10;
 const APP: &str = "asynccamp";
@@ -66,31 +63,33 @@ fn seed_filter() -> Option<u64> {
 }
 
 struct CampaignResult {
+    job: Campaign,
     checksum: f64,
     summary: RunSummary,
     fs: Arc<Piofs>,
     ctl: Arc<ChaosCtl>,
 }
 
-/// Runs the campaign job under the JSA with asynchronous checkpoints:
-/// snapshot budget 2, a flush in flight across compute iterations, drain
-/// before completion. `tiered` routes the flush through an in-memory
-/// replica tier on its way to PIOFS; a sealed tier entry is restartable
-/// before its PIOFS publish (the diskless-tier model), and the job's
-/// resume honors the JSA's memory-tier restart resolution.
-fn run_campaign(plan: FaultPlan, tiered: bool) -> CampaignResult {
-    let rig = Rig::new(APP, plan.seed, None);
+/// The campaign job with asynchronous checkpoints: snapshot budget 2, a
+/// flush in flight across compute iterations, drain before completion.
+fn overlapped() -> Campaign {
+    Campaign { mode: CkptMode::Overlapped { budget: 2 }, ..Campaign::new(APP, "ck/async", NITER) }
+}
+
+/// Runs `job` under the JSA with `plan`. `tiered` routes the flush
+/// through an in-memory replica tier on its way to PIOFS; a sealed tier
+/// entry is restartable before its PIOFS publish (the diskless-tier
+/// model), and the job's resume honors the JSA's memory-tier restart
+/// resolution.
+fn run_campaign(job: Campaign, plan: FaultPlan, tiered: bool) -> CampaignResult {
+    let rig = Rig::new(job.app, plan.seed, None);
     let ctl = ChaosCtl::new(plan);
     let mut jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl));
     if tiered {
         jsa = jsa.with_memtier(MemTier::new(1));
     }
-    let job = Campaign {
-        mode: CkptMode::Overlapped { budget: 2 },
-        ..Campaign::new(APP, "ck/async", NITER)
-    };
     let (checksum, summary) = job.launch(&rig, &jsa);
-    CampaignResult { checksum, summary, fs: rig.fs, ctl }
+    CampaignResult { job, checksum, summary, fs: rig.fs, ctl }
 }
 
 fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
@@ -102,7 +101,7 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
     );
     assert_eq!(
         r.checksum,
-        reference(NITER),
+        r.job.shape.reference(r.job.niter),
         "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );
@@ -117,7 +116,7 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
             );
         }
     }
-    for (prefix, _) in find_checkpoints(&r.fs, Some(APP)) {
+    for (prefix, _) in find_checkpoints(&r.fs, Some(r.job.app)) {
         assert!(
             !prefix.contains(".tmp"),
             "{what}: staged prefix {prefix:?} discoverable as a checkpoint\nreproduce with: {}",
@@ -149,7 +148,7 @@ fn every_flush_stage_and_occurrence_recovers_bitwise() {
             }
             let plan =
                 FaultPlan { crash: Some((point, occurrence)), ..FaultPlan::seeded(SWEEP_SEED) };
-            let r = run_campaign(plan, false);
+            let r = run_campaign(overlapped(), plan, false);
             let what = format!("flush stage {point} occurrence {occurrence}");
             assert!(
                 r.ctl.crash_fired(),
@@ -178,7 +177,7 @@ fn tiered_flush_crashes_recover_bitwise() {
             continue;
         }
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(seed) };
-        let r = run_campaign(plan, true);
+        let r = run_campaign(overlapped(), plan, true);
         let what = format!("tiered flush stage {point}");
         assert!(
             r.ctl.crash_fired(),
@@ -203,70 +202,60 @@ fn async_weather_is_deterministic_per_seed() {
             piofs: PiofsFaults { transient_prob: 0.2, torn: None },
             ..FaultPlan::seeded(seed)
         };
-        let r = run_campaign(plan.clone(), false);
+        let r = run_campaign(overlapped(), plan.clone(), false);
         assert_crash_consistent(&r, &format!("weather seed {seed}"), seed);
         assert!(
             r.ctl.retries() > 0,
             "weather seed {seed}: no retries recorded\nreproduce with: {}",
             repro_cmd(seed)
         );
-        let again = run_campaign(plan, false);
+        let again = run_campaign(overlapped(), plan, false);
         assert_eq!(again.checksum, r.checksum);
         assert_eq!(again.summary, r.summary);
         assert_eq!(again.ctl.retries(), r.ctl.retries());
     }
 }
 
-// ---------------------------------------------------------------------------
-// Delta-chain flush interleavings (two-incarnation structure, no JSA).
-// ---------------------------------------------------------------------------
-
-/// The shared delta toy, its links taken by `AsyncCheckpointer::checkpoint_delta`.
-const D_TOY: DeltaToy = DeltaToy { app: "adelta", stem: "ck/ad", overlapped: true };
-
-/// Every flush stage, cut during the **second** delta link: the
-/// half-flushed link is never a restart source, the chain recovers from
-/// the newest committed link, and the recomputed state is bitwise exact.
+/// Every flush stage, cut during the **second** delta link of the job on
+/// the banded field: the half-flushed link is never a restart source, the
+/// JSA restarts the chain from the newest committed link, and the
+/// recomputed state is bitwise exact.
 #[test]
 fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
     let seed = SWEEP_SEED ^ 0xDE17;
-    let reference = DeltaToy::reference();
+    let job = Campaign {
+        mode: CkptMode::OverlappedDelta { budget: 2 },
+        shape: BANDED,
+        ..Campaign::new("adelta", "ck/ad", 9)
+    };
+    let verify_links = |fs: &Piofs, what: &str| {
+        for (prefix, _) in find_checkpoints(fs, Some(job.app)) {
+            assert!(verify(fs, &prefix).is_valid(), "{what}: {prefix:?} invalid");
+        }
+    };
     for &point in &PIPELINE_POINTS[1..] {
         if seed_filter().is_some_and(|only| only != seed) {
             continue;
         }
-        let ctl = ChaosCtl::new(FaultPlan { crash: Some((point, 2)), ..FaultPlan::seeded(seed) });
-        let f = common::fs();
-        let first = D_TOY.incarnation(&f, Some(Arc::clone(&ctl)), None);
-        assert!(
-            ctl.crash_fired(),
-            "{point}: armed crash never fired\nreproduce with: {}",
-            repro_cmd(seed)
-        );
-        assert_eq!(first, None, "{point}: crashed incarnation completed");
+        let plan = FaultPlan { crash: Some((point, 2)), ..FaultPlan::seeded(seed) };
+        let r = run_campaign(job.clone(), plan, false);
+        let what = format!("delta flush stage {point}");
+        let repro = repro_cmd(seed);
+        assert!(r.ctl.crash_fired(), "{what}: armed crash never fired\nreproduce with: {repro}");
+        assert_eq!(r.summary.incarnations[0].outcome, JobOutcome::Killed, "{what}");
+        let expect = if point == CrashPoint::FlushCommitted { "ck/ad/6" } else { "ck/ad/3" };
+        let from = r.summary.incarnations[1].restart_from.as_deref();
+        assert_eq!(from, Some(expect), "{what}: wrong fallback\nreproduce with: {repro}");
+        verify_links(&r.fs, &what);
+        assert_crash_consistent(&r, &what, seed);
+        verify_links(&r.fs, &format!("{what}, after the sweep"));
 
-        for (prefix, _) in find_checkpoints(&f, Some(D_TOY.app)) {
-            assert!(!prefix.contains(".tmp"), "{point}: staged {prefix:?} discoverable");
-            assert!(verify(&f, &prefix).is_valid(), "{point}: {prefix:?} invalid");
-        }
-        let expect = if point == CrashPoint::FlushCommitted { "ck/ad6" } else { "ck/ad3" };
-        let from = find_checkpoints(&f, Some(D_TOY.app))
-            .first()
-            .map(|(p, _)| p.clone())
-            .expect("a committed fallback must exist");
-        assert_eq!(from, expect, "{point}: wrong fallback\nreproduce with: {}", repro_cmd(seed));
-        sweep_orphans(&f);
-        assert!(verify(&f, &from).is_valid(), "{point}: sweep broke the fallback");
-
-        let total = D_TOY
-            .incarnation(&f, None, Some(&from))
-            .unwrap_or_else(|| panic!("{point}: recovery incarnation crashed"));
-        assert_eq!(
-            total,
-            reference,
-            "{point}: recovered state diverged\nreproduce with: {}",
-            repro_cmd(seed)
-        );
+        // A relaunch on the swept file system restarts from the newest link.
+        let rig = Rig::on(job.app, r.fs, None);
+        let (total, summary) = job.launch(&rig, &rig.jsa(policy()));
+        assert_eq!(summary.incarnations[0].restart_from.as_deref(), Some("ck/ad/9"), "{what}");
+        let reference = BANDED.reference(job.niter);
+        assert_eq!(total, reference, "{what}: relaunch diverged\nreproduce with: {repro}");
     }
 }
 
@@ -282,7 +271,7 @@ fn async_commit_restores_bitwise_through_initialize() {
     let sums = run_spmd(4, CostModel::default(), move |ctx| {
         let (mut drms, _) =
             Drms::initialize(ctx, &f2, DrmsConfig::new(APP), EnableFlag::new(), None).unwrap();
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+        let dist = Distribution::block_auto(&FAULTS.domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
         u.fill_assigned(|p| (p[0] * 5 + p[1]) as f64);
         let mut seg = DataSegment::new();
@@ -295,20 +284,21 @@ fn async_commit_restores_bitwise_through_initialize() {
     .unwrap();
     let written: f64 = sums.iter().sum();
 
-    // A brand-new region (different task count) restores the commit.
+    // A brand-new region (different task count) restores the commit; each
+    // task reports the `iter` it found (none on a fresh start).
     let f3 = Arc::clone(&f);
     let restored = run_spmd(3, CostModel::default(), move |ctx| {
         let (drms, start) =
             Drms::initialize(ctx, &f3, DrmsConfig::new(APP), EnableFlag::new(), Some("ck/bitwise"))
                 .unwrap();
-        let Start::Restarted(info) = start else { panic!("expected restart") };
-        assert_eq!(info.segment.control("iter").unwrap(), 6);
-        let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+        let Start::Restarted(info) = start else { return (None, 0.0) };
+        let dist = Distribution::block_auto(&FAULTS.domain(), ctx.ntasks(), 1).unwrap();
         let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
         drms.restore_arrays(ctx, &f3, "ck/bitwise", &info.manifest, &mut [&mut u]).unwrap();
-        u.fold_assigned(0.0, |acc, _, v| acc + v)
+        (info.segment.control("iter"), u.fold_assigned(0.0, |acc, _, v| acc + v))
     })
     .unwrap();
-    let restored: f64 = restored.iter().sum();
+    assert!(restored.iter().all(|&(iter, _)| iter == Some(6)), "{restored:?}");
+    let restored: f64 = restored.iter().map(|&(_, sum)| sum).sum();
     assert_eq!(written, restored, "async commit did not restore bitwise");
 }

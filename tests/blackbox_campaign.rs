@@ -34,7 +34,7 @@ use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms::insight::{RecoveryReport, StitchedTimeline};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms::rtenv::{JsaPolicy, RunSummary};
-use drms_bench::campaign::{policy, reference, Campaign, Fault, LossDrill, Rig, NPROCS};
+use drms_bench::campaign::{policy, Campaign, Fault, LossDrill, Rig, FAULTS, NPROCS};
 
 const NITER: i64 = 10;
 const APP: &str = "bbcamp";
@@ -130,7 +130,7 @@ fn assert_covered(
     );
     assert_eq!(
         r.checksum,
-        reference(NITER),
+        FAULTS.reference(NITER),
         "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );

@@ -24,7 +24,7 @@ use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults, TornWrite};
 use drms::core::{find_checkpoints, sweep_orphans};
 use drms::piofs::Piofs;
 use drms::rtenv::RunSummary;
-use drms_bench::campaign::{policy, reference, Campaign, Fault, Rig};
+use drms_bench::campaign::{policy, Campaign, Fault, Rig, FAULTS};
 
 const NITER: i64 = 10;
 const APP: &str = "chaoscamp";
@@ -83,7 +83,7 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
     );
     assert_eq!(
         r.checksum,
-        reference(NITER),
+        FAULTS.reference(NITER),
         "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );

@@ -57,7 +57,7 @@ fn campaigns_always_recover_exactly() {
     let reference = run_campaign(0, Vec::new());
     // Ground truth: sums of multiples of 0.5, so f64 addition is exact in
     // any order.
-    assert_eq!(reference, campaign::reference(NITER));
+    assert_eq!(reference, campaign::FAULTS.reference(NITER));
 
     for &seed in CAMPAIGN_SEEDS {
         if seed_filter().is_some_and(|only| only != seed) {

@@ -16,7 +16,6 @@ use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults, TornWrite};
 use drms::core::segment::DataSegment;
 use drms::core::{CoreError, Drms, DrmsConfig, EnableFlag};
 use drms::darray::{DistArray, Distribution};
-use drms::delta::{delta_checkpoint, DeltaChain, DeltaConfig};
 use drms::memtier::{store_checkpoint, MemTier};
 use drms::msg::{CostModel, Spmd};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
@@ -26,7 +25,7 @@ use drms::recover::{grow, recover, retain, shrink, Membership, StreamSource};
 use drms::resil::{scrub_checkpoint, CorruptionCampaign};
 use drms::slices::{Order, Slice};
 use drms_bench::campaign::{
-    domain, initial, policy, Campaign, CkptMode, Fault, Rig, StorageFault, NPROCS,
+    initial, policy, Campaign, CkptMode, Fault, Rig, StorageFault, FAULTS, NPROCS,
 };
 
 const NITER: i64 = 10;
@@ -293,14 +292,15 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
         covered.extend(emitted(&trace));
     }
 
-    // Scenario 7 — incremental checkpointing: a two-link delta chain whose
-    // second link dirties every chunk (the collapse case), traced live
-    // through a pulse fan-out so the delta-ratio-collapse rule fires.
-    // Covers the delta counters/gauges and the collapse alert name.
+    // Scenario 7 — incremental checkpointing: the drift job's links taken
+    // as a delta chain on the fault field, where every link after the
+    // first dirties every chunk (the collapse case), traced live through a
+    // pulse fan-out so the delta-ratio-collapse rule fires. Covers the
+    // delta counters/gauges and the collapse alert name.
     {
         let trace = Arc::new(TraceRecorder::default());
         let pulse = Pulse::new(PulseConfig {
-            ntasks: 2,
+            ntasks: NPROCS,
             window: 0.002,
             rules: builtin_rules(&RuleThresholds::default()),
         });
@@ -309,33 +309,8 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
             trace.clone() as Arc<dyn Recorder>,
             pulse.recorder(),
         ]));
-        let fs = Piofs::new(PiofsConfig::test_tiny(4), 7);
-        let ctl = ChaosCtl::new(FaultPlan::seeded(1));
-        Spmd::new(2, CostModel::default())
-            .recorder(fan)
-            .chaos(ctl)
-            .run(|ctx| {
-                let (mut drms, _) =
-                    Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None)
-                        .unwrap();
-                let dom = Slice::boxed(&[(1, 2048)]);
-                let dist = Distribution::block_auto(&dom, ctx.ntasks(), 1).unwrap();
-                let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
-                u.fill_assigned(|p| (p[0] * 11) as f64);
-                let mut chain = DeltaChain::new();
-                let dc = DeltaConfig { chunk_bytes: 1024, full_every: 8, compress: true };
-                let seg = DataSegment::new();
-                delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &fs, "ck/dn1", &seg, &[&u])
-                    .unwrap();
-                let region = u.assigned().clone();
-                region.points(Order::ColumnMajor).for_each(|p| {
-                    let v = u.get(p).unwrap();
-                    u.set(p, v + 1.0).unwrap();
-                });
-                delta_checkpoint(&mut drms, &mut chain, &dc, ctx, &fs, "ck/dn2", &seg, &[&u])
-                    .unwrap();
-            })
-            .unwrap();
+        let w = build_pulse_world(7, false, trace.clone(), fan);
+        run_job(&w, None, Vec::new(), CkptMode::Delta);
         let report = pulse.finish();
         assert!(
             report.alerts.iter().any(|a| a.rule == names::ALERT_DELTA_COLLAPSE),
@@ -487,7 +462,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
                 let (mut drms, _) =
                     Drms::initialize(ctx, &fs, DrmsConfig::new(APP), EnableFlag::new(), None)
                         .unwrap();
-                let dist = Distribution::block_auto(&domain(), ctx.ntasks(), 1).unwrap();
+                let dist = Distribution::block_auto(&FAULTS.domain(), ctx.ntasks(), 1).unwrap();
                 let mut u = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
                 u.fill_assigned(initial);
                 let mut seg = DataSegment::new();

@@ -22,7 +22,7 @@ use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms::core::{find_checkpoints, sweep_orphans};
 use drms::piofs::Piofs;
 use drms::rtenv::{JsaPolicy, RunSummary};
-use drms_bench::campaign::{reference, Campaign, LossDrill, Rig};
+use drms_bench::campaign::{Campaign, LossDrill, Rig, FAULTS};
 
 const NITER: i64 = 10;
 const APP: &str = "recovcamp";
@@ -81,7 +81,7 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
     );
     assert_eq!(
         r.checksum,
-        reference(NITER),
+        FAULTS.reference(NITER),
         "{what}: final state diverged from the uninterrupted run\nreproduce with: {}",
         repro_cmd(seed)
     );

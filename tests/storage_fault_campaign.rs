@@ -13,9 +13,7 @@ use drms::memtier::{MemTier, RestartTier};
 use drms::obs::{names, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
 use drms::rtenv::{Event, JobOutcome, RunSummary};
-use drms_bench::campaign::{
-    policy, reference, Campaign, CkptMode, Fault, Rig, StorageFault, NPROCS,
-};
+use drms_bench::campaign::{policy, Campaign, CkptMode, Fault, Rig, StorageFault, FAULTS, NPROCS};
 
 const NITER: i64 = 10;
 const APP: &str = "storm";
@@ -35,7 +33,7 @@ fn repro_cmd(seed: u64) -> String {
 
 /// Checksum of the final state of an uninterrupted run.
 fn expect_total() -> f64 {
-    reference(NITER)
+    FAULTS.reference(NITER)
 }
 
 /// A storage fault also kills a processor, because it only matters once
