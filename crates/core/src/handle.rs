@@ -51,6 +51,11 @@ pub trait CheckpointArray: Send {
     /// stream without touching the file system (the diskless tier path).
     fn stream_pieces(&self, ctx: &mut Ctx, io_tasks: usize) -> Result<Vec<stream::StreamPiece>>;
 
+    /// Collective: gathers the array's whole canonical stream to rank 0,
+    /// each wave straight into its stretch of one buffer (`None` on every
+    /// other rank): the incremental writer's input.
+    fn gather_stream(&self, ctx: &mut Ctx) -> Result<Option<Vec<u8>>>;
+
     /// Collective: fills the array from its canonical stream (any writer
     /// distribution), fetching each piece's byte range through `fetch`.
     /// A task whose fetch failed still runs every wave and returns its
@@ -156,6 +161,10 @@ impl<T: Element> CheckpointArray for DistArray<T> {
 
     fn stream_pieces(&self, ctx: &mut Ctx, io_tasks: usize) -> Result<Vec<stream::StreamPiece>> {
         Ok(stream::collect_array_pieces(ctx, self, io_tasks)?)
+    }
+
+    fn gather_stream(&self, ctx: &mut Ctx) -> Result<Option<Vec<u8>>> {
+        Ok(stream::gather_stream(ctx, self)?)
     }
 
     fn read_stream_via(

@@ -3,7 +3,7 @@
 //! memory tier's spill all ask this module whether a prefix is a restart
 //! source, so they cannot disagree.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use drms_darray::chunks;
 use drms_piofs::{Piofs, Stored};
@@ -66,9 +66,10 @@ impl VerifyReport {
 }
 
 /// Files the checkpoint kind mandates, whatever the integrity records say
-/// (a damaged writer could have died between data and manifest).
+/// (a damaged writer could have died between data and manifest): each
+/// once, in the order the manifest first names it.
 fn required_files(prefix: &str, m: &Manifest) -> Vec<String> {
-    match m.kind {
+    let named: Vec<String> = match m.kind {
         CkptKind::Drms => std::iter::once(segment_path(prefix))
             .chain(m.arrays.iter().map(|a| array_path(prefix, &a.name)))
             .collect(),
@@ -81,7 +82,9 @@ fn required_files(prefix: &str, m: &Manifest) -> Vec<String> {
                 m.deltas.iter().flat_map(|d| d.chunks.iter().map(|c| c.pack_path(prefix, &d.name))),
             )
             .collect(),
-    }
+    };
+    let mut seen = BTreeSet::new();
+    named.into_iter().filter(|path| seen.insert(path.clone())).collect()
 }
 
 /// Verifies the checkpoint under `prefix` end-to-end and reports every
@@ -101,7 +104,7 @@ pub fn verify(fs: &Piofs, prefix: &str) -> VerifyReport {
     let own = format!("{prefix}/");
     for path in required_files(prefix, &m) {
         let recorded = path.strip_prefix(&own).is_none_or(|name| m.file_integrity(name).is_some());
-        if !recorded && !report.unrecorded.contains(&path) {
+        if !recorded {
             report.unrecorded.push(path.clone());
         }
         if !fs.exists(&path) {

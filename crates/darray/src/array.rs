@@ -134,13 +134,9 @@ impl<T: Element> DistArray<T> {
 
     /// Folds over the assigned section in stream order.
     pub fn fold_assigned<B>(&self, init: B, mut f: impl FnMut(B, &[i64], T) -> B) -> B {
-        let mut acc = Some(init);
-        let region = self.assigned();
-        for_each_region_index(self.mapped(), region, self.order, |idx, point| {
-            let prev = acc.take().expect("fold accumulator");
-            acc = Some(f(prev, point, self.local[idx]));
-        });
-        acc.expect("fold accumulator")
+        fold_region_index(self.mapped(), self.assigned(), self.order, init, |acc, idx, point| {
+            f(acc, point, self.local[idx])
+        })
     }
 
     /// Packs the elements of `region` (a subset of the mapped section) into
@@ -185,23 +181,35 @@ impl<T: Element> DistArray<T> {
 /// need coordinates; packing and unpacking move whole runs
 /// ([`for_each_region_run`]).
 ///
-/// Panics when `region` is not a subset of `mapped` (the caller's
-/// invariant, as for a view's assigned and mapped sections).
-#[allow(clippy::needless_range_loop)] // per-axis loop reads several tables
+/// Points of `region` outside `mapped` are not visited: callers pass a
+/// subset, as a view's assigned and mapped sections are, which debug builds
+/// assert.
 pub fn for_each_region_index(
     mapped: &Slice,
     region: &Slice,
     order: Order,
     mut f: impl FnMut(usize, &[i64]),
 ) {
+    fold_region_index(mapped, region, order, (), |(), idx, point| f(idx, point))
+}
+
+/// [`for_each_region_index`] threading an accumulator: each visit maps it
+/// to the next, starting from `init`, and the last is returned.
+#[allow(clippy::needless_range_loop)] // per-axis loop reads several tables
+fn fold_region_index<B>(
+    mapped: &Slice,
+    region: &Slice,
+    order: Order,
+    init: B,
+    mut f: impl FnMut(B, usize, &[i64]) -> B,
+) -> B {
     debug_assert!(region.is_subset_of(mapped), "region {region} not within mapped {mapped}");
     if region.is_empty() {
-        return;
+        return init;
     }
     let d = region.rank();
     if d == 0 {
-        f(0, &[]);
-        return;
+        return f(init, 0, &[]);
     }
 
     // Storage strides of the mapped box, in `order`.
@@ -222,11 +230,12 @@ pub fn for_each_region_index(
         let mut offs = Vec::with_capacity(rrange.len());
         let mut crds = Vec::with_capacity(rrange.len());
         for g in rrange.iter() {
-            let pos = mrange
-                .position(g)
-                .unwrap_or_else(|| panic!("region point {g} on axis {ax} not mapped"));
+            let Some(pos) = mrange.position(g) else { continue };
             offs.push(pos * strides[ax]);
             crds.push(g);
+        }
+        if offs.is_empty() {
+            return init;
         }
         offsets.push(offs);
         coords.push(crds);
@@ -239,9 +248,10 @@ pub fn for_each_region_index(
     for ax in 0..d {
         point[ax] = coords[ax][0];
     }
+    let mut acc = init;
     loop {
         let flat: usize = (0..d).map(|ax| offsets[ax][idx[ax]]).sum();
-        f(flat, &point);
+        acc = f(acc, flat, &point);
         // Advance odometer.
         let mut done = true;
         for &ax in &axes {
@@ -255,7 +265,7 @@ pub fn for_each_region_index(
             point[ax] = coords[ax][0];
         }
         if done {
-            break;
+            return acc;
         }
     }
 }
@@ -305,8 +315,9 @@ pub fn for_each_region_run(
         let mut offs = Vec::with_capacity(region.range(ax).len());
         for g in region.range(ax).iter() {
             let Some(pos) = mrange.position(g) else {
+                // The region is not empty, so every axis has a first point.
                 let mut point: Vec<i64> =
-                    region.ranges().iter().map(|r| r.first().expect("nonempty")).collect();
+                    region.ranges().iter().map(|r| r.first().unwrap_or_default()).collect();
                 point[ax] = g;
                 return Err(DarrayError::NotMapped { point });
             };
@@ -362,8 +373,9 @@ pub fn for_each_region_run(
         let mut j = 0;
         loop {
             if j == slow.len() {
-                let (p, plen) = pending.expect("a nonempty region has a run");
-                f(p, plen);
+                if let Some((p, plen)) = pending {
+                    f(p, plen);
+                }
                 return Ok(());
             }
             idx[j] += 1;

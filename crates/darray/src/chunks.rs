@@ -347,24 +347,81 @@ pub fn rle_compress(bytes: &[u8]) -> Vec<u8> {
 
 /// Appends the [`rle_compress`] output of `bytes` to `out` and returns
 /// whether it came out shorter than `limit` bytes. Gives up, with `out`
-/// holding a prefix of the output, as soon as the next pair would reach
-/// `limit`: the output only grows, so it could never get back under.
+/// holding a prefix of the output after what it held, as soon as the next
+/// pair would reach `limit`: the output only grows, so it could never get
+/// back under.
 fn rle_compress_below(bytes: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
+    let start = out.len();
     let mut i = 0;
     while i < bytes.len() {
-        if out.len() + 2 >= limit {
+        if out.len() - start + 2 >= limit {
             return false;
         }
         let b = bytes[i];
-        let mut run = 1usize;
-        while run < 256 && i + run < bytes.len() && bytes[i + run] == b {
-            run += 1;
-        }
-        out.push((run - 1) as u8);
-        out.push(b);
+        let run = run_len(&bytes[i..bytes.len().min(i + 256)], b);
+        out.extend_from_slice(&[(run - 1) as u8, b]);
         i += run;
     }
-    out.len() < limit
+    out.len() - start < limit
+}
+
+/// Length of the run of `b` that `window`, whose first byte is `b`, starts
+/// with. A run of one, the run of incompressible bytes, ends at the second
+/// byte; a longer one is read a word at a time: the first nonzero byte of a
+/// word XOR eight copies of `b` ends it.
+fn run_len(window: &[u8], b: u8) -> usize {
+    if window.get(1) != Some(&b) {
+        return 1;
+    }
+    let copies = u64::from_le_bytes([b; 8]);
+    let (words, tail) = window.as_chunks::<8>();
+    for (k, w) in words.iter().enumerate() {
+        let diff = u64::from_le_bytes(*w) ^ copies;
+        if diff != 0 {
+            return 8 * k + (diff.trailing_zeros() / 8) as usize;
+        }
+    }
+    8 * words.len() + tail.iter().take_while(|&&t| t == b).count()
+}
+
+/// Words of [`rle_may_win`]'s boundary count between two looks at the
+/// count.
+const COUNT_WORDS: usize = 8;
+
+/// Whether the [`rle_compress`] output of `bytes` can come out shorter than
+/// `bytes`. The output is two bytes per run, and there is at least one run
+/// more than there are boundaries (positions whose byte differs from the
+/// one before), so a chunk with `2 * (boundaries + 1) >= len` stays raw.
+/// Counts the boundaries a word at a time — a word XOR the word one byte
+/// back has one nonzero byte per boundary — and stops as soon as the count
+/// rules the codec out. `true` promises no win: runs longer than 256 split.
+fn rle_may_win(bytes: &[u8]) -> bool {
+    let len = bytes.len();
+    let ruled_out = |boundaries: usize| 2 * (boundaries + 1) >= len;
+    if ruled_out(0) {
+        return false;
+    }
+    let (words, tail) = bytes[1..].as_chunks::<8>();
+    let (before, before_tail) = bytes[..len - 1].as_chunks::<8>();
+    let mut boundaries = 0;
+    for (block, before) in words.chunks(COUNT_WORDS).zip(before.chunks(COUNT_WORDS)) {
+        for (w, b) in block.iter().zip(before) {
+            boundaries += nonzero_bytes(u64::from_ne_bytes(*w) ^ u64::from_ne_bytes(*b));
+        }
+        if ruled_out(boundaries) {
+            return false;
+        }
+    }
+    boundaries += tail.iter().zip(before_tail).filter(|(w, b)| w != b).count();
+    !ruled_out(boundaries)
+}
+
+/// How many of the eight bytes of `x` are nonzero: each byte's bits are
+/// or-folded into its lowest bit, and those are counted.
+fn nonzero_bytes(x: u64) -> usize {
+    let x = x | x >> 4;
+    let x = x | x >> 2;
+    ((x | x >> 1) & 0x0101_0101_0101_0101).count_ones() as usize
 }
 
 /// Inverse of [`rle_compress`], producing at most `len` bytes. Returns
@@ -395,18 +452,29 @@ fn rle_decompress_into(bytes: &[u8], len: usize, out: &mut Vec<u8>) -> bool {
 }
 
 /// Encodes a chunk for storage: RLE when it strictly wins (and is
-/// enabled), raw otherwise. The RLE attempt stops as soon as its output
-/// reaches the raw length, so incompressible bytes cost one pass of the
-/// encoder over at most their own length, into one buffer that the raw
-/// copy then reuses.
+/// enabled), raw otherwise.
 pub fn encode_chunk(bytes: &[u8], compress: bool) -> (Codec, Vec<u8>) {
     let mut out = Vec::with_capacity(bytes.len());
-    if compress && rle_compress_below(bytes, bytes.len(), &mut out) {
-        return (Codec::Rle, out);
+    let codec = encode_chunk_into(bytes, compress, &mut out);
+    (codec, out)
+}
+
+/// Appends the [`encode_chunk`] bytes of `bytes` to `out` and returns their
+/// codec. A word-wide count of byte boundaries decides first whether RLE
+/// can win at all, so an incompressible chunk costs at most a half pass of
+/// that count and one copy; only a chunk that can win runs the encoder,
+/// which stops as soon as its output reaches the raw length and then gives
+/// way to the raw copy.
+pub fn encode_chunk_into(bytes: &[u8], compress: bool, out: &mut Vec<u8>) -> Codec {
+    let start = out.len();
+    if compress && rle_may_win(bytes) {
+        if rle_compress_below(bytes, bytes.len(), out) {
+            return Codec::Rle;
+        }
+        out.truncate(start);
     }
-    out.clear();
     out.extend_from_slice(bytes);
-    (Codec::Raw, out)
+    Codec::Raw
 }
 
 /// A stored chunk and the identity its record promises: what a reader
@@ -644,6 +712,108 @@ mod tests {
                 (Codec::Raw, data.clone())
             };
             assert_eq!(encode_chunk(&data, true), expected, "len {}", data.len());
+        }
+    }
+
+    /// The encoder `encode_chunk` had before it decided the codec first:
+    /// RLE attempted on every chunk and stopped as soon as its output
+    /// reached the raw length, then the raw copy. The oracle of
+    /// `encode_chunk_is_the_reference_encoder`.
+    fn reference_encode_chunk(bytes: &[u8], compress: bool) -> (Codec, Vec<u8>) {
+        let mut out = Vec::with_capacity(bytes.len());
+        if compress && reference_rle_below(bytes, bytes.len(), &mut out) {
+            return (Codec::Rle, out);
+        }
+        out.clear();
+        out.extend_from_slice(bytes);
+        (Codec::Raw, out)
+    }
+
+    fn reference_rle_below(bytes: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
+        let mut i = 0;
+        while i < bytes.len() {
+            if out.len() + 2 >= limit {
+                return false;
+            }
+            let b = bytes[i];
+            let mut run = 1usize;
+            while run < 256 && i + run < bytes.len() && bytes[i + run] == b {
+                run += 1;
+            }
+            out.push((run - 1) as u8);
+            out.push(b);
+            i += run;
+        }
+        out.len() < limit
+    }
+
+    /// Chunk lengths: the edges of a run and of a word, odd tails, and
+    /// one drawn length.
+    const EDGE_LENS: [usize; 14] = [0, 1, 2, 3, 7, 9, 15, 255, 256, 257, 511, 513, 1029, 4099];
+
+    /// `len` bytes of input shape `shape`, from the xorshift stream `seed`
+    /// picks: all equal, alternating, `f64` noise, runs that cross 256,
+    /// runs of one to three of alternate bytes, and bytes from a two-letter
+    /// alphabet. The last two have about half as many boundaries as bytes,
+    /// where the decision flips.
+    fn shaped(shape: usize, len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut out = Vec::with_capacity(len + 600);
+        let b = next() as u8;
+        match shape {
+            0 => out.resize(len, b),
+            1 => out.extend((0..len).map(|i| if i % 2 == 0 { b } else { !b })),
+            2 => {
+                while out.len() < len {
+                    let v = f64::from_bits(next() >> 12 | 0x3ff0_0000_0000_0000) * 1e3;
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            _ => {
+                while out.len() < len {
+                    let r = next();
+                    let (run, byte) = match shape {
+                        3 => (200 + (r % 400) as usize, (r >> 32) as u8),
+                        4 => (1 + (r % 3) as usize, out.last().map_or(b, |&l| !l)),
+                        _ => (1, (r >> 32) as u8 % 2),
+                    };
+                    out.resize(out.len() + run, byte);
+                }
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `encode_chunk` and `encode_chunk_into`, onto an empty or a
+        /// partly filled buffer, give the reference encoder's codec and
+        /// bytes, compressing or not.
+        #[test]
+        fn encode_chunk_is_the_reference_encoder(
+            shape in 0usize..6,
+            pick in 0usize..EDGE_LENS.len() + 1,
+            drawn in 0usize..20_000,
+            seed in 0u64..1 << 40,
+            compress in proptest::bool::ANY,
+            before in 0usize..3,
+        ) {
+            let len = EDGE_LENS.get(pick).copied().unwrap_or(drawn);
+            let data = shaped(shape, len, seed);
+            let expected = reference_encode_chunk(&data, compress);
+            proptest::prop_assert_eq!(&encode_chunk(&data, compress), &expected);
+            let mut out = vec![0xa5; before * 7];
+            let codec = encode_chunk_into(&data, compress, &mut out);
+            proptest::prop_assert_eq!(codec, expected.0);
+            proptest::prop_assert_eq!(&out[before * 7..], &expected.1[..]);
         }
     }
 

@@ -199,12 +199,9 @@ impl Distribution {
                 reason: format!("active task list {active:?} is empty or not strictly increasing"),
             });
         }
-        if *active.last().expect("nonempty") >= ntasks {
+        if let Some(last) = active.last().filter(|&&last| last >= ntasks) {
             return Err(DarrayError::BadDecomposition {
-                reason: format!(
-                    "active task {} outside region of {ntasks}",
-                    active.last().unwrap()
-                ),
+                reason: format!("active task {last} outside region of {ntasks}"),
             });
         }
         let part = Distribution::block_auto(domain, active.len(), shadow_width)?;
@@ -382,14 +379,10 @@ pub fn factorize(p: usize, extents: &[usize]) -> Vec<usize> {
     }
     primes.sort_unstable_by(|a, b| b.cmp(a));
     for prime in primes {
-        // Assign to the axis where elements-per-part stays largest.
-        let best = (0..d)
-            .max_by(|&i, &j| {
-                let ri = extents[i] as f64 / (parts[i] * prime) as f64;
-                let rj = extents[j] as f64 / (parts[j] * prime) as f64;
-                ri.partial_cmp(&rj).expect("finite").then(j.cmp(&i))
-            })
-            .expect("d > 0");
+        // Assign to the axis where elements-per-part stays largest, the
+        // first such axis on a tie.
+        let per_part = |i: usize| extents[i] as f64 / (parts[i] * prime) as f64;
+        let best = (1..d).fold(0, |best, i| if per_part(i) > per_part(best) { i } else { best });
         parts[best] *= prime;
     }
     parts

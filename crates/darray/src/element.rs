@@ -32,7 +32,9 @@ macro_rules! impl_element {
             }
 
             fn read_le(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes[..Self::SIZE].try_into().expect("element size"))
+                let mut le = [0u8; std::mem::size_of::<$t>()];
+                le.copy_from_slice(&bytes[..Self::SIZE]);
+                <$t>::from_le_bytes(le)
             }
         }
     )*};

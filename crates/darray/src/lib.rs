@@ -21,6 +21,7 @@
 //!   restartable on a different number of tasks.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod assign;
 pub mod chunks;

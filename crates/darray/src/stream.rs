@@ -6,8 +6,9 @@
 //! a *canonical* distribution (piece `j0 + p` lands wholly in task `p`'s
 //! address space), and every task then hands its piece to the wave's sink:
 //! a PIOFS collective write at the piece's known stream offset
-//! ([`write_array`]) or a [`StreamPiece`] kept in memory
-//! ([`collect_array_pieces`]). Reading runs the mirror image, one
+//! ([`write_array`]), a [`StreamPiece`] kept in memory
+//! ([`collect_array_pieces`]), or its stretch of one stream buffer on rank 0
+//! ([`gather_stream`]). Reading runs the mirror image, one
 //! [`PieceFetch`] per wave ([`read_via`]); [`read_array`] fetches from a
 //! PIOFS file. With `io_tasks == 1` the operations degrade to the serial
 //! streaming of reference \[12\] — a pure append stream that needs no seek
@@ -50,20 +51,6 @@ pub struct StreamPiece {
     pub data: Vec<u8>,
 }
 
-/// Assembles a task's stream pieces into contiguous stream bytes: sorted
-/// by offset and concatenated. When one task holds every piece of a stream
-/// (serial gathering, `io_tasks == 1`) the result is bitwise identical to
-/// the file [`write_array`] would have produced.
-pub fn assemble_pieces(mut pieces: Vec<StreamPiece>) -> Vec<u8> {
-    pieces.sort_by_key(|p| p.offset);
-    let total: usize = pieces.iter().map(|p| p.data.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in &pieces {
-        out.extend_from_slice(&p.data);
-    }
-    out
-}
-
 /// Collective: streams `array` into the file `path` (the checkpoint path).
 ///
 /// `io_tasks` is the paper's `P`: how many tasks perform actual I/O
@@ -98,9 +85,8 @@ pub fn write_array_with<T: Element>(
         fs.create(path, stream_len(array));
     }
     ctx.barrier();
-    write_waves(ctx, array, io_tasks, target_piece_bytes, |ctx, piece| {
-        let reqs =
-            piece.map(|p| WriteReq { path: path.to_string(), offset: p.offset, data: p.data });
+    write_waves(ctx, array, io_tasks, target_piece_bytes, fresh, |ctx, piece| {
+        let reqs = piece.map(|(_, offset, data)| WriteReq { path: path.to_string(), offset, data });
         fs.collective_write(ctx, reqs.into_iter().collect());
     })
 }
@@ -119,21 +105,54 @@ pub fn collect_array_pieces<T: Element>(
     io_tasks: usize,
 ) -> Result<Vec<StreamPiece>> {
     let mut out = Vec::new();
-    write_waves(ctx, array, io_tasks, TARGET_PIECE_BYTES, |_, piece| out.extend(piece))?;
+    write_waves(ctx, array, io_tasks, TARGET_PIECE_BYTES, fresh, |_, piece| {
+        out.extend(piece.map(|(index, offset, data)| StreamPiece { index, offset, data }))
+    })?;
     Ok(out)
 }
 
+/// Collective: gathers `array`'s whole canonical stream to rank 0 through
+/// the waves of one I/O task, each wave unpacked straight into its stretch
+/// of one stream buffer. Returns the stream on rank 0 and `None` on every
+/// other rank; the bytes are those [`write_array`] would write.
+///
+/// All tasks of the region must call: they all hold parts of the array.
+pub fn gather_stream<T: Element>(ctx: &mut Ctx, array: &DistArray<T>) -> Result<Option<Vec<u8>>> {
+    let root = ctx.rank() == 0;
+    let mut stream = vec![0u8; if root { stream_len(array) as usize } else { 0 }];
+    let mut rest = stream.as_mut_slice();
+    // With one I/O task, rank 0 holds piece `w` in wave `w` and no other
+    // rank holds any, and the pieces tile the stream in order: each wave's
+    // piece is the front of what the waves before it left.
+    let next = |len| {
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        piece
+    };
+    write_waves(ctx, array, 1, TARGET_PIECE_BYTES, next, |_, _| {})?;
+    Ok(root.then_some(stream))
+}
+
+/// A fresh zeroed buffer of `len` bytes: the slot of a piece its wave's
+/// sink takes away.
+fn fresh(len: usize) -> Vec<u8> {
+    vec![0; len]
+}
+
 /// Collective: the one write-wave loop. Each wave gathers its pieces into
-/// the canonical distribution and hands `sink` this task's piece — `None`
-/// on a task holding no non-empty piece that wave. Every task calls `sink`
-/// once per wave, so a sink built on a collective file-system phase lines
-/// its participants up.
-fn write_waves<T: Element>(
+/// the canonical distribution, unpacking this task's piece into the buffer
+/// `slot` hands out for the piece's byte length (zero on a task holding no
+/// piece that wave), and hands `sink` the piece as `(index, stream offset,
+/// bytes)` — `None` on a task holding no non-empty piece that wave. Every
+/// task calls `slot` and `sink` once per wave, so a sink built on a
+/// collective file-system phase lines its participants up.
+fn write_waves<T: Element, B: AsRef<[u8]> + AsMut<[u8]>>(
     ctx: &mut Ctx,
     array: &DistArray<T>,
     io_tasks: usize,
     target_piece_bytes: usize,
-    mut sink: impl FnMut(&mut Ctx, Option<StreamPiece>),
+    mut slot: impl FnMut(usize) -> B,
+    mut sink: impl FnMut(&mut Ctx, Option<(usize, u64, B)>),
 ) -> Result<()> {
     let plan =
         Plan::new(ctx, array.domain(), io_tasks, T::SIZE, array.order(), target_piece_bytes)?;
@@ -142,16 +161,16 @@ fn write_waves<T: Element>(
         if traced {
             ctx.recorder().span_start(ctx.now(), ctx.rank(), Phase::StreamWave, array.name());
         }
-        let data = gather(ctx, plan.canonical(wave, array.domain())?, array)?;
+        let data = gather(ctx, plan.canonical(wave, array.domain())?, array, &mut slot)?;
         let piece = plan
             .piece_for(wave, ctx.rank())
             .filter(|&j| plan.pieces[j].size() > 0)
-            .map(|j| StreamPiece { index: j, offset: (plan.offsets[j] * T::SIZE) as u64, data });
-        if let Some(p) = piece.as_ref().filter(|_| traced) {
+            .map(|j| (j, (plan.offsets[j] * T::SIZE) as u64, data));
+        if let Some((_, _, data)) = piece.as_ref().filter(|_| traced) {
             let rec = ctx.recorder();
             let (t, rank, name) = (ctx.now(), ctx.rank(), Some(array.name()));
             rec.counter_add_at(t, rank, names::PIECES_WRITTEN, name, 1);
-            rec.counter_add_at(t, rank, names::BYTES_STREAMED, name, p.data.len() as u64);
+            rec.counter_add_at(t, rank, names::BYTES_STREAMED, name, data.as_ref().len() as u64);
         }
         sink(ctx, piece);
         if traced {
@@ -323,16 +342,18 @@ fn stream_len<T: Element>(array: &DistArray<T>) -> u64 {
 
 /// Collective: the write half of a wave — every task's elements of the
 /// wave's pieces move, through the one [`exchange`], into this task's
-/// canonical piece, which is returned as its stream bytes (empty on a task
-/// holding no piece this wave).
-fn gather<T: Element>(
+/// canonical piece, held in the buffer `slot` hands out for its byte length
+/// and returned as its stream bytes (empty on a task holding no piece this
+/// wave).
+fn gather<T: Element, B: AsRef<[u8]> + AsMut<[u8]>>(
     ctx: &mut Ctx,
     canonical: Arc<Distribution>,
     array: &DistArray<T>,
-) -> Result<Vec<u8>> {
-    let len = canonical.mapped(ctx.rank()).size() * T::SIZE;
+    slot: impl FnOnce(usize) -> B,
+) -> Result<B> {
+    let bytes = slot(canonical.mapped(ctx.rank()).size() * T::SIZE);
     let (rank, order) = (ctx.rank(), array.order());
-    let mut piece = Piece { dist: canonical, rank, order, elem: T::SIZE, bytes: vec![0; len] };
+    let mut piece = Piece { dist: canonical, rank, order, elem: T::SIZE, bytes };
     exchange(ctx, array.name(), Some(array), &mut piece)?;
     Ok(piece.bytes)
 }
@@ -362,15 +383,15 @@ fn scatter<T: Element>(
 /// one task, so the dense storage of that task's mapped section, in the
 /// array's order, *is* the piece's stretch of the stream: packing and
 /// unpacking it copies byte runs, with no typed copy in between.
-struct Piece {
+struct Piece<B> {
     dist: Arc<Distribution>,
     rank: usize,
     order: Order,
     elem: usize,
-    bytes: Vec<u8>,
+    bytes: B,
 }
 
-impl Local for Piece {
+impl<B: AsRef<[u8]> + AsMut<[u8]>> Local for Piece<B> {
     fn dist(&self) -> &Arc<Distribution> {
         &self.dist
     }
@@ -378,13 +399,13 @@ impl Local for Piece {
     fn pack_region(&self, region: &Slice) -> Result<Vec<u8>> {
         let elem = self.elem;
         pack_runs(self.dist.mapped(self.rank), region, self.order, elem, |run, out| {
-            out.copy_from_slice(&self.bytes[run.start * elem..run.end * elem])
+            out.copy_from_slice(&self.bytes.as_ref()[run.start * elem..run.end * elem])
         })
     }
 
     fn unpack_region(&mut self, region: &Slice, bytes: &[u8]) -> Result<()> {
         let elem = self.elem;
-        let stored = &mut self.bytes;
+        let stored = self.bytes.as_mut();
         unpack_runs(self.dist.mapped(self.rank), region, self.order, elem, bytes, |run, b| {
             stored[run.start * elem..run.end * elem].copy_from_slice(b)
         })
@@ -697,6 +718,43 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         assert_eq!(stream, file);
+    }
+
+    /// Gathering the stream into one buffer on rank 0 moves, prices,
+    /// spans and counts every wave as collecting the pieces of one I/O
+    /// task does, and yields their concatenation: here over two waves.
+    #[test]
+    fn a_gathered_stream_is_the_collected_pieces_of_one_io_task() {
+        let dom = Slice::boxed(&[(0, 299), (0, 511)]);
+        let run = |gathered: bool| {
+            let rec = StdArc::new(TraceRecorder::new());
+            let out = run_spmd_traced(3, CostModel::default(), rec.clone(), |ctx| {
+                let dist = Distribution::block_auto(&dom, 3, 1).unwrap();
+                let mut a = DistArray::<f64>::new("u", Order::ColumnMajor, dist, ctx.rank());
+                a.fill_assigned(value);
+                let stream = if gathered {
+                    gather_stream(ctx, &a).unwrap()
+                } else {
+                    let pieces = collect_array_pieces(ctx, &a, 1).unwrap();
+                    (ctx.rank() == 0).then(|| pieces.into_iter().flat_map(|p| p.data).collect())
+                };
+                (ctx.now(), stream)
+            })
+            .unwrap();
+            let sorted = |mut v: Vec<String>| {
+                v.sort();
+                v
+            };
+            let events = sorted(rec.events().iter().map(|e| format!("{e:?}")).collect());
+            let counters =
+                sorted(rec.metrics().counters().iter().map(|c| format!("{c:?}")).collect());
+            (out, events, counters)
+        };
+        let (gathered, collected) = (run(true), run(false));
+        let waves = gathered.1.iter().filter(|e| e.contains("StreamWave")).count();
+        assert_eq!(waves, 2 * 2 * 3, "two waves, each span opened and closed on three ranks");
+        assert_eq!(gathered.0[0].1.as_ref().map(Vec::len), Some(300 * 512 * 8));
+        assert_eq!(gathered, collected);
     }
 
     #[test]

@@ -264,7 +264,8 @@ fn le_bytes<T: Element>(v: T) -> Vec<u8> {
 
 /// Writes a `5 × n0 × n1 × n2` array of `T` from `p1` tasks, reads it back on
 /// `p2` tasks under other shadows, and checks every mapped element bitwise
-/// and the stream (file and collected pieces) against a 1-task serial write.
+/// and the stream (file, collected pieces and the stream gathered to rank 0)
+/// against a 1-task serial write.
 #[allow(clippy::too_many_arguments)]
 fn apps_shape_roundtrip<T: Element>(
     value: fn(&[i64]) -> T,
@@ -277,12 +278,13 @@ fn apps_shape_roundtrip<T: Element>(
     let fs = Piofs::new(PiofsConfig::test_tiny(4), 3);
     let w_dist = apps_dist(&dom, p1, s1);
     let pieces = std::sync::Mutex::new(Vec::new());
-    run_spmd(p1, CostModel::default(), |ctx| {
+    let gathered = run_spmd(p1, CostModel::default(), |ctx| {
         let mut a = DistArray::<T>::new("u", order, w_dist.clone(), ctx.rank());
         a.fill_assigned(value);
         stream::write_array(ctx, &fs, &a, "u", io1).unwrap();
         let mine = stream::collect_array_pieces(ctx, &a, io1).unwrap();
         pieces.lock().unwrap().extend(mine);
+        stream::gather_stream(ctx, &a).unwrap()
     })
     .unwrap();
 
@@ -296,8 +298,12 @@ fn apps_shape_roundtrip<T: Element>(
     .unwrap();
     let serial = fs_ref.peek("u").unwrap();
     assert_eq!(fs.peek("u").unwrap(), serial, "file stream vs serial write");
-    let collected = stream::assemble_pieces(pieces.into_inner().unwrap());
+    let mut pieces = pieces.into_inner().unwrap();
+    pieces.sort_by_key(|p| p.offset);
+    let collected: Vec<u8> = pieces.into_iter().flat_map(|p| p.data).collect();
     assert_eq!(collected, serial, "collected pieces vs serial write");
+    assert_eq!(gathered[0].as_ref(), Some(&serial), "stream gathered to rank 0 vs serial write");
+    assert!(gathered[1..].iter().all(Option::is_none), "only rank 0 gathers the stream");
 
     let r_dist = apps_dist(&dom, p2, s2);
     let bad: usize = run_spmd(p2, CostModel::default(), |ctx| {

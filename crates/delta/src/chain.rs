@@ -68,9 +68,13 @@ impl ChunkLoc {
     /// Whether the referenced incarnation is still a committed checkpoint
     /// and its pack file still exists. A reference that fails this check is
     /// escalated to a local write — a delta must never commit pointing at
-    /// history that is already gone.
-    fn available(&self, fs: &Piofs) -> bool {
-        fs.exists(&manifest_path(&self.prefix)) && fs.exists(&delta_path(&self.prefix, &self.array))
+    /// history that is already gone. `seen` keeps the answer per (prefix,
+    /// array) pack, so one staging call asks the file system once per pack.
+    fn available<'a>(&'a self, fs: &Piofs, seen: &mut HashMap<(&'a str, &'a str), bool>) -> bool {
+        *seen.entry((&self.prefix, &self.array)).or_insert_with(|| {
+            fs.exists(&manifest_path(&self.prefix))
+                && fs.exists(&delta_path(&self.prefix, &self.array))
+        })
     }
 }
 
@@ -278,12 +282,13 @@ impl DeltaChain {
         compress: bool,
     ) -> (ArrayDelta, Vec<u8>, StageStats) {
         use drms_core::manifest::ChunkRecord;
-        use drms_darray::chunks::{digest_stream, encode_chunk};
+        use drms_darray::chunks::{digest_stream, encode_chunk_into};
 
         let digests = digest_stream(stream, params);
         let dirty: std::collections::HashSet<usize> =
             self.tracker.stage(array, digests.clone()).into_iter().collect();
-        let prev = self.records.get(array).cloned();
+        let prev = self.records.get(array);
+        let mut seen = HashMap::new();
 
         let mut stats = StageStats::default();
         let mut pack: Vec<u8> = Vec::new();
@@ -295,8 +300,8 @@ impl DeltaChain {
             // Clean carry-forward: same content as the committed stream and
             // the stored copy is still reachable.
             if !full && !dirty.contains(&i) {
-                if let Some(loc) = prev.as_ref().and_then(|p| p.get(i)) {
-                    if loc.available(fs) {
+                if let Some(loc) = prev.and_then(|p| p.get(i)) {
+                    if loc.available(fs, &mut seen) {
                         stats.clean += 1;
                         chunks.push(record_for(d, loc, false));
                         new_locs.push(loc.clone());
@@ -317,7 +322,7 @@ impl DeltaChain {
             // Cross-incarnation dedup (delta mode only).
             if !full {
                 if let Some(loc) = self.index.get(&d.hash) {
-                    if loc.available(fs) {
+                    if loc.available(fs, &mut seen) {
                         stats.dedup += 1;
                         chunks.push(record_for(d, loc, false));
                         new_locs.push(loc.clone());
@@ -325,21 +330,22 @@ impl DeltaChain {
                     }
                 }
             }
-            // Store locally.
+            // Store locally, encoded straight onto the pack.
             let (s, e) = params.range(digests.stream_len, i);
-            let (codec, stored) = encode_chunk(&stream[s as usize..e as usize], compress);
+            let offset = pack.len();
+            let codec = encode_chunk_into(&stream[s as usize..e as usize], compress, &mut pack);
+            let stored_len = (pack.len() - offset) as u64;
             let loc = ChunkLoc {
                 prefix: own_prefix.to_string(),
                 array: array.to_string(),
-                offset: pack.len() as u64,
-                stored_len: stored.len() as u32,
+                offset: offset as u64,
+                stored_len: stored_len as u32,
                 codec,
             };
-            stats.pack_bytes += stored.len() as u64;
+            stats.pack_bytes += stored_len;
             if codec == Codec::Rle {
-                stats.saved += d.len as u64 - stored.len() as u64;
+                stats.saved += d.len as u64 - stored_len;
             }
-            pack.extend_from_slice(&stored);
             chunks.push(record_for(d, &loc, true));
             local_by_hash.insert(d.hash, loc.clone());
             self.staged_index.push((d.hash, loc.clone()));

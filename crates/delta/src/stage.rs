@@ -9,7 +9,6 @@ use drms_core::manifest::{
 };
 use drms_core::{CheckpointArray, CoreError, Result};
 use drms_darray::chunks::ChunkParams;
-use drms_darray::stream::assemble_pieces;
 use drms_msg::Ctx;
 use drms_obs::{names, Phase};
 use drms_piofs::Piofs;
@@ -60,9 +59,9 @@ impl DeltaStage {
     }
 
     /// Stages one array (collective): gathers its canonical stream to
-    /// rank 0, then chunks, diffs, dedups and compresses it against the
-    /// chain. Returns rank 0's pack bytes and stream length; `None` on
-    /// every other rank.
+    /// rank 0 in one buffer, then chunks, diffs, dedups and compresses it
+    /// against the chain. Returns rank 0's pack bytes and stream length;
+    /// `None` on every other rank.
     pub fn array(
         &mut self,
         ctx: &mut Ctx,
@@ -71,11 +70,9 @@ impl DeltaStage {
         prefix: &str,
         a: &dyn CheckpointArray,
     ) -> Result<Option<(Vec<u8>, u64)>> {
-        let pieces = a.stream_pieces(ctx, 1)?;
-        if ctx.rank() != 0 {
+        let Some(stream) = a.gather_stream(ctx)? else {
             return Ok(None);
-        }
-        let stream = assemble_pieces(pieces);
+        };
         let (table, pack, s) = chain.stage_array(
             fs,
             prefix,
