@@ -27,10 +27,12 @@ macro_rules! impl_element {
             const SIZE: usize = std::mem::size_of::<$t>();
             const CODE: u8 = $code;
 
+            #[inline]
             fn write_le(&self, out: &mut [u8]) {
                 out[..Self::SIZE].copy_from_slice(&self.to_le_bytes());
             }
 
+            #[inline]
             fn read_le(bytes: &[u8]) -> Self {
                 let mut le = [0u8; std::mem::size_of::<$t>()];
                 le.copy_from_slice(&bytes[..Self::SIZE]);

@@ -1,70 +1,90 @@
-//! A reusable all-to-all rendezvous ("exchange board").
+//! A reusable all-to-all rendezvous ("exchange board"), and the [`Inbox`]
+//! a blocked task parks on.
 //!
-//! Every participating task deposits one value and a timestamp; once all
-//! tasks have arrived, the deposits are published and every task retrieves
-//! the full vector plus the maximum timestamp. The board resets itself after
-//! the last task leaves, so it can be reused generation after generation.
-//! All collectives (barrier, reductions, gathers, `alltoallv`, collective
-//! file I/O) are built on this primitive.
+//! The last task to arrive in a generation takes the deposits out in rank
+//! order with the latest timestamp and resets the board in one critical
+//! section, so a task that leaves deposits into the next generation at once.
+//! Outside the lock it puts the shared result into each other task's inbox,
+//! which unparks that task alone: one wake-up per waiter, and the board keeps
+//! nothing of the generation. All collectives (barrier, reductions, gathers,
+//! `alltoallv`, collective file I/O) are built on this primitive.
 
 use std::any::Any;
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-/// Deadline after which a blocked collective panics. Collectives only block
-/// while sibling tasks are still on their way; a timeout this long always
-/// indicates a bug (mismatched collective, dead task), and a loud panic
-/// beats a hung test suite.
+/// How long a task may stay blocked before it panics. Tasks block only while
+/// siblings are on their way, so a wait this long is a bug (mismatched
+/// collective, dead task), and a loud panic beats a hung test suite.
 const STALL_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// A value one task waits on and other tasks fill (a board result, a
+/// mailbox's messages); only a `put` unparks the waiting thread.
+#[derive(Default)]
+pub(crate) struct Inbox<T> {
+    state: Mutex<(T, Option<Thread>)>,
+}
+
+impl<T> Inbox<T> {
+    /// Changes the contents with `fill` and unparks the waiter, if any.
+    pub fn put(&self, fill: impl FnOnce(&mut T)) {
+        let mut state = self.state.lock();
+        fill(&mut state.0);
+        let parked = state.1.take();
+        drop(state);
+        parked.iter().for_each(Thread::unpark);
+    }
+
+    /// Parks until `take` gets something out of the contents, re-checking
+    /// after every wake-up; panics with `stalled()` after [`STALL_TIMEOUT`].
+    pub fn wait<R>(
+        &self,
+        stalled: impl FnOnce() -> String,
+        mut take: impl FnMut(&mut T) -> Option<R>,
+    ) -> R {
+        let deadline = Instant::now() + STALL_TIMEOUT;
+        loop {
+            let mut state = self.state.lock();
+            if let Some(out) = take(&mut state.0) {
+                return out;
+            }
+            state.1 = Some(thread::current());
+            drop(state);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                panic!("{}", stalled());
+            }
+            thread::park_timeout(left);
+        }
+    }
+}
+
+type Shared = (Arc<dyn Any + Send + Sync>, f64);
 
 pub(crate) struct Board {
     inner: Mutex<Inner>,
-    cv: Condvar,
-    ntasks: usize,
+    results: Vec<Inbox<Option<Shared>>>,
 }
 
 struct Inner {
-    deposits: Vec<Option<Box<dyn Any + Send>>>,
-    times: Vec<f64>,
+    deposits: Vec<Option<(Box<dyn Any + Send>, f64)>>,
     arrived: usize,
-    leaving: usize,
-    published: Option<Arc<dyn Any + Send + Sync>>,
-    max_time: f64,
-}
-
-/// Result of an exchange: every task's deposit, in rank order, plus the
-/// latest deposit timestamp.
-pub(crate) struct Exchanged<T> {
-    pub all: Arc<Vec<T>>,
-    pub max_time: f64,
-}
-
-impl<T> Clone for Exchanged<T> {
-    fn clone(&self) -> Self {
-        Exchanged { all: Arc::clone(&self.all), max_time: self.max_time }
-    }
 }
 
 impl Board {
     pub fn new(ntasks: usize) -> Board {
         Board {
-            inner: Mutex::new(Inner {
-                deposits: (0..ntasks).map(|_| None).collect(),
-                times: vec![0.0; ntasks],
-                arrived: 0,
-                leaving: 0,
-                published: None,
-                max_time: 0.0,
-            }),
-            cv: Condvar::new(),
-            ntasks,
+            inner: Mutex::new(Inner { deposits: (0..ntasks).map(|_| None).collect(), arrived: 0 }),
+            results: (0..ntasks).map(|_| Inbox::default()).collect(),
         }
     }
 
     /// Deposits `value` for `rank` at simulated time `now`, waits for all
-    /// tasks, and returns everyone's deposits.
+    /// tasks, and returns everyone's deposits in rank order plus the latest
+    /// deposit time.
     ///
     /// Every participating task must call this with the same `T`; the board
     /// enforces one-deposit-per-rank-per-generation.
@@ -73,101 +93,116 @@ impl Board {
         rank: usize,
         now: f64,
         value: T,
-    ) -> Exchanged<T> {
+    ) -> (Arc<Vec<T>>, f64) {
         let mut g = self.inner.lock();
-
-        // A previous generation may still be draining: wait until its
-        // publication has been cleared before depositing into the next one.
-        while g.published.is_some() {
-            self.wait(&mut g, "previous exchange generation to drain");
-        }
-
         debug_assert!(g.deposits[rank].is_none(), "rank {rank} deposited twice");
-        g.deposits[rank] = Some(Box::new(value));
-        g.times[rank] = now;
+        g.deposits[rank] = Some((Box::new(value), now));
         g.arrived += 1;
 
-        if g.arrived == self.ntasks {
-            // Last arriver publishes.
-            let mut vals = Vec::with_capacity(self.ntasks);
-            for d in g.deposits.iter_mut() {
-                let boxed = d.take().expect("all ranks deposited");
-                vals.push(*boxed.downcast::<T>().expect("uniform exchange type"));
-            }
-            g.max_time = g.times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            g.published = Some(Arc::new(Arc::new(vals)) as Arc<dyn Any + Send + Sync>);
-            self.cv.notify_all();
-        } else {
-            while g.published.is_none() {
-                self.wait(&mut g, "sibling tasks to reach the exchange");
-            }
+        if g.arrived < self.results.len() {
+            drop(g);
+            let what = "sibling tasks to reach the exchange";
+            let (all, max_time) = self.results[rank].wait(
+                || format!("collective stalled for {STALL_TIMEOUT:?} waiting for {what}"),
+                Option::take,
+            );
+            return (all.downcast().expect("uniform exchange type"), max_time);
         }
 
-        let published = g.published.as_ref().expect("published above");
-        let all = published.downcast_ref::<Arc<Vec<T>>>().expect("uniform exchange type").clone();
-        let max_time = g.max_time;
-
-        g.leaving += 1;
-        if g.leaving == self.ntasks {
-            // Last to leave resets the board for the next generation.
-            g.published = None;
-            g.arrived = 0;
-            g.leaving = 0;
-            self.cv.notify_all();
+        // Last arriver: publish and reset in one critical section, then hand out.
+        let mut max_time = f64::NEG_INFINITY;
+        let mut vals = Vec::with_capacity(g.arrived);
+        for d in g.deposits.iter_mut() {
+            let (boxed, t) = d.take().expect("all ranks deposited");
+            vals.push(*boxed.downcast::<T>().expect("uniform exchange type"));
+            max_time = max_time.max(t);
         }
-
-        Exchanged { all, max_time }
-    }
-
-    fn wait(&self, guard: &mut parking_lot::MutexGuard<'_, Inner>, what: &str) {
-        if self.cv.wait_for(guard, STALL_TIMEOUT).timed_out() {
-            panic!("collective stalled for {STALL_TIMEOUT:?} waiting for {what}");
+        g.arrived = 0;
+        drop(g);
+        let all = Arc::new(vals);
+        for (_, inbox) in self.results.iter().enumerate().filter(|&(r, _)| r != rank) {
+            inbox.put(|result| *result = Some((Arc::clone(&all) as _, max_time)));
         }
+        (all, max_time)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+
+    /// Runs `task(rank)` on `n` threads; returns the results in rank order.
+    fn on_tasks<R: Send>(n: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        thread::scope(|s| {
+            let task = &task;
+            let tasks: Vec<_> = (0..n).map(|rank| s.spawn(move || task(rank))).collect();
+            tasks.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
 
     #[test]
     fn exchange_collects_all_deposits() {
         let board = Board::new(4);
-        thread::scope(|s| {
-            for rank in 0..4 {
-                let board = &board;
-                s.spawn(move || {
-                    let got = board.exchange(rank, rank as f64, rank * 10);
-                    assert_eq!(*got.all, vec![0, 10, 20, 30]);
-                    assert_eq!(got.max_time, 3.0);
-                });
-            }
-        });
+        for (all, max_time) in on_tasks(4, |rank| board.exchange(rank, rank as f64, rank * 10)) {
+            assert_eq!(*all, vec![0, 10, 20, 30]);
+            assert_eq!(max_time, 3.0);
+        }
+    }
+
+    const TASKS: usize = 16;
+
+    /// 2000 generations on 16 threads, each task yielding 0–3 times (drawn
+    /// from `seed`) before a deposit: numbers in even generations, strings in
+    /// odd ones. Checks every result; returns each one's time and size.
+    fn run_generations(seed: u64) -> Vec<Vec<(f64, usize)>> {
+        let board = Board::new(TASKS);
+        on_tasks(TASKS, |rank| {
+            let yields = |g: usize| {
+                (seed ^ (rank << 32 | g) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 62
+            };
+            (0..2000)
+                .map(|g| {
+                    (0..yields(g)).for_each(|_| thread::yield_now());
+                    let now = (g + (g * 7 + rank * 13) % TASKS) as f64;
+                    let (max_time, size) = if g % 2 == 0 {
+                        let (all, t) = board.exchange(rank, now, g * 100 + rank);
+                        assert!(all.iter().copied().eq((0..TASKS).map(|r| g * 100 + r)));
+                        (t, all.iter().sum())
+                    } else {
+                        let (all, t) = board.exchange(rank, now, format!("{g}/{rank}"));
+                        assert!(all.iter().enumerate().all(|(r, v)| *v == format!("{g}/{r}")));
+                        (t, all.iter().map(String::len).sum())
+                    };
+                    assert_eq!(max_time, (g + TASKS - 1) as f64, "generation {g}");
+                    (max_time, size)
+                })
+                .collect()
+        })
     }
 
     #[test]
     fn board_is_reusable_across_generations() {
-        let board = Board::new(3);
-        thread::scope(|s| {
-            for rank in 0..3 {
-                let board = &board;
-                s.spawn(move || {
-                    for generation in 0..50u64 {
-                        let got = board.exchange(rank, 0.0, (generation, rank));
-                        let expect: Vec<(u64, usize)> = (0..3).map(|r| (generation, r)).collect();
-                        assert_eq!(*got.all, expect);
-                    }
-                });
-            }
+        // The two yield seeds interleave the tasks differently.
+        assert_eq!(run_generations(1), run_generations(2));
+    }
+
+    #[test]
+    fn no_deposit_outlives_its_generation() {
+        let board = Board::new(4);
+        let deposits = on_tasks(4, |rank| {
+            let value = Arc::new(rank);
+            let weak = Arc::downgrade(&value);
+            drop(board.exchange(rank, 0.0, value));
+            weak
         });
+        assert!(deposits.iter().all(|w| w.upgrade().is_none()));
     }
 
     #[test]
     fn single_task_exchange_is_immediate() {
         let board = Board::new(1);
-        let got = board.exchange(0, 7.5, "x");
-        assert_eq!(*got.all, vec!["x"]);
-        assert_eq!(got.max_time, 7.5);
+        let (all, max_time) = board.exchange(0, 7.5, "x");
+        assert_eq!(*all, vec!["x"]);
+        assert_eq!(max_time, 7.5);
     }
 }

@@ -3,7 +3,7 @@
 /// Clocks only move forward. Synchronizing operations (barriers, collectives,
 /// collective I/O phases) reconcile the clocks of participating tasks by
 /// taking the maximum, exactly like wall time would on real hardware.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimClock {
     now: f64,
 }
@@ -31,12 +31,6 @@ impl SimClock {
         if t > self.now {
             self.now = t;
         }
-    }
-}
-
-impl Default for SimClock {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -1,29 +1,21 @@
 use std::sync::Arc;
-use std::time::Duration;
 
 use drms_chaos::ChaosCtl;
 use drms_obs::{names, Recorder};
-use parking_lot::{Condvar, Mutex};
 
-use crate::board::Board;
+use crate::board::{Board, Inbox};
 use crate::{CostModel, Rank, SimClock};
 
 /// Shared state of one SPMD region: mailboxes, the exchange board, the cost
 /// model, the task → node placement, the observability recorder, and the
 /// optional chaos controller.
 pub(crate) struct World {
-    ntasks: usize,
     node_of: Vec<usize>,
     cost: CostModel,
-    mailboxes: Vec<Mailbox>,
+    mailboxes: Vec<Inbox<Vec<Envelope>>>,
     board: Board,
     recorder: Arc<dyn Recorder>,
     chaos: Option<Arc<ChaosCtl>>,
-}
-
-struct Mailbox {
-    queue: Mutex<Vec<Envelope>>,
-    cv: Condvar,
 }
 
 struct Envelope {
@@ -45,12 +37,9 @@ impl World {
         let ntasks = node_of.len();
         assert!(ntasks > 0, "an SPMD region needs at least one task");
         Arc::new(World {
-            ntasks,
             node_of,
             cost,
-            mailboxes: (0..ntasks)
-                .map(|_| Mailbox { queue: Mutex::new(Vec::new()), cv: Condvar::new() })
-                .collect(),
+            mailboxes: (0..ntasks).map(|_| Inbox::default()).collect(),
             board: Board::new(ntasks),
             recorder,
             chaos,
@@ -59,12 +48,12 @@ impl World {
 
     /// Number of tasks in the region.
     pub(crate) fn ntasks(&self) -> usize {
-        self.ntasks
+        self.node_of.len()
     }
 
     /// Builds the per-task context for `rank`.
     pub(crate) fn ctx(self: &Arc<World>, rank: Rank) -> Ctx {
-        assert!(rank < self.ntasks);
+        assert!(rank < self.ntasks());
         Ctx { rank, world: Arc::clone(self), clock: SimClock::new(), chaos_seq: 0 }
     }
 }
@@ -109,7 +98,7 @@ impl Ctx {
 
     /// Number of tasks in the region.
     pub fn ntasks(&self) -> usize {
-        self.world.ntasks
+        self.world.ntasks()
     }
 
     /// The node (processor) this task is placed on.
@@ -200,7 +189,7 @@ impl Ctx {
     /// [`Ctx::alltoallv`] — so the pair carries no fault injection and no
     /// per-message trace; only the message counters see it.
     pub fn send(&mut self, dst: Rank, tag: u64, payload: Vec<u8>) {
-        assert!(dst < self.world.ntasks, "send to nonexistent rank {dst}");
+        assert!(dst < self.world.ntasks(), "send to nonexistent rank {dst}");
         let bytes = payload.len();
         if self.world.recorder.enabled() {
             let rec = &self.world.recorder;
@@ -211,30 +200,23 @@ impl Ctx {
         let cost = &self.world.cost;
         self.clock.advance(cost.send_overhead + cost.wire_time(bytes));
         let arrival = self.clock.now() + cost.latency;
-        let mb = &self.world.mailboxes[dst];
-        mb.queue.lock().push(Envelope { src: self.rank, tag, arrival, payload });
-        mb.cv.notify_all();
+        let env = Envelope { src: self.rank, tag, arrival, payload };
+        self.world.mailboxes[dst].put(|queue| queue.push(env));
     }
 
     /// Receives the next message from `src` with tag `tag`, blocking until
     /// it arrives. Messages from the same sender with the same tag are
     /// delivered in send order.
     pub fn recv(&mut self, src: Rank, tag: u64) -> Vec<u8> {
-        assert!(src < self.world.ntasks, "recv from nonexistent rank {src}");
-        let mb = &self.world.mailboxes[self.rank];
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(pos) = q.iter().position(|e| e.src == src && e.tag == tag) {
-                let env = q.remove(pos);
-                drop(q);
-                self.clock.advance_to(env.arrival);
-                self.clock.advance(self.world.cost.recv_overhead);
-                return env.payload;
-            }
-            if mb.cv.wait_for(&mut q, Duration::from_secs(120)).timed_out() {
-                panic!("rank {} stalled waiting for message (src {src}, tag {tag})", self.rank);
-            }
-        }
+        assert!(src < self.world.ntasks(), "recv from nonexistent rank {src}");
+        let rank = self.rank;
+        let env = self.world.mailboxes[rank].wait(
+            || format!("rank {rank} stalled waiting for message (src {src}, tag {tag})"),
+            |q| q.iter().position(|e| e.src == src && e.tag == tag).map(|i| q.remove(i)),
+        );
+        self.clock.advance_to(env.arrival);
+        self.clock.advance(self.world.cost.recv_overhead);
+        env.payload
     }
 
     // ------------------------------------------------------------------
@@ -249,8 +231,7 @@ impl Ctx {
     /// parallel file system uses to schedule collective I/O phases
     /// deterministically.
     pub fn exchange<T: Send + Sync + 'static>(&mut self, value: T) -> (Arc<Vec<T>>, f64) {
-        let got = self.world.board.exchange(self.rank, self.clock.now(), value);
-        (got.all, got.max_time)
+        self.world.board.exchange(self.rank, self.clock.now(), value)
     }
 
     /// Barrier: all tasks synchronize; clocks advance to the latest arrival
@@ -265,7 +246,7 @@ impl Ctx {
     pub fn allreduce(&mut self, x: f64, op: ReduceOp) -> f64 {
         let (all, t) = self.exchange(x);
         self.clock.advance_to(t);
-        self.clock.advance(self.world.cost.collective_latency(self.world.ntasks));
+        self.clock.advance(self.world.cost.collective_latency(self.world.ntasks()));
         op.fold(&all)
     }
 
@@ -278,7 +259,7 @@ impl Ctx {
         let bytes: usize = all.iter().map(Vec::len).sum::<usize>() - total;
         self.clock.advance_to(t);
         self.clock.advance(
-            self.world.cost.collective_latency(self.world.ntasks)
+            self.world.cost.collective_latency(self.world.ntasks())
                 + self.world.cost.wire_time(bytes),
         );
         all
@@ -296,7 +277,7 @@ impl Ctx {
     /// space, so a parcel of shared handles crosses by reference at the
     /// price of its encoding.
     pub fn alltoallv<P: Parcel>(&mut self, outgoing: Vec<P>) -> Incoming<P> {
-        assert_eq!(outgoing.len(), self.world.ntasks, "one parcel per destination");
+        assert_eq!(outgoing.len(), self.world.ntasks(), "one parcel per destination");
         let sent: usize = outgoing
             .iter()
             .enumerate()
@@ -323,7 +304,7 @@ impl Ctx {
             .sum();
         self.clock.advance_to(t);
         self.clock.advance(
-            self.world.cost.collective_latency(self.world.ntasks)
+            self.world.cost.collective_latency(self.world.ntasks())
                 + self.world.cost.wire_time(sent.max(received)),
         );
         Incoming { all, rank: self.rank }

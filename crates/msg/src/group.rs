@@ -31,11 +31,6 @@ impl Group {
         Group { members }
     }
 
-    /// The full region as a group.
-    pub fn whole(ntasks: usize) -> Group {
-        Group { members: (0..ntasks).collect() }
-    }
-
     /// The member ranks, ascending.
     pub fn members(&self) -> &[usize] {
         &self.members
@@ -49,11 +44,6 @@ impl Group {
     /// Whether `rank` is a member.
     pub fn contains(&self, rank: usize) -> bool {
         self.members.binary_search(&rank).is_ok()
-    }
-
-    /// This rank's index within the group, if a member.
-    pub fn index_of(&self, rank: usize) -> Option<usize> {
-        self.members.binary_search(&rank).ok()
     }
 
     /// Collective over the *whole region*: synchronizes the group members
@@ -120,9 +110,6 @@ mod tests {
         assert_eq!(g.size(), 3);
         assert!(g.contains(3));
         assert!(!g.contains(0));
-        assert_eq!(g.index_of(5), Some(2));
-        assert_eq!(g.index_of(2), None);
-        assert_eq!(Group::whole(3).members(), &[0, 1, 2]);
     }
 
     #[test]

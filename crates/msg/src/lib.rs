@@ -23,10 +23,12 @@
 //! `.chaos(..)`, then `.run(f)`. [`run_spmd`] and [`run_spmd_traced`] are
 //! one-line spellings of its two commonest uses.
 //!
-//! **Host threads.** [`spread`] is the one fan-out of host work over the
-//! idle cores: a task doing pure byte work alone (the representative
-//! task's segment encode, CRC and decode) lends it to scoped threads that
-//! join before the call returns, and never reaches a clock.
+//! **Host threads.** A task blocked in a collective or a `recv` parks its
+//! thread until the one task that completes the wait unparks it, and panics
+//! after 120 s. [`spread`] is the one fan-out of host work over the idle
+//! cores: a task doing pure byte work alone (the representative task's
+//! segment encode, CRC and decode) lends it to scoped threads that join
+//! before the call returns, and never reaches a clock.
 //!
 //! The paper's experiments map tasks one-to-one onto processors; the runtime
 //! records the task → node placement ([`Spmd::nodes`]) so the file-system

@@ -84,8 +84,8 @@ impl Spmd {
     /// One OS thread is spawned per task; the threads communicate through the
     /// world's mailboxes and exchange board, and each carries its own virtual
     /// clock. If any task panics, the panic is captured and reported with its
-    /// rank (sibling tasks blocked in collectives will trip their stall
-    /// guards).
+    /// rank (sibling tasks blocked in a collective or `recv` panic when their
+    /// 120 s stall guard fires).
     pub fn run<R, F>(self, f: F) -> Result<Vec<R>, SpmdError>
     where
         R: Send,
