@@ -55,17 +55,6 @@ impl SealArchive {
         self.events.keys().copied().collect()
     }
 
-    /// Ranks with at least one recovered seal in `incarnation`, ascending.
-    pub fn ranks_recovered(&self, incarnation: u64) -> Vec<usize> {
-        self.seen
-            .iter()
-            .filter(|(inc, _, _)| *inc == incarnation)
-            .map(|(_, rank, _)| *rank)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect()
-    }
-
     /// The deduplicated events of `incarnation`, sorted by (time, rank,
     /// capture sequence) — deterministic regardless of seal arrival order.
     pub fn events_for(&self, incarnation: u64) -> Vec<TraceEvent> {
@@ -81,11 +70,6 @@ impl SealArchive {
     /// eviction count reported by any seal, summed over ranks).
     pub fn evicted_total(&self, incarnation: u64) -> u64 {
         self.evicted.iter().filter(|((inc, _), _)| *inc == incarnation).map(|(_, v)| *v).sum()
-    }
-
-    /// Total distinct seals ingested.
-    pub fn seal_count(&self) -> usize {
-        self.seen.len()
     }
 }
 
@@ -138,10 +122,7 @@ mod tests {
         let bytes = seal(1, 2, 0, &[(0, ev(1.0, 2, "x"))]);
         assert!(a.ingest(&bytes).unwrap());
         assert!(!a.ingest(&bytes).unwrap());
-        assert_eq!(a.seal_count(), 1);
         assert!(a.ingest(&bytes[..bytes.len() - 2]).is_err());
-        assert_eq!(a.seal_count(), 1);
-        assert_eq!(a.ranks_recovered(1), vec![2]);
         assert_eq!(a.incarnations(), vec![1]);
     }
 

@@ -95,16 +95,6 @@ impl CriticalPath {
         totals.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         totals
     }
-
-    /// The gating PIOFS server of the longest I/O segment on the path,
-    /// if the path has any refined I/O segment.
-    pub fn slowest_io_server(&self) -> Option<usize> {
-        self.segments
-            .iter()
-            .filter(|s| s.server.is_some())
-            .max_by(|a, b| a.duration().total_cmp(&b.duration()))
-            .and_then(|s| s.server)
-    }
 }
 
 /// Occurrence index of each `StreamWave` span within its `(rank, name)`
@@ -310,7 +300,6 @@ mod tests {
         let path = critical_path(&spans, &servers);
         assert_eq!(path.segments.len(), 1);
         assert_eq!(path.segments[0].server, Some(1), "server 2's interval is outside the segment");
-        assert_eq!(path.slowest_io_server(), Some(1));
     }
 
     #[test]

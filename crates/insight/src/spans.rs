@@ -118,17 +118,6 @@ pub fn deepest_covering(spans: &[Span], rank: usize, a: f64, b: f64) -> Option<&
     })
 }
 
-/// The deepest span of `rank` containing time `t` (half-open on the
-/// right, so a span ending exactly at `t` does not contain it).
-pub fn deepest_at(spans: &[Span], rank: usize, t: f64) -> Option<&Span> {
-    spans.iter().filter(|s| s.rank == rank && s.start <= t && t < s.end).min_by(|x, y| {
-        x.duration()
-            .total_cmp(&y.duration())
-            .then(y.start.total_cmp(&x.start))
-            .then(y.id.cmp(&x.id))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +194,5 @@ mod tests {
         assert_eq!(deep.phase, Phase::IoPhase);
         assert_eq!(deepest_covering(&spans, 0, 0.25, 0.5).unwrap().phase, Phase::Segment);
         assert!(deepest_covering(&spans, 0, 4.5, 5.0).is_none());
-        assert_eq!(deepest_at(&spans, 0, 1.0).unwrap().phase, Phase::IoPhase);
-        assert_eq!(deepest_at(&spans, 0, 3.0).unwrap().phase, Phase::Segment);
     }
 }

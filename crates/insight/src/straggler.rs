@@ -33,11 +33,6 @@ impl StragglerRow {
     pub fn gap(&self) -> f64 {
         self.max - self.median
     }
-
-    /// Whether the gap exceeds `frac` of the median (straggler flag).
-    pub fn is_straggler(&self, frac: f64) -> bool {
-        self.gap() > frac * self.median && self.gap() > 0.0
-    }
 }
 
 /// Builds the per-wave straggler table from the span table, sorted by
@@ -112,9 +107,7 @@ mod tests {
         assert_eq!(rows[0].max, 3.0);
         assert_eq!(rows[0].median, 1.0);
         assert_eq!(rows[0].gap(), 2.0);
-        assert!(rows[0].is_straggler(0.5));
         assert_eq!(rows[1].gap(), 0.0);
-        assert!(!rows[1].is_straggler(0.5));
     }
 
     #[test]

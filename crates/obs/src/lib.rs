@@ -145,18 +145,12 @@ pub mod names {
         /// of the newest intact memory-tier checkpoint (0 once node loss
         /// evicts it; the replica-health signal live rules watch).
         MEMTIER_REPLICAS = "memtier.replicas";
-        /// Counter: samples ingested by the pulse online collector.
+        /// Counter: reports folded by the pulse online pipeline.
         PULSE_SAMPLES = "pulse.samples";
-        /// Counter: samples dropped by full pulse ring buffers.
-        PULSE_DROPPED = "pulse.dropped";
         /// Counter: heartbeat lines emitted by the pulse collector.
         PULSE_HEARTBEATS = "pulse.heartbeats";
         /// Counter: health-rule alerts raised by the pulse engine.
         PULSE_ALERTS = "pulse.alerts";
-        /// Gauge (index 0): host seconds spent inside pulse hot paths
-        /// (recorder hooks + collector drains), the self-overhead metric
-        /// the bench gate holds under budget.
-        PULSE_OVERHEAD_SECONDS = "pulse.overhead_seconds";
         /// Counter: checkpoint-stall SLO breaches (no commit for longer
         /// than the configured stall budget while the run is active).
         ALERT_CKPT_STALL = "pulse.alert.ckpt_stall";

@@ -6,11 +6,11 @@
 //! inspected after the run. Pulse adds the *online* half, built entirely on
 //! the same [`Recorder`] hook points:
 //!
-//! * a streaming aggregator — bounded per-task sample rings drained by a
-//!   collector into tumbling windows over simulated time (per-wave compute
-//!   and checkpoint throughput, SOP stall seconds, retry/giveup rates,
-//!   PIOFS queue depth and degraded-mode status, memory-tier replica
-//!   health);
+//! * a streaming aggregator — each task's recorder hook folds its report at
+//!   once into that task's tumbling windows over simulated time, which a
+//!   collector settles and merges (per-wave compute and checkpoint
+//!   throughput, SOP stall seconds, retry/giveup rates, PIOFS queue depth
+//!   and degraded-mode status, memory-tier replica health);
 //! * a declarative health-rule engine ([`PulseRule`]) with
 //!   threshold/rate/absence/skew predicates over those windows, emitting
 //!   typed alerts as first-class obs events;
@@ -35,17 +35,19 @@
 //! assert!(report.alerts.is_empty());
 //! ```
 //!
-//! Determinism: each ring clamps sample stamps to its own high-water mark,
-//! so stamp sequences depend only on what each task produced — never on
-//! drain timing — and a window is evaluated only once every producing
-//! ring's watermark has passed it. For a fixed fault seed the heartbeat
-//! stream and alert list are byte-identical run to run, no matter how the
-//! collector's drains interleave with the run.
+//! Determinism: each task clamps its report stamps to its own high-water
+//! mark, so stamp sequences depend only on what each task produced — never
+//! on drain timing — and a window is settled only once every task's mark
+//! has passed it. Every float a window sums is written by one task, in that
+//! task's report order, so for a fixed fault seed the heartbeat stream and
+//! alert list are byte-identical run to run, no matter how the collector's
+//! drains interleave with the run.
 //!
-//! Pulse meters itself: host time spent inside its recorder hooks and
-//! collector is accumulated and reported as `pulse.overhead_seconds`, and
-//! the `bench --bin gate -- pulse` gate holds that self-overhead under 2% of the
-//! host wall time of an identical pulse-off run.
+//! Memory is bounded by the unsettled windows each task holds, not by a
+//! sample cap: no report is ever dropped. The `bench --bin gate -- pulse`
+//! gate holds pulse's modelled self-overhead (the run's report count times
+//! the host cost of one report) under 2% of the host wall time of an
+//! identical pulse-off run.
 
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -53,16 +55,13 @@
 mod collect;
 pub mod heartbeat;
 mod recorder;
-mod ring;
 pub mod rules;
 mod view;
 pub mod window;
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use drms_obs::{names, NullRecorder, Recorder};
+use drms_obs::{NullRecorder, Recorder};
 use parking_lot::Mutex;
 
 use collect::Collector;
@@ -74,8 +73,8 @@ pub use window::{window_bounds, window_of, GaugeWrite, WindowStats};
 /// Configuration for a [`Pulse`] instance.
 #[derive(Debug, Clone)]
 pub struct PulseConfig {
-    /// SPMD tasks in the run (one sample ring each; out-of-range ranks
-    /// clamp to the last ring).
+    /// SPMD tasks in the run (one fold state each; out-of-range ranks
+    /// clamp to the last task).
     pub ntasks: usize,
     /// Tumbling-window width in simulated seconds.
     pub window: f64,
@@ -97,41 +96,35 @@ pub struct PulseReport {
     pub heartbeats: Vec<String>,
     /// Every alert fired, in firing order.
     pub alerts: Vec<Alert>,
-    /// Samples ingested across all rings.
+    /// Reports folded across all tasks.
     pub samples: u64,
-    /// Samples dropped by full rings.
-    pub dropped: u64,
     /// Cumulative counter totals observed online, by metric name. Matches
     /// a post-hoc trace's totals for the same run.
     pub cum_counters: std::collections::BTreeMap<&'static str, u64>,
     /// Cumulative closed-span seconds per `(rank, phase)`. Matches the
     /// post-hoc per-phase span sums exactly (same float additions).
     pub span_seconds: std::collections::BTreeMap<(usize, drms_obs::Phase), f64>,
-    /// Host seconds pulse spent in its own hooks and collector.
-    pub overhead_seconds: f64,
 }
 
 /// The online observability pipeline: recorder, collector, rule engine and
 /// exporters behind one handle.
 ///
-/// Shareable across threads; the hot path (recorder hooks) only touches the
-/// per-rank rings, while [`drain`](Pulse::drain)/[`finish`](Pulse::finish)
+/// Shareable across threads; the hot path (recorder hooks) only touches its
+/// task's fold, while [`drain`](Pulse::drain)/[`finish`](Pulse::finish)
 /// take the collector lock.
 pub struct Pulse {
     recorder: Arc<PulseRecorder>,
     collector: Mutex<Collector>,
     sink: Mutex<Arc<dyn Recorder>>,
-    collect_ns: AtomicU64,
 }
 
 impl Pulse {
     /// Builds the pipeline for `config`.
     pub fn new(config: PulseConfig) -> Arc<Pulse> {
         Arc::new(Pulse {
-            recorder: PulseRecorder::new(config.ntasks),
+            recorder: PulseRecorder::new(config.ntasks, config.window),
             collector: Mutex::new(Collector::new(config.window, config.rules)),
             sink: Mutex::new(Arc::new(NullRecorder)),
-            collect_ns: AtomicU64::new(0),
         })
     }
 
@@ -143,51 +136,31 @@ impl Pulse {
     /// Where alerts, heartbeat counters and pulse self-metrics are emitted
     /// as first-class obs events. Set this to the underlying trace
     /// recorder, **not** the fan-out that includes pulse itself (that would
-    /// feed alerts back into the rings).
+    /// feed alerts back into the folds).
     pub fn set_sink(&self, sink: Arc<dyn Recorder>) {
         *self.sink.lock() = sink;
     }
 
-    /// Drains every ring and settles all windows behind the watermark.
-    /// Call periodically during the run (any cadence; content is
-    /// drain-invariant). Returns the number of samples ingested.
+    /// Settles every window behind the watermark. Call periodically during
+    /// the run (any cadence; content is drain-invariant). Returns the
+    /// number of reports folded since the previous drain.
     pub fn drain(&self) -> usize {
-        let t0 = Instant::now();
-        let drains = self.recorder.drain_all();
         let sink = self.sink.lock().clone();
-        let n = self.collector.lock().ingest(drains, &sink);
-        self.collect_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        n
+        self.collector.lock().drain(&self.recorder, false, &sink)
     }
 
-    /// Final drain plus forced settlement of every remaining window, then
-    /// the end-of-run report. Emits `pulse.samples`, `pulse.dropped` and
-    /// `pulse.overhead_seconds` to the sink. Idempotent.
+    /// Forced settlement of every remaining window, then the end-of-run
+    /// report. Emits `pulse.samples` to the sink. Idempotent.
     pub fn finish(&self) -> PulseReport {
-        let t0 = Instant::now();
-        let drains = self.recorder.drain_all();
         let sink = self.sink.lock().clone();
         let mut c = self.collector.lock();
-        let already = c.finished();
-        if !already {
-            c.ingest(drains, &sink);
-            c.finish(&sink);
-        }
-        drop(c);
-        self.collect_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let overhead = self.overhead_seconds();
-        if !already && sink.enabled() {
-            sink.gauge_set(names::PULSE_OVERHEAD_SECONDS, 0, overhead);
-        }
-        let c = self.collector.lock();
+        c.finish(&self.recorder, &sink);
         PulseReport {
             heartbeats: c.heartbeats.clone(),
             alerts: c.alerts.clone(),
             samples: c.samples,
-            dropped: c.dropped,
             cum_counters: c.cum_counters.clone(),
             span_seconds: c.cum_span_secs.clone(),
-            overhead_seconds: overhead,
         }
     }
 
@@ -201,12 +174,6 @@ impl Pulse {
         self.collector.lock().alerts.clone()
     }
 
-    /// Host seconds pulse has spent on itself so far (recorder hooks plus
-    /// collector drains).
-    pub fn overhead_seconds(&self) -> f64 {
-        self.recorder.overhead_seconds() + self.collect_ns.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
     /// Plain-text status table over the most recent settled windows and
     /// all fired alerts.
     pub fn status(&self) -> String {
@@ -217,7 +184,7 @@ impl Pulse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drms_obs::{Phase, TraceRecorder};
+    use drms_obs::{names, Phase, TraceRecorder};
 
     #[test]
     fn end_to_end_windows_settle_and_report() {
@@ -235,7 +202,6 @@ mod tests {
         pulse.drain();
         let report = pulse.finish();
         assert_eq!(report.samples, 8);
-        assert_eq!(report.dropped, 0);
         assert_eq!(report.cum_counters[names::IO_RETRIES], 20);
         assert!((report.span_seconds[&(0, Phase::StreamWave)] - 0.4).abs() < 1e-12);
         assert!(report.alerts.iter().any(|a| a.rule == names::ALERT_RETRY_STORM));
@@ -245,7 +211,6 @@ mod tests {
         assert_eq!(m.counter_total(names::ALERT_RETRY_STORM), 1);
         assert_eq!(m.counter_total(names::PULSE_ALERTS), report.alerts.len() as u64);
         assert_eq!(m.counter_total(names::PULSE_SAMPLES), 8);
-        assert!(m.gauge(names::PULSE_OVERHEAD_SECONDS, 0).is_some());
         // finish() is idempotent.
         let again = pulse.finish();
         assert_eq!(again.heartbeats, report.heartbeats);
@@ -254,21 +219,52 @@ mod tests {
 
     #[test]
     fn drain_cadence_does_not_change_output() {
-        let run = |chunked: bool| {
-            let pulse = Pulse::new(PulseConfig { ntasks: 2, ..PulseConfig::default() });
+        let run = |every_sample: bool| {
+            let pulse = Pulse::new(PulseConfig { ntasks: 3, ..PulseConfig::default() });
             let rec = pulse.recorder();
-            for i in 0..40u64 {
-                let t = i as f64 * 0.1;
-                let rank = (i % 2) as usize;
-                rec.counter_add_at(t, rank, names::IO_RETRIES, None, 1 + i % 3);
-                if chunked && i % 7 == 0 {
+            let drain = || {
+                if every_sample {
                     pulse.drain();
+                }
+            };
+            for step in 0..20u64 {
+                let t = step as f64 * 0.3;
+                for rank in 0..3 {
+                    rec.counter_add_at(t, rank, names::IO_RETRIES, None, 1 + step % 3);
+                    drain();
+                    // Spans of 0.6 s, across window ends.
+                    match step % 3 {
+                        0 => rec.span_start(t, rank, Phase::StreamWave, "w"),
+                        2 => rec.span_end(t, rank, Phase::StreamWave, "w"),
+                        _ => continue,
+                    }
+                    drain();
+                }
+                // Ranks 1 and 2 set the same gauge in one window.
+                for rank in 1..3 {
+                    rec.gauge_set_at(t, rank, names::MEMTIER_REPLICAS, 0, (rank + 2) as f64);
+                    drain();
                 }
             }
             let r = pulse.finish();
-            (r.heartbeats, r.alerts)
+            (r.heartbeats, r.alerts, r.samples, r.cum_counters, r.span_seconds)
         };
-        assert_eq!(run(false), run(true));
+        let (once, each) = (run(false), run(true));
+        assert_eq!(once.4.len(), 3, "every rank closed spans: {:?}", once.4);
+        assert_eq!(once, each);
+    }
+
+    #[test]
+    fn no_report_is_dropped_without_a_drain() {
+        const N: u64 = 200_000;
+        let pulse = Pulse::new(PulseConfig::default());
+        let rec = pulse.recorder();
+        for i in 0..N {
+            rec.counter_add_at(i as f64 * 1e-3, 0, names::IO_RETRIES, None, 1 + i % 2);
+        }
+        let report = pulse.finish();
+        assert_eq!(report.samples, N);
+        assert_eq!(report.cum_counters[names::IO_RETRIES], N + N / 2);
     }
 
     #[test]

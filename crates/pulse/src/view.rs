@@ -9,10 +9,9 @@ use crate::collect::Collector;
 pub(crate) fn render(c: &Collector) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "pulse | windows settled: {} | samples: {} | dropped: {} | alerts: {}\n",
+        "pulse | windows settled: {} | samples: {} | alerts: {}\n",
         c.heartbeats.len(),
         c.samples,
-        c.dropped,
         c.alerts.len()
     ));
     out.push_str(&format!(

@@ -1,18 +1,20 @@
 //! Tumbling-window aggregation over the simulated time axis.
 //!
-//! Samples are assigned to window `floor(stamp / width)` — a pure function
-//! of the sample, so the aggregate content of every window is independent
+//! Reports are assigned to window `floor(stamp / width)` — a pure function
+//! of the report, so the aggregate content of every window is independent
 //! of drain batching and thread interleaving. All per-window state uses
 //! ordered maps so rendered output is deterministic.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::AddAssign;
 
 use drms_obs::Phase;
 
 /// One gauge write, carrying the coordinates that decide which of a
 /// window's writes to the same series "wins": the highest `(stamp, rank)`
-/// write. Resolving by these — never by fold/arrival order — is what keeps
-/// gauge values drain-invariant when several ranks set one series.
+/// write. Resolving by these — never by merge order — is what keeps gauge
+/// values drain-invariant when several ranks set one series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaugeWrite {
     /// The write's monotone window stamp.
@@ -26,7 +28,7 @@ pub struct GaugeWrite {
 /// Aggregated state of one tumbling window.
 #[derive(Debug, Default, Clone)]
 pub struct WindowStats {
-    /// Total samples assigned to this window.
+    /// Total reports assigned to this window.
     pub samples: u64,
     /// Counter deltas summed within the window, by metric name.
     pub counters: BTreeMap<&'static str, u64>,
@@ -38,9 +40,9 @@ pub struct WindowStats {
     /// reproduces the post-hoc per-phase totals exactly).
     pub span_secs: BTreeMap<(usize, Phase), f64>,
     /// PIOFS server busy seconds accrued, keyed `(server, rank)`. The rank
-    /// in the key fixes the float summation order (per-ring sample order is
-    /// drain-invariant; cross-ring arrival order is not), so per-server
-    /// totals are summed over ranks in key order at read time.
+    /// in the key fixes the float summation order (each key is summed by
+    /// one task in its report order), so per-server totals are summed over
+    /// ranks in key order at read time.
     pub server_busy: BTreeMap<(usize, usize), f64>,
     /// Alert names fired when this window was evaluated (filled by the
     /// rule engine at settlement).
@@ -50,13 +52,25 @@ pub struct WindowStats {
 impl WindowStats {
     /// Records one gauge write, keeping the highest-`(stamp, rank)` write
     /// per series. Ties (same stamp, same rank — necessarily the same
-    /// ring) resolve to the later-recorded write, which is the later push
-    /// under every drain pattern, preserving last-write-wins within a
-    /// rank.
+    /// task) resolve to the later-recorded write, preserving
+    /// last-write-wins within a rank.
     pub fn record_gauge(&mut self, name: &'static str, index: usize, write: GaugeWrite) {
         let e = self.gauges.entry((name, index)).or_insert(write);
         if (write.stamp, write.rank) >= (e.stamp, e.rank) {
             *e = write;
+        }
+    }
+
+    /// Merges another task's share of the same window: counts, counters,
+    /// span seconds and server-busy seconds add, gauges keep their
+    /// highest-`(stamp, rank)` write.
+    pub(crate) fn absorb(&mut self, other: WindowStats) {
+        self.samples += other.samples;
+        add_into(&mut self.counters, other.counters);
+        add_into(&mut self.span_secs, other.span_secs);
+        add_into(&mut self.server_busy, other.server_busy);
+        for ((name, index), write) in other.gauges {
+            self.record_gauge(name, index, write);
         }
     }
 
@@ -99,9 +113,22 @@ impl WindowStats {
     }
 }
 
+/// Adds `from` into `into` key by key; a key `into` lacks is moved, not
+/// re-added, so a float only one task wrote keeps its exact bits.
+pub(crate) fn add_into<K: Ord, V: AddAssign>(into: &mut BTreeMap<K, V>, from: BTreeMap<K, V>) {
+    for (k, v) in from {
+        match into.entry(k) {
+            Entry::Vacant(e) => {
+                e.insert(v);
+            }
+            Entry::Occupied(mut e) => *e.get_mut() += v,
+        }
+    }
+}
+
 /// Maps a stamp to its window index under `width`, saturating instead of
 /// panicking for degenerate inputs (non-finite stamps were already
-/// collapsed by the ring; negative stamps clamp to window 0).
+/// collapsed by the recorder; negative stamps clamp to window 0).
 pub fn window_of(stamp: f64, width: f64) -> u64 {
     let w = if width.is_finite() && width > 0.0 { width } else { 1.0 };
     let idx = (stamp / w).floor();

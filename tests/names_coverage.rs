@@ -219,7 +219,7 @@ fn every_metric_name_is_emitted_by_some_instrumentation_site() {
     // sits below the replica floor, waves skew, and the commit gaps breach
     // a tiny stall SLO. 6b is the chaos run of scenario 4, whose retry
     // weather trips the storm rule. Covers the alert names and the pulse
-    // self-metrics (samples, drops, heartbeats, alert count, overhead).
+    // self-metrics (samples, heartbeats, alert count).
     {
         let thresholds = RuleThresholds {
             ckpt_stall_slo: 0.004,

@@ -6,7 +6,7 @@
 //!
 //! * every cumulative counter in the final pulse snapshot equals the trace
 //!   registry's total for that metric, exactly — and the trace holds no
-//!   non-pulse counter the snapshot missed (nothing leaks past the rings);
+//!   non-pulse counter the snapshot missed (nothing leaks past the folds);
 //! * per `(rank, phase)`, pulse's online closed-span seconds equal the sum
 //!   of `drms-insight`'s reconstructed span durations (same pairs, summed
 //!   in a different order, so equality is up to float re-association).
@@ -46,7 +46,6 @@ fn online_totals_match_the_post_hoc_trace_and_insight() {
     assert!(summary.completed, "fault-free run did not complete: {summary:?}");
     pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();
-    assert_eq!(report.dropped, 0, "bounded rings dropped samples");
     assert!(!report.cum_counters.is_empty(), "no counters observed — vacuous cross-check");
 
     // Direction 1: every online cumulative counter equals the trace total.
@@ -121,7 +120,6 @@ fn async_flush_lag_agrees_across_online_trace_and_insight() {
     assert!(summary.completed, "fault-free async run did not complete: {summary:?}");
     pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();
-    assert_eq!(report.dropped, 0, "bounded rings dropped samples");
 
     // Layer 1 vs layer 2: live pulse total equals the trace registry,
     // exactly (same u64 increments, different accumulators).
