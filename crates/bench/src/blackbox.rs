@@ -46,9 +46,8 @@ use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms_insight::{RecoveryReport, StitchedTimeline};
 use drms_obs::{names, FanoutRecorder, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, RuleThresholds};
-use drms_rtenv::RunSummary;
 
-use crate::campaign::{policy, Campaign, Fault, Rig, FAULTS, NPROCS};
+use crate::campaign::{blocking_sweep, policy, Campaign, Fault, Launched, Rig, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -59,10 +58,11 @@ pub const STITCHED_FILE: &str = "blackbox-stitched.tsv";
 const NITER: i64 = 12;
 const APP: &str = "bbbench";
 
-/// One campaign run's observables, all deterministic per plan.
+/// One campaign run: the job, its launch, the trace, the flight recorder
+/// and the chaos controller. All deterministic per plan.
 struct Run {
-    checksum: f64,
-    summary: RunSummary,
+    job: Campaign,
+    out: Launched,
     rec: Arc<TraceRecorder>,
     bb: Arc<Blackbox>,
     ctl: Arc<ChaosCtl>,
@@ -86,21 +86,17 @@ pub(crate) fn flight_sinks(
 }
 
 /// Runs the campaign job under a fault plan with a flight recorder in the
-/// fan-out. `kill_at` arms one processor failure once the given iteration
+/// fan-out. `kill` arms one processor failure once its iteration
 /// is reached (the token-kill path, which — unlike a crash point — gets no
 /// dying salvage). `extra` is fanned out next to the trace and the
 /// blackbox when present (the pulse recorder).
-fn run_campaign(plan: FaultPlan, kill_at: Option<i64>, extra: Option<Arc<dyn Recorder>>) -> Run {
+fn run_campaign(plan: FaultPlan, kill: Option<Fault>, extra: Option<Arc<dyn Recorder>>) -> Run {
     let (rec, bb, sink) = flight_sinks(extra);
     let rig = Rig::new(APP, plan.seed, Some(sink));
     let ctl = ChaosCtl::new(plan);
     let jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl)).with_blackbox(Arc::clone(&bb));
-    let job = Campaign {
-        faults: kill_at.map(|at| Fault::kill(at, 2)).into_iter().collect(),
-        ..Campaign::new(APP, "ck/bb", NITER)
-    };
-    let (checksum, summary) = job.launch(&rig, &jsa);
-    Run { checksum, summary, rec, bb, ctl }
+    let job = Campaign { faults: kill.into_iter().collect(), ..Campaign::new(APP, "ck/bb", NITER) };
+    Run { out: job.launch(&rig, &jsa), job, rec, bb, ctl }
 }
 
 /// The gauge is the report: the `blackbox.recovery_ratio` gauge the JSA
@@ -119,20 +115,22 @@ pub(crate) fn check_gauge(
     );
 }
 
-/// The coverage contract: the run recovered bitwise, the stitched
-/// timeline covers every incarnation with a non-empty recovered event
-/// stream, consecutive segments abut bit-exactly (zero unattributed
-/// gaps), and the attribution buckets tile the stitched wall clock.
-fn assert_covered(run: &Run, tl: &StitchedTimeline, report: &RecoveryReport, what: &str) {
-    assert!(run.summary.completed, "{what}: job did not complete: {:?}", run.summary);
-    assert_eq!(run.checksum, FAULTS.reference(NITER), "{what}: recovered state diverged");
-    for (i, _) in run.summary.incarnations.iter().enumerate() {
+/// The coverage contract: the run recovered bitwise
+/// ([`Launched::assert_recovered`]), the stitched timeline covers every
+/// incarnation with a non-empty recovered event stream, consecutive
+/// segments abut bit-exactly (zero unattributed gaps), and the attribution
+/// buckets tile the stitched wall clock. Returns the timeline and the
+/// attribution.
+fn assert_covered(run: &Run, what: &str, repro: &str) -> (StitchedTimeline, RecoveryReport) {
+    run.out.assert_recovered(&run.job, what, repro);
+    let (tl, report) = run.out.summary.attribution(&run.bb);
+    for (i, _) in run.out.summary.incarnations.iter().enumerate() {
         assert!(
             !run.bb.events_for(i as u64).is_empty(),
             "{what}: incarnation {i} left no recovered events"
         );
     }
-    assert_eq!(tl.segments.len(), run.summary.incarnations.len(), "{what}: segment count");
+    assert_eq!(tl.segments.len(), run.out.summary.incarnations.len(), "{what}: segment count");
     for k in 1..tl.segments.len() {
         assert_eq!(
             tl.segments[k].start,
@@ -146,11 +144,12 @@ fn assert_covered(run: &Run, tl: &StitchedTimeline, report: &RecoveryReport, wha
         "{what}: buckets do not tile the wall clock (error {})",
         report.tiling_error()
     );
+    (tl, report)
 }
 
 /// Total recovered events across the archive.
 fn recovered_events(run: &Run) -> usize {
-    (0..run.summary.incarnations.len()).map(|i| run.bb.events_for(i as u64).len()).sum()
+    (0..run.out.summary.incarnations.len()).map(|i| run.bb.events_for(i as u64).len()).sum()
 }
 
 /// The deep-dive campaign: fault weather, a mid-publish crash, and a
@@ -173,7 +172,7 @@ fn run_deep(seed: u64) -> (Run, drms_pulse::PulseReport) {
         crash: Some((CrashPoint::CkptMidPublish, 1)),
         ..FaultPlan::seeded(seed)
     };
-    let run = run_campaign(plan, Some(7), Some(pulse.recorder()));
+    let run = run_campaign(plan, Some(Fault::kill(7, 2)), Some(pulse.recorder()));
     pulse.set_sink(run.rec.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();
     (run, report)
@@ -192,6 +191,7 @@ pub(crate) fn render_events(tl: &StitchedTimeline) -> String {
 pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     no_gate_flags("blackbox", &args.rest);
     let seed = args.seed;
+    let repro = crate::seed::bin_repro("blackbox", seed);
     println!(
         "Blackbox bench: flight-recorder recovery and cross-incarnation \
              attribution (seed {}, {} iterations, {} PEs)\n",
@@ -206,15 +206,14 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Campaign 1 — clean: one incarnation, recovered from its final
     // seal, zero recovery cost.
     let clean = run_campaign(FaultPlan::seeded(seed), None, None);
-    let (clean_tl, clean_rep) = clean.summary.attribution(&clean.bb);
-    assert_covered(&clean, &clean_tl, &clean_rep, "clean");
+    let (_, clean_rep) = assert_covered(&clean, "clean", &repro);
     check_gauge(gate, &clean.rec, &clean_rep, "clean");
-    assert_eq!(clean.summary.incarnations.len(), 1, "clean run reincarnated");
+    assert_eq!(clean.out.summary.incarnations.len(), 1, "clean run reincarnated");
     assert_eq!(clean_rep.recovery_cost(), 0.0, "clean run billed recovery cost");
     let clean_events = recovered_events(&clean);
     println!(
         "clean: checksum {:.1}, {} recovered events, recovery fraction {:.3}",
-        clean.checksum,
+        clean.out.checksum,
         clean_events,
         clean_rep.recovery_fraction()
     );
@@ -228,31 +227,13 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
         "  {:<22} {:>6} {:>10} {:>10} {:>12} {:>10}",
         "crash point", "incs", "events", "salvages", "wall (sim s)", "recovery"
     );
-    for point in CrashPoint::ALL {
-        // The `Flush*` family fires only inside the asynchronous
-        // pipeline's background flush; a blocking checkpoint never
-        // consults those points (they get their own sweep in
-        // `tests/async_campaign.rs`).
-        // The `Recover*` family likewise fires only inside a localized
-        // recovery; it gets its own sweep in `tests/recover_campaign.rs`.
-        if point.is_flush_side() || point.is_recover_side() {
-            continue;
-        }
-        // Restart-side points only have a window once something
-        // restarts organically; arm a processor kill for those.
-        let restart_side = matches!(
-            point,
-            CrashPoint::RestartAfterInit
-                | CrashPoint::RestartAfterSegment
-                | CrashPoint::RestartAfterArrays
-        );
+    for (point, kill) in blocking_sweep() {
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(seed) };
-        let r = run_campaign(plan, restart_side.then_some(4), None);
+        let r = run_campaign(plan, kill, None);
         let what = format!("sweep {point}");
         assert!(r.ctl.crash_fired(), "{what}: armed crash never fired");
-        assert!(r.summary.incarnations.len() >= 2, "{what}: no reincarnation");
-        let (tl, rep) = r.summary.attribution(&r.bb);
-        assert_covered(&r, &tl, &rep, &what);
+        assert!(r.out.summary.incarnations.len() >= 2, "{what}: no reincarnation");
+        let (_, rep) = assert_covered(&r, &what, &repro);
         check_gauge(gate, &r.rec, &rep, &what);
         let events = recovered_events(&r);
         let salvages = r.rec.metrics().counter_total(names::BLACKBOX_SALVAGES);
@@ -260,14 +241,14 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
         println!(
             "  {:<22} {:>6} {:>10} {:>10} {:>12.6} {:>9.1}%",
             point.as_str(),
-            r.summary.incarnations.len(),
+            r.out.summary.incarnations.len(),
             events,
             salvages,
             rep.wall,
             rep.recovery_fraction() * 100.0
         );
         let key = |m: &str| format!("sweep.{point}.{m}");
-        result.metric(&key("incarnations"), r.summary.incarnations.len() as f64);
+        result.metric(&key("incarnations"), r.out.summary.incarnations.len() as f64);
         result.metric(&key("recovered_events"), events as f64);
         result.metric(&key("salvages"), salvages as f64);
     }
@@ -276,13 +257,12 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // live pulse on top, full attribution table out.
     println!("\ndeep dive (weather + mid-publish crash + processor kill):");
     let (deep, pulse_rep) = run_deep(seed);
-    let (deep_tl, deep_rep) = deep.summary.attribution(&deep.bb);
-    assert_covered(&deep, &deep_tl, &deep_rep, "deep");
+    let (deep_tl, deep_rep) = assert_covered(&deep, "deep", &repro);
     check_gauge(gate, &deep.rec, &deep_rep, "deep");
     assert!(
-        deep.summary.incarnations.len() >= 3,
+        deep.out.summary.incarnations.len() >= 3,
         "deep: expected crash kill + token kill + completion, got {:?}",
-        deep.summary.incarnations.len()
+        deep.out.summary.incarnations.len()
     );
     let dropped = deep.rec.metrics().counter_total(names::BLACKBOX_EVENTS_DROPPED);
     assert!(dropped > 0, "deep: token kill dropped no unsealed events");
@@ -294,8 +274,8 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Determinism: the whole pipeline — capture, seal, salvage,
     // recovery, stitch, attribution — must be bit-reproducible.
     let (again, _) = run_deep(seed);
-    let (_, again_rep) = again.summary.attribution(&again.bb);
-    assert_eq!(again.checksum, deep.checksum, "deep campaign is nondeterministic");
+    let (_, again_rep) = again.out.summary.attribution(&again.bb);
+    assert_eq!(again.out.checksum, deep.out.checksum, "deep campaign is nondeterministic");
     assert_eq!(again_rep.render(), deep_rep.render(), "recovery-cost report is nondeterministic");
     assert_eq!(
         again_rep.recovery_cost().to_bits(),
@@ -306,7 +286,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     let total = |f: &dyn Fn(&drms_insight::IncarnationCost) -> f64| {
         deep_rep.rows.iter().map(f).sum::<f64>()
     };
-    result.metric("deep.incarnations", deep.summary.incarnations.len() as f64);
+    result.metric("deep.incarnations", deep.out.summary.incarnations.len() as f64);
     result.metric("deep.recovered_events", recovered_events(&deep) as f64);
     result.metric("deep.dropped_events", dropped as f64);
     result

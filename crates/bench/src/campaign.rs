@@ -9,19 +9,20 @@
 //! [`Campaign`]: the application name and checkpoint prefix stem (both end
 //! up inside manifests, so blessed byte counts depend on them and each
 //! caller keeps its own strings), the iteration count, the [`Shape`], the
-//! [`CkptMode`] and the [`Fault`] schedule. What they
+//! [`CkptMode`], the [`Fault`] schedule and the [`LossDrill`]. What they
 //! share is code here: the toy's steps (resume-or-fill, advance,
-//! checkpoint, checksum), the one loop that owns the SOP kill checks and
-//! the rank-0 injection ([`Campaign::launch`]), the loss drill that rewinds
-//! that loop ([`Campaign::launch_drill`]), and the JSA [`Rig`].
+//! checkpoint, checksum), the one loop that owns the SOP kill checks, the
+//! rank-0 injection and the drill's rewind ([`Campaign::launch`]), the
+//! bitwise-recovery check ([`Launched::assert_recovered`]) and the [`Rig`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use drms_async::{AsyncCheckpointer, AsyncConfig};
+use drms_chaos::{CrashPoint, RESTART_FULL};
 use drms_core::manifest::CkptKind;
 use drms_core::segment::DataSegment;
-use drms_core::{find_checkpoints, CheckpointArray, Drms, DrmsConfig};
+use drms_core::{find_checkpoints, sweep_orphans, CheckpointArray, Drms, DrmsConfig};
 use drms_darray::{for_each_region_index, DistArray, Distribution};
 use drms_delta::{delta_checkpoint, DeltaChain, DeltaConfig};
 use drms_memtier::{spill_checkpoint, store_checkpoint, store_feasible, MemTier};
@@ -306,6 +307,19 @@ impl Rig {
     }
 }
 
+/// The crash points a blocking checkpoint or restart consults, in sweep
+/// order, each with the kill (processor 2 at iteration 4) that gives a
+/// restart-side point an organic restart to fire inside. The `Flush*`
+/// family fires only inside an overlapped checkpoint's background flush
+/// and the `Recover*` family only inside a localized recovery; each has
+/// its own sweep (`tests/async_campaign.rs`, `tests/recover_campaign.rs`).
+pub fn blocking_sweep() -> impl Iterator<Item = (CrashPoint, Option<Fault>)> {
+    CrashPoint::ALL
+        .into_iter()
+        .filter(|p| !p.is_flush_side() && !p.is_recover_side())
+        .map(|p| (p, RESTART_FULL.contains(&Some(p)).then(|| Fault::kill(4, 2))))
+}
+
 /// The campaigns' scheduling policy: repair when starved, so a heavy
 /// schedule first restarts on what is left and repairs only when nothing
 /// is.
@@ -318,6 +332,7 @@ pub fn policy() -> JsaPolicy {
 /// from the sections retained at its newest commit, then rolls back to
 /// that SOP. One attempt per job: an incarnation that restarted is the
 /// full-restart escalation and runs recovery-free.
+#[derive(Debug, Clone)]
 pub struct LossDrill {
     /// The iteration whose top-of-loop suffers the loss.
     pub at: i64,
@@ -343,6 +358,54 @@ pub struct Campaign {
     pub shape: Shape,
     /// The fault schedule.
     pub faults: Vec<Fault>,
+    /// The loss drill, run when the JSA permits localized recovery.
+    pub drill: Option<LossDrill>,
+}
+
+/// What one [`Campaign::launch`] leaves behind.
+pub struct Launched {
+    /// Global checksum of the completing incarnation (0 if none).
+    pub checksum: f64,
+    /// The JSA's summary.
+    pub summary: RunSummary,
+    /// The file system the job ran on.
+    pub fs: Arc<Piofs>,
+    /// Rank 0's protocol report, when the loss drill recovered.
+    pub report: Option<RecoverReport>,
+}
+
+impl Launched {
+    /// The bitwise-recovery check of every fault campaign: `job` completed
+    /// on its closed-form checksum, no staging (`.tmp`) prefix was restarted
+    /// from or is discoverable, and [`sweep_orphans`] leaves no `.tmp` file.
+    /// A failure names `what` and ends with `reproduce with: {repro}`.
+    pub fn assert_recovered(&self, job: &Campaign, what: &str, repro: &str) {
+        let fail = |why: String| panic!("{what}: {why}\nreproduce with: {repro}");
+        let (summary, reference) = (&self.summary, job.shape.reference(job.niter));
+        if !summary.completed {
+            fail(format!("job did not complete: {summary:?}"));
+        }
+        if self.checksum != reference {
+            fail(format!(
+                "recovered state diverged from the uninterrupted run: {} != {reference}",
+                self.checksum
+            ));
+        }
+        let staged = |path: &str| path.contains(".tmp");
+        let mut restarts = summary.incarnations.iter().filter_map(|i| i.restart_from.as_deref());
+        if let Some(from) = restarts.find(|from| staged(from)) {
+            fail(format!("incarnation restarted from staging prefix {from:?}"));
+        }
+        if let Some((prefix, _)) =
+            find_checkpoints(&self.fs, Some(job.app)).into_iter().find(|(p, _)| staged(p))
+        {
+            fail(format!("staged prefix {prefix:?} discoverable as a checkpoint"));
+        }
+        sweep_orphans(&self.fs);
+        if let Some(info) = self.fs.list("").into_iter().find(|info| staged(&info.path)) {
+            fail(format!("staging debris {:?} survived sweep_orphans", info.path));
+        }
+    }
 }
 
 /// Rank 0's fault injection. The cursor outlives incarnations: a fault
@@ -390,43 +453,34 @@ impl Campaign {
     /// A fault-free job on the [`FAULTS`] field taking blocking
     /// checkpoints.
     pub fn new(app: &'static str, stem: &'static str, niter: i64) -> Campaign {
-        Campaign { app, stem, niter, mode: CkptMode::Blocking, shape: FAULTS, faults: Vec::new() }
+        Campaign {
+            app,
+            stem,
+            niter,
+            mode: CkptMode::Blocking,
+            shape: FAULTS,
+            faults: Vec::new(),
+            drill: None,
+        }
     }
 
     /// One incarnation: resume or fill, then per iteration the SOP kill
-    /// check, the computation, the checkpoint on cadence and the fault
-    /// injection; returns this task's share of the final checksum.
-    fn run(&self, ctx: &mut Ctx, env: &JobEnv, inject: &Injector) -> Result<f64, JobOutcome> {
-        let mut toy = Toy::resume(ctx, env, self)?;
-        for iter in toy.next..=self.niter {
-            if env.sop_killed(ctx) {
-                return Err(JobOutcome::Killed);
-            }
-            toy.advance(iter);
-            if iter % CKPT_EVERY == 0 {
-                if let Err(failed) = toy.checkpoint(ctx, env, &format!("{}/{iter}", self.stem)) {
-                    let killed =
-                        self.mode == CkptMode::Tier && inject.weather && env.sop_killed(ctx);
-                    return Err(if killed { JobOutcome::Killed } else { failed });
-                }
-            }
-            inject.fire(ctx, iter);
-        }
-        toy.finish(ctx, env)
-    }
-
-    /// [`Campaign::run`] with the loss drill at the top of the loop, which
-    /// rewinds it to the retained SOP. Rank 0's protocol report lands in
-    /// `report`.
-    fn run_drill(
+    /// check, the drill's recovery at its iteration, the computation, the
+    /// checkpoint on cadence (retained for the drill) and the fault
+    /// injection; returns this task's share of the final checksum. Rank 0's
+    /// drill report lands in `report`.
+    fn run(
         &self,
         ctx: &mut Ctx,
         env: &JobEnv,
         inject: &Injector,
-        drill: &LossDrill,
         report: &Mutex<Option<RecoverReport>>,
     ) -> Result<f64, JobOutcome> {
         let mut toy = Toy::resume(ctx, env, self)?;
+        // The drill checkpoints into its replicas whatever the policy, but
+        // retains and recovers only where the JSA permits it.
+        let replicas = self.drill.as_ref().and_then(|d| d.replicas.as_ref());
+        let drill = self.drill.as_ref().filter(|_| env.localized);
         // Derived from the restart state, so the collective branch below
         // is rank-consistent.
         let mut may_recover = toy.fresh;
@@ -437,7 +491,7 @@ impl Campaign {
             if env.sop_killed(ctx) {
                 return Err(JobOutcome::Killed);
             }
-            if env.localized && iter == drill.at && may_recover {
+            if let Some(drill) = drill.filter(|d| d.at == iter && may_recover) {
                 may_recover = false;
                 if let Some((ret, sop)) = retained.take() {
                     if let Some(tier) = &drill.replicas {
@@ -469,15 +523,21 @@ impl Campaign {
             toy.advance(iter);
             if iter % CKPT_EVERY == 0 {
                 let prefix = format!("{}/{iter}", self.stem);
-                match &drill.replicas {
+                let done = match replicas {
                     Some(tier) => {
                         let Toy { u, seg, drms, .. } = &mut toy;
                         store_checkpoint(ctx, tier, &prefix, drms, seg, &[&*u])
-                            .map_err(JobOutcome::from_err)?;
+                            .map(drop)
+                            .map_err(JobOutcome::from_err)
                     }
-                    None => toy.checkpoint(ctx, env, &prefix)?,
+                    None => toy.checkpoint(ctx, env, &prefix),
+                };
+                if let Err(failed) = done {
+                    let killed =
+                        self.mode == CkptMode::Tier && inject.weather && env.sop_killed(ctx);
+                    return Err(if killed { JobOutcome::Killed } else { failed });
                 }
-                if env.localized {
+                if drill.is_some() {
                     retained = Some((retain(ctx, &prefix, iter as u64, &[&toy.u]), iter));
                 }
             }
@@ -487,31 +547,9 @@ impl Campaign {
         toy.finish(ctx, env)
     }
 
-    /// Runs the job under `jsa` until it completes or fails; returns the
-    /// global checksum of the completing incarnation (0 if none) and the
-    /// JSA's summary. `jsa` must be a scheduler over `rig`.
-    pub fn launch(&self, rig: &Rig, jsa: &Jsa) -> (f64, RunSummary) {
-        let (checksum, summary, _) = self.launch_with(rig, jsa, None);
-        (checksum, summary)
-    }
-
-    /// As [`Campaign::launch`], with the loss drill; also returns rank 0's
-    /// protocol report when the drill ran.
-    pub fn launch_drill(
-        &self,
-        rig: &Rig,
-        jsa: &Jsa,
-        drill: LossDrill,
-    ) -> (f64, RunSummary, Option<RecoverReport>) {
-        self.launch_with(rig, jsa, Some(drill))
-    }
-
-    fn launch_with(
-        &self,
-        rig: &Rig,
-        jsa: &Jsa,
-        drill: Option<LossDrill>,
-    ) -> (f64, RunSummary, Option<RecoverReport>) {
+    /// Runs the job under `jsa` until it completes or fails. `jsa` must be
+    /// a scheduler over `rig`.
+    pub fn launch(&self, rig: &Rig, jsa: &Jsa) -> Launched {
         let sums = Arc::new(Mutex::new(Vec::new()));
         let report = Arc::new(Mutex::new(None));
         let (job, sums2, report2) = (self.clone(), Arc::clone(&sums), Arc::clone(&report));
@@ -524,11 +562,7 @@ impl Campaign {
             weather: jsa.chaos().is_some(),
         };
         let spec = JobSpec::new(self.app, (1, NPROCS), move |ctx, env| {
-            let got = match &drill {
-                Some(drill) => job.run_drill(ctx, env, &inject, drill, &report2),
-                None => job.run(ctx, env, &inject),
-            };
-            match got {
+            match job.run(ctx, env, &inject, &report2) {
                 Ok(sum) => {
                     sums2.lock().push(sum);
                     JobOutcome::Completed
@@ -537,14 +571,16 @@ impl Campaign {
             }
         });
         let summary = jsa.run_job(&spec);
-        let checksum = sums.lock().iter().sum();
-        let report = report.lock().take();
-        (checksum, summary, report)
+        let (checksum, report) = (sums.lock().iter().sum(), report.lock().take());
+        Launched { checksum, summary, fs: Arc::clone(&rig.fs), report }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use drms_memtier::RestartTier;
+    use drms_rtenv::IncarnationRecord;
+
     use super::*;
 
     const MODES: [CkptMode; 5] = [
@@ -554,6 +590,9 @@ mod tests {
         CkptMode::Delta,
         CkptMode::OverlappedDelta { budget: 2 },
     ];
+
+    /// The one-command repro of these tests.
+    const REPRO: &str = "cargo test -p drms-bench --lib campaign::tests";
 
     fn job(niter: i64, mode: CkptMode, faults: Vec<Fault>) -> Campaign {
         Campaign { mode, faults, ..Campaign::new("toy", "ck/toy", niter) }
@@ -574,12 +613,12 @@ mod tests {
                         // a tier would fail there instead.
                         jsa = jsa.with_memtier(MemTier::new(1));
                     }
-                    let (sum, summary) = job(niter, mode, Vec::new()).launch(&rig, &jsa);
+                    let campaign = job(niter, mode, Vec::new());
+                    let out = campaign.launch(&rig, &jsa);
                     let what = format!("niter {niter}, {mode:?}, {ntasks} task(s)");
-                    assert!(summary.completed, "{what}: {summary:?}");
-                    assert_eq!(summary.incarnations.len(), 1, "{what}");
-                    assert_eq!(summary.incarnations[0].ntasks, ntasks, "{what}");
-                    assert_eq!(sum, FAULTS.reference(niter), "{what}");
+                    out.assert_recovered(&campaign, &what, REPRO);
+                    assert_eq!(out.summary.incarnations.len(), 1, "{what}");
+                    assert_eq!(out.summary.incarnations[0].ntasks, ntasks, "{what}");
                     // Iterations 3, 6, 9 (and 12) committed, the last one
                     // carrying the last checkpointed iteration.
                     let committed = find_checkpoints(&rig.fs, Some("toy"));
@@ -596,12 +635,13 @@ mod tests {
         for mode in MODES {
             let rig = Rig::new("toy", 7, None);
             let jsa = rig.jsa(policy()).with_memtier(MemTier::new(1));
-            let (sum, summary) = job(10, mode, vec![Fault::kill(4, 3)]).launch(&rig, &jsa);
-            assert!(summary.completed, "{mode:?}: {summary:?}");
+            let campaign = job(10, mode, vec![Fault::kill(4, 3)]);
+            let out = campaign.launch(&rig, &jsa);
+            out.assert_recovered(&campaign, &format!("{mode:?}"), REPRO);
+            let summary = &out.summary;
             assert!(summary.incarnations.len() > 1, "{mode:?}: the kill cost no incarnation");
             assert_eq!(summary.incarnations[1].restart_from.as_deref(), Some("ck/toy/3"));
             assert_eq!(summary.incarnations[1].ntasks, NPROCS - 1);
-            assert_eq!(sum, FAULTS.reference(10), "{mode:?}");
         }
     }
 
@@ -613,8 +653,9 @@ mod tests {
             Fault { at: 2, storage: Some(StorageFault::Server(1)), victims: vec![5, 6] },
             Fault::kill(20, 0),
         ];
-        let (sum, summary) = job(10, CkptMode::Blocking, faults).launch(&rig, &rig.jsa(policy()));
-        assert_eq!(sum, FAULTS.reference(10));
+        let Launched { checksum, summary, .. } =
+            job(10, CkptMode::Blocking, faults).launch(&rig, &rig.jsa(policy()));
+        assert_eq!(checksum, FAULTS.reference(10));
         // Iteration 2 kills 5; iteration 2 of the next incarnation (one
         // fault per launch per iteration) takes the server and 6 — 5 is
         // already dead; iteration 20 never comes. Neither kill left a
@@ -641,14 +682,35 @@ mod tests {
             let tiered = replicas.is_some();
             let rig = Rig::new("toy", 7, None);
             let jsa = rig.jsa(JsaPolicy { localized_recovery: true, ..policy() });
-            let drill = LossDrill { at: 5, victim: 2, replicas };
-            let (sum, summary, report) =
-                Campaign::new("toy", "ck/toy", 10).launch_drill(&rig, &jsa, drill);
-            assert_eq!(summary.incarnations.len(), 1, "tiered {tiered}: {summary:?}");
-            assert_eq!(sum, FAULTS.reference(10), "tiered {tiered}");
-            let report = report.expect("the drill ran");
+            let campaign = Campaign {
+                drill: Some(LossDrill { at: 5, victim: 2, replicas }),
+                ..job(10, CkptMode::Blocking, Vec::new())
+            };
+            let out = campaign.launch(&rig, &jsa);
+            out.assert_recovered(&campaign, &format!("tiered {tiered}"), REPRO);
+            assert_eq!(out.summary.incarnations.len(), 1, "tiered {tiered}: {:?}", out.summary);
+            let report = out.report.expect("the drill ran");
             assert_eq!(report.replica_bytes > 0, tiered);
             assert_eq!(report.piofs_bytes > 0, !tiered);
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "restarted from staging prefix \"ck/toy/3.tmp\"\nreproduce with: cargo"
+    )]
+    fn the_check_refuses_a_restart_from_staging() {
+        let restarted = IncarnationRecord {
+            ntasks: NPROCS,
+            procs: (0..NPROCS).collect(),
+            restart_from: Some("ck/toy/3.tmp".to_string()),
+            fallback_depth: 0,
+            tier: RestartTier::Piofs,
+            outcome: JobOutcome::Completed,
+        };
+        let summary = RunSummary { incarnations: vec![restarted], completed: true };
+        let fs = Piofs::new(PiofsConfig::test_tiny(NPROCS), 7);
+        let out = Launched { checksum: FAULTS.reference(10), summary, fs, report: None };
+        out.assert_recovered(&job(10, CkptMode::Blocking, Vec::new()), "hand-built", REPRO);
     }
 }

@@ -14,7 +14,7 @@
 //!    the retry counters land in the result. (There is no message weather:
 //!    checkpoint traffic crosses the collectives, not point-to-point
 //!    sends.)
-//! 3. **Sweep** — every enumerated [`CrashPoint`], one armed crash each:
+//! 3. **Sweep** — every enumerated [`CrashPoint`](drms_chaos::CrashPoint), one armed crash each:
 //!    the job must recover bitwise, never restart from a `.tmp` staging
 //!    prefix, and the table below reports per point which checkpoint (and
 //!    how many bytes of it) recovery replayed.
@@ -28,75 +28,43 @@
 
 use std::sync::Arc;
 
-use drms_chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
-use drms_core::find_checkpoints;
+use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults};
 use drms_obs::{names, TraceRecorder};
-use drms_piofs::Piofs;
-use drms_rtenv::{JobOutcome, RunSummary};
+use drms_rtenv::JobOutcome;
 
-use crate::campaign::{policy, Campaign, Fault, Rig, CKPT_EVERY, FAULTS, NPROCS};
+use crate::campaign::{blocking_sweep, policy, Campaign, Fault, Launched, Rig, CKPT_EVERY, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
 const NITER: i64 = 12;
 const APP: &str = "chaosbench";
 
-/// One campaign run's observables, all deterministic per plan.
+/// One campaign run: the job, its launch, the chaos controller and the
+/// trace every counter is mirrored into. All deterministic per plan.
 struct Run {
-    checksum: f64,
-    summary: RunSummary,
-    fs: Arc<Piofs>,
+    job: Campaign,
+    out: Launched,
     ctl: Arc<ChaosCtl>,
     rec: Arc<TraceRecorder>,
 }
 
 /// Runs the campaign job under a fault plan through the JSA (the same
 /// harness as `tests/chaos_campaign.rs`), with every counter mirrored into
-/// a [`TraceRecorder`].
-fn run_campaign(plan: FaultPlan) -> Run {
+/// a [`TraceRecorder`], optionally killing one processor (`kill`).
+fn run_campaign(plan: FaultPlan, kill: Option<Fault>) -> Run {
     let rec = Arc::new(TraceRecorder::default());
     let rig = Rig::new(APP, plan.seed, Some(rec.clone()));
-    // Restart-side crash points only have a window once something
-    // restarts organically; arm one processor failure for those plans.
-    let restart_side = matches!(
-        plan.crash,
-        Some((
-            CrashPoint::RestartAfterInit
-                | CrashPoint::RestartAfterSegment
-                | CrashPoint::RestartAfterArrays,
-            _
-        ))
-    );
     let ctl = ChaosCtl::new(plan);
     let jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl));
-    let mut job = Campaign::new(APP, "ck/cb", NITER);
-    if restart_side {
-        job.faults.push(Fault::kill(4, 2));
-    }
-    let (checksum, summary) = job.launch(&rig, &jsa);
-    Run { checksum, summary, fs: rig.fs, ctl, rec }
-}
-
-/// Asserts bitwise recovery and the staging invariants shared by every
-/// campaign: no incarnation restarts from `.tmp`, no staged prefix is
-/// discoverable as a checkpoint.
-fn assert_consistent(r: &Run, what: &str) {
-    assert!(r.summary.completed, "{what}: job did not complete: {:?}", r.summary);
-    assert_eq!(r.checksum, FAULTS.reference(NITER), "{what}: recovered state diverged");
-    for inc in &r.summary.incarnations {
-        if let Some(from) = &inc.restart_from {
-            assert!(!from.contains(".tmp"), "{what}: restarted from staging prefix {from:?}");
-        }
-    }
-    for (prefix, _) in find_checkpoints(&r.fs, Some(APP)) {
-        assert!(!prefix.contains(".tmp"), "{what}: staged prefix {prefix:?} discoverable");
-    }
+    let job = Campaign { faults: kill.into_iter().collect(), ..Campaign::new(APP, "ck/cb", NITER) };
+    Run { out: job.launch(&rig, &jsa), job, ctl, rec }
 }
 
 /// The `chaos` row of the gate table.
 pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     no_gate_flags("chaos", &args.rest);
     let seed = args.seed;
+    let repro = crate::seed::bin_repro("chaos", seed);
     println!(
         "Crash-consistency bench: two-phase commit under the exhaustive \
              crash-point sweep (seed {}, {} iterations, {} PEs)\n",
@@ -109,12 +77,12 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     result.stamp_header(seed, NPROCS);
 
     // Campaign 1 — clean reference.
-    let clean = run_campaign(FaultPlan::seeded(seed));
-    assert_consistent(&clean, "clean");
-    assert_eq!(clean.summary.incarnations.len(), 1, "clean run reincarnated");
+    let clean = run_campaign(FaultPlan::seeded(seed), None);
+    clean.out.assert_recovered(&clean.job, "clean", &repro);
+    assert_eq!(clean.out.summary.incarnations.len(), 1, "clean run reincarnated");
     let commits = clean.rec.metrics().counter_total(names::COMMITS);
     assert_eq!(commits as i64, NITER / CKPT_EVERY, "unexpected commit count");
-    println!("clean: checksum {:.1}, {} commits", clean.checksum, commits);
+    println!("clean: checksum {:.1}, {} commits", clean.out.checksum, commits);
     result.metric("clean.commits", commits as f64);
 
     // Campaign 2 — transient weather; must complete in one incarnation
@@ -123,17 +91,17 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         piofs: PiofsFaults { transient_prob: 0.25, torn: None },
         ..FaultPlan::seeded(seed)
     };
-    let weather = run_campaign(weather_plan.clone());
-    assert_consistent(&weather, "weather");
+    let weather = run_campaign(weather_plan.clone(), None);
+    weather.out.assert_recovered(&weather.job, "weather", &repro);
     assert!(weather.ctl.retries() > 0, "weather plan injected no faults");
-    let again = run_campaign(weather_plan);
-    assert_eq!(again.checksum, weather.checksum, "weather run is nondeterministic");
+    let again = run_campaign(weather_plan, None);
+    assert_eq!(again.out.checksum, weather.out.checksum, "weather run is nondeterministic");
     assert_eq!(again.ctl.retries(), weather.ctl.retries(), "retry traffic drifted");
     println!(
         "weather: {} retries, {} giveups, {} incarnation(s)",
         weather.ctl.retries(),
         weather.ctl.giveups(),
-        weather.summary.incarnations.len()
+        weather.out.summary.incarnations.len()
     );
     result.metric("weather.retries", weather.ctl.retries() as f64);
     result.metric("weather.giveups", weather.ctl.giveups() as f64);
@@ -141,7 +109,7 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         "weather.io_retries",
         weather.rec.metrics().counter_total(names::IO_RETRIES) as f64,
     );
-    result.metric("weather.incarnations", weather.summary.incarnations.len() as f64);
+    result.metric("weather.incarnations", weather.out.summary.incarnations.len() as f64);
 
     // Campaign 3 — the exhaustive crash-point sweep.
     println!("\ncrash-point sweep (every enumerated point, one armed crash each):");
@@ -149,38 +117,31 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         "  {:<22} {:>6} {:>14} {:>16} {:>13}",
         "crash point", "incs", "recovered from", "bytes replayed", "resumed iter"
     );
-    for point in CrashPoint::ALL {
-        // The `Flush*` family fires only inside the asynchronous
-        // pipeline's background flush — a blocking checkpoint never
-        // consults those points, so arming one here would never fire.
-        // They get their own exhaustive sweep in `tests/async_campaign.rs`.
-        // The `Recover*` family likewise fires only inside a localized
-        // recovery; it gets its own sweep in `tests/recover_campaign.rs`.
-        if point.is_flush_side() || point.is_recover_side() {
-            continue;
-        }
-        let r = run_campaign(FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(seed) });
+    for (point, kill) in blocking_sweep() {
+        let r =
+            run_campaign(FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(seed) }, kill);
         let what = format!("sweep {point}");
         assert!(r.ctl.crash_fired(), "{what}: armed crash never fired");
-        assert!(r.summary.incarnations.len() >= 2, "{what}: no reincarnation");
-        assert_consistent(&r, &what);
+        assert!(r.out.summary.incarnations.len() >= 2, "{what}: no reincarnation");
+        r.out.assert_recovered(&r.job, &what, &repro);
 
         // Recovery source: what the incarnation after the first kill
         // restarted from. Bytes replayed = the committed checkpoint
         // bytes read back (0 for a fresh-start recovery, which replays
         // the whole computation instead).
         let killed = r
+            .out
             .summary
             .incarnations
             .iter()
             .position(|i| i.outcome == JobOutcome::Killed)
             .unwrap_or_else(|| panic!("{what}: crash killed no incarnation"));
-        let rec_inc = &r.summary.incarnations[killed + 1];
+        let rec_inc = &r.out.summary.incarnations[killed + 1];
         let source = rec_inc.restart_from.as_deref().unwrap_or("(fresh)");
         let bytes = rec_inc
             .restart_from
             .as_deref()
-            .map(|p| r.fs.total_bytes(&format!("{p}/")))
+            .map(|p| r.out.fs.total_bytes(&format!("{p}/")))
             .unwrap_or(0);
         let resumed = rec_inc
             .restart_from
@@ -192,13 +153,13 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         println!(
             "  {:<22} {:>6} {:>14} {:>16} {:>13}",
             point.as_str(),
-            r.summary.incarnations.len(),
+            r.out.summary.incarnations.len(),
             source,
             bytes,
             resumed
         );
         let key = |m: &str| format!("sweep.{point}.{m}");
-        result.metric(&key("incarnations"), r.summary.incarnations.len() as f64);
+        result.metric(&key("incarnations"), r.out.summary.incarnations.len() as f64);
         result.metric(&key("bytes_replayed"), bytes as f64);
         result.metric(&key("resumed_iter"), resumed as f64);
         result

@@ -39,9 +39,8 @@ use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults};
 use drms_memtier::MemTier;
 use drms_obs::{names, FanoutRecorder, Phase, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, PulseReport, RuleThresholds};
-use drms_rtenv::RunSummary;
 
-use crate::campaign::{policy, Campaign, CkptMode, Fault, Rig, NPROCS};
+use crate::campaign::{policy, Campaign, CkptMode, Fault, Launched, Rig, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -61,10 +60,9 @@ const OFF_RUNS: usize = 3;
 /// time, so the fastest is the intrinsic cost.
 const COST_REPS: usize = 5;
 
-/// One run's observables.
+/// One run: the launch, plus its trace and its host wall.
 struct Run {
-    checksum: f64,
-    summary: RunSummary,
+    out: Launched,
     rec: Arc<TraceRecorder>,
     wall: Duration,
 }
@@ -91,9 +89,7 @@ fn run_campaign(seed: u64, extra: Option<Arc<dyn Recorder>>) -> Run {
         ..Campaign::new(APP, "ck/pulse", NITER)
     };
     let t0 = Instant::now();
-    let (checksum, summary) = job.launch(&rig, &jsa);
-    let wall = t0.elapsed();
-    Run { checksum, summary, rec, wall }
+    Run { out: job.launch(&rig, &jsa), rec, wall: t0.elapsed() }
 }
 
 /// The pipeline every pulse-on run and the cost loop build.
@@ -194,21 +190,21 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         .collect();
     walls.sort_by(f64::total_cmp);
     let wall = walls[OFF_RUNS / 2];
-    assert!(off.summary.completed, "pulse-off run failed: {:?}", off.summary);
+    assert!(off.out.summary.completed, "pulse-off run failed: {:?}", off.out.summary);
     println!(
         "pulse-off: checksum {:.1}, {} incarnation(s), host wall {:.1} ms",
-        off.checksum,
-        off.summary.incarnations.len(),
+        off.out.checksum,
+        off.out.summary.incarnations.len(),
         off.wall.as_secs_f64() * 1e3
     );
 
     // Run 2 — pulse on, live-drained.
     let (on, report, view) = run_with_pulse(seed);
-    assert!(on.summary.completed, "pulse-on run failed: {:?}", on.summary);
-    assert_eq!(on.checksum, off.checksum, "pulse observation perturbed the run");
+    assert!(on.out.summary.completed, "pulse-on run failed: {:?}", on.out.summary);
+    assert_eq!(on.out.checksum, off.out.checksum, "pulse observation perturbed the run");
     assert_eq!(
-        on.summary.incarnations.len(),
-        off.summary.incarnations.len(),
+        on.out.summary.incarnations.len(),
+        off.out.summary.incarnations.len(),
         "pulse observation changed the incarnation history"
     );
     for metric in [names::COMMITS, names::IO_RETRIES, names::MESSAGES_SENT] {
@@ -249,7 +245,7 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     result.metric("alerts", report.alerts.len() as f64);
     result.metric("samples", report.samples as f64);
     result.metric("commits", commits as f64);
-    result.metric("incarnations", on.summary.incarnations.len() as f64);
+    result.metric("incarnations", on.out.summary.incarnations.len() as f64);
     result.metric(
         "alert.replica_loss",
         report.alerts.iter().filter(|a| a.rule == names::ALERT_REPLICA_LOSS).count() as f64,

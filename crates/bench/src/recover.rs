@@ -46,17 +46,17 @@ use std::sync::Arc;
 use drms_blackbox::Blackbox;
 use drms_chaos::{ChaosCtl, FaultPlan};
 use drms_darray::{DistArray, Distribution};
-use drms_insight::RecoveryReport;
+use drms_insight::{RecoveryReport, StitchedTimeline};
 use drms_memtier::MemTier;
 use drms_msg::{run_spmd_traced, CostModel};
 use drms_obs::{names, TraceRecorder};
-use drms_recover::{grow, shrink, Membership, RecoverReport, StreamSource};
-use drms_rtenv::{JsaPolicy, RunSummary};
+use drms_recover::{grow, shrink, Membership, StreamSource};
+use drms_rtenv::JsaPolicy;
 use drms_slices::Order;
 use parking_lot::Mutex;
 
 use crate::blackbox::{check_gauge, flight_sinks, render_events};
-use crate::campaign::{initial, policy, Campaign, Fault, LossDrill, Rig, FAULTS, NPROCS};
+use crate::campaign::{initial, policy, Campaign, Fault, Launched, LossDrill, Rig, FAULTS, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -80,14 +80,13 @@ enum Mode {
     Full,
 }
 
-/// One campaign run's observables, all deterministic per plan.
+/// One campaign run: the job, its launch, and the trace and flight
+/// recorder riding it. All deterministic per plan.
 struct Run {
-    checksum: f64,
-    summary: RunSummary,
+    job: Campaign,
+    out: Launched,
     rec: Arc<TraceRecorder>,
     bb: Arc<Blackbox>,
-    /// Rank 0's protocol report for the localized drills.
-    report: Option<RecoverReport>,
 }
 
 /// Runs the campaign job with the loss handled as `mode` says, a flight
@@ -103,33 +102,31 @@ fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
         .with_chaos(ChaosCtl::new(plan))
         .with_blackbox(Arc::clone(&bb));
     let mut job = Campaign::new(APP, "ck/rb", NITER);
-    let (checksum, summary, report) = match mode {
-        Mode::Full => {
-            job.faults.push(Fault::kill(RECOVER_AT, VICTIM));
-            let (checksum, summary) = job.launch(&rig, &jsa);
-            (checksum, summary, None)
-        }
+    match mode {
+        Mode::Full => job.faults.push(Fault::kill(RECOVER_AT, VICTIM)),
         // The memory-tier drill replicates into the tier; the durable
         // drill commits to PIOFS.
         Mode::Tier | Mode::Piofs => {
             let replicas = (mode == Mode::Tier).then(|| MemTier::new(2));
-            job.launch_drill(&rig, &jsa, LossDrill { at: RECOVER_AT, victim: VICTIM, replicas })
+            job.drill = Some(LossDrill { at: RECOVER_AT, victim: VICTIM, replicas });
         }
-    };
-    Run { checksum, summary, rec, bb, report }
+    }
+    Run { out: job.launch(&rig, &jsa), job, rec, bb }
 }
 
-/// Shared contract: the run finished bitwise-correct and its attribution
-/// buckets tile the stitched wall clock.
-fn assert_sound(run: &Run, report: &RecoveryReport, what: &str) {
-    assert!(run.summary.completed, "{what}: job did not complete: {:?}", run.summary);
-    assert_eq!(run.checksum, FAULTS.reference(NITER), "{what}: final state diverged");
+/// Shared contract: the run recovered bitwise
+/// ([`Launched::assert_recovered`]) and its attribution buckets tile the
+/// stitched wall clock. Returns the timeline and the attribution.
+fn assert_sound(run: &Run, what: &str, repro: &str) -> (StitchedTimeline, RecoveryReport) {
+    run.out.assert_recovered(&run.job, what, repro);
+    let (tl, report) = run.out.summary.attribution(&run.bb);
     let budget = 1e-9 * report.wall.max(1.0);
     assert!(
         report.tiling_error() <= budget,
         "{what}: buckets do not tile the wall clock (error {})",
         report.tiling_error()
     );
+    (tl, report)
 }
 
 fn bucket_total(rep: &RecoveryReport, f: impl Fn(&drms_insight::IncarnationCost) -> f64) -> f64 {
@@ -140,6 +137,7 @@ fn bucket_total(rep: &RecoveryReport, f: impl Fn(&drms_insight::IncarnationCost)
 pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     no_gate_flags("recover", &args.rest);
     let seed = args.seed;
+    let repro = crate::seed::bin_repro("recover", seed);
     println!(
         "Localized-recovery bench: survivor-driven section restore vs full \
              restart (seed {}, {} iterations, {} PEs, loss at iteration {})\n",
@@ -157,15 +155,14 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Campaign 1 — localized recovery off memory-tier replicas: one
     // incarnation, zero PIOFS restore bytes, only `localized` billed.
     let tier_run = run_campaign(FaultPlan::seeded(seed), Mode::Tier);
-    let (_, tier_rep) = tier_run.summary.attribution(&tier_run.bb);
-    assert_sound(&tier_run, &tier_rep, "localized-tier");
+    let (_, tier_rep) = assert_sound(&tier_run, "localized-tier", &repro);
     check_gauge(gate, &tier_run.rec, &tier_rep, "localized-tier");
     assert_eq!(
-        tier_run.summary.incarnations.len(),
+        tier_run.out.summary.incarnations.len(),
         1,
         "localized-tier: a localized recovery must not cost an incarnation"
     );
-    let trep = tier_run.report.as_ref().expect("localized-tier: protocol report missing");
+    let trep = tier_run.out.report.as_ref().expect("localized-tier: protocol report missing");
     assert_eq!(trep.source, StreamSource::Replica, "localized-tier: wrong ladder rung");
     assert_eq!(trep.piofs_bytes, 0, "localized-tier: replica hit touched PIOFS");
     assert_eq!(
@@ -198,11 +195,10 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // the lost ranks' sections stream back, strictly less than the
     // whole state.
     let piofs_run = run_campaign(FaultPlan::seeded(seed), Mode::Piofs);
-    let (_, piofs_rep) = piofs_run.summary.attribution(&piofs_run.bb);
-    assert_sound(&piofs_run, &piofs_rep, "localized-piofs");
+    let (_, piofs_rep) = assert_sound(&piofs_run, "localized-piofs", &repro);
     check_gauge(gate, &piofs_run.rec, &piofs_rep, "localized-piofs");
-    assert_eq!(piofs_run.summary.incarnations.len(), 1, "localized-piofs: reincarnated");
-    let prep = piofs_run.report.as_ref().expect("localized-piofs: protocol report missing");
+    assert_eq!(piofs_run.out.summary.incarnations.len(), 1, "localized-piofs: reincarnated");
+    let prep = piofs_run.out.report.as_ref().expect("localized-piofs: protocol report missing");
     assert_eq!(prep.source, StreamSource::PiofsFull, "localized-piofs: wrong ladder rung");
     assert_eq!(prep.replica_bytes, 0, "localized-piofs: phantom replica bytes");
     assert!(prep.piofs_bytes > 0, "localized-piofs: no section bytes read");
@@ -226,11 +222,10 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Campaign 3 — the classical full restart at the same seed and the
     // same loss point: kill, detect, restore everything, recompute.
     let full_run = run_campaign(FaultPlan::seeded(seed), Mode::Full);
-    let (full_tl, full_rep) = full_run.summary.attribution(&full_run.bb);
-    assert_sound(&full_run, &full_rep, "full-restart");
+    let (full_tl, full_rep) = assert_sound(&full_run, "full-restart", &repro);
     check_gauge(gate, &full_run.rec, &full_rep, "full-restart");
     assert!(
-        full_run.summary.incarnations.len() >= 2,
+        full_run.out.summary.incarnations.len() >= 2,
         "full-restart: the kill never caused a restart"
     );
     let full_detect = bucket_total(&full_rep, |r| r.detect);
@@ -253,7 +248,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
         full_detect,
         full_restore,
         full_recompute,
-        full_run.summary.incarnations.len()
+        full_run.out.summary.incarnations.len()
     );
 
     // The headline gate: localized recovery is strictly cheaper than
@@ -314,10 +309,10 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Determinism: the localized protocol and the escalated full
     // restart must both replay bit-identically per seed.
     let tier_again = run_campaign(FaultPlan::seeded(seed), Mode::Tier);
-    let (_, tier_again_rep) = tier_again.summary.attribution(&tier_again.bb);
+    let (_, tier_again_rep) = tier_again.out.summary.attribution(&tier_again.bb);
     assert_eq!(
-        tier_again.checksum.to_bits(),
-        tier_run.checksum.to_bits(),
+        tier_again.out.checksum.to_bits(),
+        tier_run.out.checksum.to_bits(),
         "localized campaign is nondeterministic"
     );
     assert_eq!(
@@ -326,10 +321,10 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
         "localized attribution is nondeterministic"
     );
     let full_again = run_campaign(FaultPlan::seeded(seed), Mode::Full);
-    let (_, full_again_rep) = full_again.summary.attribution(&full_again.bb);
+    let (_, full_again_rep) = full_again.out.summary.attribution(&full_again.bb);
     assert_eq!(
-        full_again.checksum.to_bits(),
-        full_run.checksum.to_bits(),
+        full_again.out.checksum.to_bits(),
+        full_run.out.checksum.to_bits(),
         "full-restart campaign is nondeterministic"
     );
     assert_eq!(
@@ -353,7 +348,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     result.metric("full.detect_sim_s", full_detect);
     result.metric("full.restore_sim_s", full_restore);
     result.metric("full.recompute_sim_s", full_recompute);
-    result.metric("full.incarnations", full_run.summary.incarnations.len() as f64);
+    result.metric("full.incarnations", full_run.out.summary.incarnations.len() as f64);
     result.metric("speedup.tier_vs_full", full_rep.recovery_cost() / tier_rep.recovery_cost());
     result.metric("speedup.piofs_vs_full", full_rep.recovery_cost() / piofs_rep.recovery_cost());
     result.metric("resize.count", resizes as f64);

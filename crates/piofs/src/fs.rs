@@ -763,9 +763,11 @@ impl Piofs {
             None
         };
 
+        // Rank 0 alone contributed `Some`: every rank finds the one pricing.
         let (priced, _) = ctx.exchange(pricing);
-        let pricing = priced[0].as_ref().expect("rank 0 priced the phase");
-        ctx.advance_to(pricing.completion[&rank]);
+        if let Some(pricing) = priced.iter().flatten().next() {
+            ctx.advance_to(pricing.completion[&rank]);
+        }
     }
 
     /// Reports one priced phase to the recorder: a span over the phase

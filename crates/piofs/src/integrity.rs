@@ -193,9 +193,9 @@ mod clmul {
     /// 16 bytes as a 128-bit little-endian lane.
     #[inline]
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    fn load(w: &[u8]) -> __m128i {
-        let half = |i: usize| i64::from_le_bytes(w[i..i + 8].try_into().expect("8 bytes"));
-        _mm_set_epi64x(half(8), half(0))
+    fn load(w: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*w);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
     }
 
     /// `a` folded on by the distance the constant pair `k` encodes, added to
@@ -209,23 +209,25 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(lo, hi), b)
     }
 
-    /// The register `c` after `bytes` (at least 64 of them).
+    /// The register `c` after `bytes` (the table kernel's when there are
+    /// fewer than 64 of them).
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     fn fold(c: u32, bytes: &[u8]) -> u32 {
-        let mut blocks = bytes.chunks_exact(64);
-        let first = blocks.next().expect("at least MIN bytes");
-        let mut x = [0, 16, 32, 48].map(|at| load(&first[at..at + 16]));
+        let (blocks, tail) = bytes.as_chunks::<64>();
+        let Some((first, blocks)) = blocks.split_first() else { return super::update(c, bytes) };
+        let first = first.as_chunks::<16>().0;
+        let mut x = [0, 1, 2, 3].map(|i| load(&first[i]));
         x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(c as i32));
         let k1k2 = _mm_set_epi64x(K2 as i64, K1 as i64);
-        for block in &mut blocks {
-            for (lane, at) in x.iter_mut().zip([0, 16, 32, 48]) {
-                *lane = fold16(*lane, load(&block[at..at + 16]), k1k2);
+        for block in blocks {
+            for (lane, w) in x.iter_mut().zip(block.as_chunks::<16>().0) {
+                *lane = fold16(*lane, load(w), k1k2);
             }
         }
         let k3k4 = _mm_set_epi64x(K4 as i64, K3 as i64);
         let mut r = fold16(fold16(fold16(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
-        let mut words = blocks.remainder().chunks_exact(16);
-        for w in &mut words {
+        let (words, rest) = tail.as_chunks::<16>();
+        for w in words {
             r = fold16(r, load(w), k3k4);
         }
 
@@ -244,7 +246,7 @@ mod clmul {
         let t1 = _mm_clmulepi64_si128(_mm_and_si128(r, low32), pmu, 0x10);
         let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
         let c = _mm_extract_epi32(_mm_xor_si128(r, t2), 1) as u32;
-        super::update(c, words.remainder())
+        super::update(c, rest)
     }
 }
 

@@ -42,6 +42,7 @@
 //! its writers computed rather than read back by one task.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod config;
 pub mod integrity;

@@ -23,14 +23,15 @@ use std::sync::Arc;
 use drms::async_ckpt::{AsyncCheckpointer, AsyncConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults};
 use drms::core::segment::DataSegment;
-use drms::core::{find_checkpoints, sweep_orphans, verify, Drms, DrmsConfig, EnableFlag, Start};
+use drms::core::{find_checkpoints, verify, Drms, DrmsConfig, EnableFlag, Start};
 use drms::darray::{DistArray, Distribution};
 use drms::memtier::MemTier;
 use drms::msg::{run_spmd, CostModel};
 use drms::piofs::{Piofs, PiofsConfig};
-use drms::rtenv::{JobOutcome, RunSummary};
+use drms::rtenv::JobOutcome;
 use drms::slices::Order;
-use drms_bench::campaign::{policy, Campaign, CkptMode, Rig, BANDED, FAULTS};
+use drms_bench::campaign::{policy, Campaign, CkptMode, Launched, Rig, BANDED, FAULTS};
+use drms_bench::seed::fault_seed_env;
 
 const NITER: i64 = 10;
 const APP: &str = "asynccamp";
@@ -58,18 +59,6 @@ fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("async_campaign", seed)
 }
 
-fn seed_filter() -> Option<u64> {
-    drms_bench::seed::fault_seed_env()
-}
-
-struct CampaignResult {
-    job: Campaign,
-    checksum: f64,
-    summary: RunSummary,
-    fs: Arc<Piofs>,
-    ctl: Arc<ChaosCtl>,
-}
-
 /// The campaign job with asynchronous checkpoints: snapshot budget 2, a
 /// flush in flight across compute iterations, drain before completion.
 fn overlapped() -> Campaign {
@@ -80,58 +69,15 @@ fn overlapped() -> Campaign {
 /// through an in-memory replica tier on its way to PIOFS; a sealed tier
 /// entry is restartable before its PIOFS publish (the diskless-tier
 /// model), and the job's resume honors the JSA's memory-tier restart
-/// resolution.
-fn run_campaign(job: Campaign, plan: FaultPlan, tiered: bool) -> CampaignResult {
+/// resolution. Returns the launch and the chaos controller.
+fn run_campaign(job: &Campaign, plan: FaultPlan, tiered: bool) -> (Launched, Arc<ChaosCtl>) {
     let rig = Rig::new(job.app, plan.seed, None);
     let ctl = ChaosCtl::new(plan);
     let mut jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl));
     if tiered {
         jsa = jsa.with_memtier(MemTier::new(1));
     }
-    let (checksum, summary) = job.launch(&rig, &jsa);
-    CampaignResult { job, checksum, summary, fs: rig.fs, ctl }
-}
-
-fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
-    assert!(
-        r.summary.completed,
-        "{what}: job did not complete: {:?}\nreproduce with: {}",
-        r.summary,
-        repro_cmd(seed)
-    );
-    assert_eq!(
-        r.checksum,
-        r.job.shape.reference(r.job.niter),
-        "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
-        repro_cmd(seed)
-    );
-    // The job never restores from an uncommitted snapshot: every restart
-    // source is a committed (non-staging) checkpoint.
-    for inc in &r.summary.incarnations {
-        if let Some(from) = &inc.restart_from {
-            assert!(
-                !from.contains(".tmp"),
-                "{what}: incarnation restarted from staging prefix {from:?}\nreproduce with: {}",
-                repro_cmd(seed)
-            );
-        }
-    }
-    for (prefix, _) in find_checkpoints(&r.fs, Some(r.job.app)) {
-        assert!(
-            !prefix.contains(".tmp"),
-            "{what}: staged prefix {prefix:?} discoverable as a checkpoint\nreproduce with: {}",
-            repro_cmd(seed)
-        );
-    }
-    sweep_orphans(&r.fs);
-    for info in r.fs.list("") {
-        assert!(
-            !info.path.contains(".tmp"),
-            "{what}: staging debris {:?} survived sweep_orphans\nreproduce with: {}",
-            info.path,
-            repro_cmd(seed)
-        );
-    }
+    (job.launch(&rig, &jsa), ctl)
 }
 
 /// The tentpole sweep: every (pipeline stage × occurrence) pair. The job
@@ -143,15 +89,15 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
 fn every_flush_stage_and_occurrence_recovers_bitwise() {
     for &point in PIPELINE_POINTS {
         for occurrence in 1..=3u32 {
-            if seed_filter().is_some_and(|only| only != SWEEP_SEED) {
+            if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
                 continue;
             }
             let plan =
                 FaultPlan { crash: Some((point, occurrence)), ..FaultPlan::seeded(SWEEP_SEED) };
-            let r = run_campaign(overlapped(), plan, false);
+            let (r, ctl) = run_campaign(&overlapped(), plan, false);
             let what = format!("flush stage {point} occurrence {occurrence}");
             assert!(
-                r.ctl.crash_fired(),
+                ctl.crash_fired(),
                 "{what}: armed crash never fired (instrumentation gap)\nreproduce with: {}",
                 repro_cmd(SWEEP_SEED)
             );
@@ -161,7 +107,7 @@ fn every_flush_stage_and_occurrence_recovers_bitwise() {
                 r.summary,
                 repro_cmd(SWEEP_SEED)
             );
-            assert_crash_consistent(&r, &what, SWEEP_SEED);
+            r.assert_recovered(&overlapped(), &what, &repro_cmd(SWEEP_SEED));
         }
     }
 }
@@ -173,18 +119,18 @@ fn every_flush_stage_and_occurrence_recovers_bitwise() {
 fn tiered_flush_crashes_recover_bitwise() {
     let seed = SWEEP_SEED ^ 0x7E12;
     for &point in PIPELINE_POINTS {
-        if seed_filter().is_some_and(|only| only != seed) {
+        if fault_seed_env().is_some_and(|only| only != seed) {
             continue;
         }
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(seed) };
-        let r = run_campaign(overlapped(), plan, true);
+        let (r, ctl) = run_campaign(&overlapped(), plan, true);
         let what = format!("tiered flush stage {point}");
         assert!(
-            r.ctl.crash_fired(),
+            ctl.crash_fired(),
             "{what}: armed crash never fired\nreproduce with: {}",
             repro_cmd(seed)
         );
-        assert_crash_consistent(&r, &what, seed);
+        r.assert_recovered(&overlapped(), &what, &repro_cmd(seed));
     }
 }
 
@@ -195,24 +141,24 @@ fn tiered_flush_crashes_recover_bitwise() {
 #[test]
 fn async_weather_is_deterministic_per_seed() {
     for &seed in WEATHER_SEEDS {
-        if seed_filter().is_some_and(|only| only != seed) {
+        if fault_seed_env().is_some_and(|only| only != seed) {
             continue;
         }
         let plan = FaultPlan {
             piofs: PiofsFaults { transient_prob: 0.2, torn: None },
             ..FaultPlan::seeded(seed)
         };
-        let r = run_campaign(overlapped(), plan.clone(), false);
-        assert_crash_consistent(&r, &format!("weather seed {seed}"), seed);
+        let (r, ctl) = run_campaign(&overlapped(), plan.clone(), false);
+        r.assert_recovered(&overlapped(), &format!("weather seed {seed}"), &repro_cmd(seed));
         assert!(
-            r.ctl.retries() > 0,
+            ctl.retries() > 0,
             "weather seed {seed}: no retries recorded\nreproduce with: {}",
             repro_cmd(seed)
         );
-        let again = run_campaign(overlapped(), plan, false);
+        let (again, again_ctl) = run_campaign(&overlapped(), plan, false);
         assert_eq!(again.checksum, r.checksum);
         assert_eq!(again.summary, r.summary);
-        assert_eq!(again.ctl.retries(), r.ctl.retries());
+        assert_eq!(again_ctl.retries(), ctl.retries());
     }
 }
 
@@ -234,28 +180,29 @@ fn delta_flush_stages_cut_mid_chain_recover_bitwise() {
         }
     };
     for &point in &PIPELINE_POINTS[1..] {
-        if seed_filter().is_some_and(|only| only != seed) {
+        if fault_seed_env().is_some_and(|only| only != seed) {
             continue;
         }
         let plan = FaultPlan { crash: Some((point, 2)), ..FaultPlan::seeded(seed) };
-        let r = run_campaign(job.clone(), plan, false);
+        let (r, ctl) = run_campaign(&job, plan, false);
         let what = format!("delta flush stage {point}");
         let repro = repro_cmd(seed);
-        assert!(r.ctl.crash_fired(), "{what}: armed crash never fired\nreproduce with: {repro}");
+        assert!(ctl.crash_fired(), "{what}: armed crash never fired\nreproduce with: {repro}");
         assert_eq!(r.summary.incarnations[0].outcome, JobOutcome::Killed, "{what}");
         let expect = if point == CrashPoint::FlushCommitted { "ck/ad/6" } else { "ck/ad/3" };
         let from = r.summary.incarnations[1].restart_from.as_deref();
         assert_eq!(from, Some(expect), "{what}: wrong fallback\nreproduce with: {repro}");
         verify_links(&r.fs, &what);
-        assert_crash_consistent(&r, &what, seed);
+        r.assert_recovered(&job, &what, &repro);
         verify_links(&r.fs, &format!("{what}, after the sweep"));
 
         // A relaunch on the swept file system restarts from the newest link.
         let rig = Rig::on(job.app, r.fs, None);
-        let (total, summary) = job.launch(&rig, &rig.jsa(policy()));
-        assert_eq!(summary.incarnations[0].restart_from.as_deref(), Some("ck/ad/9"), "{what}");
+        let again = job.launch(&rig, &rig.jsa(policy()));
+        let from = again.summary.incarnations[0].restart_from.as_deref();
+        assert_eq!(from, Some("ck/ad/9"), "{what}");
         let reference = BANDED.reference(job.niter);
-        assert_eq!(total, reference, "{what}: relaunch diverged\nreproduce with: {repro}");
+        assert_eq!(again.checksum, reference, "{what}: relaunch diverged\nreproduce with: {repro}");
     }
 }
 

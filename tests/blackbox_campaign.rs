@@ -33,8 +33,11 @@ use drms::blackbox::{Blackbox, BlackboxConfig};
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
 use drms::insight::{RecoveryReport, StitchedTimeline};
 use drms::obs::{names, FanoutRecorder, Recorder, TraceRecorder};
-use drms::rtenv::{JsaPolicy, RunSummary};
-use drms_bench::campaign::{policy, Campaign, Fault, LossDrill, Rig, FAULTS, NPROCS};
+use drms::rtenv::JsaPolicy;
+use drms_bench::campaign::{
+    blocking_sweep, policy, Campaign, Fault, Launched, LossDrill, Rig, NPROCS,
+};
+use drms_bench::seed::fault_seed_env;
 
 const NITER: i64 = 10;
 const APP: &str = "bbcamp";
@@ -59,18 +62,17 @@ fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("blackbox_campaign", seed)
 }
 
-/// The seed filter, when a repro command set one.
-fn seed_filter() -> Option<u64> {
-    drms_bench::seed::fault_seed_env()
-}
-
-/// Everything a campaign assertion wants to inspect after the run.
+/// The launch plus what the coverage contract inspects beside it.
 struct CampaignResult {
-    checksum: f64,
-    summary: RunSummary,
+    out: Launched,
     rec: Arc<TraceRecorder>,
     bb: Arc<Blackbox>,
     ctl: Arc<ChaosCtl>,
+}
+
+/// The campaign job, fault-free.
+fn job() -> Campaign {
+    Campaign::new(APP, "ck/bb", NITER)
 }
 
 /// Runs the campaign job under a fault plan with the flight recorder on
@@ -99,22 +101,15 @@ fn run_campaign(
         .jsa(JsaPolicy { localized_recovery: drill.is_some(), ..policy() })
         .with_chaos(Arc::clone(&ctl))
         .with_blackbox(Arc::clone(&bb));
-    let job =
-        Campaign { faults: fail_at.into_iter().collect(), ..Campaign::new(APP, "ck/bb", NITER) };
-    let (checksum, summary) = match drill {
-        Some(drill) => {
-            let (checksum, summary, _) = job.launch_drill(&rig, &jsa, drill);
-            (checksum, summary)
-        }
-        None => job.launch(&rig, &jsa),
-    };
-    CampaignResult { checksum, summary, rec, bb, ctl }
+    let job = Campaign { faults: fail_at.into_iter().collect(), drill, ..job() };
+    CampaignResult { out: job.launch(&rig, &jsa), rec, bb, ctl }
 }
 
 /// The coverage contract shared by every campaign assertion: bitwise
-/// completion, a non-empty recovered stream for every incarnation, exact
-/// segment abutment, attribution tiling the stitched wall clock, and the
-/// JSA's recovery-ratio gauge reading the attribution's fraction.
+/// recovery (`Launched::assert_recovered`), a non-empty recovered stream
+/// for every incarnation, exact segment abutment, attribution tiling the
+/// stitched wall clock, and the JSA's recovery-ratio gauge reading the
+/// attribution's fraction.
 fn assert_covered(
     r: &CampaignResult,
     tl: &StitchedTimeline,
@@ -122,25 +117,14 @@ fn assert_covered(
     what: &str,
     seed: u64,
 ) {
-    assert!(
-        r.summary.completed,
-        "{what}: job did not complete: {:?}\nreproduce with: {}",
-        r.summary,
-        repro_cmd(seed)
-    );
-    assert_eq!(
-        r.checksum,
-        FAULTS.reference(NITER),
-        "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
-        repro_cmd(seed)
-    );
+    r.out.assert_recovered(&job(), what, &repro_cmd(seed));
     assert_eq!(
         tl.segments.len(),
-        r.summary.incarnations.len(),
+        r.out.summary.incarnations.len(),
         "{what}: stitched segment count diverged from the incarnation record\nreproduce with: {}",
         repro_cmd(seed)
     );
-    for (i, _) in r.summary.incarnations.iter().enumerate() {
+    for (i, _) in r.out.summary.incarnations.iter().enumerate() {
         assert!(
             !r.bb.events_for(i as u64).is_empty(),
             "{what}: incarnation {i} recovered no events — a silent gap in the \
@@ -181,27 +165,14 @@ fn assert_covered(
 /// runs also kill one processor mid-run.
 #[test]
 fn every_crash_point_leaves_a_recoverable_flight_record() {
-    for &point in CrashPoint::ALL.iter() {
-        // The `Flush*` family fires only inside the asynchronous
-        // pipeline's background flush — a blocking checkpoint never
-        // consults those points, so arming one here would never fire.
-        // The `Recover*` family likewise fires only inside a localized
-        // recovery; it gets its own sweep in `tests/recover_campaign.rs`.
-        if point.is_flush_side() || point.is_recover_side() {
-            continue;
-        }
-        if seed_filter().is_some_and(|only| only != SWEEP_SEED) {
+    // `blocking_sweep` skips the `Flush*` and `Recover*` families, which
+    // fire only inside an overlapped flush or a localized recovery.
+    for (point, kill) in blocking_sweep() {
+        if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
             continue;
         }
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(SWEEP_SEED) };
-        let restart_side = matches!(
-            point,
-            CrashPoint::RestartAfterInit
-                | CrashPoint::RestartAfterSegment
-                | CrashPoint::RestartAfterArrays
-        );
-        let fail_at = restart_side.then(|| Fault::kill(4, 2));
-        let r = run_campaign(plan, fail_at, None);
+        let r = run_campaign(plan, kill, None);
         let what = format!("crash point {point}");
         assert!(
             r.ctl.crash_fired(),
@@ -209,9 +180,9 @@ fn every_crash_point_leaves_a_recoverable_flight_record() {
             repro_cmd(SWEEP_SEED)
         );
         assert!(
-            r.summary.incarnations.len() >= 2,
+            r.out.summary.incarnations.len() >= 2,
             "{what}: expected at least one reincarnation: {:?}\nreproduce with: {}",
-            r.summary,
+            r.out.summary,
             repro_cmd(SWEEP_SEED)
         );
         // The crashed incarnation's tail reached storage as a salvage
@@ -221,7 +192,7 @@ fn every_crash_point_leaves_a_recoverable_flight_record() {
             "{what}: crash fired but no ring was salvaged\nreproduce with: {}",
             repro_cmd(SWEEP_SEED)
         );
-        let (tl, rep) = r.summary.attribution(&r.bb);
+        let (tl, rep) = r.out.summary.attribution(&r.bb);
         assert_covered(&r, &tl, &rep, &what, SWEEP_SEED);
     }
 }
@@ -234,14 +205,14 @@ fn every_crash_point_leaves_a_recoverable_flight_record() {
 #[test]
 fn token_kill_audits_its_dropped_tail() {
     let seed = SWEEP_SEED ^ 0x7111;
-    if seed_filter().is_some_and(|only| only != seed) {
+    if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
     let r = run_campaign(FaultPlan::seeded(seed), Some(Fault::kill(4, 2)), None);
     assert!(
-        r.summary.incarnations.len() >= 2,
+        r.out.summary.incarnations.len() >= 2,
         "token kill never reincarnated: {:?}\nreproduce with: {}",
-        r.summary,
+        r.out.summary,
         repro_cmd(seed)
     );
     let dropped = r.rec.metrics().counter_total(names::BLACKBOX_EVENTS_DROPPED);
@@ -250,7 +221,7 @@ fn token_kill_audits_its_dropped_tail() {
         "token kill lost no trace events — the drop audit is vacuous\nreproduce with: {}",
         repro_cmd(seed)
     );
-    let (tl, rep) = r.summary.attribution(&r.bb);
+    let (tl, rep) = r.out.summary.attribution(&r.bb);
     assert_covered(&r, &tl, &rep, "token kill", seed);
 }
 
@@ -260,17 +231,17 @@ fn token_kill_audits_its_dropped_tail() {
 #[test]
 fn campaign_replays_bit_identically() {
     let seed = SWEEP_SEED ^ 0xD00D;
-    if seed_filter().is_some_and(|only| only != seed) {
+    if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
     let plan =
         FaultPlan { crash: Some((CrashPoint::CkptMidPublish, 1)), ..FaultPlan::seeded(seed) };
     let a = run_campaign(plan.clone(), Some(Fault::kill(7, 2)), None);
     let b = run_campaign(plan, Some(Fault::kill(7, 2)), None);
-    assert_eq!(a.checksum, b.checksum, "reproduce with: {}", repro_cmd(seed));
-    assert_eq!(a.summary, b.summary, "reproduce with: {}", repro_cmd(seed));
-    let (tla, repa) = a.summary.attribution(&a.bb);
-    let (tlb, repb) = b.summary.attribution(&b.bb);
+    assert_eq!(a.out.checksum, b.out.checksum, "reproduce with: {}", repro_cmd(seed));
+    assert_eq!(a.out.summary, b.out.summary, "reproduce with: {}", repro_cmd(seed));
+    let (tla, repa) = a.out.summary.attribution(&a.bb);
+    let (tlb, repb) = b.out.summary.attribution(&b.bb);
     assert_eq!(tla.events.len(), tlb.events.len(), "reproduce with: {}", repro_cmd(seed));
     assert_eq!(repa.render(), repb.render(), "reproduce with: {}", repro_cmd(seed));
     assert_eq!(
@@ -288,19 +259,19 @@ fn campaign_replays_bit_identically() {
 #[test]
 fn localized_recovery_is_billed_and_gauged() {
     let seed = SWEEP_SEED ^ 0x10CA;
-    if seed_filter().is_some_and(|only| only != seed) {
+    if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
     let drill = LossDrill { at: 5, victim: 2, replicas: None };
     let r = run_campaign(FaultPlan::seeded(seed), None, Some(drill));
     assert_eq!(
-        r.summary.incarnations.len(),
+        r.out.summary.incarnations.len(),
         1,
         "a localized recovery cost an incarnation: {:?}\nreproduce with: {}",
-        r.summary,
+        r.out.summary,
         repro_cmd(seed)
     );
-    let (tl, rep) = r.summary.attribution(&r.bb);
+    let (tl, rep) = r.out.summary.attribution(&r.bb);
     assert_covered(&r, &tl, &rep, "localized recovery", seed);
     assert!(
         rep.rows[0].localized > 0.0,

@@ -21,10 +21,9 @@
 use std::sync::Arc;
 
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan, PiofsFaults, TornWrite};
-use drms::core::{find_checkpoints, sweep_orphans};
-use drms::piofs::Piofs;
-use drms::rtenv::RunSummary;
-use drms_bench::campaign::{policy, Campaign, Fault, Rig, FAULTS};
+use drms::core::find_checkpoints;
+use drms_bench::campaign::{blocking_sweep, policy, Campaign, Fault, Launched, Rig};
+use drms_bench::seed::fault_seed_env;
 
 const NITER: i64 = 10;
 const APP: &str = "chaoscamp";
@@ -44,17 +43,9 @@ fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("chaos_campaign", seed)
 }
 
-/// The seed filter, when a repro command set one.
-fn seed_filter() -> Option<u64> {
-    drms_bench::seed::fault_seed_env()
-}
-
-/// Everything a campaign assertion wants to inspect after the run.
-struct CampaignResult {
-    checksum: f64,
-    summary: RunSummary,
-    fs: Arc<Piofs>,
-    ctl: Arc<ChaosCtl>,
+/// The campaign job, fault-free.
+fn job() -> Campaign {
+    Campaign::new(APP, "ck/chaos", NITER)
 }
 
 /// Runs the campaign job under a fault plan, optionally killing one
@@ -62,60 +53,14 @@ struct CampaignResult {
 /// restart-side crash points have a restart to fire inside). An injected
 /// crash surfaces as `CoreError::Interrupted` from whichever collective
 /// the region died inside; the job reports itself killed and the JSA
-/// reincarnates it from the newest *committed* checkpoint.
-fn run_campaign(plan: FaultPlan, fail_at: Option<Fault>) -> CampaignResult {
+/// reincarnates it from the newest *committed* checkpoint. Returns the
+/// launch and the chaos controller.
+fn run_campaign(plan: FaultPlan, fail_at: Option<Fault>) -> (Launched, Arc<ChaosCtl>) {
     let rig = Rig::new(APP, plan.seed, None);
     let ctl = ChaosCtl::new(plan);
     let jsa = rig.jsa(policy()).with_chaos(Arc::clone(&ctl));
-    let job =
-        Campaign { faults: fail_at.into_iter().collect(), ..Campaign::new(APP, "ck/chaos", NITER) };
-    let (checksum, summary) = job.launch(&rig, &jsa);
-    CampaignResult { checksum, summary, fs: rig.fs, ctl }
-}
-
-/// Asserts the crash-consistency invariants common to every campaign.
-fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
-    assert!(
-        r.summary.completed,
-        "{what}: job did not complete: {:?}\nreproduce with: {}",
-        r.summary,
-        repro_cmd(seed)
-    );
-    assert_eq!(
-        r.checksum,
-        FAULTS.reference(NITER),
-        "{what}: recovered state diverged from the uninterrupted run\nreproduce with: {}",
-        repro_cmd(seed)
-    );
-    // No incarnation ever restarted from a staging prefix.
-    for inc in &r.summary.incarnations {
-        if let Some(from) = &inc.restart_from {
-            assert!(
-                !from.contains(".tmp"),
-                "{what}: incarnation restarted from staging prefix {from:?}\nreproduce with: {}",
-                repro_cmd(seed)
-            );
-        }
-    }
-    // Staged incarnations are invisible to checkpoint discovery.
-    for (prefix, _) in find_checkpoints(&r.fs, Some(APP)) {
-        assert!(
-            !prefix.contains(".tmp"),
-            "{what}: staged prefix {prefix:?} discoverable as a checkpoint\nreproduce with: {}",
-            repro_cmd(seed)
-        );
-    }
-    // Whatever staging the crash stranded is orphan-sweepable; after the
-    // sweep, no `.tmp` debris remains anywhere on the file system.
-    sweep_orphans(&r.fs);
-    for info in r.fs.list("") {
-        assert!(
-            !info.path.contains(".tmp"),
-            "{what}: staging debris {:?} survived sweep_orphans\nreproduce with: {}",
-            info.path,
-            repro_cmd(seed)
-        );
-    }
+    let job = Campaign { faults: fail_at.into_iter().collect(), ..job() };
+    (job.launch(&rig, &jsa), ctl)
 }
 
 /// The tentpole sweep: every enumerated crash point, exhaustively. The
@@ -124,31 +69,17 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
 /// also kill one processor mid-run.
 #[test]
 fn every_crash_point_recovers_bitwise() {
-    for &point in CrashPoint::ALL.iter() {
-        // The `Flush*` family fires only inside the asynchronous pipeline's
-        // background flush — a blocking checkpoint never consults those
-        // points, so arming one here would never fire. They get their own
-        // exhaustive sweep in `tests/async_campaign.rs`.
-        // The `Recover*` family likewise fires only inside a localized
-        // recovery; it gets its own sweep in `tests/recover_campaign.rs`.
-        if point.is_flush_side() || point.is_recover_side() {
-            continue;
-        }
-        if seed_filter().is_some_and(|only| only != SWEEP_SEED) {
+    // `blocking_sweep` skips the `Flush*` and `Recover*` families, which
+    // fire only inside an overlapped flush or a localized recovery.
+    for (point, kill) in blocking_sweep() {
+        if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
             continue;
         }
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(SWEEP_SEED) };
-        let restart_side = matches!(
-            point,
-            CrashPoint::RestartAfterInit
-                | CrashPoint::RestartAfterSegment
-                | CrashPoint::RestartAfterArrays
-        );
-        let fail_at = restart_side.then(|| Fault::kill(4, 2));
-        let r = run_campaign(plan, fail_at);
+        let (r, ctl) = run_campaign(plan, kill);
         let what = format!("crash point {point}");
         assert!(
-            r.ctl.crash_fired(),
+            ctl.crash_fired(),
             "{what}: armed crash never fired (instrumentation gap)\nreproduce with: {}",
             repro_cmd(SWEEP_SEED)
         );
@@ -159,7 +90,7 @@ fn every_crash_point_recovers_bitwise() {
             r.summary,
             repro_cmd(SWEEP_SEED)
         );
-        assert_crash_consistent(&r, &what, SWEEP_SEED);
+        r.assert_recovered(&job(), &what, &repro_cmd(SWEEP_SEED));
     }
 }
 
@@ -170,27 +101,27 @@ fn every_crash_point_recovers_bitwise() {
 #[test]
 fn transient_weather_retries_to_exact_completion() {
     for &seed in WEATHER_SEEDS {
-        if seed_filter().is_some_and(|only| only != seed) {
+        if fault_seed_env().is_some_and(|only| only != seed) {
             continue;
         }
         let plan = FaultPlan {
             piofs: PiofsFaults { transient_prob: 0.25, torn: None },
             ..FaultPlan::seeded(seed)
         };
-        let r = run_campaign(plan.clone(), None);
-        eprintln!("weather seed {seed}: retries={} giveups={}", r.ctl.retries(), r.ctl.giveups());
-        assert_crash_consistent(&r, &format!("weather seed {seed}"), seed);
+        let (r, ctl) = run_campaign(plan.clone(), None);
+        eprintln!("weather seed {seed}: retries={} giveups={}", ctl.retries(), ctl.giveups());
+        r.assert_recovered(&job(), &format!("weather seed {seed}"), &repro_cmd(seed));
         assert!(
-            r.ctl.retries() > 0,
+            ctl.retries() > 0,
             "weather seed {seed}: no retries recorded — faults never injected\nreproduce with: {}",
             repro_cmd(seed)
         );
         // Determinism: replaying the identical plan reproduces the run
         // shape exactly (this is what makes the repro line trustworthy).
-        let again = run_campaign(plan, None);
+        let (again, again_ctl) = run_campaign(plan, None);
         assert_eq!(again.checksum, r.checksum);
         assert_eq!(again.summary, r.summary);
-        assert_eq!(again.ctl.retries(), r.ctl.retries());
+        assert_eq!(again_ctl.retries(), ctl.retries());
     }
 }
 
@@ -201,7 +132,7 @@ fn transient_weather_retries_to_exact_completion() {
 #[test]
 fn torn_staged_write_dies_in_staging() {
     let seed = SWEEP_SEED ^ 0xF00D;
-    if seed_filter().is_some_and(|only| only != seed) {
+    if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
     let plan = FaultPlan {
@@ -218,11 +149,11 @@ fn torn_staged_write_dies_in_staging() {
         crash: Some((CrashPoint::CkptAfterSegment, 1)),
         ..FaultPlan::seeded(seed)
     };
-    let r = run_campaign(plan, None);
-    assert_crash_consistent(&r, "torn staged write", seed);
+    let (r, ctl) = run_campaign(plan, None);
+    r.assert_recovered(&job(), "torn staged write", &repro_cmd(seed));
     // The torn write actually happened (the hazard was real, not vacuous).
     assert!(
-        r.ctl.crash_fired(),
+        ctl.crash_fired(),
         "torn scenario: crash never fired\nreproduce with: {}",
         repro_cmd(seed)
     );
@@ -234,7 +165,7 @@ fn torn_staged_write_dies_in_staging() {
 /// two-phase protocol.
 #[test]
 fn committed_manifests_survive_stray_renames() {
-    let r = run_campaign(FaultPlan::seeded(SWEEP_SEED), None);
+    let (r, _) = run_campaign(FaultPlan::seeded(SWEEP_SEED), None);
     assert!(r.summary.completed);
     let cks = find_checkpoints(&r.fs, Some(APP));
     assert!(!cks.is_empty());

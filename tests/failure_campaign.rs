@@ -4,7 +4,8 @@
 //! job to completion from checkpoints, with the final state bitwise equal
 //! to an uninterrupted run.
 
-use drms_bench::campaign::{self, policy, Campaign, Fault, Rig, NPROCS};
+use drms_bench::campaign::{policy, Campaign, Fault, Rig, NPROCS};
+use drms_bench::seed::fault_seed_env;
 
 const NITER: i64 = 10;
 
@@ -18,11 +19,6 @@ const CAMPAIGN_SEEDS: &[u64] = &[1, 2, 3, 4, 5, 6];
 /// storage-fault campaigns: it narrows the suite to the failing seed.
 fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("failure_campaign", seed)
-}
-
-/// The seed filter, when a repro command set one.
-fn seed_filter() -> Option<u64> {
-    drms_bench::seed::fault_seed_env()
 }
 
 /// A tiny deterministic RNG for the campaign schedule.
@@ -39,38 +35,25 @@ fn schedule(seed: u64, nfails: usize) -> Vec<Fault> {
         .collect()
 }
 
-/// Runs the job under a failure schedule; returns the global checksum.
-fn run_campaign(seed: u64, faults: Vec<Fault>) -> f64 {
+/// Runs the job under a failure schedule and checks it recovered bitwise.
+fn run_campaign(seed: u64, faults: Vec<Fault>) {
     let rig = Rig::new("campaign", seed, None);
     let job = Campaign { faults, ..Campaign::new("campaign", "ck/campaign", NITER) };
-    let (total, summary) = job.launch(&rig, &rig.jsa(policy()));
-    assert!(
-        summary.completed,
-        "campaign seed {seed} did not complete: {summary:?}\nreproduce with: {}",
-        repro_cmd(seed)
-    );
-    total
+    let what = format!("campaign seed {seed} (schedule {:?})", job.faults);
+    job.launch(&rig, &rig.jsa(policy())).assert_recovered(&job, &what, &repro_cmd(seed));
 }
 
 #[test]
 fn campaigns_always_recover_exactly() {
-    let reference = run_campaign(0, Vec::new());
-    // Ground truth: sums of multiples of 0.5, so f64 addition is exact in
-    // any order.
-    assert_eq!(reference, campaign::FAULTS.reference(NITER));
+    // Ground truth: the uninterrupted run ends on the closed form (sums of
+    // multiples of 0.5, so f64 addition is exact in any order).
+    run_campaign(0, Vec::new());
 
     for &seed in CAMPAIGN_SEEDS {
-        if seed_filter().is_some_and(|only| only != seed) {
+        if fault_seed_env().is_some_and(|only| only != seed) {
             continue;
         }
         let nfails = 1 + (seed as usize % 3);
-        let fails = schedule(seed, nfails);
-        let got = run_campaign(seed, fails.clone());
-        assert_eq!(
-            got,
-            reference,
-            "campaign seed {seed} (schedule {fails:?}) diverged from the uninterrupted run\nreproduce with: {}",
-            repro_cmd(seed)
-        );
+        run_campaign(seed, schedule(seed, nfails));
     }
 }

@@ -77,7 +77,7 @@ fn run_job(w: &World, tier: Option<Arc<MemTier>>, faults: Vec<Fault>, mode: Ckpt
         jsa = jsa.with_memtier(tier);
     }
     let job = Campaign { mode, faults, ..Campaign::new(APP, "ck/drift", NITER) };
-    let (_, summary) = job.launch(&w.rig, &jsa);
+    let summary = job.launch(&w.rig, &jsa).summary;
     assert!(summary.completed, "drift job did not complete: {summary:?}");
 }
 
@@ -97,7 +97,7 @@ fn run_chaos_job(w: &World, ctl: Arc<ChaosCtl>, bb: Option<Arc<Blackbox>>, kill_
         faults: kill_at.map(|at| Fault::kill(at, 2)).into_iter().collect(),
         ..Campaign::new(APP, "ck/drift", NITER)
     };
-    let (_, summary) = job.launch(&w.rig, &jsa);
+    let summary = job.launch(&w.rig, &jsa).summary;
     assert!(summary.completed, "chaos drift job did not complete: {summary:?}");
 }
 

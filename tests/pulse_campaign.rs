@@ -110,7 +110,7 @@ fn run_observed(seed: u64) -> Observed {
         faults: vec![Fault::kill(7, 2)],
         ..Campaign::new(APP, "ck/pulsecamp", NITER)
     };
-    let (_, summary) = job.launch(&rig, &jsa);
+    let summary = job.launch(&rig, &jsa).summary;
     run_done.store(true, Ordering::SeqCst);
     stop.store(true, Ordering::SeqCst);
     drainer.join().expect("drainer panicked");

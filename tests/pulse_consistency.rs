@@ -42,7 +42,7 @@ fn online_totals_match_the_post_hoc_trace_and_insight() {
     let rig = Rig::new(APP, 3, Some(fan));
     let jsa = rig.jsa(JsaPolicy::default()).with_memtier(MemTier::new(1));
     let job = Campaign { mode: CkptMode::Tier, ..Campaign::new(APP, "ck/pulsecheck", NITER) };
-    let (_, summary) = job.launch(&rig, &jsa);
+    let summary = job.launch(&rig, &jsa).summary;
     assert!(summary.completed, "fault-free run did not complete: {summary:?}");
     pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();
@@ -116,7 +116,7 @@ fn async_flush_lag_agrees_across_online_trace_and_insight() {
         mode: CkptMode::Overlapped { budget: 2 },
         ..Campaign::new(APP, "ck/pulsecheck", NITER)
     };
-    let (_, summary) = job.launch(&rig, &jsa);
+    let summary = job.launch(&rig, &jsa).summary;
     assert!(summary.completed, "fault-free async run did not complete: {summary:?}");
     pulse.set_sink(trace.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();

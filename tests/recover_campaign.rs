@@ -19,10 +19,9 @@
 use std::sync::Arc;
 
 use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
-use drms::core::{find_checkpoints, sweep_orphans};
-use drms::piofs::Piofs;
-use drms::rtenv::{JsaPolicy, RunSummary};
-use drms_bench::campaign::{Campaign, LossDrill, Rig, FAULTS};
+use drms::rtenv::JsaPolicy;
+use drms_bench::campaign::{Campaign, Launched, LossDrill, Rig};
+use drms_bench::seed::fault_seed_env;
 
 const NITER: i64 = 10;
 const APP: &str = "recovcamp";
@@ -39,15 +38,13 @@ fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("recover_campaign", seed)
 }
 
-fn seed_filter() -> Option<u64> {
-    drms_bench::seed::fault_seed_env()
-}
-
-struct CampaignResult {
-    checksum: f64,
-    summary: RunSummary,
-    fs: Arc<Piofs>,
-    ctl: Arc<ChaosCtl>,
+/// The campaign job with the loss drill: one localized recovery at
+/// `RECOVER_AT`, where the JSA permits it.
+fn job() -> Campaign {
+    Campaign {
+        drill: Some(LossDrill { at: RECOVER_AT, victim: VICTIM, replicas: None }),
+        ..Campaign::new(APP, "ck/rec", NITER)
+    }
 }
 
 /// Runs the campaign job with the loss drill under `policy` and a fault
@@ -56,60 +53,17 @@ struct CampaignResult {
 /// of the newest checkpoint, then the whole region rolls back to the SOP.
 /// If a crash point kills the region inside the protocol, the retried
 /// incarnation does **not** re-attempt it (the JSA's full restart is the
-/// escalation) — which is precisely the ladder the sweep asserts.
-fn run_drill(plan: FaultPlan, policy: JsaPolicy) -> CampaignResult {
+/// escalation) — which is precisely the ladder the sweep asserts. Returns
+/// the launch and the chaos controller.
+fn run_under(plan: FaultPlan, policy: JsaPolicy) -> (Launched, Arc<ChaosCtl>) {
     let rig = Rig::new(APP, plan.seed, None);
     let ctl = ChaosCtl::new(plan);
     let jsa = rig.jsa(policy).with_chaos(Arc::clone(&ctl));
-    let drill = LossDrill { at: RECOVER_AT, victim: VICTIM, replicas: None };
-    let (checksum, summary, _) =
-        Campaign::new(APP, "ck/rec", NITER).launch_drill(&rig, &jsa, drill);
-    CampaignResult { checksum, summary, fs: rig.fs, ctl }
+    (job().launch(&rig, &jsa), ctl)
 }
 
-fn run_campaign(plan: FaultPlan) -> CampaignResult {
-    run_drill(plan, JsaPolicy { localized_recovery: true, ..Default::default() })
-}
-
-/// Crash-consistency invariants shared by every campaign run.
-fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
-    assert!(
-        r.summary.completed,
-        "{what}: job did not complete: {:?}\nreproduce with: {}",
-        r.summary,
-        repro_cmd(seed)
-    );
-    assert_eq!(
-        r.checksum,
-        FAULTS.reference(NITER),
-        "{what}: final state diverged from the uninterrupted run\nreproduce with: {}",
-        repro_cmd(seed)
-    );
-    for inc in &r.summary.incarnations {
-        if let Some(from) = &inc.restart_from {
-            assert!(
-                !from.contains(".tmp"),
-                "{what}: incarnation restarted from staging prefix {from:?}\nreproduce with: {}",
-                repro_cmd(seed)
-            );
-        }
-    }
-    for (prefix, _) in find_checkpoints(&r.fs, Some(APP)) {
-        assert!(
-            !prefix.contains(".tmp"),
-            "{what}: staged prefix {prefix:?} discoverable as a checkpoint\nreproduce with: {}",
-            repro_cmd(seed)
-        );
-    }
-    sweep_orphans(&r.fs);
-    for info in r.fs.list("") {
-        assert!(
-            !info.path.contains(".tmp"),
-            "{what}: staging debris {:?} survived sweep_orphans\nreproduce with: {}",
-            info.path,
-            repro_cmd(seed)
-        );
-    }
+fn run_campaign(plan: FaultPlan) -> (Launched, Arc<ChaosCtl>) {
+    run_under(plan, JsaPolicy { localized_recovery: true, ..Default::default() })
 }
 
 /// The control run: no faults, one localized recovery. The job completes in
@@ -117,11 +71,11 @@ fn assert_crash_consistent(r: &CampaignResult, what: &str, seed: u64) {
 /// matches the uninterrupted reference bitwise.
 #[test]
 fn localized_recovery_completes_in_one_incarnation() {
-    if seed_filter().is_some_and(|only| only != SWEEP_SEED) {
+    if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
         return;
     }
-    let r = run_campaign(FaultPlan::seeded(SWEEP_SEED));
-    assert_crash_consistent(&r, "control", SWEEP_SEED);
+    let (r, _) = run_campaign(FaultPlan::seeded(SWEEP_SEED));
+    r.assert_recovered(&job(), "control", &repro_cmd(SWEEP_SEED));
     assert_eq!(
         r.summary.incarnations.len(),
         1,
@@ -144,14 +98,14 @@ fn second_failure_during_recovery_escalates_bitwise() {
         if !point.is_recover_side() {
             continue;
         }
-        if seed_filter().is_some_and(|only| only != SWEEP_SEED) {
+        if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
             continue;
         }
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(SWEEP_SEED) };
-        let r = run_campaign(plan);
+        let (r, ctl) = run_campaign(plan);
         let what = format!("recover crash point {point}");
         assert!(
-            r.ctl.crash_fired(),
+            ctl.crash_fired(),
             "{what}: armed crash never fired (instrumentation gap)\nreproduce with: {}",
             repro_cmd(SWEEP_SEED)
         );
@@ -170,7 +124,7 @@ fn second_failure_during_recovery_escalates_bitwise() {
             last.restart_from,
             repro_cmd(SWEEP_SEED)
         );
-        assert_crash_consistent(&r, &what, SWEEP_SEED);
+        r.assert_recovered(&job(), &what, &repro_cmd(SWEEP_SEED));
     }
 }
 
@@ -179,14 +133,14 @@ fn second_failure_during_recovery_escalates_bitwise() {
 #[test]
 fn escalation_is_deterministic_per_seed() {
     let seed = SWEEP_SEED ^ 0xD1CE;
-    if seed_filter().is_some_and(|only| only != seed) {
+    if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
     let plan =
         FaultPlan { crash: Some((CrashPoint::RecoverRestored, 1)), ..FaultPlan::seeded(seed) };
-    let one = run_campaign(plan.clone());
-    let two = run_campaign(plan);
-    assert_crash_consistent(&one, "determinism", seed);
+    let (one, _) = run_campaign(plan.clone());
+    let (two, _) = run_campaign(plan);
+    one.assert_recovered(&job(), "determinism", &repro_cmd(seed));
     assert_eq!(one.checksum.to_bits(), two.checksum.to_bits());
     assert_eq!(one.summary, two.summary);
 }
@@ -198,11 +152,11 @@ fn escalation_is_deterministic_per_seed() {
 #[test]
 fn policy_gates_localized_recovery() {
     let seed = SWEEP_SEED ^ 0x0FF;
-    if seed_filter().is_some_and(|only| only != seed) {
+    if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
-    let r = run_drill(FaultPlan::seeded(seed), JsaPolicy::default());
-    assert_crash_consistent(&r, "default policy", seed);
+    let (r, _) = run_under(FaultPlan::seeded(seed), JsaPolicy::default());
+    r.assert_recovered(&job(), "default policy", &repro_cmd(seed));
     assert_eq!(r.summary.incarnations.len(), 1);
     assert!(
         !r.fs.exists("ck/rec/3.recover-e1/journal"),

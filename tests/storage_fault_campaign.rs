@@ -13,7 +13,9 @@ use drms::memtier::{MemTier, RestartTier};
 use drms::obs::{names, TraceRecorder};
 use drms::piofs::{Piofs, PiofsConfig};
 use drms::rtenv::{Event, JobOutcome, RunSummary};
-use drms_bench::campaign::{policy, Campaign, CkptMode, Fault, Rig, StorageFault, FAULTS, NPROCS};
+use drms_bench::campaign::{
+    policy, Campaign, CkptMode, Fault, Launched, Rig, StorageFault, FAULTS, NPROCS,
+};
 
 const NITER: i64 = 10;
 const APP: &str = "storm";
@@ -94,7 +96,7 @@ fn run_storm_with(
         jsa = jsa.with_memtier(tier);
     }
     let job = Campaign { mode: CkptMode::Tier, faults, ..Campaign::new(APP, "ck/storm", NITER) };
-    let (total, summary) = job.launch(&w.rig, &jsa);
+    let Launched { checksum: total, summary, .. } = job.launch(&w.rig, &jsa);
     assert!(
         summary.completed,
         "storm (seed {}) did not complete: {summary:?}\nreproduce with: {}",
