@@ -13,9 +13,12 @@
 //! 1. **pulse-off** — trace recorder only: the reference checksum and
 //!    commit count; run `OFF_RUNS` times for a median host wall time.
 //! 2. **pulse-on** — the same trace fanned out with a live pulse pipeline
-//!    drained from a background thread at an uncontrolled cadence.
-//! 3. **pulse-on again** — the heartbeat stream and alert list must be
-//!    byte-identical to run 2 (the drain-invariance contract).
+//!    drained from a background thread every millisecond of host time,
+//!    whose interleaving with the run the host decides ([`run_with_pulse`],
+//!    also what `tests/pulse_campaign.rs` runs).
+//! 3. **pulse-on again** — the heartbeat stream, the alert list and the
+//!    run summary must equal run 2's (the drain-invariance contract,
+//!    [`assert_drain_invariant`], which the test runs too).
 //!
 //! Gates: the simulated run must be bit-identical with pulse on and off
 //! (observation must not perturb the run); pulse's self-overhead must stay
@@ -39,6 +42,7 @@ use drms_chaos::{ChaosCtl, FaultPlan, PiofsFaults};
 use drms_memtier::MemTier;
 use drms_obs::{names, FanoutRecorder, Phase, Recorder, TraceRecorder};
 use drms_pulse::{builtin_rules, Pulse, PulseConfig, PulseReport, RuleThresholds};
+use parking_lot::Mutex;
 
 use crate::campaign::{policy, Campaign, CkptMode, Fault, Launched, Rig, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
@@ -61,9 +65,12 @@ const OFF_RUNS: usize = 3;
 const COST_REPS: usize = 5;
 
 /// One run: the launch, plus its trace and its host wall.
-struct Run {
-    out: Launched,
-    rec: Arc<TraceRecorder>,
+pub struct Run {
+    /// The launch.
+    pub out: Launched,
+    /// The trace every counter is mirrored into.
+    pub rec: Arc<TraceRecorder>,
+    /// Host wall time of the launch.
     wall: Duration,
 }
 
@@ -136,34 +143,72 @@ fn sample_cost(n: u64, windows: usize) -> f64 {
     (0..COST_REPS).map(|_| rep()).fold(f64::INFINITY, f64::min)
 }
 
-/// Runs the campaign with a live pulse attached, drained from a background
-/// thread at an uncontrolled host cadence (the point: drain timing must
-/// not matter).
-fn run_with_pulse(seed: u64) -> (Run, PulseReport, String) {
+/// What [`run_with_pulse`] leaves behind.
+pub struct Observed {
+    /// The run: launch, trace (alert and heartbeat meta-events included)
+    /// and host wall.
+    pub run: Run,
+    /// The pulse's final report.
+    pub report: PulseReport,
+    /// The live status view at the end of the run.
+    pub view: String,
+    /// Alert rules that had settled while the job was still running, in
+    /// the order the drainer first saw them.
+    pub live_rules: Vec<&'static str>,
+}
+
+/// Runs the campaign with a live pulse of the row's `pulse_config()`
+/// attached, drained from one thread every millisecond of host time (drain
+/// timing must not matter), which notes the alert rules that settle while
+/// the job is still running.
+pub fn run_with_pulse(seed: u64) -> Observed {
     let pulse = Pulse::new(pulse_config());
-    let stop = Arc::new(AtomicBool::new(false));
-    let drainer = {
-        let pulse = Arc::clone(&pulse);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                pulse.drain();
-                // Host cadence: frequent enough to be a live view, sparse
-                // enough that drain bookkeeping stays a rounding error.
-                std::thread::sleep(Duration::from_millis(5));
+    let done = AtomicBool::new(false);
+    let live = Mutex::new(Vec::new());
+    let run = std::thread::scope(|s| {
+        s.spawn(|| loop {
+            pulse.drain();
+            if done.load(Ordering::SeqCst) {
+                break;
             }
-        })
-    };
-    let run = run_campaign(seed, Some(pulse.recorder()));
+            let mut seen = live.lock();
+            for alert in pulse.alerts() {
+                if !seen.contains(&alert.rule) {
+                    seen.push(alert.rule);
+                }
+            }
+            drop(seen);
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        let run = run_campaign(seed, Some(pulse.recorder()));
+        done.store(true, Ordering::SeqCst);
+        run
+    });
     // The sink is attached only now, so alert/heartbeat meta-events land in
     // the trace in one deterministic batch after the simulated run — the
     // trace comparison against the pulse-off run stays exact.
-    stop.store(true, Ordering::SeqCst);
-    drainer.join().expect("drainer panicked");
     pulse.set_sink(run.rec.clone() as Arc<dyn Recorder>);
     let report = pulse.finish();
-    let view = pulse.status();
-    (run, report, view)
+    Observed { run, report, view: pulse.status(), live_rules: live.into_inner() }
+}
+
+/// The drain-invariance contract at `seed`: two observed runs
+/// ([`run_with_pulse`]) settle the same heartbeat stream, the same alerts
+/// and the same run summary, whatever the drainer's interleaving. Returns
+/// the first.
+pub fn assert_drain_invariant(seed: u64, repro: &str) -> Observed {
+    let (first, again) = (run_with_pulse(seed), run_with_pulse(seed));
+    let (a, b) = (&first.report, &again.report);
+    let why = if a.heartbeats != b.heartbeats {
+        "heartbeat stream"
+    } else if a.alerts != b.alerts {
+        "alert stream"
+    } else if first.run.out.summary != again.run.out.summary {
+        "run summary"
+    } else {
+        return first;
+    };
+    panic!("{why} is nondeterministic\nreproduce with: {repro}")
 }
 
 /// The `pulse` row of the gate table.
@@ -198,8 +243,10 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         off.wall.as_secs_f64() * 1e3
     );
 
-    // Run 2 — pulse on, live-drained.
-    let (on, report, view) = run_with_pulse(seed);
+    // Runs 2 and 3 — pulse on, live-drained, twice: drain invariance
+    // across runs.
+    let repro = crate::seed::bin_repro("pulse", seed);
+    let Observed { run: on, report, view, .. } = assert_drain_invariant(seed, &repro);
     assert!(on.out.summary.completed, "pulse-on run failed: {:?}", on.out.summary);
     assert_eq!(on.out.checksum, off.out.checksum, "pulse observation perturbed the run");
     assert_eq!(
@@ -215,11 +262,6 @@ pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
         );
     }
     println!("\n{view}");
-
-    // Run 3 — pulse on again: drain-invariance across runs.
-    let (_, again, _) = run_with_pulse(seed);
-    assert_eq!(again.heartbeats, report.heartbeats, "heartbeat stream is nondeterministic");
-    assert_eq!(again.alerts, report.alerts, "alert stream is nondeterministic");
 
     // Overhead gate: the run's samples at the intrinsic per-sample cost,
     // over the median pulse-off wall.

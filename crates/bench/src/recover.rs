@@ -6,9 +6,10 @@
 //!     [--json DIR] [--baseline PATH] [--tolerance 0.05] [--bless]
 //! ```
 //!
-//! Four campaigns over the campaign job ([`crate::campaign`]), all at the same
-//! `FAULT_SEED`, each with a [`Blackbox`] flight recorder riding the
-//! recorder fan-out so the recovery cost lands in the attribution:
+//! Four campaigns over the campaign job ([`crate::campaign`]), all at the
+//! same `FAULT_SEED`, each with a [`Blackbox`](drms_blackbox::Blackbox)
+//! flight recorder riding the recorder fan-out so the recovery cost lands
+//! in the attribution:
 //!
 //! 1. **Localized, memory tier** — checkpoints replicate into a memory
 //!    tier; a node loss at the drill iteration recovers through replica
@@ -29,9 +30,12 @@
 //! a **strictly lower recovery cost** (restore + recompute share of the
 //! attributed wall clock) than the full restart. Campaigns 1 and 3 run
 //! twice; checksums and rendered attributions must be bit-identical (the
-//! per-`FAULT_SEED` determinism contract). In campaigns 1–3 the JSA's last
-//! `blackbox.recovery_ratio` gauge must equal the report's recovery
-//! fraction bit for bit, localized time included.
+//! per-`FAULT_SEED` determinism contract). Campaigns 1–3 must pass the
+//! blackbox coverage contract ([`assert_covered`]): among its clauses, the
+//! JSA's last `blackbox.recovery_ratio` gauge equals the report's recovery
+//! fraction bit for bit, localized time included. The run and the
+//! soundness contract ([`assert_sound`]) are what
+//! `tests/recover_campaign.rs` runs too, at its own seeds.
 //!
 //! With `--json DIR` the headline numbers land in `BENCH_recover.json`;
 //! `--baseline PATH` compares against a committed baseline within
@@ -43,8 +47,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use drms_blackbox::Blackbox;
-use drms_chaos::{ChaosCtl, FaultPlan};
+use drms_blackbox::BlackboxConfig;
+use drms_chaos::FaultPlan;
 use drms_darray::{DistArray, Distribution};
 use drms_insight::{RecoveryReport, StitchedTimeline};
 use drms_memtier::MemTier;
@@ -55,8 +59,8 @@ use drms_rtenv::JsaPolicy;
 use drms_slices::Order;
 use parking_lot::Mutex;
 
-use crate::blackbox::{check_gauge, flight_sinks, render_events};
-use crate::campaign::{initial, policy, Campaign, Fault, Launched, LossDrill, Rig, FAULTS, NPROCS};
+use crate::blackbox::{assert_covered, launch, render_events, Run};
+use crate::campaign::{initial, policy, Campaign, Fault, LossDrill, FAULTS, NPROCS};
 use crate::gate::{no_gate_flags, Gate, GateArgs, GateOutput};
 use crate::json::BenchResult;
 
@@ -70,8 +74,8 @@ const RECOVER_AT: i64 = 5;
 const VICTIM: usize = 2;
 
 /// How a campaign survives the loss at `RECOVER_AT`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
     /// Localized recovery served by memory-tier replicas.
     Tier,
     /// Localized recovery served by manifest-ranged PIOFS section reads.
@@ -80,50 +84,46 @@ enum Mode {
     Full,
 }
 
-/// One campaign run: the job, its launch, and the trace and flight
-/// recorder riding it. All deterministic per plan.
-struct Run {
-    job: Campaign,
-    out: Launched,
-    rec: Arc<TraceRecorder>,
-    bb: Arc<Blackbox>,
-}
-
-/// Runs the campaign job with the loss handled as `mode` says, a flight
-/// recorder riding the recorder fan-out throughout. The localized modes
-/// retain sections at each commit and recover in place at `RECOVER_AT`
-/// (the loss drill); the full mode loses a processor there and pays the
-/// classical kill → detect → restore → recompute sequence instead.
-fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
-    let (rec, bb, sink) = flight_sinks(None);
-    let rig = Rig::new(APP, plan.seed, Some(sink));
-    let jsa = rig
-        .jsa(JsaPolicy { localized_recovery: mode != Mode::Full, ..policy() })
-        .with_chaos(ChaosCtl::new(plan))
-        .with_blackbox(Arc::clone(&bb));
+/// The row's job with the loss handled as `mode` says. The localized
+/// modes retain sections at each commit and, where the JSA permits it,
+/// recover in place at `RECOVER_AT` (the loss drill: the memory-tier drill
+/// replicates into the tier, the durable drill commits to PIOFS); the
+/// full mode loses a processor there instead.
+pub fn job(mode: Mode) -> Campaign {
     let mut job = Campaign::new(APP, "ck/rb", NITER);
     match mode {
         Mode::Full => job.faults.push(Fault::kill(RECOVER_AT, VICTIM)),
-        // The memory-tier drill replicates into the tier; the durable
-        // drill commits to PIOFS.
         Mode::Tier | Mode::Piofs => {
             let replicas = (mode == Mode::Tier).then(|| MemTier::new(2));
             job.drill = Some(LossDrill { at: RECOVER_AT, victim: VICTIM, replicas });
         }
     }
-    Run { out: job.launch(&rig, &jsa), job, rec, bb }
+    job
 }
 
-/// Shared contract: the run recovered bitwise
-/// ([`Launched::assert_recovered`]) and its attribution buckets tile the
-/// stitched wall clock. Returns the timeline and the attribution.
-fn assert_sound(run: &Run, what: &str, repro: &str) -> (StitchedTimeline, RecoveryReport) {
+/// Runs [`job`]`(mode)` under a fault plan and a policy that permits
+/// localized recovery in the localized modes, a flight recorder riding the
+/// recorder fan-out throughout. A localized run attempts exactly one
+/// recovery: if a crash point kills the region inside the protocol, the
+/// retried incarnation does not re-attempt it (the JSA's full restart is
+/// the escalation). The full mode pays the classical kill → detect →
+/// restore → recompute sequence instead.
+pub fn run_campaign(plan: FaultPlan, mode: Mode) -> Run {
+    let policy = JsaPolicy { localized_recovery: mode != Mode::Full, ..policy() };
+    launch(job(mode), plan, policy, None, BlackboxConfig::default().capacity)
+}
+
+/// The soundness contract: the run recovered bitwise
+/// ([`Launched::assert_recovered`](crate::campaign::Launched::assert_recovered))
+/// and its attribution buckets tile the stitched wall clock. Returns the
+/// timeline and the attribution.
+pub fn assert_sound(run: &Run, what: &str, repro: &str) -> (StitchedTimeline, RecoveryReport) {
     run.out.assert_recovered(&run.job, what, repro);
     let (tl, report) = run.out.summary.attribution(&run.bb);
     let budget = 1e-9 * report.wall.max(1.0);
     assert!(
         report.tiling_error() <= budget,
-        "{what}: buckets do not tile the wall clock (error {})",
+        "{what}: buckets do not tile the wall clock (error {} > {budget})\nreproduce with: {repro}",
         report.tiling_error()
     );
     (tl, report)
@@ -134,7 +134,7 @@ fn bucket_total(rep: &RecoveryReport, f: impl Fn(&drms_insight::IncarnationCost)
 }
 
 /// The `recover` row of the gate table.
-pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
+pub fn scenario(args: &GateArgs, _gate: &mut Gate) -> GateOutput {
     no_gate_flags("recover", &args.rest);
     let seed = args.seed;
     let repro = crate::seed::bin_repro("recover", seed);
@@ -155,8 +155,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Campaign 1 — localized recovery off memory-tier replicas: one
     // incarnation, zero PIOFS restore bytes, only `localized` billed.
     let tier_run = run_campaign(FaultPlan::seeded(seed), Mode::Tier);
-    let (_, tier_rep) = assert_sound(&tier_run, "localized-tier", &repro);
-    check_gauge(gate, &tier_run.rec, &tier_rep, "localized-tier");
+    let (_, tier_rep) = assert_covered(&tier_run, "localized-tier", &repro);
     assert_eq!(
         tier_run.out.summary.incarnations.len(),
         1,
@@ -195,8 +194,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // the lost ranks' sections stream back, strictly less than the
     // whole state.
     let piofs_run = run_campaign(FaultPlan::seeded(seed), Mode::Piofs);
-    let (_, piofs_rep) = assert_sound(&piofs_run, "localized-piofs", &repro);
-    check_gauge(gate, &piofs_run.rec, &piofs_rep, "localized-piofs");
+    let (_, piofs_rep) = assert_covered(&piofs_run, "localized-piofs", &repro);
     assert_eq!(piofs_run.out.summary.incarnations.len(), 1, "localized-piofs: reincarnated");
     let prep = piofs_run.out.report.as_ref().expect("localized-piofs: protocol report missing");
     assert_eq!(prep.source, StreamSource::PiofsFull, "localized-piofs: wrong ladder rung");
@@ -222,8 +220,7 @@ pub fn scenario(args: &GateArgs, gate: &mut Gate) -> GateOutput {
     // Campaign 3 — the classical full restart at the same seed and the
     // same loss point: kill, detect, restore everything, recompute.
     let full_run = run_campaign(FaultPlan::seeded(seed), Mode::Full);
-    let (full_tl, full_rep) = assert_sound(&full_run, "full-restart", &repro);
-    check_gauge(gate, &full_run.rec, &full_rep, "full-restart");
+    let (full_tl, full_rep) = assert_covered(&full_run, "full-restart", &repro);
     assert!(
         full_run.out.summary.incarnations.len() >= 2,
         "full-restart: the kill never caused a restart"

@@ -291,14 +291,6 @@ impl Distribution {
         }
     }
 
-    /// Whether [`Distribution::adjust`] can recompute this distribution.
-    pub fn is_adjustable(&self) -> bool {
-        matches!(
-            self.kind,
-            DistKind::BlockGrid { .. } | DistKind::CyclicAxis { .. } | DistKind::ActiveBlock { .. }
-        )
-    }
-
     /// The array domain.
     pub fn domain(&self) -> &Slice {
         &self.domain
@@ -490,7 +482,6 @@ mod tests {
         assert_eq!(adjusted.ntasks(), 6);
         let total: usize = (0..6).map(|t| adjusted.assigned(t).size()).sum();
         assert_eq!(total, dom.size());
-        assert!(adjusted.is_adjustable());
     }
 
     #[test]
@@ -509,7 +500,6 @@ mod tests {
         let s = vec![Slice::boxed(&[(0, 9)])];
         let dist = Distribution::irregular(&dom, s.clone(), s).unwrap();
         assert!(matches!(dist.adjust(2), Err(DarrayError::NotAdjustable)));
-        assert!(!dist.is_adjustable());
     }
 
     #[test]

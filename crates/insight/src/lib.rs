@@ -23,6 +23,7 @@
 //! [`Analysis::render`] is byte-identical across runs of the same seed.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod critical;
 pub mod recovery;
@@ -108,8 +109,8 @@ impl Analysis {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let w = self.wall();
-        writeln!(out, "== drms-insight causal analysis ==").unwrap();
-        writeln!(
+        let _ = writeln!(out, "== drms-insight causal analysis ==");
+        let _ = writeln!(
             out,
             "window [{:.6}, {:.6}] s  wall {:.6} s  spans {}  incarnation links {}",
             self.critical.t0,
@@ -117,23 +118,21 @@ impl Analysis {
             w,
             self.spans.len(),
             self.incarnations.len(),
-        )
-        .unwrap();
+        );
 
-        writeln!(out, "\n-- critical path: {} segments --", self.critical.segments.len()).unwrap();
-        writeln!(
+        let _ = writeln!(out, "\n-- critical path: {} segments --", self.critical.segments.len());
+        let _ = writeln!(
             out,
             "  {:>10} {:>10} {:>10}  {:<12} {:<24} bottleneck",
             "start", "end", "dur", "phase", "name"
-        )
-        .unwrap();
+        );
         for seg in &self.critical.segments {
             let bottleneck = match (seg.task, seg.server) {
                 (Some(t), _) => format!("task {t}"),
                 (None, Some(s)) => format!("server {s}"),
                 (None, None) => "-".to_owned(),
             };
-            writeln!(
+            let _ = writeln!(
                 out,
                 "  {:>10.6} {:>10.6} {:>10.6}  {:<12} {:<24} {}",
                 seg.start,
@@ -142,14 +141,13 @@ impl Analysis {
                 seg.phase_label(),
                 seg.name,
                 bottleneck
-            )
-            .unwrap();
+            );
         }
 
-        writeln!(out, "\n-- attribution by phase --").unwrap();
+        let _ = writeln!(out, "\n-- attribution by phase --");
         for (label, secs) in self.critical.by_phase() {
             let pct = if w > 0.0 { 100.0 * secs / w } else { 0.0 };
-            writeln!(out, "  {label:<12} {secs:>10.6} s  {pct:>5.1}%").unwrap();
+            let _ = writeln!(out, "  {label:<12} {secs:>10.6} s  {pct:>5.1}%");
         }
 
         let mut by_gap: Vec<&StragglerRow> = self.stragglers.iter().collect();
@@ -157,20 +155,18 @@ impl Analysis {
             b.gap().total_cmp(&a.gap()).then(a.name.cmp(&b.name)).then(a.wave.cmp(&b.wave))
         });
         let top = by_gap.len().min(10);
-        writeln!(
+        let _ = writeln!(
             out,
             "\n-- stream-wave stragglers: top {top} of {} (gap = slowest - median) --",
             by_gap.len()
-        )
-        .unwrap();
-        writeln!(
+        );
+        let _ = writeln!(
             out,
             "  {:<10} {:>4} {:>5}  {:>8} {:>10} {:>10} {:>10}",
             "array", "wave", "ranks", "slowest", "max", "median", "gap"
-        )
-        .unwrap();
+        );
         for row in &by_gap[..top] {
-            writeln!(
+            let _ = writeln!(
                 out,
                 "  {:<10} {:>4} {:>5}  {:>8} {:>10.6} {:>10.6} {:>10.6}",
                 row.name,
@@ -180,19 +176,17 @@ impl Analysis {
                 row.max,
                 row.median,
                 row.gap()
-            )
-            .unwrap();
+            );
         }
 
-        writeln!(out, "\n-- PIOFS server utilization --").unwrap();
-        writeln!(
+        let _ = writeln!(out, "\n-- PIOFS server utilization --");
+        let _ = writeln!(
             out,
             "  {:>6} {:>10} {:>6}  {:>9} {:>10}",
             "server", "busy", "util", "intervals", "finish"
-        )
-        .unwrap();
+        );
         for row in &self.servers.rows {
-            writeln!(
+            let _ = writeln!(
                 out,
                 "  {:>6} {:>10.6} {:>5.1}%  {:>9} {:>10.6}",
                 row.server,
@@ -200,16 +194,14 @@ impl Analysis {
                 100.0 * row.utilization(w),
                 row.intervals,
                 row.last
-            )
-            .unwrap();
+            );
         }
-        match self.servers.slowest() {
+        let _ = match self.servers.slowest() {
             Some(s) => {
                 writeln!(out, "  slowest server: {s}  (imbalance {:.3})", self.servers.imbalance())
-                    .unwrap()
             }
-            None => writeln!(out, "  no server activity recorded").unwrap(),
-        }
+            None => writeln!(out, "  no server activity recorded"),
+        };
         out
     }
 }

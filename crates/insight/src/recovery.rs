@@ -131,14 +131,12 @@ impl RecoveryReport {
             // repeats ground the checkpoint had already covered. A fresh
             // incarnation's pre-commit work is ordinary useful progress.
             let (recompute, lost_from) = if seg.restarted {
-                match commits.first() {
-                    Some(&first) => {
-                        ((first - restore_end).max(0.0), *commits.last().expect("nonempty"))
-                    }
+                match (commits.first(), commits.last()) {
+                    (Some(&first), Some(&last)) => ((first - restore_end).max(0.0), last),
                     // No commit: a killed incarnation's whole tail is lost;
                     // a surviving one re-computed to its horizon.
-                    None if seg.killed => (0.0, restore_end),
-                    None => (seg.end - restore_end, seg.end),
+                    _ if seg.killed => (0.0, restore_end),
+                    _ => (seg.end - restore_end, seg.end),
                 }
             } else {
                 (0.0, commits.last().copied().unwrap_or(seg.start))

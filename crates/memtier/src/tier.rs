@@ -115,18 +115,6 @@ impl MemTier {
         self.inner.lock().keys().cloned().collect()
     }
 
-    /// Total unique bytes resident (each piece counted once, not per
-    /// holder).
-    pub fn resident_bytes(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner
-            .values()
-            .flat_map(|c| c.files.values())
-            .flat_map(|f| f.pieces.iter())
-            .map(|p| p.len)
-            .sum()
-    }
-
     /// Whether a tier entry exists under `prefix`.
     pub fn contains(&self, prefix: &str) -> bool {
         self.inner.lock().contains_key(prefix)
@@ -530,6 +518,5 @@ mod tests {
         store(&tier, "ck/a", "app", 4, &[("segment", b"redone!", &[2, 3])]);
         assert_eq!(tier.file_len("ck/a", "segment").unwrap(), 7);
         assert_eq!(tier.manifest("ck/a").unwrap().sop, 4);
-        assert_eq!(tier.resident_bytes(), 7);
     }
 }

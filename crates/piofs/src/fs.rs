@@ -411,18 +411,6 @@ impl Piofs {
         lost
     }
 
-    /// Whether server `k` is currently failed.
-    pub fn server_down(&self, k: usize) -> bool {
-        let st = self.state.lock();
-        k < st.down.len() && st.down[k]
-    }
-
-    /// Indices of currently failed servers.
-    pub fn downed_servers(&self) -> Vec<usize> {
-        let st = self.state.lock();
-        st.down.iter().enumerate().filter(|(_, &d)| d).map(|(k, _)| k).collect()
-    }
-
     /// Silently corrupts stored bytes in `[offset, offset + len)` (clipped
     /// to the file) by XORing them with a non-zero pattern derived from
     /// `salt` — the simulation of bit rot or a misdirected write. Parity
@@ -1162,8 +1150,6 @@ mod tests {
         fs.preload("ck/seg", data.clone());
         let lost = fs.fail_server(2);
         assert!(lost > 0);
-        assert!(fs.server_down(2));
-        assert_eq!(fs.downed_servers(), vec![2]);
         // Raw bytes are genuinely poisoned...
         assert_ne!(fs.peek_raw("ck/seg").unwrap(), data);
         // ...but the logical view reconstructs bitwise.
@@ -1176,7 +1162,6 @@ mod tests {
         assert_eq!(got[0], data);
         // Repair brings the raw copy back and clears the loss.
         assert_eq!(fs.repair_server(2), 0);
-        assert!(!fs.server_down(2));
         assert_eq!(fs.peek_raw("ck/seg").unwrap(), data);
         assert_eq!(fs.lost_bytes("ck/seg"), 0);
     }

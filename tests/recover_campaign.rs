@@ -11,24 +11,25 @@
 //! * the interrupted recovery surfaces as a kill, never a wrong answer;
 //! * the JSA escalates to a verified full restart from the newest committed
 //!   checkpoint and drives the job to completion anyway;
-//! * the final state is **bitwise equal** to an uninterrupted run;
+//! * the final state is **bitwise equal** to an uninterrupted run, and the
+//!   flight recorder's attribution tiles the stitched wall clock;
 //! * a crashed recovery's staging (`.recover-eN.tmp`) is orphan-sweepable,
 //!   while a committed recovery journal survives the sweep;
 //! * the whole dance is deterministic per seed: same plan, same run.
+//!
+//! The job, its run and the soundness contract are the `recover` gate
+//! row's durable localized campaign ([`drms_bench::recover`],
+//! [`Mode::Piofs`]); this file runs them at its own seeds.
 
-use std::sync::Arc;
-
-use drms::chaos::{ChaosCtl, CrashPoint, FaultPlan};
+use drms::chaos::{CrashPoint, FaultPlan};
 use drms::rtenv::JsaPolicy;
-use drms_bench::campaign::{Campaign, Launched, LossDrill, Rig};
+use drms_bench::campaign::Rig;
+use drms_bench::recover::{assert_sound, job, run_campaign, Mode};
 use drms_bench::seed::fault_seed_env;
 
-const NITER: i64 = 10;
-const APP: &str = "recovcamp";
-/// The iteration whose top-of-loop suffers the section loss.
-const RECOVER_AT: i64 = 5;
-/// The node (== rank under identity placement) whose sections are lost.
-const VICTIM: usize = 2;
+/// The journal of the one localized recovery: epoch 1, from the
+/// checkpoint of iteration 3.
+const JOURNAL: &str = "ck/rb/3.recover-e1/journal";
 
 /// Base seed of the sweep; every campaign seed is pinned so a failing
 /// assertion names its seed and reproduces with one command.
@@ -36,34 +37,6 @@ const SWEEP_SEED: u64 = 0x5EC0;
 
 fn repro_cmd(seed: u64) -> String {
     drms_bench::seed::test_repro("recover_campaign", seed)
-}
-
-/// The campaign job with the loss drill: one localized recovery at
-/// `RECOVER_AT`, where the JSA permits it.
-fn job() -> Campaign {
-    Campaign {
-        drill: Some(LossDrill { at: RECOVER_AT, victim: VICTIM, replicas: None }),
-        ..Campaign::new(APP, "ck/rec", NITER)
-    }
-}
-
-/// Runs the campaign job with the loss drill under `policy` and a fault
-/// plan. Each run attempts exactly one localized recovery at `RECOVER_AT`:
-/// survivors recover in place from their retained bytes plus section reads
-/// of the newest checkpoint, then the whole region rolls back to the SOP.
-/// If a crash point kills the region inside the protocol, the retried
-/// incarnation does **not** re-attempt it (the JSA's full restart is the
-/// escalation) — which is precisely the ladder the sweep asserts. Returns
-/// the launch and the chaos controller.
-fn run_under(plan: FaultPlan, policy: JsaPolicy) -> (Launched, Arc<ChaosCtl>) {
-    let rig = Rig::new(APP, plan.seed, None);
-    let ctl = ChaosCtl::new(plan);
-    let jsa = rig.jsa(policy).with_chaos(Arc::clone(&ctl));
-    (job().launch(&rig, &jsa), ctl)
-}
-
-fn run_campaign(plan: FaultPlan) -> (Launched, Arc<ChaosCtl>) {
-    run_under(plan, JsaPolicy { localized_recovery: true, ..Default::default() })
 }
 
 /// The control run: no faults, one localized recovery. The job completes in
@@ -74,16 +47,16 @@ fn localized_recovery_completes_in_one_incarnation() {
     if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
         return;
     }
-    let (r, _) = run_campaign(FaultPlan::seeded(SWEEP_SEED));
-    r.assert_recovered(&job(), "control", &repro_cmd(SWEEP_SEED));
+    let r = run_campaign(FaultPlan::seeded(SWEEP_SEED), Mode::Piofs);
+    assert_sound(&r, "control", &repro_cmd(SWEEP_SEED));
     assert_eq!(
-        r.summary.incarnations.len(),
+        r.out.summary.incarnations.len(),
         1,
         "control: a localized recovery must not cost an incarnation\nreproduce with: {}",
         repro_cmd(SWEEP_SEED)
     );
     assert!(
-        r.fs.exists("ck/rec/3.recover-e1/journal"),
+        r.out.fs.exists(JOURNAL),
         "control: recovery journal did not commit\nreproduce with: {}",
         repro_cmd(SWEEP_SEED)
     );
@@ -94,37 +67,34 @@ fn localized_recovery_completes_in_one_incarnation() {
 /// restart and still finishes bitwise-exact.
 #[test]
 fn second_failure_during_recovery_escalates_bitwise() {
-    for &point in CrashPoint::ALL.iter() {
-        if !point.is_recover_side() {
-            continue;
-        }
-        if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
-            continue;
-        }
+    if fault_seed_env().is_some_and(|only| only != SWEEP_SEED) {
+        return;
+    }
+    for point in CrashPoint::ALL.into_iter().filter(|p| p.is_recover_side()) {
         let plan = FaultPlan { crash: Some((point, 1)), ..FaultPlan::seeded(SWEEP_SEED) };
-        let (r, ctl) = run_campaign(plan);
+        let r = run_campaign(plan, Mode::Piofs);
         let what = format!("recover crash point {point}");
         assert!(
-            ctl.crash_fired(),
+            r.ctl.crash_fired(),
             "{what}: armed crash never fired (instrumentation gap)\nreproduce with: {}",
             repro_cmd(SWEEP_SEED)
         );
         assert!(
-            r.summary.incarnations.len() >= 2,
+            r.out.summary.incarnations.len() >= 2,
             "{what}: expected escalation to a full restart: {:?}\nreproduce with: {}",
-            r.summary,
+            r.out.summary,
             repro_cmd(SWEEP_SEED)
         );
         // The escalation restarted from a committed checkpoint, not from
         // the interrupted recovery's staging.
-        let last = r.summary.incarnations.last().unwrap();
+        let last = r.out.summary.incarnations.last().unwrap();
         assert!(
-            last.restart_from.as_deref().is_some_and(|f| f.starts_with("ck/rec/")),
+            last.restart_from.as_deref().is_some_and(|f| f.starts_with("ck/rb/")),
             "{what}: escalated incarnation restarted from {:?}\nreproduce with: {}",
             last.restart_from,
             repro_cmd(SWEEP_SEED)
         );
-        r.assert_recovered(&job(), &what, &repro_cmd(SWEEP_SEED));
+        assert_sound(&r, &what, &repro_cmd(SWEEP_SEED));
     }
 }
 
@@ -138,11 +108,11 @@ fn escalation_is_deterministic_per_seed() {
     }
     let plan =
         FaultPlan { crash: Some((CrashPoint::RecoverRestored, 1)), ..FaultPlan::seeded(seed) };
-    let (one, _) = run_campaign(plan.clone());
-    let (two, _) = run_campaign(plan);
-    one.assert_recovered(&job(), "determinism", &repro_cmd(seed));
-    assert_eq!(one.checksum.to_bits(), two.checksum.to_bits());
-    assert_eq!(one.summary, two.summary);
+    let one = run_campaign(plan.clone(), Mode::Piofs);
+    let two = run_campaign(plan, Mode::Piofs);
+    assert_sound(&one, "determinism", &repro_cmd(seed));
+    assert_eq!(one.out.checksum.to_bits(), two.out.checksum.to_bits());
+    assert_eq!(one.out.summary, two.out.summary);
 }
 
 /// A JSA policy without `localized_recovery` never enters the protocol:
@@ -155,11 +125,10 @@ fn policy_gates_localized_recovery() {
     if fault_seed_env().is_some_and(|only| only != seed) {
         return;
     }
-    let (r, _) = run_under(FaultPlan::seeded(seed), JsaPolicy::default());
-    r.assert_recovered(&job(), "default policy", &repro_cmd(seed));
+    let job = job(Mode::Piofs);
+    let rig = Rig::new(job.app, seed, None);
+    let r = job.launch(&rig, &rig.jsa(JsaPolicy::default()));
+    r.assert_recovered(&job, "default policy", &repro_cmd(seed));
     assert_eq!(r.summary.incarnations.len(), 1);
-    assert!(
-        !r.fs.exists("ck/rec/3.recover-e1/journal"),
-        "default policy must not permit localized recovery"
-    );
+    assert!(!r.fs.exists(JOURNAL), "default policy must not permit localized recovery");
 }
