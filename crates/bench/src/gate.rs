@@ -366,8 +366,8 @@ fn run_row(row: &GateRow, opts: &Opts) {
 
 /// `--all`: every row, each in a process of its own against its committed
 /// baseline, the flags forwarded as given. A gate may bound a host-time
-/// ratio — the pulse row holds pulse's accounted cost under 2% of a
-/// pulse-off run's wall time — and such a denominator halves in a process
+/// ratio — the pulse row holds pulse's modelled cost under 2% of the median
+/// wall time of its pulse-off runs — and such a denominator halves in a process
 /// earlier rows have warmed up, so rows do not share one. Every row runs;
 /// the exit status is 1 if any failed.
 fn run_all(flags: &[String]) {

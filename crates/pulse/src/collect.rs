@@ -33,7 +33,7 @@ pub(crate) struct Collector {
     next_eval: Option<u64>,
     /// Reports folded over all tasks, as of the latest drain.
     pub samples: u64,
-    /// Cumulative totals over all tasks, filled in by [`Collector::finish`].
+    /// Cumulative totals over every settled window.
     pub cum_counters: BTreeMap<&'static str, u64>,
     pub cum_span_secs: BTreeMap<(usize, Phase), f64>,
     engine: RuleEngine,
@@ -74,6 +74,12 @@ impl Collector {
         let folded = samples - self.samples;
         self.samples = samples;
         for (idx, stats) in windows {
+            for (name, delta) in &stats.counters {
+                *self.cum_counters.entry(*name).or_default() += delta;
+            }
+            for (key, secs) in &stats.span_secs {
+                *self.cum_span_secs.entry(*key).or_default() += secs;
+            }
             let next = self.next_eval.unwrap_or(idx);
             debug_assert!(idx >= next, "window {idx} reported after it settled");
             // Evaluate the empty windows of a bounded idle gap first, so
@@ -89,15 +95,13 @@ impl Collector {
         folded as usize
     }
 
-    /// Settles everything still open and takes the cumulative totals (end
-    /// of run). Idempotent.
+    /// Settles everything still open (end of run). Idempotent.
     pub fn finish(&mut self, rec: &PulseRecorder, sink: &Arc<dyn Recorder>) {
         if self.finished {
             return;
         }
         self.finished = true;
         self.drain(rec, true, sink);
-        rec.take_totals(&mut self.cum_counters, &mut self.cum_span_secs);
         if sink.enabled() {
             sink.counter_add(0, names::PULSE_SAMPLES, None, self.samples);
         }

@@ -7,7 +7,7 @@
 //! in sorted order and every value is rendered deterministically, so the
 //! heartbeat stream for a fixed seed is byte-identical run to run.
 
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use drms_obs::Phase;
 
@@ -72,10 +72,13 @@ pub(crate) struct Row {
     pub stats: WindowStats,
 }
 
-fn num(v: f64) -> String {
-    // Fixed precision keeps lines stable and diffable; six digits is below
-    // the cost model's own resolution.
-    format!("{v:.6}")
+/// One heartbeat value. Floats render at fixed precision, which keeps
+/// lines stable and diffable; six digits is below the cost model's own
+/// resolution.
+enum Value<'a> {
+    Int(u64),
+    Num(f64),
+    Alerts(&'a [&'static str]),
 }
 
 impl Row {
@@ -96,32 +99,53 @@ impl Row {
         }
     }
 
-    /// Renders the sorted-key JSON line.
+    /// Renders the sorted-key JSON line. A metric named like a field
+    /// overrides it, and an index-0 gauge a counter of its name.
     pub fn to_jsonl(&self) -> String {
-        let mut kv: BTreeMap<String, String> = BTreeMap::new();
-        kv.insert(fields::WINDOW.into(), self.window.to_string());
-        kv.insert(fields::T0.into(), num(self.t0));
-        kv.insert(fields::T1.into(), num(self.t1));
-        kv.insert(fields::SAMPLES.into(), self.stats.samples.to_string());
-        let ckpt: f64 = CKPT_PHASES.iter().map(|p| self.stats.phase_total(*p)).sum();
-        kv.insert(fields::CKPT_SECONDS.into(), num(ckpt));
-        kv.insert(fields::WAVE_SECONDS.into(), num(self.stats.phase_total(Phase::StreamWave)));
-        kv.insert(fields::IO_SECONDS.into(), num(self.stats.phase_total(Phase::IoPhase)));
-        kv.insert(fields::RETRY_SECONDS.into(), num(self.stats.phase_total(Phase::Retry)));
-        kv.insert(fields::WAVE_SKEW.into(), num(self.wave_skew()));
-        kv.insert(fields::QUEUE_SECONDS.into(), num(self.stats.max_server_busy()));
-        let alerts: Vec<String> = self.stats.alerts.iter().map(|a| format!("\"{a}\"")).collect();
-        kv.insert(fields::ALERTS.into(), format!("[{}]", alerts.join(",")));
-        for (name, v) in &self.stats.counters {
-            kv.insert((*name).into(), v.to_string());
-        }
-        for ((name, index), g) in &self.stats.gauges {
-            if *index == 0 {
-                kv.insert((*name).into(), num(g.value));
+        let s = &self.stats;
+        let ckpt: f64 = CKPT_PHASES.iter().map(|p| s.phase_total(*p)).sum();
+        let mut kv = vec![
+            (fields::WINDOW, Value::Int(self.window)),
+            (fields::T0, Value::Num(self.t0)),
+            (fields::T1, Value::Num(self.t1)),
+            (fields::SAMPLES, Value::Int(s.samples)),
+            (fields::CKPT_SECONDS, Value::Num(ckpt)),
+            (fields::WAVE_SECONDS, Value::Num(s.phase_total(Phase::StreamWave))),
+            (fields::IO_SECONDS, Value::Num(s.phase_total(Phase::IoPhase))),
+            (fields::RETRY_SECONDS, Value::Num(s.phase_total(Phase::Retry))),
+            (fields::WAVE_SKEW, Value::Num(self.wave_skew())),
+            (fields::QUEUE_SECONDS, Value::Num(s.max_server_busy())),
+            (fields::ALERTS, Value::Alerts(&s.alerts)),
+        ];
+        kv.extend(s.counters.iter().map(|(name, v)| (*name, Value::Int(*v))));
+        kv.extend(
+            s.gauges
+                .iter()
+                .filter(|((_, i), _)| *i == 0)
+                .map(|((n, _), g)| (*n, Value::Num(g.value))),
+        );
+        // Stable: of two equal keys the later-pushed stays last, and wins.
+        kv.sort_by_key(|(k, _)| *k);
+        let mut line = String::with_capacity(512);
+        for (i, (k, v)) in kv.iter().enumerate() {
+            if kv.get(i + 1).is_some_and(|(next, _)| next == k) {
+                continue;
             }
+            line.push(if line.is_empty() { '{' } else { ',' });
+            line.push('"');
+            line.push_str(k);
+            line.push_str("\":");
+            let _ = match v {
+                Value::Int(n) => write!(line, "{n}"),
+                Value::Num(x) => write!(line, "{x:.6}"),
+                Value::Alerts(names) => {
+                    let quoted = names.iter().map(|a| format!("\"{a}\""));
+                    write!(line, "[{}]", quoted.collect::<Vec<_>>().join(","))
+                }
+            };
         }
-        let body: Vec<String> = kv.into_iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-        format!("{{{}}}", body.join(","))
+        line.push('}');
+        line
     }
 }
 

@@ -101,8 +101,9 @@ pub struct PulseReport {
     /// Cumulative counter totals observed online, by metric name. Matches
     /// a post-hoc trace's totals for the same run.
     pub cum_counters: std::collections::BTreeMap<&'static str, u64>,
-    /// Cumulative closed-span seconds per `(rank, phase)`. Matches the
-    /// post-hoc per-phase span sums exactly (same float additions).
+    /// Cumulative closed-span seconds per `(rank, phase)`: the settled
+    /// windows' sums, added in window order. Matches the post-hoc
+    /// per-phase span sums up to float re-association.
     pub span_seconds: std::collections::BTreeMap<(usize, drms_obs::Phase), f64>,
 }
 

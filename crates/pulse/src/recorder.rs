@@ -21,16 +21,16 @@
 //!   unclamped `t`, the exact values a post-hoc trace would see.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use drms_obs::{Phase, Record, Recorder};
 use parking_lot::Mutex;
 
-use crate::window::{add_into, window_of, GaugeWrite, WindowStats};
+use crate::window::{window_of, GaugeWrite, WindowStats};
 
 /// One task's fold state: the windows its reports have touched that the
-/// collector has not yet settled, and its running totals.
+/// collector has not yet settled.
 #[derive(Default)]
 struct TaskFold {
     /// Highest stamp the task has reported (its settlement mark; 0.0 until
@@ -39,13 +39,10 @@ struct TaskFold {
     /// Reports folded so far.
     samples: u64,
     /// LIFO stacks of open-span raw start times, keyed `(rank, phase)`.
-    open_spans: HashMap<(usize, Phase), Vec<f64>>,
-    /// Unsettled windows, by index.
-    windows: BTreeMap<u64, WindowStats>,
-    /// Cumulative counter totals.
-    counters: BTreeMap<&'static str, u64>,
-    /// Cumulative closed-span seconds per `(rank, phase)`.
-    span_secs: BTreeMap<(usize, Phase), f64>,
+    open_spans: BTreeMap<(usize, Phase), Vec<f64>>,
+    /// Unsettled windows in index order. Stamps are monotone, so a report
+    /// lands in the last window or opens one after it.
+    windows: VecDeque<(u64, WindowStats)>,
 }
 
 /// Folds every [`Record`] into per-task tumbling windows.
@@ -81,11 +78,11 @@ impl PulseRecorder {
         for task in &self.tasks {
             let mut task = task.lock();
             samples += task.samples;
-            let keep = match below {
-                Some(below) => task.windows.split_off(&below),
-                None => BTreeMap::new(),
+            let settled = match below {
+                Some(below) => task.windows.partition_point(|(idx, _)| *idx < below),
+                None => task.windows.len(),
             };
-            for (idx, w) in std::mem::replace(&mut task.windows, keep) {
+            for (idx, w) in task.windows.drain(..settled) {
                 match merged.entry(idx) {
                     Entry::Vacant(e) => {
                         e.insert(w);
@@ -95,20 +92,6 @@ impl PulseRecorder {
             }
         }
         (merged, samples)
-    }
-
-    /// Takes every task's cumulative counter totals and closed-span
-    /// seconds into `counters` and `span_secs`, in rank order.
-    pub(crate) fn take_totals(
-        &self,
-        counters: &mut BTreeMap<&'static str, u64>,
-        span_secs: &mut BTreeMap<(usize, Phase), f64>,
-    ) {
-        for task in &self.tasks {
-            let mut task = task.lock();
-            add_into(counters, std::mem::take(&mut task.counters));
-            add_into(span_secs, std::mem::take(&mut task.span_secs));
-        }
     }
 }
 
@@ -135,7 +118,11 @@ impl Recorder for PulseRecorder {
         };
         task.hwm = stamp;
         task.samples += 1;
-        let w = task.windows.entry(window_of(stamp, self.width)).or_default();
+        let idx = window_of(stamp, self.width);
+        if task.windows.back().is_none_or(|(last, _)| *last != idx) {
+            task.windows.push_back((idx, WindowStats::default()));
+        }
+        let Some((_, w)) = task.windows.back_mut() else { return };
         w.samples += 1;
         match r {
             Record::SpanStart { phase, .. } => {
@@ -145,13 +132,11 @@ impl Recorder for PulseRecorder {
                 if let Some(start) = task.open_spans.get_mut(&(rank, phase)).and_then(Vec::pop) {
                     let secs = (raw_t - start).max(0.0);
                     *w.span_secs.entry((rank, phase)).or_default() += secs;
-                    *task.span_secs.entry((rank, phase)).or_default() += secs;
                 }
             }
             Record::Event { .. } => {}
             Record::Counter { name, delta, .. } => {
                 *w.counters.entry(name).or_default() += delta;
-                *task.counters.entry(name).or_default() += delta;
             }
             Record::Gauge { name, index, value } => {
                 w.record_gauge(name, index, GaugeWrite { stamp, rank, value });

@@ -4,10 +4,9 @@
 //! The engine evaluates rules window by window, in window order, against
 //! the window's aggregates plus a small amount of carried state (last
 //! gauge values, time of last counter activity). Alerts follow a breach
-//! state machine: a rule fires **once** when its predicate first holds for
-//! `min_windows` consecutive windows, stays latched while the breach
-//! continues, and re-arms after the first non-breaching window — so one
-//! continuous breach can never emit twice.
+//! state machine: a rule fires **once** on its first breaching window,
+//! stays latched while the breach continues, and re-arms after the first
+//! non-breaching window — so one continuous breach can never emit twice.
 
 use std::collections::BTreeMap;
 
@@ -18,18 +17,18 @@ use crate::window::WindowStats;
 /// Threshold/rate/absence predicates over one settled window.
 #[derive(Debug, Clone)]
 pub enum Predicate {
-    /// Summed counter deltas over `metrics`, divided by the window width,
-    /// at or above `per_second`.
+    /// Counter deltas of `metric`, divided by the window width, at or
+    /// above `per_second`.
     RateAbove {
-        /// Counter names summed together.
-        metrics: Vec<&'static str>,
+        /// Counter name.
+        metric: &'static str,
         /// Breach threshold in increments per simulated second.
         per_second: f64,
     },
-    /// Summed counter deltas over `metrics` at or above `at_least`.
+    /// Counter deltas of `metric` at or above `at_least`.
     CountAbove {
-        /// Counter names summed together.
-        metrics: Vec<&'static str>,
+        /// Counter name.
+        metric: &'static str,
         /// Breach threshold in increments per window.
         at_least: u64,
     },
@@ -82,9 +81,6 @@ pub struct PulseRule {
     pub name: &'static str,
     /// The windowed predicate.
     pub predicate: Predicate,
-    /// Consecutive breaching windows required before firing (≥ 1; 0 is
-    /// treated as 1).
-    pub min_windows: usize,
 }
 
 /// A fired alert.
@@ -162,15 +158,13 @@ pub fn builtin_rules(th: &RuleThresholds) -> Vec<PulseRule> {
         PulseRule {
             name: names::ALERT_CKPT_STALL,
             predicate: Predicate::AbsenceFor { metric: names::COMMITS, seconds: th.ckpt_stall_slo },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_RETRY_STORM,
             predicate: Predicate::RateAbove {
-                metrics: vec![names::IO_RETRIES],
+                metric: names::IO_RETRIES,
                 per_second: th.retry_rate,
             },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_STRAGGLER,
@@ -179,12 +173,10 @@ pub fn builtin_rules(th: &RuleThresholds) -> Vec<PulseRule> {
                 factor: th.straggler_factor,
                 min_ranks: th.straggler_min_ranks,
             },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_PARITY_DEGRADED,
             predicate: Predicate::GaugeAbove { name: names::PIOFS_DEGRADED, index: 0, above: 0.0 },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_REPLICA_LOSS,
@@ -193,7 +185,6 @@ pub fn builtin_rules(th: &RuleThresholds) -> Vec<PulseRule> {
                 index: 0,
                 below: th.min_replicas,
             },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_DELTA_COLLAPSE,
@@ -202,15 +193,13 @@ pub fn builtin_rules(th: &RuleThresholds) -> Vec<PulseRule> {
                 index: 0,
                 above: th.delta_dirty_ceiling,
             },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_FLUSH_LAG,
             predicate: Predicate::CountAbove {
-                metrics: vec![names::ASYNC_FLUSH_LAG_US],
+                metric: names::ASYNC_FLUSH_LAG_US,
                 at_least: th.flush_lag_budget_us,
             },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_RECOVERY_BUDGET,
@@ -219,30 +208,22 @@ pub fn builtin_rules(th: &RuleThresholds) -> Vec<PulseRule> {
                 index: 0,
                 above: th.recovery_budget,
             },
-            min_windows: 1,
         },
         PulseRule {
             name: names::ALERT_RECOVERY_DEGRADED,
             predicate: Predicate::CountAbove {
-                metrics: vec![names::RECOVER_FULL_RESTARTS],
+                metric: names::RECOVER_FULL_RESTARTS,
                 at_least: th.full_restart_budget,
             },
-            min_windows: 1,
         },
     ]
-}
-
-struct RuleState {
-    /// Consecutive breaching windows so far.
-    run: usize,
-    /// Whether the alert is latched (fired and still breaching).
-    latched: bool,
 }
 
 /// Evaluates rules over settled windows, in window order.
 pub struct RuleEngine {
     rules: Vec<PulseRule>,
-    states: Vec<RuleState>,
+    /// Per rule: whether its alert is latched (fired and still breaching).
+    latched: Vec<bool>,
     /// Carried last value per gauge series.
     gauges: BTreeMap<(&'static str, usize), f64>,
     /// Absence tracking: simulated time the metric was last seen
@@ -255,10 +236,9 @@ pub struct RuleEngine {
 impl RuleEngine {
     /// An engine over `rules` with all alerts armed.
     pub fn new(rules: Vec<PulseRule>) -> RuleEngine {
-        let states = rules.iter().map(|_| RuleState { run: 0, latched: false }).collect();
         RuleEngine {
+            latched: vec![false; rules.len()],
             rules,
-            states,
             gauges: BTreeMap::new(),
             last_seen: BTreeMap::new(),
             observed: false,
@@ -290,7 +270,7 @@ impl RuleEngine {
         }
         for rule in &self.rules {
             if let Predicate::AbsenceFor { metric, .. } = &rule.predicate {
-                if w.counters.get(*metric).copied().unwrap_or(0) > 0 {
+                if w.counter(metric) > 0 {
                     self.last_seen.insert(*metric, t1);
                 }
             }
@@ -298,14 +278,14 @@ impl RuleEngine {
 
         let width = (t1 - t0).max(f64::MIN_POSITIVE);
         let mut fired = Vec::new();
-        for (rule, state) in self.rules.iter().zip(self.states.iter_mut()) {
+        for (rule, latched) in self.rules.iter().zip(self.latched.iter_mut()) {
             let breach: Option<f64> = match &rule.predicate {
-                Predicate::RateAbove { metrics, per_second } => {
-                    let rate = w.counter_sum(metrics) as f64 / width;
+                Predicate::RateAbove { metric, per_second } => {
+                    let rate = w.counter(metric) as f64 / width;
                     (rate >= *per_second && *per_second > 0.0).then_some(rate)
                 }
-                Predicate::CountAbove { metrics, at_least } => {
-                    let n = w.counter_sum(metrics);
+                Predicate::CountAbove { metric, at_least } => {
+                    let n = w.counter(metric);
                     (n >= *at_least && *at_least > 0).then_some(n as f64)
                 }
                 Predicate::GaugeBelow { name, index, below } => {
@@ -335,19 +315,10 @@ impl RuleEngine {
                     }
                 }
             };
-            match breach {
-                Some(value) => {
-                    state.run += 1;
-                    if state.run >= rule.min_windows.max(1) && !state.latched {
-                        state.latched = true;
-                        fired.push(Alert { rule: rule.name, window: index, t0, t1, value });
-                    }
-                }
-                None => {
-                    state.run = 0;
-                    state.latched = false;
-                }
+            if let (Some(value), false) = (breach, *latched) {
+                fired.push(Alert { rule: rule.name, window: index, t0, t1, value });
             }
+            *latched = breach.is_some();
         }
         fired
     }
@@ -374,8 +345,7 @@ mod tests {
     fn continuous_breach_fires_once_and_rearms() {
         let rule = PulseRule {
             name: names::ALERT_RETRY_STORM,
-            predicate: Predicate::RateAbove { metrics: vec![names::IO_RETRIES], per_second: 2.0 },
-            min_windows: 1,
+            predicate: Predicate::RateAbove { metric: names::IO_RETRIES, per_second: 2.0 },
         };
         let mut eng = RuleEngine::new(vec![rule]);
         let hot = window_with(names::IO_RETRIES, 10);
@@ -387,20 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn min_windows_debounces() {
-        let rule = PulseRule {
-            name: names::ALERT_RETRY_STORM,
-            predicate: Predicate::CountAbove { metrics: vec![names::IO_RETRIES], at_least: 1 },
-            min_windows: 3,
-        };
-        let mut eng = RuleEngine::new(vec![rule]);
-        let hot = window_with(names::IO_RETRIES, 1);
-        assert!(eng.evaluate(0, 0.0, 1.0, &hot).is_empty());
-        assert!(eng.evaluate(1, 1.0, 2.0, &hot).is_empty());
-        assert_eq!(eng.evaluate(2, 2.0, 3.0, &hot).len(), 1);
-    }
-
-    #[test]
     fn gauge_rules_carry_values_across_windows() {
         let rule = PulseRule {
             name: names::ALERT_REPLICA_LOSS,
@@ -409,7 +365,6 @@ mod tests {
                 index: 0,
                 below: 1.0,
             },
-            min_windows: 1,
         };
         let mut eng = RuleEngine::new(vec![rule]);
         // Unset gauge: unknown, no alert.
@@ -431,7 +386,6 @@ mod tests {
         let rule = PulseRule {
             name: names::ALERT_CKPT_STALL,
             predicate: Predicate::AbsenceFor { metric: names::COMMITS, seconds: 2.5 },
-            min_windows: 1,
         };
         let mut eng = RuleEngine::new(vec![rule]);
         let active = window_with(names::COMMITS, 1);
@@ -464,7 +418,6 @@ mod tests {
         let rule = PulseRule {
             name: names::ALERT_STRAGGLER,
             predicate: Predicate::SkewAbove { phase: Phase::StreamWave, factor: 2.0, min_ranks: 3 },
-            min_windows: 1,
         };
         let mut eng = RuleEngine::new(vec![rule]);
         let mut w = WindowStats { samples: 4, ..Default::default() };

@@ -80,9 +80,9 @@ impl WindowStats {
         self.gauges.get(&(name, index)).map(|g| g.value)
     }
 
-    /// Sum of counter deltas over `metrics` in this window.
-    pub fn counter_sum(&self, metrics: &[&'static str]) -> u64 {
-        metrics.iter().map(|m| self.counters.get(m).copied().unwrap_or(0)).sum()
+    /// Counter deltas of `metric` in this window (0 when it did not move).
+    pub fn counter(&self, metric: &str) -> u64 {
+        self.counters.get(metric).copied().unwrap_or(0)
     }
 
     /// Per-rank seconds spent in `phase` this window, ranks with zero
@@ -177,6 +177,6 @@ mod tests {
         assert_eq!(w.phase_by_rank(Phase::StreamWave), vec![(0, 1.0), (1, 3.0)]);
         assert_eq!(w.phase_total(Phase::StreamWave), 4.0);
         assert!(w.phase_total(Phase::Control).is_sign_positive());
-        assert_eq!(w.counter_sum(&["a"]), 0);
+        assert_eq!(w.counter("a"), 0);
     }
 }

@@ -40,11 +40,7 @@ fn replay(script: &[Step], cuts: &[usize]) -> (Vec<String>, Vec<(String, u64)>) 
         rules: vec![
             PulseRule {
                 name: names::ALERT_RETRY_STORM,
-                predicate: Predicate::RateAbove {
-                    metrics: vec![names::IO_RETRIES],
-                    per_second: 150.0,
-                },
-                min_windows: 1,
+                predicate: Predicate::RateAbove { metric: names::IO_RETRIES, per_second: 150.0 },
             },
             PulseRule {
                 name: names::ALERT_REPLICA_LOSS,
@@ -53,7 +49,6 @@ fn replay(script: &[Step], cuts: &[usize]) -> (Vec<String>, Vec<(String, u64)>) 
                     index: 0,
                     below: 2.0,
                 },
-                min_windows: 1,
             },
         ],
     });
@@ -126,11 +121,7 @@ proptest! {
             window: WIDTH,
             rules: vec![PulseRule {
                 name: names::ALERT_RETRY_STORM,
-                predicate: Predicate::RateAbove {
-                    metrics: vec![names::IO_RETRIES],
-                    per_second: THRESHOLD,
-                },
-                min_windows: 1,
+                predicate: Predicate::RateAbove { metric: names::IO_RETRIES, per_second: THRESHOLD },
             }],
         });
         let rec = pulse.recorder();
